@@ -1,8 +1,6 @@
 // Cost-certifier performance (DESIGN.md §14): how long the abstract
-// interpreter takes to certify each shipped target's path-equivalence
-// classes, and what the certified straight-line specialized traces buy
-// over the stage-lowered fast path (and the interpreter) on admitted
-// traffic. The headline numbers land in BENCH_cost.json — the perf
+// interpreter takes to bound each shipped target's path-equivalence
+// classes. The headline numbers land in BENCH_cost.json — the perf
 // trajectory CI uploads on every run.
 #include <benchmark/benchmark.h>
 
@@ -15,7 +13,6 @@
 #include "cost/cost.hpp"
 #include "example_chains.hpp"
 #include "explore/explorer.hpp"
-#include "sim/compiled/compiled_pipeline.hpp"
 
 namespace {
 
@@ -81,8 +78,8 @@ double now_seconds() {
 
 void print_certify_times(bench::BenchJson& json) {
   bench::heading("Certifier runtime: abstract interpretation to fixpoint");
-  std::printf("%-12s %-10s %-10s %-10s %-8s\n", "target", "cost (us)",
-              "classes", "certified", "bound");
+  std::printf("%-12s %-10s %-10s %-8s\n", "target", "cost (us)", "classes",
+              "bound");
   for (const std::string& name :
        {std::string("fig2"), std::string("fig9"), std::string("quickstart"),
         std::string("stateful"), std::string("parallel")}) {
@@ -99,99 +96,15 @@ void print_certify_times(bench::BenchJson& json) {
                          options);
     }
     const double us = (now_seconds() - start) * 1e6 / kReps;
-    std::printf("%-12s %-10.1f %-10zu %-10zu %-8u\n", name.c_str(), us,
-                result.stats.classes, result.stats.certified,
-                result.deployment_pass_bound);
+    std::printf("%-12s %-10.1f %-10zu %-8u\n", name.c_str(), us,
+                result.stats.classes, result.deployment_pass_bound);
     json.add("cost_us_" + name, us);
-    json.add("certified_" + name,
-             static_cast<std::uint64_t>(result.stats.certified));
     json.add("pass_bound_" + name,
              static_cast<std::uint64_t>(result.deployment_pass_bound));
   }
   std::printf("(per run over %s; explorer time excluded — its classes are "
               "the certifier's input)\n",
               "20 repetitions");
-}
-
-void print_specialization_speedup(bench::BenchJson& json) {
-  bench::heading(
-      "Trace specialization: certified straight-line traces vs the "
-      "stage-lowered fast path (Fig. 9 deployment, admitted traffic)");
-
-  Target t = build_target("fig9");
-  const explore::ExploreResult& exploration = t.deployment->run_explorer();
-  cost::CostOptions options;
-  options.routing = &t.deployment->routing();
-  const cost::CostResult result = cost::run(t.deployment->dataplane(),
-                                            t.policies, exploration, options);
-
-  // The workload: every certified class's witness, round-robin — all
-  // packets are admitted by some certificate, so the specialized
-  // engine runs straight-line end to end.
-  struct Sent {
-    net::Packet packet;
-    std::uint16_t in_port;
-  };
-  std::vector<Sent> admitted;
-  for (const cost::ClassCost& c : result.classes) {
-    if (c.certified()) admitted.push_back({c.certificate->witness, c.in_port});
-  }
-  constexpr std::size_t kPackets = 20000;
-
-  auto drive = [&](auto&& process) {
-    // One warm lap (compile, parse caches), then the timed run.
-    for (const Sent& s : admitted) process(s.packet, s.in_port);
-    const double start = now_seconds();
-    for (std::size_t i = 0; i < kPackets; ++i) {
-      const Sent& s = admitted[i % admitted.size()];
-      benchmark::DoNotOptimize(process(s.packet, s.in_port));
-    }
-    return (now_seconds() - start) * 1e9 / kPackets;
-  };
-
-  sim::DataPlane interp_dp = t.deployment->dataplane();
-  const double interp_ns = drive([&](const net::Packet& p, std::uint16_t in) {
-    return interp_dp.process(p, in);
-  });
-
-  sim::DataPlane lowered_dp = t.deployment->dataplane();
-  sim::CompiledPipeline lowered(lowered_dp, explore::compile_seed(exploration));
-  const double lowered_ns = drive([&](const net::Packet& p, std::uint16_t in) {
-    return lowered.process(p, in);
-  });
-
-  sim::DataPlane spec_dp = t.deployment->dataplane();
-  sim::CompiledPipeline specialized(spec_dp,
-                                    cost::certified_seed(exploration, result));
-  const double spec_ns = drive([&](const net::Packet& p, std::uint16_t in) {
-    return specialized.process(p, in);
-  });
-  const double spec_fraction =
-      static_cast<double>(specialized.stats().specialized_packets) /
-      static_cast<double>(specialized.stats().compiled_packets);
-
-  std::printf("%-26s %-14s %-10s\n", "engine", "ns/packet", "speedup");
-  std::printf("%-26s %-14.1f %-10s\n", "interpreter", interp_ns, "1.00");
-  std::printf("%-26s %-14.1f %-10.2f\n", "compiled (stage-lowered)",
-              lowered_ns, interp_ns / lowered_ns);
-  std::printf("%-26s %-14.1f %-10.2f\n", "compiled (specialized)", spec_ns,
-              interp_ns / spec_ns);
-  std::printf("specialized fraction: %.3f of compiled packets; "
-              "%llu certs active, %llu rejected\n",
-              spec_fraction,
-              static_cast<unsigned long long>(
-                  specialized.stats().certs_active),
-              static_cast<unsigned long long>(
-                  specialized.stats().certs_rejected));
-
-  json.add("specialize_target", std::string("fig9"));
-  json.add("specialize_packets", static_cast<std::uint64_t>(kPackets));
-  json.add("interpreter_ns_per_packet", interp_ns);
-  json.add("lowered_ns_per_packet", lowered_ns);
-  json.add("specialized_ns_per_packet", spec_ns);
-  json.add("speedup_specialized_vs_interp", interp_ns / spec_ns);
-  json.add("speedup_specialized_vs_lowered", lowered_ns / spec_ns);
-  json.add("specialized_fraction", spec_fraction);
 }
 
 void BM_CostRun(benchmark::State& state) {
@@ -213,7 +126,6 @@ BENCHMARK(BM_CostRun);
 int main(int argc, char** argv) {
   bench::BenchJson json("cost");
   print_certify_times(json);
-  print_specialization_speedup(json);
   json.write();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

@@ -418,11 +418,10 @@ int cmd_explore(const std::vector<std::string>& args, bool fig9) {
 }
 
 /// The cost certifier over one shipped deployment or seeded fixture:
-/// per-class proven pass/recirc bounds, trace-specialization
-/// certificates, and the statically fed fluid model.
+/// per-class proven pass/recirc bounds and the statically fed fluid
+/// model.
 int cmd_cost(const std::vector<std::string>& args, bool fig9) {
   auto per_class = std::make_shared<bool>(false);
-  auto certify = std::make_shared<bool>(false);
   cli::CatalogSpec spec;
   spec.command = "cost";
   spec.build_failure_noun = "cost analysis";
@@ -430,10 +429,6 @@ int cmd_cost(const std::vector<std::string>& args, bool fig9) {
   spec.option = [=](const std::vector<std::string>& a, std::size_t& i) {
     if (a[i] == "--per-class") {
       *per_class = true;
-      return true;
-    }
-    if (a[i] == "--certify") {
-      *certify = true;
       return true;
     }
     return false;
@@ -447,23 +442,8 @@ int cmd_cost(const std::vector<std::string>& args, bool fig9) {
     cost::CostResult result = cost::run(
         deployment->dataplane(), deployment->policies(), exploration,
         options);
-    cli::CatalogItem item{result.report.errors(),
-                          result.to_text(*per_class), result.to_json()};
-    if (*certify) {
-      char line[96];
-      std::snprintf(line, sizeof(line),
-                    "certified classes: %zu (gate: >= 2)\n",
-                    result.stats.certified);
-      item.text += line;
-      if (result.stats.certified < 2) {
-        ++item.errors;
-        std::fprintf(stderr,
-                     "cost %s: only %zu classes certified "
-                     "(--certify requires 2)\n",
-                     target.c_str(), result.stats.certified);
-      }
-    }
-    return item;
+    return cli::CatalogItem{result.report.errors(),
+                            result.to_text(*per_class), result.to_json()};
   };
   spec.run_fixture = [](const std::string& name) {
     cost::fixtures::Bundle bundle = cost::fixtures::make(name);
@@ -827,19 +807,16 @@ void usage() {
                "explorer over\n"
                "                           the installed rules; exits 1 on "
                "error findings\n"
-               "  cost [--json] [--per-class] [--certify]\n"
+               "  cost [--json] [--per-class]\n"
                "       [--target fig2|fig9|quickstart|stateful|parallel]...\n"
                "       [--all] [--fixture NAME]... [--fixtures]\n"
                "                           abstract-interpretation cost "
                "certifier:\n"
                "                           proven per-class pass/recirc "
-               "bounds, trace\n"
-               "                           certificates, statically fed "
-               "fluid model;\n"
-               "                           --certify also requires >= 2 "
-               "certified\n"
-               "                           classes per target; exits 1 on "
-               "error findings\n"
+               "bounds and a\n"
+               "                           statically fed fluid model; "
+               "exits 1 on\n"
+               "                           error findings\n"
                "  chaos [--seed N] [--schedule none|writes|evictions|"
                "recirc|mixed]\n"
                "        [--workers N] [--flows N] [--repair bypass|replace|"

@@ -29,7 +29,7 @@
 //     on corrupt state.
 //
 // Detection triggers quarantine (a caller-supplied hook, typically
-// CompiledPipeline::quarantine(), revoking trace certificates and
+// CompiledPipeline::quarantine(), dropping the compiled snapshot and
 // forcing recompilation) and feeds HealthMonitor::note_state(). Repair
 // is scrub(): snapshot both planes, snapshot_diff() the edit script,
 // ship it as ONE atomic WriteCommand::Verb::kReconcile through a
@@ -162,9 +162,8 @@ class Auditor {
   const AuditReport& report() const { return report_; }
 
   /// Invoked once per finding as it is raised: the caller wires this
-  /// to CompiledPipeline::quarantine() so certified traces
-  /// and compiled snapshots cannot keep executing against state the
-  /// audit has proven stale.
+  /// to CompiledPipeline::quarantine() so compiled snapshots cannot
+  /// keep executing against state the audit has proven stale.
   void set_quarantine_hook(std::function<void()> hook);
   /// Receives note_state(clean) once per tick().
   void set_health_monitor(HealthMonitor* monitor) { monitor_ = monitor; }

@@ -23,11 +23,6 @@ sim::SwitchOutput DeploymentTarget::inject(net::Packet packet,
 void DeploymentTarget::set_engine(sim::EngineKind kind) {
   engine_ = kind;
   if (kind != sim::EngineKind::kCompiled || compiled_) return;
-  if (seed_override_) {
-    compiled_ = std::make_unique<sim::CompiledPipeline>(
-        fx_.deployment->dataplane(), *seed_override_);
-    return;
-  }
   // Seed from the deployment's own path equivalence classes; reuse a
   // previous exploration when the deployment already ran one.
   const explore::ExploreResult& ex =
@@ -38,24 +33,12 @@ void DeploymentTarget::set_engine(sim::EngineKind kind) {
       fx_.deployment->dataplane(), explore::compile_seed(ex));
 }
 
-void DeploymentTarget::set_compile_seed(sim::CompileSeed seed) {
-  seed_override_ = std::move(seed);
-  if (compiled_) {
-    compiled_ = std::make_unique<sim::CompiledPipeline>(
-        fx_.deployment->dataplane(), *seed_override_);
-  }
-}
-
 std::uint64_t DeploymentTarget::compiled_packets() const {
   return compiled_ ? compiled_->stats().compiled_packets : 0;
 }
 
 std::uint64_t DeploymentTarget::fallback_packets() const {
   return compiled_ ? compiled_->stats().fallback_packets : 0;
-}
-
-std::uint64_t DeploymentTarget::specialized_packets() const {
-  return compiled_ ? compiled_->stats().specialized_packets : 0;
 }
 
 sim::TargetFactory fig2_replay_factory(bool fig9, bool service_punts) {

@@ -30,12 +30,6 @@ class DeploymentTarget : public sim::ReplayTarget {
   sim::EngineKind engine() const override { return engine_; }
   std::uint64_t compiled_packets() const override;
   std::uint64_t fallback_packets() const override;
-  std::uint64_t specialized_packets() const override;
-
-  /// Override the compile seed the next kCompiled switch uses (e.g. a
-  /// certificate-bearing seed from cost::run); rebuilds an already-live
-  /// compiled engine immediately.
-  void set_compile_seed(sim::CompileSeed seed);
 
   /// The live compiled engine, or nullptr while on the interpreter.
   sim::CompiledPipeline* compiled() { return compiled_.get(); }
@@ -46,7 +40,6 @@ class DeploymentTarget : public sim::ReplayTarget {
   Fig2Deployment fx_;
   bool service_punts_;
   std::unique_ptr<sim::CompiledPipeline> compiled_;
-  std::optional<sim::CompileSeed> seed_override_;
   sim::EngineKind engine_ = sim::EngineKind::kInterpreter;
 };
 

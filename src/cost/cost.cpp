@@ -110,19 +110,11 @@ struct AbsState {
   /// Header fields holding an abstract value (overlay-first reads);
   /// concrete writes go through to the template bytes instead.
   std::map<std::string, AbsVal> overlay;
-  /// Header fields written by an action on this trace (their values
-  /// are trace-determined — never pinned into certificate guards).
-  std::set<std::string> written;
-  /// Concrete template fields a decision consumed: certificate guards
-  /// pin these, so earlier-TCAM-entry misses hold over the whole
-  /// admitted region, not just the witness.
-  std::map<std::string, std::uint64_t> pinned;
   std::uint32_t pipeline = 0;
   std::uint32_t pass = 0;
   std::uint32_t recircs = 0;
   std::uint32_t resubs = 0;
   std::vector<std::uint32_t> loop_pipelines;
-  std::vector<sim::TraceCertificate::Step> steps;
   std::set<std::string> digests;  ///< pass-entry states seen on this trace
   bool register_dependent = false;
   bool widened = false;
@@ -145,8 +137,6 @@ struct TraceEnd {
   std::uint32_t recircs = 0;
   std::uint32_t resubs = 0;
   std::vector<std::uint32_t> loop_pipelines;
-  std::vector<sim::TraceCertificate::Step> steps;
-  std::map<std::string, std::uint64_t> pinned;
   bool register_dependent = false;
 };
 
@@ -174,10 +164,8 @@ AbsVal flag_from(const AbsVal& v) {
 /// widening to a fixpoint over the recirculation/resubmit graph.
 class Walker {
  public:
-  Walker(sim::DataPlane& dp, const CostOptions& opts, std::uint32_t epoch,
-         std::set<std::string> var_fields)
-      : dp_(dp), prog_(dp.program()), opts_(opts), epoch_(epoch),
-        var_fields_(std::move(var_fields)) {}
+  Walker(sim::DataPlane& dp, const CostOptions& opts, std::uint32_t epoch)
+      : dp_(dp), prog_(dp.program()), opts_(opts), epoch_(epoch) {}
 
   void walk(AbsState s) {
     spawned_ = 1;
@@ -190,7 +178,7 @@ class Walker {
   bool capped = false;
   /// An abstract value escaped the tracked state (e.g. an abstract
   /// write to a concrete-only metadata field); bounds stay sound but
-  /// the class is not certifiable.
+  /// the class is not deterministic and DV-C4 coverage is void.
   bool approx = false;
   /// Exact entries consulted on a hit, as (control, joined-key) — the
   /// DV-C4 reachability evidence.
@@ -230,8 +218,6 @@ class Walker {
     e.recircs = s.recircs;
     e.resubs = s.resubs;
     e.loop_pipelines = std::move(s.loop_pipelines);
-    e.steps = std::move(s.steps);
-    e.pinned = std::move(s.pinned);
     e.register_dependent = s.register_dependent;
     ends.push_back(std::move(e));
   }
@@ -289,10 +275,6 @@ class Walker {
         out = it->second;
       } else if (auto hv = header_read(prog_, s.packet, s.parsed, *ref)) {
         out = AbsVal::concrete(hv->first, hv->second);
-        if (decision && !var_fields_.contains(dotted) &&
-            !s.written.contains(dotted)) {
-          s.pinned.emplace(dotted, hv->first);
-        }
       }
     }
     if (out && decision && out->tainted) s.register_dependent = true;
@@ -300,7 +282,7 @@ class Walker {
   }
 
   /// Store a *refined* abstract value back to its slot (a fork's meet
-  /// result — not an action write, so `written` is untouched).
+  /// result, not an action write).
   void aset(AbsState& s, Ctx& ctx, const std::string& dotted,
             const AbsVal& v) {
     auto ref = p4ir::FieldRef::parse(dotted);
@@ -350,7 +332,7 @@ class Walker {
             s.meta.packet_length = static_cast<std::uint32_t>(*c);
           }
         } else {
-          approx = true;  // untrackable; bounds stay sound, no cert
+          approx = true;  // untrackable; bounds stay sound
         }
       } else if (f == "resubmit_flag") {
         s.meta.resubmit = flag_from(v);
@@ -375,7 +357,6 @@ class Walker {
     auto loc = locate_field(prog_, s.parsed, *ref);
     if (!loc) return;
     v.resize(loc->bits);
-    s.written.insert(dotted);
     if (auto c = v.concrete_value()) {
       header_write(prog_, s.packet, s.parsed, *ref, *c);
       s.overlay.erase(dotted);
@@ -696,8 +677,7 @@ class Walker {
       return;
     }
 
-    // Read the key components (decision reads — they pin template
-    // fields into the certificate's admission guards).
+    // Read the key components (decision reads).
     std::vector<std::optional<AbsVal>> key;
     key.reserve(table->keys.size());
     bool missing = false;
@@ -904,8 +884,6 @@ class Walker {
                      std::uint32_t ci, std::size_t idx, bool hit,
                      const sim::ActionCall& call, Cont k) {
     const p4ir::ApplyEntry& entry = control.apply_order()[idx];
-    s.steps.push_back(sim::TraceCertificate::Step{
-        s.pass, ci, static_cast<std::uint32_t>(idx), hit});
     ctx.hits[entry.table] = hit;
     if (!entry.branch_id.empty() && ctx.taken_branch.empty()) {
       ctx.branch_checked[entry.branch_id] = true;
@@ -980,14 +958,6 @@ class Walker {
         case p4ir::PrimitiveOp::kPushSfc: {
           sfc::push_sfc(s.packet, sfc::SfcHeader{});
           drop_sfc_overlay(s);
-          // The pushed header's fields are trace-determined from here.
-          for (const p4ir::HeaderType* sfc_type =
-                   prog_.find_header_type("sfc");
-               sfc_type != nullptr; sfc_type = nullptr) {
-            for (const p4ir::Field& f : sfc_type->fields) {
-              s.written.insert("sfc." + f.name);
-            }
-          }
           s.parsed = sim::run_parser(prog_, dp_.ids(), s.packet);
           break;
         }
@@ -1014,8 +984,8 @@ class Walker {
         case p4ir::PrimitiveOp::kRegisterAdd:
         case p4ir::PrimitiveOp::kRegisterWrite: {
           // Register cells are mutable cross-packet state: the walker
-          // tracks none of it. Reads produce tainted Top; writes are
-          // side effects the certificate's executed actions replay.
+          // tracks none of it. Reads produce tainted Top; writes only
+          // change later packets, never this walk.
           const p4ir::RegisterDef* def = control.find_register(p.param);
           if (def == nullptr || def->size == 0) break;
           const std::uint16_t bits =
@@ -1041,7 +1011,6 @@ class Walker {
   const p4ir::Program& prog_;
   const CostOptions& opts_;
   std::uint32_t epoch_;
-  std::set<std::string> var_fields_;
   std::size_t spawned_ = 0;
 };
 
@@ -1090,7 +1059,6 @@ CostResult run(sim::DataPlane& dp, const sfc::PolicySet& policies,
       continue;
     }
 
-    std::set<std::string> var_fields;
     AbsState s;
     s.packet = path.witness;
     s.meta.ingress_port = path.in_port;
@@ -1106,10 +1074,9 @@ CostResult run(sim::DataPlane& dp, const sfc::PolicySet& policies,
       v.hi = slice.cons.hi;
       v.forbidden = slice.cons.forbidden;
       s.overlay.emplace(slice.def.field, std::move(v));
-      var_fields.insert(slice.def.field);
     }
 
-    Walker w(dp, options, epoch, var_fields);
+    Walker w(dp, options, epoch);
     w.walk(std::move(s));
 
     result.stats.forks += w.forks;
@@ -1160,53 +1127,6 @@ CostResult run(sim::DataPlane& dp, const sfc::PolicySet& policies,
               " exceeds the configured cap " +
               std::to_string(dp.max_passes()) +
               " — packets of this class die on the pass-cap guard");
-    }
-
-    if (options.certify && cc.deterministic && cc.bounded &&
-        cc.pass_bound > 0 && cc.pass_bound <= dp.max_passes() &&
-        !w.ends.empty() && !w.ends.front().steps.empty() &&
-        (!cc.register_dependent || options.force_certify)) {
-      const TraceEnd& e = w.ends.front();
-      sim::TraceCertificate cert;
-      cert.class_id = cc.class_id;
-      cert.shape = path.shape;
-      cert.in_port = path.in_port;
-      cert.witness = path.witness;
-      for (const explore::PathSummary::VarSlice& slice : path.constraints) {
-        sim::FieldGuard g;
-        g.field = slice.def.field;
-        g.known_mask = slice.cons.known_mask;
-        g.known_value = slice.cons.known_value;
-        g.lo = slice.cons.lo;
-        g.hi = slice.cons.hi;
-        g.forbidden = slice.cons.forbidden;
-        cert.guards.push_back(std::move(g));
-      }
-      for (const auto& [field, value] : e.pinned) {
-        sim::FieldGuard g;
-        g.field = field;
-        const std::uint16_t bits =
-            dp.program().field_bits(field).value_or(64);
-        g.known_mask = AbsVal::mask_of(bits);
-        g.known_value = value;
-        g.lo = value;
-        g.hi = value;
-        cert.guards.push_back(std::move(g));
-      }
-      cert.steps = e.steps;
-      cert.pass_bound = cc.pass_bound;
-      cert.epoch = epoch;
-      cert.rules_fingerprint = dp.rules_fingerprint();
-      cert.register_tainted = cc.register_dependent;
-      if (cc.register_dependent) {
-        result.report.add(
-            "DV-C5", cc.class_id,
-            "certificate forced for a register-dependent class: a "
-            "branching decision consumed mutable register state; the "
-            "consumer must reject it (register_tainted)");
-      }
-      cc.certificate = std::move(cert);
-      ++result.stats.certified;
     }
 
     if (cc.bounded) {
@@ -1305,35 +1225,6 @@ CostResult run(sim::DataPlane& dp, const sfc::PolicySet& policies,
   return result;
 }
 
-sim::CompileSeed certified_seed(const explore::ExploreResult& exploration,
-                                const CostResult& cost) {
-  sim::CompileSeed seed = explore::compile_seed(exploration);
-  for (const ClassCost& cc : cost.classes) {
-    if (cc.certificate) seed.certificates.push_back(*cc.certificate);
-  }
-  return seed;
-}
-
-bool guards_admit(const sim::DataPlane& dp, const sim::TraceCertificate& cert,
-                  const net::Packet& packet, std::uint16_t in_port) {
-  if (in_port != cert.in_port) return false;
-  const sim::ParseResult parsed =
-      sim::run_parser(dp.program(), dp.ids(), packet);
-  for (const sim::FieldGuard& g : cert.guards) {
-    auto ref = p4ir::FieldRef::parse(g.field);
-    if (!ref) return false;
-    auto hv = header_read(dp.program(), packet, parsed, *ref);
-    if (!hv) return false;
-    const std::uint64_t v = hv->first;
-    if ((v & g.known_mask) != g.known_value) return false;
-    if (v < g.lo || v > g.hi) return false;
-    for (const net::TernaryField& f : g.forbidden) {
-      if ((v & f.mask) == (f.value & f.mask)) return false;
-    }
-  }
-  return true;
-}
-
 // --- reports ---------------------------------------------------------
 
 std::string CostResult::to_text(bool per_class) const {
@@ -1345,8 +1236,8 @@ std::string CostResult::to_text(bool per_class) const {
   }
   os << "== cost certification ==\n";
   std::snprintf(buf, sizeof(buf),
-                "classes analyzed:  %zu (%zu certified, %zu unbounded)\n",
-                stats.classes, stats.certified, stats.unbounded);
+                "classes analyzed:  %zu (%zu unbounded)\n", stats.classes,
+                stats.unbounded);
   os << buf;
   std::snprintf(buf, sizeof(buf),
                 "deployment bound:  %u passes (configured cap %u)\n",
@@ -1360,8 +1251,7 @@ std::string CostResult::to_text(bool per_class) const {
     os << "\nclass        in  bound recirc resub outcome    flags\n";
     for (const ClassCost& cc : classes) {
       std::string flags;
-      if (cc.certified()) flags += " certified";
-      if (cc.deterministic && !cc.certified()) flags += " deterministic";
+      if (cc.deterministic) flags += " deterministic";
       if (cc.register_dependent) flags += " register-dependent";
       if (cc.fork_capped) flags += " fork-capped";
       if (flags.empty()) flags = " -";
@@ -1390,7 +1280,6 @@ std::string CostResult::to_json() const {
   os << "  \"deployment_pass_bound\": " << deployment_pass_bound << ",\n";
   os << "  \"configured_pass_cap\": " << configured_pass_cap << ",\n";
   os << "  \"stats\": {\"classes\": " << stats.classes
-     << ", \"certified\": " << stats.certified
      << ", \"unbounded\": " << stats.unbounded
      << ", \"traces\": " << stats.traces << ", \"forks\": " << stats.forks
      << ", \"widenings\": " << stats.widenings << "},\n";
@@ -1405,8 +1294,7 @@ std::string CostResult::to_json() const {
        << (cc.bounded ? "true" : "false") << ", \"deterministic\": "
        << (cc.deterministic ? "true" : "false")
        << ", \"register_dependent\": "
-       << (cc.register_dependent ? "true" : "false") << ", \"certified\": "
-       << (cc.certified() ? "true" : "false") << "}";
+       << (cc.register_dependent ? "true" : "false") << "}";
     os << (i + 1 < classes.size() ? ",\n" : "\n");
   }
   os << "  ],\n";

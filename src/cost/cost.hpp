@@ -10,10 +10,7 @@
 //   (b) worst-case recirculation and resubmission counts, fed into
 //       sim::solve_fluid_throughput as statically derived per-path
 //       traversal costs (the §4 "throughput is calculable" claim,
-//       derived from the rules alone, no packets replayed);
-//   (c) when the class is deterministic under its constraint set, a
-//       sim::TraceCertificate the compiled fast path consumes to lower
-//       the class into a straight-line specialized trace.
+//       derived from the rules alone, no packets replayed).
 // The walker mirrors the interpreter at the p4ir level and never
 // mutates the dataplane: installed entries are scanned directly
 // (epoch-filtered), not looked up, so table hit/miss counters and
@@ -28,7 +25,6 @@
 #include "explore/explorer.hpp"
 #include "route/routing.hpp"
 #include "sfc/chain.hpp"
-#include "sim/compiled/compiled_pipeline.hpp"
 #include "sim/dataplane.hpp"
 #include "sim/throughput.hpp"
 #include "verify/finding.hpp"
@@ -36,12 +32,6 @@
 namespace dejavu::cost {
 
 struct CostOptions {
-  /// Build trace-specialization certificates for deterministic classes.
-  bool certify = true;
-  /// Certify even register-dependent classes (certificates carry
-  /// register_tainted = true and DV-C5 fires). The consumer rejects
-  /// such certificates; this exists so the rejection path is testable.
-  bool force_certify = false;
   /// Abstract-trace budget per class; exceeding it abandons the class
   /// as conservatively unbounded (DV-C1) and voids DV-C4 coverage.
   std::size_t max_forks = 512;
@@ -82,14 +72,10 @@ struct ClassCost {
   std::vector<std::uint32_t> loop_pipelines;
   /// Service path IDs whose branching entries the class consulted.
   std::vector<std::uint16_t> path_ids;
-  std::optional<sim::TraceCertificate> certificate;
-
-  bool certified() const { return certificate.has_value(); }
 };
 
 struct CostStats {
   std::size_t classes = 0;
-  std::size_t certified = 0;
   std::size_t unbounded = 0;
   std::size_t traces = 0;      ///< completed abstract traces, all classes
   std::size_t forks = 0;       ///< fork points taken
@@ -118,17 +104,5 @@ struct CostResult {
 CostResult run(sim::DataPlane& dp, const sfc::PolicySet& policies,
                const explore::ExploreResult& exploration,
                const CostOptions& options = {});
-
-/// Compile seed for the fast path: the exploration's witnesses plus
-/// every certificate the cost run produced.
-sim::CompileSeed certified_seed(const explore::ExploreResult& exploration,
-                                const CostResult& cost);
-
-/// Does a concrete packet fall inside a certificate's admitted region
-/// (ingress port + every field guard)? Mirrors the compiled engine's
-/// admission test; exposed so tests can attribute replayed packets to
-/// certified classes.
-bool guards_admit(const sim::DataPlane& dp, const sim::TraceCertificate& cert,
-                  const net::Packet& packet, std::uint16_t in_port);
 
 }  // namespace dejavu::cost

@@ -5,27 +5,13 @@
 
 #include "merge/framework.hpp"
 #include "nf/nfs.hpp"
-#include "nf/parser_lib.hpp"
 #include "route/routing.hpp"
 
 namespace dejavu::cost::fixtures {
 
 namespace {
 
-using p4ir::Action;
-using p4ir::ControlBlock;
-using p4ir::MatchKind;
 using p4ir::Program;
-using p4ir::Table;
-using p4ir::TableKey;
-
-/// A minimal custom NF shell (standard parser, one control block).
-Program custom_nf(const std::string& name, p4ir::TupleIdTable& ids) {
-  Program program(name);
-  program.annotate("nf", name);
-  nf::add_standard_parser(program, ids, {});
-  return program;
-}
 
 void install_rogue_branching(control::Deployment& d,
                              std::vector<std::uint64_t> key,
@@ -170,79 +156,11 @@ Bundle orphan_branch() {
   return b;
 }
 
-/// DV-C5: a middle NF whose table keys on a value read from a register
-/// — the branching decision depends on mutable cross-packet state, so
-/// a trace certificate for the class is unsound. force_certify makes
-/// the certifier emit one anyway (register_tainted) and DV-C5 flags
-/// it; the compiled consumer must reject it.
-Bundle register_gated_branch() {
-  Bundle b;
-  b.name = "register-gated-branch";
-  b.description =
-      "table keyed on register state; forced certificate is tainted "
-      "(DV-C5)";
-  b.expect_checks = {"DV-C5"};
-
-  p4ir::TupleIdTable ids;
-  std::vector<Program> nfs;
-  nfs.push_back(nf::make_classifier(ids));
-
-  Program gate = custom_nf("Gate", ids);
-  ControlBlock control("Gate_control");
-  control.add_register({"mode", 8, 4});
-  Action probe;
-  probe.name = "probe";
-  probe.primitives = {p4ir::register_read("local.mode", "mode", "")};
-  control.add_action(probe);
-  Action pass;
-  pass.name = "pass";
-  control.add_action(pass);
-  Table load;
-  load.name = "load_mode";
-  load.actions = {"probe"};
-  load.default_action = "probe";
-  control.add_table(load);
-  Table decide;
-  decide.name = "decide";
-  decide.keys = {TableKey{"local.mode", MatchKind::kExact, 8}};
-  decide.actions = {"pass"};
-  decide.default_action = "pass";
-  control.add_table(decide);
-  control.apply_table("load_mode");
-  control.apply_table("decide");
-  gate.add_control(std::move(control));
-  nfs.push_back(std::move(gate));
-
-  nfs.push_back(nf::make_router(ids));
-  b.policies.add({.path_id = 1,
-                  .name = "classify-gate-route",
-                  .nfs = {sfc::kClassifier, "Gate", sfc::kRouter},
-                  .weight = 1.0,
-                  .in_port = 0,
-                  .exit_port = 1});
-  asic::SwitchConfig config{asic::TargetSpec::tofino32()};
-  b.deployment = control::Deployment::build(std::move(nfs), b.policies,
-                                            std::move(config), std::move(ids));
-  auto& cp = b.deployment->control();
-  cp.add_traffic_class({.src = *net::Ipv4Prefix::parse("0.0.0.0/0"),
-                        .dst = *net::Ipv4Prefix::parse("10.0.0.0/8"),
-                        .protocol = std::nullopt,
-                        .priority = 10,
-                        .path_id = 1,
-                        .tenant = 1});
-  cp.add_route({.prefix = *net::Ipv4Prefix::parse("10.0.0.0/8"),
-                .port = 1,
-                .next_hop_mac = *net::MacAddr::parse("02:00:00:00:00:02")});
-  b.exploration = b.deployment->run_explorer();
-  b.options.force_certify = true;
-  return b;
-}
-
 }  // namespace
 
 std::vector<std::string> names() {
   return {"loop-forever", "cap-below-chain", "optimistic-plan",
-          "orphan-branch", "register-gated-branch"};
+          "orphan-branch"};
 }
 
 Bundle make(const std::string& name) {
@@ -250,7 +168,6 @@ Bundle make(const std::string& name) {
   if (name == "cap-below-chain") return cap_below_chain();
   if (name == "optimistic-plan") return optimistic_plan();
   if (name == "orphan-branch") return orphan_branch();
-  if (name == "register-gated-branch") return register_gated_branch();
   throw std::invalid_argument("unknown cost fixture '" + name + "'");
 }
 

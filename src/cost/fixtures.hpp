@@ -1,9 +1,8 @@
 // Seeded cost-certifier fixtures: deployments whose installed rules
 // defeat the static cost story — unbounded recirculation under
 // abstraction, certified bounds above the configured pass cap, routing
-// plans more optimistic than the proven traversal cost, branching
-// state no class can reach, and register-fed branching decisions that
-// must poison trace certificates. Each must trip its DV-C checks in
+// plans more optimistic than the proven traversal cost, and branching
+// state no class can reach. Each must trip its DV-C checks in
 // cost::run; a certifier that passes them is broken. They back the
 // golden tests and `dejavu_cli cost --fixture NAME`.
 #pragma once

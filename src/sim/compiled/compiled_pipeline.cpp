@@ -26,6 +26,15 @@ std::uint64_t shape_extend(std::uint64_t hash, std::uint16_t header) {
   return (hash ^ (std::uint64_t{header} + 1)) * kFnvPrime;
 }
 
+// Out of line and cold on purpose: a recompile looks up every installed
+// entry's arguments, and keeping the string building out of that lookup
+// lets the compiler inline it (about 8% of a churn recompile on g++ 12).
+[[gnu::noinline, gnu::cold]] std::string missing_arg_error(
+    const std::string& action, const std::string& param) {
+  return "action '" + action + "' installed without argument '" + param +
+         "'";
+}
+
 }  // namespace
 
 bool semantically_equal(const SwitchOutput& a, const SwitchOutput& b) {
@@ -74,13 +83,6 @@ bool CompiledPipeline::recompile() {
 
 void CompiledPipeline::quarantine() {
   ++stats_.quarantines;
-  // Revoke every lowered certificate: their proofs were taken against
-  // state that is now known-corrupt (or about to be repaired).
-  stats_.certs_revoked += stats_.certs_active;
-  stats_.certs_active = 0;
-  spec_classes_.clear();
-  spec_buckets_.clear();
-  spec_ = nullptr;
   // Drop the compiled snapshot AND the failed-compile latch: the next
   // packet's ensure_valid() must recompile from post-repair state even
   // if the epoch never moved.
@@ -203,8 +205,7 @@ bool CompiledPipeline::compile_action(const p4ir::ControlBlock& control,
                  std::uint64_t* value) -> bool {
     auto it = call.args.find(param);
     if (it == call.args.end()) {
-      *err = "action '" + call.action + "' installed without argument '" +
-             param + "'";
+      *err = missing_arg_error(call.action, param);
       return false;
     }
     *value = it->second;
@@ -409,10 +410,6 @@ bool CompiledPipeline::compile(std::string* err) {
   local_index_.clear();
   selector_ranges_.clear();
   revisions_.clear();
-  spec_classes_.clear();
-  spec_buckets_.clear();
-  spec_ = nullptr;
-  rec_ = nullptr;
   ipv4_header_ = -1;
   sfc_header_ = -1;
   parser_empty_ = true;
@@ -545,170 +542,7 @@ bool CompiledPipeline::compile(std::string* err) {
     if (!validate_witnesses(err)) return false;
     validated_once_ = true;
   }
-  compile_specializations();
   return true;
-}
-
-void CompiledPipeline::compile_specializations() {
-  stats_.certs_active = 0;
-  if (seed_.certificates.empty()) return;
-
-  // Freshness triage first: a stale certificate (epoch moved, any rule
-  // revision moved) is *revoked* — the proof talks about a rule set
-  // that no longer exists. Only clone a recorder when at least one
-  // certificate is worth auditing.
-  const std::uint64_t fingerprint = dp_->rules_fingerprint();
-  std::vector<const TraceCertificate*> fresh;
-  for (const TraceCertificate& cert : seed_.certificates) {
-    if (cert.epoch != compiled_epoch_ ||
-        cert.rules_fingerprint != fingerprint) {
-      ++stats_.certs_revoked;
-      continue;
-    }
-    if (cert.register_tainted) {
-      // DV-C5 territory: the certifier must never hand these over, and
-      // the consumer refuses them independently.
-      ++stats_.certs_rejected;
-      continue;
-    }
-    fresh.push_back(&cert);
-  }
-  if (fresh.empty()) return;
-
-  // Compile-time cross-check: replay each certificate's witness through
-  // a recorder instance on a cloned dataplane (registers, counters, and
-  // punt ledgers must not leak) and require the recorded lookup spine
-  // to equal the declared one, step for step. The table/entry indices
-  // are deterministic across instances (dense, apply-order assigned),
-  // so the recorder's trace is directly comparable; only the ActionRef
-  // arena offsets are instance-local, which is why actions are
-  // re-resolved against *this* instance below.
-  DataPlane clone = *dp_;
-  CompiledPipeline rec(clone, CompileSeed{});  // empty seed: no recursion
-  if (!rec.compiled_ok()) return;
-
-  std::vector<SpecStepC> recorded;
-  for (const TraceCertificate* cert : fresh) {
-    recorded.clear();
-    rec.rec_ = &recorded;
-    const std::uint64_t before = rec.stats().compiled_packets;
-    (void)rec.process(cert->witness, cert->in_port);
-    rec.rec_ = nullptr;
-    if (rec.stats().compiled_packets != before + 1) {
-      ++stats_.certs_rejected;  // witness escaped the fast path
-      continue;
-    }
-
-    SpecClassC sc;
-    sc.class_id = cert->class_id;
-    sc.in_port = cert->in_port;
-    bool ok = recorded.size() == cert->steps.size();
-    for (std::size_t i = 0; ok && i < recorded.size(); ++i) {
-      const TraceCertificate::Step& d = cert->steps[i];
-      const SpecStepC& r = recorded[i];
-      ok = r.pass == d.pass && r.control == d.control && r.entry == d.entry &&
-           r.hit == d.hit;
-    }
-    if (!ok) {
-      ++stats_.certs_rejected;
-      continue;
-    }
-
-    // Lower the guards; every guard field must resolve to a header
-    // field on this program or the admission test would be vacuous.
-    for (const FieldGuard& g : cert->guards) {
-      SpecGuardC gc;
-      gc.field = resolve_header_field(g.field);
-      if (gc.field.space != Space::kHeader) {
-        ok = false;
-        break;
-      }
-      gc.known_mask = g.known_mask;
-      gc.known_value = g.known_value;
-      gc.lo = g.lo;
-      gc.hi = g.hi;
-      for (const net::TernaryField& f : g.forbidden) {
-        gc.forbidden.push_back({f.value & f.mask, f.mask});
-      }
-      sc.guards.push_back(std::move(gc));
-    }
-    if (!ok) {
-      ++stats_.certs_rejected;
-      continue;
-    }
-
-    // Re-resolve each recorded step's action against this instance's
-    // arena. An exact hit whose key is no longer installed (can't
-    // happen while the fingerprint holds, but belt and braces) rejects.
-    for (SpecStepC st : recorded) {
-      if (st.hit && !st.keyless) {
-        const ControlC& cc = controls_[st.control];
-        const TableC& t = cc.tables[cc.entries[st.entry].table];
-        if (st.is_tcam) {
-          if (st.tern_ordinal >= t.tern.size()) {
-            ok = false;
-            break;
-          }
-          st.action = t.tern[st.tern_ordinal].action;
-        } else {
-          auto it = t.exact.find(st.key);
-          if (it == t.exact.end()) {
-            ok = false;
-            break;
-          }
-          st.action = it->second;
-        }
-      }
-      sc.steps.push_back(st);
-    }
-    if (!ok) {
-      ++stats_.certs_rejected;
-      continue;
-    }
-
-    // Membership shape: the witness's *initial* parse shape (run()
-    // may reparse mid-flight on SFC push/pop; membership is decided at
-    // ingress, before any mutation).
-    run_parse(cert->witness);
-    sc.shape_hash = shape_hash_;
-
-    spec_classes_.push_back(std::move(sc));
-  }
-  parse_dirty_ = true;  // scratch was used for shape probing
-  stats_.certs_active = spec_classes_.size();
-  index_specializations();
-}
-
-void CompiledPipeline::index_specializations() {
-  spec_buckets_.clear();
-  for (std::uint32_t ci = 0; ci < spec_classes_.size(); ++ci) {
-    SpecClassC& sc = spec_classes_[ci];
-    SpecBucketC* bucket = nullptr;
-    for (SpecBucketC& b : spec_buckets_) {
-      if (b.in_port == sc.in_port && b.shape_hash == sc.shape_hash) {
-        bucket = &b;
-        break;
-      }
-    }
-    if (bucket == nullptr) {
-      spec_buckets_.push_back(
-          {.in_port = sc.in_port, .shape_hash = sc.shape_hash});
-      bucket = &spec_buckets_.back();
-    }
-    for (SpecGuardC& g : sc.guards) {
-      std::size_t fi = 0;
-      for (; fi < bucket->fields.size(); ++fi) {
-        const FieldRefC& f = bucket->fields[fi];
-        if (f.header == g.field.header && f.bit_off == g.field.bit_off &&
-            f.bits == g.field.bits) {
-          break;
-        }
-      }
-      if (fi == bucket->fields.size()) bucket->fields.push_back(g.field);
-      g.field_idx = static_cast<std::uint16_t>(fi);
-    }
-    bucket->classes.push_back(ci);
-  }
 }
 
 void CompiledPipeline::collect_shapes_from_witnesses() {
@@ -1073,42 +907,24 @@ void CompiledPipeline::run_control(const ControlC& cc, net::Packet& packet,
     const TableC& t = cc.tables[e.table];
     ActionRef act = t.default_action;
     bool hit = false;
-    ExactKey k;
-    bool have_key = false;
-    std::uint32_t tern_ord = 0;
-    bool resolved = false;
-
-    // Specialized trace cursor: when this packet matched a certified
-    // class, every executed lookup must be the next step on the proven
-    // spine. Hit steps on keyed tables verify the recorded key (exact)
-    // or the recorded TCAM entry (ordinal) and skip the hash probe /
-    // priority scan; any divergence abandons the trace and this lookup
-    // (and the rest of the packet) runs generically — correctness never
-    // depends on the certificate, only speed does.
-    if (spec_ != nullptr && spec_ok_) {
-      if (spec_next_ >= spec_->steps.size()) {
-        spec_ok_ = false;  // more lookups than the spine proves
-      } else {
-        const SpecStepC& st = spec_->steps[spec_next_];
-        if (st.pass != cur_pass_ || st.control != cur_control_ ||
-            st.entry != ei) {
-          spec_ok_ = false;
-        } else if (st.hit && !st.keyless) {
-          k.n = static_cast<std::uint8_t>(t.key_count);
-          bool missing = false;
-          for (std::uint32_t i = 0; i < t.key_count; ++i) {
-            auto v = read_field(key_refs_[t.key_begin + i], packet, meta);
-            if (!v) {
-              missing = true;
-              break;
-            }
-            k.v[i] = *v;
-          }
-          have_key = !missing;
-          if (missing) {
-            spec_ok_ = false;
-          } else if (st.is_tcam) {
-            const TernEntryC& te = t.tern[st.tern_ordinal];
+    if (t.keyless) {
+      hit = true;
+    } else {
+      ExactKey k;
+      k.n = static_cast<std::uint8_t>(t.key_count);
+      bool missing = false;
+      for (std::uint32_t i = 0; i < t.key_count; ++i) {
+        auto v = read_field(key_refs_[t.key_begin + i], packet, meta);
+        if (!v) {
+          missing = true;
+          break;
+        }
+        k.v[i] = *v;
+      }
+      // A key field the packet lacks is a miss: the default action runs.
+      if (!missing) {
+        if (t.is_tcam) {
+          for (const TernEntryC& te : t.tern) {
             bool match = true;
             for (std::uint32_t j = 0; j < te.vm_count; ++j) {
               const auto& [value, mask] = vm_[te.vm_begin + j];
@@ -1119,92 +935,15 @@ void CompiledPipeline::run_control(const ControlC& cc, net::Packet& packet,
             }
             if (match) {
               hit = true;
-              act = st.action;
-              tern_ord = st.tern_ordinal;
-              resolved = true;
-              ++spec_next_;
-            } else {
-              spec_ok_ = false;
-            }
-          } else if (k == st.key) {
-            hit = true;
-            act = st.action;
-            resolved = true;
-            ++spec_next_;
-          } else {
-            spec_ok_ = false;
-          }
-        }
-        // Miss / keyless steps fall through to the generic lookup and
-        // verify the outcome below.
-      }
-    }
-
-    if (!resolved) {
-      if (t.keyless) {
-        hit = true;
-      } else {
-        if (!have_key) {
-          k.n = static_cast<std::uint8_t>(t.key_count);
-          bool missing = false;
-          for (std::uint32_t i = 0; i < t.key_count; ++i) {
-            auto v = read_field(key_refs_[t.key_begin + i], packet, meta);
-            if (!v) {
-              missing = true;
+              act = te.action;
               break;
             }
-            k.v[i] = *v;
           }
-          have_key = !missing;
-        }
-        if (have_key) {
-          if (t.is_tcam) {
-            for (std::uint32_t ti = 0;
-                 ti < static_cast<std::uint32_t>(t.tern.size()); ++ti) {
-              const TernEntryC& te = t.tern[ti];
-              bool match = true;
-              for (std::uint32_t j = 0; j < te.vm_count; ++j) {
-                const auto& [value, mask] = vm_[te.vm_begin + j];
-                if ((k.v[j] & mask) != value) {
-                  match = false;
-                  break;
-                }
-              }
-              if (match) {
-                hit = true;
-                act = te.action;
-                tern_ord = ti;
-                break;
-              }
-            }
-          } else if (auto it = t.exact.find(k); it != t.exact.end()) {
-            hit = true;
-            act = it->second;
-          }
+        } else if (auto it = t.exact.find(k); it != t.exact.end()) {
+          hit = true;
+          act = it->second;
         }
       }
-      if (spec_ != nullptr && spec_ok_ && spec_next_ < spec_->steps.size()) {
-        const SpecStepC& st = spec_->steps[spec_next_];
-        if (st.pass == cur_pass_ && st.control == cur_control_ &&
-            st.entry == ei && st.hit == hit) {
-          ++spec_next_;  // verified miss / keyless step
-        } else {
-          spec_ok_ = false;
-        }
-      }
-    }
-
-    if (rec_ != nullptr) {
-      SpecStepC rs;
-      rs.pass = cur_pass_;
-      rs.control = cur_control_;
-      rs.entry = ei;
-      rs.hit = hit;
-      rs.is_tcam = t.is_tcam;
-      rs.keyless = t.keyless;
-      rs.key = k;
-      rs.tern_ordinal = tern_ord;
-      rec_->push_back(rs);
     }
 
     t.rt->record_lookup(hit);
@@ -1262,52 +1001,8 @@ SwitchOutput CompiledPipeline::process(net::Packet packet,
     ++stats_.shape_escapes;
     return fall_back(std::move(packet), in_port, from_cpu, stamp);
   }
-  // Certified-class membership: first class in this packet's
-  // (in_port, shape) bucket whose field guards admit it arms the
-  // specialized cursor. Guard fields are read once per bucket, not
-  // once per candidate class.
-  spec_ = nullptr;
-  for (const SpecBucketC& b : spec_buckets_) {
-    if (b.in_port != in_port || b.shape_hash != shape_hash_) continue;
-    StandardMetadata dummy;
-    spec_vals_.clear();
-    for (const FieldRefC& f : b.fields) {
-      spec_vals_.push_back(read_field(f, packet, dummy));
-    }
-    for (const std::uint32_t ci : b.classes) {
-      const SpecClassC& sc = spec_classes_[ci];
-      if (!guards_admit(sc)) continue;
-      spec_ = &sc;
-      spec_next_ = 0;
-      spec_ok_ = true;
-      break;
-    }
-    break;  // buckets are unique per (in_port, shape)
-  }
   ++stats_.compiled_packets;
-  SwitchOutput out = run(std::move(packet), in_port);
-  if (spec_ != nullptr) {
-    if (spec_ok_ && spec_next_ == spec_->steps.size()) {
-      ++stats_.specialized_packets;
-    } else {
-      ++stats_.spec_aborts;
-    }
-    spec_ = nullptr;
-  }
-  return out;
-}
-
-bool CompiledPipeline::guards_admit(const SpecClassC& sc) const {
-  for (const SpecGuardC& g : sc.guards) {
-    const std::optional<std::uint64_t>& v = spec_vals_[g.field_idx];
-    if (!v) return false;
-    if ((*v & g.known_mask) != g.known_value) return false;
-    if (*v < g.lo || *v > g.hi) return false;
-    for (const auto& [fv, fm] : g.forbidden) {
-      if ((*v & fm) == fv) return false;
-    }
-  }
-  return true;
+  return run(std::move(packet), in_port);
 }
 
 SwitchOutput CompiledPipeline::run(net::Packet packet, std::uint16_t in_port) {
@@ -1350,8 +1045,6 @@ SwitchOutput CompiledPipeline::run(net::Packet packet, std::uint16_t in_port) {
   for (std::uint32_t pass = 0; pass < max_passes; ++pass) {
     meta.egress_spec = sfc::kPortUnset;
     meta.clear_flags();
-    cur_pass_ = pass;
-    cur_control_ = pipeline * 2;
     run_control(controls_[std::size_t{pipeline} * 2], packet, meta);
 
     if (meta.to_cpu_flag) {  // toCpu outranks drop, as in process()
@@ -1397,8 +1090,6 @@ SwitchOutput CompiledPipeline::run(net::Packet packet, std::uint16_t in_port) {
       do_emit(packet, *dp_->mirror_port(), out);
     }
 
-    cur_pass_ = pass;
-    cur_control_ = egress_pipeline * 2 + 1;
     run_control(controls_[std::size_t{egress_pipeline} * 2 + 1], packet,
                 meta);
 

@@ -40,7 +40,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "sim/compiled/trace_certificate.hpp"
 #include "sim/dataplane.hpp"
 
 namespace dejavu::sim {
@@ -53,19 +52,12 @@ namespace dejavu::sim {
 /// and compiled engine on cloned dataplanes, and any disagreement
 /// rejects the compile. An empty seed compiles every shape the parser
 /// graph can produce and skips witness validation.
-///
-/// `certificates` (from the cost certifier, cost::run) additionally
-/// lower the certified classes into straight-line specialized traces;
-/// each certificate is audited at compile time (freshness stamp,
-/// register-taint flag, witness-trace cross-check) and revoked or
-/// rejected rather than trusted blindly.
 struct CompileSeed {
   struct Witness {
     net::Packet packet;
     std::uint16_t in_port = 0;
   };
   std::vector<Witness> witnesses;
-  std::vector<TraceCertificate> certificates;
 };
 
 /// Engine observability (perf half — never part of replay counters).
@@ -76,13 +68,7 @@ struct CompiledStats {
   std::uint64_t failed_compiles = 0;
   std::uint64_t shape_escapes = 0;        ///< parse shape not compiled
   std::uint64_t reinjection_escapes = 0;  ///< from_cpu / stamped packets
-  /// Trace specialization (certificate consumption, DESIGN.md §14).
-  std::uint64_t specialized_packets = 0;  ///< ran a certified trace end-to-end
-  std::uint64_t spec_aborts = 0;     ///< entered a trace but diverged mid-run
-  std::uint64_t certs_rejected = 0;  ///< failed the consume-time audit
-  std::uint64_t certs_revoked = 0;   ///< stale epoch/fingerprint at compile
-  std::uint64_t certs_active = 0;    ///< classes currently lowered (snapshot)
-  std::uint64_t quarantines = 0;     ///< auditor-forced invalidations (§16)
+  std::uint64_t quarantines = 0;  ///< auditor-forced invalidations (§16)
 };
 
 /// SwitchOutput equality over everything the engines must agree on:
@@ -126,9 +112,9 @@ class CompiledPipeline {
   /// silent corruption in the underlying dataplane, so nothing lowered
   /// from it can be trusted — the revision snapshot CANNOT catch this
   /// (silent corruption never bumps a revision; that is what makes it
-  /// silent). Drops the compiled snapshot, revokes every active
-  /// TraceCertificate lowering, and forces a fresh compile on the next
-  /// packet (by then the repair has typically converged the state).
+  /// silent). Drops the compiled snapshot and forces a fresh compile on
+  /// the next packet (by then the repair has typically converged the
+  /// state).
   void quarantine();
 
   const CompiledStats& stats() const { return stats_; }
@@ -279,61 +265,6 @@ class CompiledPipeline {
   /// or kAbsentTable for a name never applied (always a miss).
   static constexpr std::uint32_t kAbsentTable = 0xffffffff;
 
-  // --- trace specialization (certificate consumption, DESIGN.md §14) ---
-
-  /// A certificate guard lowered to a resolved field reference.
-  /// `field_idx` indexes the owning admission bucket's deduplicated
-  /// field list, so the per-packet test is pure integer compares over
-  /// values read once per bucket.
-  struct SpecGuardC {
-    FieldRefC field;
-    std::uint16_t field_idx = 0;
-    std::uint64_t known_mask = 0;
-    std::uint64_t known_value = 0;
-    std::uint64_t lo = 0;
-    std::uint64_t hi = ~0ull;
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> forbidden;  // v, m
-  };
-
-  /// Admission index over spec_classes_: one bucket per distinct
-  /// (in_port, initial parse shape), holding the union of its classes'
-  /// guard fields. Admission reads each field once, then walks the
-  /// bucket's classes with cached values — the class scan no longer
-  /// re-extracts the same header bytes per candidate.
-  struct SpecBucketC {
-    std::uint16_t in_port = 0;
-    std::uint64_t shape_hash = 0;
-    std::vector<FieldRefC> fields;
-    std::vector<std::uint32_t> classes;  // indices into spec_classes_
-  };
-
-  /// One lookup on the proven spine. A hit on a keyed table carries the
-  /// expected key (exact) or TCAM entry ordinal plus the action
-  /// re-resolved against *this* instance's op arena, so execution can
-  /// verify-and-skip the hash probe / priority scan. Misses and
-  /// keyless steps run the generic lookup and merely verify the
-  /// outcome. Doubles as the recording format for the compile-time
-  /// witness cross-check.
-  struct SpecStepC {
-    std::uint32_t pass = 0;
-    std::uint32_t control = 0;
-    std::uint32_t entry = 0;
-    bool hit = false;
-    bool is_tcam = false;
-    bool keyless = false;
-    ExactKey key;
-    std::uint32_t tern_ordinal = 0;
-    ActionRef action;
-  };
-
-  struct SpecClassC {
-    std::string class_id;
-    std::uint16_t in_port = 0;
-    std::uint64_t shape_hash = 0;
-    std::vector<SpecGuardC> guards;
-    std::vector<SpecStepC> steps;
-  };
-
   // --- compilation ---
   bool compile(std::string* err);
   bool compile_control(const std::string& control_name, ControlC& cc,
@@ -350,13 +281,6 @@ class CompiledPipeline {
                  std::uint64_t hash, std::size_t hop);
   bool validate_witnesses(std::string* err);
   bool ensure_valid();
-  /// Audit every seed certificate against the freshly compiled program
-  /// (freshness stamp, taint flag, recorded-vs-declared trace) and
-  /// lower the survivors into spec_classes_.
-  void compile_specializations();
-  /// Build spec_buckets_ over the freshly lowered spec_classes_.
-  void index_specializations();
-  bool guards_admit(const SpecClassC& sc) const;
 
   // --- execution (per-packet scratch; single-threaded) ---
   SwitchOutput run(net::Packet packet, std::uint16_t in_port);
@@ -421,19 +345,6 @@ class CompiledPipeline {
   std::vector<std::uint32_t> hit_stamp_;
   std::vector<std::uint32_t> branch_checked_stamp_;
   std::uint32_t pass_token_ = 0;
-
-  // Trace specialization: audited classes, the admission index, the
-  // per-packet cursor, and the recording hook the compile-time
-  // cross-check uses.
-  std::vector<SpecClassC> spec_classes_;
-  std::vector<SpecBucketC> spec_buckets_;
-  std::vector<std::optional<std::uint64_t>> spec_vals_;  // scratch
-  const SpecClassC* spec_ = nullptr;
-  std::size_t spec_next_ = 0;
-  bool spec_ok_ = false;
-  std::uint32_t cur_pass_ = 0;
-  std::uint32_t cur_control_ = 0;
-  std::vector<SpecStepC>* rec_ = nullptr;
 };
 
 }  // namespace dejavu::sim

@@ -152,8 +152,8 @@ class DataPlane {
   /// fold over every table's mutation revision, the register-bank
   /// version (see register_version()), plus the epoch gate. Any
   /// add/remove/window change to any table, any control-plane register
-  /// write, and any epoch flip changes the digest — the freshness
-  /// stamp trace-specialization certificates are pinned to.
+  /// write, and any epoch flip changes the digest; fault-injected
+  /// corruption does not (that is what makes it silent).
   std::uint64_t rules_fingerprint() const;
 
   /// Monotone stamp over control-plane register mutations, the
@@ -162,8 +162,8 @@ class DataPlane {
   /// funnel: transactions, live-update flips and rollbacks, session
   /// reconcile, snapshot restore) and by set_register_epoch(). NOT
   /// bumped by per-packet register ops — those are data-plane state
-  /// churn the certificate scheme deliberately tolerates — and NOT by
-  /// fault-injected corruption, which must stay silent.
+  /// churn, not rule changes — and NOT by fault-injected corruption,
+  /// which must stay silent.
   std::uint64_t register_version() const { return register_version_; }
   void note_register_mutation() { ++register_version_; }
 

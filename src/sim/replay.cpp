@@ -69,10 +69,6 @@ std::uint64_t DataPlaneTarget::fallback_packets() const {
   return compiled_ ? compiled_->stats().fallback_packets : 0;
 }
 
-std::uint64_t DataPlaneTarget::specialized_packets() const {
-  return compiled_ ? compiled_->stats().specialized_packets : 0;
-}
-
 namespace {
 
 /// Merge `from` into `into`. Every operand is itself deterministic, so
@@ -187,8 +183,7 @@ ReplayReport ReplayEngine::run(const std::vector<ReplayFlow>& flows,
   // shard the flows by FiveTuple hash so a flow's packets always meet
   // the same private switch replica.
   if (targets_.size() < workers) targets_.resize(workers);
-  std::vector<std::uint64_t> pre_compiled(workers), pre_fallback(workers),
-      pre_specialized(workers);
+  std::vector<std::uint64_t> pre_compiled(workers), pre_fallback(workers);
   for (std::uint32_t w = 0; w < workers; ++w) {
     if (!targets_[w]) targets_[w] = factory_(w);
     targets_[w]->set_engine(config.engine);
@@ -197,7 +192,6 @@ ReplayReport ReplayEngine::run(const std::vector<ReplayFlow>& flows,
     // baselines (the engine keeps targets across run() calls).
     pre_compiled[w] = targets_[w]->compiled_packets();
     pre_fallback[w] = targets_[w]->fallback_packets();
-    pre_specialized[w] = targets_[w]->specialized_packets();
   }
 
   std::vector<std::vector<std::uint32_t>> shards(workers);
@@ -272,8 +266,6 @@ ReplayReport ReplayEngine::run(const std::vector<ReplayFlow>& flows,
                                pre_compiled[w];
     report.fallback_packets += targets_[w]->fallback_packets() -
                                pre_fallback[w];
-    report.specialized_packets += targets_[w]->specialized_packets() -
-                                  pre_specialized[w];
   }
   return report;
 }
@@ -335,10 +327,8 @@ std::string ReplayReport::to_table() const {
   s += buf;
   if (engine == EngineKind::kCompiled) {
     std::snprintf(buf, sizeof(buf),
-                  "engine compiled: %llu fast-path (%llu specialized), "
-                  "%llu fallback\n",
+                  "engine compiled: %llu fast-path, %llu fallback\n",
                   static_cast<unsigned long long>(compiled_packets),
-                  static_cast<unsigned long long>(specialized_packets),
                   static_cast<unsigned long long>(fallback_packets));
     s += buf;
   }

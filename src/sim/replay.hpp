@@ -83,9 +83,6 @@ class ReplayTarget {
   /// target reports zero for both.
   virtual std::uint64_t compiled_packets() const { return 0; }
   virtual std::uint64_t fallback_packets() const { return 0; }
-  /// Packets that ran a certified straight-line specialized trace end
-  /// to end (subset of compiled_packets; zero without certificates).
-  virtual std::uint64_t specialized_packets() const { return 0; }
 };
 
 /// Builds worker `index`'s private target. Must be safe to call from
@@ -112,7 +109,6 @@ class DataPlaneTarget : public ReplayTarget {
   EngineKind engine() const override { return engine_; }
   std::uint64_t compiled_packets() const override;
   std::uint64_t fallback_packets() const override;
-  std::uint64_t specialized_packets() const override;
 
   /// Witness seed for the next compile (explore::compile_seed output);
   /// rebuilds an already-live compiled engine immediately.
@@ -228,8 +224,6 @@ struct ReplayReport {
   EngineKind engine = EngineKind::kInterpreter;
   std::uint64_t compiled_packets = 0;  ///< ran fully on the fast path
   std::uint64_t fallback_packets = 0;  ///< escaped to the interpreter
-  /// Of compiled_packets, how many ran a certified specialized trace.
-  std::uint64_t specialized_packets = 0;
 
   double packets_per_second() const {
     return wall_seconds > 0 ? counters.packets / wall_seconds : 0;

@@ -144,11 +144,6 @@ const std::vector<CheckInfo>& check_catalog() {
        "abstract join of every path class's key states: no concrete "
        "packet admitted by any class can ever select it, so it is dead "
        "capacity (or the surviving rules are not the intended ones)"},
-      {"DV-C5", "cost.cert-register-feedback", Severity::kError,
-       "a trace-specialization certificate covers a path whose "
-       "branching depends on mutable register state (or on rules newer "
-       "than the certificate's epoch/fingerprint); specializing it "
-       "would freeze one register reading into the fast path"},
   };
   return catalog;
 }

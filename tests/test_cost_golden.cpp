@@ -43,7 +43,7 @@ TEST_P(CostGolden, TargetMatches) {
       target.deployment->dataplane(), target.policies, exploration, options);
   EXPECT_EQ(result.to_json(), read_golden("cost_" + name + ".json"));
   // The shipped targets must stay finding-free — the CI gate
-  // (`dejavu_cli cost --all --certify`) relies on exit code 0.
+  // (`dejavu_cli cost --all`) relies on exit code 0.
   EXPECT_EQ(result.report.errors(), 0u) << result.report.to_string();
 }
 

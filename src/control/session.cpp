@@ -411,7 +411,6 @@ AckMsg SwitchAgent::apply_reconcile(const WriteCommand& cmd) {
                                         " out of range");
           }
           (*cells)[op.index] = op.value;
-          dp_->note_register_mutation();
           break;
         }
         case ReconcileOp::Kind::kSetRegisterEpoch:

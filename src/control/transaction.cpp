@@ -1,5 +1,6 @@
 #include "control/transaction.hpp"
 
+#include <algorithm>
 #include <map>
 #include <stdexcept>
 
@@ -179,6 +180,39 @@ std::string ternary_identity(const std::vector<net::TernaryField>& key,
   return s;
 }
 
+/// Why `call` cannot be bound to entries of `table` ("" when it can):
+/// the action must be one the table declares, defined in the control
+/// that owns the table, and given exactly that action's parameters.
+/// An entry failing this would make the interpreter throw on its first
+/// hit and the compiled engine refuse to lower it.
+std::string action_error(const p4ir::Program& program,
+                         const p4ir::Table& table,
+                         const sim::ActionCall& call) {
+  if (std::find(table.actions.begin(), table.actions.end(), call.action) ==
+      table.actions.end()) {
+    return "action '" + call.action + "' is not bound to the table";
+  }
+  const p4ir::Action* action = nullptr;
+  for (const p4ir::ControlBlock& control : program.controls()) {
+    if (control.find_table(table.name) == &table) {
+      action = control.find_action(call.action);
+    }
+  }
+  if (action == nullptr) {
+    return "action '" + call.action + "' is not defined";
+  }
+  for (const p4ir::Action::Param& param : action->params) {
+    if (!call.args.contains(param.name)) {
+      return "action '" + call.action + "' is missing argument '" +
+             param.name + "'";
+    }
+  }
+  if (call.args.size() != action->params.size()) {
+    return "action '" + call.action + "' given arguments it does not take";
+  }
+  return "";
+}
+
 }  // namespace
 
 std::string Transaction::validate() const {
@@ -213,6 +247,12 @@ std::string Transaction::validate() const {
     for (sim::RuntimeTable* t : instances) {
       const p4ir::Table& def = t->def();
       const bool tcam = def.needs_tcam();
+      if (op.kind == OpKind::kInstallExact ||
+          op.kind == OpKind::kInstallTernary ||
+          op.kind == OpKind::kInstallLpm) {
+        const std::string bad = action_error(dp_->program(), def, op.action);
+        if (!bad.empty()) return op.describe() + ": " + bad;
+      }
       switch (op.kind) {
         case OpKind::kInstallExact: {
           if (tcam) return op.describe() + ": table is ternary/LPM";
@@ -373,7 +413,6 @@ void Transaction::apply(const Op& op, std::vector<UndoEntry>& undo) {
     auto* arr = dp_->register_array(op.table, op.reg);
     const std::uint64_t old = (*arr)[op.reg_index];
     (*arr)[op.reg_index] = op.reg_value;
-    dp_->note_register_mutation();
     UndoEntry u;
     u.kind = UndoEntry::Kind::kWriteRegister;
     u.reg_array = arr;
@@ -516,7 +555,6 @@ void Transaction::rollback(std::vector<UndoEntry>& undo) {
         break;
       case UndoEntry::Kind::kWriteRegister:
         (*it->reg_array)[it->reg_index] = it->reg_value;
-        dp_->note_register_mutation();
         break;
     }
   }

@@ -72,7 +72,7 @@ bool CompiledPipeline::recompile() {
   std::string err;
   compiled_ok_ = compile(&err);
   if (compiled_ok_) {
-    ++stats_.recompiles;
+    ++stats_.full_compiles;
     compile_error_.clear();
   } else {
     ++stats_.failed_compiles;
@@ -95,13 +95,17 @@ bool CompiledPipeline::ensure_valid() {
   if (compiled_ok_) {
     if (compiled_epoch_ == dp_->epoch()) {
       bool stale = false;
-      for (const auto& [rt, rev] : revisions_) {
-        if (rt->revision() != rev) {
+      for (const Watch& w : revisions_) {
+        if (w.rt->revision() != w.revision) {
           stale = true;
           break;
         }
       }
       if (!stale) return true;
+      if (patch()) {
+        ++stats_.patches;
+        return true;
+      }
     }
     return recompile();
   }
@@ -112,7 +116,112 @@ bool CompiledPipeline::ensure_valid() {
   return recompile();
 }
 
+bool CompiledPipeline::patch() {
+  std::string err;
+  for (Watch& w : revisions_) {
+    const std::uint64_t since = w.revision;
+    w.revision = w.rt->revision();
+    if (w.revision == since) continue;
+    TableC& t = *w.table;
+    if (t.keyless) continue;  // never lowers entries
+    // Exact table with an intact log: drop every touched key's lowered
+    // entry first (so the bodies freed here are reused below), then
+    // re-lower the version the compiled epoch now sees.
+    const bool by_key =
+        !t.is_tcam &&
+        w.rt->changes_since(since, [&](const std::vector<std::uint64_t>& key) {
+          if (auto it = t.exact.find(ExactKey::of(key)); it != t.exact.end()) {
+            release_action(it->second);
+            t.exact.erase(it);
+          }
+        });
+    bool ok = true;
+    if (by_key) {
+      w.rt->changes_since(since, [&](const std::vector<std::uint64_t>& key) {
+        if (!ok) return;
+        if (const auto* entry = w.rt->find_exact(key, compiled_epoch_)) {
+          ok = lower_exact(t, *entry, &err);
+        }
+      });
+    } else {
+      clear_entries(t);
+      ok = lower_entries(t, &err);
+    }
+    if (!ok) return false;
+  }
+  if (ops_free_.bloated(ops_.size()) || hash_free_.bloated(hash_srcs_.size()) ||
+      vm_free_.bloated(vm_.size())) {
+    return false;
+  }
+  size_scratch();  // a patched body may use a new local.* slot
+  return true;
+}
+
 // --- compilation -----------------------------------------------------
+
+template <typename T>
+std::uint32_t CompiledPipeline::FreeSlices::place(std::vector<T>& arena,
+                                                  const std::vector<T>& body) {
+  const auto count = static_cast<std::uint32_t>(body.size());
+  if (auto it = by_len.find(count); it != by_len.end() && !it->second.empty()) {
+    const std::uint32_t begin = it->second.back();
+    it->second.pop_back();
+    dead -= count;
+    std::copy(body.begin(), body.end(), arena.begin() + begin);
+    return begin;
+  }
+  const auto begin = static_cast<std::uint32_t>(arena.size());
+  arena.insert(arena.end(), body.begin(), body.end());
+  return begin;
+}
+
+void CompiledPipeline::FreeSlices::release(std::uint32_t begin,
+                                           std::uint32_t count) {
+  if (count == 0) return;
+  by_len[count].push_back(begin);
+  dead += count;
+}
+
+std::uint64_t CompiledPipeline::body_hash(const OpC* ops,
+                                          std::uint32_t count) {
+  // Field by field (OpC has padding); equality is checked on a hit, so
+  // this needs only to tell typical bodies apart.
+  std::uint64_t h = kFnvOffset;
+  auto mix = [&h](std::uint64_t v) { h = (h ^ v) * kFnvPrime; };
+  auto mix_ref = [&](const FieldRefC& f) {
+    mix(static_cast<std::uint64_t>(f.space) << 56 |
+        static_cast<std::uint64_t>(f.meta) << 48 |
+        std::uint64_t{f.header} << 32 | f.bit_off);
+    mix(std::uint64_t{f.local_slot} << 16 | f.bits);
+  };
+  for (const OpC* op = ops; op != ops + count; ++op) {
+    mix(static_cast<std::uint64_t>(op->op));
+    mix_ref(op->dst);
+    mix_ref(op->src);
+    mix_ref(op->vsrc);
+    mix(op->imm);
+    mix(std::uint64_t{op->ctx_key} << 16 | op->ctx_value);
+    mix(reinterpret_cast<std::uintptr_t>(op->reg));
+    mix(std::uint64_t{op->hash_begin} << 32 | op->hash_count);
+  }
+  return h;
+}
+
+void CompiledPipeline::release_action(ActionRef ref) {
+  if (ref.count == 0) return;
+  auto it = bodies_.find(body_hash(&ops_[ref.begin], ref.count));
+  if (it != bodies_.end() && it->second.ref.begin == ref.begin) {
+    if (--it->second.users > 0) return;
+    bodies_.erase(it);
+  }
+  for (std::uint32_t i = 0; i < ref.count; ++i) {
+    const OpC& op = ops_[ref.begin + i];
+    if (op.op == p4ir::PrimitiveOp::kHash) {
+      hash_free_.release(op.hash_begin, op.hash_count);
+    }
+  }
+  ops_free_.release(ref.begin, ref.count);
+}
 
 CompiledPipeline::FieldRefC CompiledPipeline::resolve_header_field(
     const std::string& dotted) const {
@@ -212,7 +321,7 @@ bool CompiledPipeline::compile_action(const p4ir::ControlBlock& control,
     return true;
   };
 
-  out.begin = static_cast<std::uint32_t>(ops_.size());
+  op_scratch_.clear();
   for (const p4ir::Primitive& p : action->primitives) {
     OpC op;
     op.op = p.op;
@@ -240,14 +349,15 @@ bool CompiledPipeline::compile_action(const p4ir::ControlBlock& control,
         break;
       case p4ir::PrimitiveOp::kHash: {
         op.dst = resolve_field(p.dst);
-        op.hash_begin = static_cast<std::uint32_t>(hash_srcs_.size());
+        hash_scratch_.clear();
         for (const std::string& src : p.srcs) {
           HashSrc hs;
           hs.ref = resolve_field(src);
           const auto bits = dp_->program().field_bits(src).value_or(32);
           hs.bytes = static_cast<std::uint8_t>((bits + 7) / 8);
-          hash_srcs_.push_back(hs);
+          hash_scratch_.push_back(hs);
         }
+        op.hash_begin = hash_free_.place(hash_srcs_, hash_scratch_);
         op.hash_count = static_cast<std::uint32_t>(p.srcs.size());
         break;
       }
@@ -290,9 +400,25 @@ bool CompiledPipeline::compile_action(const p4ir::ControlBlock& control,
         break;
       }
     }
-    ops_.push_back(op);
+    op_scratch_.push_back(op);
   }
-  out.count = static_cast<std::uint32_t>(ops_.size()) - out.begin;
+  out.count = static_cast<std::uint32_t>(op_scratch_.size());
+  if (out.count == 0) return true;
+  // Share an identical live body. A body holding a kHash op never
+  // matches: its hash_srcs_ slice was just placed, so no live body
+  // can point at it.
+  auto [it, fresh] =
+      bodies_.try_emplace(body_hash(op_scratch_.data(), out.count));
+  SharedBody& shared = it->second;
+  if (!fresh && shared.ref.count == out.count &&
+      std::equal(op_scratch_.begin(), op_scratch_.end(),
+                 ops_.begin() + shared.ref.begin)) {
+    ++shared.users;
+    out = shared.ref;
+    return true;
+  }
+  out.begin = ops_free_.place(ops_, op_scratch_);
+  if (fresh) shared = SharedBody{out, 1};
   return true;
 }
 
@@ -346,6 +472,7 @@ bool CompiledPipeline::compile_control(const std::string& control_name,
     }
     TableC& t = cc.tables[idx];
     t.rt = rt;
+    t.cb = cb;
     t.keyless = def->keyless();
     t.is_tcam = def->needs_tcam();
     if (def->keys.size() > kMaxKeyArity) {
@@ -358,42 +485,67 @@ bool CompiledPipeline::compile_control(const std::string& control_name,
       key_refs_.push_back(resolve_field(k.field));
     }
     if (!compile_action(*cb, ActionCall{def->default_action, {}},
-                        t.default_action, err)) {
+                        t.default_action, err) ||
+        !lower_entries(t, err)) {
       return false;
-    }
-    if (t.is_tcam) {
-      for (const auto& entry : rt->ternary_entries()) {
-        if (!rt->ternary_window(entry.handle).contains(compiled_epoch_)) {
-          continue;
-        }
-        TernEntryC te;
-        te.vm_begin = static_cast<std::uint32_t>(vm_.size());
-        te.vm_count = static_cast<std::uint32_t>(entry.key.size());
-        for (const net::TernaryField& tf : entry.key) {
-          vm_.push_back({tf.value & tf.mask, tf.mask});
-        }
-        if (!compile_action(*cb, entry.value, te.action, err)) return false;
-        t.tern.push_back(te);
-      }
-    } else if (!t.keyless) {
-      for (const RuntimeTable::ExactEntry& entry : rt->exact_entries()) {
-        if (!entry.window.contains(compiled_epoch_)) continue;
-        if (entry.key.size() != t.key_count) {
-          *err = "installed key arity mismatch in table '" + tname + "'";
-          return false;
-        }
-        ExactKey k;
-        k.n = static_cast<std::uint8_t>(entry.key.size());
-        for (std::size_t i = 0; i < entry.key.size(); ++i) {
-          k.v[i] = entry.key[i];
-        }
-        ActionRef ar;
-        if (!compile_action(*cb, entry.action, ar, err)) return false;
-        t.exact[k] = ar;
-      }
     }
   }
   return true;
+}
+
+bool CompiledPipeline::lower_exact(TableC& t,
+                                   const RuntimeTable::ExactEntry& entry,
+                                   std::string* err) {
+  if (entry.key.size() != t.key_count) {
+    *err = "installed key arity mismatch in table '" + t.rt->def().name + "'";
+    return false;
+  }
+  const ExactKey k = ExactKey::of(entry.key);
+  // The first visible version wins, as in RuntimeTable::find_exact.
+  if (t.exact.contains(k)) return true;
+  ActionRef ar;
+  if (!compile_action(*t.cb, entry.action, ar, err)) return false;
+  t.exact.emplace(k, ar);
+  return true;
+}
+
+bool CompiledPipeline::lower_entries(TableC& t, std::string* err) {
+  const RuntimeTable& rt = *t.rt;
+  if (t.is_tcam) {
+    for (const auto& entry : rt.ternary_entries()) {
+      if (!rt.ternary_window(entry.handle).contains(compiled_epoch_)) {
+        continue;
+      }
+      vm_scratch_.clear();
+      for (const net::TernaryField& tf : entry.key) {
+        vm_scratch_.push_back({tf.value & tf.mask, tf.mask});
+      }
+      TernEntryC te;
+      te.vm_begin = vm_free_.place(vm_, vm_scratch_);
+      te.vm_count = static_cast<std::uint32_t>(vm_scratch_.size());
+      if (!compile_action(*t.cb, entry.value, te.action, err)) return false;
+      t.tern.push_back(te);
+    }
+    return true;
+  }
+  if (t.keyless) return true;
+  bool ok = true;
+  rt.for_each_exact([&](const RuntimeTable::ExactEntry& entry) {
+    if (ok && entry.window.contains(compiled_epoch_)) {
+      ok = lower_exact(t, entry, err);
+    }
+  });
+  return ok;
+}
+
+void CompiledPipeline::clear_entries(TableC& t) {
+  for (const auto& [key, action] : t.exact) release_action(action);
+  for (const TernEntryC& te : t.tern) {
+    vm_free_.release(te.vm_begin, te.vm_count);
+    release_action(te.action);
+  }
+  t.exact.clear();
+  t.tern.clear();
 }
 
 bool CompiledPipeline::compile(std::string* err) {
@@ -405,6 +557,10 @@ bool CompiledPipeline::compile(std::string* err) {
   key_refs_.clear();
   guard_tables_.clear();
   vm_.clear();
+  ops_free_ = {};
+  bodies_.clear();
+  hash_free_ = {};
+  vm_free_ = {};
   shapes_.clear();
   header_index_.clear();
   local_index_.clear();
@@ -505,29 +661,12 @@ bool CompiledPipeline::compile(std::string* err) {
   }
 
   // Invalidation snapshot: every table the compiled program can read.
-  for (const ControlC& cc : controls_) {
-    for (const TableC& t : cc.tables) {
-      revisions_.push_back({t.rt, t.rt->revision()});
+  for (ControlC& cc : controls_) {
+    for (TableC& t : cc.tables) {
+      revisions_.push_back({t.rt, t.rt->revision(), &t});
     }
   }
-
-  // Scratch sizing (the zero-allocation guarantee: nothing below
-  // allocates per packet).
-  std::size_t max_tables = 0;
-  std::size_t max_branches = 0;
-  for (const ControlC& cc : controls_) {
-    max_tables = std::max(max_tables, cc.tables.size());
-    max_branches = std::max(max_branches, std::size_t{cc.branch_count});
-  }
-  hdr_off_.assign(header_index_.size(), 0);
-  local_val_.assign(std::max<std::size_t>(local_index_.size(), 1), 0);
-  local_stamp_.assign(local_val_.size(), 0);
-  hit_val_.assign(std::max<std::size_t>(max_tables, 1), 0);
-  hit_stamp_.assign(hit_val_.size(), 0);
-  branch_checked_stamp_.assign(std::max<std::size_t>(max_branches, 1), 0);
-  pass_token_ = 0;
-  present_ = 0;
-  parse_dirty_ = true;
+  size_scratch();
 
   // Compiled trace set: explorer witnesses when seeded, the parser
   // DAG's full shape universe otherwise.
@@ -543,6 +682,25 @@ bool CompiledPipeline::compile(std::string* err) {
     validated_once_ = true;
   }
   return true;
+}
+
+void CompiledPipeline::size_scratch() {
+  // The zero-allocation guarantee: nothing per packet allocates.
+  std::size_t max_tables = 0;
+  std::size_t max_branches = 0;
+  for (const ControlC& cc : controls_) {
+    max_tables = std::max(max_tables, cc.tables.size());
+    max_branches = std::max(max_branches, std::size_t{cc.branch_count});
+  }
+  hdr_off_.assign(header_index_.size(), 0);
+  local_val_.assign(std::max<std::size_t>(local_index_.size(), 1), 0);
+  local_stamp_.assign(local_val_.size(), 0);
+  hit_val_.assign(std::max<std::size_t>(max_tables, 1), 0);
+  hit_stamp_.assign(hit_val_.size(), 0);
+  branch_checked_stamp_.assign(std::max<std::size_t>(max_branches, 1), 0);
+  pass_token_ = 0;
+  present_ = 0;
+  parse_dirty_ = true;
 }
 
 void CompiledPipeline::collect_shapes_from_witnesses() {

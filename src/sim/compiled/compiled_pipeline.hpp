@@ -25,14 +25,29 @@
 //     witness disagreement) — the engine degrades to a pure
 //     interpreter shim rather than guess.
 //
-// Invalidation contract: compilation snapshots every lowered
-// RuntimeTable's revision() and the dataplane's epoch. Before each
-// packet the snapshot is revalidated; any movement — a Transaction
-// commit, a LiveUpdate flip, a ChainRepair swap, LB session learning —
-// triggers a synchronous recompile (or, if that fails, fallback). A
-// retired generation is therefore never served from stale traces.
+// Invalidation contract: the lowered program (parser, controls,
+// default actions) depends only on the program and the epoch; table
+// contents are patched in place. Compilation snapshots every lowered
+// RuntimeTable's revision() and the dataplane's epoch, and each packet
+// revalidates the snapshot first:
+//   - epoch moved (a LiveUpdate flip), quarantine(), or no compile
+//     yet: full compile of everything;
+//   - only revisions moved (a Transaction commit, LB session
+//     learning, a ChainRepair swap): patch. An exact table whose
+//     change log (RuntimeTable::changes_since) names the touched keys
+//     re-lowers just those keys, as find_exact(key, epoch) now sees
+//     them; any other stale table (ternary/LPM, gc, clear, log
+//     overflow) is re-lowered whole. Entries whose actions lower to
+//     the same ops share one body; a body freed by its last entry is
+//     reused by later lowerings of its length. If dead slices ever
+//     outweigh live ones, or a patch fails to lower an entry, the
+//     patch becomes a full compile.
+// Either way the packet runs on the current rules (or falls back if
+// they cannot be lowered), so a retired generation is never served.
+// generation() moves once per successful full compile or patch.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -64,7 +79,8 @@ struct CompileSeed {
 struct CompiledStats {
   std::uint64_t compiled_packets = 0;  ///< ran fully on the fast path
   std::uint64_t fallback_packets = 0;  ///< delegated to the interpreter
-  std::uint64_t recompiles = 0;        ///< successful (re)compilations
+  std::uint64_t full_compiles = 0;  ///< successful whole-program lowerings
+  std::uint64_t patches = 0;        ///< successful table-content patches
   std::uint64_t failed_compiles = 0;
   std::uint64_t shape_escapes = 0;        ///< parse shape not compiled
   std::uint64_t reinjection_escapes = 0;  ///< from_cpu / stamped packets
@@ -99,14 +115,19 @@ class CompiledPipeline {
   /// Why not, when it didn't.
   const std::string& compile_error() const { return compile_error_; }
 
-  /// Count of successful compiles so far — the invalidation property
-  /// tests assert that a committed update moved this (recompiled) or
-  /// cleared compiled_ok() (fell back).
-  std::uint64_t generation() const { return stats_.recompiles; }
+  /// Count of successful full compiles plus patches so far — the
+  /// invalidation property tests assert that a committed update moved
+  /// this or cleared compiled_ok() (fell back).
+  std::uint64_t generation() const {
+    return stats_.full_compiles + stats_.patches;
+  }
 
-  /// Force a recompile now (e.g. after a known rule burst); returns
-  /// compiled_ok().
+  /// Force a full compile now; returns compiled_ok().
   bool recompile();
+
+  /// Entries in the lowered action-op arena, live and dead (rule churn
+  /// must not grow it without bound).
+  std::size_t op_arena_size() const { return ops_.size(); }
 
   /// State-integrity quarantine (DESIGN.md §16): the auditor detected
   /// silent corruption in the underlying dataplane, so nothing lowered
@@ -152,6 +173,8 @@ class CompiledPipeline {
     /// Writing this field can change what the parser extracts (its
     /// bits overlap a parser selector) — invalidate the cached parse.
     bool affects_parse = false;
+
+    bool operator==(const FieldRefC&) const = default;
   };
 
   struct OpC {
@@ -169,6 +192,8 @@ class CompiledPipeline {
     bool reg_write_dst = false;  // kRegisterAdd: dst non-empty
     std::uint32_t hash_begin = 0;  // kHash: slice of hash_srcs_
     std::uint32_t hash_count = 0;
+
+    bool operator==(const OpC&) const = default;
   };
 
   struct HashSrc {
@@ -188,6 +213,14 @@ class CompiledPipeline {
   struct ExactKey {
     std::uint64_t v[kMaxKeyArity] = {};
     std::uint8_t n = 0;
+    /// `key` must have at most kMaxKeyArity values (compile() refuses
+    /// wider tables).
+    static ExactKey of(const std::vector<std::uint64_t>& key) {
+      ExactKey k;
+      k.n = static_cast<std::uint8_t>(key.size());
+      std::copy(key.begin(), key.end(), k.v);
+      return k;
+    }
     bool operator==(const ExactKey& o) const {
       if (n != o.n) return false;
       for (std::uint8_t i = 0; i < n; ++i) {
@@ -217,6 +250,7 @@ class CompiledPipeline {
 
   struct TableC {
     const RuntimeTable* rt = nullptr;  // for record_lookup + revision
+    const p4ir::ControlBlock* cb = nullptr;  // owns the actions
     bool keyless = false;
     bool is_tcam = false;
     std::uint32_t key_begin = 0;  // slice of key_refs_
@@ -265,6 +299,35 @@ class CompiledPipeline {
   /// or kAbsentTable for a name never applied (always a miss).
   static constexpr std::uint32_t kAbsentTable = 0xffffffff;
 
+  /// Dead slices of one arena vector (ops_, hash_srcs_, vm_), by
+  /// length: lowering reuses a freed slice of the right length before
+  /// it appends, so rule churn does not grow the arena.
+  struct FreeSlices {
+    std::unordered_map<std::uint32_t, std::vector<std::uint32_t>> by_len;
+    std::size_t dead = 0;
+
+    template <typename T>
+    std::uint32_t place(std::vector<T>& arena, const std::vector<T>& body);
+    void release(std::uint32_t begin, std::uint32_t count);
+    bool bloated(std::size_t arena_size) const { return dead * 2 > arena_size; }
+  };
+
+  /// A lowered body stored once for every entry that lowers to the
+  /// same ops (an LB's sessions share a handful of backends), with the
+  /// count of entries and default actions using it.
+  struct SharedBody {
+    ActionRef ref;
+    std::uint32_t users = 0;
+  };
+
+  /// One table the lowered program reads, with the revision its
+  /// lowered entries reflect.
+  struct Watch {
+    const RuntimeTable* rt = nullptr;
+    std::uint64_t revision = 0;
+    TableC* table = nullptr;
+  };
+
   // --- compilation ---
   bool compile(std::string* err);
   bool compile_control(const std::string& control_name, ControlC& cc,
@@ -272,6 +335,14 @@ class CompiledPipeline {
   bool compile_action(const p4ir::ControlBlock& control,
                       const ActionCall& call, ActionRef& out,
                       std::string* err);
+  void release_action(ActionRef ref);
+  static std::uint64_t body_hash(const OpC* ops, std::uint32_t count);
+  bool lower_entries(TableC& t, std::string* err);
+  bool lower_exact(TableC& t, const RuntimeTable::ExactEntry& entry,
+                   std::string* err);
+  void clear_entries(TableC& t);
+  bool patch();
+  void size_scratch();
   FieldRefC resolve_field(const std::string& dotted);
   FieldRefC resolve_header_field(const std::string& dotted) const;
   void mark_parse_selectors();
@@ -309,7 +380,7 @@ class CompiledPipeline {
   std::uint32_t compiled_epoch_ = 0;
   std::uint32_t attempted_epoch_ = 0;
   bool attempted_ = false;
-  std::vector<std::pair<const RuntimeTable*, std::uint64_t>> revisions_;
+  std::vector<Watch> revisions_;
 
   // Compiled program.
   std::vector<ControlC> controls_;  // [pipeline * 2 + (kind == egress)]
@@ -323,6 +394,16 @@ class CompiledPipeline {
   std::vector<FieldRefC> key_refs_;
   std::vector<std::uint32_t> guard_tables_;
   std::vector<std::pair<std::uint64_t, std::uint64_t>> vm_;  // value, mask
+  FreeSlices ops_free_;
+  // Content hash of a body's ops -> the body. A body whose hash is
+  // taken by different ops stays private (unshared).
+  std::unordered_map<std::uint64_t, SharedBody> bodies_;
+  FreeSlices hash_free_;
+  FreeSlices vm_free_;
+  // Lowering scratch (reused so a patch allocates only map nodes).
+  std::vector<OpC> op_scratch_;
+  std::vector<HashSrc> hash_scratch_;
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> vm_scratch_;
   std::unordered_set<std::uint64_t> shapes_;
   std::unordered_map<std::string, std::uint16_t> header_index_;
   std::unordered_map<std::string, std::uint16_t> local_index_;

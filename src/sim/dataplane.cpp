@@ -68,37 +68,6 @@ bool DataPlane::loops_back(std::uint16_t port) const {
   return config_.is_loopback(port);
 }
 
-std::uint64_t DataPlane::rules_fingerprint() const {
-  // FNV-1a over (control, table, revision) in the deterministic order
-  // of the nested maps, folding in the epoch gate last.
-  std::uint64_t h = 1469598103934665603ull;
-  auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  };
-  auto mix_str = [&h](const std::string& s) {
-    for (char c : s) {
-      h ^= static_cast<unsigned char>(c);
-      h *= 1099511628211ull;
-    }
-  };
-  for (const auto& [control_name, per_control] : tables_) {
-    mix_str(control_name);
-    for (const auto& [table_name, rt] : per_control) {
-      mix_str(table_name);
-      mix(rt.revision());
-    }
-  }
-  // Register banks carry forwarding state too (e.g. a rate limiter's
-  // buckets); fold the control-plane register mutation stamp so a
-  // register-only write cannot leave a stale fingerprint behind.
-  mix(register_version_);
-  mix(epoch_);
-  return h;
-}
-
 std::vector<DataPlane::StateObjectDigest> DataPlane::state_digests() const {
   std::vector<StateObjectDigest> out;
   auto cell_digest = [this](const std::string& control_name,
@@ -405,9 +374,6 @@ std::uint32_t DataPlane::register_epoch(const std::string& control_name,
 void DataPlane::set_register_epoch(const std::string& control_name,
                                    const std::string& reg,
                                    std::uint32_t epoch) {
-  // Epoch tags only move under control-plane register application, so
-  // this doubles as a mutation note (rules_fingerprint must move).
-  ++register_version_;
   if (epoch == 0) {
     register_epochs_.erase({control_name, reg});
   } else {

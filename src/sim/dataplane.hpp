@@ -148,25 +148,6 @@ class DataPlane {
     return register_epochs_;
   }
 
-  /// Order-independent digest of the installed rule set: an FNV-1a
-  /// fold over every table's mutation revision, the register-bank
-  /// version (see register_version()), plus the epoch gate. Any
-  /// add/remove/window change to any table, any control-plane register
-  /// write, and any epoch flip changes the digest; fault-injected
-  /// corruption does not (that is what makes it silent).
-  std::uint64_t rules_fingerprint() const;
-
-  /// Monotone stamp over control-plane register mutations, the
-  /// register-bank analogue of RuntimeTable::revision(). Bumped by
-  /// note_register_mutation() (called from every control-plane write
-  /// funnel: transactions, live-update flips and rollbacks, session
-  /// reconcile, snapshot restore) and by set_register_epoch(). NOT
-  /// bumped by per-packet register ops — those are data-plane state
-  /// churn, not rule changes — and NOT by fault-injected corruption,
-  /// which must stay silent.
-  std::uint64_t register_version() const { return register_version_; }
-  void note_register_mutation() { ++register_version_; }
-
   /// One auditable state object: a table's or a register bank's
   /// content digest (DESIGN.md §16). Registers fold cell values and
   /// the bank's register_epoch.
@@ -253,7 +234,6 @@ class DataPlane {
   asic::SwitchConfig config_;
   std::uint32_t max_passes_ = 64;
   std::uint32_t epoch_ = 0;
-  std::uint64_t register_version_ = 0;
   std::uint32_t min_live_epoch_ = 0;
   std::map<std::uint32_t, std::uint64_t> punts_outstanding_;
   std::map<std::pair<std::string, std::string>, std::uint32_t>

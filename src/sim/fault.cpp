@@ -416,8 +416,8 @@ std::vector<std::string> StateFaultInjector::apply_tick(std::uint32_t tick) {
       auto* cells = dp_->register_array(ev->control, ev->reg);
       if (cells == nullptr || cells->empty()) continue;
       const std::size_t index = (ev->salt >> 6) % cells->size();
-      // Direct cell write, no note_register_mutation(): the flip must
-      // stay invisible to rules_fingerprint(), like a real SRAM upset.
+      // Direct cell write, like a real SRAM upset: only the state
+      // digests can see it.
       (*cells)[index] ^= 1ULL << (ev->salt % 64);
       applied_[fault_kind_name(ev->kind)] += 1;
       landed.push_back("register " + ev->control + "." + ev->reg + "[" +

@@ -249,8 +249,7 @@ class FaultInjector {
 /// State-lane consumer: applies the plan's seeded memory corruptions
 /// to a running DataPlane at each audit tick, silently — entry
 /// mutations go through RuntimeTable::corrupt (no revision bump) and
-/// register flips write cells directly (no note_register_mutation), so
-/// nothing downstream of the fault can tell the state moved. The
+/// register flips write cells directly, so nothing downstream of the fault can tell the state moved. The
 /// driver calls apply_tick(t) once per auditor tick; corruption that
 /// finds no victim (empty table, unknown register) does not land and
 /// is not counted.

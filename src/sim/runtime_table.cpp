@@ -25,6 +25,16 @@ RuntimeTable::RuntimeTable(const p4ir::Table& def) : def_(&def) {
   }
 }
 
+void RuntimeTable::note_key(const std::vector<std::uint64_t>& key) {
+  ++revision_;
+  if (log_.empty()) log_.resize(kChangeLogCapacity);
+  // assign() reuses the slot's buffer: no allocation once the ring is
+  // warm.
+  log_[revision_ % kChangeLogCapacity].assign(key.begin(), key.end());
+}
+
+void RuntimeTable::note_whole() { whole_at_ = ++revision_; }
+
 void RuntimeTable::add_exact(const std::vector<std::uint64_t>& key,
                              ActionCall action, EpochWindow window) {
   if (tcam_) {
@@ -45,7 +55,7 @@ void RuntimeTable::add_exact(const std::vector<std::uint64_t>& key,
     for (ExactEntry& version : it->second) {
       if (version.window == window) {
         version.action = std::move(action);  // reinstall overwrites
-        ++revision_;
+        note_key(key);
         return;
       }
       if (version.window.overlaps(window)) {
@@ -61,7 +71,7 @@ void RuntimeTable::add_exact(const std::vector<std::uint64_t>& key,
   }
   exact_[key_string].push_back(ExactEntry{key, std::move(action), window});
   ++size_;
-  ++revision_;
+  note_key(key);
 }
 
 std::size_t RuntimeTable::add_ternary(const std::vector<net::TernaryField>& key,
@@ -89,7 +99,7 @@ std::size_t RuntimeTable::add_ternary(const std::vector<net::TernaryField>& key,
   const std::size_t handle = tcam_->insert(key, priority, std::move(action));
   if (!window.is_default()) ternary_windows_[handle] = window;
   ++size_;
-  ++revision_;
+  note_whole();
   return handle;
 }
 
@@ -141,7 +151,7 @@ bool RuntimeTable::remove_exact(const std::vector<std::uint64_t>& key) {
   it->second.erase(vit);
   if (it->second.empty()) exact_.erase(it);
   --size_;
-  ++revision_;
+  note_key(key);
   return true;
 }
 
@@ -157,7 +167,7 @@ bool RuntimeTable::remove_exact_version(const std::vector<std::uint64_t>& key,
   it->second.erase(vit);
   if (it->second.empty()) exact_.erase(it);
   --size_;
-  ++revision_;
+  note_key(key);
   return true;
 }
 
@@ -170,7 +180,7 @@ bool RuntimeTable::retire_exact(const std::vector<std::uint64_t>& key,
     if (version.window.open()) {
       if (last_epoch < version.window.from) return false;
       version.window.to = last_epoch;
-      ++revision_;
+      note_key(key);
       return true;
     }
   }
@@ -189,7 +199,7 @@ bool RuntimeTable::unretire_exact(const std::vector<std::uint64_t>& key,
       if (&other != &version && other.window.overlaps(reopened)) return false;
     }
     version.window = reopened;
-    ++revision_;
+    note_key(key);
     return true;
   }
   return false;
@@ -200,7 +210,7 @@ bool RuntimeTable::erase_ternary(std::size_t handle) {
   if (!tcam_->erase(handle)) return false;
   ternary_windows_.erase(handle);
   --size_;
-  ++revision_;
+  note_whole();
   return true;
 }
 
@@ -217,7 +227,7 @@ bool RuntimeTable::retire_ternary(std::size_t handle,
   if (!window.open() || last_epoch < window.from) return false;
   window.to = last_epoch;
   ternary_windows_[handle] = window;
-  ++revision_;
+  note_whole();
   return true;
 }
 
@@ -229,7 +239,7 @@ bool RuntimeTable::unretire_ternary(std::size_t handle,
   }
   it->second.to = kEpochOpen;
   if (it->second.is_default()) ternary_windows_.erase(it);
-  ++revision_;
+  note_whole();
   return true;
 }
 
@@ -274,7 +284,7 @@ std::size_t RuntimeTable::gc(std::uint32_t min_live) {
     }
   }
   size_ -= removed;
-  if (removed > 0) ++revision_;
+  if (removed > 0) note_whole();
   return removed;
 }
 
@@ -363,10 +373,8 @@ LookupResult RuntimeTable::lookup(
 
 std::vector<RuntimeTable::ExactEntry> RuntimeTable::exact_entries() const {
   std::vector<ExactEntry> out;
-  out.reserve(exact_.size());
-  for (const auto& [key_string, versions] : exact_) {
-    out.insert(out.end(), versions.begin(), versions.end());
-  }
+  out.reserve(size_);
+  for_each_exact([&](const ExactEntry& e) { out.push_back(e); });
   return out;
 }
 
@@ -708,7 +716,7 @@ void RuntimeTable::clear() {
   if (tcam_) tcam_.emplace(def_->keys.size());
   ternary_windows_.clear();
   size_ = 0;
-  ++revision_;
+  note_whole();
 }
 
 }  // namespace dejavu::sim

@@ -164,12 +164,46 @@ class RuntimeTable {
   std::size_t entry_count() const { return size_; }
   void clear();
 
-  /// Monotone mutation stamp: bumped by every entry mutation (install,
-  /// remove, retire, unretire, gc, clear). The compiled fast path
-  /// (sim::CompiledPipeline) snapshots it at compile time and treats
-  /// any movement as "my lowered entries may be stale" — the
-  /// trace-invalidation contract of DESIGN.md §12.
+  /// Monotone mutation stamp: bumped once by every entry mutation
+  /// (install, overwrite, remove, retire, unretire, gc, clear), never
+  /// by corrupt(). Each bump also lands in a bounded change log, so a
+  /// reader holding an older stamp can ask changes_since() which exact
+  /// keys moved. The compiled fast path (sim::CompiledPipeline)
+  /// snapshots the stamp when it lowers the table and patches only the
+  /// logged keys when it moves — the invalidation contract of
+  /// DESIGN.md §12.
   std::uint64_t revision() const { return revision_; }
+
+  /// Mutations the change log remembers; older history reads as
+  /// "whole table".
+  static constexpr std::uint64_t kChangeLogCapacity = 256;
+
+  /// Visit every exact key mutated after revision `since` (oldest
+  /// first; a key touched twice is visited twice) and return true.
+  /// Returns false, visiting nothing, when the log cannot name the
+  /// keys: a gc(), clear() or ternary/LPM mutation happened after
+  /// `since`, or more than kChangeLogCapacity mutations did. The
+  /// caller must then re-read the whole table.
+  template <typename F>
+  bool changes_since(std::uint64_t since, F&& visit) const {
+    if (since > revision_ || whole_at_ > since ||
+        revision_ - since > kChangeLogCapacity) {
+      return false;
+    }
+    for (std::uint64_t r = since + 1; r <= revision_; ++r) {
+      visit(log_[r % kChangeLogCapacity]);
+    }
+    return true;
+  }
+
+  /// Visit every installed exact version in place (retired and
+  /// shadowed included) — the copy-free form of exact_entries().
+  template <typename F>
+  void for_each_exact(F&& visit) const {
+    for (const auto& [key_string, versions] : exact_) {
+      for (const ExactEntry& version : versions) visit(version);
+    }
+  }
 
   /// Per-table hit/miss counters (direct counters in P4 terms),
   /// incremented by lookup().
@@ -216,9 +250,19 @@ class RuntimeTable {
   std::uint64_t state_digest() const;
 
  private:
+  // Every mutation ends in exactly one of these: bump revision() and
+  // log the touched key, or log "whole table".
+  void note_key(const std::vector<std::uint64_t>& key);
+  void note_whole();
+
   const p4ir::Table* def_;
   std::size_t size_ = 0;
   std::uint64_t revision_ = 0;
+  // Change log: log_[r % kChangeLogCapacity] holds the exact key
+  // mutation r touched (sized on first use); whole_at_ is the latest
+  // revision whose mutation the log cannot name by key.
+  std::vector<std::vector<std::uint64_t>> log_;
+  std::uint64_t whole_at_ = 0;
   mutable std::uint64_t hits_ = 0;
   mutable std::uint64_t misses_ = 0;
   // Exact storage: concatenated key string -> installed versions of

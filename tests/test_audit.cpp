@@ -5,8 +5,8 @@
 // bounded schedule, quarantine diverging packets, and scrub() back to
 // a byte-identical state through one atomic reconcile write. Also pins
 // the legacy fault-lane schedules bit-for-bit (the state lane draws
-// strictly after every older lane) and the rules_fingerprint register
-// regression.
+// strictly after every older lane) and the silence of corruption: it
+// moves no RuntimeTable::revision(), only the state digests.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -42,6 +42,18 @@ RuntimeTable* table_with_entries(DataPlane& dp, const std::string& name) {
     if (t->entry_count() > 0) return t;
   }
   return nullptr;
+}
+
+/// Every table instance's mutation stamp, in program order — what the
+/// compiled engine watches to decide whether its lowered rules moved.
+std::vector<std::uint64_t> table_revisions(DataPlane& dp) {
+  std::vector<std::uint64_t> out;
+  for (const p4ir::ControlBlock& control : dp.program().controls()) {
+    for (const p4ir::Table& t : control.tables()) {
+      out.push_back(dp.table_in(control.name(), t.name)->revision());
+    }
+  }
+  return out;
 }
 
 p4ir::Table ternary_def() {
@@ -151,9 +163,9 @@ TEST(RuntimeTableCorrupt, WindowFlipIsDigestVisible) {
   EXPECT_NE(rt.state_digest(), digest);
 }
 
-// --------------------------------------------- satellite 1: fingerprints
+// ------------------------------------------------ silence of mutation stamps
 
-TEST(RulesFingerprint, ControlPlaneRegisterMutationsAreFolded) {
+TEST(MutationStamps, SilentRegisterWriteMovesOnlyTheDigest) {
   // Register-bearing mini program (cf. tests/test_registers.cpp).
   p4ir::TupleIdTable ids;
   asic::SwitchConfig config(asic::TargetSpec::mini());
@@ -181,46 +193,39 @@ TEST(RulesFingerprint, ControlPlaneRegisterMutationsAreFolded) {
   const std::string control =
       merge::pipelet_control_name({0, asic::PipeKind::kIngress});
 
-  // A control-plane register write (here: the funnel every write path
-  // shares) must move the fingerprint — the PR 9 bug was that it
-  // didn't, so a snapshot restore of register state looked like a
-  // no-op to the compiled engine.
-  const std::uint64_t fp0 = dp.rules_fingerprint();
+  // A silent cell write (a fault, not a control-plane write) moves no
+  // table revision, so nothing the compiled engine watches can see it...
+  const auto revisions = table_revisions(dp);
+  const auto digests = dp.state_digests();
   auto* cells = dp.register_array(control, "cells");
   ASSERT_NE(cells, nullptr);
-  (*cells)[1] = 0xab;
-  dp.note_register_mutation();
-  const std::uint64_t fp1 = dp.rules_fingerprint();
-  EXPECT_NE(fp1, fp0);
-
-  // set_register_epoch (live-update flip / snapshot restore) notes the
-  // mutation internally.
-  dp.set_register_epoch(control, "cells", 3);
-  EXPECT_NE(dp.rules_fingerprint(), fp1);
-
-  // A SILENT cell write — no note — must NOT move the fingerprint:
-  // that invisibility is exactly what the auditor exists to catch.
-  const std::uint64_t fp2 = dp.rules_fingerprint();
   (*cells)[2] = 0xcd;
-  EXPECT_EQ(dp.rules_fingerprint(), fp2);
+  EXPECT_EQ(table_revisions(dp), revisions);
 
-  // But it IS digest-visible.
-  bool found = false;
-  for (const auto& obj : dp.state_digests()) {
-    if (obj.is_register && obj.name == "cells") found = true;
+  // ...but the register bank's digest does.
+  const auto after = dp.state_digests();
+  ASSERT_EQ(after.size(), digests.size());
+  bool moved = false;
+  for (std::size_t i = 0; i < after.size(); ++i) {
+    if (after[i].is_register && after[i].name == "cells") {
+      moved = after[i].digest != digests[i].digest;
+    } else {
+      EXPECT_EQ(after[i], digests[i]);
+    }
   }
-  EXPECT_TRUE(found);
+  EXPECT_TRUE(moved);
 }
 
-TEST(RulesFingerprint, DataplaneRegisterOpsDoNotChurnIt) {
+TEST(MutationStamps, DataplaneRegisterOpsDoNotChurnRevisions) {
   // Per-packet register arithmetic is dataplane state, not rule state:
-  // folding it in would invalidate compiled traces on every packet.
+  // counting it as a mutation would invalidate the compiled engine's
+  // lowered rules on every packet.
   auto fx = control::make_fig2_deployment();
   DataPlane& dp = fx.deployment->dataplane();
-  const std::uint64_t fp = dp.rules_fingerprint();
+  const auto revisions = table_revisions(dp);
   (void)dp.process(net::Packet::make(net::PacketSpec{}),
                    control::Fig2Deployment::kSenderPort);
-  EXPECT_EQ(dp.rules_fingerprint(), fp);
+  EXPECT_EQ(table_revisions(dp), revisions);
 }
 
 // -------------------------------------------- satellite 2: seed stability
@@ -359,7 +364,7 @@ TEST(StateFaultInjector, CorruptsSilently) {
   auto fx = control::make_fig2_deployment();
   DataPlane& dp = fx.deployment->dataplane();
 
-  const std::uint64_t fp = dp.rules_fingerprint();
+  const auto revisions = table_revisions(dp);
   const auto before = dp.state_digests();
 
   const auto plan =
@@ -374,8 +379,8 @@ TEST(StateFaultInjector, CorruptsSilently) {
   EXPECT_EQ(injector.applied_total(), applied_descriptions);
   EXPECT_LE(injector.applied_total(), injector.scheduled_total());
 
-  // Silent: every corruption landed without moving the fingerprint...
-  EXPECT_EQ(dp.rules_fingerprint(), fp);
+  // Silent: every corruption landed without moving a revision...
+  EXPECT_EQ(table_revisions(dp), revisions);
   // ...but the digests see it.
   EXPECT_NE(dp.state_digests(), before);
 }
@@ -591,6 +596,7 @@ TEST(CompiledQuarantine, DropsSnapshotAndRecompiles) {
     (void)fast.process(rf.flow.packet(), rf.in_port);
   }
   const std::uint64_t generation = fast.generation();
+  const std::uint64_t full_compiles = fast.stats().full_compiles;
 
   fast.quarantine();
   EXPECT_EQ(fast.stats().quarantines, 1u);
@@ -603,6 +609,7 @@ TEST(CompiledQuarantine, DropsSnapshotAndRecompiles) {
       fast.process(flows.front().flow.packet(), flows.front().in_port);
   EXPECT_TRUE(fast.compiled_ok()) << fast.compile_error();
   EXPECT_EQ(fast.generation(), generation + 1);
+  EXPECT_EQ(fast.stats().full_compiles, full_compiles + 1);  // never a patch
 
   // And the recompiled verdict matches the interpreter's.
   DataPlane twin = fx.deployment->dataplane();

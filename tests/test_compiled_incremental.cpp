@@ -1,0 +1,420 @@
+// The compiled engine's patch path (DESIGN.md §12): a rule commit
+// re-lowers only the entries it touched, and an epoch flip or a
+// quarantine re-lowers everything. Seeded random mutation sequences —
+// exact installs, overwrites, removals, retire/unretire, shadow
+// versions, gc, clear, ternary/LPM churn, epoch flips, quarantines and
+// bursts that overflow a table's change log — run against the
+// interpreter oracle: after every step the patched engine, a freshly
+// compiled engine on a clone, and the interpreter must agree on every
+// probe packet, with equal port counters. A long churn loop pins the
+// op arena's size, and the single-case tests pin which path each kind
+// of change takes.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <functional>
+#include <random>
+#include <string>
+#include <vector>
+
+#include "control/deployment.hpp"
+#include "control/replay_target.hpp"
+#include "control/transaction.hpp"
+#include "merge/compose.hpp"
+#include "net/five_tuple.hpp"
+#include "nf/parser_lib.hpp"
+#include "sim/compiled/compiled_pipeline.hpp"
+
+namespace dejavu::sim {
+namespace {
+
+// The address the VGW translates path 1's VIP to, so the LB hashes it.
+const net::Ipv4Addr kPath1Phys(10, 1, 1, 10);
+
+/// The LB.lb_session key a path-1 flow looks up.
+std::uint64_t lb_key(const Flow& flow) {
+  return net::FiveTuple{flow.spec.ip_src, kPath1Phys, flow.spec.protocol,
+                        flow.spec.src_port, flow.spec.dst_port}
+      .session_hash();
+}
+
+ActionCall backend(std::uint64_t dip) {
+  return ActionCall{"LB.modify_dstIp", {{"dip", dip}}};
+}
+
+using Mutation = std::function<bool(DataPlane&)>;
+
+/// Apply `m` to every instance of `table`; true if any applied.
+Mutation on_table(const std::string& table,
+                  std::function<bool(RuntimeTable&)> m) {
+  return [table, m](DataPlane& dp) {
+    bool any = false;
+    for (RuntimeTable* t : dp.tables_named(table)) {
+      try {
+        any |= m(*t);
+      } catch (const std::invalid_argument&) {
+        // A refused install (window overlap) is a legal outcome; the
+        // oracle must refuse it too.
+      }
+    }
+    return any;
+  };
+}
+
+/// The engine under test runs on `live`; the interpreter oracle on a
+/// copy that receives every mutation too.
+class Differential {
+ public:
+  Differential()
+      : fx_(control::make_fig9_deployment()),
+        live_(fx_.deployment->dataplane()),
+        oracle_(live_),
+        fast_(live_),
+        flows_(control::fig2_replay_flows(24)) {
+    for (const ReplayFlow& f : flows_) {
+      if (f.path_id == 1) hot_keys_.push_back(lb_key(f.flow));
+    }
+  }
+
+  void apply(const Mutation& m) { EXPECT_EQ(m(live_), m(oracle_)); }
+
+  /// Run `n` random probe flows through all three engines.
+  void probe(std::mt19937_64& rng, int n, const std::string& step) {
+    for (int i = 0; i < n; ++i) {
+      const ReplayFlow& f = flows_[rng() % flows_.size()];
+      const net::Packet packet = f.flow.packet();
+      DataPlane clone = live_;
+      CompiledPipeline fresh(clone);
+      ASSERT_TRUE(fresh.compiled_ok()) << step << ": " << fresh.compile_error();
+      const SwitchOutput want = oracle_.process(packet, f.in_port);
+      const SwitchOutput got = fast_.process(packet, f.in_port);
+      const SwitchOutput fresh_got = fresh.process(packet, f.in_port);
+      ASSERT_TRUE(fast_.compiled_ok()) << step << ": " << fast_.compile_error();
+      ASSERT_TRUE(semantically_equal(got, want))
+          << step << ": patched engine disagrees with the interpreter ("
+          << got.drop_reason << " vs " << want.drop_reason << ")";
+      ASSERT_TRUE(semantically_equal(fresh_got, want))
+          << step << ": fresh compile disagrees with the interpreter";
+      ASSERT_EQ(live_.all_port_counters(), oracle_.all_port_counters())
+          << step;
+    }
+  }
+
+  DataPlane& live() { return live_; }
+  CompiledPipeline& fast() { return fast_; }
+  const std::vector<std::uint64_t>& hot_keys() const { return hot_keys_; }
+
+ private:
+  control::Fig2Deployment fx_;
+  DataPlane live_;
+  DataPlane oracle_;
+  CompiledPipeline fast_;
+  std::vector<ReplayFlow> flows_;
+  std::vector<std::uint64_t> hot_keys_;
+};
+
+class CompiledIncremental : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(CompiledIncremental, RandomMutationsMatchInterpreterAndFreshCompile) {
+  Differential d;
+  ASSERT_TRUE(d.fast().compiled_ok()) << d.fast().compile_error();
+  ASSERT_FALSE(d.hot_keys().empty());
+  std::mt19937_64 rng(GetParam());
+  const std::uint64_t lb_hits0 =
+      d.live().tables_named("LB.lb_session").front()->hits();
+
+  // Keys drawn half from the flows' own sessions (packets hit them),
+  // half from a small cold range (packets never do).
+  auto key = [&]() -> std::uint64_t {
+    if (rng() % 2 == 0) return d.hot_keys()[rng() % d.hot_keys().size()];
+    return 0x70000000u + rng() % 64;
+  };
+  auto dip = [&]() -> std::uint64_t { return 0x0a010200u + rng() % 4; };
+  const std::string lb = "LB.lb_session";
+  constexpr int kBurst =
+      static_cast<int>(RuntimeTable::kChangeLogCapacity) + 44;
+  std::vector<std::uint64_t> burst;
+
+  for (int step = 0; step < 400; ++step) {
+    // Draw everything up front: a mutation runs once per dataplane and
+    // must do the same thing both times.
+    const std::uint32_t epoch = d.live().epoch();
+    const std::uint64_t k = key();
+    const std::uint64_t v = dip();
+    const std::uint64_t r = rng();
+    std::string what;
+    switch (rng() % 16) {
+      case 0:
+      case 1:
+        what = "add_exact (new or overwrite)";
+        d.apply(on_table(lb, [&](RuntimeTable& t) {
+          t.add_exact({k}, backend(v));
+          return true;
+        }));
+        break;
+      case 2:
+        what = "remove_exact";
+        d.apply(on_table(lb, [&](RuntimeTable& t) {
+          return t.remove_exact({k});
+        }));
+        break;
+      case 3:
+        what = "retire_exact + shadow install";
+        d.apply(on_table(lb, [&](RuntimeTable& t) {
+          const bool retired = t.retire_exact({k}, epoch);
+          t.add_exact({k}, backend(v), EpochWindow{epoch + 1, kEpochOpen});
+          return retired;
+        }));
+        break;
+      case 4:
+        what = "unretire_exact";
+        d.apply(on_table(lb, [&](RuntimeTable& t) {
+          return t.unretire_exact({k}, epoch);
+        }));
+        break;
+      case 5:
+        what = "remove_exact_version";
+        d.apply(on_table(lb, [&](RuntimeTable& t) {
+          return t.remove_exact_version({k}, EpochWindow{epoch + 1, kEpochOpen});
+        }));
+        break;
+      case 6:
+        what = "epoch flip";
+        d.apply([&](DataPlane& dp) {
+          dp.set_epoch(epoch + 1);
+          return true;
+        });
+        break;
+      case 7:
+        what = "gc";
+        d.apply([&](DataPlane& dp) { return dp.gc_epochs(epoch) > 0; });
+        break;
+      case 8:
+        what = "ternary add";
+        d.apply(on_table("FW.acl", [&](RuntimeTable& t) {
+          const std::uint64_t mask = (0xffffff00u << (r % 8)) & 0xffffffffu;
+          t.add_ternary({{0xc0a80000u & mask, mask}, {0, 0}, {0, 0}, {0, 0}},
+                        static_cast<std::int32_t>(100 + r / 8 % 8),
+                        ActionCall{r / 64 % 3 == 0 ? "FW.deny" : "FW.permit", {}});
+          return true;
+        }));
+        break;
+      case 9:
+        what = "ternary erase";
+        d.apply(on_table("FW.acl", [&](RuntimeTable& t) {
+          const auto& entries = t.ternary_entries();
+          if (entries.empty()) return false;
+          return t.erase_ternary(entries[r % entries.size()].handle);
+        }));
+        break;
+      case 10:
+        what = "lpm add/erase";
+        d.apply(on_table("Router.ipv4_lpm", [&](RuntimeTable& t) {
+          const std::uint8_t len = static_cast<std::uint8_t>(16 + r % 9);
+          const std::uint64_t prefix = net::Ipv4Addr(10, 3, 0, 0).value();
+          if (auto h = t.find_ternary(t.lpm_key(prefix, len), len)) {
+            return t.erase_ternary(*h);
+          }
+          t.add_lpm(prefix, len,
+                    ActionCall{"Router.route", {{"port", 1}, {"dmac", v}}});
+          return true;
+        }));
+        break;
+      case 11:
+        what = "vip_map overwrite";
+        d.apply(on_table("VGW.vip_map", [&](RuntimeTable& t) {
+          t.add_exact({net::Ipv4Addr(10, 2, 0, 20).value()},
+                      ActionCall{"VGW.translate",
+                                 {{"phys_dst", net::Ipv4Addr(10, 2, 1, 20 + r % 2).value()},
+                                  {"tenant", 200}}});
+          return true;
+        }));
+        break;
+      case 12:
+        what = "quarantine";
+        d.fast().quarantine();
+        break;
+      // Bursts overflow the change log: the hot keys they touch first
+      // drop out of it, and packets would see those keys stale unless
+      // the table is re-lowered whole.
+      case 13:
+        what = "burst install (overflows the change log)";
+        burst = d.hot_keys();
+        for (int i = 0; i < kBurst; ++i) {
+          burst.push_back(0x80000000u + step * kBurst + i);
+        }
+        d.apply(on_table(lb, [&](RuntimeTable& t) {
+          for (std::uint64_t b : burst) {
+            t.remove_exact({b});
+            t.add_exact({b}, backend(v));
+          }
+          return true;
+        }));
+        break;
+      case 14:
+        what = "burst removal (overflows the change log)";
+        d.apply(on_table(lb, [&](RuntimeTable& t) {
+          bool any = false;
+          for (std::uint64_t b : burst) any |= t.remove_exact({b});
+          return any;
+        }));
+        burst.clear();
+        break;
+      case 15:
+        what = "clear";
+        d.apply(on_table(r % 2 == 0 ? lb : "FW.acl", [&](RuntimeTable& t) {
+          t.clear();
+          return true;
+        }));
+        break;
+    }
+    const std::uint64_t generation = d.fast().generation();
+    d.probe(rng, 3, "step " + std::to_string(step) + " (" + what + ")");
+    if (HasFatalFailure()) return;
+    // One rebuild at most per packet, however many tables moved.
+    EXPECT_LE(d.fast().generation(), generation + 1) << what;
+  }
+  const CompiledStats& s = d.fast().stats();
+  EXPECT_GT(s.patches, 0u);
+  EXPECT_GT(s.full_compiles, 1u);
+  EXPECT_EQ(s.failed_compiles, 0u);
+  EXPECT_EQ(s.fallback_packets, 0u);
+  // The probes did exercise touched session keys, not only misses.
+  EXPECT_GT(d.live().tables_named(lb).front()->hits(), lb_hits0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CompiledIncremental,
+                         ::testing::Values(1u, 2u, 3u, 4u));
+
+/// fig9 with LB.lb_session preloaded to `n` sessions.
+DataPlane preloaded(const control::Fig2Deployment& fx, std::uint32_t n) {
+  DataPlane dp = fx.deployment->dataplane();
+  RuntimeTable& lb = *dp.tables_named("LB.lb_session").front();
+  for (std::uint32_t i = 0; lb.entry_count() < n; ++i) {
+    lb.add_exact({0x90000000u + i}, backend(0x0a010201u));
+  }
+  return dp;
+}
+
+TEST(CompiledPatch, InstallIntoLargeTableIsAPatch) {
+  auto fx = control::make_fig9_deployment();
+  DataPlane dp = preloaded(fx, 8192);
+  CompiledPipeline fast(dp);
+  ASSERT_TRUE(fast.compiled_ok()) << fast.compile_error();
+  const CompiledStats before = fast.stats();
+  const std::size_t arena = fast.op_arena_size();
+
+  const ReplayFlow flow = control::fig2_replay_flows(6).front();
+  ASSERT_EQ(flow.path_id, 1);
+  control::Transaction txn(dp);
+  txn.install_exact("LB.lb_session", {lb_key(flow.flow)},
+                    backend(0x0a010201u));
+  ASSERT_TRUE(txn.commit().committed);
+
+  DataPlane oracle = dp;
+  const SwitchOutput got = fast.process(flow.flow.packet(), flow.in_port);
+  EXPECT_TRUE(semantically_equal(
+      got, oracle.process(flow.flow.packet(), flow.in_port)));
+  EXPECT_TRUE(got.delivered());
+  EXPECT_EQ(fast.stats().patches, before.patches + 1);
+  EXPECT_EQ(fast.stats().full_compiles, before.full_compiles);
+  EXPECT_EQ(fast.generation(), before.full_compiles + before.patches + 1);
+  EXPECT_EQ(fast.op_arena_size(), arena);  // an existing body, shared
+  // 8K sessions on one backend share one lowered body.
+  EXPECT_LT(arena, 256u);
+
+  // An epoch flip re-lowers everything.
+  dp.set_epoch(dp.epoch() + 1);
+  (void)fast.process(flow.flow.packet(), flow.in_port);
+  EXPECT_EQ(fast.stats().full_compiles, before.full_compiles + 1);
+  EXPECT_EQ(fast.stats().patches, before.patches + 1);
+
+  // So does a quarantine, even with nothing moved.
+  fast.quarantine();
+  (void)fast.process(flow.flow.packet(), flow.in_port);
+  EXPECT_EQ(fast.stats().full_compiles, before.full_compiles + 2);
+  EXPECT_EQ(fast.stats().patches, before.patches + 1);
+}
+
+TEST(CompiledPatch, ChurnKeepsTheOpArenaBounded) {
+  // Fig. 4 session learning: each new flow installs one session and
+  // the oldest expires. Every learned session here has its own
+  // backend, so no body is shared: once the preloaded sessions have
+  // expired, freed bodies must be reused, or the arena (and RSS)
+  // would grow with every flow ever learned.
+  auto fx = control::make_fig9_deployment();
+  constexpr std::uint32_t kTable = 1024;
+  DataPlane dp = preloaded(fx, kTable);
+  CompiledPipeline fast(dp);
+  ASSERT_TRUE(fast.compiled_ok()) << fast.compile_error();
+  RuntimeTable& lb = *dp.tables_named("LB.lb_session").front();
+  const std::uint64_t full = fast.stats().full_compiles;
+  const ReplayFlow flow = control::fig2_replay_flows(6).front();
+
+  constexpr std::uint32_t kFlows = 5000;
+  std::size_t arena = 0;
+  for (std::uint32_t i = 0; i < kFlows; ++i) {
+    lb.add_exact({0xa0000000u + i}, backend(0x0b000000u + i));
+    ASSERT_TRUE(lb.remove_exact({i < kTable ? 0x90000000u + i
+                                            : 0xa0000000u + i - kTable}));
+    (void)fast.process(flow.flow.packet(), flow.in_port);
+    if (i == kTable) arena = fast.op_arena_size();
+    if (i > kTable) {
+      ASSERT_LE(fast.op_arena_size(), arena + 8) << "flow " << i;
+    }
+  }
+  EXPECT_EQ(fast.stats().full_compiles, full);
+  EXPECT_EQ(fast.stats().patches, kFlows);
+  EXPECT_EQ(fast.stats().fallback_packets, 0u);
+}
+
+TEST(CompiledPatch, PatchedBodyWithNewLocalsIsSized) {
+  // The default action uses no local.* slot; the installed action
+  // introduces two. Scratch must grow with the patch.
+  p4ir::TupleIdTable ids;
+  asic::SwitchConfig config(asic::TargetSpec::mini());
+  p4ir::Program program("p");
+  nf::add_standard_parser(program, ids);
+  p4ir::ControlBlock c(
+      merge::pipelet_control_name({0, asic::PipeKind::kIngress}));
+  p4ir::Action fwd;
+  fwd.name = "fwd";
+  fwd.primitives = {p4ir::set_imm("standard_metadata.egress_spec", 1)};
+  c.add_action(fwd);
+  p4ir::Action via_locals;
+  via_locals.name = "via_locals";
+  via_locals.primitives = {
+      p4ir::set_imm("local.a", 2),
+      p4ir::set_imm("local.b", 3),
+      p4ir::copy_field("standard_metadata.egress_spec", "local.b"),
+  };
+  c.add_action(via_locals);
+  p4ir::Table t;
+  t.name = "t";
+  t.keys = {p4ir::TableKey{"ipv4.dst_addr", p4ir::MatchKind::kExact, 32}};
+  t.actions = {"fwd", "via_locals"};
+  t.default_action = "fwd";
+  c.add_table(t);
+  c.apply_table("t");
+  program.add_control(std::move(c));
+
+  DataPlane dp(program, ids, config);
+  CompiledPipeline fast(dp);
+  ASSERT_TRUE(fast.compiled_ok()) << fast.compile_error();
+  net::PacketSpec spec;
+  spec.ip_dst = net::Ipv4Addr(10, 0, 0, 7);
+  const net::Packet packet = net::Packet::make(spec);
+  EXPECT_EQ(fast.process(packet, 0).out.at(0).port, 1);
+
+  dp.table_in(merge::pipelet_control_name({0, asic::PipeKind::kIngress}), "t")
+      ->add_exact({spec.ip_dst.value()}, ActionCall{"via_locals", {}});
+  DataPlane oracle = dp;
+  const SwitchOutput got = fast.process(packet, 0);
+  EXPECT_EQ(fast.stats().patches, 1u);
+  EXPECT_TRUE(semantically_equal(got, oracle.process(packet, 0)));
+  ASSERT_TRUE(got.delivered());
+  EXPECT_EQ(got.out.front().port, 3);
+}
+
+}  // namespace
+}  // namespace dejavu::sim

@@ -167,6 +167,56 @@ TEST(Transaction, ValidationRejectsWithoutTouchingTheSwitch) {
   EXPECT_EQ(take_snapshot(dp).to_text(), before);
 }
 
+TEST(Transaction, RejectsActionsTheTableCannotRun) {
+  // An install naming an action the table does not bind, or with
+  // arguments other than the action's parameters, used to commit; its
+  // first hit then threw inside DataPlane::process and knocked the
+  // compiled engine into full fallback. It must fail validation.
+  auto fx = make_fig9_deployment();
+  sim::DataPlane& dp = fx.deployment->dataplane();
+  sim::CompiledPipeline fast(dp);
+  ASSERT_TRUE(fast.compiled_ok()) << fast.compile_error();
+  const std::string before = take_snapshot(dp).to_text();
+  const std::uint32_t vip = net::Ipv4Addr(10, 9, 0, 9).value();
+
+  const std::vector<std::pair<sim::ActionCall, std::string>> bad = {
+      {{"no_such_action", {}}, "not bound"},
+      {{"LB.modify_dstIp", {{"dip", 1}}}, "not bound"},
+      {{"VGW.translate", {{"phys_dst", 1}}}, "missing argument 'tenant'"},
+      {{"VGW.translate", {{"phys_dst", 1}, {"tenant", 2}, {"ttl", 3}}},
+       "does not take"},
+      {{"VGW.pass", {{"phys_dst", 1}}}, "does not take"},
+  };
+  for (const auto& [call, why] : bad) {
+    Transaction txn(dp);
+    txn.install_exact("VGW.vip_map", {vip}, call);
+    const auto r = txn.commit();
+    EXPECT_FALSE(r.committed) << call.action;
+    EXPECT_NE(r.error.find(why), std::string::npos) << r.error;
+    EXPECT_EQ(r.applied, 0u);
+  }
+  {  // ternary and LPM installs are checked the same way
+    Transaction txn(dp);
+    txn.install_lpm("Router.ipv4_lpm", vip, 24, {"Router.route", {}});
+    EXPECT_FALSE(txn.commit().committed);
+  }
+  EXPECT_EQ(take_snapshot(dp).to_text(), before);
+
+  // The engine never saw a change, and a packet to the VIP still runs.
+  const auto flows = fig2_replay_flows(6);
+  const std::uint64_t gen = fast.generation();
+  EXPECT_NO_THROW((void)fast.process(flows.front().flow.packet(),
+                                     flows.front().in_port));
+  EXPECT_TRUE(fast.compiled_ok());
+  EXPECT_EQ(fast.generation(), gen);
+
+  // The well-formed install still commits.
+  Transaction good(dp);
+  good.install_exact("VGW.vip_map", {vip},
+                     {"VGW.translate", {{"phys_dst", 1}, {"tenant", 2}}});
+  EXPECT_TRUE(good.commit().committed);
+}
+
 TEST(Transaction, CapacityCheckCoversTheWholeBatch) {
   auto fx = make_fig9_deployment();
   sim::DataPlane& dp = fx.deployment->dataplane();

@@ -17,6 +17,7 @@
 #include "p4ir/types.hpp"
 #include "sfc/header.hpp"
 #include "sim/bits.hpp"
+#include "sim/disposition.hpp"
 #include "sim/parse.hpp"
 
 namespace dejavu::cost {
@@ -36,60 +37,13 @@ std::uint64_t fnv1a_str(std::uint64_t h, const std::string& s) {
   return fnv1a(h, s.data(), s.size());
 }
 
-// --- concrete header-field access (mirror of sim::FieldView's
-// header-space semantics, without needing a StandardMetadata) --------
-
-struct HeaderField {
-  std::size_t abs_bit = 0;
-  std::uint16_t bits = 0;
-};
-
-std::optional<HeaderField> locate_field(const p4ir::Program& prog,
-                                        const sim::ParseResult& parsed,
-                                        const p4ir::FieldRef& ref) {
-  auto base = parsed.offset_of(ref.header);
-  if (!base) return std::nullopt;
-  const p4ir::HeaderType* type = prog.find_header_type(ref.header);
-  if (type == nullptr) return std::nullopt;
-  auto bit_off = type->bit_offset(ref.field);
-  const p4ir::Field* field = type->find_field(ref.field);
-  if (!bit_off || field == nullptr) return std::nullopt;
-  return HeaderField{std::size_t{*base} * 8 + *bit_off, field->bits};
-}
-
-std::optional<std::pair<std::uint64_t, std::uint16_t>> header_read(
-    const p4ir::Program& prog, const net::Packet& packet,
-    const sim::ParseResult& parsed, const p4ir::FieldRef& ref) {
-  auto loc = locate_field(prog, parsed, ref);
-  if (!loc) return std::nullopt;
-  auto bytes = packet.data().view();
-  if (loc->abs_bit + loc->bits > bytes.size() * 8) return std::nullopt;
-  return std::make_pair(sim::read_bits(bytes, loc->abs_bit, loc->bits),
-                        loc->bits);
-}
-
-bool header_write(const p4ir::Program& prog, net::Packet& packet,
-                  const sim::ParseResult& parsed, const p4ir::FieldRef& ref,
-                  std::uint64_t value) {
-  auto loc = locate_field(prog, parsed, ref);
-  if (!loc) return false;
-  auto bytes = packet.data().mutable_view();
-  if (loc->abs_bit + loc->bits > bytes.size() * 8) return false;
-  sim::write_bits(bytes, loc->abs_bit, loc->bits,
-                  sim::mask_to_width(value, loc->bits));
-  return true;
-}
-
 // --- abstract machine state ----------------------------------------
 
-/// Abstract standard_metadata: ports / length / epoch stay concrete
-/// (they are trace-determined), the per-pass decision fields —
+/// Abstract standard_metadata: ports / length / epoch stay concrete in
+/// `plain` (they are trace-determined), the per-pass decision fields —
 /// egress_spec and the flags — are abstract values.
 struct AbsMeta {
-  std::uint16_t ingress_port = 0;
-  std::uint16_t egress_port = 0;
-  std::uint32_t packet_length = 0;
-  std::uint32_t epoch = 0;
+  sim::StandardMetadata plain;  ///< its egress_spec and flags are unused
   AbsVal egress_spec = AbsVal::concrete(sfc::kPortUnset, 9);
   AbsVal resubmit = AbsVal::concrete(0, 1);
   AbsVal recirculate = AbsVal::concrete(0, 1);
@@ -97,16 +51,42 @@ struct AbsMeta {
   AbsVal mirror = AbsVal::concrete(0, 1);
   AbsVal to_cpu = AbsVal::concrete(0, 1);
 
-  void clear_flags() {
+  /// A new pass: no egress decision yet, every flag lowered.
+  void start_pass() {
+    egress_spec = AbsVal::concrete(sfc::kPortUnset, 9);
     resubmit = recirculate = drop = mirror = to_cpu = AbsVal::concrete(0, 1);
+  }
+
+  /// The abstract flag behind `f`; nullptr for every other field.
+  AbsVal* flag(sim::MetaField f) {
+    switch (f) {
+      case sim::MetaField::kResubmitFlag:
+        return &resubmit;
+      case sim::MetaField::kRecirculateFlag:
+        return &recirculate;
+      case sim::MetaField::kDropFlag:
+        return &drop;
+      case sim::MetaField::kMirrorFlag:
+        return &mirror;
+      case sim::MetaField::kToCpuFlag:
+        return &to_cpu;
+      default:
+        return nullptr;
+    }
   }
 };
 
 /// One in-flight abstract trace (the walker's PathState analogue).
 struct AbsState {
+  /// The pipelet boundary the trace waits at.
+  enum class At : std::uint8_t { kPassStart, kIngressDone, kEgressDone };
+
   net::Packet packet;        ///< concrete template (witness copy)
   sim::ParseResult parsed;   ///< refreshed at every pipelet entry
   AbsMeta meta;
+  At at = At::kPassStart;
+  /// The egress port the traffic manager chose for this pass.
+  std::uint16_t egress = 0;
   /// Header fields holding an abstract value (overlay-first reads);
   /// concrete writes go through to the template bytes instead.
   std::map<std::string, AbsVal> overlay;
@@ -148,6 +128,19 @@ Tri bool_tri(const AbsVal& v) {
   return Tri::kMaybe;
 }
 
+sim::TmFlags tm_flags(const AbsMeta& m) {
+  return {bool_tri(m.to_cpu), bool_tri(m.drop), bool_tri(m.resubmit),
+          bool_tri(m.mirror)};
+}
+
+/// egress_spec as the traffic manager reads it: nullopt when undecided.
+std::optional<std::uint16_t> egress_of(const AbsMeta& m) {
+  if (auto port = m.egress_spec.concrete_value()) {
+    return static_cast<std::uint16_t>(*port);
+  }
+  return std::nullopt;
+}
+
 /// Lower an (abstractly written) value to flag semantics (v != 0).
 AbsVal flag_from(const AbsVal& v) {
   Tri t = bool_tri(v);
@@ -158,18 +151,28 @@ AbsVal flag_from(const AbsVal& v) {
   return f;
 }
 
-/// The whole-deployment abstract interpreter: mirrors
-/// sim::DataPlane::process / run_pipelet / execute_action over one
-/// class's abstract state, forking at every undecided branch and
-/// widening to a fixpoint over the recirculation/resubmit graph.
+/// The whole-deployment abstract interpreter: runs run_pipelet /
+/// execute_action semantics over one class's abstract state and asks
+/// sim::disposition between pipelets, forking at every undecided
+/// branch and widening to a fixpoint over the recirculation/resubmit
+/// graph.
 class Walker {
  public:
   Walker(sim::DataPlane& dp, const CostOptions& opts, std::uint32_t epoch)
       : dp_(dp), prog_(dp.program()), opts_(opts), epoch_(epoch) {}
 
+  // Passes are driven from an explicit stack, not by recursion (a
+  // 64-pass loop would nest every pipelet walk on the call stack). A
+  // pipelet walk or a fork pushes its states in reverse, so traces end
+  // in the same depth-first order as a recursive walk.
   void walk(AbsState s) {
     spawned_ = 1;
-    start_pass(std::move(s));
+    pending_.push_back(std::move(s));
+    while (!pending_.empty() && !capped) {
+      AbsState next = std::move(pending_.back());
+      pending_.pop_back();
+      advance(std::move(next));
+    }
   }
 
   std::vector<TraceEnd> ends;
@@ -200,7 +203,8 @@ class Walker {
   std::string digest(const AbsState& s) const {
     std::uint64_t h = 1469598103934665603ull;
     h = fnv1a(h, &s.pipeline, sizeof(s.pipeline));
-    h = fnv1a(h, &s.meta.ingress_port, sizeof(s.meta.ingress_port));
+    h = fnv1a(h, &s.meta.plain.ingress_port,
+              sizeof(s.meta.plain.ingress_port));
     auto bytes = s.packet.data().view();
     h = fnv1a(h, bytes.data(), bytes.size());
     std::string ov;
@@ -211,22 +215,12 @@ class Walker {
     return std::to_string(h);
   }
 
-  void finish(AbsState s, const char* kind) {
+  /// End the trace as `kind`; `why` explains an "unbounded" end.
+  void finish(AbsState s, const char* kind, std::string why = {}) {
     TraceEnd e;
     e.kind = kind;
-    e.passes = s.pass + 1;
-    e.recircs = s.recircs;
-    e.resubs = s.resubs;
-    e.loop_pipelines = std::move(s.loop_pipelines);
-    e.register_dependent = s.register_dependent;
-    ends.push_back(std::move(e));
-  }
-
-  void finish_unbounded(AbsState s, std::string why) {
-    TraceEnd e;
-    e.kind = "unbounded";
     e.why = std::move(why);
-    e.unbounded = true;
+    e.unbounded = e.kind == "unbounded";
     e.passes = s.pass + 1;
     e.recircs = s.recircs;
     e.resubs = s.resubs;
@@ -243,27 +237,15 @@ class Walker {
     if (!ref) return std::nullopt;
     std::optional<AbsVal> out;
     if (ref->header == "standard_metadata") {
-      const std::string& f = ref->field;
-      if (f == "ingress_port") {
-        out = AbsVal::concrete(s.meta.ingress_port, 16);
-      } else if (f == "egress_spec") {
+      const sim::MetaField f = sim::meta_field(ref->field);
+      if (f == sim::MetaField::kEgressSpec) {
         out = s.meta.egress_spec;
-      } else if (f == "egress_port") {
-        out = AbsVal::concrete(s.meta.egress_port, 16);
-      } else if (f == "packet_length") {
-        out = AbsVal::concrete(s.meta.packet_length, 32);
-      } else if (f == "epoch") {
-        out = AbsVal::concrete(s.meta.epoch, 32);
-      } else if (f == "resubmit_flag") {
-        out = s.meta.resubmit;
-      } else if (f == "recirculate_flag") {
-        out = s.meta.recirculate;
-      } else if (f == "drop_flag") {
-        out = s.meta.drop;
-      } else if (f == "mirror_flag") {
-        out = s.meta.mirror;
-      } else if (f == "to_cpu_flag") {
-        out = s.meta.to_cpu;
+      } else if (AbsVal* flag = s.meta.flag(f)) {
+        out = *flag;
+      } else if (auto v = sim::read_meta(s.meta.plain, f)) {
+        const bool wide = f == sim::MetaField::kPacketLength ||
+                          f == sim::MetaField::kEpoch;
+        out = AbsVal::concrete(*v, wide ? 32 : 16);
       }
     } else if (ref->header == "local") {
       auto it = ctx.locals.find(ref->field);
@@ -273,8 +255,12 @@ class Walker {
       auto it = s.overlay.find(dotted);
       if (it != s.overlay.end()) {
         out = it->second;
-      } else if (auto hv = header_read(prog_, s.packet, s.parsed, *ref)) {
-        out = AbsVal::concrete(hv->first, hv->second);
+      } else if (auto loc = sim::locate_field(
+                     prog_, *ref, *s.parsed.offset_of(ref->header),
+                     s.packet.size())) {
+        out = AbsVal::concrete(
+            sim::read_bits(s.packet.data().view(), loc->abs_bit, loc->bits),
+            loc->bits);
       }
     }
     if (out && decision && out->tainted) s.register_dependent = true;
@@ -288,18 +274,11 @@ class Walker {
     auto ref = p4ir::FieldRef::parse(dotted);
     if (!ref) return;
     if (ref->header == "standard_metadata") {
-      if (ref->field == "egress_spec") {
+      const sim::MetaField f = sim::meta_field(ref->field);
+      if (f == sim::MetaField::kEgressSpec) {
         s.meta.egress_spec = v;
-      } else if (ref->field == "resubmit_flag") {
-        s.meta.resubmit = flag_from(v);
-      } else if (ref->field == "recirculate_flag") {
-        s.meta.recirculate = flag_from(v);
-      } else if (ref->field == "drop_flag") {
-        s.meta.drop = flag_from(v);
-      } else if (ref->field == "mirror_flag") {
-        s.meta.mirror = flag_from(v);
-      } else if (ref->field == "to_cpu_flag") {
-        s.meta.to_cpu = flag_from(v);
+      } else if (AbsVal* flag = s.meta.flag(f)) {
+        *flag = flag_from(v);
       }
       // Concrete-only metadata (ports, length) can't absorb a
       // refinement; dropping it merely over-approximates.
@@ -317,36 +296,19 @@ class Walker {
     auto ref = p4ir::FieldRef::parse(dotted);
     if (!ref) return;
     if (ref->header == "standard_metadata") {
-      const std::string& f = ref->field;
-      if (f == "egress_spec") {
+      const sim::MetaField f = sim::meta_field(ref->field);
+      if (f == sim::MetaField::kEgressSpec) {
         v.resize(9);
         s.meta.egress_spec = v;
-      } else if (f == "ingress_port" || f == "egress_port" ||
-                 f == "packet_length") {
-        if (auto c = v.concrete_value()) {
-          if (f == "ingress_port") {
-            s.meta.ingress_port = static_cast<std::uint16_t>(*c & 0x1ff);
-          } else if (f == "egress_port") {
-            s.meta.egress_port = static_cast<std::uint16_t>(*c & 0x1ff);
-          } else {
-            s.meta.packet_length = static_cast<std::uint32_t>(*c);
-          }
-        } else {
-          approx = true;  // untrackable; bounds stay sound
-        }
-      } else if (f == "resubmit_flag") {
-        s.meta.resubmit = flag_from(v);
-      } else if (f == "recirculate_flag") {
-        s.meta.recirculate = flag_from(v);
-      } else if (f == "drop_flag") {
-        s.meta.drop = flag_from(v);
-      } else if (f == "mirror_flag") {
-        s.meta.mirror = flag_from(v);
-      } else if (f == "to_cpu_flag") {
-        s.meta.to_cpu = flag_from(v);
+      } else if (AbsVal* flag = s.meta.flag(f)) {
+        *flag = flag_from(v);
+      } else if (auto c = v.concrete_value()) {
+        sim::write_meta(s.meta.plain, f, *c);
+      } else if (f != sim::MetaField::kEpoch &&
+                 f != sim::MetaField::kUnknown) {
+        approx = true;  // an abstract port or length: bounds stay sound
       }
-      // epoch (and unknown fields): not writable — no-op, like
-      // FieldView.
+      // epoch and unknown fields are not writable: no-op, like FieldView.
       return;
     }
     if (ref->header == "local") {
@@ -354,11 +316,13 @@ class Walker {
       return;
     }
     if (!s.parsed.has(ref->header)) return;  // absent header: no-op
-    auto loc = locate_field(prog_, s.parsed, *ref);
+    auto loc = sim::locate_field(prog_, *ref, *s.parsed.offset_of(ref->header),
+                                 s.packet.size());
     if (!loc) return;
     v.resize(loc->bits);
     if (auto c = v.concrete_value()) {
-      header_write(prog_, s.packet, s.parsed, *ref, *c);
+      sim::write_bits(s.packet.data().mutable_view(), loc->abs_bit, loc->bits,
+                      sim::mask_to_width(*c, loc->bits));
       s.overlay.erase(dotted);
     } else {
       s.overlay[dotted] = std::move(v);
@@ -375,14 +339,58 @@ class Walker {
     }
   }
 
-  // --- pass loop (mirror of DataPlane::process) ----------------------
+  // --- pass loop ------------------------------------------------------
+
+  /// Apply the traffic manager at the trace's pipelet boundary, then
+  /// queue what follows: decided forks, the next pipelet's completed
+  /// states, or nothing when the trace ended.
+  void advance(AbsState s) {
+    if (s.at != AbsState::At::kPassStart) {
+      const sim::TmFlags flags = tm_flags(s.meta);
+      const sim::Step st =
+          s.at == AbsState::At::kIngressDone
+              ? sim::after_ingress(dp_, flags, egress_of(s.meta))
+              : sim::after_egress(dp_, flags, s.egress);
+      switch (st.kind) {
+        case sim::Step::Kind::kNeed:
+          fork(std::move(s), st.need);
+          return;
+        case sim::Step::Kind::kPunt:
+          finish(std::move(s), "punt");
+          return;
+        case sim::Step::Kind::kDrop:
+          finish(std::move(s), "drop");
+          return;
+        case sim::Step::Kind::kEmit:
+          finish(std::move(s), "emit");
+          return;
+        case sim::Step::Kind::kEgress:
+          // Mirror copies change emissions, never passes — not
+          // cost-relevant.
+          s.meta.plain.egress_port = st.port;
+          s.egress = st.port;
+          s.at = AbsState::At::kEgressDone;
+          enter(std::move(s), {st.pipeline, asic::PipeKind::kEgress});
+          return;
+        case sim::Step::Kind::kResubmit:
+          ++s.resubs;
+          break;
+        case sim::Step::Kind::kRecirculate:
+          ++s.recircs;
+          s.loop_pipelines.push_back(st.pipeline);
+          s.pipeline = st.pipeline;
+          s.meta.plain.ingress_port = st.port;
+          break;
+      }
+      ++s.pass;
+    }
+    start_pass(std::move(s));
+  }
 
   void start_pass(AbsState s) {
-    if (capped) return;
     if (s.pass >= dp_.max_passes() + opts_.pass_budget_slack) {
-      finish_unbounded(std::move(s),
-                       "pass budget (cap + slack) exhausted without "
-                       "termination");
+      finish(std::move(s), "unbounded",
+             "pass budget (cap + slack) exhausted without termination");
       return;
     }
     if (s.pass >= dp_.max_passes() && !s.widened) {
@@ -396,145 +404,67 @@ class Walker {
       }
     }
     if (!s.digests.insert(digest(s)).second) {
-      finish_unbounded(std::move(s),
-                       "recirculation revisits an abstract state with no "
-                       "progress");
+      finish(std::move(s), "unbounded",
+             "recirculation revisits an abstract state with no progress");
       return;
     }
-    s.meta.egress_spec = AbsVal::concrete(sfc::kPortUnset, 9);
-    s.meta.clear_flags();
+    s.meta.start_pass();
+    s.at = AbsState::At::kIngressDone;
     const std::uint32_t pipeline = s.pipeline;
-    run_pipelet(std::move(s), {pipeline, asic::PipeKind::kIngress},
-                [this](AbsState ps) { after_ingress(std::move(ps)); });
+    enter(std::move(s), {pipeline, asic::PipeKind::kIngress});
   }
 
-  /// Evaluate a 1-bit flag, forking when it is undecided under the
-  /// abstraction; `k` receives the pinned state plus the truth value.
-  void fork_flag(AbsState s, AbsVal AbsMeta::* flag,
-                 std::function<void(AbsState, bool)> k) {
-    const Tri t = bool_tri(s.meta.*flag);
-    if (t != Tri::kMaybe) {
-      k(std::move(s), t == Tri::kAlways);
-      return;
-    }
-    if ((s.meta.*flag).tainted) s.register_dependent = true;
-    ++forks;
-    AbsState on = s;
-    on.meta.*flag = AbsVal::concrete(1, 1);
-    if (spawn()) k(std::move(on), true);
-    s.meta.*flag = AbsVal::concrete(0, 1);
-    if (spawn()) k(std::move(s), false);
-  }
-
-  void after_ingress(AbsState s) {
-    if (capped) return;
-    fork_flag(std::move(s), &AbsMeta::to_cpu, [this](AbsState s, bool cpu) {
-      if (cpu) {
-        finish(std::move(s), "punt");
-        return;
-      }
-      fork_flag(std::move(s), &AbsMeta::drop, [this](AbsState s, bool drop) {
-        if (drop) {
-          finish(std::move(s), "drop");
-          return;
-        }
-        fork_flag(std::move(s), &AbsMeta::resubmit,
-                  [this](AbsState s, bool resub) {
-                    if (resub) {
-                      ++s.resubs;
-                      ++s.pass;
-                      start_pass(std::move(s));
-                      return;
-                    }
-                    resolve_egress(std::move(s));
-                  });
-      });
+  /// Walk one pipelet and queue the states it completes.
+  void enter(AbsState s, const asic::PipeletId& id) {
+    const std::size_t base = pending_.size();
+    run_pipelet(std::move(s), id, [this](AbsState ps) {
+      pending_.push_back(std::move(ps));
     });
+    std::reverse(pending_.begin() + static_cast<std::ptrdiff_t>(base),
+                 pending_.end());
   }
 
-  void resolve_egress(AbsState s) {
-    if (auto port = s.meta.egress_spec.concrete_value()) {
-      egress_with(std::move(s), static_cast<std::uint16_t>(*port));
-      return;
-    }
-    if (s.meta.egress_spec.tainted) s.register_dependent = true;
-    // Enumerate the admitted 9-bit port values (the traffic manager's
-    // whole decision space) and fork per value.
-    std::vector<std::uint16_t> cands;
-    for (std::uint32_t p = 0; p < 512; ++p) {
-      if (s.meta.egress_spec.admits(p)) {
-        cands.push_back(static_cast<std::uint16_t>(p));
+  /// Decide the undecided disposition input `need` and queue one state
+  /// per admitted value, in value order.
+  void fork(AbsState s, sim::TmInput need) {
+    const std::size_t base = pending_.size();
+    if (need == sim::TmInput::kEgressSpec) {
+      if (s.meta.egress_spec.tainted) s.register_dependent = true;
+      // Enumerate the admitted 9-bit port values (the traffic
+      // manager's whole decision space) and fork per value.
+      std::vector<std::uint16_t> cands;
+      for (std::uint32_t p = 0; p < 512; ++p) {
+        if (s.meta.egress_spec.admits(p)) {
+          cands.push_back(static_cast<std::uint16_t>(p));
+        }
       }
-    }
-    if (cands.empty()) return;  // provably empty fork
-    forks += cands.size() - 1;
-    for (std::size_t i = 0; i < cands.size(); ++i) {
-      if (i + 1 < cands.size()) {
-        AbsState copy = s;
-        copy.meta.egress_spec = AbsVal::concrete(cands[i], 9);
-        if (spawn()) egress_with(std::move(copy), cands[i]);
-      } else {
-        s.meta.egress_spec = AbsVal::concrete(cands[i], 9);
-        egress_with(std::move(s), cands[i]);
+      if (cands.empty()) return;  // provably empty fork
+      forks += cands.size() - 1;
+      for (std::size_t i = 0; i < cands.size(); ++i) {
+        const bool last = i + 1 == cands.size();
+        if (!last && !spawn()) continue;
+        AbsState c = last ? std::move(s) : s;
+        c.meta.egress_spec = AbsVal::concrete(cands[i], 9);
+        pending_.push_back(std::move(c));
       }
+    } else {
+      AbsVal AbsMeta::* flag = need == sim::TmInput::kToCpu ? &AbsMeta::to_cpu
+                               : need == sim::TmInput::kDrop
+                                   ? &AbsMeta::drop
+                                   : &AbsMeta::resubmit;
+      if ((s.meta.*flag).tainted) s.register_dependent = true;
+      ++forks;
+      AbsState on = s;
+      on.meta.*flag = AbsVal::concrete(1, 1);
+      if (spawn()) pending_.push_back(std::move(on));
+      s.meta.*flag = AbsVal::concrete(0, 1);
+      if (spawn()) pending_.push_back(std::move(s));
     }
+    std::reverse(pending_.begin() + static_cast<std::ptrdiff_t>(base),
+                 pending_.end());
   }
 
-  void egress_with(AbsState s, std::uint16_t port) {
-    if (capped) return;
-    const asic::TargetSpec& spec = dp_.config().spec();
-    if (port == sfc::kPortUnset) {
-      finish(std::move(s), "drop");  // kNoEgressDecision
-      return;
-    }
-    if (port >= spec.total_ports() + spec.pipelines) {
-      finish(std::move(s), "drop");  // kInvalidEgressSpec
-      return;
-    }
-    if (dp_.is_port_down(port)) {
-      finish(std::move(s), "drop");  // kPortDown
-      return;
-    }
-    const std::uint32_t egress_pipeline = dp_.pipeline_of(port);
-    s.meta.egress_port = port;
-    // Mirror copies change emissions, never passes — not cost-relevant.
-    run_pipelet(std::move(s), {egress_pipeline, asic::PipeKind::kEgress},
-                [this, port, egress_pipeline](AbsState ps) {
-                  after_egress(std::move(ps), port, egress_pipeline);
-                });
-  }
-
-  void after_egress(AbsState s, std::uint16_t port,
-                    std::uint32_t egress_pipeline) {
-    if (capped) return;
-    fork_flag(std::move(s), &AbsMeta::to_cpu,
-              [this, port, egress_pipeline](AbsState s, bool cpu) {
-                if (cpu) {
-                  finish(std::move(s), "punt");
-                  return;
-                }
-                fork_flag(std::move(s), &AbsMeta::drop,
-                          [this, port, egress_pipeline](AbsState s,
-                                                        bool drop) {
-                            if (drop) {
-                              finish(std::move(s), "drop");
-                              return;
-                            }
-                            if (dp_.loops_back(port)) {
-                              ++s.recircs;
-                              s.loop_pipelines.push_back(egress_pipeline);
-                              s.pipeline = egress_pipeline;
-                              s.meta.ingress_port = port;
-                              ++s.pass;
-                              start_pass(std::move(s));
-                              return;
-                            }
-                            finish(std::move(s), "emit");
-                          });
-              });
-  }
-
-  // --- pipelet execution (mirror of DataPlane::run_pipelet) ----------
+  // --- pipelet execution (DataPlane::run_pipelet semantics) -----------
 
   void run_pipelet(AbsState s, const asic::PipeletId& id, Cont k) {
     const p4ir::ControlBlock* control =
@@ -894,7 +824,7 @@ class Walker {
                std::move(k));
   }
 
-  // --- actions (mirror of DataPlane::execute_action) -----------------
+  // --- actions (DataPlane::execute_action semantics) -------------------
 
   void exec_action(AbsState& s, Ctx& ctx, const p4ir::ControlBlock& control,
                    const sim::ActionCall& call) {
@@ -1012,6 +942,8 @@ class Walker {
   const CostOptions& opts_;
   std::uint32_t epoch_;
   std::size_t spawned_ = 0;
+  /// Traces waiting at a pipelet boundary; the back runs next.
+  std::vector<AbsState> pending_;
 };
 
 std::string join_kinds(const std::vector<TraceEnd>& ends) {
@@ -1033,7 +965,6 @@ CostResult run(sim::DataPlane& dp, const sfc::PolicySet& policies,
   CostResult result;
   result.configured_pass_cap = dp.max_passes();
   const std::uint32_t epoch = options.epoch.value_or(dp.epoch());
-  const asic::TargetSpec& spec = dp.config().spec();
 
   std::set<std::pair<std::string, std::string>> branch_hits;
   bool coverage_complete = exploration.stats.truncated == 0;
@@ -1047,12 +978,9 @@ CostResult run(sim::DataPlane& dp, const sfc::PolicySet& policies,
     cc.in_port = path.in_port;
     ++result.stats.classes;
 
-    // Ingress admission (mirror of DataPlane::process's preamble):
-    // classes refused at the port never enter the pass loop.
-    if (path.in_port >= spec.total_ports() + spec.pipelines ||
-        path.in_port >= spec.total_ports() ||
-        dp.config().is_loopback(path.in_port) ||
-        dp.is_port_down(path.in_port)) {
+    // Classes refused at the port never enter the pass loop.
+    if (sim::admit_ingress(dp, path.in_port, /*from_cpu=*/false) !=
+        sim::DropCode::kNone) {
       cc.outcome = "drop";
       cc.pass_bound = 0;
       result.classes.push_back(std::move(cc));
@@ -1061,9 +989,9 @@ CostResult run(sim::DataPlane& dp, const sfc::PolicySet& policies,
 
     AbsState s;
     s.packet = path.witness;
-    s.meta.ingress_port = path.in_port;
-    s.meta.packet_length = static_cast<std::uint32_t>(s.packet.size());
-    s.meta.epoch = epoch;
+    s.meta.plain.ingress_port = path.in_port;
+    s.meta.plain.packet_length = static_cast<std::uint32_t>(s.packet.size());
+    s.meta.plain.epoch = epoch;
     s.pipeline = dp.pipeline_of(path.in_port);
     for (const explore::PathSummary::VarSlice& slice : path.constraints) {
       AbsVal v;

@@ -17,12 +17,14 @@
 #include <vector>
 
 #include "net/tcam.hpp"
+#include "sim/disposition.hpp"
 
 namespace dejavu::cost {
 
-/// Three-valued truth: the answer an abstract value gives to "does
-/// every / no / some concrete member satisfy this predicate?".
-enum class Tri : std::uint8_t { kAlways, kNever, kMaybe };
+/// The answer an abstract value gives to "does every / no / some
+/// concrete member satisfy this predicate?" — the same three-valued
+/// type the traffic-manager steps read.
+using Tri = sim::Tri;
 
 /// One abstract value. The empty (unsatisfiable) domain is represented
 /// by mutator return values: every refinement returns false when it

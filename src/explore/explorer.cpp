@@ -13,6 +13,7 @@
 #include "net/headers.hpp"
 #include "sfc/header.hpp"
 #include "sim/bits.hpp"
+#include "sim/disposition.hpp"
 #include "sim/parse.hpp"
 
 namespace dejavu::explore {
@@ -81,9 +82,13 @@ struct PathState {
   std::map<std::string, bool> hits;
   std::string taken_branch;
   std::map<std::string, bool> branch_checked;
-  // Pass-loop state.
+  // Pass-loop state. `egress` is the port the traffic manager chose:
+  // an egress action may rewrite meta.egress_port, not the port.
+  enum class At : std::uint8_t { kPassStart, kIngressDone, kEgressDone };
+  At at = At::kPassStart;
   std::uint32_t pass = 0;
   std::uint32_t pipeline = 0;
+  std::uint16_t egress = 0;
   PredictedOutcome out;
   std::vector<asic::PipeletId> pipelets;
   bool dead = false;          // constraints became unsatisfiable
@@ -149,10 +154,9 @@ class Explorer {
 
   // --- pass loop ----------------------------------------------------
   void explore_from(const std::string& shape, std::uint16_t in_port);
-  void start_pass(PathState s);
-  void after_ingress(PathState s, std::uint32_t pipeline);
-  void after_egress(PathState s, std::uint16_t port,
-                    std::uint32_t egress_pipeline);
+  void run_passes(PathState start);
+  std::optional<asic::PipeletId> advance(PathState& s);
+  void finish_drop(PathState& s, sim::DropCode code, std::string reason);
   void finish(PathState s);
 
   // --- checks -------------------------------------------------------
@@ -233,14 +237,9 @@ RVal Explorer::read_header_field(const PathState& s,
   if (!ref) return r;
   auto base = s.parsed.find(ref->header);
   if (base == s.parsed.end()) return r;
-  const p4ir::HeaderType* type = program_->find_header_type(ref->header);
-  if (type == nullptr) return r;
-  auto bit_off = type->bit_offset(ref->field);
-  const p4ir::Field* field = type->find_field(ref->field);
-  if (!bit_off || field == nullptr) return r;
-  const std::size_t abs_bit = std::size_t{base->second} * 8 + *bit_off;
-  auto bytes = s.packet.data().view();
-  if (abs_bit + field->bits > bytes.size() * 8) return r;
+  auto slot =
+      sim::locate_field(*program_, *ref, base->second, s.packet.size());
+  if (!slot) return r;
   auto ov = s.overlay.find(dotted);
   if (ov != s.overlay.end()) {
     r.ok = true;
@@ -249,7 +248,7 @@ RVal Explorer::read_header_field(const PathState& s,
     return r;
   }
   r.ok = true;
-  r.val = sim::read_bits(bytes, abs_bit, field->bits);
+  r.val = sim::read_bits(s.packet.data().view(), slot->abs_bit, slot->bits);
   return r;
 }
 
@@ -258,19 +257,10 @@ RVal Explorer::read_field(const PathState& s, const std::string& dotted) const {
   auto ref = p4ir::FieldRef::parse(dotted);
   if (!ref) return r;
   if (ref->header == "standard_metadata") {
-    const sim::StandardMetadata& m = s.meta;
-    const std::string& f = ref->field;
-    r.ok = true;
-    if (f == "ingress_port") r.val = m.ingress_port;
-    else if (f == "egress_spec") r.val = m.egress_spec;
-    else if (f == "egress_port") r.val = m.egress_port;
-    else if (f == "packet_length") r.val = m.packet_length;
-    else if (f == "resubmit_flag") r.val = m.resubmit_flag ? 1 : 0;
-    else if (f == "recirculate_flag") r.val = m.recirculate_flag ? 1 : 0;
-    else if (f == "drop_flag") r.val = m.drop_flag ? 1 : 0;
-    else if (f == "mirror_flag") r.val = m.mirror_flag ? 1 : 0;
-    else if (f == "to_cpu_flag") r.val = m.to_cpu_flag ? 1 : 0;
-    else r.ok = false;
+    if (auto v = sim::read_meta(s.meta, sim::meta_field(ref->field))) {
+      r.ok = true;
+      r.val = *v;
+    }
     return r;
   }
   if (ref->header == "local") {
@@ -289,16 +279,11 @@ bool Explorer::write_header_bits(PathState& s, const std::string& dotted,
   if (!ref) return false;
   auto base = s.parsed.find(ref->header);
   if (base == s.parsed.end()) return false;
-  const p4ir::HeaderType* type = program_->find_header_type(ref->header);
-  if (type == nullptr) return false;
-  auto bit_off = type->bit_offset(ref->field);
-  const p4ir::Field* field = type->find_field(ref->field);
-  if (!bit_off || field == nullptr) return false;
-  const std::size_t abs_bit = std::size_t{base->second} * 8 + *bit_off;
-  auto bytes = s.packet.data().mutable_view();
-  if (abs_bit + field->bits > bytes.size() * 8) return false;
-  sim::write_bits(bytes, abs_bit, field->bits,
-                  sim::mask_to_width(value, field->bits));
+  auto slot =
+      sim::locate_field(*program_, *ref, base->second, s.packet.size());
+  if (!slot) return false;
+  sim::write_bits(s.packet.data().mutable_view(), slot->abs_bit, slot->bits,
+                  sim::mask_to_width(value, slot->bits));
   s.overlay.erase(dotted);
   return true;
 }
@@ -336,27 +321,7 @@ void Explorer::action_write(PathState& s, const std::string& where,
   auto ref = p4ir::FieldRef::parse(dotted);
   if (!ref) return;
   if (ref->header == "standard_metadata") {
-    sim::StandardMetadata& m = s.meta;
-    const std::string& f = ref->field;
-    if (f == "ingress_port") {
-      m.ingress_port = static_cast<std::uint16_t>(value & 0x1ff);
-    } else if (f == "egress_spec") {
-      m.egress_spec = static_cast<std::uint16_t>(value & 0x1ff);
-    } else if (f == "egress_port") {
-      m.egress_port = static_cast<std::uint16_t>(value & 0x1ff);
-    } else if (f == "packet_length") {
-      m.packet_length = static_cast<std::uint32_t>(value);
-    } else if (f == "resubmit_flag") {
-      m.resubmit_flag = value != 0;
-    } else if (f == "recirculate_flag") {
-      m.recirculate_flag = value != 0;
-    } else if (f == "drop_flag") {
-      m.drop_flag = value != 0;
-    } else if (f == "mirror_flag") {
-      m.mirror_flag = value != 0;
-    } else if (f == "to_cpu_flag") {
-      m.to_cpu_flag = value != 0;
-    }
+    sim::write_meta(s.meta, sim::meta_field(ref->field), value);
     return;
   }
   if (ref->header == "local") {
@@ -972,7 +937,7 @@ void Explorer::execute_action_sym(PathState& s,
 }
 
 // ---------------------------------------------------------------------
-// Pass loop (mirror of DataPlane::process)
+// Pass loop (the traffic manager between pipelets is sim::disposition)
 // ---------------------------------------------------------------------
 
 void Explorer::explore_from(const std::string& shape, std::uint16_t in_port) {
@@ -985,27 +950,11 @@ void Explorer::explore_from(const std::string& shape, std::uint16_t in_port) {
   s.packet = net::Packet::make(base_spec_);
   s.meta.ingress_port = in_port;
   s.meta.packet_length = static_cast<std::uint32_t>(s.packet.size());
+  s.meta.epoch = epoch_;
 
-  const asic::TargetSpec& spec = dp_->config().spec();
-  if (in_port >= spec.total_ports() + spec.pipelines) {
-    s.out.dropped = true;
-    s.out.drop_code = sim::DropCode::kInvalidIngressPort;
-    s.out.drop_reason = "invalid ingress port";
-    finish(std::move(s));
-    return;
-  }
-  if (in_port >= spec.total_ports()) {
-    s.out.dropped = true;
-    s.out.drop_code = sim::DropCode::kRecircPortExternal;
-    s.out.drop_reason = "dedicated recirculation port";
-    finish(std::move(s));
-    return;
-  }
-  if (dp_->config().is_loopback(in_port)) {
-    s.out.dropped = true;
-    s.out.drop_code = sim::DropCode::kLoopbackPortExternal;
-    s.out.drop_reason = "loopback port takes no external traffic";
-    finish(std::move(s));
+  if (sim::DropCode code = sim::admit_ingress(*dp_, in_port, false);
+      code != sim::DropCode::kNone) {
+    finish_drop(s, code, sim::drop_detail(code, in_port));
     return;
   }
 
@@ -1025,112 +974,96 @@ void Explorer::explore_from(const std::string& shape, std::uint16_t in_port) {
   }
 
   s.pipeline = dp_->pipeline_of(in_port);
-  start_pass(std::move(s));
+  run_passes(std::move(s));
 }
 
-void Explorer::start_pass(PathState s) {
-  if (s.dead) {
-    ++stats_.infeasible;
-    return;
+// Passes are driven from an explicit stack, not by recursion: a
+// 64-pass recirculation loop would otherwise nest every pipelet walk of
+// every pass on the call stack. A pipelet walk collects the states it
+// completes; pushing them in reverse keeps the depth-first order, so
+// paths finish in the order the recursive walk finished them.
+void Explorer::run_passes(PathState start) {
+  std::vector<PathState> stack;
+  stack.push_back(std::move(start));
+  while (!stack.empty()) {
+    PathState s = std::move(stack.back());
+    stack.pop_back();
+    if (s.dead) {
+      ++stats_.infeasible;
+      continue;
+    }
+    const std::optional<asic::PipeletId> next = advance(s);
+    if (!next) continue;
+    std::vector<PathState> done;
+    run_pipelet_sym(std::move(s), *next, [&done](PathState ps) {
+      done.push_back(std::move(ps));
+    });
+    for (auto it = done.rbegin(); it != done.rend(); ++it) {
+      stack.push_back(std::move(*it));
+    }
+  }
+}
+
+// Apply the traffic manager at the path's pipelet boundary. Returns the
+// pipelet the path runs next, or nullopt when the path has finished.
+std::optional<asic::PipeletId> Explorer::advance(PathState& s) {
+  if (s.at != PathState::At::kPassStart) {
+    const bool ingress = s.at == PathState::At::kIngressDone;
+    const sim::TmFlags flags = sim::tm_flags(s.meta);
+    const sim::Step st =
+        ingress ? sim::after_ingress(*dp_, flags, s.meta.egress_spec)
+                : sim::after_egress(*dp_, flags, s.egress);
+    switch (st.kind) {
+      case sim::Step::Kind::kPunt:
+        ++s.out.to_cpu;
+        finish(std::move(s));
+        return std::nullopt;
+      case sim::Step::Kind::kDrop:
+        finish_drop(s, st.code,
+                    sim::drop_detail(*dp_, st,
+                                     ingress ? s.pipeline
+                                             : dp_->pipeline_of(s.egress)));
+        return std::nullopt;
+      case sim::Step::Kind::kEmit:
+        s.out.out_ports.push_back(st.port);
+        if (s.packet.has_sfc_header()) s.out.sfc_on_final_emit = true;
+        finish(std::move(s));
+        return std::nullopt;
+      case sim::Step::Kind::kEgress:
+        s.meta.egress_port = st.port;
+        s.egress = st.port;
+        if (st.mirror) s.out.out_ports.push_back(*st.mirror);
+        s.at = PathState::At::kEgressDone;
+        return asic::PipeletId{st.pipeline, asic::PipeKind::kEgress};
+      case sim::Step::Kind::kResubmit:
+        ++s.out.resubmissions;
+        break;
+      case sim::Step::Kind::kRecirculate:
+        s.out.recirc_ports.push_back(st.port);
+        s.pipeline = st.pipeline;
+        s.meta.ingress_port = st.port;
+        break;
+      case sim::Step::Kind::kNeed:  // concrete inputs are always decided
+        break;
+    }
+    ++s.pass;
   }
   if (s.pass >= max_passes_) {
-    s.out.dropped = true;
-    s.out.drop_code = sim::DropCode::kMaxPassesExceeded;
-    s.out.drop_reason = "exceeded " + std::to_string(max_passes_) +
-                        " pipeline passes";
     s.hit_pass_cap = true;
-    finish(std::move(s));
-    return;
+    finish_drop(s, sim::DropCode::kMaxPassesExceeded,
+                sim::drop_detail(*dp_, s.out.recirc_ports));
+    return std::nullopt;
   }
-  s.meta.egress_spec = sfc::kPortUnset;
-  s.meta.clear_flags();
-  const std::uint32_t pipeline = s.pipeline;
-  run_pipelet_sym(std::move(s), {pipeline, asic::PipeKind::kIngress},
-                  [this, pipeline](PathState ps) {
-                    after_ingress(std::move(ps), pipeline);
-                  });
+  s.meta.start_pass();
+  s.at = PathState::At::kIngressDone;
+  return asic::PipeletId{s.pipeline, asic::PipeKind::kIngress};
 }
 
-void Explorer::after_ingress(PathState s, std::uint32_t pipeline) {
-  if (s.dead) {
-    ++stats_.infeasible;
-    return;
-  }
-  if (s.meta.to_cpu_flag) {
-    ++s.out.to_cpu;
-    finish(std::move(s));
-    return;
-  }
-  if (s.meta.drop_flag) {
-    s.out.dropped = true;
-    s.out.drop_code = sim::DropCode::kIngressDrop;
-    s.out.drop_reason = "dropped in ingress pipe " + std::to_string(pipeline);
-    finish(std::move(s));
-    return;
-  }
-  if (s.meta.resubmit_flag) {
-    ++s.out.resubmissions;
-    ++s.pass;
-    start_pass(std::move(s));
-    return;
-  }
-  if (s.meta.egress_spec == sfc::kPortUnset) {
-    s.out.dropped = true;
-    s.out.drop_code = sim::DropCode::kNoEgressDecision;
-    s.out.drop_reason = "no egress decision after ingress pipe";
-    finish(std::move(s));
-    return;
-  }
-  const std::uint16_t port = s.meta.egress_spec;
-  const asic::TargetSpec& spec = dp_->config().spec();
-  if (port >= spec.total_ports() + spec.pipelines) {
-    s.out.dropped = true;
-    s.out.drop_code = sim::DropCode::kInvalidEgressSpec;
-    s.out.drop_reason = "egress_spec " + std::to_string(port) +
-                        " is not a valid port";
-    finish(std::move(s));
-    return;
-  }
-  const std::uint32_t egress_pipeline = dp_->pipeline_of(port);
-  s.meta.egress_port = port;
-  if (s.meta.mirror_flag && dp_->mirror_port()) {
-    s.out.out_ports.push_back(*dp_->mirror_port());
-  }
-  run_pipelet_sym(std::move(s), {egress_pipeline, asic::PipeKind::kEgress},
-                  [this, port, egress_pipeline](PathState ps) {
-                    after_egress(std::move(ps), port, egress_pipeline);
-                  });
-}
-
-void Explorer::after_egress(PathState s, std::uint16_t port,
-                            std::uint32_t egress_pipeline) {
-  if (s.dead) {
-    ++stats_.infeasible;
-    return;
-  }
-  if (s.meta.to_cpu_flag) {
-    ++s.out.to_cpu;
-    finish(std::move(s));
-    return;
-  }
-  if (s.meta.drop_flag) {
-    s.out.dropped = true;
-    s.out.drop_code = sim::DropCode::kEgressDrop;
-    s.out.drop_reason =
-        "dropped in egress pipe " + std::to_string(egress_pipeline);
-    finish(std::move(s));
-    return;
-  }
-  if (dp_->loops_back(port)) {
-    s.out.recirc_ports.push_back(port);
-    s.pipeline = egress_pipeline;
-    s.meta.ingress_port = port;
-    ++s.pass;
-    start_pass(std::move(s));
-    return;
-  }
-  s.out.out_ports.push_back(port);
-  if (s.packet.has_sfc_header()) s.out.sfc_on_final_emit = true;
+void Explorer::finish_drop(PathState& s, sim::DropCode code,
+                           std::string reason) {
+  s.out.dropped = true;
+  s.out.drop_code = code;
+  s.out.drop_reason = std::move(reason);
   finish(std::move(s));
 }
 
@@ -1338,26 +1271,9 @@ void Explorer::epoch_audit() {
 }
 
 void Explorer::ensure_clone() {
-  if (clone_) return;
-  clone_ = std::make_unique<sim::DataPlane>(*program_, *ids_, dp_->config());
-  clone_->set_max_passes(dp_->max_passes());
-  if (dp_->mirror_port()) clone_->set_mirror_port(*dp_->mirror_port());
-  for (const p4ir::ControlBlock& control : program_->controls()) {
-    for (const p4ir::Table& t : control.tables()) {
-      sim::RuntimeTable* src = dp_->table_in(control.name(), t.name);
-      sim::RuntimeTable* dst = clone_->table_in(control.name(), t.name);
-      if (src == nullptr || dst == nullptr) continue;
-      for (const auto& e : src->exact_entries()) {
-        dst->add_exact(e.key, e.action, e.window);
-      }
-      for (const auto& e : src->ternary_entries()) {
-        dst->add_ternary(e.key, e.priority, e.value,
-                         src->ternary_window(e.handle));
-      }
-    }
-  }
-  clone_->set_epoch(dp_->epoch());
-  clone_->set_min_live_epoch(dp_->min_live_epoch());
+  // A copy of the live switch (rules, epochs, port state), so replays
+  // run on the same switch without touching its counters.
+  if (!clone_) clone_ = std::make_unique<sim::DataPlane>(*dp_);
 }
 
 void Explorer::zero_clone_registers() {

@@ -7,6 +7,7 @@
 #include "net/checksum.hpp"
 #include "sfc/header.hpp"
 #include "sim/bits.hpp"
+#include "sim/disposition.hpp"
 #include "sim/parse.hpp"
 
 namespace dejavu::sim {
@@ -249,18 +250,7 @@ CompiledPipeline::FieldRefC CompiledPipeline::resolve_field(
   if (!ref) return out;
   if (ref->header == "standard_metadata") {
     out.space = Space::kMeta;
-    const std::string& f = ref->field;
-    out.meta = f == "ingress_port"       ? MetaField::kIngressPort
-               : f == "egress_spec"      ? MetaField::kEgressSpec
-               : f == "egress_port"      ? MetaField::kEgressPort
-               : f == "packet_length"    ? MetaField::kPacketLength
-               : f == "resubmit_flag"    ? MetaField::kResubmitFlag
-               : f == "recirculate_flag" ? MetaField::kRecirculateFlag
-               : f == "drop_flag"        ? MetaField::kDropFlag
-               : f == "mirror_flag"      ? MetaField::kMirrorFlag
-               : f == "to_cpu_flag"      ? MetaField::kToCpuFlag
-               : f == "epoch"            ? MetaField::kEpoch
-                                         : MetaField::kUnknown;
+    out.meta = meta_field(ref->field);
     return out;
   }
   if (ref->header == "local") {
@@ -817,31 +807,7 @@ std::optional<std::uint64_t> CompiledPipeline::read_field(
     const StandardMetadata& meta) {
   switch (f.space) {
     case Space::kMeta:
-      switch (f.meta) {
-        case MetaField::kIngressPort:
-          return meta.ingress_port;
-        case MetaField::kEgressSpec:
-          return meta.egress_spec;
-        case MetaField::kEgressPort:
-          return meta.egress_port;
-        case MetaField::kPacketLength:
-          return meta.packet_length;
-        case MetaField::kResubmitFlag:
-          return meta.resubmit_flag ? 1 : 0;
-        case MetaField::kRecirculateFlag:
-          return meta.recirculate_flag ? 1 : 0;
-        case MetaField::kDropFlag:
-          return meta.drop_flag ? 1 : 0;
-        case MetaField::kMirrorFlag:
-          return meta.mirror_flag ? 1 : 0;
-        case MetaField::kToCpuFlag:
-          return meta.to_cpu_flag ? 1 : 0;
-        case MetaField::kEpoch:
-          return meta.epoch;
-        case MetaField::kUnknown:
-          return std::nullopt;
-      }
-      return std::nullopt;
+      return read_meta(meta, f.meta);
     case Space::kLocal:
       if (local_stamp_[f.local_slot] != pass_token_) return std::nullopt;
       return local_val_[f.local_slot];
@@ -863,38 +829,7 @@ void CompiledPipeline::write_field(const FieldRefC& f, std::uint64_t value,
                                    StandardMetadata& meta) {
   switch (f.space) {
     case Space::kMeta:
-      switch (f.meta) {
-        case MetaField::kIngressPort:
-          meta.ingress_port = static_cast<std::uint16_t>(value & 0x1ff);
-          break;
-        case MetaField::kEgressSpec:
-          meta.egress_spec = static_cast<std::uint16_t>(value & 0x1ff);
-          break;
-        case MetaField::kEgressPort:
-          meta.egress_port = static_cast<std::uint16_t>(value & 0x1ff);
-          break;
-        case MetaField::kPacketLength:
-          meta.packet_length = static_cast<std::uint32_t>(value);
-          break;
-        case MetaField::kResubmitFlag:
-          meta.resubmit_flag = value != 0;
-          break;
-        case MetaField::kRecirculateFlag:
-          meta.recirculate_flag = value != 0;
-          break;
-        case MetaField::kDropFlag:
-          meta.drop_flag = value != 0;
-          break;
-        case MetaField::kMirrorFlag:
-          meta.mirror_flag = value != 0;
-          break;
-        case MetaField::kToCpuFlag:
-          meta.to_cpu_flag = value != 0;
-          break;
-        case MetaField::kEpoch:
-        case MetaField::kUnknown:
-          break;  // FieldView refuses these writes too
-      }
+      write_meta(meta, f.meta, value);
       return;
     case Space::kLocal:
       local_val_[f.local_slot] = value;
@@ -1166,25 +1101,9 @@ SwitchOutput CompiledPipeline::process(net::Packet packet,
 SwitchOutput CompiledPipeline::run(net::Packet packet, std::uint16_t in_port) {
   SwitchOutput out;
   out.epoch = dp_->epoch();
-  const asic::TargetSpec& spec = dp_->config().spec();
-  if (in_port >= spec.total_ports() + spec.pipelines) {
-    out.set_drop(DropCode::kInvalidIngressPort, "invalid ingress port");
-    return out;
-  }
-  if (in_port >= spec.total_ports()) {
-    out.set_drop(DropCode::kRecircPortExternal,
-                 "dedicated recirculation ports take no external traffic");
-    return out;
-  }
-  if (dp_->config().is_loopback(in_port)) {
-    out.set_drop(DropCode::kLoopbackPortExternal,
-                 "port " + std::to_string(in_port) +
-                     " is in loopback mode and takes no external traffic");
-    return out;
-  }
-  if (dp_->is_port_down(in_port)) {
-    out.set_drop(DropCode::kPortDown,
-                 "ingress port " + std::to_string(in_port) + " is down");
+  if (DropCode code = admit_ingress(*dp_, in_port, /*from_cpu=*/false);
+      code != DropCode::kNone) {
+    out.set_drop(code, drop_detail(code, in_port));
     return out;
   }
 
@@ -1199,83 +1118,56 @@ SwitchOutput CompiledPipeline::run(net::Packet packet, std::uint16_t in_port) {
     c.rx_bytes += packet.size();
   }
 
+  auto punt = [&] {
+    out.to_cpu.push_back(
+        SwitchOutput::CpuPunt{meta.ingress_port, packet, meta.epoch});
+    dp_->note_punt(meta.epoch);
+  };
   const std::uint32_t max_passes = dp_->max_passes();
   for (std::uint32_t pass = 0; pass < max_passes; ++pass) {
-    meta.egress_spec = sfc::kPortUnset;
-    meta.clear_flags();
+    meta.start_pass();
     run_control(controls_[std::size_t{pipeline} * 2], packet, meta);
 
-    if (meta.to_cpu_flag) {  // toCpu outranks drop, as in process()
-      out.to_cpu.push_back(
-          SwitchOutput::CpuPunt{meta.ingress_port, packet, meta.epoch});
-      dp_->note_punt(meta.epoch);
+    const Step in = after_ingress(*dp_, tm_flags(meta), meta.egress_spec);
+    if (in.kind == Step::Kind::kPunt) {
+      punt();
       return out;
     }
-    if (meta.drop_flag) {
-      out.set_drop(DropCode::kIngressDrop,
-                   "dropped in ingress pipe " + std::to_string(pipeline));
+    if (in.kind == Step::Kind::kDrop) {
+      out.set_drop(in.code, drop_detail(*dp_, in, pipeline));
       return out;
     }
-    if (meta.resubmit_flag) {
+    if (in.kind == Step::Kind::kResubmit) {
       ++out.resubmissions;
       continue;
     }
-    if (meta.egress_spec == sfc::kPortUnset) {
-      out.set_drop(DropCode::kNoEgressDecision,
-                   "no egress decision after ingress pipe");
+
+    meta.egress_port = in.port;
+    if (in.mirror) do_emit(packet, *in.mirror, out);
+    run_control(controls_[std::size_t{in.pipeline} * 2 + 1], packet, meta);
+
+    const Step eg = after_egress(*dp_, tm_flags(meta), in.port);
+    if (eg.kind == Step::Kind::kPunt) {
+      punt();
       return out;
     }
-
-    const std::uint16_t port = meta.egress_spec;
-    if (port >= spec.total_ports() + spec.pipelines) {
-      out.set_drop(DropCode::kInvalidEgressSpec,
-                   "egress_spec " + std::to_string(port) +
-                       " is not a valid port");
+    if (eg.kind == Step::Kind::kDrop) {
+      out.set_drop(eg.code, drop_detail(*dp_, eg, in.pipeline));
       return out;
     }
-    if (dp_->is_port_down(port)) {
-      out.set_drop(DropCode::kPortDown,
-                   (dp_->loops_back(port) ? "recirculation port "
-                                          : "egress port ") +
-                       std::to_string(port) + " is down");
-      return out;
-    }
-
-    const std::uint32_t egress_pipeline = dp_->pipeline_of(port);
-    meta.egress_port = port;
-
-    if (meta.mirror_flag && dp_->mirror_port()) {
-      do_emit(packet, *dp_->mirror_port(), out);
-    }
-
-    run_control(controls_[std::size_t{egress_pipeline} * 2 + 1], packet,
-                meta);
-
-    if (meta.to_cpu_flag) {
-      out.to_cpu.push_back(
-          SwitchOutput::CpuPunt{meta.ingress_port, packet, meta.epoch});
-      dp_->note_punt(meta.epoch);
-      return out;
-    }
-    if (meta.drop_flag) {
-      out.set_drop(DropCode::kEgressDrop, "dropped in egress pipe " +
-                                              std::to_string(egress_pipeline));
-      return out;
-    }
-
-    if (dp_->loops_back(port)) {
+    if (eg.kind == Step::Kind::kRecirculate) {
       ++out.recirculations;
-      out.recirc_ports.push_back(port);
-      DataPlane::PortCounters& c = dp_->counters_for(port);
+      out.recirc_ports.push_back(eg.port);
+      DataPlane::PortCounters& c = dp_->counters_for(eg.port);
       c.tx_packets += 1;
       c.tx_bytes += packet.size();
       c.rx_packets += 1;
       c.rx_bytes += packet.size();
-      pipeline = egress_pipeline;
-      meta.ingress_port = port;
+      pipeline = eg.pipeline;
+      meta.ingress_port = eg.port;
       continue;
     }
-    do_emit(std::move(packet), port, out);
+    do_emit(std::move(packet), eg.port, out);
     return out;
   }
 
@@ -1284,14 +1176,7 @@ SwitchOutput CompiledPipeline::run(net::Packet packet, std::uint16_t in_port) {
   // passes are already applied, and a restart through the interpreter
   // would double them.
   out.set_drop(DropCode::kMaxPassesExceeded,
-               "packet exceeded " + std::to_string(max_passes) +
-                   " pipeline passes (routing loop?)");
-  if (!out.recirc_ports.empty()) {
-    out.drop_reason += "; recirc ports:";
-    for (std::uint16_t p : out.recirc_ports) {
-      out.drop_reason += " " + std::to_string(p);
-    }
-  }
+               drop_detail(*dp_, out.recirc_ports));
   return out;
 }
 

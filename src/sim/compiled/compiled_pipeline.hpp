@@ -149,20 +149,6 @@ class CompiledPipeline {
   /// the lowered form of an unknown or unparseable dotted reference.
   enum class Space : std::uint8_t { kHeader, kMeta, kLocal, kNone };
 
-  enum class MetaField : std::uint8_t {
-    kIngressPort,
-    kEgressSpec,
-    kEgressPort,
-    kPacketLength,
-    kResubmitFlag,
-    kRecirculateFlag,
-    kDropFlag,
-    kMirrorFlag,
-    kToCpuFlag,
-    kEpoch,    // readable, not writable (matches FieldView)
-    kUnknown,  // named standard_metadata.* field that doesn't exist
-  };
-
   struct FieldRefC {
     Space space = Space::kNone;
     MetaField meta = MetaField::kUnknown;

@@ -5,6 +5,7 @@
 #include "merge/compose.hpp"
 #include "net/checksum.hpp"
 #include "sfc/header.hpp"
+#include "sim/disposition.hpp"
 
 namespace dejavu::sim {
 
@@ -421,25 +422,9 @@ SwitchOutput DataPlane::process(net::Packet packet, std::uint16_t in_port,
                      std::to_string(min_live_epoch_) + ")");
     return out;
   }
-  const asic::TargetSpec& spec = config_.spec();
-  if (in_port >= spec.total_ports() + spec.pipelines) {
-    out.set_drop(DropCode::kInvalidIngressPort, "invalid ingress port");
-    return out;
-  }
-  if (!from_cpu && in_port >= spec.total_ports()) {
-    out.set_drop(DropCode::kRecircPortExternal,
-                 "dedicated recirculation ports take no external traffic");
-    return out;
-  }
-  if (!from_cpu && config_.is_loopback(in_port)) {
-    out.set_drop(DropCode::kLoopbackPortExternal,
-                 "port " + std::to_string(in_port) +
-                     " is in loopback mode and takes no external traffic");
-    return out;
-  }
-  if (is_port_down(in_port)) {
-    out.set_drop(DropCode::kPortDown,
-                 "ingress port " + std::to_string(in_port) + " is down");
+  if (DropCode code = admit_ingress(*this, in_port, from_cpu);
+      code != DropCode::kNone) {
+    out.set_drop(code, drop_detail(code, in_port));
     return out;
   }
 
@@ -451,112 +436,68 @@ SwitchOutput DataPlane::process(net::Packet packet, std::uint16_t in_port,
   counters_[in_port].rx_packets += 1;
   counters_[in_port].rx_bytes += packet.size();
 
+  auto punt = [&] {
+    out.to_cpu.push_back(
+        SwitchOutput::CpuPunt{meta.ingress_port, packet, meta.epoch});
+    ++punts_outstanding_[meta.epoch];
+  };
   for (std::uint32_t pass = 0; pass < max_passes_; ++pass) {
-    // --- ingress pipe ---
-    meta.egress_spec = sfc::kPortUnset;
-    meta.clear_flags();
+    meta.start_pass();
     run_pipelet({pipeline, asic::PipeKind::kIngress}, packet, meta, out);
 
-    // toCpu outranks drop: a packet the data plane wants the control
-    // plane to see (e.g. an LB session miss) must reach it even if a
-    // later table in the same pass (the branching default) flagged a
-    // drop for the undeliverable in-between state.
-    if (meta.to_cpu_flag) {
-      out.to_cpu.push_back(
-          SwitchOutput::CpuPunt{meta.ingress_port, packet, meta.epoch});
-      ++punts_outstanding_[meta.epoch];
+    const Step in = after_ingress(*this, tm_flags(meta), meta.egress_spec);
+    if (in.kind == Step::Kind::kPunt) {
+      punt();
       return out;
     }
-    if (meta.drop_flag) {
-      out.set_drop(DropCode::kIngressDrop,
-                   "dropped in ingress pipe " + std::to_string(pipeline));
+    if (in.kind == Step::Kind::kDrop) {
+      out.set_drop(in.code, drop_detail(*this, in, pipeline));
       return out;
     }
-    if (meta.resubmit_flag) {
+    if (in.kind == Step::Kind::kResubmit) {
       ++out.resubmissions;
       out.trace.push_back("resubmit to ingress " + std::to_string(pipeline));
       continue;
     }
-    if (meta.egress_spec == sfc::kPortUnset) {
-      out.set_drop(DropCode::kNoEgressDecision,
-                   "no egress decision after ingress pipe");
+
+    meta.egress_port = in.port;
+    if (in.mirror) {
+      emit(packet, *in.mirror, out);
+      out.trace.push_back("mirrored to port " + std::to_string(*in.mirror));
+    }
+    run_pipelet({in.pipeline, asic::PipeKind::kEgress}, packet, meta, out);
+
+    const Step eg = after_egress(*this, tm_flags(meta), in.port);
+    if (eg.kind == Step::Kind::kPunt) {
+      punt();
       return out;
     }
-
-    const std::uint16_t port = meta.egress_spec;
-    if (port >= spec.total_ports() + spec.pipelines) {
-      out.set_drop(DropCode::kInvalidEgressSpec,
-                   "egress_spec " + std::to_string(port) +
-                       " is not a valid port");
+    if (eg.kind == Step::Kind::kDrop) {
+      out.set_drop(eg.code, drop_detail(*this, eg, in.pipeline));
       return out;
     }
-    if (is_port_down(port)) {
-      // The traffic manager's view of a dead link or faulted
-      // recirculation port: the packet has nowhere to go.
-      out.set_drop(DropCode::kPortDown,
-                   (loops_back(port) ? "recirculation port "
-                                     : "egress port ") +
-                       std::to_string(port) + " is down");
-      return out;
-    }
-
-    // --- traffic manager: any ingress pipe to any egress pipe ---
-    const std::uint32_t egress_pipeline = pipeline_of(port);
-    meta.egress_port = port;
-
-    if (meta.mirror_flag && mirror_port_) {
-      emit(packet, *mirror_port_, out);
-      out.trace.push_back("mirrored to port " +
-                          std::to_string(*mirror_port_));
-    }
-
-    // --- egress pipe ---
-    run_pipelet({egress_pipeline, asic::PipeKind::kEgress}, packet, meta,
-                out);
-
-    if (meta.to_cpu_flag) {
-      out.to_cpu.push_back(
-          SwitchOutput::CpuPunt{meta.ingress_port, packet, meta.epoch});
-      ++punts_outstanding_[meta.epoch];
-      return out;
-    }
-    if (meta.drop_flag) {
-      out.set_drop(DropCode::kEgressDrop,
-                   "dropped in egress pipe " + std::to_string(egress_pipeline));
-      return out;
-    }
-
-    // --- port disposition ---
-    if (loops_back(port)) {
+    if (eg.kind == Step::Kind::kRecirculate) {
       ++out.recirculations;
-      out.recirc_ports.push_back(port);
+      out.recirc_ports.push_back(eg.port);
       // The loopback port transmits and immediately re-receives the
       // packet — these counters are the §4 recirculation-load
       // measurement point.
-      counters_[port].tx_packets += 1;
-      counters_[port].tx_bytes += packet.size();
-      counters_[port].rx_packets += 1;
-      counters_[port].rx_bytes += packet.size();
-      out.trace.push_back("recirculate via port " + std::to_string(port) +
-                          " into ingress " +
-                          std::to_string(egress_pipeline));
-      pipeline = egress_pipeline;
-      meta.ingress_port = port;
+      counters_[eg.port].tx_packets += 1;
+      counters_[eg.port].tx_bytes += packet.size();
+      counters_[eg.port].rx_packets += 1;
+      counters_[eg.port].rx_bytes += packet.size();
+      out.trace.push_back("recirculate via port " + std::to_string(eg.port) +
+                          " into ingress " + std::to_string(eg.pipeline));
+      pipeline = eg.pipeline;
+      meta.ingress_port = eg.port;
       continue;
     }
-    emit(std::move(packet), port, out);
+    emit(std::move(packet), eg.port, out);
     return out;
   }
 
   out.set_drop(DropCode::kMaxPassesExceeded,
-               "packet exceeded " + std::to_string(max_passes_) +
-                   " pipeline passes (routing loop?)");
-  if (!out.recirc_ports.empty()) {
-    out.drop_reason += "; recirc ports:";
-    for (std::uint16_t p : out.recirc_ports) {
-      out.drop_reason += " " + std::to_string(p);
-    }
-  }
+               drop_detail(*this, out.recirc_ports));
   return out;
 }
 

@@ -4,57 +4,39 @@
 
 namespace dejavu::sim {
 
-namespace {
-
-/// standard_metadata fields are backed by the struct, not the packet.
-std::optional<std::uint64_t> read_meta(const StandardMetadata& m,
-                                       const std::string& field) {
-  if (field == "ingress_port") return m.ingress_port;
-  if (field == "egress_spec") return m.egress_spec;
-  if (field == "egress_port") return m.egress_port;
-  if (field == "packet_length") return m.packet_length;
-  if (field == "resubmit_flag") return m.resubmit_flag ? 1 : 0;
-  if (field == "recirculate_flag") return m.recirculate_flag ? 1 : 0;
-  if (field == "drop_flag") return m.drop_flag ? 1 : 0;
-  if (field == "mirror_flag") return m.mirror_flag ? 1 : 0;
-  if (field == "to_cpu_flag") return m.to_cpu_flag ? 1 : 0;
-  if (field == "epoch") return m.epoch;
-  return std::nullopt;
+MetaField meta_field(const std::string& name) {
+  return name == "ingress_port"       ? MetaField::kIngressPort
+         : name == "egress_spec"      ? MetaField::kEgressSpec
+         : name == "egress_port"      ? MetaField::kEgressPort
+         : name == "packet_length"    ? MetaField::kPacketLength
+         : name == "resubmit_flag"    ? MetaField::kResubmitFlag
+         : name == "recirculate_flag" ? MetaField::kRecirculateFlag
+         : name == "drop_flag"        ? MetaField::kDropFlag
+         : name == "mirror_flag"      ? MetaField::kMirrorFlag
+         : name == "to_cpu_flag"      ? MetaField::kToCpuFlag
+         : name == "epoch"            ? MetaField::kEpoch
+                                      : MetaField::kUnknown;
 }
 
-bool write_meta(StandardMetadata& m, const std::string& field,
-                std::uint64_t v) {
-  if (field == "ingress_port") {
-    m.ingress_port = static_cast<std::uint16_t>(v & 0x1ff);
-  } else if (field == "egress_spec") {
-    m.egress_spec = static_cast<std::uint16_t>(v & 0x1ff);
-  } else if (field == "egress_port") {
-    m.egress_port = static_cast<std::uint16_t>(v & 0x1ff);
-  } else if (field == "packet_length") {
-    m.packet_length = static_cast<std::uint32_t>(v);
-  } else if (field == "resubmit_flag") {
-    m.resubmit_flag = v != 0;
-  } else if (field == "recirculate_flag") {
-    m.recirculate_flag = v != 0;
-  } else if (field == "drop_flag") {
-    m.drop_flag = v != 0;
-  } else if (field == "mirror_flag") {
-    m.mirror_flag = v != 0;
-  } else if (field == "to_cpu_flag") {
-    m.to_cpu_flag = v != 0;
-  } else {
-    return false;
-  }
-  return true;
+std::optional<FieldSlot> locate_field(const p4ir::Program& program,
+                                      const p4ir::FieldRef& ref,
+                                      std::uint32_t base,
+                                      std::size_t packet_bytes) {
+  const p4ir::HeaderType* type = program.find_header_type(ref.header);
+  if (type == nullptr) return std::nullopt;
+  auto bit_off = type->bit_offset(ref.field);
+  const p4ir::Field* field = type->find_field(ref.field);
+  if (!bit_off || field == nullptr) return std::nullopt;
+  const std::size_t abs_bit = std::size_t{base} * 8 + *bit_off;
+  if (abs_bit + field->bits > packet_bytes * 8) return std::nullopt;
+  return FieldSlot{abs_bit, field->bits};
 }
-
-}  // namespace
 
 std::optional<std::uint64_t> FieldView::read(const std::string& dotted) const {
   auto ref = p4ir::FieldRef::parse(dotted);
   if (!ref) return std::nullopt;
   if (ref->header == "standard_metadata") {
-    return read_meta(meta_, ref->field);
+    return read_meta(meta_, meta_field(ref->field));
   }
   if (ref->header == "local") {
     auto it = locals_.find(ref->field);
@@ -63,22 +45,16 @@ std::optional<std::uint64_t> FieldView::read(const std::string& dotted) const {
   }
   auto base = parsed_.offset_of(ref->header);
   if (!base) return std::nullopt;
-  const p4ir::HeaderType* type = program_.find_header_type(ref->header);
-  if (type == nullptr) return std::nullopt;
-  auto bit_off = type->bit_offset(ref->field);
-  const p4ir::Field* field = type->find_field(ref->field);
-  if (!bit_off || field == nullptr) return std::nullopt;
-  const std::size_t abs_bit = std::size_t{*base} * 8 + *bit_off;
-  auto bytes = packet_.data().view();
-  if (abs_bit + field->bits > bytes.size() * 8) return std::nullopt;
-  return read_bits(bytes, abs_bit, field->bits);
+  auto slot = locate_field(program_, *ref, *base, packet_.size());
+  if (!slot) return std::nullopt;
+  return read_bits(packet_.data().view(), slot->abs_bit, slot->bits);
 }
 
 bool FieldView::write(const std::string& dotted, std::uint64_t value) {
   auto ref = p4ir::FieldRef::parse(dotted);
   if (!ref) return false;
   if (ref->header == "standard_metadata") {
-    return write_meta(meta_, ref->field, value);
+    return write_meta(meta_, meta_field(ref->field), value);
   }
   if (ref->header == "local") {
     locals_[ref->field] = value;
@@ -86,16 +62,10 @@ bool FieldView::write(const std::string& dotted, std::uint64_t value) {
   }
   auto base = parsed_.offset_of(ref->header);
   if (!base) return false;  // absent header: deliberate no-op
-  const p4ir::HeaderType* type = program_.find_header_type(ref->header);
-  if (type == nullptr) return false;
-  auto bit_off = type->bit_offset(ref->field);
-  const p4ir::Field* field = type->find_field(ref->field);
-  if (!bit_off || field == nullptr) return false;
-  const std::size_t abs_bit = std::size_t{*base} * 8 + *bit_off;
-  auto bytes = packet_.data().mutable_view();
-  if (abs_bit + field->bits > bytes.size() * 8) return false;
-  write_bits(bytes, abs_bit, field->bits,
-             mask_to_width(value, field->bits));
+  auto slot = locate_field(program_, *ref, *base, packet_.size());
+  if (!slot) return false;
+  write_bits(packet_.data().mutable_view(), slot->abs_bit, slot->bits,
+             mask_to_width(value, slot->bits));
   return true;
 }
 

@@ -11,6 +11,7 @@
 
 #include "net/packet.hpp"
 #include "p4ir/program.hpp"
+#include "sfc/header.hpp"
 #include "sim/parse.hpp"
 
 namespace dejavu::sim {
@@ -19,13 +20,13 @@ namespace dejavu::sim {
 /// source switch target the paper's Fig. 5 uses).
 struct StandardMetadata {
   std::uint16_t ingress_port = 0;
-  std::uint16_t egress_spec = 0x1ff;  // kPortUnset sentinel
+  std::uint16_t egress_spec = sfc::kPortUnset;
   std::uint16_t egress_port = 0;
   std::uint32_t packet_length = 0;
   /// The chain generation stamped at first ingress (§11 live updates):
   /// every table lookup on every subsequent pass — resubmission,
   /// recirculation, CPU reinjection — honors this stamp, so one packet
-  /// sees exactly one generation. Survives clear_flags().
+  /// sees exactly one generation. Survives start_pass().
   std::uint32_t epoch = 0;
   bool resubmit_flag = false;
   bool recirculate_flag = false;
@@ -33,11 +34,114 @@ struct StandardMetadata {
   bool mirror_flag = false;
   bool to_cpu_flag = false;
 
-  void clear_flags() {
+  /// A new pass: no egress decision yet, every flag lowered.
+  void start_pass() {
+    egress_spec = sfc::kPortUnset;
     resubmit_flag = recirculate_flag = drop_flag = mirror_flag =
         to_cpu_flag = false;
   }
 };
+
+/// A standard_metadata field, resolved once from its name: the one
+/// field table every engine reads and writes metadata through.
+enum class MetaField : std::uint8_t {
+  kIngressPort,
+  kEgressSpec,
+  kEgressPort,
+  kPacketLength,
+  kResubmitFlag,
+  kRecirculateFlag,
+  kDropFlag,
+  kMirrorFlag,
+  kToCpuFlag,
+  kEpoch,    // readable, not writable
+  kUnknown,  // a named standard_metadata.* field that does not exist
+};
+
+/// "egress_spec" -> kEgressSpec (the name without "standard_metadata.").
+MetaField meta_field(const std::string& name);
+
+/// nullopt for kUnknown.
+inline std::optional<std::uint64_t> read_meta(const StandardMetadata& m,
+                                              MetaField f) {
+  switch (f) {
+    case MetaField::kIngressPort:
+      return m.ingress_port;
+    case MetaField::kEgressSpec:
+      return m.egress_spec;
+    case MetaField::kEgressPort:
+      return m.egress_port;
+    case MetaField::kPacketLength:
+      return m.packet_length;
+    case MetaField::kResubmitFlag:
+      return m.resubmit_flag ? 1 : 0;
+    case MetaField::kRecirculateFlag:
+      return m.recirculate_flag ? 1 : 0;
+    case MetaField::kDropFlag:
+      return m.drop_flag ? 1 : 0;
+    case MetaField::kMirrorFlag:
+      return m.mirror_flag ? 1 : 0;
+    case MetaField::kToCpuFlag:
+      return m.to_cpu_flag ? 1 : 0;
+    case MetaField::kEpoch:
+      return m.epoch;
+    case MetaField::kUnknown:
+      break;
+  }
+  return std::nullopt;
+}
+
+/// Ports are masked to 9 bits, flags set to v != 0. False (no-op) for
+/// kEpoch and kUnknown.
+inline bool write_meta(StandardMetadata& m, MetaField f, std::uint64_t v) {
+  switch (f) {
+    case MetaField::kIngressPort:
+      m.ingress_port = static_cast<std::uint16_t>(v & 0x1ff);
+      return true;
+    case MetaField::kEgressSpec:
+      m.egress_spec = static_cast<std::uint16_t>(v & 0x1ff);
+      return true;
+    case MetaField::kEgressPort:
+      m.egress_port = static_cast<std::uint16_t>(v & 0x1ff);
+      return true;
+    case MetaField::kPacketLength:
+      m.packet_length = static_cast<std::uint32_t>(v);
+      return true;
+    case MetaField::kResubmitFlag:
+      m.resubmit_flag = v != 0;
+      return true;
+    case MetaField::kRecirculateFlag:
+      m.recirculate_flag = v != 0;
+      return true;
+    case MetaField::kDropFlag:
+      m.drop_flag = v != 0;
+      return true;
+    case MetaField::kMirrorFlag:
+      m.mirror_flag = v != 0;
+      return true;
+    case MetaField::kToCpuFlag:
+      m.to_cpu_flag = v != 0;
+      return true;
+    case MetaField::kEpoch:
+    case MetaField::kUnknown:
+      break;
+  }
+  return false;
+}
+
+/// Where a header field sits in the packet bytes.
+struct FieldSlot {
+  std::size_t abs_bit = 0;
+  std::uint16_t bits = 0;
+};
+
+/// The slot of header field `ref` when its header starts at byte
+/// `base` of a `packet_bytes`-byte packet; nullopt when the header type
+/// has no such field or the packet ends first.
+std::optional<FieldSlot> locate_field(const p4ir::Program& program,
+                                      const p4ir::FieldRef& ref,
+                                      std::uint32_t base,
+                                      std::size_t packet_bytes);
 
 class FieldView {
  public:

@@ -10,7 +10,9 @@
 #include "explore/explorer.hpp"
 #include "explore/fixtures.hpp"
 #include "explore/symbolic.hpp"
+#include "merge/compose.hpp"
 #include "nf/nfs.hpp"
+#include "nf/parser_lib.hpp"
 
 namespace dejavu {
 namespace {
@@ -185,6 +187,43 @@ TEST(ExploreOption, BuildTimeExploreAcceptsCleanSkeleton) {
   EXPECT_GT(deployment->exploration().stats.paths, 0u);
   EXPECT_EQ(deployment->exploration().stats.replays,
             deployment->exploration().stats.paths);
+}
+
+// --- standard_metadata reads share the dataplane's field table ---
+
+TEST(ExploreMetadata, ReadsTheEpochLikeTheDataplane) {
+  // An ingress action steers by the stamped epoch: at epoch 2 every
+  // packet leaves on port 2. The explorer must read the epoch the way
+  // sim::FieldView does, or it predicts a no-egress drop (DV-S7).
+  p4ir::TupleIdTable ids;
+  p4ir::Program program("epoch-steer");
+  nf::add_standard_parser(program, ids);
+  p4ir::ControlBlock c(
+      merge::pipelet_control_name({0, asic::PipeKind::kIngress}));
+  p4ir::Action steer;
+  steer.name = "steer_by_epoch";
+  steer.primitives = {p4ir::copy_field("standard_metadata.egress_spec",
+                                       "standard_metadata.epoch")};
+  c.add_action(steer);
+  p4ir::Table t;
+  t.name = "steer";
+  t.default_action = "steer_by_epoch";
+  c.add_table(t);
+  c.apply_table("steer");
+  program.add_control(std::move(c));
+  sim::DataPlane dp(program, ids, asic::SwitchConfig{asic::TargetSpec::mini()});
+  dp.set_epoch(2);
+
+  explore::ExploreOptions options;
+  options.in_ports = std::vector<std::uint16_t>{0};
+  options.coverage = false;
+  const explore::ExploreResult result = explore::run(dp, {}, options);
+  EXPECT_FALSE(result.report.has("DV-S7")) << result.report.to_string();
+  ASSERT_FALSE(result.paths.empty());
+  for (const explore::PathSummary& path : result.paths) {
+    EXPECT_FALSE(path.outcome.dropped) << path.outcome.drop_reason;
+    EXPECT_EQ(path.outcome.out_ports, std::vector<std::uint16_t>{2});
+  }
 }
 
 }  // namespace

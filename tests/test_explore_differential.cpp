@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -89,6 +90,38 @@ TEST_P(ExploreDifferential, ReplayedWitnessesMatchPredictions) {
         << path.to_string();
     EXPECT_EQ(got.resubmissions, want.resubmissions) << path.to_string();
   }
+}
+
+// A down egress port must be predicted where the traffic manager
+// drops: once fig2's first emitting port goes down, every path's
+// predicted drop attribution equals the concrete dataplane's.
+TEST(ExploreDownPorts, PredictionsMatchTheDataplane) {
+  test::ExploreTarget target = test::build_explore_target("fig2");
+  const explore::ExploreResult& before = target.deployment->run_explorer();
+  std::optional<std::uint16_t> port;
+  for (const explore::PathSummary& path : before.paths) {
+    if (!path.outcome.out_ports.empty()) {
+      port = path.outcome.out_ports.front();
+      break;
+    }
+  }
+  ASSERT_TRUE(port.has_value());
+
+  sim::DataPlane& dp = target.deployment->dataplane();
+  dp.set_port_down(*port);
+  const explore::ExploreResult& after = target.deployment->run_explorer();
+  EXPECT_FALSE(after.report.has("DV-S7")) << after.report.to_string();
+  ASSERT_GT(after.paths.size(), 0u);
+  std::size_t port_down = 0;
+  for (const explore::PathSummary& path : after.paths) {
+    const sim::SwitchOutput out = dp.process(path.witness, path.in_port);
+    EXPECT_EQ(path.outcome.dropped, out.dropped) << path.to_string();
+    EXPECT_EQ(path.outcome.drop_code, out.drop_code)
+        << path.to_string() << ": predicted '" << path.outcome.drop_reason
+        << "', dataplane '" << out.drop_reason << "'";
+    if (out.drop_code == sim::DropCode::kPortDown) ++port_down;
+  }
+  EXPECT_GT(port_down, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(ShippedTargets, ExploreDifferential,

@@ -62,7 +62,7 @@ void print_scaling_sweep() {
 
 /// §11 update-in-flight: the same replay with a hitless bypass-LB
 /// reconfiguration fired mid-stream on every worker's replica. Reports
-/// the flip latency (time inside LiveUpdate::run) and the throughput
+/// the flip latency (time inside control::run_update) and the throughput
 /// dip relative to the undisturbed run.
 void print_update_in_flight() {
   bench::heading("Update in flight: hitless bypass-LB flip mid-replay");
@@ -94,8 +94,7 @@ void print_update_in_flight() {
           reduced, dep.placement(), dep.dataplane().config());
       control::RuleDiff diff =
           control::routing_rule_diff(dep.routing(), plan, t.dataplane());
-      control::LiveUpdate update(t.dataplane());
-      update.run(diff);
+      control::run_update(t.dataplane(), diff);
     };
     const auto report = updated.run(flows, config);
 

@@ -651,8 +651,7 @@ int cmd_update(const std::vector<std::string>& args, bool fig9) {
       route::RoutingPlan plan = bypass_plan(dep, nf, reduced);
       control::RuleDiff diff =
           control::routing_rule_diff(dep.routing(), plan, t.dataplane());
-      control::LiveUpdate update(t.dataplane());
-      control::UpdateReport rep = update.run(diff);
+      control::UpdateReport rep = control::run_update(t.dataplane(), diff);
       if (!rep.committed) errors[worker] = rep.error;
     };
     return engine.run(control::fig2_replay_flows(flows, seed), config);
@@ -694,22 +693,18 @@ int cmd_update(const std::vector<std::string>& args, bool fig9) {
   route::RoutingPlan plan = bypass_plan(dep, nf, reduced);
   control::RuleDiff diff = control::routing_rule_diff(dep.routing(), plan, dp);
 
-  control::Snapshot pre = control::take_snapshot(dp);
-  const std::string rollback_ref = pre.to_text();
-  sim::DataPlane scratch(dep.program(), dep.ids(), dp.config());
-  control::restore_snapshot(pre, scratch);
-  control::LiveUpdate clean(scratch);
-  control::UpdateReport clean_report = clean.run(diff);
-  if (!clean_report.committed && error.empty()) {
-    error = "clean reference update failed: " + clean_report.error;
+  const std::string rollback_ref = control::take_snapshot(dp).to_text();
+  std::string clean_error;
+  const std::string committed_ref =
+      control::committed_reference(dp, diff, &clean_error);
+  if (committed_ref.empty() && error.empty()) {
+    error = "clean reference update failed: " + clean_error;
   }
-  const std::string committed_ref = control::take_snapshot(scratch).to_text();
 
   control::Journal journal;
   control::LiveUpdateOptions opts;
   opts.crash_point = crash;
-  control::LiveUpdate update(dp, &journal, opts);
-  control::UpdateReport rep = update.run(diff);
+  control::UpdateReport rep = control::run_update(dp, diff, &journal, opts);
   control::RecoveryReport recovery;
   if (rep.crashed) {
     recovery = control::recover(dp, journal);

@@ -118,6 +118,9 @@ struct AckMsg {
   std::uint64_t drained = 0;
   std::uint64_t flushed = 0;
   std::size_t applied = 0;  ///< ops this command applied
+  /// A failed transaction (kLegacyDiff / kShadowDiff) undid its
+  /// applied prefix.
+  bool rolled_back = false;
   std::string error;
   /// kReadSnapshot replies carry the state by reference (the in-memory
   /// stand-in for a wire serialization).

@@ -231,18 +231,14 @@ void run_update_drill(ChaosResult& r, const ChaosOptions& options) {
   RuleDiff diff = routing_rule_diff(dep->routing(), plan, dp);
 
   // References for the oracle, before anything touches the live switch.
-  Snapshot pre = take_snapshot(dp);
-  const std::string rollback_ref = pre.to_text();
-  sim::DataPlane scratch(dep->program(), dep->ids(), dp.config());
-  restore_snapshot(pre, scratch);
-  LiveUpdate clean(scratch);
-  UpdateReport clean_report = clean.run(diff);
-  if (!clean_report.committed) {
-    r.error = "update drill: clean reference update failed: " +
-              clean_report.error;
+  const std::string rollback_ref = take_snapshot(dp).to_text();
+  std::string clean_error;
+  const std::string committed_ref =
+      committed_reference(dp, diff, &clean_error);
+  if (committed_ref.empty()) {
+    r.error = "update drill: clean reference update failed: " + clean_error;
     return;
   }
-  const std::string committed_ref = take_snapshot(scratch).to_text();
 
   // The faulted run: write-lane faults from the chaos plan, crash
   // point from the seed, every phase journaled.
@@ -251,9 +247,8 @@ void run_update_drill(ChaosResult& r, const ChaosOptions& options) {
   opts.crash_point = kCrashPoints[crash];
   opts.retry.max_attempts = 6;
   opts.retry.seed = options.seed;
-  LiveUpdate update(dp, &journal, opts);
   sim::FaultInjector injector(r.plan);
-  d.update = update.run(diff, &injector);
+  d.update = run_update(dp, diff, &journal, opts, &injector);
 
   if (d.update.crashed) {
     LiveUpdateOptions recover_opts = opts;

@@ -1,5 +1,5 @@
 // Write-ahead intent journal for live updates (§11 crash recovery):
-// before LiveUpdate touches the switch it journals the full intended
+// before a live update touches the switch it journals the full intended
 // rule diff (kBegun), then appends a marker as each phase completes —
 // kShadowed after the phase-1 transaction, kFlipped after the version
 // gate moves, kDrained after in-flight packets finish, and a terminal

@@ -1,10 +1,14 @@
 #include "control/live_update.hpp"
 
+#include <functional>
 #include <map>
+#include <optional>
 #include <set>
 #include <tuple>
 #include <utility>
 
+#include "control/session.hpp"
+#include "control/snapshot.hpp"
 #include "merge/compose.hpp"
 #include "merge/framework.hpp"
 
@@ -80,6 +84,22 @@ std::optional<std::size_t> ternary_version(const sim::RuntimeTable& rt,
   return std::nullopt;
 }
 
+/// Does `rt` serve install `op`'s intended action at generation `to`?
+bool install_visible(sim::RuntimeTable& rt, const RuleOp& op,
+                     std::uint32_t to) {
+  if (op.kind == RuleOp::Kind::kExact) {
+    const auto* e = rt.find_exact(op.key, to);
+    return e != nullptr && e->action == op.action;
+  }
+  for (const auto& e : rt.ternary_entries()) {
+    if (e.priority == op.priority && e.key == op.tkey &&
+        rt.ternary_window(e.handle).contains(to) && e.value == op.action) {
+      return true;
+    }
+  }
+  return false;
+}
+
 }  // namespace
 
 bool shadow_observed(sim::DataPlane& dp, const RuleDiff& diff,
@@ -89,29 +109,16 @@ bool shadow_observed(sim::DataPlane& dp, const RuleDiff& diff,
     auto tables = resolve_op(dp, op);
     if (tables.empty()) return false;
     for (sim::RuntimeTable* rt : tables) {
-      if (op.kind == RuleOp::Kind::kExact) {
-        if (op.install) {
-          const auto* e = rt->find_exact(op.key, to);
-          if (e == nullptr || !(e->action == op.action)) return false;
-        } else if (const auto* versions = rt->exact_versions(op.key)) {
+      if (op.install) {
+        if (!install_visible(*rt, op, to)) return false;
+      } else if (op.kind == RuleOp::Kind::kExact) {
+        if (const auto* versions = rt->exact_versions(op.key)) {
           for (const auto& v : *versions) {
             if (v.window.open() && v.window.from <= from) return false;
           }
         }
-      } else {
-        if (op.install) {
-          bool seen = false;
-          for (const auto& e : rt->ternary_entries()) {
-            if (e.priority == op.priority && e.key == op.tkey &&
-                rt->ternary_window(e.handle).contains(to) &&
-                e.value == op.action) {
-              seen = true;
-            }
-          }
-          if (!seen) return false;
-        } else if (auto h = rt->find_ternary(op.tkey, op.priority)) {
-          if (rt->ternary_window(*h).from <= from) return false;
-        }
+      } else if (auto h = rt->find_ternary(op.tkey, op.priority)) {
+        if (rt->ternary_window(*h).from <= from) return false;
       }
     }
   }
@@ -126,25 +133,9 @@ std::pair<std::size_t, std::size_t> shadow_install_visibility(
     if (op.kind == RuleOp::Kind::kRegister || !op.install) continue;
     ++total;
     for (sim::RuntimeTable* rt : resolve_op(dp, op)) {
-      if (op.kind == RuleOp::Kind::kExact) {
-        const auto* e = rt->find_exact(op.key, to);
-        if (e != nullptr && e->action == op.action) {
-          ++visible;
-          break;
-        }
-      } else {
-        bool seen = false;
-        for (const auto& e : rt->ternary_entries()) {
-          if (e.priority == op.priority && e.key == op.tkey &&
-              rt->ternary_window(e.handle).contains(to) &&
-              e.value == op.action) {
-            seen = true;
-          }
-        }
-        if (seen) {
-          ++visible;
-          break;
-        }
+      if (install_visible(*rt, op, to)) {
+        ++visible;
+        break;
       }
     }
   }
@@ -152,7 +143,7 @@ std::pair<std::size_t, std::size_t> shadow_install_visibility(
 }
 
 void apply_register_banks(sim::DataPlane& dp, const RuleDiff& diff,
-                          std::uint32_t to, bool only_untagged) {
+                          std::uint32_t to) {
   std::map<std::pair<std::string, std::string>, std::vector<const RuleOp*>>
       banks;
   for (const RuleOp& op : diff.ops) {
@@ -160,8 +151,8 @@ void apply_register_banks(sim::DataPlane& dp, const RuleDiff& diff,
     banks[{op.control, op.reg}].push_back(&op);
   }
   for (const auto& [bank, ops] : banks) {
-    if (only_untagged && dp.register_epoch(bank.first, bank.second) == to) {
-      continue;  // this bank's writes already landed before the crash
+    if (dp.register_epoch(bank.first, bank.second) == to) {
+      continue;  // this bank's writes already landed (crash or re-send)
     }
     auto* cells = dp.register_array(bank.first, bank.second);
     if (cells == nullptr) continue;
@@ -322,14 +313,64 @@ std::string capture_register_intent(sim::DataPlane& dp, RuleDiff& intent) {
   return "";
 }
 
-LiveUpdate::LiveUpdate(sim::DataPlane& dp, Journal* journal,
-                       LiveUpdateOptions options)
-    : dp_(&dp), journal_(journal), options_(options) {}
+namespace {
 
-UpdateReport LiveUpdate::run(const RuleDiff& diff, sim::FaultInjector* injector,
-                             DrainPump pump) {
+/// Sends one phase command to the switch and reports the outcome.
+using PhaseWriter = std::function<WriteResult(WriteCommand)>;
+
+/// The update's phases in WAL order: the command each sends, the
+/// journal state its confirmation records, and the crash point after it.
+struct Phase {
+  WriteCommand::Verb verb;
+  JournalState done;
+  CrashPoint crash;
+  const char* name;
+};
+constexpr Phase kPhases[] = {
+    {WriteCommand::Verb::kShadowDiff, JournalState::kShadowed,
+     CrashPoint::kAfterShadow, "shadow"},
+    {WriteCommand::Verb::kFlip, JournalState::kFlipped, CrashPoint::kAfterFlip,
+     "flip"},
+    {WriteCommand::Verb::kDrain, JournalState::kDrained,
+     CrashPoint::kAfterDrain, "drain"},
+    {WriteCommand::Verb::kCommitGc, JournalState::kCommitted, CrashPoint::kNone,
+     "commit"},
+};
+
+WriteCommand phase_command(WriteCommand::Verb verb, const RuleDiff& diff,
+                           std::uint32_t from, std::uint32_t to) {
+  WriteCommand cmd;
+  cmd.verb = verb;
+  // Drain and gc act on epochs alone; only the others ship the diff.
+  if (verb != WriteCommand::Verb::kDrain &&
+      verb != WriteCommand::Verb::kCommitGc) {
+    cmd.diff = diff;
+  }
+  cmd.from_epoch = from;
+  cmd.to_epoch = to;
+  return cmd;
+}
+
+/// The journal note a confirmed phase carries.
+std::string phase_note(WriteCommand::Verb verb, const AckMsg& ack) {
+  if (verb == WriteCommand::Verb::kDrain) {
+    return "pumped " + std::to_string(ack.drained) + " flushed " +
+           std::to_string(ack.flushed);
+  }
+  if (verb == WriteCommand::Verb::kCommitGc) {
+    return "gc removed " + std::to_string(ack.applied);
+  }
+  return "";
+}
+
+/// The update sequence. `state` is what the controller believes the
+/// switch holds (the switch itself, or the session's mirror): it names
+/// the epochs and supplies the register pre-images.
+UpdateReport sequence_update(const PhaseWriter& write, sim::DataPlane& state,
+                             const RuleDiff& diff, Journal* journal,
+                             CrashPoint crash_point) {
   UpdateReport report;
-  report.from_epoch = dp_->epoch();
+  report.from_epoch = state.epoch();
   report.to_epoch = report.from_epoch + 1;
   const std::uint32_t from = report.from_epoch;
   const std::uint32_t to = report.to_epoch;
@@ -342,14 +383,14 @@ UpdateReport LiveUpdate::run(const RuleDiff& diff, sim::FaultInjector* injector,
   // Capture pre-update register state into the journaled intent, so a
   // post-crash rollback can restore it from the journal alone.
   RuleDiff intent = diff;
-  std::string invalid = capture_register_intent(*dp_, intent);
+  const std::string invalid = capture_register_intent(state, intent);
 
-  if (journal_ != nullptr) {
-    report.update_id = journal_->begin(from, to, intent);
+  if (journal != nullptr) {
+    report.update_id = journal->begin(from, to, intent);
   }
-  auto mark = [&](JournalState state, std::string note = "") {
-    if (journal_ != nullptr) {
-      journal_->append(report.update_id, state, std::move(note));
+  auto mark = [&](JournalState done, std::string note) {
+    if (journal != nullptr) {
+      journal->append(report.update_id, done, std::move(note));
     }
   };
 
@@ -359,116 +400,195 @@ UpdateReport LiveUpdate::run(const RuleDiff& diff, sim::FaultInjector* injector,
     return report;
   }
 
-  // ---- Phase 1: shadow-install generation `to` as one all-or-nothing
-  // transaction.
-  Transaction txn(*dp_, options_.retry, injector);
-  fill_shadow_transaction(txn, intent, *dp_, from, to);
-  report.shadow = txn.commit();
-  if (!report.shadow.committed) {
-    report.rolled_back = report.shadow.rolled_back;
-    report.error = "shadow install failed: " + report.shadow.error;
-    mark(JournalState::kAborted, report.error);
-    return report;
+  for (const Phase& phase : kPhases) {
+    const WriteResult wr = write(phase_command(phase.verb, intent, from, to));
+    if (wr.gave_up) {
+      report.channel_lost = true;
+      report.crashed = true;
+      report.error = std::string("channel lost during the ") + phase.name +
+                     " phase; journal holds the last confirmed phase";
+      return report;
+    }
+    const bool shadow = phase.verb == WriteCommand::Verb::kShadowDiff;
+    if (shadow) {
+      report.shadow.committed = wr.ok;
+      report.shadow.attempts = wr.attempts;
+      report.shadow.total_backoff_ms = wr.backoff_ms;
+      report.shadow.applied = wr.ack.applied;
+      report.shadow.rolled_back = wr.ack.rolled_back;
+      report.shadow.error = wr.error;
+    }
+    if (!wr.ok) {
+      report.error = wr.error;
+      if (shadow) {
+        report.rolled_back = wr.ack.rolled_back;
+        mark(JournalState::kAborted, wr.error);
+      }
+      return report;
+    }
+    if (phase.verb == WriteCommand::Verb::kDrain) {
+      report.drained = wr.ack.drained;
+      report.flushed = wr.ack.flushed;
+    }
+    mark(phase.done, phase_note(phase.verb, wr.ack));
+    if (phase.crash != CrashPoint::kNone && phase.crash == crash_point) {
+      report.crashed = true;
+      report.error = std::string("controller crashed after the ") +
+                     phase.name + " phase";
+      return report;
+    }
   }
-  mark(JournalState::kShadowed);
-  if (options_.crash_point == CrashPoint::kAfterShadow) {
-    report.crashed = true;
-    report.error = "controller crashed after the shadow phase";
-    return report;
-  }
-
-  // ---- Phase 2: flip the version gate. Register banks first (each
-  // tagged as it lands), then the single epoch register: from here on
-  // new arrivals are stamped `to` while packets stamped `from` keep
-  // resolving against their own generation.
-  apply_register_banks(*dp_, intent, to, /*only_untagged=*/false);
-  dp_->set_epoch(to);
-  mark(JournalState::kFlipped);
-  if (options_.crash_point == CrashPoint::kAfterFlip) {
-    report.crashed = true;
-    report.error = "controller crashed after the flip phase";
-    return report;
-  }
-
-  // ---- Phase 3: drain generation `from`.
-  auto [pumped, flushed] =
-      drain_epochs(*dp_, to, options_.max_drain_rounds, pump);
-  report.drained = pumped;
-  report.flushed = flushed;
-  mark(JournalState::kDrained,
-       "pumped " + std::to_string(pumped) + " flushed " +
-           std::to_string(flushed));
-  if (options_.crash_point == CrashPoint::kAfterDrain) {
-    report.crashed = true;
-    report.error = "controller crashed after the drain phase";
-    return report;
-  }
-
-  // ---- Phase 4: garbage-collect generation `from`.
-  const std::size_t removed = dp_->gc_epochs(to);
-  mark(JournalState::kCommitted, "gc removed " + std::to_string(removed));
   report.committed = true;
   return report;
 }
 
-RecoveryReport recover(sim::DataPlane& dp, Journal& journal,
-                       LiveUpdateOptions options, DrainPump pump) {
+/// The recovery sequence. `observed` is the switch state as read back:
+/// the decision comes from it AND the journal, never the journal alone.
+RecoveryReport sequence_recovery(const PhaseWriter& write,
+                                 sim::DataPlane& observed, Journal& journal) {
   RecoveryReport report;
   auto pending = journal.pending();
   if (!pending) return report;
   report.update_id = pending->update_id;
   report.from_epoch = pending->from_epoch;
   report.to_epoch = pending->to_epoch;
-  const RuleDiff& diff = *pending->diff;
+  // A copy: appending to the journal may move the record it points at.
+  const RuleDiff diff = *pending->diff;
   const std::uint32_t from = pending->from_epoch;
   const std::uint32_t to = pending->to_epoch;
+  const int last = rank(pending->last_state);
 
-  // Decide from the journal AND the observed switch state. The gate
-  // already moved, or the full shadow is visible on the switch: the
-  // writes landed, so the update rolls forward — adopt, never
-  // reinstall. Anything less rolls back.
-  const bool flipped = dp.epoch() >= to ||
-                       rank(pending->last_state) >= rank(JournalState::kFlipped);
-  const bool shadowed =
-      rank(pending->last_state) >= rank(JournalState::kShadowed) ||
-      shadow_observed(dp, diff, from, to);
+  // The gate already moved, or the full shadow is visible on the
+  // switch: the writes landed, so the update rolls forward — adopt,
+  // never reinstall. Anything less rolls back.
+  const bool flipped =
+      observed.epoch() >= to || last >= rank(JournalState::kFlipped);
+  const bool shadowed = last >= rank(JournalState::kShadowed) ||
+                        shadow_observed(observed, diff, from, to);
 
-  if (flipped || shadowed) {
-    if (rank(pending->last_state) < rank(JournalState::kShadowed)) {
-      journal.append(pending->update_id, JournalState::kShadowed,
-                     "recovery: adopted shadow observed on the switch");
+  if (!flipped && !shadowed) {
+    // Roll back from the observed state only: remove whatever fraction
+    // of the shadow landed, re-open whatever was retired, restore
+    // register banks that were already tagged with the new generation.
+    const WriteResult wr =
+        write(phase_command(WriteCommand::Verb::kRollback, diff, from, to));
+    if (!wr.ok) {
+      report.detail = "channel lost during rollback";
+      return report;
     }
-    apply_register_banks(dp, diff, to, /*only_untagged=*/true);
-    if (dp.epoch() < to) dp.set_epoch(to);
-    if (rank(pending->last_state) < rank(JournalState::kFlipped)) {
-      journal.append(pending->update_id, JournalState::kFlipped, "recovery");
-    }
-    auto [pumped, flushed] =
-        drain_epochs(dp, to, options.max_drain_rounds, pump);
-    report.drained = pumped;
-    report.flushed = flushed;
-    if (rank(pending->last_state) < rank(JournalState::kDrained)) {
-      journal.append(pending->update_id, JournalState::kDrained,
-                     "recovery: pumped " + std::to_string(pumped) +
-                         " flushed " + std::to_string(flushed));
-    }
-    const std::size_t removed = dp.gc_epochs(to);
-    journal.append(pending->update_id, JournalState::kCommitted,
-                   "recovery: gc removed " + std::to_string(removed));
-    report.action = RecoveryAction::kRolledForward;
-    report.detail = "resumed from " + std::string(to_string(pending->last_state));
+    journal.append(pending->update_id, JournalState::kRolledBack,
+                   "recovery: shadow incomplete, undone from observed state");
+    report.action = RecoveryAction::kRolledBack;
+    report.detail = "shadow incomplete when the controller stopped";
     return report;
   }
 
-  // Roll back from the observed state only: remove whatever fraction
-  // of the shadow landed, re-open whatever was retired, restore
-  // register banks that were already tagged with the new generation.
-  undo_shadow(dp, diff, from, to);
-  journal.append(pending->update_id, JournalState::kRolledBack,
-                 "recovery: shadow incomplete, undone from observed state");
-  report.action = RecoveryAction::kRolledBack;
-  report.detail = "shadow incomplete at crash";
+  if (last < rank(JournalState::kShadowed)) {
+    journal.append(pending->update_id, JournalState::kShadowed,
+                   "recovery: adopted shadow observed on the switch");
+  }
+  for (const Phase& phase : kPhases) {
+    if (phase.verb == WriteCommand::Verb::kShadowDiff) continue;
+    const WriteResult wr = write(phase_command(phase.verb, diff, from, to));
+    if (!wr.ok) {
+      report.detail =
+          std::string("channel lost during roll-forward ") + phase.name;
+      return report;
+    }
+    if (phase.verb == WriteCommand::Verb::kDrain) {
+      report.drained = wr.ack.drained;
+      report.flushed = wr.ack.flushed;
+    }
+    if (last < rank(phase.done)) {
+      const std::string note = phase_note(phase.verb, wr.ack);
+      journal.append(pending->update_id, phase.done,
+                     note.empty() ? "recovery" : "recovery: " + note);
+    }
+  }
+  report.action = RecoveryAction::kRolledForward;
+  report.detail = "resumed from " + std::string(to_string(pending->last_state));
   return report;
+}
+
+/// The direct entry points' switch side: a channel-less agent over
+/// `dp`, with the options' retry and drain budget.
+SwitchAgent local_agent(sim::DataPlane& dp, const LiveUpdateOptions& options,
+                        sim::FaultInjector* injector, DrainPump pump) {
+  SwitchAgent agent(dp, AgentOptions{.retry = options.retry,
+                                     .max_drain_rounds =
+                                         options.max_drain_rounds});
+  agent.set_injector(injector);
+  agent.set_drain_pump(std::move(pump));
+  return agent;
+}
+
+/// Executes each command on `agent` at once, without arbitration or
+/// dedup: one attempt, no channel.
+PhaseWriter local_writer(SwitchAgent& agent) {
+  return [&agent](WriteCommand cmd) {
+    WriteResult wr;
+    wr.ack = agent.apply(cmd);
+    wr.ok = wr.ack.ok;
+    wr.attempts = 1;
+    wr.error = wr.ack.error;
+    return wr;
+  };
+}
+
+PhaseWriter session_writer(Session& session) {
+  return [&session](WriteCommand cmd) { return session.write(std::move(cmd)); };
+}
+
+}  // namespace
+
+UpdateReport run_update(sim::DataPlane& dp, const RuleDiff& diff,
+                        Journal* journal, LiveUpdateOptions options,
+                        sim::FaultInjector* injector, DrainPump pump) {
+  SwitchAgent agent = local_agent(dp, options, injector, std::move(pump));
+  return sequence_update(local_writer(agent), dp, diff, journal,
+                         options.crash_point);
+}
+
+RecoveryReport recover(sim::DataPlane& dp, Journal& journal,
+                       LiveUpdateOptions options, DrainPump pump) {
+  SwitchAgent agent = local_agent(dp, options, nullptr, std::move(pump));
+  return sequence_recovery(local_writer(agent), dp, journal);
+}
+
+UpdateReport run_update_via_session(Session& session, const RuleDiff& diff,
+                                    Journal* journal,
+                                    LiveUpdateOptions options) {
+  // The mirror stands in for the switch: byte-identical to it when the
+  // session is converged, which an update demands.
+  return sequence_update(session_writer(session), session.mirror(), diff,
+                         journal, options.crash_point);
+}
+
+RecoveryReport recover_via_session(Session& session, Journal& journal,
+                                   LiveUpdateOptions /*options*/) {
+  if (!journal.pending()) return {};
+  std::optional<Snapshot> actual = session.read_snapshot();
+  if (!actual.has_value()) {
+    RecoveryReport report;
+    report.detail = "channel unreachable; recovery deferred";
+    return report;  // action kNone, journal untouched
+  }
+  const sim::DataPlane& mirror = session.mirror();
+  sim::DataPlane observed(mirror.program(), mirror.ids(), mirror.config());
+  restore_snapshot(*actual, observed);
+  return sequence_recovery(session_writer(session), observed, journal);
+}
+
+std::string committed_reference(sim::DataPlane& dp, const RuleDiff& diff,
+                                std::string* error) {
+  sim::DataPlane scratch(dp.program(), dp.ids(), dp.config());
+  restore_snapshot(take_snapshot(dp), scratch);
+  const UpdateReport report = run_update(scratch, diff);
+  if (!report.committed) {
+    if (error != nullptr) *error = report.error;
+    return "";
+  }
+  return take_snapshot(scratch).to_text();
 }
 
 RuleDiff routing_rule_diff(const route::RoutingPlan& from,

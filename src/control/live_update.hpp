@@ -1,7 +1,7 @@
 // Hitless live chain updates (§11): epoch-versioned two-phase
 // reconfiguration with per-packet consistency.
 //
-// LiveUpdate::run drives one update through the state machine:
+// One sequencer drives every update through the state machine:
 //
 //   begin ──► shadow ──► flip ──► drain ──► commit
 //     │          │         │        │
@@ -21,10 +21,15 @@
 //     min_live_epoch rises; late reinjections stamped e complete as
 //     DropCode::kUpdateDrained).
 //
-// Every phase is journaled (control::Journal) before the next begins,
-// so control::recover() can finish or undo a half-done update after a
+// Each phase is one WriteCommand, and SwitchAgent::apply is the only
+// code that executes it. The sequencer only sends commands and
+// journals (control::Journal) each confirmed phase before the next
+// begins, so recovery can finish or undo a half-done update after a
 // controller crash — deciding from the *observed* switch state, never
-// reinstalling blindly.
+// reinstalling blindly. The entry points differ only in where the
+// commands go: run_update/recover send them to a channel-less agent
+// over the data plane; run_update_via_session/recover_via_session send
+// them through Session::write.
 #pragma once
 
 #include <cstdint>
@@ -103,25 +108,18 @@ struct RecoveryReport {
   std::string to_string() const;
 };
 
-class LiveUpdate {
- public:
-  /// `journal`, when given, receives the write-ahead intent and phase
-  /// markers; without one the update still runs (but cannot be
-  /// crash-recovered). `dp` must outlive the LiveUpdate.
-  explicit LiveUpdate(sim::DataPlane& dp, Journal* journal = nullptr,
-                      LiveUpdateOptions options = {});
+class Session;
 
-  /// Drive one diff through shadow → flip → drain → commit. `injector`
-  /// feeds the shadow transaction's write lane; `pump` services punts
-  /// during the drain phase.
-  UpdateReport run(const RuleDiff& diff, sim::FaultInjector* injector = nullptr,
-                   DrainPump pump = {});
-
- private:
-  sim::DataPlane* dp_;
-  Journal* journal_;
-  LiveUpdateOptions options_;
-};
+/// Drive one diff through shadow → flip → drain → commit on `dp`.
+/// `journal`, when given, receives the write-ahead intent and phase
+/// markers; without one the update still runs (but cannot be
+/// crash-recovered). `injector` feeds the shadow transaction's write
+/// lane; `pump` services punts during the drain phase.
+UpdateReport run_update(sim::DataPlane& dp, const RuleDiff& diff,
+                        Journal* journal = nullptr,
+                        LiveUpdateOptions options = {},
+                        sim::FaultInjector* injector = nullptr,
+                        DrainPump pump = {});
 
 /// Reconcile a restarted controller's journal against the live switch:
 /// finish (roll forward) or undo (roll back) the pending update based
@@ -131,6 +129,31 @@ class LiveUpdate {
 /// never reinstalled.
 RecoveryReport recover(sim::DataPlane& dp, Journal& journal,
                        LiveUpdateOptions options = {}, DrainPump pump = {});
+
+/// run_update through the session: exactly four writes, journaling
+/// each phase controller-side once the switch confirms it. A phase
+/// write that gives up (channel lost) returns with report.channel_lost
+/// set; the journal then holds the last phase the switch *confirmed*,
+/// and recover_via_session finishes the job after the channel heals.
+/// Fault injection and drain pumping are the switch agent's
+/// (SwitchAgent::set_injector / set_drain_pump); options.crash_point
+/// applies as in run_update.
+UpdateReport run_update_via_session(Session& session, const RuleDiff& diff,
+                                    Journal* journal,
+                                    LiveUpdateOptions options = {});
+
+/// recover over the session: the observed state is a snapshot read
+/// back over the (healed) channel. Defers — action kNone, journal
+/// untouched — while the channel is unreachable.
+RecoveryReport recover_via_session(Session& session, Journal& journal,
+                                   LiveUpdateOptions options = {});
+
+/// The clean-commit reference: `diff` run through run_update on a
+/// scratch copy of `dp` (same program, ids, config and state), as
+/// Snapshot::to_text(). Returns "" and sets `*error` when that update
+/// does not commit.
+std::string committed_reference(sim::DataPlane& dp, const RuleDiff& diff,
+                                std::string* error = nullptr);
 
 /// The installable delta between two routing plans as a RuleDiff:
 /// branching + check-gate entries that leave, change, or join.
@@ -143,12 +166,12 @@ RuleDiff routing_rule_diff(const route::RoutingPlan& from,
 /// Legacy stop-the-world application of a diff: removals as outright
 /// removes, installs as overwrites, register writes direct — no epochs
 /// involved. Used to stage candidate rulesets on scratch switches and
-/// by ChainRepair's non-hitless path.
+/// by the kLegacyDiff verb.
 void fill_transaction(Transaction& txn, const RuleDiff& diff);
 
-// ---- Phase primitives, shared between LiveUpdate/recover and the
-// session layer's switch-side agent (control::SwitchAgent executes the
-// same phases, but one idempotent WriteCommand at a time).
+// ---- Phase primitives: the bodies SwitchAgent::apply executes, one
+// idempotent WriteCommand at a time, plus the read-only probes the
+// sequencer and the drills observe the switch with.
 
 /// Queue the phase-1 shadow of `diff` into `txn`: leaving entries (and
 /// overwritten live versions) retire at `from`, installs ride in with
@@ -170,10 +193,10 @@ std::pair<std::size_t, std::size_t> shadow_install_visibility(
     sim::DataPlane& dp, const RuleDiff& diff, std::uint32_t to);
 
 /// Flip-time register writes grouped per bank, applied bank by bank
-/// with the bank tag set last. `only_untagged` skips banks already
-/// tagged `to` (recovery / duplicate-flip idempotence).
+/// with the bank tag set last. Banks already tagged `to` are skipped,
+/// so a resumed or duplicated flip is a no-op for them.
 void apply_register_banks(sim::DataPlane& dp, const RuleDiff& diff,
-                          std::uint32_t to, bool only_untagged);
+                          std::uint32_t to);
 
 /// Drain generations below `to`: pump until no stale punt remains (or
 /// `max_rounds`), then force-flush stragglers. Returns {pumped,

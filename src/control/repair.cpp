@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "compile/report.hpp"
-#include "control/session.hpp"
 #include "merge/compose.hpp"
 #include "merge/framework.hpp"
 #include "route/routing.hpp"
@@ -216,100 +215,51 @@ RepairReport ChainRepair::bypass(const std::string& nf,
   report.rules_removed = diff.removals();
   report.attempted = true;
 
-  if (policy_.run_gates) {
-    // Stage the repaired ruleset on a scratch switch: same program,
-    // current live state, candidate diff applied — then prove it.
-    sim::DataPlane staging(deployment_->program(), deployment_->ids(),
-                           live.config());
-    restore_snapshot(take_snapshot(live), staging);
-    Transaction stage_txn(staging);
-    fill_transaction(stage_txn, diff);
-    Transaction::Result staged = stage_txn.commit();
-    if (!staged.committed) {
-      report.error = "staging failed: " + staged.error;
-      return report;
+  // Stage the repaired ruleset on a scratch switch: same program,
+  // current live state, candidate diff applied — then prove it.
+  sim::DataPlane staging(deployment_->program(), deployment_->ids(),
+                         live.config());
+  restore_snapshot(take_snapshot(live), staging);
+  Transaction stage_txn(staging);
+  fill_transaction(stage_txn, diff);
+  Transaction::Result staged = stage_txn.commit();
+  if (!staged.committed) {
+    report.error = "staging failed: " + staged.error;
+    return report;
+  }
+  verify::VerifyInput vin;
+  vin.program = &deployment_->program();
+  vin.ids = &deployment_->ids();
+  vin.placement = &deployment_->placement();
+  vin.policies = &reduced;
+  vin.config = &live.config();
+  vin.routing = &plan;
+  verify::Report vreport = verify::run_all(vin);
+  report.verify_ok = vreport.ok();
+  explore::ExploreResult explored =
+      explore::run(staging, reduced, policy_.explore_options);
+  report.explore_ok = explored.report.ok();
+  if (!report.verify_ok || !report.explore_ok) {
+    report.error = "repair gates rejected the candidate ruleset";
+    if (!report.verify_ok) report.error += "\n" + vreport.to_string();
+    if (!report.explore_ok) {
+      report.error += "\n" + explored.report.to_string();
     }
-    verify::VerifyInput vin;
-    vin.program = &deployment_->program();
-    vin.ids = &deployment_->ids();
-    vin.placement = &deployment_->placement();
-    vin.policies = &reduced;
-    vin.config = &live.config();
-    vin.routing = &plan;
-    verify::Report vreport = verify::run_all(vin);
-    report.verify_ok = vreport.ok();
-    explore::ExploreResult explored =
-        explore::run(staging, reduced, policy_.explore_options);
-    report.explore_ok = explored.report.ok();
-    if (!report.verify_ok || !report.explore_ok) {
-      report.error = "repair gates rejected the candidate ruleset";
-      if (!report.verify_ok) report.error += "\n" + vreport.to_string();
-      if (!report.explore_ok) {
-        report.error += "\n" + explored.report.to_string();
-      }
-      return report;
-    }
+    return report;
   }
 
-  if (policy_.session != nullptr) {
-    // Session-routed commit: every write travels the control channel
-    // as an idempotent (election-id, seq) command, so a lossy or
-    // partitioned channel degrades (the repair stalls, reconciliation
-    // finishes it later) instead of half-applying.
-    if (policy_.hitless) {
-      LiveUpdateOptions update_options = policy_.update;
-      update_options.retry = policy_.retry;
-      report.update = run_update_via_session(*policy_.session, diff,
-                                             policy_.journal, update_options);
-      report.txn = report.update.shadow;
-      if (!report.update.committed) {
-        report.error = report.update.channel_lost
-                           ? "session swap lost the channel: " +
-                                 report.update.error
-                           : "session swap failed: " + report.update.error;
-        return report;
-      }
-    } else {
-      WriteCommand cmd;
-      cmd.verb = WriteCommand::Verb::kLegacyDiff;
-      cmd.diff = diff;
-      WriteResult wr = policy_.session->write(std::move(cmd));
-      report.txn.committed = wr.ok;
-      report.txn.attempts = wr.attempts;
-      report.txn.total_backoff_ms = wr.backoff_ms;
-      report.txn.applied = wr.ack.applied;
-      report.txn.error = wr.error;
-      if (!wr.ok) {
-        report.error = wr.gave_up
-                           ? "session commit lost the channel: " + wr.error
-                           : "session commit failed: " + wr.error;
-        return report;
-      }
-    }
-  } else if (policy_.hitless) {
-    // Two-phase hitless swap: in-flight packets (punted before the
-    // repair, reinjected after) finish on the pre-repair generation.
-    // The repair-wide retry budget governs the shadow transaction.
-    LiveUpdateOptions update_options = policy_.update;
-    update_options.retry = policy_.retry;
-    LiveUpdate update(live, policy_.journal, update_options);
-    report.update = update.run(diff, injector, std::move(pump));
-    report.txn = report.update.shadow;
-    if (!report.update.committed) {
-      report.error = report.update.rolled_back
-                         ? "hitless swap failed (rolled back): " +
-                               report.update.error
-                         : "hitless swap failed: " + report.update.error;
-      return report;
-    }
-  } else {
-    Transaction txn(live, policy_.retry, injector);
-    fill_transaction(txn, diff);
-    report.txn = txn.commit();
-    if (!report.txn.committed) {
-      report.error = "commit failed (rolled back): " + report.txn.error;
-      return report;
-    }
+  // Two-phase hitless swap: in-flight packets (punted before the
+  // repair, reinjected after) finish on the pre-repair generation.
+  LiveUpdateOptions update_options;
+  update_options.retry = policy_.retry;
+  report.update =
+      run_update(live, diff, nullptr, update_options, injector, std::move(pump));
+  report.txn = report.update.shadow;
+  if (!report.update.committed) {
+    report.error = std::string("hitless swap failed") +
+                   (report.update.rolled_back ? " (rolled back)" : "") + ": " +
+                   report.update.error;
+    return report;
   }
   deployment_->apply_repair(std::move(reduced), std::move(plan));
   report.succeeded = true;
@@ -333,12 +283,10 @@ ChainRepair::Replacement ChainRepair::replace(const std::string& nf) {
   for (const p4ir::Program& p : deployment_->nf_programs()) {
     if (p.name() != nf) programs.push_back(p);
   }
-  DeploymentOptions options;
-  options.verify = policy_.run_gates;
   try {
     result.deployment = Deployment::build(
         std::move(programs), reduced, deployment_->dataplane().config(),
-        deployment_->ids(), std::move(options));
+        deployment_->ids());
   } catch (const std::exception& e) {
     report.error = std::string("rebuild failed: ") + e.what();
     return result;
@@ -363,23 +311,14 @@ ChainRepair::Replacement ChainRepair::replace(const std::string& nf) {
   const std::uint32_t old_epoch = deployment_->dataplane().epoch();
   result.deployment->dataplane().set_epoch(old_epoch + 1);
   result.deployment->dataplane().set_min_live_epoch(old_epoch + 1);
-  if (policy_.journal != nullptr) {
-    const std::uint64_t id =
-        policy_.journal->begin(old_epoch, old_epoch + 1, RuleDiff{});
-    policy_.journal->append(id, JournalState::kCommitted,
-                            "replace " + nf + ": cutover to rebuilt deployment");
-  }
-
-  if (policy_.run_gates) {
-    const explore::ExploreResult& explored =
-        result.deployment->run_explorer(policy_.explore_options);
-    report.explore_ok = explored.report.ok();
-    if (!report.explore_ok) {
-      report.error = "explorer rejected the rebuilt deployment\n" +
-                     explored.report.to_string();
-      result.deployment.reset();
-      return result;
-    }
+  const explore::ExploreResult& explored =
+      result.deployment->run_explorer(policy_.explore_options);
+  report.explore_ok = explored.report.ok();
+  if (!report.explore_ok) {
+    report.error = "explorer rejected the rebuilt deployment\n" +
+                   explored.report.to_string();
+    result.deployment.reset();
+    return result;
   }
   report.succeeded = true;
   return result;

@@ -15,9 +15,9 @@
 // copy of the data plane and must pass both the structural verifier
 // (verify::run_all) and the symbolic explorer (explore::run) before a
 // single rule touches the live switch; the live swap then goes
-// through a control::Transaction, so a mid-repair write failure rolls
-// back to the pre-repair ruleset instead of stranding a half-wired
-// chain.
+// through control::run_update, whose all-or-nothing shadow phase rolls
+// a mid-repair write failure back to the pre-repair ruleset instead of
+// stranding a half-wired chain.
 #pragma once
 
 #include <cstdint>
@@ -136,38 +136,14 @@ class HealthMonitor {
   bool state_unhealthy_ = false;
 };
 
-class Session;
-
 struct RepairPolicy {
   /// NFs that must never be bypassed (e.g. the firewall: failing open
   /// is worse than failing closed). Repairs refuse these.
   std::set<std::string> never_bypass;
-  /// Retry/backoff for the live commit.
+  /// Retry/backoff for the live commit's shadow transaction.
   RetryPolicy retry;
-  /// Gate the staged ruleset on verify::run_all + explore::run before
-  /// committing. Leave on; exists so tests can exercise the ungated
-  /// path cheaply.
-  bool run_gates = true;
+  /// Explorer options for the pre-commit gate.
   explore::ExploreOptions explore_options;
-  /// Swap the live diff in hitlessly through a LiveUpdate (§11):
-  /// packets in flight finish on the pre-repair generation. Off =
-  /// legacy stop-the-world Transaction, which can misroute a packet
-  /// that punted before the swap and reinjects after it
-  /// (tests/test_repair.cpp pins that failure mode).
-  bool hitless = true;
-  /// Write-ahead journal for the hitless swap (optional).
-  Journal* journal = nullptr;
-  /// Route the live commit through a control::Session (idempotent
-  /// seq-numbered writes over the unreliable control channel) instead
-  /// of touching the data plane directly. The session's agent must
-  /// wrap the deployment's data plane, and its mirror must be
-  /// converged with it. With a session, `injector`/`pump` arguments to
-  /// bypass() are ignored — fault injection and drain pumping are
-  /// switch-side (SwitchAgent) concerns.
-  Session* session = nullptr;
-  /// Drain/crash knobs for the hitless swap. Its retry field is
-  /// ignored: `retry` above governs both commit paths.
-  LiveUpdateOptions update;
 };
 
 struct RepairReport {
@@ -180,8 +156,9 @@ struct RepairReport {
   std::size_t rules_installed = 0;
   bool verify_ok = false;
   bool explore_ok = false;
+  /// The live swap's shadow transaction (== update.shadow).
   Transaction::Result txn;
-  /// The hitless swap's phase report (policy.hitless only).
+  /// The live swap's phase report.
   UpdateReport update;
 
   std::string to_string() const;
@@ -193,12 +170,12 @@ class ChainRepair {
 
   /// Repair by bypass: every chain drops `nf`, routing is re-derived
   /// on the unchanged placement, and the live switch receives the rule
-  /// diff through a Transaction (optionally fault-injected via
-  /// `injector`). On success the deployment's policy/routing view is
-  /// updated in place.
-  /// `pump`, under policy.hitless, services outstanding CPU punts
-  /// during the swap's drain phase (typically the owning control
-  /// plane's punt loop).
+  /// diff hitlessly through run_update (§11): packets in flight finish
+  /// on the pre-repair generation. `injector` feeds the shadow
+  /// transaction's write lane; `pump` services outstanding CPU punts
+  /// during the drain phase (typically the owning control plane's punt
+  /// loop). On success the deployment's policy/routing view is updated
+  /// in place.
   RepairReport bypass(const std::string& nf,
                       sim::FaultInjector* injector = nullptr,
                       DrainPump pump = {});

@@ -8,8 +8,6 @@ namespace dejavu::control {
 
 namespace {
 
-int rank(JournalState state) { return static_cast<int>(state); }
-
 /// Ordered stand-in for an EpochWindow (map keys).
 std::pair<std::uint32_t, std::uint32_t> win_key(sim::EpochWindow w) {
   return {w.from, w.to};
@@ -307,6 +305,7 @@ AckMsg SwitchAgent::apply(const WriteCommand& cmd) {
       Transaction::Result res = txn.commit();
       ack.ok = res.committed;
       ack.applied = res.applied;
+      ack.rolled_back = res.rolled_back;
       if (!res.committed) ack.error = "legacy diff failed: " + res.error;
       return ack;
     }
@@ -323,13 +322,14 @@ AckMsg SwitchAgent::apply(const WriteCommand& cmd) {
       Transaction::Result res = txn.commit();
       ack.ok = res.committed;
       ack.applied = res.applied;
+      ack.rolled_back = res.rolled_back;
       if (!res.committed) ack.error = "shadow install failed: " + res.error;
       return ack;
     }
     case WriteCommand::Verb::kFlip:
-      // only_untagged + the epoch guard make a duplicate flip a no-op.
-      apply_register_banks(*dp_, cmd.diff, cmd.to_epoch,
-                           /*only_untagged=*/true);
+      // Tagged banks are skipped and the gate only moves forward, so a
+      // duplicate flip is a no-op.
+      apply_register_banks(*dp_, cmd.diff, cmd.to_epoch);
       if (dp_->epoch() < cmd.to_epoch) dp_->set_epoch(cmd.to_epoch);
       ack.ok = true;
       return ack;
@@ -361,32 +361,35 @@ AckMsg SwitchAgent::apply_reconcile(const WriteCommand& cmd) {
   // Atomicity by pre-image: any failing op restores the snapshot taken
   // before the first op, so no torn reconcile is ever visible.
   Snapshot pre = take_snapshot(*dp_);
+  // The table an add targets, once its action passes Transaction's
+  // check: an entry the interpreter would throw on never lands.
+  auto installable = [this](const ReconcileOp& op) {
+    sim::RuntimeTable* rt = dp_->table_in(op.control, op.table);
+    if (rt == nullptr) {
+      throw std::invalid_argument("unknown table " + op.control + "/" +
+                                  op.table);
+    }
+    const std::string bad = action_error(dp_->program(), rt->def(), op.action);
+    if (!bad.empty()) {
+      throw std::invalid_argument(op.control + "/" + op.table + ": " + bad);
+    }
+    return rt;
+  };
   try {
     for (const ReconcileOp& op : cmd.recon) {
       switch (op.kind) {
-        case ReconcileOp::Kind::kAddExact: {
-          sim::RuntimeTable* rt = dp_->table_in(op.control, op.table);
-          if (rt == nullptr) {
-            throw std::invalid_argument("unknown table " + op.control + "/" +
-                                        op.table);
-          }
-          rt->add_exact(op.key, op.action, op.window);
+        case ReconcileOp::Kind::kAddExact:
+          installable(op)->add_exact(op.key, op.action, op.window);
           break;
-        }
         case ReconcileOp::Kind::kRemoveExact: {
           sim::RuntimeTable* rt = dp_->table_in(op.control, op.table);
           if (rt != nullptr) rt->remove_exact_version(op.key, op.window);
           break;
         }
-        case ReconcileOp::Kind::kAddTernary: {
-          sim::RuntimeTable* rt = dp_->table_in(op.control, op.table);
-          if (rt == nullptr) {
-            throw std::invalid_argument("unknown table " + op.control + "/" +
-                                        op.table);
-          }
-          rt->add_ternary(op.tkey, op.priority, op.action, op.window);
+        case ReconcileOp::Kind::kAddTernary:
+          installable(op)->add_ternary(op.tkey, op.priority, op.action,
+                                       op.window);
           break;
-        }
         case ReconcileOp::Kind::kRemoveTernary: {
           sim::RuntimeTable* rt = dp_->table_in(op.control, op.table);
           if (rt == nullptr) break;
@@ -656,239 +659,6 @@ ReconcileReport Session::reconcile() {
   }
   report.error = "did not converge within " + std::to_string(kMaxPasses) +
                  " passes";
-  return report;
-}
-
-// ---------------------------------------------------------------------------
-// Session-routed live update + recovery
-
-UpdateReport run_update_via_session(Session& session, const RuleDiff& diff,
-                                    Journal* journal,
-                                    LiveUpdateOptions options) {
-  UpdateReport report;
-  sim::DataPlane& mirror = session.mirror();
-  report.from_epoch = mirror.epoch();
-  report.to_epoch = report.from_epoch + 1;
-  const std::uint32_t from = report.from_epoch;
-  const std::uint32_t to = report.to_epoch;
-
-  if (diff.empty()) {
-    report.error = "refusing an empty update diff";
-    return report;
-  }
-
-  // Register intent is captured against the mirror — byte-identical to
-  // the switch when the session is converged, which run_update demands.
-  RuleDiff intent = diff;
-  const std::string invalid = capture_register_intent(mirror, intent);
-
-  if (journal != nullptr) {
-    report.update_id = journal->begin(from, to, intent);
-  }
-  auto mark = [&](JournalState state, std::string note = "") {
-    if (journal != nullptr) {
-      journal->append(report.update_id, state, std::move(note));
-    }
-  };
-  auto lost = [&](const char* phase) {
-    report.channel_lost = true;
-    report.crashed = true;
-    report.error = std::string("channel lost during the ") + phase +
-                   " phase; journal holds the last confirmed phase";
-  };
-
-  if (!invalid.empty()) {
-    report.error = invalid;
-    mark(JournalState::kAborted, invalid);
-    return report;
-  }
-
-  // ---- Phase 1: shadow, one idempotent write.
-  WriteCommand shadow;
-  shadow.verb = WriteCommand::Verb::kShadowDiff;
-  shadow.diff = intent;
-  shadow.from_epoch = from;
-  shadow.to_epoch = to;
-  WriteResult wr = session.write(std::move(shadow));
-  if (wr.gave_up) {
-    lost("shadow");
-    return report;  // journal: kBegun
-  }
-  if (!wr.ok) {
-    report.error = wr.error;
-    mark(JournalState::kAborted, wr.error);
-    return report;
-  }
-  report.shadow.committed = true;
-  report.shadow.attempts = wr.attempts;
-  report.shadow.total_backoff_ms = wr.backoff_ms;
-  report.shadow.applied = wr.ack.applied;
-  mark(JournalState::kShadowed);
-  if (options.crash_point == CrashPoint::kAfterShadow) {
-    report.crashed = true;
-    report.error = "controller crashed after the shadow phase";
-    return report;
-  }
-
-  // ---- Phase 2: flip.
-  WriteCommand flip;
-  flip.verb = WriteCommand::Verb::kFlip;
-  flip.diff = intent;
-  flip.from_epoch = from;
-  flip.to_epoch = to;
-  wr = session.write(std::move(flip));
-  if (wr.gave_up) {
-    lost("flip");
-    return report;  // journal: kShadowed
-  }
-  if (!wr.ok) {
-    report.error = wr.error;
-    return report;
-  }
-  mark(JournalState::kFlipped);
-  if (options.crash_point == CrashPoint::kAfterFlip) {
-    report.crashed = true;
-    report.error = "controller crashed after the flip phase";
-    return report;
-  }
-
-  // ---- Phase 3: drain.
-  WriteCommand drain;
-  drain.verb = WriteCommand::Verb::kDrain;
-  drain.to_epoch = to;
-  wr = session.write(std::move(drain));
-  if (wr.gave_up) {
-    lost("drain");
-    return report;  // journal: kFlipped
-  }
-  if (!wr.ok) {
-    report.error = wr.error;
-    return report;
-  }
-  report.drained = wr.ack.drained;
-  report.flushed = wr.ack.flushed;
-  mark(JournalState::kDrained, "pumped " + std::to_string(report.drained) +
-                                   " flushed " +
-                                   std::to_string(report.flushed));
-  if (options.crash_point == CrashPoint::kAfterDrain) {
-    report.crashed = true;
-    report.error = "controller crashed after the drain phase";
-    return report;
-  }
-
-  // ---- Phase 4: commit + gc.
-  WriteCommand gc;
-  gc.verb = WriteCommand::Verb::kCommitGc;
-  gc.to_epoch = to;
-  wr = session.write(std::move(gc));
-  if (wr.gave_up) {
-    lost("commit");
-    return report;  // journal: kDrained
-  }
-  if (!wr.ok) {
-    report.error = wr.error;
-    return report;
-  }
-  mark(JournalState::kCommitted,
-       "gc removed " + std::to_string(wr.ack.applied));
-  report.committed = true;
-  return report;
-}
-
-RecoveryReport recover_via_session(Session& session, Journal& journal,
-                                   LiveUpdateOptions options) {
-  RecoveryReport report;
-  auto pending = journal.pending();
-  if (!pending) return report;
-  report.update_id = pending->update_id;
-  report.from_epoch = pending->from_epoch;
-  report.to_epoch = pending->to_epoch;
-  const RuleDiff& diff = *pending->diff;
-  const std::uint32_t from = pending->from_epoch;
-  const std::uint32_t to = pending->to_epoch;
-
-  // Decide from the journal AND the *observed* switch state — exactly
-  // the control::recover contract, but the observation travels over
-  // the (healed) channel instead of a direct pointer.
-  std::optional<Snapshot> actual = session.read_snapshot();
-  if (!actual.has_value()) {
-    report.detail = "channel unreachable; recovery deferred";
-    return report;  // action kNone, journal untouched
-  }
-  sim::DataPlane observed(session.mirror().program(), session.mirror().ids(),
-                          session.mirror().config());
-  restore_snapshot(*actual, observed);
-
-  const bool flipped =
-      observed.epoch() >= to ||
-      rank(pending->last_state) >= rank(JournalState::kFlipped);
-  const bool shadowed =
-      rank(pending->last_state) >= rank(JournalState::kShadowed) ||
-      shadow_observed(observed, diff, from, to);
-
-  if (flipped || shadowed) {
-    if (rank(pending->last_state) < rank(JournalState::kShadowed)) {
-      journal.append(pending->update_id, JournalState::kShadowed,
-                     "recovery: adopted shadow observed on the switch");
-    }
-    WriteCommand flip;
-    flip.verb = WriteCommand::Verb::kFlip;
-    flip.diff = diff;
-    flip.from_epoch = from;
-    flip.to_epoch = to;
-    WriteResult wr = session.write(std::move(flip));
-    if (wr.gave_up || !wr.ok) {
-      report.detail = "channel lost during roll-forward flip";
-      return report;
-    }
-    if (rank(pending->last_state) < rank(JournalState::kFlipped)) {
-      journal.append(pending->update_id, JournalState::kFlipped, "recovery");
-    }
-    WriteCommand drain;
-    drain.verb = WriteCommand::Verb::kDrain;
-    drain.to_epoch = to;
-    wr = session.write(std::move(drain));
-    if (wr.gave_up || !wr.ok) {
-      report.detail = "channel lost during roll-forward drain";
-      return report;
-    }
-    report.drained = wr.ack.drained;
-    report.flushed = wr.ack.flushed;
-    if (rank(pending->last_state) < rank(JournalState::kDrained)) {
-      journal.append(pending->update_id, JournalState::kDrained,
-                     "recovery: pumped " + std::to_string(report.drained) +
-                         " flushed " + std::to_string(report.flushed));
-    }
-    WriteCommand gc;
-    gc.verb = WriteCommand::Verb::kCommitGc;
-    gc.to_epoch = to;
-    wr = session.write(std::move(gc));
-    if (wr.gave_up || !wr.ok) {
-      report.detail = "channel lost during roll-forward commit";
-      return report;
-    }
-    journal.append(pending->update_id, JournalState::kCommitted,
-                   "recovery: gc removed " + std::to_string(wr.ack.applied));
-    report.action = RecoveryAction::kRolledForward;
-    report.detail =
-        "resumed from " + std::string(to_string(pending->last_state));
-    return report;
-  }
-
-  WriteCommand rollback;
-  rollback.verb = WriteCommand::Verb::kRollback;
-  rollback.diff = diff;
-  rollback.from_epoch = from;
-  rollback.to_epoch = to;
-  WriteResult wr = session.write(std::move(rollback));
-  if (wr.gave_up || !wr.ok) {
-    report.detail = "channel lost during rollback";
-    return report;
-  }
-  journal.append(pending->update_id, JournalState::kRolledBack,
-                 "recovery: shadow incomplete, undone from observed state");
-  report.action = RecoveryAction::kRolledBack;
-  report.detail = "shadow incomplete at partition";
   return report;
 }
 

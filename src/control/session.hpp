@@ -78,7 +78,15 @@ class SwitchAgent {
  public:
   explicit SwitchAgent(sim::DataPlane& dp, AgentOptions options = {});
 
+  /// Arbitrate, dedup, then apply: the entry point a Channel delivers
+  /// messages to.
   AckMsg handle(const SessionMsg& msg);
+
+  /// Execute one verb, without arbitration or dedup. The only code
+  /// that executes a live-update phase: the update sequencer sends
+  /// every phase here, through handle() over a session or directly
+  /// from run_update/recover.
+  AckMsg apply(const WriteCommand& cmd);
 
   /// Services punts during kDrain commands (typically the owning
   /// control plane's punt loop).
@@ -99,7 +107,6 @@ class SwitchAgent {
   std::uint64_t stale_rejected() const { return stale_; }
 
  private:
-  AckMsg apply(const WriteCommand& cmd);
   AckMsg apply_reconcile(const WriteCommand& cmd);
 
   sim::DataPlane* dp_;
@@ -231,22 +238,5 @@ class Session {
   SessionStats stats_;
   std::function<void(bool)> health_hook_;
 };
-
-/// Drive one live update's shadow → flip → drain → commit through the
-/// session, journaling each phase controller-side before its write is
-/// sent. A phase write that gives up (channel lost) returns with
-/// report.channel_lost set; the journal then holds the last phase the
-/// switch *confirmed*, and recover_via_session finishes the job after
-/// the channel heals.
-UpdateReport run_update_via_session(Session& session, const RuleDiff& diff,
-                                    Journal* journal,
-                                    LiveUpdateOptions options = {});
-
-/// Post-reconnect crash/partition recovery over the session: read back
-/// the live switch state, decide roll-forward vs roll-back exactly as
-/// control::recover does (journal rank AND observed shadow), then
-/// complete via idempotent session writes.
-RecoveryReport recover_via_session(Session& session, Journal& journal,
-                                   LiveUpdateOptions options = {});
 
 }  // namespace dejavu::control

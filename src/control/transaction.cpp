@@ -180,11 +180,8 @@ std::string ternary_identity(const std::vector<net::TernaryField>& key,
   return s;
 }
 
-/// Why `call` cannot be bound to entries of `table` ("" when it can):
-/// the action must be one the table declares, defined in the control
-/// that owns the table, and given exactly that action's parameters.
-/// An entry failing this would make the interpreter throw on its first
-/// hit and the compiled engine refuse to lower it.
+}  // namespace
+
 std::string action_error(const p4ir::Program& program,
                          const p4ir::Table& table,
                          const sim::ActionCall& call) {
@@ -212,8 +209,6 @@ std::string action_error(const p4ir::Program& program,
   }
   return "";
 }
-
-}  // namespace
 
 std::string Transaction::validate() const {
   // Net installs queued per table instance, for the capacity check.

@@ -30,7 +30,7 @@
 // contents are patched in place. Compilation snapshots every lowered
 // RuntimeTable's revision() and the dataplane's epoch, and each packet
 // revalidates the snapshot first:
-//   - epoch moved (a LiveUpdate flip), quarantine(), or no compile
+//   - epoch moved (a live-update flip), quarantine(), or no compile
 //     yet: full compile of everything;
 //   - only revisions moved (a Transaction commit, LB session
 //     learning, a ChainRepair swap): patch. An exact table whose

@@ -113,8 +113,8 @@ TEST(CompiledDifferential, MidStreamLiveUpdateAgrees) {
     config.update->apply = [](ReplayTarget& t, std::uint32_t) {
       auto& dt = static_cast<control::DeploymentTarget&>(t);
       control::Deployment& dep = *dt.fixture().deployment;
-      control::LiveUpdate update(t.dataplane());
-      const control::UpdateReport report = update.run(bypass_lb_diff(dep));
+      const control::UpdateReport report =
+          control::run_update(t.dataplane(), bypass_lb_diff(dep));
       ASSERT_TRUE(report.committed) << report.error;
     };
     return engine_obj.run(control::fig2_replay_flows(48), config);

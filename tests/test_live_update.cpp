@@ -6,6 +6,7 @@
 // clean commit — never a blend of two generations.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -13,6 +14,7 @@
 #include "control/journal.hpp"
 #include "control/live_update.hpp"
 #include "control/replay_target.hpp"
+#include "control/session.hpp"
 #include "control/snapshot.hpp"
 #include "explore/explorer.hpp"
 #include "route/routing.hpp"
@@ -42,14 +44,73 @@ RuleDiff bypass_lb_diff(Deployment& dep) {
 }
 
 /// The committed-state reference: the same diff applied cleanly to a
-/// scratch copy of `dp`.
-std::string committed_reference(Deployment& dep, const RuleDiff& diff) {
-  sim::DataPlane scratch(dep.program(), dep.ids(), dep.dataplane().config());
-  restore_snapshot(take_snapshot(dep.dataplane()), scratch);
-  LiveUpdate clean(scratch);
-  const UpdateReport report = clean.run(diff);
-  EXPECT_TRUE(report.committed) << report.error;
-  return take_snapshot(scratch).to_text();
+/// scratch copy of the deployment's switch.
+std::string committed_ref_of(Deployment& dep, const RuleDiff& diff) {
+  std::string error;
+  const std::string ref = committed_reference(dep.dataplane(), diff, &error);
+  EXPECT_FALSE(ref.empty()) << error;
+  return ref;
+}
+
+/// Which entry point drives an update: the direct one, or the session
+/// one over a clean channel to an agent on the same switch.
+enum class Link { kDirect, kSession };
+
+/// What one update (plus, when it crashed, recovery twice) over a link
+/// left behind on a fresh fig9 switch — what the two links must agree
+/// on, field for field.
+struct LinkRun {
+  std::string before;
+  std::string committed_ref;
+  UpdateReport update;
+  bool pending_after_update = false;
+  std::string after_update;
+  RecoveryReport recovery;
+  RecoveryReport again;
+  std::string after_recovery;
+  std::string after_again;
+  std::string journal;
+};
+
+LinkRun run_link(Link link, CrashPoint crash, const sim::FaultPlan& faults) {
+  auto fx = make_fig9_deployment();
+  sim::DataPlane& dp = fx.deployment->dataplane();
+  const RuleDiff diff = bypass_lb_diff(*fx.deployment);
+  sim::FaultInjector injector(faults);
+  LinkRun run;
+  run.before = take_snapshot(dp).to_text();
+  run.committed_ref = committed_ref_of(*fx.deployment, diff);
+
+  Journal journal;
+  LiveUpdateOptions options;
+  options.crash_point = crash;
+  auto finish = [&](auto&& recover_once) {
+    run.pending_after_update = journal.pending().has_value();
+    run.after_update = take_snapshot(dp).to_text();
+    if (!run.update.crashed) return;
+    run.recovery = recover_once();
+    run.after_recovery = take_snapshot(dp).to_text();
+    run.again = recover_once();
+    run.after_again = take_snapshot(dp).to_text();
+  };
+  if (link == Link::kDirect) {
+    run.update = run_update(dp, diff, &journal, options, &injector);
+    finish([&] { return recover(dp, journal); });
+  } else {
+    SwitchAgent agent(dp);
+    agent.set_injector(&injector);
+    Channel channel(sim::FaultPlan{},
+                    [&agent](const SessionMsg& m) { return agent.handle(m); });
+    auto mirror =
+        std::make_unique<sim::DataPlane>(dp.program(), dp.ids(), dp.config());
+    restore_snapshot(take_snapshot(dp), *mirror);
+    Session session(channel, std::move(mirror));
+    EXPECT_TRUE(session.hello());
+    run.update = run_update_via_session(session, diff, &journal, options);
+    finish([&] { return recover_via_session(session, journal); });
+  }
+  run.journal = journal.to_text();
+  return run;
 }
 
 RuleDiff sample_diff() {
@@ -152,11 +213,10 @@ TEST(LiveUpdate, TwoPhaseCommitAdvancesTheEpoch) {
   sim::DataPlane& dp = dep.dataplane();
   const std::uint32_t from = dp.epoch();
   const RuleDiff diff = bypass_lb_diff(dep);
-  const std::string committed_ref = committed_reference(dep, diff);
+  const std::string committed_ref = committed_ref_of(dep, diff);
 
   Journal journal;
-  LiveUpdate update(dp, &journal);
-  const UpdateReport report = update.run(diff);
+  const UpdateReport report = run_update(dp, diff, &journal);
   ASSERT_TRUE(report.committed) << report.error;
   EXPECT_FALSE(report.crashed);
   EXPECT_EQ(report.from_epoch, from);
@@ -181,8 +241,7 @@ TEST(LiveUpdate, EmptyDiffIsRefusedWithoutJournaling) {
   const std::string before = take_snapshot(dp).to_text();
 
   Journal journal;
-  LiveUpdate update(dp, &journal);
-  const UpdateReport report = update.run(RuleDiff{});
+  const UpdateReport report = run_update(dp, RuleDiff{}, &journal);
   EXPECT_FALSE(report.committed);
   EXPECT_FALSE(report.error.empty());
   EXPECT_TRUE(journal.records().empty());
@@ -190,61 +249,55 @@ TEST(LiveUpdate, EmptyDiffIsRefusedWithoutJournaling) {
 }
 
 TEST(LiveUpdate, ShadowFaultAbortsAndRollsBackByteIdentical) {
-  auto fx = make_fig9_deployment();
-  Deployment& dep = *fx.deployment;
-  sim::DataPlane& dp = dep.dataplane();
-  const std::uint32_t from = dp.epoch();
-  const std::string before = take_snapshot(dp).to_text();
-
   sim::FaultPlan plan;
   sim::FaultEvent ev;
   ev.kind = sim::FaultKind::kWriteFail;
   ev.op_index = 1;
   ev.count = 100;  // beyond any retry budget
   plan.events.push_back(ev);
-  sim::FaultInjector injector(plan);
 
-  Journal journal;
-  LiveUpdate update(dp, &journal);
-  const UpdateReport report = update.run(bypass_lb_diff(dep), &injector);
-  EXPECT_FALSE(report.committed);
-  EXPECT_TRUE(report.rolled_back);
-  EXPECT_EQ(dp.epoch(), from);
-  EXPECT_EQ(take_snapshot(dp).to_text(), before);
-  ASSERT_FALSE(journal.records().empty());
-  EXPECT_EQ(journal.records().back().state, JournalState::kAborted);
-  EXPECT_FALSE(journal.pending().has_value());
+  const LinkRun direct = run_link(Link::kDirect, CrashPoint::kNone, plan);
+  const LinkRun session = run_link(Link::kSession, CrashPoint::kNone, plan);
+  for (const LinkRun* run : {&direct, &session}) {
+    EXPECT_FALSE(run->update.committed);
+    EXPECT_FALSE(run->update.crashed);
+    EXPECT_TRUE(run->update.rolled_back);
+    EXPECT_EQ(run->after_update, run->before);
+    EXPECT_FALSE(run->pending_after_update);
+    const Journal journal = Journal::from_text(run->journal);
+    ASSERT_FALSE(journal.records().empty());
+    EXPECT_EQ(journal.records().back().state, JournalState::kAborted);
+  }
+  EXPECT_EQ(direct.journal, session.journal);
+  EXPECT_EQ(direct.update.error, session.update.error);
 }
 
 class LiveUpdateRecovery : public ::testing::TestWithParam<CrashPoint> {};
 
 TEST_P(LiveUpdateRecovery, CrashThenRecoverLandsOnTheCommittedState) {
-  auto fx = make_fig9_deployment();
-  Deployment& dep = *fx.deployment;
-  sim::DataPlane& dp = dep.dataplane();
-  const RuleDiff diff = bypass_lb_diff(dep);
-  const std::string committed_ref = committed_reference(dep, diff);
+  const LinkRun direct = run_link(Link::kDirect, GetParam(), {});
+  const LinkRun session = run_link(Link::kSession, GetParam(), {});
+  for (const LinkRun* run : {&direct, &session}) {
+    ASSERT_TRUE(run->update.crashed);
+    ASSERT_FALSE(run->update.committed);
+    ASSERT_TRUE(run->pending_after_update);
 
-  Journal journal;
-  LiveUpdateOptions options;
-  options.crash_point = GetParam();
-  LiveUpdate update(dp, &journal, options);
-  const UpdateReport report = update.run(diff);
-  ASSERT_TRUE(report.crashed);
-  ASSERT_FALSE(report.committed);
-  ASSERT_TRUE(journal.pending().has_value());
+    EXPECT_EQ(run->recovery.action, RecoveryAction::kRolledForward)
+        << run->recovery.to_string();
+    EXPECT_EQ(run->after_recovery, run->committed_ref);
+    const Journal journal = Journal::from_text(run->journal);
+    EXPECT_FALSE(journal.pending().has_value());
+    EXPECT_EQ(journal.records().back().state, JournalState::kCommitted);
 
-  const RecoveryReport recovery = recover(dp, journal);
-  EXPECT_EQ(recovery.action, RecoveryAction::kRolledForward)
-      << recovery.to_string();
-  EXPECT_EQ(take_snapshot(dp).to_text(), committed_ref);
-  EXPECT_FALSE(journal.pending().has_value());
-  EXPECT_EQ(journal.records().back().state, JournalState::kCommitted);
-
-  // Recovery is idempotent: a second restart finds nothing pending.
-  const RecoveryReport again = recover(dp, journal);
-  EXPECT_EQ(again.action, RecoveryAction::kNone);
-  EXPECT_EQ(take_snapshot(dp).to_text(), committed_ref);
+    // Recovery is idempotent: a second restart finds nothing pending.
+    EXPECT_EQ(run->again.action, RecoveryAction::kNone);
+    EXPECT_EQ(run->after_again, run->committed_ref);
+  }
+  EXPECT_EQ(direct.journal, session.journal);
+  EXPECT_EQ(direct.update.rolled_back, session.update.rolled_back);
+  EXPECT_EQ(direct.after_update, session.after_update);
+  EXPECT_EQ(direct.after_recovery, session.after_recovery);
+  EXPECT_EQ(direct.recovery.to_string(), session.recovery.to_string());
 }
 
 INSTANTIATE_TEST_SUITE_P(CrashPoints, LiveUpdateRecovery,
@@ -271,13 +324,12 @@ TEST(LiveUpdateRecoveryFromText, ReparsedJournalRecoversIdentically) {
   Deployment& dep = *fx.deployment;
   sim::DataPlane& dp = dep.dataplane();
   const RuleDiff diff = bypass_lb_diff(dep);
-  const std::string committed_ref = committed_reference(dep, diff);
+  const std::string committed_ref = committed_ref_of(dep, diff);
 
   Journal journal;
   LiveUpdateOptions options;
   options.crash_point = CrashPoint::kAfterShadow;
-  LiveUpdate update(dp, &journal, options);
-  ASSERT_TRUE(update.run(diff).crashed);
+  ASSERT_TRUE(run_update(dp, diff, &journal, options).crashed);
 
   Journal reparsed = Journal::from_text(journal.to_text());
   const RecoveryReport recovery = recover(dp, reparsed);
@@ -319,8 +371,8 @@ TEST(ReplayUnderUpdate, CountersBitIdenticalAcrossWorkerCounts) {
     config.update->apply = [](sim::ReplayTarget& t, std::uint32_t) {
       auto& dt = static_cast<DeploymentTarget&>(t);
       Deployment& dep = *dt.fixture().deployment;
-      LiveUpdate update(t.dataplane());
-      const UpdateReport report = update.run(bypass_lb_diff(dep));
+      const UpdateReport report =
+          run_update(t.dataplane(), bypass_lb_diff(dep));
       ASSERT_TRUE(report.committed) << report.error;
     };
     return engine.run(fig2_replay_flows(48), config);
@@ -360,8 +412,7 @@ TEST(LiveUpdate, CompiledPipelineNeverServesARetiredGeneration) {
   const std::uint32_t old_epoch = dp.epoch();
   EXPECT_EQ(fast.process(packet, port).epoch, old_epoch);
 
-  LiveUpdate update(dp);
-  ASSERT_TRUE(update.run(bypass_lb_diff(dep)).committed);
+  ASSERT_TRUE(run_update(dp, bypass_lb_diff(dep)).committed);
   ASSERT_GT(dp.epoch(), old_epoch);
 
   // Interpreter reference from an identical-state clone, then the
@@ -404,8 +455,7 @@ TEST(ExplorerEpochs, MidUpdateGenerationsExploreCleanSeparately) {
   Journal journal;
   LiveUpdateOptions options;
   options.crash_point = CrashPoint::kAfterShadow;
-  LiveUpdate update(dp, &journal, options);
-  ASSERT_TRUE(update.run(diff).crashed);
+  ASSERT_TRUE(run_update(dp, diff, &journal, options).crashed);
 
   explore::ExploreOptions old_gen;
   old_gen.epoch = from;

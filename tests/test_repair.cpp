@@ -1,7 +1,7 @@
 // Self-healing chain repair: gate-counter health detection pinpoints a
 // dead NF, and both repair strategies (bypass on the same placement,
 // re-placement rebuild) restore delivery — gated on the verifier and
-// the symbolic explorer, committed transactionally.
+// the symbolic explorer, committed as a hitless live update.
 #include <gtest/gtest.h>
 
 #include "compile/report.hpp"
@@ -315,13 +315,14 @@ TEST(ChainRepair, ReplaceRebuildsAndMigratesState) {
 }
 
 // §11 motivation, pinned: a packet that punted to the CPU before a
-// bypass repair and reinjects after it. The legacy stop-the-world swap
-// (hitless=false) leaves the version gate alone, so the old packet
-// resumes mid-chain on the rewired ruleset — a mixed-generation
-// traversal that dies as an unattributable ingress drop (in other
-// layouts it is silently misdelivered). The hitless path retires the
-// old generation first: the same reinjection drains cleanly with
-// kUpdateDrained, naming the generation it belonged to.
+// bypass repair and reinjects after it. A legacy stop-the-world swap
+// (the bypass diff applied as one plain Transaction) leaves the
+// version gate alone, so the old packet resumes mid-chain on the
+// rewired ruleset — a mixed-generation traversal that dies as an
+// unattributable ingress drop (in other layouts it is silently
+// misdelivered). The hitless path retires the old generation first:
+// the same reinjection drains cleanly with kUpdateDrained, naming the
+// generation it belonged to.
 TEST(ChainRepair, LegacySwapLeaksAMixedGenerationPacket) {
   auto hold_punt = [](Deployment& dep) {
     // First path-1 injection misses the LB session table and punts;
@@ -351,13 +352,23 @@ TEST(ChainRepair, LegacySwapLeaksAMixedGenerationPacket) {
   {  // Legacy stop-the-world swap: the reinjected packet crosses into
      // the new generation and is lost without attribution.
     auto fx = make_fig9_deployment();
-    const auto punt = hold_punt(*fx.deployment);
-    RepairPolicy policy;
-    policy.hitless = false;
-    ChainRepair repair(*fx.deployment, policy);
-    const RepairReport report = repair.bypass(sfc::kVgw);
-    ASSERT_TRUE(report.succeeded) << report.to_string();
-    EXPECT_EQ(fx.deployment->dataplane().epoch(), 0u);  // no gate flip
+    Deployment& dep = *fx.deployment;
+    const auto punt = hold_punt(dep);
+    sfc::PolicySet reduced;
+    for (const sfc::ChainPolicy& p : dep.policies().policies()) {
+      sfc::ChainPolicy rp = p;
+      std::erase(rp.nfs, std::string(sfc::kVgw));
+      reduced.add(std::move(rp));
+    }
+    const route::RoutingPlan plan = route::build_routing(
+        reduced, dep.placement(), dep.dataplane().config());
+    ASSERT_TRUE(plan.feasible) << plan.infeasible_reason;
+    Transaction txn(dep.dataplane());
+    fill_transaction(txn,
+                     routing_rule_diff(dep.routing(), plan, dep.dataplane()));
+    const Transaction::Result result = txn.commit();
+    ASSERT_TRUE(result.committed) << result.to_string();
+    EXPECT_EQ(dep.dataplane().epoch(), 0u);  // no gate flip
 
     const auto out = reinject(*fx.deployment, punt);
     EXPECT_TRUE(out.dropped);
@@ -371,7 +382,7 @@ TEST(ChainRepair, LegacySwapLeaksAMixedGenerationPacket) {
     auto fx = make_fig9_deployment();
     sim::DataPlane& dp = fx.deployment->dataplane();
     const auto punt = hold_punt(*fx.deployment);
-    ChainRepair repair(*fx.deployment);  // hitless is the default
+    ChainRepair repair(*fx.deployment);
     const RepairReport report = repair.bypass(sfc::kVgw);
     ASSERT_TRUE(report.succeeded) << report.to_string();
     EXPECT_EQ(dp.epoch(), 1u);

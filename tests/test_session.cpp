@@ -175,6 +175,50 @@ TEST(SwitchAgent, AckFloorRecognizesSeqsEvictedFromTheWindow) {
   EXPECT_TRUE(exactly_once(agent));
 }
 
+TEST(SwitchAgent, ReconcileRefusesAnActionTheTableDoesNotBind) {
+  // A reconcile plan rebinding every VGW.vip_map entry to an action the
+  // table does not declare: the agent must nack it and restore the
+  // pre-image, so no packet ever meets an entry the interpreter would
+  // throw on.
+  auto fx = make_fig9_deployment();
+  sim::DataPlane& dp = fx.deployment->dataplane();
+  SwitchAgent agent(dp);
+  const std::string before = take_snapshot(dp).to_text();
+
+  SessionMsg msg;
+  msg.kind = SessionMsg::Kind::kWrite;
+  msg.election_id = 1;
+  msg.seq = 1;
+  msg.write.verb = WriteCommand::Verb::kReconcile;
+  for (const Snapshot::TableState& t : take_snapshot(dp).tables) {
+    if (t.table != "VGW.vip_map") continue;
+    for (const sim::RuntimeTable::ExactEntry& e : t.exact) {
+      ReconcileOp remove;
+      remove.kind = ReconcileOp::Kind::kRemoveExact;
+      remove.control = t.control;
+      remove.table = t.table;
+      remove.key = e.key;
+      remove.window = e.window;
+      ReconcileOp add = remove;
+      add.kind = ReconcileOp::Kind::kAddExact;
+      add.action = {"no_such_action", {}};
+      msg.write.recon.push_back(remove);
+      msg.write.recon.push_back(add);
+    }
+  }
+  ASSERT_FALSE(msg.write.recon.empty());
+
+  const AckMsg ack = agent.handle(msg);
+  EXPECT_FALSE(ack.ok);
+  EXPECT_EQ(ack.applied, 0u);
+  EXPECT_NE(ack.error.find("not bound"), std::string::npos) << ack.error;
+  EXPECT_EQ(take_snapshot(dp).to_text(), before);
+  for (const sim::ReplayFlow& rf : fig2_replay_flows(30)) {
+    EXPECT_NO_THROW(dp.process(rf.flow.packet(), rf.in_port))
+        << "path " << rf.path_id;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Session over a faulty channel: retry, dedup, exactly-once
 
@@ -485,22 +529,11 @@ RuleDiff bypass_lb_diff(Deployment& dep) {
   return routing_rule_diff(dep.routing(), plan, dep.dataplane());
 }
 
-/// The committed-state reference: the same diff applied cleanly (no
-/// channel, no session) to a scratch copy of `dp`.
-std::string committed_reference(Deployment& dep, const RuleDiff& diff) {
-  sim::DataPlane scratch(dep.program(), dep.ids(), dep.dataplane().config());
-  restore_snapshot(take_snapshot(dep.dataplane()), scratch);
-  LiveUpdate clean(scratch);
-  const UpdateReport report = clean.run(diff);
-  EXPECT_TRUE(report.committed) << report.error;
-  return take_snapshot(scratch).to_text();
-}
-
 TEST(SessionUpdate, CleanCommitMatchesTheDirectLiveUpdate) {
   Rig rig;
   Deployment& dep = *rig.fx.deployment;
   const RuleDiff diff = bypass_lb_diff(dep);
-  const std::string committed_ref = committed_reference(dep, diff);
+  const std::string committed_ref = committed_reference(dep.dataplane(), diff);
   ASSERT_TRUE(rig.session->hello());
   const std::uint32_t from = rig.dp.epoch();
 
@@ -526,7 +559,7 @@ TEST(SessionUpdate, ChannelLostAtFlipRollsForwardByteIdentical) {
       {channel_event(sim::FaultKind::kChannelPartition, 2, 10)}));
   Deployment& dep = *rig.fx.deployment;
   const RuleDiff diff = bypass_lb_diff(dep);
-  const std::string committed_ref = committed_reference(dep, diff);
+  const std::string committed_ref = committed_reference(dep.dataplane(), diff);
   ASSERT_TRUE(rig.session->hello());
 
   Journal journal;

@@ -37,7 +37,10 @@ void BM_ExactTableLookup(benchmark::State& state) {
   def.keys = {p4ir::TableKey{"a.x", p4ir::MatchKind::kExact, 32}};
   def.actions = {"act"};
   def.max_entries = 1 << 16;
-  sim::RuntimeTable rt(def);
+  p4ir::ControlBlock control("c");
+  control.add_action(p4ir::Action{"act", {{"p", 32}}, {}});
+  control.add_table(def);
+  sim::RuntimeTable rt(control, control.tables().front());
   for (std::uint64_t i = 0; i < 10000; ++i) {
     rt.add_exact({i}, sim::ActionCall{"act", {{"p", i}}});
   }
@@ -55,7 +58,10 @@ void BM_TernaryTableLookup(benchmark::State& state) {
   def.keys = {p4ir::TableKey{"ipv4.src", p4ir::MatchKind::kTernary, 32}};
   def.actions = {"permit"};
   def.max_entries = 4096;
-  sim::RuntimeTable rt(def);
+  p4ir::ControlBlock control("c");
+  control.add_action(p4ir::Action{"permit", {}, {}});
+  control.add_table(def);
+  sim::RuntimeTable rt(control, control.tables().front());
   const auto n = static_cast<std::uint64_t>(state.range(0));
   for (std::uint64_t i = 0; i < n; ++i) {
     rt.add_ternary({net::TernaryField{i << 8, 0xffffff00}},

@@ -28,9 +28,10 @@
 //     stamped DropCode::kStateQuarantined instead of being forwarded
 //     on corrupt state.
 //
-// Detection triggers quarantine (a caller-supplied hook, typically
-// CompiledPipeline::quarantine(), dropping the compiled snapshot and
-// forcing recompilation) and feeds HealthMonitor::note_state(). Repair
+// Detection triggers quarantine (a caller-supplied hook, e.g. an
+// operator alarm; the compiled engine needs none, since it reads the
+// same store the interpreter does) and feeds
+// HealthMonitor::note_state(). Repair
 // is scrub(): snapshot both planes, snapshot_diff() the edit script,
 // ship it as ONE atomic WriteCommand::Verb::kReconcile through a
 // SwitchAgent on the live plane (pre-image rollback on failure), then
@@ -161,9 +162,8 @@ class Auditor {
   const std::vector<AuditFinding>& findings() const { return findings_; }
   const AuditReport& report() const { return report_; }
 
-  /// Invoked once per finding as it is raised: the caller wires this
-  /// to CompiledPipeline::quarantine() so compiled snapshots cannot
-  /// keep executing against state the audit has proven stale.
+  /// Invoked once per finding as it is raised (an operator alarm, a
+  /// traffic shift away from the switch).
   void set_quarantine_hook(std::function<void()> hook);
   /// Receives note_state(clean) once per tick().
   void set_health_monitor(HealthMonitor* monitor) { monitor_ = monitor; }

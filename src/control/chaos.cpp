@@ -589,9 +589,8 @@ StateScriptOutcome run_state_script(sim::ReplayTarget& target,
   // default (AuditorOptions{}.sample_every) is benched separately.
   audit_options.sample_every = 4;
   Auditor auditor(dp, mirror, audit_options);
-  // Counting stand-in for CompiledPipeline::quarantine() — the drill
-  // replicas run the interpreter; the compiled hookup is pinned in
-  // tests/test_audit.cpp.
+  // An empty hook: the drill only counts quarantine signals, which
+  // report().quarantine_signals tallies only while a hook is set.
   auditor.set_quarantine_hook([] {});
 
   // Counters are filled on every exit path (success or error) so a

@@ -88,8 +88,8 @@ std::optional<std::size_t> ternary_version(const sim::RuntimeTable& rt,
 bool install_visible(sim::RuntimeTable& rt, const RuleOp& op,
                      std::uint32_t to) {
   if (op.kind == RuleOp::Kind::kExact) {
-    const auto* e = rt.find_exact(op.key, to);
-    return e != nullptr && e->action == op.action;
+    const auto e = rt.find_exact(op.key, to);
+    return e && e->action == op.action;
   }
   for (const auto& e : rt.ternary_entries()) {
     if (e.priority == op.priority && e.key == op.tkey &&
@@ -112,10 +112,8 @@ bool shadow_observed(sim::DataPlane& dp, const RuleDiff& diff,
       if (op.install) {
         if (!install_visible(*rt, op, to)) return false;
       } else if (op.kind == RuleOp::Kind::kExact) {
-        if (const auto* versions = rt->exact_versions(op.key)) {
-          for (const auto& v : *versions) {
-            if (v.window.open() && v.window.from <= from) return false;
-          }
+        for (const auto& v : rt->exact_versions(op.key)) {
+          if (v.window.open() && v.window.from <= from) return false;
         }
       } else if (auto h = rt->find_ternary(op.tkey, op.priority)) {
         if (rt->ternary_window(*h).from <= from) return false;
@@ -209,8 +207,8 @@ void fill_shadow_transaction(Transaction& txn, const RuleDiff& diff,
       if (retiring_exact.count({op.control, op.table, op.key}) > 0) continue;
       bool live = false;
       for (sim::RuntimeTable* rt : resolve_op(dp, op)) {
-        const auto* e = rt->find_exact(op.key);
-        live |= e != nullptr && e->window.from <= from;
+        const auto e = rt->find_exact(op.key);
+        live |= e && e->window.from <= from;
       }
       if (!live) continue;
       if (op.control.empty()) {
@@ -635,11 +633,11 @@ RuleDiff routing_rule_diff(const route::RoutingPlan& from,
       // only skip when the switch really holds the desired rule.
       sim::RuntimeTable* t =
           dp.table_in(std::get<0>(key), merge::kBranchingTable);
-      const sim::RuntimeTable::ExactEntry* live =
+      const auto live =
           t != nullptr
               ? t->find_exact({std::get<1>(key), std::get<2>(key)})
-              : nullptr;
-      if (live != nullptr && live->action == action) continue;
+              : std::nullopt;
+      if (live && live->action == action) continue;
     }
     RuleOp op;
     op.control = std::get<0>(key);
@@ -681,7 +679,7 @@ RuleDiff routing_rule_diff(const route::RoutingPlan& from,
       bool live_everywhere = true;
       for (sim::RuntimeTable* t :
            dp.tables_named(merge::check_next_nf_table(r.nf))) {
-        live_everywhere &= t->find_exact(check_key(r)) != nullptr;
+        live_everywhere &= t->find_exact(check_key(r)).has_value();
       }
       if (live_everywhere) continue;
     }
@@ -700,10 +698,10 @@ RuleDiff routing_rule_diff(const route::RoutingPlan& from,
     if (op.install) return false;
     if (!op.control.empty()) {
       sim::RuntimeTable* t = dp.table_in(op.control, op.table);
-      return t == nullptr || t->find_exact(op.key) == nullptr;
+      return t == nullptr || !t->find_exact(op.key);
     }
     for (sim::RuntimeTable* t : dp.tables_named(op.table)) {
-      if (t->find_exact(op.key) != nullptr) return false;
+      if (t->find_exact(op.key)) return false;
     }
     return true;
   });

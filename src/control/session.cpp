@@ -361,17 +361,13 @@ AckMsg SwitchAgent::apply_reconcile(const WriteCommand& cmd) {
   // Atomicity by pre-image: any failing op restores the snapshot taken
   // before the first op, so no torn reconcile is ever visible.
   Snapshot pre = take_snapshot(*dp_);
-  // The table an add targets, once its action passes Transaction's
-  // check: an entry the interpreter would throw on never lands.
-  auto installable = [this](const ReconcileOp& op) {
+  // The table an add targets. Its install refuses an action the table
+  // cannot run (RuntimeTable::action_error), like any other install.
+  auto target = [this](const ReconcileOp& op) {
     sim::RuntimeTable* rt = dp_->table_in(op.control, op.table);
     if (rt == nullptr) {
       throw std::invalid_argument("unknown table " + op.control + "/" +
                                   op.table);
-    }
-    const std::string bad = action_error(dp_->program(), rt->def(), op.action);
-    if (!bad.empty()) {
-      throw std::invalid_argument(op.control + "/" + op.table + ": " + bad);
     }
     return rt;
   };
@@ -379,7 +375,7 @@ AckMsg SwitchAgent::apply_reconcile(const WriteCommand& cmd) {
     for (const ReconcileOp& op : cmd.recon) {
       switch (op.kind) {
         case ReconcileOp::Kind::kAddExact:
-          installable(op)->add_exact(op.key, op.action, op.window);
+          target(op)->add_exact(op.key, op.action, op.window);
           break;
         case ReconcileOp::Kind::kRemoveExact: {
           sim::RuntimeTable* rt = dp_->table_in(op.control, op.table);
@@ -387,8 +383,8 @@ AckMsg SwitchAgent::apply_reconcile(const WriteCommand& cmd) {
           break;
         }
         case ReconcileOp::Kind::kAddTernary:
-          installable(op)->add_ternary(op.tkey, op.priority, op.action,
-                                       op.window);
+          target(op)->add_ternary(op.tkey, op.priority, op.action,
+                                  op.window);
           break;
         case ReconcileOp::Kind::kRemoveTernary: {
           sim::RuntimeTable* rt = dp_->table_in(op.control, op.table);

@@ -148,14 +148,28 @@ std::vector<std::string> restore_snapshot(const Snapshot& snapshot,
       }
       continue;
     }
+    // Exact entries first, then ternary: true for each one to restore.
+    std::vector<bool> runnable;
+    auto check = [&](const sim::ActionCall& action) {
+      const std::string bad = rt->action_error(action);
+      if (!bad.empty()) {
+        missing.push_back(state.control + "/" + state.table + ": " + bad);
+      }
+      runnable.push_back(bad.empty());
+    };
+    for (const auto& e : state.exact) check(e.action);
+    for (const auto& e : state.ternary) check(e.value);
     rt->clear();
-    for (const auto& e : state.exact) rt->add_exact(e.key, e.action, e.window);
+    std::size_t n = 0;
+    for (const auto& e : state.exact) {
+      if (runnable[n++]) rt->add_exact(e.key, e.action, e.window);
+    }
     for (std::size_t i = 0; i < state.ternary.size(); ++i) {
       const auto& e = state.ternary[i];
       const sim::EpochWindow window = i < state.ternary_windows.size()
                                           ? state.ternary_windows[i]
                                           : sim::EpochWindow{};
-      rt->add_ternary(e.key, e.priority, e.value, window);
+      if (runnable[n++]) rt->add_ternary(e.key, e.priority, e.value, window);
     }
   }
   for (const Snapshot::RegisterState& state : snapshot.registers) {

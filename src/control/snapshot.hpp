@@ -52,7 +52,10 @@ Snapshot take_snapshot(sim::DataPlane& dp);
 /// Replay a snapshot into a data plane. Tables/registers missing from
 /// the target are reported in the returned list (e.g. an upgrade that
 /// removed an NF); matching tables are cleared first, then refilled.
-/// Entries that no longer fit (smaller tables after the upgrade) throw.
+/// Entries whose action the target table cannot run
+/// (RuntimeTable::action_error) are reported as "control/table: why"
+/// and left out, checked before their table is cleared. Entries that
+/// no longer fit (smaller tables after the upgrade) throw.
 std::vector<std::string> restore_snapshot(const Snapshot& snapshot,
                                           sim::DataPlane& dp);
 

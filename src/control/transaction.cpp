@@ -1,7 +1,7 @@
 #include "control/transaction.hpp"
 
-#include <algorithm>
 #include <map>
+#include <optional>
 #include <stdexcept>
 
 namespace dejavu::control {
@@ -182,34 +182,6 @@ std::string ternary_identity(const std::vector<net::TernaryField>& key,
 
 }  // namespace
 
-std::string action_error(const p4ir::Program& program,
-                         const p4ir::Table& table,
-                         const sim::ActionCall& call) {
-  if (std::find(table.actions.begin(), table.actions.end(), call.action) ==
-      table.actions.end()) {
-    return "action '" + call.action + "' is not bound to the table";
-  }
-  const p4ir::Action* action = nullptr;
-  for (const p4ir::ControlBlock& control : program.controls()) {
-    if (control.find_table(table.name) == &table) {
-      action = control.find_action(call.action);
-    }
-  }
-  if (action == nullptr) {
-    return "action '" + call.action + "' is not defined";
-  }
-  for (const p4ir::Action::Param& param : action->params) {
-    if (!call.args.contains(param.name)) {
-      return "action '" + call.action + "' is missing argument '" +
-             param.name + "'";
-    }
-  }
-  if (call.args.size() != action->params.size()) {
-    return "action '" + call.action + "' given arguments it does not take";
-  }
-  return "";
-}
-
 std::string Transaction::validate() const {
   // Net installs queued per table instance, for the capacity check.
   std::map<const sim::RuntimeTable*, std::size_t> pending;
@@ -245,7 +217,7 @@ std::string Transaction::validate() const {
       if (op.kind == OpKind::kInstallExact ||
           op.kind == OpKind::kInstallTernary ||
           op.kind == OpKind::kInstallLpm) {
-        const std::string bad = action_error(dp_->program(), def, op.action);
+        const std::string bad = t->action_error(op.action);
         if (!bad.empty()) return op.describe() + ": " + bad;
       }
       switch (op.kind) {
@@ -258,21 +230,19 @@ std::string Transaction::validate() const {
             return op.describe() + ": malformed epoch window";
           }
           bool overwrite = false;
-          if (const auto* versions = t->exact_versions(op.exact_key)) {
-            const auto cap = capped_exact.find({t, op.exact_key});
-            for (const auto& v : *versions) {
-              sim::EpochWindow w = v.window;
-              if (w.open() && cap != capped_exact.end() &&
-                  w.from <= cap->second) {
-                w.to = cap->second;  // an earlier retire closes it
-              }
-              if (v.window == op.window) {
-                overwrite = true;
-              } else if (w.overlaps(op.window)) {
-                return op.describe() +
-                       ": epoch window overlaps an installed version (a "
-                       "packet could see two generations)";
-              }
+          const auto cap = capped_exact.find({t, op.exact_key});
+          for (const auto& v : t->exact_versions(op.exact_key)) {
+            sim::EpochWindow w = v.window;
+            if (w.open() && cap != capped_exact.end() &&
+                w.from <= cap->second) {
+              w.to = cap->second;  // an earlier retire closes it
+            }
+            if (v.window == op.window) {
+              overwrite = true;
+            } else if (w.overlaps(op.window)) {
+              return op.describe() +
+                     ": epoch window overlaps an installed version (a "
+                     "packet could see two generations)";
             }
           }
           if (!overwrite) ++pending[t];
@@ -348,7 +318,7 @@ std::string Transaction::validate() const {
     if (op.kind == OpKind::kRemoveExact) {
       bool found = false;
       for (sim::RuntimeTable* t : instances) {
-        if (t->find_exact(op.exact_key) != nullptr) found = true;
+        if (t->find_exact(op.exact_key)) found = true;
       }
       if (!found) return op.describe() + ": entry not installed";
     }
@@ -368,8 +338,8 @@ std::string Transaction::validate() const {
     if (op.kind == OpKind::kRetireExact) {
       bool found = false;
       for (sim::RuntimeTable* t : instances) {
-        const auto* live = t->find_exact(op.exact_key);
-        if (live != nullptr && live->window.from <= op.last_epoch) {
+        const auto live = t->find_exact(op.exact_key);
+        if (live && live->window.from <= op.last_epoch) {
           found = true;
           capped_exact[{t, op.exact_key}] = op.last_epoch;
         }
@@ -423,15 +393,13 @@ void Transaction::apply(const Op& op, std::vector<UndoEntry>& undo) {
         u.target = t;
         u.exact_key = op.exact_key;
         u.window = op.window;
-        const sim::RuntimeTable::ExactEntry* old = nullptr;
-        if (const auto* versions = t->exact_versions(op.exact_key)) {
-          for (const auto& v : *versions) {
-            if (v.window == op.window) old = &v;
-          }
+        std::optional<sim::ActionCall> old;
+        for (const auto& v : t->exact_versions(op.exact_key)) {
+          if (v.window == op.window) old = v.action;
         }
-        if (old != nullptr) {
+        if (old) {
           u.kind = UndoEntry::Kind::kReinstallExact;
-          u.action = old->action;
+          u.action = std::move(*old);
         } else {
           u.kind = UndoEntry::Kind::kRemoveExact;
         }
@@ -458,8 +426,8 @@ void Transaction::apply(const Op& op, std::vector<UndoEntry>& undo) {
         break;
       }
       case OpKind::kRemoveExact: {
-        const auto* old = t->find_exact(op.exact_key);
-        if (old == nullptr) break;  // replica without the entry
+        const auto old = t->find_exact(op.exact_key);
+        if (!old) break;  // replica without the entry
         UndoEntry u;
         u.kind = UndoEntry::Kind::kReinstallExact;
         u.target = t;
@@ -488,8 +456,8 @@ void Transaction::apply(const Op& op, std::vector<UndoEntry>& undo) {
         break;
       }
       case OpKind::kRetireExact: {
-        const auto* live = t->find_exact(op.exact_key);
-        if (live == nullptr || live->window.from > op.last_epoch) {
+        const auto live = t->find_exact(op.exact_key);
+        if (!live || live->window.from > op.last_epoch) {
           break;  // replica without a live version old enough
         }
         if (!t->retire_exact(op.exact_key, op.last_epoch)) {

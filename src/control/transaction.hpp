@@ -26,15 +26,6 @@
 
 namespace dejavu::control {
 
-/// Why `call` cannot be bound to entries of `table` ("" when it can):
-/// the action must be one the table declares, defined in the control
-/// that owns the table, and given exactly that action's parameters.
-/// An entry failing this would make the interpreter throw on its first
-/// hit and the compiled engine refuse to lower it.
-std::string action_error(const p4ir::Program& program,
-                         const p4ir::Table& table,
-                         const sim::ActionCall& call);
-
 /// A batched, all-or-nothing rule update against one data plane.
 /// Queue ops, then commit() once; a Transaction is single-use.
 /// Like ControlPlane, a table name addresses *every* instance of the

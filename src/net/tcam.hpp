@@ -42,11 +42,12 @@ class Tcam {
   /// All installed entries in match-priority order (for state export).
   const std::vector<Entry>& entries() const { return entries_; }
 
-  /// Mutable access to one entry by handle, or nullptr. Exists for the
-  /// fault model (sim's state-corruption lane flips bits in place, the
-  /// way an SRAM/TCAM upset would); control-plane code must go through
-  /// insert()/erase() so priority order stays maintained. Mutating the
-  /// priority through this pointer does NOT re-sort; call resort().
+  /// Mutable access to one entry by handle, or nullptr: for in-place
+  /// value updates, and for the fault model (sim's state-corruption
+  /// lane flips bits in place, the way an SRAM/TCAM upset would).
+  /// Adding or removing entries must go through insert()/erase() so
+  /// priority order stays maintained. Mutating the priority through
+  /// this pointer does NOT re-sort; call resort().
   Entry* mutable_entry(std::size_t handle) {
     auto it = std::find_if(entries_.begin(), entries_.end(),
                            [&](const Entry& e) { return e.handle == handle; });

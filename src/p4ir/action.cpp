@@ -100,6 +100,13 @@ const Action::Param* Action::find_param(const std::string& param_name) const {
   return it == params.end() ? nullptr : &*it;
 }
 
+std::optional<std::size_t> Action::param_index(
+    const std::string& param_name) const {
+  const Param* param = find_param(param_name);
+  if (param == nullptr) return std::nullopt;
+  return static_cast<std::size_t>(param - params.data());
+}
+
 Primitive set_imm(std::string dst, std::uint64_t imm) {
   Primitive p;
   p.op = PrimitiveOp::kSetImmediate;

@@ -83,6 +83,9 @@ struct Action {
   std::uint32_t vliw_slots() const;
 
   const Param* find_param(const std::string& param_name) const;
+  /// Position of `param_name` in params: the slot an installed entry's
+  /// argument for it occupies.
+  std::optional<std::size_t> param_index(const std::string& param_name) const;
 
   bool operator==(const Action&) const = default;
 };

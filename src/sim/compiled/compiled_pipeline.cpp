@@ -27,15 +27,6 @@ std::uint64_t shape_extend(std::uint64_t hash, std::uint16_t header) {
   return (hash ^ (std::uint64_t{header} + 1)) * kFnvPrime;
 }
 
-// Out of line and cold on purpose: a recompile looks up every installed
-// entry's arguments, and keeping the string building out of that lookup
-// lets the compiler inline it (about 8% of a churn recompile on g++ 12).
-[[gnu::noinline, gnu::cold]] std::string missing_arg_error(
-    const std::string& action, const std::string& param) {
-  return "action '" + action + "' installed without argument '" + param +
-         "'";
-}
-
 }  // namespace
 
 bool semantically_equal(const SwitchOutput& a, const SwitchOutput& b) {
@@ -68,12 +59,12 @@ CompiledPipeline::CompiledPipeline(DataPlane& dp, CompileSeed seed)
 }
 
 bool CompiledPipeline::recompile() {
-  attempted_ = true;
   attempted_epoch_ = dp_->epoch();
   std::string err;
   compiled_ok_ = compile(&err);
   if (compiled_ok_) {
     ++stats_.full_compiles;
+    ++generation_;
     compile_error_.clear();
   } else {
     ++stats_.failed_compiles;
@@ -82,147 +73,29 @@ bool CompiledPipeline::recompile() {
   return compiled_ok_;
 }
 
-void CompiledPipeline::quarantine() {
-  ++stats_.quarantines;
-  // Drop the compiled snapshot AND the failed-compile latch: the next
-  // packet's ensure_valid() must recompile from post-repair state even
-  // if the epoch never moved.
-  compiled_ok_ = false;
-  attempted_ = false;
-  compile_error_ = "quarantined by state auditor";
-}
-
 bool CompiledPipeline::ensure_valid() {
-  if (compiled_ok_) {
-    if (compiled_epoch_ == dp_->epoch()) {
-      bool stale = false;
-      for (const Watch& w : revisions_) {
-        if (w.rt->revision() != w.revision) {
-          stale = true;
-          break;
-        }
-      }
-      if (!stale) return true;
-      if (patch()) {
-        ++stats_.patches;
-        return true;
-      }
-    }
+  if (!compiled_ok_) {
+    // A failed compile (uncompilable construct) rarely heals on rule
+    // churn alone; retry only when the generation moves, and stay on
+    // the always-correct interpreter otherwise.
+    if (attempted_epoch_ == dp_->epoch()) return false;
     return recompile();
   }
-  // A failed compile (uncompilable construct) rarely heals on rule
-  // churn alone; retry only when the generation moves, and stay on the
-  // always-correct interpreter otherwise.
-  if (attempted_ && attempted_epoch_ == dp_->epoch()) return false;
-  return recompile();
-}
-
-bool CompiledPipeline::patch() {
-  std::string err;
+  bool moved = seen_epoch_ != dp_->epoch();
   for (Watch& w : revisions_) {
-    const std::uint64_t since = w.revision;
-    w.revision = w.rt->revision();
-    if (w.revision == since) continue;
-    TableC& t = *w.table;
-    if (t.keyless) continue;  // never lowers entries
-    // Exact table with an intact log: drop every touched key's lowered
-    // entry first (so the bodies freed here are reused below), then
-    // re-lower the version the compiled epoch now sees.
-    const bool by_key =
-        !t.is_tcam &&
-        w.rt->changes_since(since, [&](const std::vector<std::uint64_t>& key) {
-          if (auto it = t.exact.find(ExactKey::of(key)); it != t.exact.end()) {
-            release_action(it->second);
-            t.exact.erase(it);
-          }
-        });
-    bool ok = true;
-    if (by_key) {
-      w.rt->changes_since(since, [&](const std::vector<std::uint64_t>& key) {
-        if (!ok) return;
-        if (const auto* entry = w.rt->find_exact(key, compiled_epoch_)) {
-          ok = lower_exact(t, *entry, &err);
-        }
-      });
-    } else {
-      clear_entries(t);
-      ok = lower_entries(t, &err);
+    if (w.rt->revision() != w.revision) {
+      w.revision = w.rt->revision();
+      moved = true;
     }
-    if (!ok) return false;
   }
-  if (ops_free_.bloated(ops_.size()) || hash_free_.bloated(hash_srcs_.size()) ||
-      vm_free_.bloated(vm_.size())) {
-    return false;
+  if (moved) {
+    seen_epoch_ = dp_->epoch();
+    ++generation_;
   }
-  size_scratch();  // a patched body may use a new local.* slot
   return true;
 }
 
 // --- compilation -----------------------------------------------------
-
-template <typename T>
-std::uint32_t CompiledPipeline::FreeSlices::place(std::vector<T>& arena,
-                                                  const std::vector<T>& body) {
-  const auto count = static_cast<std::uint32_t>(body.size());
-  if (auto it = by_len.find(count); it != by_len.end() && !it->second.empty()) {
-    const std::uint32_t begin = it->second.back();
-    it->second.pop_back();
-    dead -= count;
-    std::copy(body.begin(), body.end(), arena.begin() + begin);
-    return begin;
-  }
-  const auto begin = static_cast<std::uint32_t>(arena.size());
-  arena.insert(arena.end(), body.begin(), body.end());
-  return begin;
-}
-
-void CompiledPipeline::FreeSlices::release(std::uint32_t begin,
-                                           std::uint32_t count) {
-  if (count == 0) return;
-  by_len[count].push_back(begin);
-  dead += count;
-}
-
-std::uint64_t CompiledPipeline::body_hash(const OpC* ops,
-                                          std::uint32_t count) {
-  // Field by field (OpC has padding); equality is checked on a hit, so
-  // this needs only to tell typical bodies apart.
-  std::uint64_t h = kFnvOffset;
-  auto mix = [&h](std::uint64_t v) { h = (h ^ v) * kFnvPrime; };
-  auto mix_ref = [&](const FieldRefC& f) {
-    mix(static_cast<std::uint64_t>(f.space) << 56 |
-        static_cast<std::uint64_t>(f.meta) << 48 |
-        std::uint64_t{f.header} << 32 | f.bit_off);
-    mix(std::uint64_t{f.local_slot} << 16 | f.bits);
-  };
-  for (const OpC* op = ops; op != ops + count; ++op) {
-    mix(static_cast<std::uint64_t>(op->op));
-    mix_ref(op->dst);
-    mix_ref(op->src);
-    mix_ref(op->vsrc);
-    mix(op->imm);
-    mix(std::uint64_t{op->ctx_key} << 16 | op->ctx_value);
-    mix(reinterpret_cast<std::uintptr_t>(op->reg));
-    mix(std::uint64_t{op->hash_begin} << 32 | op->hash_count);
-  }
-  return h;
-}
-
-void CompiledPipeline::release_action(ActionRef ref) {
-  if (ref.count == 0) return;
-  auto it = bodies_.find(body_hash(&ops_[ref.begin], ref.count));
-  if (it != bodies_.end() && it->second.ref.begin == ref.begin) {
-    if (--it->second.users > 0) return;
-    bodies_.erase(it);
-  }
-  for (std::uint32_t i = 0; i < ref.count; ++i) {
-    const OpC& op = ops_[ref.begin + i];
-    if (op.op == p4ir::PrimitiveOp::kHash) {
-      hash_free_.release(op.hash_begin, op.hash_count);
-    }
-  }
-  ops_free_.release(ref.begin, ref.count);
-}
 
 CompiledPipeline::FieldRefC CompiledPipeline::resolve_header_field(
     const std::string& dotted) const {
@@ -290,29 +163,16 @@ void CompiledPipeline::mark_parse_selectors() {
 }
 
 bool CompiledPipeline::compile_action(const p4ir::ControlBlock& control,
-                                      const ActionCall& call, ActionRef& out,
-                                      std::string* err) {
-  out = ActionRef{};
-  if (call.action.empty()) return true;
-  const p4ir::Action* action = control.find_action(call.action);
-  if (action == nullptr) {
-    *err = "action '" + call.action + "' not defined in control '" +
-           control.name() + "'";
-    return false;
-  }
-  auto arg = [&](const std::string& param,
-                 std::uint64_t* value) -> bool {
-    auto it = call.args.find(param);
-    if (it == call.args.end()) {
-      *err = missing_arg_error(call.action, param);
-      return false;
-    }
-    *value = it->second;
-    return true;
+                                      const p4ir::Action& action,
+                                      ActionRef& out, std::string* err) {
+  // The store refuses any entry of an action that reads an undeclared
+  // param (RuntimeTable::action_error), so such a slot is never read.
+  auto slot = [&](const std::string& param) {
+    return static_cast<std::uint16_t>(action.param_index(param).value_or(0));
   };
 
-  op_scratch_.clear();
-  for (const p4ir::Primitive& p : action->primitives) {
+  out.begin = static_cast<std::uint32_t>(ops_.size());
+  for (const p4ir::Primitive& p : action.primitives) {
     OpC op;
     op.op = p.op;
     switch (p.op) {
@@ -327,7 +187,7 @@ bool CompiledPipeline::compile_action(const p4ir::ControlBlock& control,
         break;
       case p4ir::PrimitiveOp::kSetFromParam:
         op.dst = resolve_field(p.dst);
-        if (!arg(p.param, &op.imm)) return false;
+        op.arg = slot(p.param);
         break;
       case p4ir::PrimitiveOp::kCopy:
         op.dst = resolve_field(p.dst);
@@ -339,25 +199,21 @@ bool CompiledPipeline::compile_action(const p4ir::ControlBlock& control,
         break;
       case p4ir::PrimitiveOp::kHash: {
         op.dst = resolve_field(p.dst);
-        hash_scratch_.clear();
+        op.hash_begin = static_cast<std::uint32_t>(hash_srcs_.size());
         for (const std::string& src : p.srcs) {
           HashSrc hs;
           hs.ref = resolve_field(src);
           const auto bits = dp_->program().field_bits(src).value_or(32);
           hs.bytes = static_cast<std::uint8_t>((bits + 7) / 8);
-          hash_scratch_.push_back(hs);
+          hash_srcs_.push_back(hs);
         }
-        op.hash_begin = hash_free_.place(hash_srcs_, hash_scratch_);
         op.hash_count = static_cast<std::uint32_t>(p.srcs.size());
         break;
       }
-      case p4ir::PrimitiveOp::kSetContext: {
+      case p4ir::PrimitiveOp::kSetContext:
         op.ctx_key = static_cast<std::uint8_t>(p.imm);
-        std::uint64_t v = 0;
-        if (!arg(p.param, &v)) return false;
-        op.ctx_value = static_cast<std::uint16_t>(v);
+        op.arg = slot(p.param);
         break;
-      }
       case p4ir::PrimitiveOp::kRegisterRead:
       case p4ir::PrimitiveOp::kRegisterAdd:
       case p4ir::PrimitiveOp::kRegisterWrite: {
@@ -365,7 +221,7 @@ bool CompiledPipeline::compile_action(const p4ir::ControlBlock& control,
         std::vector<std::uint64_t>* cells =
             dp_->register_array(control.name(), p.param);
         if (def == nullptr || cells == nullptr) {
-          *err = "action '" + call.action + "' uses unknown register '" +
+          *err = "action '" + action.name + "' uses unknown register '" +
                  p.param + "'";
           return false;
         }
@@ -390,25 +246,9 @@ bool CompiledPipeline::compile_action(const p4ir::ControlBlock& control,
         break;
       }
     }
-    op_scratch_.push_back(op);
+    ops_.push_back(op);
   }
-  out.count = static_cast<std::uint32_t>(op_scratch_.size());
-  if (out.count == 0) return true;
-  // Share an identical live body. A body holding a kHash op never
-  // matches: its hash_srcs_ slice was just placed, so no live body
-  // can point at it.
-  auto [it, fresh] =
-      bodies_.try_emplace(body_hash(op_scratch_.data(), out.count));
-  SharedBody& shared = it->second;
-  if (!fresh && shared.ref.count == out.count &&
-      std::equal(op_scratch_.begin(), op_scratch_.end(),
-                 ops_.begin() + shared.ref.begin)) {
-    ++shared.users;
-    out = shared.ref;
-    return true;
-  }
-  out.begin = ops_free_.place(ops_, op_scratch_);
-  if (fresh) shared = SharedBody{out, 1};
+  out.count = static_cast<std::uint32_t>(ops_.size()) - out.begin;
   return true;
 }
 
@@ -462,80 +302,21 @@ bool CompiledPipeline::compile_control(const std::string& control_name,
     }
     TableC& t = cc.tables[idx];
     t.rt = rt;
-    t.cb = cb;
-    t.keyless = def->keyless();
-    t.is_tcam = def->needs_tcam();
-    if (def->keys.size() > kMaxKeyArity) {
-      *err = "table '" + tname + "' key arity exceeds compiled limit";
-      return false;
-    }
     t.key_begin = static_cast<std::uint32_t>(key_refs_.size());
     t.key_count = static_cast<std::uint32_t>(def->keys.size());
     for (const p4ir::TableKey& k : def->keys) {
       key_refs_.push_back(resolve_field(k.field));
     }
-    if (!compile_action(*cb, ActionCall{def->default_action, {}},
-                        t.default_action, err) ||
-        !lower_entries(t, err)) {
+  }
+
+  // One body per action, whatever the tables hold.
+  cc.bodies.resize(cb->actions().size());
+  for (std::size_t i = 0; i < cb->actions().size(); ++i) {
+    if (!compile_action(*cb, cb->actions()[i], cc.bodies[i], err)) {
       return false;
     }
   }
   return true;
-}
-
-bool CompiledPipeline::lower_exact(TableC& t,
-                                   const RuntimeTable::ExactEntry& entry,
-                                   std::string* err) {
-  if (entry.key.size() != t.key_count) {
-    *err = "installed key arity mismatch in table '" + t.rt->def().name + "'";
-    return false;
-  }
-  const ExactKey k = ExactKey::of(entry.key);
-  // The first visible version wins, as in RuntimeTable::find_exact.
-  if (t.exact.contains(k)) return true;
-  ActionRef ar;
-  if (!compile_action(*t.cb, entry.action, ar, err)) return false;
-  t.exact.emplace(k, ar);
-  return true;
-}
-
-bool CompiledPipeline::lower_entries(TableC& t, std::string* err) {
-  const RuntimeTable& rt = *t.rt;
-  if (t.is_tcam) {
-    for (const auto& entry : rt.ternary_entries()) {
-      if (!rt.ternary_window(entry.handle).contains(compiled_epoch_)) {
-        continue;
-      }
-      vm_scratch_.clear();
-      for (const net::TernaryField& tf : entry.key) {
-        vm_scratch_.push_back({tf.value & tf.mask, tf.mask});
-      }
-      TernEntryC te;
-      te.vm_begin = vm_free_.place(vm_, vm_scratch_);
-      te.vm_count = static_cast<std::uint32_t>(vm_scratch_.size());
-      if (!compile_action(*t.cb, entry.value, te.action, err)) return false;
-      t.tern.push_back(te);
-    }
-    return true;
-  }
-  if (t.keyless) return true;
-  bool ok = true;
-  rt.for_each_exact([&](const RuntimeTable::ExactEntry& entry) {
-    if (ok && entry.window.contains(compiled_epoch_)) {
-      ok = lower_exact(t, entry, err);
-    }
-  });
-  return ok;
-}
-
-void CompiledPipeline::clear_entries(TableC& t) {
-  for (const auto& [key, action] : t.exact) release_action(action);
-  for (const TernEntryC& te : t.tern) {
-    vm_free_.release(te.vm_begin, te.vm_count);
-    release_action(te.action);
-  }
-  t.exact.clear();
-  t.tern.clear();
 }
 
 bool CompiledPipeline::compile(std::string* err) {
@@ -546,11 +327,6 @@ bool CompiledPipeline::compile(std::string* err) {
   hash_srcs_.clear();
   key_refs_.clear();
   guard_tables_.clear();
-  vm_.clear();
-  ops_free_ = {};
-  bodies_.clear();
-  hash_free_ = {};
-  vm_free_ = {};
   shapes_.clear();
   header_index_.clear();
   local_index_.clear();
@@ -562,7 +338,7 @@ bool CompiledPipeline::compile(std::string* err) {
   parse_start_ = 0;
 
   const p4ir::Program& program = dp_->program();
-  compiled_epoch_ = dp_->epoch();
+  seen_epoch_ = dp_->epoch();
 
   for (const p4ir::HeaderType& h : program.header_types()) {
     header_index_.try_emplace(h.name,
@@ -650,10 +426,10 @@ bool CompiledPipeline::compile(std::string* err) {
     }
   }
 
-  // Invalidation snapshot: every table the compiled program can read.
-  for (ControlC& cc : controls_) {
-    for (TableC& t : cc.tables) {
-      revisions_.push_back({t.rt, t.rt->revision(), &t});
+  // Every table the compiled program reads, for generation().
+  for (const ControlC& cc : controls_) {
+    for (const TableC& t : cc.tables) {
+      revisions_.push_back({t.rt, t.rt->revision()});
     }
   }
   size_scratch();
@@ -852,7 +628,8 @@ void CompiledPipeline::write_field(const FieldRefC& f, std::uint64_t value,
   }
 }
 
-void CompiledPipeline::run_action(ActionRef ref, net::Packet& packet,
+void CompiledPipeline::run_action(ActionRef ref, const std::uint64_t* args,
+                                  net::Packet& packet,
                                   StandardMetadata& meta) {
   for (std::uint32_t i = 0; i < ref.count; ++i) {
     const OpC& op = ops_[ref.begin + i];
@@ -860,8 +637,10 @@ void CompiledPipeline::run_action(ActionRef ref, net::Packet& packet,
       case p4ir::PrimitiveOp::kNoop:
         break;
       case p4ir::PrimitiveOp::kSetImmediate:
-      case p4ir::PrimitiveOp::kSetFromParam:
         write_field(op.dst, op.imm, packet, meta);
+        break;
+      case p4ir::PrimitiveOp::kSetFromParam:
+        write_field(op.dst, args[op.arg], packet, meta);
         break;
       case p4ir::PrimitiveOp::kCopy: {
         auto v = read_field(op.src, packet, meta);
@@ -906,7 +685,8 @@ void CompiledPipeline::run_action(ActionRef ref, net::Packet& packet,
       case p4ir::PrimitiveOp::kSetContext: {
         auto header = sfc::read_sfc(packet);
         if (header) {
-          header->context.set(op.ctx_key, op.ctx_value);
+          header->context.set(op.ctx_key,
+                              static_cast<std::uint16_t>(args[op.arg]));
           sfc::write_sfc(packet, *header);
           if (sfc_affects_parse_) parse_dirty_ = true;
         }
@@ -997,56 +777,27 @@ void CompiledPipeline::run_control(const ControlC& cc, net::Packet& packet,
       continue;
     }
 
+    // A key field the packet lacks is a miss: the default action runs.
     const TableC& t = cc.tables[e.table];
-    ActionRef act = t.default_action;
-    bool hit = false;
-    if (t.keyless) {
-      hit = true;
-    } else {
-      ExactKey k;
-      k.n = static_cast<std::uint8_t>(t.key_count);
-      bool missing = false;
-      for (std::uint32_t i = 0; i < t.key_count; ++i) {
-        auto v = read_field(key_refs_[t.key_begin + i], packet, meta);
-        if (!v) {
-          missing = true;
-          break;
-        }
-        k.v[i] = *v;
-      }
-      // A key field the packet lacks is a miss: the default action runs.
-      if (!missing) {
-        if (t.is_tcam) {
-          for (const TernEntryC& te : t.tern) {
-            bool match = true;
-            for (std::uint32_t j = 0; j < te.vm_count; ++j) {
-              const auto& [value, mask] = vm_[te.vm_begin + j];
-              if ((k.v[j] & mask) != value) {
-                match = false;
-                break;
-              }
-            }
-            if (match) {
-              hit = true;
-              act = te.action;
-              break;
-            }
-          }
-        } else if (auto it = t.exact.find(k); it != t.exact.end()) {
-          hit = true;
-          act = it->second;
-        }
-      }
+    ExactKey key;
+    key.n = static_cast<std::uint8_t>(t.key_count);
+    bool complete = true;
+    for (std::uint32_t i = 0; complete && i < t.key_count; ++i) {
+      const auto v = read_field(key_refs_[t.key_begin + i], packet, meta);
+      complete = v.has_value();
+      if (complete) key.v[i] = *v;
     }
-
-    t.rt->record_lookup(hit);
-    hit_val_[e.table] = hit ? 1 : 0;
+    const RuntimeTable::Match match =
+        t.rt->probe(complete ? &key : nullptr, meta.epoch);
+    hit_val_[e.table] = match.hit ? 1 : 0;
     hit_stamp_[e.table] = pass_token_;
     if (e.branch >= 0 && taken_branch < 0) {
       branch_checked_stamp_[e.branch] = pass_token_;
-      if (hit) taken_branch = e.branch;
+      if (match.hit) taken_branch = e.branch;
     }
-    if (act.count > 0) run_action(act, packet, meta);
+    if (match.action != kNoAction) {
+      run_action(cc.bodies[match.action], match.args, packet, meta);
+    }
   }
 }
 

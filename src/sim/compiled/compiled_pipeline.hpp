@@ -1,13 +1,19 @@
-// The compiled fast path (DESIGN.md §12): lower a deployed chain —
-// merged parser graph, per-pipelet match-action tables with their
-// installed rules, resubmit/recirc disposition — into flat dispatch
-// arrays executed over a reusable, zero-heap-allocation per-packet
-// scratch state. This is the reproduction's stand-in for the ASIC's
-// compiled pipeline: the generic interpreter (sim::DataPlane::process)
-// re-parses dotted field names, rebuilds parse results, and copies
-// ActionCall maps on every packet; the compiled form resolves all of
-// that once, at compile time, against the *currently installed* rules
-// and the *current* chain generation.
+// The compiled fast path (DESIGN.md §12): lower a deployed chain's
+// program — merged parser graph, per-pipelet controls and every action
+// their tables can run, resubmit/recirc disposition — into flat
+// dispatch arrays executed over a reusable, zero-heap-allocation
+// per-packet scratch state. This is the reproduction's stand-in for the
+// ASIC's compiled pipeline: the generic interpreter
+// (sim::DataPlane::process) re-parses dotted field names and rebuilds
+// parse results on every packet; the compiled form resolves all of
+// that once, at compile time.
+//
+// Rules are not lowered. As on the ASIC, where the controller writes a
+// table entry once and the compiled pipeline matches against that same
+// memory, a table apply calls RuntimeTable::probe — the epoch-filtered,
+// hit-counting lookup the interpreter calls — with the packet's epoch,
+// and runs the matched action's lowered body over the entry's
+// arguments, which the store bound in param order at install time.
 //
 // Semantics contract: for every packet the compiled engine accepts, the
 // outcome is bit-identical to the interpreter — same SwitchOutput
@@ -25,29 +31,15 @@
 //     witness disagreement) — the engine degrades to a pure
 //     interpreter shim rather than guess.
 //
-// Invalidation contract: the lowered program (parser, controls,
-// default actions) depends only on the program and the epoch; table
-// contents are patched in place. Compilation snapshots every lowered
-// RuntimeTable's revision() and the dataplane's epoch, and each packet
-// revalidates the snapshot first:
-//   - epoch moved (a live-update flip), quarantine(), or no compile
-//     yet: full compile of everything;
-//   - only revisions moved (a Transaction commit, LB session
-//     learning, a ChainRepair swap): patch. An exact table whose
-//     change log (RuntimeTable::changes_since) names the touched keys
-//     re-lowers just those keys, as find_exact(key, epoch) now sees
-//     them; any other stale table (ternary/LPM, gc, clear, log
-//     overflow) is re-lowered whole. Entries whose actions lower to
-//     the same ops share one body; a body freed by its last entry is
-//     reused by later lowerings of its length. If dead slices ever
-//     outweigh live ones, or a patch fails to lower an entry, the
-//     patch becomes a full compile.
-// Either way the packet runs on the current rules (or falls back if
-// they cannot be lowered), so a retired generation is never served.
-// generation() moves once per successful full compile or patch.
+// Invalidation contract: the lowered program depends only on the
+// program, which a DataPlane never swaps, so it is compiled once.
+// Installs, removals, epoch flips and even silent corruption are seen
+// by the next probe with nothing to patch. generation() still moves,
+// once, on the first packet after the epoch or any read table's
+// revision() moved, so callers can tell a rule or generation change
+// reached the fast path.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -80,11 +72,9 @@ struct CompiledStats {
   std::uint64_t compiled_packets = 0;  ///< ran fully on the fast path
   std::uint64_t fallback_packets = 0;  ///< delegated to the interpreter
   std::uint64_t full_compiles = 0;  ///< successful whole-program lowerings
-  std::uint64_t patches = 0;        ///< successful table-content patches
   std::uint64_t failed_compiles = 0;
   std::uint64_t shape_escapes = 0;        ///< parse shape not compiled
   std::uint64_t reinjection_escapes = 0;  ///< from_cpu / stamped packets
-  std::uint64_t quarantines = 0;  ///< auditor-forced invalidations (§16)
 };
 
 /// SwitchOutput equality over everything the engines must agree on:
@@ -99,7 +89,7 @@ bool semantically_equal(const SwitchOutput& a, const SwitchOutput& b);
 /// replicas themselves.
 class CompiledPipeline {
  public:
-  /// Compiles immediately against dp's current program + rules.
+  /// Compiles dp's program immediately.
   /// `dp` must outlive the pipeline and keep a stable address.
   explicit CompiledPipeline(DataPlane& dp, CompileSeed seed = {});
 
@@ -115,28 +105,18 @@ class CompiledPipeline {
   /// Why not, when it didn't.
   const std::string& compile_error() const { return compile_error_; }
 
-  /// Count of successful full compiles plus patches so far — the
-  /// invalidation property tests assert that a committed update moved
-  /// this or cleared compiled_ok() (fell back).
-  std::uint64_t generation() const {
-    return stats_.full_compiles + stats_.patches;
-  }
+  /// Successful full compiles plus the packets that found the epoch
+  /// or a read table's revision() moved since the previous packet —
+  /// the invalidation property tests assert that a committed update
+  /// moved this or cleared compiled_ok() (fell back).
+  std::uint64_t generation() const { return generation_; }
 
   /// Force a full compile now; returns compiled_ok().
   bool recompile();
 
-  /// Entries in the lowered action-op arena, live and dead (rule churn
-  /// must not grow it without bound).
+  /// Entries in the lowered action-op arena. It holds the program's
+  /// actions only, so installing rules never grows it.
   std::size_t op_arena_size() const { return ops_.size(); }
-
-  /// State-integrity quarantine (DESIGN.md §16): the auditor detected
-  /// silent corruption in the underlying dataplane, so nothing lowered
-  /// from it can be trusted — the revision snapshot CANNOT catch this
-  /// (silent corruption never bumps a revision; that is what makes it
-  /// silent). Drops the compiled snapshot and forces a fresh compile on
-  /// the next packet (by then the repair has typically converged the
-  /// state).
-  void quarantine();
 
   const CompiledStats& stats() const { return stats_; }
 
@@ -159,8 +139,6 @@ class CompiledPipeline {
     /// Writing this field can change what the parser extracts (its
     /// bits overlap a parser selector) — invalidate the cached parse.
     bool affects_parse = false;
-
-    bool operator==(const FieldRefC&) const = default;
   };
 
   struct OpC {
@@ -168,9 +146,9 @@ class CompiledPipeline {
     FieldRefC dst;
     FieldRefC src;   // kCopy source / register index field
     FieldRefC vsrc;  // kRegisterWrite value source
-    std::uint64_t imm = 0;  // immediate / baked action argument
+    std::uint64_t imm = 0;
+    std::uint16_t arg = 0;  // kSetFromParam / kSetContext: param slot
     std::uint8_t ctx_key = 0;
-    std::uint16_t ctx_value = 0;
     std::vector<std::uint64_t>* reg = nullptr;
     std::uint64_t reg_mask = 0;
     bool reg_index_from_imm = false;
@@ -178,8 +156,6 @@ class CompiledPipeline {
     bool reg_write_dst = false;  // kRegisterAdd: dst non-empty
     std::uint32_t hash_begin = 0;  // kHash: slice of hash_srcs_
     std::uint32_t hash_count = 0;
-
-    bool operator==(const OpC&) const = default;
   };
 
   struct HashSrc {
@@ -187,63 +163,16 @@ class CompiledPipeline {
     std::uint8_t bytes = 4;
   };
 
-  /// A compiled action body: slice of ops_. count == 0 means "no
-  /// action" (empty action name).
+  /// A compiled action body: slice of ops_.
   struct ActionRef {
     std::uint32_t begin = 0;
     std::uint32_t count = 0;
   };
 
-  static constexpr std::size_t kMaxKeyArity = 8;
-
-  struct ExactKey {
-    std::uint64_t v[kMaxKeyArity] = {};
-    std::uint8_t n = 0;
-    /// `key` must have at most kMaxKeyArity values (compile() refuses
-    /// wider tables).
-    static ExactKey of(const std::vector<std::uint64_t>& key) {
-      ExactKey k;
-      k.n = static_cast<std::uint8_t>(key.size());
-      std::copy(key.begin(), key.end(), k.v);
-      return k;
-    }
-    bool operator==(const ExactKey& o) const {
-      if (n != o.n) return false;
-      for (std::uint8_t i = 0; i < n; ++i) {
-        if (v[i] != o.v[i]) return false;
-      }
-      return true;
-    }
-  };
-  struct ExactKeyHash {
-    std::size_t operator()(const ExactKey& k) const {
-      std::uint64_t h = 1469598103934665603ull;
-      for (std::uint8_t i = 0; i < k.n; ++i) {
-        h ^= k.v[i];
-        h *= 1099511628211ull;
-      }
-      return static_cast<std::size_t>(h);
-    }
-  };
-
-  /// One lowered ternary entry: value/mask pairs in vm_, TCAM priority
-  /// order preserved, epoch-filtered at compile time.
-  struct TernEntryC {
-    std::uint32_t vm_begin = 0;
-    std::uint32_t vm_count = 0;
-    ActionRef action;
-  };
-
   struct TableC {
-    const RuntimeTable* rt = nullptr;  // for record_lookup + revision
-    const p4ir::ControlBlock* cb = nullptr;  // owns the actions
-    bool keyless = false;
-    bool is_tcam = false;
+    const RuntimeTable* rt = nullptr;
     std::uint32_t key_begin = 0;  // slice of key_refs_
     std::uint32_t key_count = 0;
-    std::unordered_map<ExactKey, ActionRef, ExactKeyHash> exact;
-    std::vector<TernEntryC> tern;
-    ActionRef default_action;
   };
 
   struct EntryC {
@@ -262,6 +191,7 @@ class CompiledPipeline {
     bool present = false;
     std::vector<EntryC> entries;
     std::vector<TableC> tables;
+    std::vector<ActionRef> bodies;  // by index into the control's actions()
     std::uint32_t branch_count = 0;
   };
 
@@ -285,33 +215,11 @@ class CompiledPipeline {
   /// or kAbsentTable for a name never applied (always a miss).
   static constexpr std::uint32_t kAbsentTable = 0xffffffff;
 
-  /// Dead slices of one arena vector (ops_, hash_srcs_, vm_), by
-  /// length: lowering reuses a freed slice of the right length before
-  /// it appends, so rule churn does not grow the arena.
-  struct FreeSlices {
-    std::unordered_map<std::uint32_t, std::vector<std::uint32_t>> by_len;
-    std::size_t dead = 0;
-
-    template <typename T>
-    std::uint32_t place(std::vector<T>& arena, const std::vector<T>& body);
-    void release(std::uint32_t begin, std::uint32_t count);
-    bool bloated(std::size_t arena_size) const { return dead * 2 > arena_size; }
-  };
-
-  /// A lowered body stored once for every entry that lowers to the
-  /// same ops (an LB's sessions share a handful of backends), with the
-  /// count of entries and default actions using it.
-  struct SharedBody {
-    ActionRef ref;
-    std::uint32_t users = 0;
-  };
-
-  /// One table the lowered program reads, with the revision its
-  /// lowered entries reflect.
+  /// One table the lowered program reads, with the revision the
+  /// last generation saw.
   struct Watch {
     const RuntimeTable* rt = nullptr;
     std::uint64_t revision = 0;
-    TableC* table = nullptr;
   };
 
   // --- compilation ---
@@ -319,15 +227,8 @@ class CompiledPipeline {
   bool compile_control(const std::string& control_name, ControlC& cc,
                        std::string* err);
   bool compile_action(const p4ir::ControlBlock& control,
-                      const ActionCall& call, ActionRef& out,
+                      const p4ir::Action& action, ActionRef& out,
                       std::string* err);
-  void release_action(ActionRef ref);
-  static std::uint64_t body_hash(const OpC* ops, std::uint32_t count);
-  bool lower_entries(TableC& t, std::string* err);
-  bool lower_exact(TableC& t, const RuntimeTable::ExactEntry& entry,
-                   std::string* err);
-  void clear_entries(TableC& t);
-  bool patch();
   void size_scratch();
   FieldRefC resolve_field(const std::string& dotted);
   FieldRefC resolve_header_field(const std::string& dotted) const;
@@ -343,7 +244,8 @@ class CompiledPipeline {
   SwitchOutput run(net::Packet packet, std::uint16_t in_port);
   void run_control(const ControlC& cc, net::Packet& packet,
                    StandardMetadata& meta);
-  void run_action(ActionRef ref, net::Packet& packet, StandardMetadata& meta);
+  void run_action(ActionRef ref, const std::uint64_t* args,
+                  net::Packet& packet, StandardMetadata& meta);
   void do_emit(net::Packet packet, std::uint16_t port, SwitchOutput& out);
   void run_parse(const net::Packet& packet);
   void ensure_parse(const net::Packet& packet);
@@ -361,11 +263,11 @@ class CompiledPipeline {
   bool validated_once_ = false;
   std::string compile_error_;
   CompiledStats stats_;
+  std::uint64_t generation_ = 0;
 
-  // Snapshot the compiled form is valid for.
-  std::uint32_t compiled_epoch_ = 0;
+  // What the last generation saw.
+  std::uint32_t seen_epoch_ = 0;
   std::uint32_t attempted_epoch_ = 0;
-  bool attempted_ = false;
   std::vector<Watch> revisions_;
 
   // Compiled program.
@@ -379,17 +281,6 @@ class CompiledPipeline {
   std::vector<HashSrc> hash_srcs_;
   std::vector<FieldRefC> key_refs_;
   std::vector<std::uint32_t> guard_tables_;
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> vm_;  // value, mask
-  FreeSlices ops_free_;
-  // Content hash of a body's ops -> the body. A body whose hash is
-  // taken by different ops stays private (unshared).
-  std::unordered_map<std::uint64_t, SharedBody> bodies_;
-  FreeSlices hash_free_;
-  FreeSlices vm_free_;
-  // Lowering scratch (reused so a patch allocates only map nodes).
-  std::vector<OpC> op_scratch_;
-  std::vector<HashSrc> hash_scratch_;
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> vm_scratch_;
   std::unordered_set<std::uint64_t> shapes_;
   std::unordered_map<std::string, std::uint16_t> header_index_;
   std::unordered_map<std::string, std::uint16_t> local_index_;

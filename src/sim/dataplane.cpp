@@ -19,7 +19,7 @@ DataPlane::DataPlane(const p4ir::Program& program,
   for (const p4ir::ControlBlock& control : program.controls()) {
     auto& per_control = tables_[control.name()];
     for (const p4ir::Table& t : control.tables()) {
-      per_control.emplace(t.name, RuntimeTable(t));
+      per_control.emplace(t.name, RuntimeTable(control, t));
     }
     auto& regs = registers_[control.name()];
     for (const p4ir::RegisterDef& r : control.registers()) {
@@ -147,24 +147,16 @@ bool guards_pass(const p4ir::ApplyEntry& entry, const FieldView& view,
 }  // namespace
 
 void DataPlane::execute_action(const p4ir::ControlBlock& control,
-                               const ActionCall& call, FieldView& view,
+                               const p4ir::Action& action,
+                               const std::uint64_t* args, FieldView& view,
                                SwitchOutput& out) {
-  const p4ir::Action* action = control.find_action(call.action);
-  if (action == nullptr) {
-    throw std::logic_error("runtime action '" + call.action +
-                           "' not defined in control '" + control.name() +
-                           "'");
-  }
-  auto arg = [&](const std::string& param) -> std::uint64_t {
-    auto it = call.args.find(param);
-    if (it == call.args.end()) {
-      throw std::logic_error("action '" + call.action +
-                             "' invoked without argument '" + param + "'");
-    }
-    return it->second;
+  // The store bound every argument the action reads (RuntimeTable::
+  // action_error), so each param has a slot.
+  auto arg = [&](const std::string& param) {
+    return args[*action.param_index(param)];
   };
 
-  for (const p4ir::Primitive& p : action->primitives) {
+  for (const p4ir::Primitive& p : action.primitives) {
     switch (p.op) {
       case p4ir::PrimitiveOp::kNoop:
         break;
@@ -232,7 +224,7 @@ void DataPlane::execute_action(const p4ir::ControlBlock& control,
         std::vector<std::uint64_t>* cells =
             register_array(control.name(), p.param);
         if (def == nullptr || cells == nullptr) {
-          throw std::logic_error("action '" + call.action +
+          throw std::logic_error("action '" + action.name +
                                  "' uses unknown register '" + p.param + "'");
         }
         const std::uint64_t index =
@@ -257,7 +249,7 @@ void DataPlane::execute_action(const p4ir::ControlBlock& control,
       }
     }
   }
-  out.trace.push_back("  action " + call.action);
+  out.trace.push_back("  action " + action.name);
 }
 
 void DataPlane::run_pipelet(const asic::PipeletId& id, net::Packet& packet,
@@ -302,22 +294,30 @@ void DataPlane::run_pipelet(const asic::PipeletId& id, net::Packet& packet,
       throw std::logic_error("apply of unknown table '" + entry.table + "'");
     }
 
-    std::vector<std::optional<std::uint64_t>> key;
-    key.reserve(table->keys.size());
-    for (const p4ir::TableKey& k : table->keys) key.push_back(view.read(k.field));
+    // A key field the packet lacks is a miss.
+    ExactKey key;
+    key.n = static_cast<std::uint8_t>(table->keys.size());
+    bool complete = true;
+    for (std::uint8_t i = 0; complete && i < key.n; ++i) {
+      const auto v = view.read(table->keys[i].field);
+      complete = v.has_value();
+      if (complete) key.v[i] = *v;
+    }
 
-    LookupResult result = rt->lookup(key, meta.epoch);
-    hits[entry.table] = result.hit;
+    const RuntimeTable::Match match =
+        rt->probe(complete ? &key : nullptr, meta.epoch);
+    hits[entry.table] = match.hit;
     if (!entry.branch_id.empty() && taken_branch.empty()) {
       // First executed entry of a branch is its gate: a hit takes the
       // branch, a miss kills it.
       branch_checked[entry.branch_id] = true;
-      if (result.hit) taken_branch = entry.branch_id;
+      if (match.hit) taken_branch = entry.branch_id;
     }
     out.trace.push_back("  " + entry.table +
-                        (result.hit ? " hit" : " miss"));
-    if (!result.action.action.empty()) {
-      execute_action(*control, result.action, view, out);
+                        (match.hit ? " hit" : " miss"));
+    if (match.action != kNoAction) {
+      execute_action(*control, control->actions()[match.action], match.args,
+                     view, out);
     }
   }
 }

@@ -225,8 +225,8 @@ class DataPlane {
   void run_pipelet(const asic::PipeletId& id, net::Packet& packet,
                    StandardMetadata& meta, SwitchOutput& out);
   void execute_action(const p4ir::ControlBlock& control,
-                      const ActionCall& call, FieldView& view,
-                      SwitchOutput& out);
+                      const p4ir::Action& action, const std::uint64_t* args,
+                      FieldView& view, SwitchOutput& out);
   void emit(net::Packet packet, std::uint16_t port, SwitchOutput& out);
 
   const p4ir::Program* program_;

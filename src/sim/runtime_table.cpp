@@ -1,39 +1,118 @@
 #include "sim/runtime_table.hpp"
 
-#include <algorithm>
+#include <numeric>
 #include <stdexcept>
 #include <tuple>
 
 namespace dejavu::sim {
 
-namespace {
-
-std::string exact_key_string(const std::vector<std::uint64_t>& key) {
-  std::string s;
-  for (std::uint64_t v : key) {
-    s += std::to_string(v);
-    s += '|';
+RuntimeTable::RuntimeTable(const p4ir::ControlBlock& control,
+                           const p4ir::Table& def)
+    : control_(&control), def_(&def) {
+  if (def.keys.size() > kMaxKeyArity) {
+    throw std::invalid_argument("table '" + def.name + "' has more than " +
+                                std::to_string(kMaxKeyArity) +
+                                " key components");
   }
-  return s;
-}
-
-}  // namespace
-
-RuntimeTable::RuntimeTable(const p4ir::Table& def) : def_(&def) {
+  if (!def.default_action.empty()) {
+    const ActionCall call{def.default_action, {}};
+    if (const std::string bad = call_error(call); !bad.empty()) {
+      throw std::invalid_argument("table '" + def.name + "' default " + bad);
+    }
+    default_action_ = static_cast<std::uint32_t>(
+        control.find_action(def.default_action) - control.actions().data());
+  }
   if (def.needs_tcam()) {
     tcam_.emplace(def.keys.size());
   }
 }
 
-void RuntimeTable::note_key(const std::vector<std::uint64_t>& key) {
-  ++revision_;
-  if (log_.empty()) log_.resize(kChangeLogCapacity);
-  // assign() reuses the slot's buffer: no allocation once the ring is
-  // warm.
-  log_[revision_ % kChangeLogCapacity].assign(key.begin(), key.end());
+std::string RuntimeTable::call_error(const ActionCall& call) const {
+  const p4ir::Action* action = control_->find_action(call.action);
+  if (action == nullptr) {
+    return "action '" + call.action + "' is not defined";
+  }
+  for (const p4ir::Action::Param& param : action->params) {
+    if (!call.args.contains(param.name)) {
+      return "action '" + call.action + "' is missing argument '" +
+             param.name + "'";
+    }
+  }
+  if (call.args.size() != action->params.size()) {
+    return "action '" + call.action + "' given arguments it does not take";
+  }
+  for (const p4ir::Primitive& p : action->primitives) {
+    const bool reads_param = p.op == p4ir::PrimitiveOp::kSetFromParam ||
+                             p.op == p4ir::PrimitiveOp::kSetContext;
+    if (reads_param && !action->param_index(p.param)) {
+      return "action '" + call.action + "' reads undeclared parameter '" +
+             p.param + "'";
+    }
+  }
+  return "";
 }
 
-void RuntimeTable::note_whole() { whole_at_ = ++revision_; }
+std::string RuntimeTable::action_error(const ActionCall& call) const {
+  if (std::find(def_->actions.begin(), def_->actions.end(), call.action) ==
+      def_->actions.end()) {
+    return "action '" + call.action + "' is not bound to the table";
+  }
+  return call_error(call);
+}
+
+RuntimeTable::Stored RuntimeTable::bind(const ActionCall& call,
+                                        EpochWindow window) const {
+  if (const std::string bad = action_error(call); !bad.empty()) {
+    throw std::invalid_argument("table '" + def_->name + "': " + bad);
+  }
+  const p4ir::Action* action = control_->find_action(call.action);
+  Stored bound{window,
+               static_cast<std::uint32_t>(action - control_->actions().data()),
+               {}};
+  bound.args.reserve(action->params.size());
+  for (const p4ir::Action::Param& param : action->params) {
+    bound.args.push_back(call.args.at(param.name));
+  }
+  return bound;
+}
+
+ActionCall RuntimeTable::text(std::uint32_t id,
+                              const std::uint64_t* args) const {
+  ActionCall call;
+  if (id == kNoAction) return call;
+  const p4ir::Action& action = control_->actions()[id];
+  call.action = action.name;
+  for (std::size_t i = 0; i < action.params.size(); ++i) {
+    call.args.emplace(action.params[i].name, args[i]);
+  }
+  return call;
+}
+
+bool RuntimeTable::key_of(const std::vector<std::uint64_t>& key,
+                          ExactKey& out) const {
+  if (key.size() != def_->keys.size()) return false;
+  out = ExactKey::of(key);
+  return true;
+}
+
+std::vector<RuntimeTable::Stored>* RuntimeTable::versions_of(
+    const std::vector<std::uint64_t>& key) {
+  ExactKey k;
+  if (tcam_ || !key_of(key, k)) return nullptr;
+  auto it = exact_.find(k);
+  return it == exact_.end() ? nullptr : &it->second;
+}
+
+const std::vector<RuntimeTable::Stored>* RuntimeTable::versions_of(
+    const std::vector<std::uint64_t>& key) const {
+  return const_cast<RuntimeTable*>(this)->versions_of(key);
+}
+
+RuntimeTable::Stored* RuntimeTable::ternary_stored(std::size_t handle) {
+  if (!tcam_) return nullptr;
+  auto* entry = tcam_->mutable_entry(handle);
+  return entry == nullptr ? nullptr : &entry->value;
+}
 
 void RuntimeTable::add_exact(const std::vector<std::uint64_t>& key,
                              ActionCall action, EpochWindow window) {
@@ -41,7 +120,8 @@ void RuntimeTable::add_exact(const std::vector<std::uint64_t>& key,
     throw std::invalid_argument("table '" + def_->name +
                                 "' is ternary/LPM; use add_ternary/add_lpm");
   }
-  if (key.size() != def_->keys.size()) {
+  ExactKey k;
+  if (!key_of(key, k)) {
     throw std::invalid_argument("key arity mismatch for table '" +
                                 def_->name + "'");
   }
@@ -49,13 +129,13 @@ void RuntimeTable::add_exact(const std::vector<std::uint64_t>& key,
     throw std::invalid_argument("malformed epoch window for table '" +
                                 def_->name + "'");
   }
-  const std::string key_string = exact_key_string(key);
-  auto it = exact_.find(key_string);
+  Stored bound = bind(action, window);
+  auto it = exact_.find(k);
   if (it != exact_.end()) {
-    for (ExactEntry& version : it->second) {
+    for (Stored& version : it->second) {
       if (version.window == window) {
-        version.action = std::move(action);  // reinstall overwrites
-        note_key(key);
+        version = std::move(bound);  // reinstall overwrites
+        ++revision_;
         return;
       }
       if (version.window.overlaps(window)) {
@@ -69,9 +149,9 @@ void RuntimeTable::add_exact(const std::vector<std::uint64_t>& key,
     throw std::invalid_argument("table '" + def_->name + "' is full (" +
                                 std::to_string(def_->max_entries) + ")");
   }
-  exact_[key_string].push_back(ExactEntry{key, std::move(action), window});
+  exact_[k].push_back(std::move(bound));
   ++size_;
-  note_key(key);
+  ++revision_;
 }
 
 std::size_t RuntimeTable::add_ternary(const std::vector<net::TernaryField>& key,
@@ -85,21 +165,21 @@ std::size_t RuntimeTable::add_ternary(const std::vector<net::TernaryField>& key,
     throw std::invalid_argument("malformed epoch window for table '" +
                                 def_->name + "'");
   }
+  Stored bound = bind(action, window);
   if (size_ >= def_->max_entries) {
     throw std::invalid_argument("table '" + def_->name + "' is full");
   }
   for (const auto& e : tcam_->entries()) {
     if (e.key == key && e.priority == priority &&
-        ternary_window(e.handle).overlaps(window)) {
+        e.value.window.overlaps(window)) {
       throw std::invalid_argument(
           "overlapping epoch window for ternary entry in table '" +
           def_->name + "'");
     }
   }
-  const std::size_t handle = tcam_->insert(key, priority, std::move(action));
-  if (!window.is_default()) ternary_windows_[handle] = window;
+  const std::size_t handle = tcam_->insert(key, priority, std::move(bound));
   ++size_;
-  note_whole();
+  ++revision_;
   return handle;
 }
 
@@ -141,46 +221,43 @@ std::size_t RuntimeTable::add_lpm(std::uint64_t value, std::uint8_t prefix_len,
                      std::move(action), window);
 }
 
-bool RuntimeTable::remove_exact(const std::vector<std::uint64_t>& key) {
-  if (tcam_) return false;
-  auto it = exact_.find(exact_key_string(key));
+bool RuntimeTable::erase_version(const std::vector<std::uint64_t>& key,
+                                 const EpochWindow* window) {
+  ExactKey k;
+  if (tcam_ || !key_of(key, k)) return false;
+  auto it = exact_.find(k);
   if (it == exact_.end()) return false;
   auto vit = std::find_if(it->second.begin(), it->second.end(),
-                          [](const ExactEntry& e) { return e.window.open(); });
+                          [&](const Stored& v) {
+                            return window == nullptr ? v.window.open()
+                                                     : v.window == *window;
+                          });
   if (vit == it->second.end()) return false;
   it->second.erase(vit);
   if (it->second.empty()) exact_.erase(it);
   --size_;
-  note_key(key);
+  ++revision_;
   return true;
+}
+
+bool RuntimeTable::remove_exact(const std::vector<std::uint64_t>& key) {
+  return erase_version(key, nullptr);
 }
 
 bool RuntimeTable::remove_exact_version(const std::vector<std::uint64_t>& key,
                                         EpochWindow window) {
-  if (tcam_) return false;
-  auto it = exact_.find(exact_key_string(key));
-  if (it == exact_.end()) return false;
-  auto vit =
-      std::find_if(it->second.begin(), it->second.end(),
-                   [&](const ExactEntry& e) { return e.window == window; });
-  if (vit == it->second.end()) return false;
-  it->second.erase(vit);
-  if (it->second.empty()) exact_.erase(it);
-  --size_;
-  note_key(key);
-  return true;
+  return erase_version(key, &window);
 }
 
 bool RuntimeTable::retire_exact(const std::vector<std::uint64_t>& key,
                                 std::uint32_t last_epoch) {
-  if (tcam_) return false;
-  auto it = exact_.find(exact_key_string(key));
-  if (it == exact_.end()) return false;
-  for (ExactEntry& version : it->second) {
+  std::vector<Stored>* versions = versions_of(key);
+  if (versions == nullptr) return false;
+  for (Stored& version : *versions) {
     if (version.window.open()) {
       if (last_epoch < version.window.from) return false;
       version.window.to = last_epoch;
-      note_key(key);
+      ++revision_;
       return true;
     }
   }
@@ -189,57 +266,49 @@ bool RuntimeTable::retire_exact(const std::vector<std::uint64_t>& key,
 
 bool RuntimeTable::unretire_exact(const std::vector<std::uint64_t>& key,
                                   std::uint32_t last_epoch) {
-  if (tcam_) return false;
-  auto it = exact_.find(exact_key_string(key));
-  if (it == exact_.end()) return false;
-  for (ExactEntry& version : it->second) {
+  std::vector<Stored>* versions = versions_of(key);
+  if (versions == nullptr) return false;
+  for (Stored& version : *versions) {
     if (version.window.to != last_epoch) continue;
     const EpochWindow reopened{version.window.from, kEpochOpen};
-    for (const ExactEntry& other : it->second) {
+    for (const Stored& other : *versions) {
       if (&other != &version && other.window.overlaps(reopened)) return false;
     }
     version.window = reopened;
-    note_key(key);
+    ++revision_;
     return true;
   }
   return false;
 }
 
 bool RuntimeTable::erase_ternary(std::size_t handle) {
-  if (!tcam_) return false;
-  if (!tcam_->erase(handle)) return false;
-  ternary_windows_.erase(handle);
+  if (!tcam_ || !tcam_->erase(handle)) return false;
   --size_;
-  note_whole();
+  ++revision_;
   return true;
 }
 
 bool RuntimeTable::retire_ternary(std::size_t handle,
                                   std::uint32_t last_epoch) {
-  if (!tcam_) return false;
-  const auto& entries = tcam_->entries();
-  if (std::none_of(entries.begin(), entries.end(), [&](const auto& e) {
-        return e.handle == handle;
-      })) {
+  Stored* stored = ternary_stored(handle);
+  if (stored == nullptr || !stored->window.open() ||
+      last_epoch < stored->window.from) {
     return false;
   }
-  EpochWindow window = ternary_window(handle);
-  if (!window.open() || last_epoch < window.from) return false;
-  window.to = last_epoch;
-  ternary_windows_[handle] = window;
-  note_whole();
+  stored->window.to = last_epoch;
+  ++revision_;
   return true;
 }
 
 bool RuntimeTable::unretire_ternary(std::size_t handle,
                                     std::uint32_t last_epoch) {
-  auto it = ternary_windows_.find(handle);
-  if (it == ternary_windows_.end() || it->second.to != last_epoch) {
+  Stored* stored = ternary_stored(handle);
+  if (stored == nullptr || stored->window.open() ||
+      stored->window.to != last_epoch) {
     return false;
   }
-  it->second.to = kEpochOpen;
-  if (it->second.is_default()) ternary_windows_.erase(it);
-  note_whole();
+  stored->window.to = kEpochOpen;
+  ++revision_;
   return true;
 }
 
@@ -247,8 +316,7 @@ std::optional<std::size_t> RuntimeTable::find_ternary(
     const std::vector<net::TernaryField>& key, std::int32_t priority) const {
   if (!tcam_) return std::nullopt;
   for (const auto& e : tcam_->entries()) {
-    if (e.key == key && e.priority == priority &&
-        ternary_window(e.handle).open()) {
+    if (e.key == key && e.priority == priority && e.value.window.open()) {
       return e.handle;
     }
   }
@@ -256,132 +324,144 @@ std::optional<std::size_t> RuntimeTable::find_ternary(
 }
 
 EpochWindow RuntimeTable::ternary_window(std::size_t handle) const {
-  auto it = ternary_windows_.find(handle);
-  return it == ternary_windows_.end() ? EpochWindow{} : it->second;
+  if (tcam_) {
+    for (const auto& e : tcam_->entries()) {
+      if (e.handle == handle) return e.value.window;
+    }
+  }
+  return EpochWindow{};
 }
 
 std::size_t RuntimeTable::gc(std::uint32_t min_live) {
   std::size_t removed = 0;
+  auto dead = [&](const Stored& v) { return v.window.to < min_live; };
   for (auto it = exact_.begin(); it != exact_.end();) {
     auto& versions = it->second;
     const std::size_t before = versions.size();
-    versions.erase(std::remove_if(versions.begin(), versions.end(),
-                                  [&](const ExactEntry& e) {
-                                    return e.window.to < min_live;
-                                  }),
+    versions.erase(std::remove_if(versions.begin(), versions.end(), dead),
                    versions.end());
     removed += before - versions.size();
     it = versions.empty() ? exact_.erase(it) : std::next(it);
   }
   if (tcam_) {
-    std::vector<std::size_t> dead;
-    for (const auto& [handle, window] : ternary_windows_) {
-      if (window.to < min_live) dead.push_back(handle);
+    std::vector<std::size_t> handles;
+    for (const auto& e : tcam_->entries()) {
+      if (dead(e.value)) handles.push_back(e.handle);
     }
-    for (std::size_t handle : dead) {
-      if (tcam_->erase(handle)) ++removed;
-      ternary_windows_.erase(handle);
-    }
+    for (std::size_t handle : handles) removed += tcam_->erase(handle);
   }
   size_ -= removed;
-  if (removed > 0) note_whole();
+  if (removed > 0) ++revision_;
   return removed;
 }
 
-const std::vector<RuntimeTable::ExactEntry>* RuntimeTable::exact_versions(
+std::vector<RuntimeTable::ExactEntry> RuntimeTable::exact_versions(
     const std::vector<std::uint64_t>& key) const {
-  if (tcam_) return nullptr;
-  auto it = exact_.find(exact_key_string(key));
-  return it == exact_.end() ? nullptr : &it->second;
-}
-
-const RuntimeTable::ExactEntry* RuntimeTable::find_exact(
-    const std::vector<std::uint64_t>& key) const {
-  if (tcam_) return nullptr;
-  auto it = exact_.find(exact_key_string(key));
-  if (it == exact_.end()) return nullptr;
-  for (const ExactEntry& version : it->second) {
-    if (version.window.open()) return &version;
+  std::vector<ExactEntry> out;
+  if (const std::vector<Stored>* versions = versions_of(key)) {
+    for (const Stored& v : *versions) {
+      out.push_back(ExactEntry{key, text(v), v.window});
+    }
   }
-  return nullptr;
+  return out;
 }
 
-const RuntimeTable::ExactEntry* RuntimeTable::find_exact(
+std::optional<RuntimeTable::ExactEntry> RuntimeTable::find_exact(
+    const std::vector<std::uint64_t>& key) const {
+  if (const std::vector<Stored>* versions = versions_of(key)) {
+    for (const Stored& v : *versions) {
+      if (v.window.open()) return ExactEntry{key, text(v), v.window};
+    }
+  }
+  return std::nullopt;
+}
+
+std::optional<RuntimeTable::ExactEntry> RuntimeTable::find_exact(
     const std::vector<std::uint64_t>& key, std::uint32_t epoch) const {
-  if (tcam_) return nullptr;
-  auto it = exact_.find(exact_key_string(key));
-  if (it == exact_.end()) return nullptr;
-  for (const ExactEntry& version : it->second) {
-    if (version.window.contains(epoch)) return &version;
+  if (const std::vector<Stored>* versions = versions_of(key)) {
+    for (const Stored& v : *versions) {
+      if (v.window.contains(epoch)) {
+        return ExactEntry{key, text(v), v.window};
+      }
+    }
   }
-  return nullptr;
+  return std::nullopt;
+}
+
+RuntimeTable::Match RuntimeTable::probe(const ExactKey* key,
+                                        std::uint32_t epoch) const {
+  Match m{false, default_action_, nullptr};
+  const Stored* found = nullptr;
+  if (def_->keyless()) {
+    m.hit = true;
+  } else if (key != nullptr && key->n == def_->keys.size()) {
+    if (tcam_) {
+      // Priority-ordered scan skipping entries outside the packet's
+      // epoch (the TCAM's own lookup() is epoch-blind).
+      for (const auto& e : tcam_->entries()) {
+        if (!e.value.window.contains(epoch)) continue;
+        bool match = true;
+        for (std::uint8_t i = 0; i < key->n; ++i) {
+          if (!e.key[i].matches(key->v[i])) {
+            match = false;
+            break;
+          }
+        }
+        if (match) {
+          found = &e.value;
+          break;
+        }
+      }
+    } else if (auto it = exact_.find(*key); it != exact_.end()) {
+      for (const Stored& v : it->second) {
+        if (v.window.contains(epoch)) {
+          found = &v;
+          break;
+        }
+      }
+    }
+  }
+  if (found != nullptr) {
+    m = Match{true, found->action, found->args.data()};
+  }
+  (m.hit ? hits_ : misses_) += 1;
+  return m;
 }
 
 LookupResult RuntimeTable::lookup(
     const std::vector<std::optional<std::uint64_t>>& key,
     std::uint32_t epoch) const {
-  LookupResult result;
-  result.action.action = def_->default_action;
-
-  auto count = [&](LookupResult r) {
-    (r.hit ? hits_ : misses_) += 1;
-    return r;
-  };
-
-  // Keyless tables always "run" their default action but count as a
-  // hit for gating purposes (const default_action in Fig. 4).
-  if (def_->keyless()) {
-    result.hit = true;
-    return count(result);
+  ExactKey k;
+  bool complete = key.size() <= kMaxKeyArity;
+  for (std::size_t i = 0; complete && i < key.size(); ++i) {
+    complete = key[i].has_value();
+    if (complete) k.v[i] = *key[i];
   }
-
-  // A missing packet field can never match.
-  std::vector<std::uint64_t> values;
-  values.reserve(key.size());
-  for (const auto& v : key) {
-    if (!v) return count(result);
-    values.push_back(*v);
-  }
-
-  if (tcam_) {
-    // Priority-ordered scan skipping entries outside the packet's
-    // epoch (the TCAM's own lookup() is epoch-blind).
-    for (const auto& e : tcam_->entries()) {
-      if (!ternary_window(e.handle).contains(epoch)) continue;
-      bool hit = true;
-      for (std::size_t i = 0; i < values.size(); ++i) {
-        if (!e.key[i].matches(values[i])) {
-          hit = false;
-          break;
-        }
-      }
-      if (hit) {
-        result.hit = true;
-        result.action = e.value;
-        break;
-      }
-    }
-    return count(result);
-  }
-
-  if (const ExactEntry* entry = find_exact(values, epoch)) {
-    result.hit = true;
-    result.action = entry->action;
-  }
-  return count(result);
+  k.n = static_cast<std::uint8_t>(key.size());
+  const Match m = probe(complete ? &k : nullptr, epoch);
+  return LookupResult{m.hit, text(m.action, m.args)};
 }
 
 std::vector<RuntimeTable::ExactEntry> RuntimeTable::exact_entries() const {
   std::vector<ExactEntry> out;
   out.reserve(size_);
-  for_each_exact([&](const ExactEntry& e) { out.push_back(e); });
+  for (const auto& [key, versions] : exact_) {
+    for (const Stored& v : versions) {
+      out.push_back(ExactEntry{key.values(), text(v), v.window});
+    }
+  }
   return out;
 }
 
-const std::vector<net::Tcam<ActionCall>::Entry>&
-RuntimeTable::ternary_entries() const {
-  static const std::vector<net::Tcam<ActionCall>::Entry> kEmpty;
-  return tcam_ ? tcam_->entries() : kEmpty;
+std::vector<net::Tcam<ActionCall>::Entry> RuntimeTable::ternary_entries()
+    const {
+  std::vector<net::Tcam<ActionCall>::Entry> out;
+  if (!tcam_) return out;
+  out.reserve(tcam_->size());
+  for (const auto& e : tcam_->entries()) {
+    out.push_back({e.handle, e.priority, e.key, text(e.value)});
+  }
+  return out;
 }
 
 namespace {
@@ -448,14 +528,23 @@ std::string RuntimeTable::corrupt(CorruptKind kind, std::uint64_t salt) {
       w.to ^= bit;
     }
   };
-  auto flip_action = [&](ActionCall& action, EpochWindow& window) -> bool {
-    if (action.args.empty()) {
-      flip_window(window);
+  auto flip_action = [&](Stored& stored) -> bool {
+    std::vector<std::uint64_t>& args = stored.args;
+    if (args.empty()) {
+      flip_window(stored.window);
       return false;
     }
-    auto it = action.args.begin();
-    std::advance(it, s.pick(action.args.size()));
-    it->second ^= 1ULL << s.pick(64);
+    // The victim argument is picked in name order, the order the text
+    // form lists arguments in.
+    const auto& params = control_->actions()[stored.action].params;
+    std::vector<std::size_t> by_name(params.size());
+    std::iota(by_name.begin(), by_name.end(), std::size_t{0});
+    std::sort(by_name.begin(), by_name.end(),
+              [&](std::size_t a, std::size_t b) {
+                return params[a].name < params[b].name;
+              });
+    std::uint64_t& victim = args[by_name[s.pick(by_name.size())]];
+    victim ^= 1ULL << s.pick(64);
     return true;
   };
 
@@ -466,7 +555,7 @@ std::string RuntimeTable::corrupt(CorruptKind kind, std::uint64_t salt) {
     const auto& victim =
         tcam_->entries()[s.pick(tcam_->entries().size())];
     const std::size_t handle = victim.handle;
-    net::Tcam<ActionCall>::Entry* e = tcam_->mutable_entry(handle);
+    net::Tcam<Stored>::Entry* e = tcam_->mutable_entry(handle);
     const std::string where =
         "ternary '" + def_->name + "' prio=" + std::to_string(e->priority);
     switch (kind) {
@@ -510,21 +599,16 @@ std::string RuntimeTable::corrupt(CorruptKind kind, std::uint64_t salt) {
         return where + " key bit flipped";
       }
       case CorruptKind::kActionFlip: {
-        EpochWindow w = ternary_window(handle);
-        const bool in_args = flip_action(e->value, w);
-        if (!in_args) ternary_windows_[handle] = w;
+        const bool in_args = flip_action(e->value);
         return where + (in_args ? " action data flipped"
                                 : " window flipped (no action data)");
       }
       case CorruptKind::kWindowFlip: {
-        EpochWindow w = ternary_window(handle);
-        flip_window(w);
-        ternary_windows_[handle] = w;
+        flip_window(e->value.window);
         return where + " window flipped";
       }
       case CorruptKind::kDelete: {
         tcam_->erase(handle);
-        ternary_windows_.erase(handle);
         --size_;
         return where + " entry deleted";
       }
@@ -533,8 +617,7 @@ std::string RuntimeTable::corrupt(CorruptKind kind, std::uint64_t salt) {
         // ternary entries by (key, priority, window), and an identical
         // twin would collapse into its original and be unrepairable.
         const auto key_copy = e->key;
-        const auto value_copy = e->value;
-        const EpochWindow w = ternary_window(handle);
+        const Stored value_copy = e->value;
         std::int32_t prio = e->priority + 1 + static_cast<std::int32_t>(s.pick(3));
         auto taken = [&](std::int32_t p) {
           for (const auto& other : tcam_->entries()) {
@@ -543,8 +626,7 @@ std::string RuntimeTable::corrupt(CorruptKind kind, std::uint64_t salt) {
           return false;
         };
         while (taken(prio)) ++prio;
-        const std::size_t dup = tcam_->insert(key_copy, prio, value_copy);
-        if (!w.is_default()) ternary_windows_[dup] = w;
+        tcam_->insert(key_copy, prio, value_copy);
         ++size_;
         return where + " duplicated at prio=" + std::to_string(prio);
       }
@@ -553,68 +635,70 @@ std::string RuntimeTable::corrupt(CorruptKind kind, std::uint64_t salt) {
   }
 
   if (exact_.empty()) return "";
-  // Canonical victim order: sorted key strings, then version position —
-  // independent of the unordered_map's bucket layout.
-  std::vector<const std::string*> keys;
+  // Canonical victim order: the keys' decimal text ("v0|v1|..."), then
+  // version position — independent of the hash map's bucket layout.
+  std::vector<std::pair<std::string, const ExactKey*>> keys;
   keys.reserve(exact_.size());
-  for (const auto& [ks, versions] : exact_) keys.push_back(&ks);
-  std::sort(keys.begin(), keys.end(),
-            [](const std::string* a, const std::string* b) { return *a < *b; });
+  for (const auto& [key, versions] : exact_) {
+    std::string text;
+    for (std::uint8_t i = 0; i < key.n; ++i) {
+      text += std::to_string(key.v[i]);
+      text += '|';
+    }
+    keys.emplace_back(std::move(text), &key);
+  }
+  std::sort(keys.begin(), keys.end());
   std::size_t total = 0;
-  for (const std::string* ks : keys) total += exact_.at(*ks).size();
+  for (const auto& [text, key] : keys) total += exact_.at(*key).size();
   std::size_t pick = s.pick(total);
-  const std::string* victim_key = nullptr;
+  ExactKey victim_key;
   std::size_t version_index = 0;
-  for (const std::string* ks : keys) {
-    const std::size_t n = exact_.at(*ks).size();
+  for (const auto& [text, key] : keys) {
+    const std::size_t n = exact_.at(*key).size();
     if (pick < n) {
-      victim_key = ks;
+      victim_key = *key;
       version_index = pick;
       break;
     }
     pick -= n;
   }
-  auto node = exact_.find(*victim_key);
-  ExactEntry& entry = node->second[version_index];
+  auto node = exact_.find(victim_key);
+  Stored& entry = node->second[version_index];
   const std::string where = "exact '" + def_->name + "'";
 
   switch (kind) {
     case CorruptKind::kKeyFlip: {
       // The flipped key lives in a different hash bucket: move the
-      // version under its new key string, like the SRAM row now
-      // matching different traffic. Scan from the seeded bit to the
-      // first flip that does not land on an installed (key, window)
-      // twin — an aliased version would be unaddressable by
-      // snapshot_diff (same rationale as kDuplicate below).
-      ExactEntry moved = entry;
+      // version under its new key, like the SRAM row now matching
+      // different traffic. Scan from the seeded bit to the first flip
+      // that does not land on an installed (key, window) twin — an
+      // aliased version would be unaddressable by snapshot_diff (same
+      // rationale as kDuplicate below).
+      Stored moved = entry;
       node->second.erase(node->second.begin() +
                          static_cast<std::ptrdiff_t>(version_index));
       if (node->second.empty()) exact_.erase(node);
-      const std::size_t component = s.pick(moved.key.size());
+      ExactKey flipped = victim_key;
+      const std::size_t component = s.pick(flipped.n);
       const std::size_t start = s.pick(64);
-      std::string nks;
       for (std::size_t n = 0; n < 64; ++n) {
         const std::uint64_t mask = 1ULL << ((start + n) % 64);
-        moved.key[component] ^= mask;
-        nks = exact_key_string(moved.key);
-        auto twin = exact_.find(nks);
-        bool collides = false;
-        if (twin != exact_.end()) {
-          for (const ExactEntry& v : twin->second) {
-            if (v.window == moved.window) {
-              collides = true;
-              break;
-            }
-          }
-        }
+        flipped.v[component] ^= mask;
+        auto twin = exact_.find(flipped);
+        const bool collides =
+            twin != exact_.end() &&
+            std::any_of(twin->second.begin(), twin->second.end(),
+                        [&](const Stored& v) {
+                          return v.window == moved.window;
+                        });
         if (!collides) break;
-        moved.key[component] ^= mask;
+        flipped.v[component] ^= mask;
       }
-      exact_[nks].push_back(std::move(moved));
+      exact_[flipped].push_back(std::move(moved));
       return where + " key bit flipped";
     }
     case CorruptKind::kActionFlip: {
-      const bool in_args = flip_action(entry.action, entry.window);
+      const bool in_args = flip_action(entry);
       return where + (in_args ? " action data flipped"
                               : " window flipped (no action data)");
     }
@@ -634,10 +718,10 @@ std::string RuntimeTable::corrupt(CorruptKind kind, std::uint64_t salt) {
       // installed version of the key: snapshot_diff addresses exact
       // versions by (key, window), so an identical twin would collapse
       // into its original and be unrepairable.
-      ExactEntry ghost = entry;
+      Stored ghost = entry;
       std::uint32_t bump = 1 + static_cast<std::uint32_t>(s.pick(3));
       auto taken = [&](const EpochWindow& w) {
-        for (const ExactEntry& v : node->second) {
+        for (const Stored& v : node->second) {
           if (v.window == w) return true;
         }
         return false;
@@ -659,7 +743,7 @@ std::uint64_t RuntimeTable::state_digest() const {
   if (tcam_) {
     // Canonical order: (priority desc is the stored order, but sort
     // fully so the digest is independent of install history).
-    std::vector<const net::Tcam<ActionCall>::Entry*> entries;
+    std::vector<const net::Tcam<Stored>::Entry*> entries;
     entries.reserve(tcam_->entries().size());
     for (const auto& e : tcam_->entries()) entries.push_back(&e);
     auto key_rank = [](const std::vector<net::TernaryField>& key) {
@@ -673,8 +757,8 @@ std::uint64_t RuntimeTable::state_digest() const {
     };
     std::sort(entries.begin(), entries.end(),
               [&](const auto* a, const auto* b) {
-                const EpochWindow wa = ternary_window(a->handle);
-                const EpochWindow wb = ternary_window(b->handle);
+                const EpochWindow wa = a->value.window;
+                const EpochWindow wb = b->value.window;
                 const auto ka = key_rank(a->key);
                 const auto kb = key_rank(b->key);
                 return std::tie(a->priority, ka, wa.from, wa.to) <
@@ -686,27 +770,32 @@ std::uint64_t RuntimeTable::state_digest() const {
         fnv_mix(h, f.value);
         fnv_mix(h, f.mask);
       }
-      const EpochWindow w = ternary_window(e->handle);
-      fnv_mix(h, w.from);
-      fnv_mix(h, w.to);
-      fnv_mix_action(h, e->value);
+      fnv_mix(h, e->value.window.from);
+      fnv_mix(h, e->value.window.to);
+      fnv_mix_action(h, text(e->value));
     }
     return h;
   }
-  std::vector<const ExactEntry*> entries;
+  std::vector<std::pair<const ExactKey*, const Stored*>> entries;
   entries.reserve(size_);
-  for (const auto& [ks, versions] : exact_) {
-    for (const ExactEntry& v : versions) entries.push_back(&v);
+  for (const auto& [key, versions] : exact_) {
+    for (const Stored& v : versions) entries.emplace_back(&key, &v);
   }
-  std::sort(entries.begin(), entries.end(), [](const auto* a, const auto* b) {
-    return std::tie(a->key, a->window.from, a->window.to) <
-           std::tie(b->key, b->window.from, b->window.to);
+  std::sort(entries.begin(), entries.end(), [](const auto& a, const auto& b) {
+    const ExactKey& ka = *a.first;
+    const ExactKey& kb = *b.first;
+    if (!(ka == kb)) {
+      return std::lexicographical_compare(ka.v, ka.v + ka.n, kb.v,
+                                          kb.v + kb.n);
+    }
+    return std::tie(a.second->window.from, a.second->window.to) <
+           std::tie(b.second->window.from, b.second->window.to);
   });
-  for (const ExactEntry* e : entries) {
-    for (std::uint64_t v : e->key) fnv_mix(h, v);
-    fnv_mix(h, e->window.from);
-    fnv_mix(h, e->window.to);
-    fnv_mix_action(h, e->action);
+  for (const auto& [key, v] : entries) {
+    for (std::uint8_t i = 0; i < key->n; ++i) fnv_mix(h, key->v[i]);
+    fnv_mix(h, v->window.from);
+    fnv_mix(h, v->window.to);
+    fnv_mix_action(h, text(*v));
   }
   return h;
 }
@@ -714,9 +803,8 @@ std::uint64_t RuntimeTable::state_digest() const {
 void RuntimeTable::clear() {
   exact_.clear();
   if (tcam_) tcam_.emplace(def_->keys.size());
-  ternary_windows_.clear();
   size_ = 0;
-  note_whole();
+  ++revision_;
 }
 
 }  // namespace dejavu::sim

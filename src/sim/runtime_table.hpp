@@ -1,7 +1,15 @@
-// Runtime match-action tables: the installable state behind each IR
-// table definition. Exact tables use a hash map; ternary and LPM
-// tables use the TCAM model (LPM entries become ternary entries whose
-// priority is the prefix length).
+// Runtime match-action tables: the one store of installed rules.
+// Exact tables hash a fixed-width ExactKey; ternary and LPM tables use
+// the TCAM model (LPM entries become ternary entries whose priority is
+// the prefix length).
+//
+// Every install binds its action once, by the control's definition: an
+// action id plus its arguments in the action's parameter order. An
+// install the table could not run is refused right there, so neither
+// engine meets an unknown action or a missing argument. Both engines
+// read the store in place through probe(); the text form (ActionCall,
+// ExactEntry) is rebuilt on demand for snapshots, journals and the
+// analyzers.
 //
 // Every installed entry carries an epoch window [from, to]: the range
 // of chain generations it is visible to. A hitless live update (§11)
@@ -12,6 +20,7 @@
 // behave exactly as before.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -20,6 +29,7 @@
 #include <vector>
 
 #include "net/tcam.hpp"
+#include "p4ir/control.hpp"
 #include "p4ir/table.hpp"
 
 namespace dejavu::sim {
@@ -46,7 +56,8 @@ struct EpochWindow {
   bool operator==(const EpochWindow&) const = default;
 };
 
-/// A bound action: name + runtime arguments (per-entry action data).
+/// An action call in text form: name + runtime arguments (per-entry
+/// action data), as the control plane writes it.
 struct ActionCall {
   std::string action;
   std::map<std::string, std::uint64_t> args;
@@ -54,18 +65,81 @@ struct ActionCall {
   bool operator==(const ActionCall&) const = default;
 };
 
-/// The result of a lookup: hit/miss plus the action to run (the
-/// table's default action on miss; may be empty).
+/// The result of a text-form lookup: hit/miss plus the action to run
+/// (the table's default action on miss; may be empty).
 struct LookupResult {
   bool hit = false;
   ActionCall action;
 };
 
+/// Most key components a table may have.
+inline constexpr std::size_t kMaxKeyArity = 8;
+
+/// A fixed-width exact-match key: the key values in key-component order.
+struct ExactKey {
+  std::uint64_t v[kMaxKeyArity] = {};
+  std::uint8_t n = 0;
+
+  /// `key` must have at most kMaxKeyArity values.
+  static ExactKey of(const std::vector<std::uint64_t>& key) {
+    ExactKey k;
+    k.n = static_cast<std::uint8_t>(key.size());
+    std::copy(key.begin(), key.end(), k.v);
+    return k;
+  }
+  std::vector<std::uint64_t> values() const { return {v, v + n}; }
+  bool operator==(const ExactKey& o) const {
+    return n == o.n && std::equal(v, v + n, o.v);
+  }
+};
+
+struct ExactKeyHash {
+  std::size_t operator()(const ExactKey& k) const {
+    std::uint64_t h = 1469598103934665603ull;
+    for (std::uint8_t i = 0; i < k.n; ++i) {
+      h ^= k.v[i];
+      h *= 1099511628211ull;
+    }
+    return static_cast<std::size_t>(h);
+  }
+};
+
+/// Action id meaning "run nothing" (a miss on a table without a
+/// default action).
+inline constexpr std::uint32_t kNoAction = 0xffffffff;
+
 class RuntimeTable {
  public:
-  explicit RuntimeTable(const p4ir::Table& def);
+  /// `def` is one of `control`'s tables; both must outlive the store.
+  /// Throws std::invalid_argument when the table cannot run at all:
+  /// more than kMaxKeyArity key components, or a default action that
+  /// is undefined or needs arguments.
+  RuntimeTable(const p4ir::ControlBlock& control, const p4ir::Table& def);
 
   const p4ir::Table& def() const { return *def_; }
+
+  /// Why the table cannot run `call` ("" when it can): the action must
+  /// be one the table declares, defined in the owning control, given
+  /// exactly that action's parameters, and read no parameter it does
+  /// not declare. Every install applies this check and throws
+  /// std::invalid_argument with the reason.
+  std::string action_error(const ActionCall& call) const;
+
+  /// What a probe matched: hit or miss, and the action to run (the
+  /// default action on a miss; kNoAction when there is none).
+  struct Match {
+    bool hit = false;
+    std::uint32_t action = kNoAction;  ///< index into control().actions()
+    const std::uint64_t* args = nullptr;  ///< the action's params, in order
+  };
+
+  /// The one lookup both engines run, counted in hits()/misses(): the
+  /// entry visible to a packet stamped `epoch` whose key matches `key`,
+  /// the default action otherwise. `key` is nullptr when the packet
+  /// lacks a key field, which is a miss. Keyless tables always hit
+  /// their default action. The result points into the store: it is
+  /// valid until the next mutation.
+  Match probe(const ExactKey* key, std::uint32_t epoch) const;
 
   /// One installed exact entry (state export, §7 service upgrade /
   /// failure handling).
@@ -80,7 +154,7 @@ class RuntimeTable {
   /// action; a window overlapping a different installed version is
   /// refused (that would make two generations visible to one packet).
   /// Throws std::invalid_argument on arity mismatch, table kind
-  /// mismatch, window overlap, or table-full.
+  /// mismatch, an action_error(), window overlap, or table-full.
   void add_exact(const std::vector<std::uint64_t>& key, ActionCall action,
                  EpochWindow window = {});
 
@@ -142,22 +216,22 @@ class RuntimeTable {
   /// completes. Returns the number of entries removed.
   std::size_t gc(std::uint32_t min_live);
 
-  /// All installed versions of `key`, or nullptr when none (exact
-  /// tables only) — how a validator or recovery pass inspects windows.
-  const std::vector<ExactEntry>* exact_versions(
+  /// All installed versions of `key`, empty when none (exact tables
+  /// only) — how a validator or recovery pass inspects windows.
+  std::vector<ExactEntry> exact_versions(
       const std::vector<std::uint64_t>& key) const;
 
-  /// The live (open-window) version for `key`, or nullptr (exact
+  /// The live (open-window) version for `key`, or nullopt (exact
   /// tables only).
-  const ExactEntry* find_exact(const std::vector<std::uint64_t>& key) const;
-  /// The version visible to a packet stamped `epoch`, or nullptr.
-  const ExactEntry* find_exact(const std::vector<std::uint64_t>& key,
-                               std::uint32_t epoch) const;
+  std::optional<ExactEntry> find_exact(
+      const std::vector<std::uint64_t>& key) const;
+  /// The version visible to a packet stamped `epoch`, or nullopt.
+  std::optional<ExactEntry> find_exact(const std::vector<std::uint64_t>& key,
+                                       std::uint32_t epoch) const;
 
-  /// Look up the key values in key-component order, as seen by a
-  /// packet stamped `epoch` (entries whose window excludes the epoch
-  /// are invisible). Missing fields in the packet are the caller's
-  /// concern (pass nullopt -> miss).
+  /// probe() in text form: look up the key values in key-component
+  /// order, as seen by a packet stamped `epoch` (a nullopt value is a
+  /// missing packet field, so a miss).
   LookupResult lookup(const std::vector<std::optional<std::uint64_t>>& key,
                       std::uint32_t epoch = 0) const;
 
@@ -166,62 +240,23 @@ class RuntimeTable {
 
   /// Monotone mutation stamp: bumped once by every entry mutation
   /// (install, overwrite, remove, retire, unretire, gc, clear), never
-  /// by corrupt(). Each bump also lands in a bounded change log, so a
-  /// reader holding an older stamp can ask changes_since() which exact
-  /// keys moved. The compiled fast path (sim::CompiledPipeline)
-  /// snapshots the stamp when it lowers the table and patches only the
-  /// logged keys when it moves — the invalidation contract of
-  /// DESIGN.md §12.
+  /// by corrupt(). The compiled fast path (sim::CompiledPipeline)
+  /// reads it only to advance its generation() — the invalidation
+  /// contract of DESIGN.md §12.
   std::uint64_t revision() const { return revision_; }
 
-  /// Mutations the change log remembers; older history reads as
-  /// "whole table".
-  static constexpr std::uint64_t kChangeLogCapacity = 256;
-
-  /// Visit every exact key mutated after revision `since` (oldest
-  /// first; a key touched twice is visited twice) and return true.
-  /// Returns false, visiting nothing, when the log cannot name the
-  /// keys: a gc(), clear() or ternary/LPM mutation happened after
-  /// `since`, or more than kChangeLogCapacity mutations did. The
-  /// caller must then re-read the whole table.
-  template <typename F>
-  bool changes_since(std::uint64_t since, F&& visit) const {
-    if (since > revision_ || whole_at_ > since ||
-        revision_ - since > kChangeLogCapacity) {
-      return false;
-    }
-    for (std::uint64_t r = since + 1; r <= revision_; ++r) {
-      visit(log_[r % kChangeLogCapacity]);
-    }
-    return true;
-  }
-
-  /// Visit every installed exact version in place (retired and
-  /// shadowed included) — the copy-free form of exact_entries().
-  template <typename F>
-  void for_each_exact(F&& visit) const {
-    for (const auto& [key_string, versions] : exact_) {
-      for (const ExactEntry& version : versions) visit(version);
-    }
-  }
-
   /// Per-table hit/miss counters (direct counters in P4 terms),
-  /// incremented by lookup().
+  /// incremented by probe().
   std::uint64_t hits() const { return hits_; }
   std::uint64_t misses() const { return misses_; }
   void reset_counters() { hits_ = misses_ = 0; }
 
-  /// Fold an externally-executed lookup into the hit/miss counters.
-  /// The compiled fast path matches against its own lowered entry maps
-  /// instead of calling lookup(), but the direct counters must stay
-  /// truthful — the §7 health monitor reads them as liveness gates.
-  void record_lookup(bool hit) const { (hit ? hits_ : misses_) += 1; }
-
   /// State export (§7 service upgrade / failure handling): enumerate
   /// installed entries — every version, retired and shadowed included.
   std::vector<ExactEntry> exact_entries() const;
-  /// Ternary/LPM entries (empty for exact tables).
-  const std::vector<net::Tcam<ActionCall>::Entry>& ternary_entries() const;
+  /// Ternary/LPM entries in match-priority order (empty for exact
+  /// tables).
+  std::vector<net::Tcam<ActionCall>::Entry> ternary_entries() const;
 
   // --- state-integrity surface (DESIGN.md §16) ---
 
@@ -250,28 +285,48 @@ class RuntimeTable {
   std::uint64_t state_digest() const;
 
  private:
-  // Every mutation ends in exactly one of these: bump revision() and
-  // log the touched key, or log "whole table".
-  void note_key(const std::vector<std::uint64_t>& key);
-  void note_whole();
+  /// One installed version: its window and its action, bound at
+  /// install time.
+  struct Stored {
+    EpochWindow window;
+    std::uint32_t action = kNoAction;  // index into the control's actions()
+    std::vector<std::uint64_t> args;   // in the action's param order
+  };
 
+  /// action_error() minus the "declared by the table" rule (a default
+  /// action need not be in def().actions).
+  std::string call_error(const ActionCall& call) const;
+  /// Bind `call` for an entry visible in `window`, or throw
+  /// std::invalid_argument(action_error(call)).
+  Stored bind(const ActionCall& call, EpochWindow window) const;
+  /// The text form of a bound action.
+  ActionCall text(std::uint32_t id, const std::uint64_t* args) const;
+  ActionCall text(const Stored& stored) const {
+    return text(stored.action, stored.args.data());
+  }
+  /// Remove the version of `key` whose window equals `*window`, or the
+  /// live one when `window` is nullptr.
+  bool erase_version(const std::vector<std::uint64_t>& key,
+                     const EpochWindow* window);
+  /// `key` as an ExactKey; false when its arity is not the table's.
+  bool key_of(const std::vector<std::uint64_t>& key, ExactKey& out) const;
+  std::vector<Stored>* versions_of(const std::vector<std::uint64_t>& key);
+  const std::vector<Stored>* versions_of(
+      const std::vector<std::uint64_t>& key) const;
+  Stored* ternary_stored(std::size_t handle);
+
+  const p4ir::ControlBlock* control_;
   const p4ir::Table* def_;
+  std::uint32_t default_action_ = kNoAction;
   std::size_t size_ = 0;
   std::uint64_t revision_ = 0;
-  // Change log: log_[r % kChangeLogCapacity] holds the exact key
-  // mutation r touched (sized on first use); whole_at_ is the latest
-  // revision whose mutation the log cannot name by key.
-  std::vector<std::vector<std::uint64_t>> log_;
-  std::uint64_t whole_at_ = 0;
   mutable std::uint64_t hits_ = 0;
   mutable std::uint64_t misses_ = 0;
-  // Exact storage: concatenated key string -> installed versions of
-  // that key (pairwise non-overlapping windows; at most one open).
-  std::unordered_map<std::string, std::vector<ExactEntry>> exact_;
-  // Ternary/LPM storage; windows ride in a side map so the TCAM model
-  // stays epoch-agnostic (absent handle = default window).
-  std::optional<net::Tcam<ActionCall>> tcam_;
-  std::map<std::size_t, EpochWindow> ternary_windows_;
+  // Exact storage: key -> installed versions of that key (pairwise
+  // non-overlapping windows; at most one open).
+  std::unordered_map<ExactKey, std::vector<Stored>, ExactKeyHash> exact_;
+  // Ternary/LPM storage; each entry carries its own window.
+  std::optional<net::Tcam<Stored>> tcam_;
 };
 
 }  // namespace dejavu::sim

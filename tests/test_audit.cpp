@@ -45,7 +45,7 @@ RuntimeTable* table_with_entries(DataPlane& dp, const std::string& name) {
 }
 
 /// Every table instance's mutation stamp, in program order — what the
-/// compiled engine watches to decide whether its lowered rules moved.
+/// compiled engine's generation() watches.
 std::vector<std::uint64_t> table_revisions(DataPlane& dp) {
   std::vector<std::uint64_t> out;
   for (const p4ir::ControlBlock& control : dp.program().controls()) {
@@ -56,31 +56,47 @@ std::vector<std::uint64_t> table_revisions(DataPlane& dp) {
   return out;
 }
 
-p4ir::Table ternary_def() {
+p4ir::Action action(std::string name, std::vector<std::string> params = {}) {
+  p4ir::Action a;
+  a.name = std::move(name);
+  for (std::string& p : params) a.params.push_back({std::move(p), 32});
+  return a;
+}
+
+/// A control owning one table and a definition of each action it runs.
+p4ir::ControlBlock control_of(p4ir::Table def,
+                              std::vector<p4ir::Action> actions) {
+  p4ir::ControlBlock control("c");
+  for (p4ir::Action& a : actions) control.add_action(std::move(a));
+  control.add_table(std::move(def));
+  return control;
+}
+
+p4ir::ControlBlock ternary_def() {
   p4ir::Table def;
   def.name = "acl";
   def.keys = {p4ir::TableKey{"ipv4.src", p4ir::MatchKind::kTernary, 32}};
   def.actions = {"permit", "deny"};
   def.default_action = "deny";
   def.max_entries = 16;
-  return def;
+  return control_of(def, {action("permit"), action("deny")});
 }
 
-p4ir::Table exact_def() {
+p4ir::ControlBlock exact_def() {
   p4ir::Table def;
   def.name = "map";
   def.keys = {p4ir::TableKey{"ipv4.dst", p4ir::MatchKind::kExact, 32}};
   def.actions = {"set"};
-  def.default_action = "set";
+  def.default_action = "keep";
   def.max_entries = 16;
-  return def;
+  return control_of(def, {action("set", {"dip"}), action("keep")});
 }
 
 // ---------------------------------------------------------------- corrupt()
 
 TEST(RuntimeTableCorrupt, TernaryKeyFlipChangesDigestNotRevision) {
-  p4ir::Table def = ternary_def();
-  RuntimeTable rt(def);
+  const p4ir::ControlBlock c = ternary_def();
+  RuntimeTable rt(c, c.tables().front());
   rt.add_ternary({net::TernaryField{0x0a000000, 0xff000000}}, 10,
                  ActionCall{"permit", {}});
   rt.add_ternary({net::TernaryField{0, 0}}, 0, ActionCall{"deny", {}});
@@ -98,8 +114,8 @@ TEST(RuntimeTableCorrupt, TernaryKeyFlipChangesDigestNotRevision) {
 }
 
 TEST(RuntimeTableCorrupt, ExactActionFlipChangesDigestNotRevision) {
-  p4ir::Table def = exact_def();
-  RuntimeTable rt(def);
+  const p4ir::ControlBlock c = exact_def();
+  RuntimeTable rt(c, c.tables().front());
   rt.add_exact({0x0a000001}, ActionCall{"set", {{"dip", 7}}});
   rt.add_exact({0x0a000002}, ActionCall{"set", {{"dip", 9}}});
 
@@ -115,8 +131,8 @@ TEST(RuntimeTableCorrupt, ExactActionFlipChangesDigestNotRevision) {
 }
 
 TEST(RuntimeTableCorrupt, DeleteAndDuplicateAdjustCounts) {
-  p4ir::Table def = exact_def();
-  RuntimeTable rt(def);
+  const p4ir::ControlBlock c = exact_def();
+  RuntimeTable rt(c, c.tables().front());
   rt.add_exact({1}, ActionCall{"set", {{"dip", 1}}});
   rt.add_exact({2}, ActionCall{"set", {{"dip", 2}}});
   const std::uint64_t digest = rt.state_digest();
@@ -141,9 +157,9 @@ TEST(RuntimeTableCorrupt, DeleteAndDuplicateAdjustCounts) {
 }
 
 TEST(RuntimeTableCorrupt, DigestIsInstallOrderIndependent) {
-  p4ir::Table def = ternary_def();
-  RuntimeTable a(def);
-  RuntimeTable b(def);
+  const p4ir::ControlBlock c = ternary_def();
+  RuntimeTable a(c, c.tables().front());
+  RuntimeTable b(c, c.tables().front());
   a.add_ternary({net::TernaryField{0x0a000000, 0xff000000}}, 10,
                 ActionCall{"permit", {}});
   a.add_ternary({net::TernaryField{0, 0}}, 0, ActionCall{"deny", {}});
@@ -154,8 +170,8 @@ TEST(RuntimeTableCorrupt, DigestIsInstallOrderIndependent) {
 }
 
 TEST(RuntimeTableCorrupt, WindowFlipIsDigestVisible) {
-  p4ir::Table def = exact_def();
-  RuntimeTable rt(def);
+  const p4ir::ControlBlock c = exact_def();
+  RuntimeTable rt(c, c.tables().front());
   rt.add_exact({5}, ActionCall{"set", {{"dip", 5}}});
   const std::uint64_t digest = rt.state_digest();
   ASSERT_FALSE(
@@ -218,8 +234,8 @@ TEST(MutationStamps, SilentRegisterWriteMovesOnlyTheDigest) {
 
 TEST(MutationStamps, DataplaneRegisterOpsDoNotChurnRevisions) {
   // Per-packet register arithmetic is dataplane state, not rule state:
-  // counting it as a mutation would invalidate the compiled engine's
-  // lowered rules on every packet.
+  // counting it as a mutation would move the compiled engine's
+  // generation() on every packet.
   auto fx = control::make_fig2_deployment();
   DataPlane& dp = fx.deployment->dataplane();
   const auto revisions = table_revisions(dp);
@@ -581,41 +597,47 @@ TEST(Auditor, FeedsHealthMonitorWithHysteresis) {
   EXPECT_FALSE(monitor.state_unhealthy());
 }
 
-// --------------------------------------------------- compiled quarantine
+// ------------------------------------------ compiled engine under corruption
 
-TEST(CompiledQuarantine, DropsSnapshotAndRecompiles) {
+TEST(CompiledCorruption, NextPacketMatchesInterpreter) {
+  // A silent corruption moves no revision, and nothing needs to: the
+  // compiled engine probes the very store the corruption landed in.
   auto fx = control::make_fig9_deployment();
   const sim::CompileSeed seed =
       explore::compile_seed(fx.deployment->run_explorer());
-  DataPlane dp = fx.deployment->dataplane();
-  sim::CompiledPipeline fast(dp, seed);
-  ASSERT_TRUE(fast.compiled_ok()) << fast.compile_error();
+  const auto flows = control::fig2_replay_flows(12, 2);
+  const RuntimeTable::CorruptKind kinds[] = {
+      RuntimeTable::CorruptKind::kKeyFlip,
+      RuntimeTable::CorruptKind::kActionFlip,
+      RuntimeTable::CorruptKind::kWindowFlip,
+      RuntimeTable::CorruptKind::kDelete,
+      RuntimeTable::CorruptKind::kDuplicate,
+  };
+  for (const RuntimeTable::CorruptKind kind : kinds) {
+    for (const char* table : {"FW.acl", "VGW.vip_map", "Router.ipv4_lpm"}) {
+      DataPlane dp = fx.deployment->dataplane();
+      sim::CompiledPipeline fast(dp, seed);
+      ASSERT_TRUE(fast.compiled_ok()) << fast.compile_error();
+      RuntimeTable* victim = table_with_entries(dp, table);
+      ASSERT_NE(victim, nullptr) << table;
+      const std::string what =
+          victim->corrupt(kind, 0x5eed + static_cast<std::uint64_t>(kind));
+      ASSERT_FALSE(what.empty()) << table;
 
-  const auto flows = control::fig2_replay_flows(6, 2);
-  for (const auto& rf : flows) {
-    (void)fast.process(rf.flow.packet(), rf.in_port);
+      DataPlane twin = dp;
+      for (const auto& rf : flows) {
+        const sim::SwitchOutput got =
+            fast.process(rf.flow.packet(), rf.in_port);
+        const sim::SwitchOutput want =
+            twin.process(rf.flow.packet(), rf.in_port);
+        ASSERT_TRUE(sim::semantically_equal(got, want))
+            << what << ": " << got.drop_reason << " vs " << want.drop_reason;
+      }
+      EXPECT_EQ(dp.all_port_counters(), twin.all_port_counters()) << what;
+      EXPECT_EQ(fast.stats().full_compiles, 1u);
+      EXPECT_EQ(fast.stats().fallback_packets, 0u) << what;
+    }
   }
-  const std::uint64_t generation = fast.generation();
-  const std::uint64_t full_compiles = fast.stats().full_compiles;
-
-  fast.quarantine();
-  EXPECT_EQ(fast.stats().quarantines, 1u);
-  EXPECT_FALSE(fast.compiled_ok());
-
-  // Next packet recompiles against current state — even though the
-  // epoch and revisions never moved (silent corruption would not move
-  // them either).
-  const sim::SwitchOutput out =
-      fast.process(flows.front().flow.packet(), flows.front().in_port);
-  EXPECT_TRUE(fast.compiled_ok()) << fast.compile_error();
-  EXPECT_EQ(fast.generation(), generation + 1);
-  EXPECT_EQ(fast.stats().full_compiles, full_compiles + 1);  // never a patch
-
-  // And the recompiled verdict matches the interpreter's.
-  DataPlane twin = fx.deployment->dataplane();
-  const sim::SwitchOutput want =
-      twin.process(flows.front().flow.packet(), flows.front().in_port);
-  EXPECT_TRUE(sim::semantically_equal(out, want));
 }
 
 // ------------------------------------------------------- chaos state drill

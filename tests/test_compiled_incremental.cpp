@@ -1,14 +1,13 @@
-// The compiled engine's patch path (DESIGN.md §12): a rule commit
-// re-lowers only the entries it touched, and an epoch flip or a
-// quarantine re-lowers everything. Seeded random mutation sequences —
-// exact installs, overwrites, removals, retire/unretire, shadow
-// versions, gc, clear, ternary/LPM churn, epoch flips, quarantines and
-// bursts that overflow a table's change log — run against the
-// interpreter oracle: after every step the patched engine, a freshly
-// compiled engine on a clone, and the interpreter must agree on every
-// probe packet, with equal port counters. A long churn loop pins the
-// op arena's size, and the single-case tests pin which path each kind
-// of change takes.
+// The compiled engine reads the rule store in place (DESIGN.md §12):
+// nothing is lowered from table contents, so no rule change or epoch
+// flip ever recompiles. Seeded random mutation sequences — exact
+// installs, overwrites, removals, retire/unretire, shadow versions, gc,
+// clear, ternary/LPM churn, epoch flips, silent corruption and large
+// bursts — run against the interpreter oracle: after every step the
+// engine, a freshly compiled engine on a clone, and the interpreter
+// must agree on every probe packet, with equal port counters. Long
+// churn and live-update runs pin that the first compile and the op
+// arena never move.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -18,11 +17,13 @@
 #include <vector>
 
 #include "control/deployment.hpp"
+#include "control/live_update.hpp"
 #include "control/replay_target.hpp"
 #include "control/transaction.hpp"
 #include "merge/compose.hpp"
 #include "net/five_tuple.hpp"
 #include "nf/parser_lib.hpp"
+#include "route/routing.hpp"
 #include "sim/compiled/compiled_pipeline.hpp"
 
 namespace dejavu::sim {
@@ -131,8 +132,7 @@ TEST_P(CompiledIncremental, RandomMutationsMatchInterpreterAndFreshCompile) {
   };
   auto dip = [&]() -> std::uint64_t { return 0x0a010200u + rng() % 4; };
   const std::string lb = "LB.lb_session";
-  constexpr int kBurst =
-      static_cast<int>(RuntimeTable::kChangeLogCapacity) + 44;
+  constexpr int kBurst = 300;
   std::vector<std::uint64_t> burst;
 
   for (int step = 0; step < 400; ++step) {
@@ -231,14 +231,14 @@ TEST_P(CompiledIncremental, RandomMutationsMatchInterpreterAndFreshCompile) {
         }));
         break;
       case 12:
-        what = "quarantine";
-        d.fast().quarantine();
+        what = "silent corruption";
+        d.apply(on_table(r % 2 == 0 ? lb : "FW.acl", [&](RuntimeTable& t) {
+          const auto kind = static_cast<RuntimeTable::CorruptKind>(r / 2 % 5);
+          return !t.corrupt(kind, r).empty();
+        }));
         break;
-      // Bursts overflow the change log: the hot keys they touch first
-      // drop out of it, and packets would see those keys stale unless
-      // the table is re-lowered whole.
       case 13:
-        what = "burst install (overflows the change log)";
+        what = "burst install";
         burst = d.hot_keys();
         for (int i = 0; i < kBurst; ++i) {
           burst.push_back(0x80000000u + step * kBurst + i);
@@ -252,7 +252,7 @@ TEST_P(CompiledIncremental, RandomMutationsMatchInterpreterAndFreshCompile) {
         }));
         break;
       case 14:
-        what = "burst removal (overflows the change log)";
+        what = "burst removal";
         d.apply(on_table(lb, [&](RuntimeTable& t) {
           bool any = false;
           for (std::uint64_t b : burst) any |= t.remove_exact({b});
@@ -275,8 +275,6 @@ TEST_P(CompiledIncremental, RandomMutationsMatchInterpreterAndFreshCompile) {
     EXPECT_LE(d.fast().generation(), generation + 1) << what;
   }
   const CompiledStats& s = d.fast().stats();
-  EXPECT_GT(s.patches, 0u);
-  EXPECT_GT(s.full_compiles, 1u);
   EXPECT_EQ(s.failed_compiles, 0u);
   EXPECT_EQ(s.fallback_packets, 0u);
   // The probes did exercise touched session keys, not only misses.
@@ -286,91 +284,121 @@ TEST_P(CompiledIncremental, RandomMutationsMatchInterpreterAndFreshCompile) {
 INSTANTIATE_TEST_SUITE_P(Seeds, CompiledIncremental,
                          ::testing::Values(1u, 2u, 3u, 4u));
 
-/// fig9 with LB.lb_session preloaded to `n` sessions.
-DataPlane preloaded(const control::Fig2Deployment& fx, std::uint32_t n) {
-  DataPlane dp = fx.deployment->dataplane();
+/// Fill `dp`'s LB.lb_session up to `n` sessions.
+void preload(DataPlane& dp, std::uint32_t n) {
   RuntimeTable& lb = *dp.tables_named("LB.lb_session").front();
   for (std::uint32_t i = 0; lb.entry_count() < n; ++i) {
     lb.add_exact({0x90000000u + i}, backend(0x0a010201u));
   }
-  return dp;
 }
 
-TEST(CompiledPatch, InstallIntoLargeTableIsAPatch) {
+TEST(CompiledInPlace, EntriesAreStoredOnce) {
   auto fx = control::make_fig9_deployment();
-  DataPlane dp = preloaded(fx, 8192);
-  CompiledPipeline fast(dp);
-  ASSERT_TRUE(fast.compiled_ok()) << fast.compile_error();
-  const CompiledStats before = fast.stats();
-  const std::size_t arena = fast.op_arena_size();
-
-  const ReplayFlow flow = control::fig2_replay_flows(6).front();
-  ASSERT_EQ(flow.path_id, 1);
-  control::Transaction txn(dp);
-  txn.install_exact("LB.lb_session", {lb_key(flow.flow)},
-                    backend(0x0a010201u));
-  ASSERT_TRUE(txn.commit().committed);
-
-  DataPlane oracle = dp;
-  const SwitchOutput got = fast.process(flow.flow.packet(), flow.in_port);
-  EXPECT_TRUE(semantically_equal(
-      got, oracle.process(flow.flow.packet(), flow.in_port)));
-  EXPECT_TRUE(got.delivered());
-  EXPECT_EQ(fast.stats().patches, before.patches + 1);
-  EXPECT_EQ(fast.stats().full_compiles, before.full_compiles);
-  EXPECT_EQ(fast.generation(), before.full_compiles + before.patches + 1);
-  EXPECT_EQ(fast.op_arena_size(), arena);  // an existing body, shared
-  // 8K sessions on one backend share one lowered body.
-  EXPECT_LT(arena, 256u);
-
-  // An epoch flip re-lowers everything.
-  dp.set_epoch(dp.epoch() + 1);
-  (void)fast.process(flow.flow.packet(), flow.in_port);
-  EXPECT_EQ(fast.stats().full_compiles, before.full_compiles + 1);
-  EXPECT_EQ(fast.stats().patches, before.patches + 1);
-
-  // So does a quarantine, even with nothing moved.
-  fast.quarantine();
-  (void)fast.process(flow.flow.packet(), flow.in_port);
-  EXPECT_EQ(fast.stats().full_compiles, before.full_compiles + 2);
-  EXPECT_EQ(fast.stats().patches, before.patches + 1);
+  DataPlane empty = fx.deployment->dataplane();
+  DataPlane full = empty;
+  preload(full, 8192);
+  CompiledPipeline a(empty);
+  CompiledPipeline b(full);
+  ASSERT_TRUE(a.compiled_ok()) << a.compile_error();
+  ASSERT_TRUE(b.compiled_ok()) << b.compile_error();
+  EXPECT_EQ(a.op_arena_size(), b.op_arena_size());
 }
 
-TEST(CompiledPatch, ChurnKeepsTheOpArenaBounded) {
-  // Fig. 4 session learning: each new flow installs one session and
-  // the oldest expires. Every learned session here has its own
-  // backend, so no body is shared: once the preloaded sessions have
-  // expired, freed bodies must be reused, or the arena (and RSS)
-  // would grow with every flow ever learned.
+TEST(CompiledInPlace, ChurnAndFlipsKeepTheFirstCompile) {
+  // Fig. 4 session learning: each new flow installs one session on its
+  // own backend and the oldest expires; every 100th step also flips
+  // the epoch. The hot flow's session comes and goes with the churn,
+  // so packets alternate between hits and punts.
   auto fx = control::make_fig9_deployment();
   constexpr std::uint32_t kTable = 1024;
-  DataPlane dp = preloaded(fx, kTable);
+  DataPlane dp = fx.deployment->dataplane();
+  preload(dp, kTable);
+  DataPlane oracle = dp;
   CompiledPipeline fast(dp);
   ASSERT_TRUE(fast.compiled_ok()) << fast.compile_error();
-  RuntimeTable& lb = *dp.tables_named("LB.lb_session").front();
-  const std::uint64_t full = fast.stats().full_compiles;
+  const std::size_t arena = fast.op_arena_size();
   const ReplayFlow flow = control::fig2_replay_flows(6).front();
+  ASSERT_EQ(flow.path_id, 1);
+  const std::uint64_t hot = lb_key(flow.flow);
 
-  constexpr std::uint32_t kFlows = 5000;
-  std::size_t arena = 0;
-  for (std::uint32_t i = 0; i < kFlows; ++i) {
-    lb.add_exact({0xa0000000u + i}, backend(0x0b000000u + i));
-    ASSERT_TRUE(lb.remove_exact({i < kTable ? 0x90000000u + i
-                                            : 0xa0000000u + i - kTable}));
-    (void)fast.process(flow.flow.packet(), flow.in_port);
-    if (i == kTable) arena = fast.op_arena_size();
-    if (i > kTable) {
-      ASSERT_LE(fast.op_arena_size(), arena + 8) << "flow " << i;
+  constexpr std::uint32_t kSteps = 5000;
+  std::uint32_t flips = 0;
+  for (std::uint32_t i = 0; i < kSteps; ++i) {
+    for (DataPlane* p : {&dp, &oracle}) {
+      RuntimeTable& lb = *p->tables_named("LB.lb_session").front();
+      lb.add_exact({0xa0000000u + i}, backend(0x0b000000u + i));
+      ASSERT_TRUE(lb.remove_exact({i < kTable ? 0x90000000u + i
+                                              : 0xa0000000u + i - kTable}));
+      if (i % 7 == 0) lb.add_exact({hot}, backend(0x0a010200u + i % 4));
+      if (i % 7 == 3) lb.remove_exact({hot});
+      if (i % 100 == 99) p->set_epoch(p->epoch() + 1);
     }
+    flips += i % 100 == 99;
+    const SwitchOutput got = fast.process(flow.flow.packet(), flow.in_port);
+    const SwitchOutput want = oracle.process(flow.flow.packet(), flow.in_port);
+    ASSERT_TRUE(semantically_equal(got, want)) << "step " << i;
+    ASSERT_EQ(fast.op_arena_size(), arena) << "step " << i;
   }
-  EXPECT_EQ(fast.stats().full_compiles, full);
-  EXPECT_EQ(fast.stats().patches, kFlows);
+  EXPECT_EQ(flips, 50u);
+  EXPECT_EQ(fast.stats().full_compiles, 1u);
   EXPECT_EQ(fast.stats().fallback_packets, 0u);
+  EXPECT_EQ(dp.all_port_counters(), oracle.all_port_counters());
 }
 
-TEST(CompiledPatch, PatchedBodyWithNewLocalsIsSized) {
+TEST(CompiledInPlace, LiveUpdateFlipKeepsTheFirstCompile) {
+  // The §11 update that routes every chain around the LB, committed
+  // with 8K sessions installed: the flip moves the epoch, and the
+  // engine keeps serving from its first compile.
+  auto fx = control::make_fig9_deployment();
+  control::Deployment& dep = *fx.deployment;
+  DataPlane& dp = dep.dataplane();
+  preload(dp, 8192);
+  sfc::PolicySet reduced;
+  for (const sfc::ChainPolicy& p : dep.policies().policies()) {
+    sfc::ChainPolicy rp = p;
+    std::erase(rp.nfs, std::string(sfc::kLoadBalancer));
+    reduced.add(std::move(rp));
+  }
+  const route::RoutingPlan plan =
+      route::build_routing(reduced, dep.placement(), dp.config());
+  ASSERT_TRUE(plan.feasible) << plan.infeasible_reason;
+  const control::RuleDiff diff =
+      control::routing_rule_diff(dep.routing(), plan, dp);
+
+  DataPlane oracle = dp;
+  CompiledPipeline fast(dp);
+  ASSERT_TRUE(fast.compiled_ok()) << fast.compile_error();
+  const auto flows = control::fig2_replay_flows(24);
+  auto probe_all = [&](const std::string& when) {
+    for (const ReplayFlow& f : flows) {
+      const SwitchOutput got = fast.process(f.flow.packet(), f.in_port);
+      const SwitchOutput want = oracle.process(f.flow.packet(), f.in_port);
+      ASSERT_TRUE(semantically_equal(got, want))
+          << when << ": path " << f.path_id << " (" << got.drop_reason
+          << " vs " << want.drop_reason << ")";
+    }
+  };
+  probe_all("before the flip");
+  if (HasFatalFailure()) return;
+
+  const std::uint32_t epoch = dp.epoch();
+  const control::UpdateReport report = control::run_update(dp, diff);
+  ASSERT_TRUE(report.committed) << report.error;
+  ASSERT_TRUE(control::run_update(oracle, diff).committed);
+  ASSERT_GT(dp.epoch(), epoch);
+  const std::uint64_t generation = fast.generation();
+  probe_all("after the flip");
+  if (HasFatalFailure()) return;
+
+  EXPECT_EQ(fast.generation(), generation + 1);
+  EXPECT_EQ(fast.stats().full_compiles, 1u);
+  EXPECT_EQ(fast.stats().fallback_packets, 0u);
+  EXPECT_EQ(dp.all_port_counters(), oracle.all_port_counters());
+}
+
+TEST(CompiledInPlace, InstalledActionWithNewLocalsRuns) {
   // The default action uses no local.* slot; the installed action
-  // introduces two. Scratch must grow with the patch.
+  // introduces two. Both were lowered, and sized, at compile time.
   p4ir::TupleIdTable ids;
   asic::SwitchConfig config(asic::TargetSpec::mini());
   p4ir::Program program("p");
@@ -410,7 +438,7 @@ TEST(CompiledPatch, PatchedBodyWithNewLocalsIsSized) {
       ->add_exact({spec.ip_dst.value()}, ActionCall{"via_locals", {}});
   DataPlane oracle = dp;
   const SwitchOutput got = fast.process(packet, 0);
-  EXPECT_EQ(fast.stats().patches, 1u);
+  EXPECT_EQ(fast.stats().full_compiles, 1u);
   EXPECT_TRUE(semantically_equal(got, oracle.process(packet, 0)));
   ASSERT_TRUE(got.delivered());
   EXPECT_EQ(got.out.front().port, 3);

@@ -396,8 +396,8 @@ TEST(ReplayUnderUpdate, CountersBitIdenticalAcrossWorkerCounts) {
 
 TEST(LiveUpdate, CompiledPipelineNeverServesARetiredGeneration) {
   // Trace-invalidation property (DESIGN.md §12): after a committed
-  // flip the compiled engine must recompile (generation moved) or fall
-  // back (compiled_ok cleared) — and the first packet it handles runs
+  // flip the compiled engine must advance its generation or fall back
+  // (compiled_ok cleared) — and the first packet it handles runs
   // on the new epoch with interpreter-identical semantics.
   auto fx = make_fig9_deployment();
   Deployment& dep = *fx.deployment;

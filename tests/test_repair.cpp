@@ -212,8 +212,8 @@ TEST(ChainRepair, BypassRestoresDelivery) {
 
 TEST(ChainRepair, CompiledPipelineInvalidatedBySwap) {
   // Trace-invalidation property (DESIGN.md §12): a committed repair
-  // swap moves table revisions, so the compiled engine must recompile
-  // or fall back — and agree with the interpreter on the repaired
+  // swap moves table revisions, so the compiled engine must advance
+  // its generation or fall back — and agree with the interpreter on the repaired
   // chain. Never the retired one.
   auto fx = make_fig9_deployment();
   auto flows = fig2_replay_flows(12);

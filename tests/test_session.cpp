@@ -230,8 +230,8 @@ TEST(Session, CleanWriteLandsOnSwitchAndMirror) {
   EXPECT_TRUE(r.ok) << r.to_string();
   EXPECT_EQ(r.attempts, 1u);
   EXPECT_FALSE(r.was_duplicate);
-  EXPECT_NE(rig.dp.tables_named("LB.lb_session")[0]->find_exact({0x42}),
-            nullptr);
+  EXPECT_TRUE(
+      rig.dp.tables_named("LB.lb_session")[0]->find_exact({0x42}).has_value());
   EXPECT_EQ(rig.switch_text(), rig.mirror_text());
   EXPECT_EQ(rig.session->stats().writes, 1u);
   EXPECT_EQ(rig.session->stats().write_retries, 0u);
@@ -326,10 +326,9 @@ TEST(Session, PartitionedWriteGivesUpButKeepsTheIntent) {
   // The switch never saw the write...
   EXPECT_EQ(rig.switch_text(), before);
   // ...but the mirror holds the intent for reconciliation.
-  EXPECT_NE(rig.session->mirror()
+  EXPECT_TRUE(rig.session->mirror()
                 .tables_named("LB.lb_session")[0]
-                ->find_exact({0x42}),
-            nullptr);
+                ->find_exact({0x42}).has_value());
 }
 
 TEST(Session, DataplaneKeepsForwardingDuringAPartition) {
@@ -454,8 +453,8 @@ TEST(Session, PartitionedIntentReconcilesAfterTheChannelHeals) {
   EXPECT_TRUE(report.converged) << report.to_string();
   EXPECT_GT(report.ops, 0u);
   EXPECT_EQ(rig.switch_text(), rig.mirror_text());
-  EXPECT_NE(rig.dp.tables_named("LB.lb_session")[0]->find_exact({0x42}),
-            nullptr);
+  EXPECT_TRUE(
+      rig.dp.tables_named("LB.lb_session")[0]->find_exact({0x42}).has_value());
 }
 
 // ---------------------------------------------------------------------------

@@ -9,7 +9,26 @@ using p4ir::MatchKind;
 using p4ir::Table;
 using p4ir::TableKey;
 
-Table exact_table() {
+p4ir::Action action(std::string name, std::vector<std::string> params = {}) {
+  p4ir::Action a;
+  a.name = std::move(name);
+  for (std::string& p : params) a.params.push_back({std::move(p), 32});
+  return a;
+}
+
+/// A control owning `table` and a definition of every action it runs;
+/// a RuntimeTable binds installs against it.
+struct Fixture {
+  p4ir::ControlBlock control{"c"};
+
+  Fixture(Table table, std::vector<p4ir::Action> actions) {
+    for (p4ir::Action& a : actions) control.add_action(std::move(a));
+    control.add_table(std::move(table));
+  }
+  const Table& def() const { return control.tables().front(); }
+};
+
+Fixture exact_table() {
   Table t;
   t.name = "exact";
   t.keys = {TableKey{"a.x", MatchKind::kExact, 16},
@@ -17,22 +36,22 @@ Table exact_table() {
   t.actions = {"hit_act"};
   t.default_action = "miss_act";
   t.max_entries = 4;
-  return t;
+  return Fixture(t, {action("hit_act", {"p"}), action("miss_act")});
 }
 
-Table lpm_table() {
+Fixture lpm_table() {
   Table t;
   t.name = "lpm";
   t.keys = {TableKey{"ipv4.dst", MatchKind::kLpm, 32}};
   t.actions = {"route"};
   t.default_action = "miss";
   t.max_entries = 16;
-  return t;
+  return Fixture(t, {action("route", {"port"}), action("miss")});
 }
 
 TEST(RuntimeTable, ExactHitAndMiss) {
-  Table def = exact_table();
-  RuntimeTable rt(def);
+  const Fixture fx = exact_table();
+  RuntimeTable rt(fx.control, fx.def());
   rt.add_exact({100, 2}, ActionCall{"hit_act", {{"p", 7}}});
 
   auto hit = rt.lookup({100, 2});
@@ -46,16 +65,16 @@ TEST(RuntimeTable, ExactHitAndMiss) {
 }
 
 TEST(RuntimeTable, MissingFieldIsAMiss) {
-  Table def = exact_table();
-  RuntimeTable rt(def);
-  rt.add_exact({100, 2}, ActionCall{"hit_act", {}});
+  const Fixture fx = exact_table();
+  RuntimeTable rt(fx.control, fx.def());
+  rt.add_exact({100, 2}, ActionCall{"hit_act", {{"p", 0}}});
   auto res = rt.lookup({std::nullopt, 2});
   EXPECT_FALSE(res.hit);
 }
 
 TEST(RuntimeTable, ExactReinstallOverwrites) {
-  Table def = exact_table();
-  RuntimeTable rt(def);
+  const Fixture fx = exact_table();
+  RuntimeTable rt(fx.control, fx.def());
   rt.add_exact({1, 1}, ActionCall{"hit_act", {{"p", 1}}});
   rt.add_exact({1, 1}, ActionCall{"hit_act", {{"p", 2}}});
   EXPECT_EQ(rt.entry_count(), 1u);
@@ -63,37 +82,37 @@ TEST(RuntimeTable, ExactReinstallOverwrites) {
 }
 
 TEST(RuntimeTable, TableFullThrows) {
-  Table def = exact_table();  // max_entries = 4
-  RuntimeTable rt(def);
+  const Fixture fx = exact_table();  // max_entries = 4
+  RuntimeTable rt(fx.control, fx.def());
   for (std::uint64_t i = 0; i < 4; ++i) {
-    rt.add_exact({i, 0}, ActionCall{"hit_act", {}});
+    rt.add_exact({i, 0}, ActionCall{"hit_act", {{"p", 0}}});
   }
-  EXPECT_THROW(rt.add_exact({9, 0}, ActionCall{"hit_act", {}}),
+  EXPECT_THROW(rt.add_exact({9, 0}, ActionCall{"hit_act", {{"p", 0}}}),
                std::invalid_argument);
 }
 
 TEST(RuntimeTable, ArityMismatchThrows) {
-  Table def = exact_table();
-  RuntimeTable rt(def);
-  EXPECT_THROW(rt.add_exact({1}, ActionCall{"hit_act", {}}),
+  const Fixture fx = exact_table();
+  RuntimeTable rt(fx.control, fx.def());
+  EXPECT_THROW(rt.add_exact({1}, ActionCall{"hit_act", {{"p", 0}}}),
                std::invalid_argument);
 }
 
 TEST(RuntimeTable, KindMismatchThrows) {
-  Table exact = exact_table();
-  RuntimeTable rt_exact(exact);
+  const Fixture exact = exact_table();
+  RuntimeTable rt_exact(exact.control, exact.def());
   EXPECT_THROW(rt_exact.add_lpm(0, 8, ActionCall{}), std::invalid_argument);
   EXPECT_THROW(rt_exact.add_ternary({}, 0, ActionCall{}),
                std::invalid_argument);
 
-  Table lpm = lpm_table();
-  RuntimeTable rt_lpm(lpm);
+  const Fixture lpm = lpm_table();
+  RuntimeTable rt_lpm(lpm.control, lpm.def());
   EXPECT_THROW(rt_lpm.add_exact({1}, ActionCall{}), std::invalid_argument);
 }
 
 TEST(RuntimeTable, LpmLongestPrefixWins) {
-  Table def = lpm_table();
-  RuntimeTable rt(def);
+  const Fixture fx = lpm_table();
+  RuntimeTable rt(fx.control, fx.def());
   rt.add_lpm(0x0a000000, 8, ActionCall{"route", {{"port", 8}}});
   rt.add_lpm(0x0a010000, 16, ActionCall{"route", {{"port", 16}}});
 
@@ -103,15 +122,15 @@ TEST(RuntimeTable, LpmLongestPrefixWins) {
 }
 
 TEST(RuntimeTable, LpmDefaultRoute) {
-  Table def = lpm_table();
-  RuntimeTable rt(def);
+  const Fixture fx = lpm_table();
+  RuntimeTable rt(fx.control, fx.def());
   rt.add_lpm(0, 0, ActionCall{"route", {{"port", 1}}});
   EXPECT_TRUE(rt.lookup({0xffffffff}).hit);
 }
 
 TEST(RuntimeTable, LpmPrefixTooLongThrows) {
-  Table def = lpm_table();
-  RuntimeTable rt(def);
+  const Fixture fx = lpm_table();
+  RuntimeTable rt(fx.control, fx.def());
   EXPECT_THROW(rt.add_lpm(0, 33, ActionCall{}), std::invalid_argument);
 }
 
@@ -122,7 +141,8 @@ TEST(RuntimeTable, TernaryPriorityOrder) {
   def.actions = {"permit", "deny"};
   def.default_action = "deny";
   def.max_entries = 8;
-  RuntimeTable rt(def);
+  const Fixture fx(def, {action("permit"), action("deny")});
+  RuntimeTable rt(fx.control, fx.def());
   rt.add_ternary({net::TernaryField{0, 0}}, 0, ActionCall{"deny", {}});
   rt.add_ternary({net::TernaryField{0x0a000000, 0xff000000}}, 10,
                  ActionCall{"permit", {}});
@@ -136,20 +156,21 @@ TEST(RuntimeTable, KeylessAlwaysHitsDefault) {
   Table def;
   def.name = "keyless";
   def.default_action = "always";
-  RuntimeTable rt(def);
+  const Fixture fx(def, {action("always")});
+  RuntimeTable rt(fx.control, fx.def());
   auto res = rt.lookup({});
   EXPECT_TRUE(res.hit);
   EXPECT_EQ(res.action.action, "always");
 }
 
 TEST(RuntimeTable, ClearResets) {
-  Table def = exact_table();
-  RuntimeTable rt(def);
-  rt.add_exact({1, 1}, ActionCall{"hit_act", {}});
+  const Fixture fx = exact_table();
+  RuntimeTable rt(fx.control, fx.def());
+  rt.add_exact({1, 1}, ActionCall{"hit_act", {{"p", 0}}});
   rt.clear();
   EXPECT_EQ(rt.entry_count(), 0u);
   EXPECT_FALSE(rt.lookup({1, 1}).hit);
-  rt.add_exact({1, 1}, ActionCall{"hit_act", {}});  // usable after clear
+  rt.add_exact({1, 1}, ActionCall{"hit_act", {{"p", 0}}});  // usable after clear
   EXPECT_TRUE(rt.lookup({1, 1}).hit);
 }
 

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include "control/deployment.hpp"
+#include "control/replay_target.hpp"
+#include "merge/framework.hpp"
 #include "nf/nfs.hpp"
 
 namespace dejavu::control {
@@ -104,6 +106,39 @@ TEST(Snapshot, MissingTablesAreReportedNotFatal) {
     saw_lb |= m.find("LB.lb_session") != std::string::npos;
   }
   EXPECT_TRUE(saw_lb);
+}
+
+TEST(Snapshot, RestoreReportsEntriesTheTableCannotRun) {
+  auto source = make_fig2_deployment();
+  Snapshot snap = take_snapshot(source.deployment->dataplane());
+  // Every branching entry now carries an action no table binds.
+  std::size_t rebound = 0;
+  for (Snapshot::TableState& t : snap.tables) {
+    if (t.table != merge::kBranchingTable) continue;
+    for (auto& e : t.exact) {
+      e.action = sim::ActionCall{"no_such_action", {}};
+      ++rebound;
+    }
+  }
+  ASSERT_GT(rebound, 0u);
+
+  auto target = make_fig2_deployment();
+  sim::DataPlane& dp = target.deployment->dataplane();
+  const auto refused = restore_snapshot(snap, dp);
+  ASSERT_EQ(refused.size(), rebound);
+  for (const std::string& why : refused) {
+    EXPECT_NE(why.find(merge::kBranchingTable), std::string::npos) << why;
+    EXPECT_NE(why.find("'no_such_action' is not bound"), std::string::npos)
+        << why;
+  }
+  for (const auto& t : take_snapshot(dp).tables) {
+    if (t.table == merge::kBranchingTable) {
+      EXPECT_TRUE(t.exact.empty());
+    }
+  }
+  for (const sim::ReplayFlow& rf : fig2_replay_flows(12)) {
+    EXPECT_NO_THROW(dp.process(rf.flow.packet(), rf.in_port));
+  }
 }
 
 TEST(Snapshot, RegistersRoundTrip) {

@@ -16,7 +16,10 @@ TEST(TableCounters, CountHitsAndMisses) {
   def.name = "t";
   def.keys = {p4ir::TableKey{"a.x", p4ir::MatchKind::kExact, 8}};
   def.actions = {"act"};
-  sim::RuntimeTable rt(def);
+  p4ir::ControlBlock control("c");
+  control.add_action(p4ir::Action{"act", {}, {}});
+  control.add_table(def);
+  sim::RuntimeTable rt(control, control.tables().front());
   rt.add_exact({1}, sim::ActionCall{"act", {}});
 
   rt.lookup({1});

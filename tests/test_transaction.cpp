@@ -4,12 +4,16 @@
 // to its pre-transaction snapshot — registers included.
 #include <gtest/gtest.h>
 
+#include <tuple>
+
 #include "control/deployment.hpp"
 #include "control/replay_target.hpp"
+#include "control/session.hpp"
 #include "control/snapshot.hpp"
 #include "control/transaction.hpp"
 #include "merge/compose.hpp"
 #include "nf/nfs.hpp"
+#include "nf/parser_lib.hpp"
 #include "sim/compiled/compiled_pipeline.hpp"
 #include "sim/fault.hpp"
 
@@ -83,14 +87,14 @@ TEST(Transaction, CommitsBatch) {
   EXPECT_EQ(result.attempts, 2u);
   EXPECT_EQ(result.retries, 0u);
   ASSERT_EQ(dp.tables_named("LB.lb_session").size(), 1u);
-  EXPECT_NE(dp.tables_named("LB.lb_session")[0]->find_exact({0x4242}),
-            nullptr);
+  EXPECT_TRUE(
+      dp.tables_named("LB.lb_session")[0]->find_exact({0x4242}).has_value());
 }
 
 TEST(Transaction, CommitInvalidatesCompiledTraces) {
   // Trace-invalidation property (DESIGN.md §12): a committed batch
   // bumps table revisions, so a compiled pipeline built before the
-  // commit must recompile (or fall back) before serving the next
+  // commit must advance its generation (or fall back) on the next
   // packet — the new rules are visible immediately, exactly as on the
   // interpreter.
   auto fx = make_fig9_deployment();
@@ -390,6 +394,141 @@ TEST(Transaction, RegisterValidation) {
   bad_index.write_register(ctrl, "Limiter.flow_count", 1u << 20, 1);
   EXPECT_NE(bad_index.commit().error.find("out of range"), std::string::npos);
 }
+
+// ---------------------------------------------------------------------------
+// The store's action check, on every install path
+
+enum class BadAction { kUnbound, kUndefined, kMissingArg, kExtraArg };
+enum class InstallPath { kAddExact, kAddTernary, kAddLpm, kTransaction,
+                         kReconcile };
+
+/// One control with an exact, a ternary and an LPM table. Each binds
+/// "set" (one param) and "ghost", which the control never defines;
+/// "other" is defined but bound to no table.
+struct CheckRig {
+  p4ir::TupleIdTable ids;
+  p4ir::Program program{"p"};
+  std::unique_ptr<sim::DataPlane> dp;
+
+  CheckRig() {
+    nf::add_standard_parser(program, ids);
+    p4ir::ControlBlock c("c");
+    c.add_action({"set", {{"v", 8}}, {p4ir::set_from_param("ipv4.ttl", "v")}});
+    c.add_action({"other", {}, {}});
+    c.add_action({"nop", {}, {}});
+    for (const auto& [name, kind] :
+         {std::pair{"e", p4ir::MatchKind::kExact},
+          std::pair{"t", p4ir::MatchKind::kTernary},
+          std::pair{"l", p4ir::MatchKind::kLpm}}) {
+      p4ir::Table t;
+      t.name = name;
+      t.keys = {p4ir::TableKey{"ipv4.dst_addr", kind, 32}};
+      t.actions = {"set", "ghost"};
+      t.default_action = "nop";
+      c.add_table(t);
+    }
+    program.add_control(std::move(c));
+    dp = std::make_unique<sim::DataPlane>(
+        program, ids, asic::SwitchConfig(asic::TargetSpec::mini()));
+  }
+};
+
+sim::ActionCall bad_call(BadAction bad) {
+  switch (bad) {
+    case BadAction::kUnbound:
+      return {"other", {}};
+    case BadAction::kUndefined:
+      return {"ghost", {}};
+    case BadAction::kMissingArg:
+      return {"set", {}};
+    case BadAction::kExtraArg:
+      return {"set", {{"v", 1}, {"w", 2}}};
+  }
+  return {};
+}
+
+std::string check_name(BadAction bad, InstallPath path) {
+  static const char* const kBad[] = {"Unbound", "Undefined", "MissingArg",
+                                     "ExtraArg"};
+  static const char* const kPath[] = {"AddExact", "AddTernary", "AddLpm",
+                                      "Transaction", "Reconcile"};
+  return std::string(kBad[static_cast<int>(bad)]) + "_" +
+         kPath[static_cast<int>(path)];
+}
+
+class ActionCheck
+    : public ::testing::TestWithParam<std::tuple<BadAction, InstallPath>> {};
+
+TEST_P(ActionCheck, RefusedWithTableUnchanged) {
+  const auto [bad, path] = GetParam();
+  CheckRig rig;
+  sim::DataPlane& dp = *rig.dp;
+  const sim::ActionCall call = bad_call(bad);
+  const std::uint64_t dst = net::Ipv4Addr(10, 0, 0, 7).value();
+  // A good entry in every table, so "unchanged" is not vacuous.
+  dp.table_in("c", "e")->add_exact({dst}, {"set", {{"v", 9}}});
+  dp.table_in("c", "t")->add_ternary({{dst, 0xffffffff}}, 1,
+                                     {"set", {{"v", 9}}});
+  dp.table_in("c", "l")->add_lpm(dst, 24, {"set", {{"v", 9}}});
+  const std::string before = take_snapshot(dp).to_text();
+  const std::uint64_t other = net::Ipv4Addr(10, 0, 1, 0).value();
+
+  switch (path) {
+    case InstallPath::kAddExact:
+      EXPECT_THROW(dp.table_in("c", "e")->add_exact({other}, call),
+                   std::invalid_argument);
+      break;
+    case InstallPath::kAddTernary:
+      EXPECT_THROW(
+          dp.table_in("c", "t")->add_ternary({{other, 0xffffff00}}, 2, call),
+          std::invalid_argument);
+      break;
+    case InstallPath::kAddLpm:
+      EXPECT_THROW(dp.table_in("c", "l")->add_lpm(other, 24, call),
+                   std::invalid_argument);
+      break;
+    case InstallPath::kTransaction: {
+      Transaction txn(dp);
+      txn.install_exact("e", {other}, call);
+      const auto r = txn.commit();
+      EXPECT_FALSE(r.committed);
+      EXPECT_EQ(r.applied, 0u);
+      break;
+    }
+    case InstallPath::kReconcile: {
+      SwitchAgent agent(dp);
+      WriteCommand cmd;
+      cmd.verb = WriteCommand::Verb::kReconcile;
+      ReconcileOp add;
+      add.kind = ReconcileOp::Kind::kAddExact;
+      add.control = "c";
+      add.table = "e";
+      add.key = {other};
+      add.action = call;
+      cmd.recon.push_back(add);
+      const AckMsg ack = agent.apply(cmd);
+      EXPECT_FALSE(ack.ok);
+      EXPECT_EQ(ack.applied, 0u);
+      break;
+    }
+  }
+  EXPECT_EQ(take_snapshot(dp).to_text(), before);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BadActionsByPath, ActionCheck,
+    ::testing::Combine(::testing::Values(BadAction::kUnbound,
+                                         BadAction::kUndefined,
+                                         BadAction::kMissingArg,
+                                         BadAction::kExtraArg),
+                       ::testing::Values(InstallPath::kAddExact,
+                                         InstallPath::kAddTernary,
+                                         InstallPath::kAddLpm,
+                                         InstallPath::kTransaction,
+                                         InstallPath::kReconcile)),
+    [](const auto& info) {
+      return check_name(std::get<0>(info.param), std::get<1>(info.param));
+    });
 
 }  // namespace
 }  // namespace dejavu::control

@@ -5,6 +5,7 @@
 #include "merge/compose.hpp"
 #include "merge/framework.hpp"
 #include "sfc/header.hpp"
+#include "sim/compiled/compiled_pipeline.hpp"
 
 namespace dejavu::control {
 
@@ -201,8 +202,8 @@ std::size_t ControlPlane::service_punts(sim::SwitchOutput& out, int depth) {
       // Reinject under the punt's original epoch stamp: the packet
       // finishes on the chain generation it started on, even if a live
       // update flipped the version gate while it sat with the CPU.
-      sim::SwitchOutput re = dp_->process(std::move(punt.packet), entry_port,
-                                          /*from_cpu=*/true, punt.epoch);
+      sim::SwitchOutput re = process(std::move(punt.packet), entry_port,
+                                     /*from_cpu=*/true, punt.epoch);
       ++handled;
       // Service only the reinjection's own punts (bounded), then fold
       // everything into the original output. Punts this pass chose
@@ -235,9 +236,17 @@ std::size_t ControlPlane::service_punts(sim::SwitchOutput& out, int depth) {
 
 sim::SwitchOutput ControlPlane::inject(net::Packet packet,
                                        std::uint16_t in_port) {
-  sim::SwitchOutput out = dp_->process(std::move(packet), in_port);
+  sim::SwitchOutput out = process(std::move(packet), in_port);
   service_punts(out);
   return out;
+}
+
+sim::SwitchOutput ControlPlane::process(net::Packet packet,
+                                        std::uint16_t in_port, bool from_cpu,
+                                        std::optional<std::uint32_t> stamp) {
+  return engine_ != nullptr
+             ? engine_->process(std::move(packet), in_port, from_cpu, stamp)
+             : dp_->process(std::move(packet), in_port, from_cpu, stamp);
 }
 
 }  // namespace dejavu::control

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -14,6 +15,10 @@
 #include "route/routing.hpp"
 #include "sfc/chain.hpp"
 #include "sim/dataplane.hpp"
+
+namespace dejavu::sim {
+class CompiledPipeline;
+}
 
 namespace dejavu::control {
 
@@ -50,6 +55,13 @@ class ControlPlane {
   /// drive a deployment end to end.
   sim::SwitchOutput inject(net::Packet packet, std::uint16_t in_port);
 
+  /// The engine inject() and reinjections run on: a compiled fast path
+  /// bound to this control plane's data plane, or nullptr (the
+  /// default) for the interpreter. A reinjection re-enters the engine
+  /// that served the punted packet, as a packet-out re-enters the
+  /// ASIC's one pipeline. `engine` must outlive its use here.
+  void set_engine(sim::CompiledPipeline* engine) { engine_ = engine; }
+
   std::size_t sessions_learned() const { return sessions_learned_; }
   std::size_t route_misses() const { return route_misses_; }
 
@@ -78,7 +90,13 @@ class ControlPlane {
   std::uint16_t reinjection_port(std::uint16_t path_id, const std::string& nf,
                                  std::uint16_t fallback) const;
 
+  /// One pass through the active engine.
+  sim::SwitchOutput process(net::Packet packet, std::uint16_t in_port,
+                            bool from_cpu = false,
+                            std::optional<std::uint32_t> stamp = std::nullopt);
+
   sim::DataPlane* dp_;
+  sim::CompiledPipeline* engine_ = nullptr;
   sfc::PolicySet policies_;
   LbPool lb_pool_;
   route::RoutingPlan routing_;  // kept from install_routing

@@ -6,31 +6,29 @@ namespace dejavu::control {
 
 sim::SwitchOutput DeploymentTarget::inject(net::Packet packet,
                                            std::uint16_t in_port) {
-  if (engine_ == sim::EngineKind::kCompiled && compiled_) {
-    // Fast path first; the control plane then services any punts the
-    // same way ControlPlane::inject would (reinjections re-enter via
-    // DataPlane::process — the slow path stays interpreted).
-    sim::SwitchOutput out = compiled_->process(std::move(packet), in_port);
-    if (service_punts_) fx_.deployment->control().service_punts(out);
-    return out;
-  }
   if (service_punts_) {
     return fx_.deployment->control().inject(std::move(packet), in_port);
+  }
+  if (engine_ == sim::EngineKind::kCompiled) {
+    return compiled_->process(std::move(packet), in_port);
   }
   return fx_.deployment->dataplane().process(std::move(packet), in_port);
 }
 
 void DeploymentTarget::set_engine(sim::EngineKind kind) {
   engine_ = kind;
-  if (kind != sim::EngineKind::kCompiled || compiled_) return;
-  // Seed from the deployment's own path equivalence classes; reuse a
-  // previous exploration when the deployment already ran one.
-  const explore::ExploreResult& ex =
-      fx_.deployment->exploration().paths.empty()
-          ? fx_.deployment->run_explorer()
-          : fx_.deployment->exploration();
-  compiled_ = std::make_unique<sim::CompiledPipeline>(
-      fx_.deployment->dataplane(), explore::compile_seed(ex));
+  if (kind == sim::EngineKind::kCompiled && !compiled_) {
+    // Seed from the deployment's own path equivalence classes; reuse a
+    // previous exploration when the deployment already ran one.
+    const explore::ExploreResult& ex =
+        fx_.deployment->exploration().paths.empty()
+            ? fx_.deployment->run_explorer()
+            : fx_.deployment->exploration();
+    compiled_ = std::make_unique<sim::CompiledPipeline>(
+        fx_.deployment->dataplane(), explore::compile_seed(ex));
+  }
+  fx_.deployment->control().set_engine(
+      kind == sim::EngineKind::kCompiled ? compiled_.get() : nullptr);
 }
 
 std::uint64_t DeploymentTarget::compiled_packets() const {

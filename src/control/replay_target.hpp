@@ -23,9 +23,9 @@ class DeploymentTarget : public sim::ReplayTarget {
   sim::DataPlane& dataplane() override { return fx_.deployment->dataplane(); }
 
   /// kCompiled lowers the deployed chain, seeded from the deployment's
-  /// explorer path equivalence classes (run lazily on first switch).
-  /// First-pass punts still traverse the control plane's interpreter
-  /// slow path — exactly the Fig. 4 division of labor.
+  /// explorer path equivalence classes (run lazily on first switch),
+  /// and hands it to the control plane: first passes and the Fig. 4
+  /// reinjections both run on the active engine.
   void set_engine(sim::EngineKind kind) override;
   sim::EngineKind engine() const override { return engine_; }
   std::uint64_t compiled_packets() const override;

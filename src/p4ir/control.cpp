@@ -134,6 +134,14 @@ bool ControlBlock::validate(std::string* why) const {
                   t.default_action + "'");
     }
   }
+  return runnable(why);
+}
+
+bool ControlBlock::runnable(std::string* why) const {
+  auto fail = [&](const std::string& msg) {
+    if (why != nullptr) *why = "control '" + name_ + "': " + msg;
+    return false;
+  };
   for (const ApplyEntry& e : apply_) {
     if (find_table(e.table) == nullptr) {
       return fail("apply of unknown table '" + e.table + "'");

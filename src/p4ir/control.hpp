@@ -131,6 +131,10 @@ class ControlBlock {
   /// Check internal consistency (all referenced actions/tables exist).
   /// Returns true and leaves `why` untouched on success.
   bool validate(std::string* why = nullptr) const;
+  /// The part of validate() execution depends on: every applied table
+  /// and every register an action uses exists. (A table may bind an
+  /// undefined action; the rule store refuses installs of it.)
+  bool runnable(std::string* why = nullptr) const;
 
   bool operator==(const ControlBlock&) const = default;
 

@@ -162,9 +162,9 @@ void CompiledPipeline::mark_parse_selectors() {
   }
 }
 
-bool CompiledPipeline::compile_action(const p4ir::ControlBlock& control,
+void CompiledPipeline::compile_action(const p4ir::ControlBlock& control,
                                       const p4ir::Action& action,
-                                      ActionRef& out, std::string* err) {
+                                      ActionRef& out) {
   // The store refuses any entry of an action that reads an undeclared
   // param (RuntimeTable::action_error), so such a slot is never read.
   auto slot = [&](const std::string& param) {
@@ -217,18 +217,12 @@ bool CompiledPipeline::compile_action(const p4ir::ControlBlock& control,
       case p4ir::PrimitiveOp::kRegisterRead:
       case p4ir::PrimitiveOp::kRegisterAdd:
       case p4ir::PrimitiveOp::kRegisterWrite: {
-        const p4ir::RegisterDef* def = control.find_register(p.param);
-        std::vector<std::uint64_t>* cells =
-            dp_->register_array(control.name(), p.param);
-        if (def == nullptr || cells == nullptr) {
-          *err = "action '" + action.name + "' uses unknown register '" +
-                 p.param + "'";
-          return false;
-        }
-        op.reg = cells;
-        op.reg_mask = def->width_bits >= 64
+        // The DataPlane refused actions using unknown registers.
+        const p4ir::RegisterDef& def = *control.find_register(p.param);
+        op.reg = dp_->register_array(control.name(), p.param);
+        op.reg_mask = def.width_bits >= 64
                           ? ~std::uint64_t{0}
-                          : (std::uint64_t{1} << def->width_bits) - 1;
+                          : (std::uint64_t{1} << def.width_bits) - 1;
         op.imm = p.imm;
         op.reg_index_from_imm = p.src.empty();
         if (!p.src.empty()) op.src = resolve_field(p.src);
@@ -249,15 +243,14 @@ bool CompiledPipeline::compile_action(const p4ir::ControlBlock& control,
     ops_.push_back(op);
   }
   out.count = static_cast<std::uint32_t>(ops_.size()) - out.begin;
-  return true;
 }
 
-bool CompiledPipeline::compile_control(const std::string& control_name,
-                                       ControlC& cc, std::string* err) {
+void CompiledPipeline::compile_control(const std::string& control_name,
+                                       ControlC& cc) {
   const p4ir::ControlBlock* cb = dp_->program().find_control(control_name);
   if (cb == nullptr) {
     cc.present = false;
-    return true;
+    return;
   }
   cc.present = true;
 
@@ -293,18 +286,14 @@ bool CompiledPipeline::compile_control(const std::string& control_name,
     cc.entries.push_back(e);
   }
 
+  // The DataPlane refused applies of unknown tables.
   for (const auto& [tname, idx] : tidx) {
-    const p4ir::Table* def = cb->find_table(tname);
-    const RuntimeTable* rt = dp_->table_in(control_name, tname);
-    if (def == nullptr || rt == nullptr) {
-      *err = "apply of unknown table '" + tname + "'";
-      return false;
-    }
+    const p4ir::Table& def = *cb->find_table(tname);
     TableC& t = cc.tables[idx];
-    t.rt = rt;
+    t.rt = dp_->table_in(control_name, tname);
     t.key_begin = static_cast<std::uint32_t>(key_refs_.size());
-    t.key_count = static_cast<std::uint32_t>(def->keys.size());
-    for (const p4ir::TableKey& k : def->keys) {
+    t.key_count = static_cast<std::uint32_t>(def.keys.size());
+    for (const p4ir::TableKey& k : def.keys) {
       key_refs_.push_back(resolve_field(k.field));
     }
   }
@@ -312,11 +301,8 @@ bool CompiledPipeline::compile_control(const std::string& control_name,
   // One body per action, whatever the tables hold.
   cc.bodies.resize(cb->actions().size());
   for (std::size_t i = 0; i < cb->actions().size(); ++i) {
-    if (!compile_action(*cb, cb->actions()[i], cc.bodies[i], err)) {
-      return false;
-    }
+    compile_action(*cb, cb->actions()[i], cc.bodies[i]);
   }
-  return true;
 }
 
 bool CompiledPipeline::compile(std::string* err) {
@@ -414,16 +400,10 @@ bool CompiledPipeline::compile(std::string* err) {
   pipelines_ = dp_->config().spec().pipelines;
   controls_.resize(std::size_t{pipelines_} * 2);
   for (std::uint32_t p = 0; p < pipelines_; ++p) {
-    if (!compile_control(
-            merge::pipelet_control_name({p, asic::PipeKind::kIngress}),
-            controls_[p * 2], err)) {
-      return false;
-    }
-    if (!compile_control(
-            merge::pipelet_control_name({p, asic::PipeKind::kEgress}),
-            controls_[p * 2 + 1], err)) {
-      return false;
-    }
+    compile_control(merge::pipelet_control_name({p, asic::PipeKind::kIngress}),
+                    controls_[p * 2]);
+    compile_control(merge::pipelet_control_name({p, asic::PipeKind::kEgress}),
+                    controls_[p * 2 + 1]);
   }
 
   // Every table the compiled program reads, for generation().
@@ -434,6 +414,13 @@ bool CompiledPipeline::compile(std::string* err) {
   }
   size_scratch();
 
+  // Validation extends the seed with the witnesses' punts, so it runs
+  // before the trace set is drawn from the seed.
+  if (!seed_.witnesses.empty() && !validated_once_) {
+    if (!validate_witnesses(err)) return false;
+    validated_once_ = true;
+  }
+
   // Compiled trace set: explorer witnesses when seeded, the parser
   // DAG's full shape universe otherwise.
   if (!seed_.witnesses.empty()) {
@@ -441,11 +428,6 @@ bool CompiledPipeline::compile(std::string* err) {
   } else if (!collect_all_shapes()) {
     *err = "parser shape universe overflow";
     return false;
-  }
-
-  if (!seed_.witnesses.empty() && !validated_once_) {
-    if (!validate_witnesses(err)) return false;
-    validated_once_ = true;
   }
   return true;
 }
@@ -510,18 +492,32 @@ bool CompiledPipeline::validate_witnesses(std::string* err) {
   DataPlane interp = *dp_;
   DataPlane clone = *dp_;
   CompiledPipeline compiled(clone, CompileSeed{});  // empty seed: no recursion
-  const std::size_t n =
+  // A wire witness's punt comes back the way the control plane
+  // reinjects it: from the CPU, stamped with the punt's epoch. Its
+  // shape (the SFC header on top) is one no wire witness has, so it
+  // joins the seed, and is replayed after the wire witnesses.
+  std::vector<CompileSeed::Witness> punts;
+  const std::size_t wire =
       std::min(seed_.witnesses.size(), kMaxValidatedWitnesses);
-  for (std::size_t i = 0; i < n; ++i) {
-    const CompileSeed::Witness& w = seed_.witnesses[i];
-    SwitchOutput a = interp.process(w.packet, w.in_port);
-    SwitchOutput b = compiled.process(w.packet, w.in_port);
+  for (std::size_t i = 0; i < wire + punts.size(); ++i) {
+    const CompileSeed::Witness w =
+        i < wire ? seed_.witnesses[i] : punts[i - wire];
+    SwitchOutput a = interp.process(w.packet, w.in_port, w.from_cpu, w.stamp);
+    SwitchOutput b =
+        compiled.process(w.packet, w.in_port, w.from_cpu, w.stamp);
     if (!semantically_equal(a, b)) {
       *err = "witness " + std::to_string(i) +
              " disagrees between interpreter and compiled engine";
       return false;
     }
+    if (i >= wire || w.from_cpu) continue;
+    for (SwitchOutput::CpuPunt& p : a.to_cpu) {
+      punts.push_back({std::move(p.packet), p.in_port, true, p.epoch});
+    }
   }
+  seed_.witnesses.insert(seed_.witnesses.end(),
+                         std::make_move_iterator(punts.begin()),
+                         std::make_move_iterator(punts.end()));
   return true;
 }
 
@@ -831,13 +827,10 @@ SwitchOutput CompiledPipeline::fall_back(net::Packet packet,
 SwitchOutput CompiledPipeline::process(net::Packet packet,
                                        std::uint16_t in_port, bool from_cpu,
                                        std::optional<std::uint32_t> stamp) {
-  if (from_cpu || stamp.has_value()) {
-    // CPU reinjections and stamped (possibly drained) generations are
-    // the slow path by definition.
-    ++stats_.reinjection_escapes;
-    return fall_back(std::move(packet), in_port, from_cpu, stamp);
-  }
-  if (!ensure_valid()) {
+  // A reinjection answers a punt some wire packet already made, so it
+  // needs only a live engine: generation() observes wire packets.
+  const bool reinjection = from_cpu || stamp.has_value();
+  if (reinjection ? !compiled_ok_ : !ensure_valid()) {
     return fall_back(std::move(packet), in_port, from_cpu, stamp);
   }
   run_parse(packet);
@@ -845,14 +838,16 @@ SwitchOutput CompiledPipeline::process(net::Packet packet,
     ++stats_.shape_escapes;
     return fall_back(std::move(packet), in_port, from_cpu, stamp);
   }
-  ++stats_.compiled_packets;
-  return run(std::move(packet), in_port);
+  ++(reinjection ? stats_.reinjections : stats_.compiled_packets);
+  return run(std::move(packet), in_port, from_cpu, stamp);
 }
 
-SwitchOutput CompiledPipeline::run(net::Packet packet, std::uint16_t in_port) {
+SwitchOutput CompiledPipeline::run(net::Packet packet, std::uint16_t in_port,
+                                   bool from_cpu,
+                                   std::optional<std::uint32_t> stamp) {
   SwitchOutput out;
-  out.epoch = dp_->epoch();
-  if (DropCode code = admit_ingress(*dp_, in_port, /*from_cpu=*/false);
+  if (!dp_->stamp_packet(from_cpu, stamp, out)) return out;
+  if (DropCode code = admit_ingress(*dp_, in_port, from_cpu);
       code != DropCode::kNone) {
     out.set_drop(code, drop_detail(code, in_port));
     return out;

@@ -22,22 +22,29 @@
 // hit/miss counters, same DropCode attribution, same pass cap. Packets
 // it does not accept *escape* to the interpreter before any side
 // effect and count as fallback_packets:
-//   - CPU reinjections and epoch-stamped packets (from_cpu / stamp):
-//     the slow path stays on the interpreter by design;
 //   - packets whose parse shape (ordered set of extracted headers) is
 //     outside the compiled trace set seeded from the explorer's path
 //     equivalence classes (malformed/truncated/unknown headers);
-//   - everything, when compilation failed (uncompilable construct,
-//     witness disagreement) — the engine degrades to a pure
+//   - everything, when compilation failed (witness disagreement, a
+//     parser the engine cannot lower) — the engine degrades to a pure
 //     interpreter shim rather than guess.
+// CPU reinjections (from_cpu, stamped with the punt's epoch) run
+// compiled like wire packets, as a packet-out re-enters the ASIC's one
+// pipeline: every lookup probes under the stamp, so a punt finishes on
+// its own generation even after a flip, and DataPlane::stamp_packet
+// closes out its punt or drains a retired stamp (kUpdateDrained) for
+// both engines. Their shape joins the trace set through the witnesses'
+// own punts (see validate_witnesses).
 //
 // Invalidation contract: the lowered program depends only on the
 // program, which a DataPlane never swaps, so it is compiled once.
 // Installs, removals, epoch flips and even silent corruption are seen
 // by the next probe with nothing to patch. generation() still moves,
-// once, on the first packet after the epoch or any read table's
+// once, on the first wire packet after the epoch or any read table's
 // revision() moved, so callers can tell a rule or generation change
-// reached the fast path.
+// reached the fast path. A reinjection does not move it: the session
+// install it follows and an expiry after it move generation() once,
+// on the next wire packet.
 #pragma once
 
 #include <cstdint>
@@ -57,24 +64,30 @@ namespace dejavu::sim {
 /// parse shape no witness exhibits escapes to the interpreter — and
 /// (b) gate compilation: each witness is replayed through interpreter
 /// and compiled engine on cloned dataplanes, and any disagreement
-/// rejects the compile. An empty seed compiles every shape the parser
-/// graph can produce and skips witness validation.
+/// rejects the compile. The first validation appends each wire
+/// witness's CPU punts as reinjection witnesses, so the shape of a
+/// reinjected punt is compiled too. An empty seed compiles every shape
+/// the parser graph can produce and skips witness validation.
 struct CompileSeed {
   struct Witness {
     net::Packet packet;
     std::uint16_t in_port = 0;
+    /// A reinjection witness: a punt coming back from the CPU under
+    /// the punt's epoch stamp.
+    bool from_cpu = false;
+    std::optional<std::uint32_t> stamp;
   };
   std::vector<Witness> witnesses;
 };
 
 /// Engine observability (perf half — never part of replay counters).
 struct CompiledStats {
-  std::uint64_t compiled_packets = 0;  ///< ran fully on the fast path
+  std::uint64_t compiled_packets = 0;  ///< wire packets run on the fast path
+  std::uint64_t reinjections = 0;  ///< from_cpu / stamped packets run on it
   std::uint64_t fallback_packets = 0;  ///< delegated to the interpreter
   std::uint64_t full_compiles = 0;  ///< successful whole-program lowerings
   std::uint64_t failed_compiles = 0;
-  std::uint64_t shape_escapes = 0;        ///< parse shape not compiled
-  std::uint64_t reinjection_escapes = 0;  ///< from_cpu / stamped packets
+  std::uint64_t shape_escapes = 0;  ///< parse shape not compiled
 };
 
 /// SwitchOutput equality over everything the engines must agree on:
@@ -105,8 +118,8 @@ class CompiledPipeline {
   /// Why not, when it didn't.
   const std::string& compile_error() const { return compile_error_; }
 
-  /// Successful full compiles plus the packets that found the epoch
-  /// or a read table's revision() moved since the previous packet —
+  /// Successful full compiles plus the wire packets that found the
+  /// epoch or a read table's revision() moved since the previous one —
   /// the invalidation property tests assert that a committed update
   /// moved this or cleared compiled_ok() (fell back).
   std::uint64_t generation() const { return generation_; }
@@ -224,11 +237,9 @@ class CompiledPipeline {
 
   // --- compilation ---
   bool compile(std::string* err);
-  bool compile_control(const std::string& control_name, ControlC& cc,
-                       std::string* err);
-  bool compile_action(const p4ir::ControlBlock& control,
-                      const p4ir::Action& action, ActionRef& out,
-                      std::string* err);
+  void compile_control(const std::string& control_name, ControlC& cc);
+  void compile_action(const p4ir::ControlBlock& control,
+                      const p4ir::Action& action, ActionRef& out);
   void size_scratch();
   FieldRefC resolve_field(const std::string& dotted);
   FieldRefC resolve_header_field(const std::string& dotted) const;
@@ -241,7 +252,8 @@ class CompiledPipeline {
   bool ensure_valid();
 
   // --- execution (per-packet scratch; single-threaded) ---
-  SwitchOutput run(net::Packet packet, std::uint16_t in_port);
+  SwitchOutput run(net::Packet packet, std::uint16_t in_port, bool from_cpu,
+                   std::optional<std::uint32_t> stamp);
   void run_control(const ControlC& cc, net::Packet& packet,
                    StandardMetadata& meta);
   void run_action(ActionRef ref, const std::uint64_t* args,

@@ -17,6 +17,9 @@ DataPlane::DataPlane(const p4ir::Program& program,
       config_(std::move(config)),
       max_passes_(config_.max_pipeline_passes()) {
   for (const p4ir::ControlBlock& control : program.controls()) {
+    if (std::string why; !control.runnable(&why)) {
+      throw std::invalid_argument("DataPlane: " + why);
+    }
     auto& per_control = tables_[control.name()];
     for (const p4ir::Table& t : control.tables()) {
       per_control.emplace(t.name, RuntimeTable(control, t));
@@ -220,21 +223,17 @@ void DataPlane::execute_action(const p4ir::ControlBlock& control,
       case p4ir::PrimitiveOp::kRegisterRead:
       case p4ir::PrimitiveOp::kRegisterAdd:
       case p4ir::PrimitiveOp::kRegisterWrite: {
-        const p4ir::RegisterDef* def = control.find_register(p.param);
-        std::vector<std::uint64_t>* cells =
-            register_array(control.name(), p.param);
-        if (def == nullptr || cells == nullptr) {
-          throw std::logic_error("action '" + action.name +
-                                 "' uses unknown register '" + p.param + "'");
-        }
+        // The constructor refused actions using unknown registers.
+        const p4ir::RegisterDef& def = *control.find_register(p.param);
+        std::vector<std::uint64_t>& cells =
+            *register_array(control.name(), p.param);
         const std::uint64_t index =
             (p.src.empty() ? p.imm : view.read(p.src).value_or(0)) %
-            cells->size();
+            cells.size();
         const std::uint64_t width_mask =
-            def->width_bits >= 64
-                ? ~std::uint64_t{0}
-                : (std::uint64_t{1} << def->width_bits) - 1;
-        std::uint64_t& cell = (*cells)[index];
+            def.width_bits >= 64 ? ~std::uint64_t{0}
+                                 : (std::uint64_t{1} << def.width_bits) - 1;
+        std::uint64_t& cell = cells[index];
         if (p.op == p4ir::PrimitiveOp::kRegisterRead) {
           view.write(p.dst, cell);
         } else if (p.op == p4ir::PrimitiveOp::kRegisterAdd) {
@@ -288,24 +287,22 @@ void DataPlane::run_pipelet(const asic::PipeletId& id, net::Packet& packet,
       }
       continue;
     }
-    const p4ir::Table* table = control->find_table(entry.table);
-    RuntimeTable* rt = table_in(control->name(), entry.table);
-    if (table == nullptr || rt == nullptr) {
-      throw std::logic_error("apply of unknown table '" + entry.table + "'");
-    }
+    // The constructor refused applies of unknown tables.
+    const p4ir::Table& table = *control->find_table(entry.table);
+    const RuntimeTable& rt = *table_in(control->name(), entry.table);
 
     // A key field the packet lacks is a miss.
     ExactKey key;
-    key.n = static_cast<std::uint8_t>(table->keys.size());
+    key.n = static_cast<std::uint8_t>(table.keys.size());
     bool complete = true;
     for (std::uint8_t i = 0; complete && i < key.n; ++i) {
-      const auto v = view.read(table->keys[i].field);
+      const auto v = view.read(table.keys[i].field);
       complete = v.has_value();
       if (complete) key.v[i] = *v;
     }
 
     const RuntimeTable::Match match =
-        rt->probe(complete ? &key : nullptr, meta.epoch);
+        rt.probe(complete ? &key : nullptr, meta.epoch);
     hits[entry.table] = match.hit;
     if (!entry.branch_id.empty() && taken_branch.empty()) {
       // First executed entry of a branch is its gate: a hit takes the
@@ -400,10 +397,9 @@ void DataPlane::emit(net::Packet packet, std::uint16_t port,
   out.out.push_back(SwitchOutput::Emitted{port, std::move(packet)});
 }
 
-SwitchOutput DataPlane::process(net::Packet packet, std::uint16_t in_port,
-                                bool from_cpu,
-                                std::optional<std::uint32_t> stamp) {
-  SwitchOutput out;
+bool DataPlane::stamp_packet(bool from_cpu,
+                             std::optional<std::uint32_t> stamp,
+                             SwitchOutput& out) {
   out.epoch = stamp.value_or(epoch_);
   if (from_cpu && stamp) {
     // A stamped CPU reinjection closes out an outstanding punt.
@@ -420,8 +416,16 @@ SwitchOutput DataPlane::process(net::Packet packet, std::uint16_t in_port,
                  "stamped epoch " + std::to_string(*stamp) +
                      " was retired by a live update (min live epoch " +
                      std::to_string(min_live_epoch_) + ")");
-    return out;
+    return false;
   }
+  return true;
+}
+
+SwitchOutput DataPlane::process(net::Packet packet, std::uint16_t in_port,
+                                bool from_cpu,
+                                std::optional<std::uint32_t> stamp) {
+  SwitchOutput out;
+  if (!stamp_packet(from_cpu, stamp, out)) return out;
   if (DropCode code = admit_ingress(*this, in_port, from_cpu);
       code != DropCode::kNone) {
     out.set_drop(code, drop_detail(code, in_port));

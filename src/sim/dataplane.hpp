@@ -72,9 +72,12 @@ struct SwitchOutput {
 
 class DataPlane {
  public:
-  /// `program` must outlive the data plane. Pipelet control blocks are
-  /// found by merge::pipelet_control_name; unnamed pipelets simply
-  /// forward.
+  /// `program` must outlive the data plane and not change under it.
+  /// Pipelet control blocks are found by merge::pipelet_control_name;
+  /// unnamed pipelets simply forward. Throws std::invalid_argument for
+  /// a control that is not p4ir::ControlBlock::runnable (an apply of an
+  /// unknown table, an action using an unknown register), so process()
+  /// never meets one.
   DataPlane(const p4ir::Program& program, const p4ir::TupleIdTable& ids,
             asic::SwitchConfig config);
 
@@ -215,6 +218,13 @@ class DataPlane {
   /// Record one CPU punt in the outstanding-punt ledger (§11 drain
   /// accounting) — same engine plumbing as counters_for().
   void note_punt(std::uint32_t epoch) { ++punts_outstanding_[epoch]; }
+  /// The prologue both engines run before ingress admission — same
+  /// engine plumbing as counters_for(). Stamps out.epoch (the packet's
+  /// stamp, else the current epoch), closes out the punt a stamped CPU
+  /// reinjection answers, and drops a stamp below min_live_epoch() as
+  /// kUpdateDrained. Returns false when `out` now holds that drop.
+  bool stamp_packet(bool from_cpu, std::optional<std::uint32_t> stamp,
+                    SwitchOutput& out);
   /// Every port with traffic so far (ports never touched are absent).
   const std::map<std::uint16_t, PortCounters>& all_port_counters() const {
     return counters_;

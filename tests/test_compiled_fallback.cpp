@@ -1,11 +1,12 @@
 // Fallback coverage for the compiled fast path: packets that miss
 // every compiled trace — malformed/truncated headers, shapes outside
-// the witness set, CPU reinjections, retired-epoch stamps — must
-// escape to the interpreter *before any side effect* and produce
-// bit-identical outcomes, with the escape tallied in fallback_packets
-// (and surfaced through ReplayReport). The pass-cap overflow is the
-// one hot-path condition handled inline (side effects already
-// applied), so it must agree without escaping.
+// the witness set — must escape to the interpreter *before any side
+// effect* and produce bit-identical outcomes, with the escape tallied
+// in fallback_packets (and surfaced through ReplayReport). CPU
+// reinjections and retired-epoch stamps run compiled, bit-identical
+// too. The pass-cap overflow is the one hot-path condition handled
+// inline (side effects already applied), so it must agree without
+// escaping.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -60,7 +61,7 @@ TEST(CompiledFallback, MalformedPacketsEscapeIdentically) {
   EXPECT_EQ(interp.all_port_counters(), fast_dp.all_port_counters());
 }
 
-TEST(CompiledFallback, ReinjectionsAndStampsStayOnTheSlowPath) {
+TEST(CompiledReinjection, StampedPacketsRunCompiledLikeTheInterpreter) {
   auto fx = control::make_fig9_deployment();
   DataPlane interp = fx.deployment->dataplane();
   DataPlane fast_dp = fx.deployment->dataplane();
@@ -71,7 +72,7 @@ TEST(CompiledFallback, ReinjectionsAndStampsStayOnTheSlowPath) {
   const net::Packet packet = flows[0].flow.packet();
   const std::uint16_t port = flows[0].in_port;
 
-  // A stamped packet (CPU reinjection of a punt) escapes by design.
+  // A stamped CPU reinjection runs compiled under its stamp.
   const SwitchOutput a1 =
       interp.process(packet, port, /*from_cpu=*/true, interp.epoch());
   const SwitchOutput b1 =
@@ -90,8 +91,11 @@ TEST(CompiledFallback, ReinjectionsAndStampsStayOnTheSlowPath) {
   ASSERT_TRUE(semantically_equal(a2, b2));
   EXPECT_EQ(b2.drop_code, DropCode::kUpdateDrained);
 
-  EXPECT_EQ(fast.stats().reinjection_escapes, 2u);
+  EXPECT_EQ(fast.stats().reinjections, 2u);
+  EXPECT_EQ(fast.stats().fallback_packets, 0u);
   EXPECT_EQ(fast.stats().compiled_packets, 0u);
+  EXPECT_EQ(interp.all_port_counters(), fast_dp.all_port_counters());
+  EXPECT_EQ(interp.punts_outstanding(), fast_dp.punts_outstanding());
 }
 
 TEST(CompiledFallback, ExceededPassCapAgreesInline) {

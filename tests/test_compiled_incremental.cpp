@@ -7,11 +7,14 @@
 // engine, a freshly compiled engine on a clone, and the interpreter
 // must agree on every probe packet, with equal port counters. Long
 // churn and live-update runs pin that the first compile and the op
-// arena never move.
+// arena never move. Reinjected punts — under an old stamp across a
+// flip, under a retired stamp, on a loopback port, and outside the
+// trace set — must match the interpreter too, ledger included.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <random>
 #include <string>
 #include <vector>
@@ -20,6 +23,7 @@
 #include "control/live_update.hpp"
 #include "control/replay_target.hpp"
 #include "control/transaction.hpp"
+#include "explore/explorer.hpp"
 #include "merge/compose.hpp"
 #include "net/five_tuple.hpp"
 #include "nf/parser_lib.hpp"
@@ -345,14 +349,8 @@ TEST(CompiledInPlace, ChurnAndFlipsKeepTheFirstCompile) {
   EXPECT_EQ(dp.all_port_counters(), oracle.all_port_counters());
 }
 
-TEST(CompiledInPlace, LiveUpdateFlipKeepsTheFirstCompile) {
-  // The §11 update that routes every chain around the LB, committed
-  // with 8K sessions installed: the flip moves the epoch, and the
-  // engine keeps serving from its first compile.
-  auto fx = control::make_fig9_deployment();
-  control::Deployment& dep = *fx.deployment;
-  DataPlane& dp = dep.dataplane();
-  preload(dp, 8192);
+/// The §11 update that routes every chain around the LB.
+control::RuleDiff lb_bypass_diff(control::Deployment& dep) {
   sfc::PolicySet reduced;
   for (const sfc::ChainPolicy& p : dep.policies().policies()) {
     sfc::ChainPolicy rp = p;
@@ -360,10 +358,19 @@ TEST(CompiledInPlace, LiveUpdateFlipKeepsTheFirstCompile) {
     reduced.add(std::move(rp));
   }
   const route::RoutingPlan plan =
-      route::build_routing(reduced, dep.placement(), dp.config());
-  ASSERT_TRUE(plan.feasible) << plan.infeasible_reason;
-  const control::RuleDiff diff =
-      control::routing_rule_diff(dep.routing(), plan, dp);
+      route::build_routing(reduced, dep.placement(), dep.dataplane().config());
+  EXPECT_TRUE(plan.feasible) << plan.infeasible_reason;
+  return control::routing_rule_diff(dep.routing(), plan, dep.dataplane());
+}
+
+TEST(CompiledInPlace, LiveUpdateFlipKeepsTheFirstCompile) {
+  // The LB bypass committed with 8K sessions installed: the flip moves
+  // the epoch, and the engine keeps serving from its first compile.
+  auto fx = control::make_fig9_deployment();
+  control::Deployment& dep = *fx.deployment;
+  DataPlane& dp = dep.dataplane();
+  preload(dp, 8192);
+  const control::RuleDiff diff = lb_bypass_diff(dep);
 
   DataPlane oracle = dp;
   CompiledPipeline fast(dp);
@@ -442,6 +449,233 @@ TEST(CompiledInPlace, InstalledActionWithNewLocalsRuns) {
   EXPECT_TRUE(semantically_equal(got, oracle.process(packet, 0)));
   ASSERT_TRUE(got.delivered());
   EXPECT_EQ(got.out.front().port, 3);
+}
+
+}  // namespace
+}  // namespace dejavu::sim
+
+namespace dejavu::sim {
+namespace {
+
+/// Two identical fig9 switches driven through their control planes:
+/// one on a compiled engine the control plane reinjects through, the
+/// other on the interpreter. A path-1 flow's first packet punts on the
+/// LB session miss; servicing the held punt learns the session and
+/// reinjects it under the punt's stamp.
+class ReinjectionPair {
+ public:
+  /// `seed` defaults to the deployment's explorer classes.
+  explicit ReinjectionPair(std::optional<CompileSeed> seed = std::nullopt)
+      : fx_(control::make_fig9_deployment()),
+        oracle_fx_(control::make_fig9_deployment()),
+        fast_(fx_.deployment->dataplane(),
+              seed ? std::move(*seed)
+                   : explore::compile_seed(fx_.deployment->run_explorer())) {
+    fx_.deployment->control().set_engine(&fast_);
+  }
+
+  struct Held {
+    SwitchOutput got;
+    SwitchOutput want;
+  };
+
+  /// First pass of `flow` on both switches; its punts stay held.
+  Held send(const ReplayFlow& flow) {
+    return {fast_.process(flow.flow.packet(), flow.in_port),
+            oracle().process(flow.flow.packet(), flow.in_port)};
+  }
+
+  /// Service the held punts on both switches.
+  void service(Held& held) {
+    fx_.deployment->control().service_punts(held.got);
+    oracle_fx_.deployment->control().service_punts(held.want);
+  }
+
+  /// Run `f` on both deployments.
+  void both(const std::function<void(control::Deployment&)>& f) {
+    f(*fx_.deployment);
+    f(*oracle_fx_.deployment);
+  }
+
+  /// Outputs, port counters and punt ledgers agree.
+  void expect_same(const Held& held, const std::string& step) {
+    EXPECT_TRUE(semantically_equal(held.got, held.want))
+        << step << ": " << held.got.drop_reason << " vs "
+        << held.want.drop_reason;
+    EXPECT_EQ(live().all_port_counters(), oracle().all_port_counters())
+        << step;
+    EXPECT_EQ(live().punts_outstanding(), oracle().punts_outstanding())
+        << step;
+  }
+
+  DataPlane& live() { return fx_.deployment->dataplane(); }
+  DataPlane& oracle() { return oracle_fx_.deployment->dataplane(); }
+  CompiledPipeline& fast() { return fast_; }
+
+ private:
+  control::Fig2Deployment fx_;
+  control::Fig2Deployment oracle_fx_;
+  CompiledPipeline fast_;
+};
+
+ReplayFlow path1_flow() {
+  const ReplayFlow flow = control::fig2_replay_flows(6).front();
+  EXPECT_EQ(flow.path_id, 1);
+  return flow;
+}
+
+TEST(CompiledReinjection, OldStampAcrossAFlipRunsCompiled) {
+  // The punt waits at the CPU while an update flips to a generation
+  // without the LB; its reinjection must finish on the old generation.
+  ReinjectionPair pair;
+  ASSERT_TRUE(pair.fast().compiled_ok()) << pair.fast().compile_error();
+  ReinjectionPair::Held held = pair.send(path1_flow());
+  ASSERT_EQ(held.got.to_cpu.size(), 1u);
+  pair.expect_same(held, "punt");
+  const std::uint32_t stamp = held.got.to_cpu.front().epoch;
+
+  pair.both([](control::Deployment& dep) {
+    control::LiveUpdateOptions options;
+    options.crash_point = control::CrashPoint::kAfterFlip;
+    EXPECT_TRUE(control::run_update(dep.dataplane(), lb_bypass_diff(dep),
+                                    nullptr, options)
+                    .crashed);
+  });
+  ASSERT_GT(pair.live().epoch(), stamp);
+  ASSERT_LE(pair.live().min_live_epoch(), stamp);
+  ASSERT_EQ(pair.live().punts_outstanding().at(stamp), 1u);
+
+  const std::uint64_t generation = pair.fast().generation();
+  pair.service(held);
+  pair.expect_same(held, "reinjection under the old stamp");
+  EXPECT_TRUE(held.got.delivered());
+  EXPECT_TRUE(pair.live().punts_outstanding().empty());
+  EXPECT_EQ(pair.fast().stats().reinjections, 1u);
+  EXPECT_EQ(pair.fast().stats().fallback_packets, 0u);
+  EXPECT_EQ(pair.fast().generation(), generation);
+}
+
+TEST(CompiledReinjection, RetiredStampDrainsCompiled) {
+  ReinjectionPair pair;
+  ReinjectionPair::Held held = pair.send(path1_flow());
+  ASSERT_EQ(held.got.to_cpu.size(), 1u);
+  const std::uint32_t stamp = held.got.to_cpu.front().epoch;
+
+  pair.both([](control::Deployment& dep) {
+    EXPECT_TRUE(
+        control::run_update(dep.dataplane(), lb_bypass_diff(dep)).committed);
+  });
+  ASSERT_GT(pair.live().min_live_epoch(), stamp);
+
+  pair.service(held);
+  pair.expect_same(held, "reinjection under a retired stamp");
+  EXPECT_EQ(held.got.drop_code, DropCode::kUpdateDrained);
+  EXPECT_EQ(pair.fast().stats().reinjections, 1u);
+  EXPECT_EQ(pair.fast().stats().fallback_packets, 0u);
+}
+
+TEST(CompiledReinjection, LoopbackPortAdmitsOnlyTheCpu) {
+  ReinjectionPair pair;
+  ReinjectionPair::Held held = pair.send(path1_flow());
+  ASSERT_EQ(held.got.to_cpu.size(), 1u);
+  const SwitchOutput::CpuPunt punt = held.got.to_cpu.front();
+  std::uint16_t loopback = 0;
+  while (!pair.live().loops_back(loopback)) ++loopback;
+
+  // The same bytes off the wire are refused on a loopback port; from
+  // the CPU they are admitted, and close out the punt.
+  ReinjectionPair::Held wire{
+      pair.fast().process(punt.packet, loopback),
+      pair.oracle().process(punt.packet, loopback)};
+  pair.expect_same(wire, "wire packet on a loopback port");
+  EXPECT_EQ(wire.got.drop_code, DropCode::kLoopbackPortExternal);
+
+  ReinjectionPair::Held re{
+      pair.fast().process(punt.packet, loopback, true, punt.epoch),
+      pair.oracle().process(punt.packet, loopback, true, punt.epoch)};
+  pair.expect_same(re, "reinjection on a loopback port");
+  EXPECT_NE(re.got.drop_code, DropCode::kLoopbackPortExternal);
+  EXPECT_EQ(pair.fast().stats().reinjections, 1u);
+  // The punt's shape is on the trace set, as a reinjection witness.
+  EXPECT_EQ(pair.fast().stats().fallback_packets, 0u);
+}
+
+TEST(CompiledReinjection, ShapeOutsideTheTraceSetFallsBack) {
+  // One routed TCP witness, which never punts: the wire shape is
+  // compiled, the punt's SFC shape is not.
+  net::PacketSpec routed;
+  routed.ip_dst = net::Ipv4Addr(10, 3, 0, 1);
+  CompileSeed seed;
+  seed.witnesses.push_back(
+      {net::Packet::make(routed), control::Fig2Deployment::kSenderPort});
+  ReinjectionPair pair(std::move(seed));
+  ASSERT_TRUE(pair.fast().compiled_ok()) << pair.fast().compile_error();
+  ReinjectionPair::Held held = pair.send(path1_flow());
+  ASSERT_EQ(held.got.to_cpu.size(), 1u);
+  EXPECT_EQ(pair.fast().stats().compiled_packets, 1u);
+
+  pair.service(held);
+  pair.expect_same(held, "reinjection outside the trace set");
+  EXPECT_TRUE(held.got.delivered());
+  EXPECT_EQ(pair.fast().stats().reinjections, 0u);
+  EXPECT_GE(pair.fast().stats().shape_escapes, 1u);
+  EXPECT_EQ(pair.fast().stats().fallback_packets,
+            pair.fast().stats().shape_escapes);
+}
+
+TEST(CompiledReinjection, ChurnThroughDeploymentTargetStaysCompiled) {
+  // perfbench's churn loop: a new path-1 flow is learned, its session
+  // expires, an established routed packet follows. Each learned
+  // session moves generation() exactly once, on that wire packet.
+  control::DeploymentTarget target(control::make_fig9_deployment());
+  control::DeploymentTarget oracle(control::make_fig9_deployment());
+  target.set_engine(EngineKind::kCompiled);
+  const CompiledPipeline& engine = *target.compiled();
+  ASSERT_TRUE(engine.compiled_ok()) << engine.compile_error();
+  const ReplayFlow hot = path1_flow();
+  const ReplayFlow routed = control::fig2_replay_flows(6).back();
+  ASSERT_EQ(routed.path_id, 3);
+  auto inject = [&](const net::Packet& packet, std::uint16_t port) {
+    const SwitchOutput got = target.inject(packet, port);
+    const SwitchOutput want = oracle.inject(packet, port);
+    EXPECT_TRUE(semantically_equal(got, want))
+        << got.drop_reason << " vs " << want.drop_reason;
+    return got.delivered();
+  };
+
+  const std::uint64_t generation = engine.generation();
+  constexpr std::uint64_t kFlows = 64;
+  for (std::uint64_t i = 0; i < kFlows; ++i) {
+    Flow fresh = hot.flow;
+    fresh.spec.src_port = static_cast<std::uint16_t>(20000 + i);
+    ASSERT_TRUE(inject(fresh.packet(), hot.in_port)) << "flow " << i;
+    for (control::DeploymentTarget* t : {&target, &oracle}) {
+      for (RuntimeTable* lb : t->dataplane().tables_named("LB.lb_session")) {
+        ASSERT_TRUE(lb->remove_exact({lb_key(fresh)})) << "flow " << i;
+      }
+    }
+    ASSERT_TRUE(inject(routed.flow.packet(), routed.in_port)) << "flow " << i;
+  }
+  control::ControlPlane& cp = target.fixture().deployment->control();
+  EXPECT_EQ(cp.sessions_learned(), kFlows);
+  EXPECT_EQ(engine.generation() - generation, kFlows);
+  EXPECT_EQ(engine.stats().full_compiles, 1u);
+  EXPECT_EQ(engine.stats().fallback_packets, 0u);
+  EXPECT_EQ(engine.stats().reinjections, kFlows);
+  EXPECT_EQ(engine.stats().compiled_packets, 2 * kFlows);
+  EXPECT_EQ(target.dataplane().all_port_counters(),
+            oracle.dataplane().all_port_counters());
+  EXPECT_EQ(target.dataplane().punts_outstanding(),
+            oracle.dataplane().punts_outstanding());
+
+  // Back on the interpreter, the control plane reinjects there too.
+  target.set_engine(EngineKind::kInterpreter);
+  Flow fresh = hot.flow;
+  fresh.spec.src_port = 30000;
+  EXPECT_TRUE(inject(fresh.packet(), hot.in_port));
+  EXPECT_EQ(cp.sessions_learned(), kFlows + 1);
+  EXPECT_EQ(engine.stats().reinjections, kFlows);
+  EXPECT_EQ(engine.stats().compiled_packets, 2 * kFlows);
 }
 
 }  // namespace

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "merge/compose.hpp"
 #include "nf/parser_lib.hpp"
 #include "sfc/header.hpp"
@@ -294,6 +297,61 @@ TEST(DataPlane, TablesNamedFindsAllInstances) {
   EXPECT_EQ(dp.tables_named("fwd_all").size(), 2u);
   EXPECT_TRUE(dp.tables_named("ghost").empty());
   EXPECT_EQ(dp.table_in("nope", "fwd_all"), nullptr);
+}
+
+// The interpreter cannot run an apply of an unknown table or an action
+// using an unknown register; the DataPlane refuses such a program when
+// it is built, so process() never meets one.
+
+TEST(DataPlane, RefusesApplyOfUnknownTableAtBuild) {
+  MiniSwitch sw;
+  sw.program.add_control(forward_all(MiniSwitch::ingress_name(), 2));
+  Table* table =
+      sw.program.find_control(MiniSwitch::ingress_name())->find_table("fwd_all");
+  table->name = "renamed";  // the apply step still names fwd_all
+  try {
+    (void)sw.make();
+    FAIL() << "built a DataPlane over an apply of an unknown table";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("apply of unknown table 'fwd_all'"),
+              std::string::npos)
+        << e.what();
+  }
+
+  table->name = "fwd_all";
+  auto dp = sw.make();
+  SwitchOutput out;
+  EXPECT_NO_THROW(out = dp.process(net::Packet::make({}), 0));
+  EXPECT_EQ(out.out.at(0).port, 2);
+}
+
+TEST(DataPlane, RefusesActionUsingUnknownRegisterAtBuild) {
+  MiniSwitch sw;
+  ControlBlock c = forward_all(MiniSwitch::ingress_name(), 2);
+  Action count;
+  count.name = "count";
+  count.primitives = {p4ir::register_add("hits", "ipv4.dst_addr", 1)};
+  c.add_action(count);
+  Table counter;
+  counter.name = "counter";
+  counter.default_action = "count";
+  c.add_table(counter);
+  c.apply_table("counter");
+  sw.program.add_control(std::move(c));
+  try {
+    (void)sw.make();
+    FAIL() << "built a DataPlane over an action using an unknown register";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown register 'hits'"),
+              std::string::npos)
+        << e.what();
+  }
+
+  sw.program.find_control(MiniSwitch::ingress_name())
+      ->add_register(p4ir::RegisterDef{"hits", 32, 1});
+  auto dp = sw.make();
+  EXPECT_NO_THROW(dp.process(net::Packet::make({}), 0));
+  EXPECT_EQ(dp.register_array(MiniSwitch::ingress_name(), "hits")->at(0), 1u);
 }
 
 }  // namespace

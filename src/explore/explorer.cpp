@@ -5,7 +5,6 @@
 #include <map>
 #include <memory>
 #include <set>
-#include <stdexcept>
 
 #include "explore/symbolic.hpp"
 #include "merge/compose.hpp"
@@ -604,11 +603,10 @@ void Explorer::apply_from(PathState s, const p4ir::ControlBlock& control,
 
 void Explorer::do_table(PathState s, const p4ir::ControlBlock& control,
                         const p4ir::ApplyEntry& entry, const Cont& next) {
+  // The DataPlane refused any control applying an unknown table
+  // (p4ir::ControlBlock::runnable) and built a store for every table.
   const p4ir::Table* table = control.find_table(entry.table);
   sim::RuntimeTable* rt = dp_->table_in(control.name(), entry.table);
-  if (table == nullptr || rt == nullptr) {
-    throw std::logic_error("apply of unknown table '" + entry.table + "'");
-  }
   const sim::ActionCall default_call{table->default_action, {}};
 
   if (table->keyless()) {
@@ -821,21 +819,13 @@ void Explorer::finish_lookup(PathState s, const p4ir::ControlBlock& control,
 void Explorer::execute_action_sym(PathState& s,
                                   const p4ir::ControlBlock& control,
                                   const sim::ActionCall& call) {
+  // Every call comes out of the rule store: an entry's text form
+  // (checked by RuntimeTable::action_error at install) or a table's
+  // default action (checked when the store was built). So the action is
+  // defined and `call` holds every parameter it reads.
   const p4ir::Action* action = control.find_action(call.action);
-  if (action == nullptr) {
-    throw std::logic_error("runtime action '" + call.action +
-                           "' not defined in control '" + control.name() +
-                           "'");
-  }
   const std::string where = control.name() + "/" + call.action;
-  auto arg = [&](const std::string& param) -> std::uint64_t {
-    auto it = call.args.find(param);
-    if (it == call.args.end()) {
-      throw std::logic_error("action '" + call.action +
-                             "' invoked without argument '" + param + "'");
-    }
-    return it->second;
-  };
+  auto arg = [&](const std::string& param) { return call.args.at(param); };
 
   for (const p4ir::Primitive& p : action->primitives) {
     if (s.dead) return;
@@ -901,11 +891,8 @@ void Explorer::execute_action_sym(PathState& s,
       case p4ir::PrimitiveOp::kRegisterRead:
       case p4ir::PrimitiveOp::kRegisterAdd:
       case p4ir::PrimitiveOp::kRegisterWrite: {
+        // runnable() refused unknown registers; add_register, empty ones.
         const p4ir::RegisterDef* def = control.find_register(p.param);
-        if (def == nullptr || def->size == 0) {
-          throw std::logic_error("action '" + call.action +
-                                 "' uses unknown register '" + p.param + "'");
-        }
         std::uint64_t index = p.imm;
         if (!p.src.empty()) {
           index = action_read(s, where, p.src).value_or(0);

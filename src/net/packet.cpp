@@ -56,8 +56,10 @@ void Packet::set_ethernet(const EthernetHeader& h) {
 }
 
 bool Packet::has_sfc_header() const {
-  auto eth = ethernet();
-  return eth && eth->ether_type == kEtherTypeSfc;
+  // Only the EtherType matters: no need to decode the MACs.
+  const auto bytes = data_.view();
+  return bytes.size() >= EthernetHeader::kSize &&
+         read_be16(bytes, 12) == kEtherTypeSfc;
 }
 
 std::size_t Packet::ipv4_offset(std::size_t sfc_header_size) const {

@@ -1,6 +1,10 @@
 // Bit-granular reads/writes over packet bytes: P4 fields are arbitrary
 // bit slices (9-bit ports, 4-bit IHL, 1-bit flags), so the executor
-// addresses them as (bit offset, width) within the packet.
+// addresses them as (bit offset, width) within the packet. Both move
+// whole bytes (a leading partial byte, full bytes, a trailing partial
+// byte), so a 32-bit address costs four byte moves, not 32 bit steps.
+// The interpreter, the parser, the compiled engine, the explorer and
+// the cost walker all read and write fields through these two.
 #pragma once
 
 #include <cstddef>

@@ -6,6 +6,20 @@
 
 namespace dejavu::sim {
 
+namespace {
+
+constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
+constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
+
+/// The power-of-two slot count holding `live` versions at load <= 0.7.
+std::size_t slots_for(std::size_t live) {
+  std::size_t n = 8;
+  while (n * 7 < live * 10) n *= 2;
+  return n;
+}
+
+}  // namespace
+
 RuntimeTable::RuntimeTable(const p4ir::ControlBlock& control,
                            const p4ir::Table& def)
     : control_(&control), def_(&def) {
@@ -14,6 +28,14 @@ RuntimeTable::RuntimeTable(const p4ir::ControlBlock& control,
                                 std::to_string(kMaxKeyArity) +
                                 " key components");
   }
+  arity_ = def.keys.size();
+  std::size_t widest = 0;
+  for (const std::string& name : def.actions) {
+    if (const p4ir::Action* a = control.find_action(name)) {
+      widest = std::max(widest, a->params.size());
+    }
+  }
+  stride_ = arity_ + 2 + widest;
   if (!def.default_action.empty()) {
     const ActionCall call{def.default_action, {}};
     if (const std::string bad = call_error(call); !bad.empty()) {
@@ -88,24 +110,95 @@ ActionCall RuntimeTable::text(std::uint32_t id,
   return call;
 }
 
-bool RuntimeTable::key_of(const std::vector<std::uint64_t>& key,
-                          ExactKey& out) const {
-  if (key.size() != def_->keys.size()) return false;
-  out = ExactKey::of(key);
-  return true;
+std::size_t RuntimeTable::home(const std::uint64_t* key) const {
+  std::uint64_t h = kFnvOffset;
+  for (std::size_t i = 0; i < arity_; ++i) {
+    h ^= key[i];
+    h *= kFnvPrime;
+  }
+  h = (h ^ (h >> 30)) * 0xbf58476d1ce4b9fdULL;
+  h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
+  return static_cast<std::size_t>(h ^ (h >> 31)) & mask_;
 }
 
-std::vector<RuntimeTable::Stored>* RuntimeTable::versions_of(
-    const std::vector<std::uint64_t>& key) {
-  ExactKey k;
-  if (tcam_ || !key_of(key, k)) return nullptr;
-  auto it = exact_.find(k);
-  return it == exact_.end() ? nullptr : &it->second;
+template <class Pred>
+std::size_t RuntimeTable::find_slot(const std::uint64_t* key,
+                                    Pred pred) const {
+  if (slots_.empty()) return kNoSlot;
+  for (std::size_t i = home(key);; i = (i + 1) & mask_) {
+    const std::uint64_t* s = slot(i);
+    if (!used(s)) return kNoSlot;
+    if (std::equal(s, s + arity_, key) && pred(s)) return i;
+  }
 }
 
-const std::vector<RuntimeTable::Stored>* RuntimeTable::versions_of(
-    const std::vector<std::uint64_t>& key) const {
-  return const_cast<RuntimeTable*>(this)->versions_of(key);
+std::vector<std::size_t> RuntimeTable::used_slots() const {
+  std::vector<std::size_t> out;
+  if (slots_.empty()) return out;
+  out.reserve(size_);
+  // Start past a free slot, so no cluster is split at the wrap.
+  std::size_t start = 0;
+  while (used(slot(start))) ++start;
+  for (std::size_t k = 1; k <= slot_count(); ++k) {
+    const std::size_t i = (start + k) & mask_;
+    if (used(slot(i))) out.push_back(i);
+  }
+  return out;
+}
+
+template <class Keep>
+void RuntimeTable::rehash(Keep keep, std::size_t extra) {
+  std::vector<std::size_t> order = used_slots();
+  std::erase_if(order, [&](std::size_t i) { return !keep(slot(i)); });
+  std::vector<std::uint64_t> old;
+  old.swap(slots_);
+  const std::size_t n = slots_for(order.size() + extra);
+  slots_.assign(n * stride_, kEmptySlot);
+  mask_ = n - 1;
+  for (const std::size_t i : order) place(old.data() + i * stride_);
+  size_ = order.size();
+}
+
+void RuntimeTable::place(const std::uint64_t* image) {
+  std::size_t i = home(image);
+  while (used(slot(i))) i = (i + 1) & mask_;
+  std::copy_n(image, stride_, slot(i));
+}
+
+void RuntimeTable::insert_slot(const std::uint64_t* image) {
+  if ((size_ + 1) * 10 > slot_count() * 7) {
+    rehash([](const std::uint64_t*) { return true; }, 1);
+  }
+  place(image);
+  ++size_;
+}
+
+void RuntimeTable::erase_slot(std::size_t hole) {
+  for (std::size_t j = (hole + 1) & mask_; used(slot(j));
+       j = (j + 1) & mask_) {
+    // Slot j may move back into the hole unless its home lies in
+    // (hole, j]: then the hole would sit before its home.
+    if (((j - home(slot(j))) & mask_) >= ((j - hole) & mask_)) {
+      std::copy_n(slot(j), stride_, slot(hole));
+      hole = j;
+    }
+  }
+  slot(hole)[arity_ + 1] = kEmptySlot;
+  --size_;
+  if (slot_count() > 8 && size_ * 8 < slot_count()) {
+    rehash([](const std::uint64_t*) { return true; }, 0);
+  }
+}
+
+std::vector<std::uint64_t> RuntimeTable::image(
+    const std::vector<std::uint64_t>& key, const Stored& version) const {
+  std::vector<std::uint64_t> out(stride_, 0);
+  std::copy(key.begin(), key.end(), out.begin());
+  set_window(out.data(), version.window);
+  out[arity_ + 1] = version.action;
+  std::copy(version.args.begin(), version.args.end(),
+            out.begin() + static_cast<std::ptrdiff_t>(arity_ + 2));
+  return out;
 }
 
 RuntimeTable::Stored* RuntimeTable::ternary_stored(std::size_t handle) {
@@ -120,8 +213,7 @@ void RuntimeTable::add_exact(const std::vector<std::uint64_t>& key,
     throw std::invalid_argument("table '" + def_->name +
                                 "' is ternary/LPM; use add_ternary/add_lpm");
   }
-  ExactKey k;
-  if (!key_of(key, k)) {
+  if (key.size() != arity_) {
     throw std::invalid_argument("key arity mismatch for table '" +
                                 def_->name + "'");
   }
@@ -129,28 +221,28 @@ void RuntimeTable::add_exact(const std::vector<std::uint64_t>& key,
     throw std::invalid_argument("malformed epoch window for table '" +
                                 def_->name + "'");
   }
-  Stored bound = bind(action, window);
-  auto it = exact_.find(k);
-  if (it != exact_.end()) {
-    for (Stored& version : it->second) {
-      if (version.window == window) {
-        version = std::move(bound);  // reinstall overwrites
-        ++revision_;
-        return;
-      }
-      if (version.window.overlaps(window)) {
-        throw std::invalid_argument(
-            "overlapping epoch window for key in table '" + def_->name +
-            "' (a packet could see two generations)");
-      }
+  const std::vector<std::uint64_t> bound = image(key, bind(action, window));
+  // The first version, in install order, with this window or one
+  // overlapping it.
+  const std::size_t clash =
+      find_slot(key.data(), [&](const std::uint64_t* s) {
+        return window_at(s).overlaps(window);
+      });
+  if (clash != kNoSlot) {
+    if (window_at(slot(clash)) != window) {
+      throw std::invalid_argument(
+          "overlapping epoch window for key in table '" + def_->name +
+          "' (a packet could see two generations)");
     }
+    std::copy(bound.begin(), bound.end(), slot(clash));  // overwrite
+    ++revision_;
+    return;
   }
   if (size_ >= def_->max_entries) {
     throw std::invalid_argument("table '" + def_->name + "' is full (" +
                                 std::to_string(def_->max_entries) + ")");
   }
-  exact_[k].push_back(std::move(bound));
-  ++size_;
+  insert_slot(bound.data());
   ++revision_;
 }
 
@@ -223,19 +315,12 @@ std::size_t RuntimeTable::add_lpm(std::uint64_t value, std::uint8_t prefix_len,
 
 bool RuntimeTable::erase_version(const std::vector<std::uint64_t>& key,
                                  const EpochWindow* window) {
-  ExactKey k;
-  if (tcam_ || !key_of(key, k)) return false;
-  auto it = exact_.find(k);
-  if (it == exact_.end()) return false;
-  auto vit = std::find_if(it->second.begin(), it->second.end(),
-                          [&](const Stored& v) {
-                            return window == nullptr ? v.window.open()
-                                                     : v.window == *window;
-                          });
-  if (vit == it->second.end()) return false;
-  it->second.erase(vit);
-  if (it->second.empty()) exact_.erase(it);
-  --size_;
+  if (tcam_ || key.size() != arity_) return false;
+  const std::size_t i = find_slot(key.data(), [&](const std::uint64_t* s) {
+    return window == nullptr ? window_at(s).open() : window_at(s) == *window;
+  });
+  if (i == kNoSlot) return false;
+  erase_slot(i);
   ++revision_;
   return true;
 }
@@ -251,34 +336,35 @@ bool RuntimeTable::remove_exact_version(const std::vector<std::uint64_t>& key,
 
 bool RuntimeTable::retire_exact(const std::vector<std::uint64_t>& key,
                                 std::uint32_t last_epoch) {
-  std::vector<Stored>* versions = versions_of(key);
-  if (versions == nullptr) return false;
-  for (Stored& version : *versions) {
-    if (version.window.open()) {
-      if (last_epoch < version.window.from) return false;
-      version.window.to = last_epoch;
-      ++revision_;
-      return true;
-    }
-  }
-  return false;
+  if (tcam_ || key.size() != arity_) return false;
+  const std::size_t i = find_slot(key.data(), [&](const std::uint64_t* s) {
+    return window_at(s).open();
+  });
+  if (i == kNoSlot) return false;
+  EpochWindow w = window_at(slot(i));
+  if (last_epoch < w.from) return false;
+  w.to = last_epoch;
+  set_window(slot(i), w);
+  ++revision_;
+  return true;
 }
 
 bool RuntimeTable::unretire_exact(const std::vector<std::uint64_t>& key,
                                   std::uint32_t last_epoch) {
-  std::vector<Stored>* versions = versions_of(key);
-  if (versions == nullptr) return false;
-  for (Stored& version : *versions) {
-    if (version.window.to != last_epoch) continue;
-    const EpochWindow reopened{version.window.from, kEpochOpen};
-    for (const Stored& other : *versions) {
-      if (&other != &version && other.window.overlaps(reopened)) return false;
-    }
-    version.window = reopened;
-    ++revision_;
-    return true;
-  }
-  return false;
+  if (tcam_ || key.size() != arity_) return false;
+  const std::size_t i = find_slot(key.data(), [&](const std::uint64_t* s) {
+    return window_at(s).to == last_epoch;
+  });
+  if (i == kNoSlot) return false;
+  const EpochWindow reopened{window_at(slot(i)).from, kEpochOpen};
+  const std::size_t clash =
+      find_slot(key.data(), [&](const std::uint64_t* s) {
+        return s != slot(i) && window_at(s).overlaps(reopened);
+      });
+  if (clash != kNoSlot) return false;
+  set_window(slot(i), reopened);
+  ++revision_;
+  return true;
 }
 
 bool RuntimeTable::erase_ternary(std::size_t handle) {
@@ -334,23 +420,19 @@ EpochWindow RuntimeTable::ternary_window(std::size_t handle) const {
 
 std::size_t RuntimeTable::gc(std::uint32_t min_live) {
   std::size_t removed = 0;
-  auto dead = [&](const Stored& v) { return v.window.to < min_live; };
-  for (auto it = exact_.begin(); it != exact_.end();) {
-    auto& versions = it->second;
-    const std::size_t before = versions.size();
-    versions.erase(std::remove_if(versions.begin(), versions.end(), dead),
-                   versions.end());
-    removed += before - versions.size();
-    it = versions.empty() ? exact_.erase(it) : std::next(it);
-  }
   if (tcam_) {
     std::vector<std::size_t> handles;
     for (const auto& e : tcam_->entries()) {
-      if (dead(e.value)) handles.push_back(e.handle);
+      if (e.value.window.to < min_live) handles.push_back(e.handle);
     }
     for (std::size_t handle : handles) removed += tcam_->erase(handle);
+    size_ -= removed;
+  } else {
+    const std::size_t before = size_;
+    rehash([&](const std::uint64_t* s) { return window_at(s).to >= min_live; },
+           0);
+    removed = before - size_;
   }
-  size_ -= removed;
   if (removed > 0) ++revision_;
   return removed;
 }
@@ -358,43 +440,35 @@ std::size_t RuntimeTable::gc(std::uint32_t min_live) {
 std::vector<RuntimeTable::ExactEntry> RuntimeTable::exact_versions(
     const std::vector<std::uint64_t>& key) const {
   std::vector<ExactEntry> out;
-  if (const std::vector<Stored>* versions = versions_of(key)) {
-    for (const Stored& v : *versions) {
-      out.push_back(ExactEntry{key, text(v), v.window});
-    }
-  }
+  if (tcam_ || key.size() != arity_) return out;
+  find_slot(key.data(), [&](const std::uint64_t* s) {
+    out.push_back(entry_at(s));
+    return false;  // visit every version
+  });
   return out;
 }
 
 std::optional<RuntimeTable::ExactEntry> RuntimeTable::find_exact(
     const std::vector<std::uint64_t>& key) const {
-  if (const std::vector<Stored>* versions = versions_of(key)) {
-    for (const Stored& v : *versions) {
-      if (v.window.open()) return ExactEntry{key, text(v), v.window};
-    }
-  }
-  return std::nullopt;
+  return find_exact(key, kEpochOpen);
 }
 
 std::optional<RuntimeTable::ExactEntry> RuntimeTable::find_exact(
     const std::vector<std::uint64_t>& key, std::uint32_t epoch) const {
-  if (const std::vector<Stored>* versions = versions_of(key)) {
-    for (const Stored& v : *versions) {
-      if (v.window.contains(epoch)) {
-        return ExactEntry{key, text(v), v.window};
-      }
-    }
-  }
-  return std::nullopt;
+  if (tcam_ || key.size() != arity_) return std::nullopt;
+  const std::size_t i = find_slot(key.data(), [&](const std::uint64_t* s) {
+    return window_at(s).contains(epoch);
+  });
+  if (i == kNoSlot) return std::nullopt;
+  return entry_at(slot(i));
 }
 
 RuntimeTable::Match RuntimeTable::probe(const ExactKey* key,
                                         std::uint32_t epoch) const {
   Match m{false, default_action_, nullptr};
-  const Stored* found = nullptr;
   if (def_->keyless()) {
     m.hit = true;
-  } else if (key != nullptr && key->n == def_->keys.size()) {
+  } else if (key != nullptr && key->n == arity_) {
     if (tcam_) {
       // Priority-ordered scan skipping entries outside the packet's
       // epoch (the TCAM's own lookup() is epoch-blind).
@@ -408,21 +482,18 @@ RuntimeTable::Match RuntimeTable::probe(const ExactKey* key,
           }
         }
         if (match) {
-          found = &e.value;
+          m = Match{true, e.value.action, e.value.args.data()};
           break;
         }
       }
-    } else if (auto it = exact_.find(*key); it != exact_.end()) {
-      for (const Stored& v : it->second) {
-        if (v.window.contains(epoch)) {
-          found = &v;
-          break;
-        }
-      }
+    } else if (const std::size_t i = find_slot(
+                   key->v,
+                   [&](const std::uint64_t* s) {
+                     return window_at(s).contains(epoch);
+                   });
+               i != kNoSlot) {
+      m = Match{true, action_at(slot(i)), args_at(slot(i))};
     }
-  }
-  if (found != nullptr) {
-    m = Match{true, found->action, found->args.data()};
   }
   (m.hit ? hits_ : misses_) += 1;
   return m;
@@ -444,12 +515,14 @@ LookupResult RuntimeTable::lookup(
 
 std::vector<RuntimeTable::ExactEntry> RuntimeTable::exact_entries() const {
   std::vector<ExactEntry> out;
+  if (tcam_) return out;
   out.reserve(size_);
-  for (const auto& [key, versions] : exact_) {
-    for (const Stored& v : versions) {
-      out.push_back(ExactEntry{key.values(), text(v), v.window});
-    }
-  }
+  for (const std::size_t i : used_slots()) out.push_back(entry_at(slot(i)));
+  std::stable_sort(out.begin(), out.end(),
+                   [](const ExactEntry& a, const ExactEntry& b) {
+                     return std::tie(a.key, a.window.from, a.window.to) <
+                            std::tie(b.key, b.window.from, b.window.to);
+                   });
   return out;
 }
 
@@ -484,9 +557,6 @@ std::string window_text(const EpochWindow& w) {
   return "[" + std::to_string(w.from) + "," +
          (w.open() ? std::string("open") : std::to_string(w.to)) + "]";
 }
-
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
 
 void fnv_mix(std::uint64_t& h, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) {
@@ -528,15 +598,15 @@ std::string RuntimeTable::corrupt(CorruptKind kind, std::uint64_t salt) {
       w.to ^= bit;
     }
   };
-  auto flip_action = [&](Stored& stored) -> bool {
-    std::vector<std::uint64_t>& args = stored.args;
-    if (args.empty()) {
-      flip_window(stored.window);
+  auto flip_action = [&](std::uint32_t action, std::uint64_t* args,
+                         EpochWindow& window) -> bool {
+    const auto& params = control_->actions()[action].params;
+    if (params.empty()) {
+      flip_window(window);
       return false;
     }
     // The victim argument is picked in name order, the order the text
     // form lists arguments in.
-    const auto& params = control_->actions()[stored.action].params;
     std::vector<std::size_t> by_name(params.size());
     std::iota(by_name.begin(), by_name.end(), std::size_t{0});
     std::sort(by_name.begin(), by_name.end(),
@@ -599,7 +669,8 @@ std::string RuntimeTable::corrupt(CorruptKind kind, std::uint64_t salt) {
         return where + " key bit flipped";
       }
       case CorruptKind::kActionFlip: {
-        const bool in_args = flip_action(e->value);
+        const bool in_args = flip_action(
+            e->value.action, e->value.args.data(), e->value.window);
         return where + (in_args ? " action data flipped"
                                 : " window flipped (no action data)");
       }
@@ -634,83 +705,71 @@ std::string RuntimeTable::corrupt(CorruptKind kind, std::uint64_t salt) {
     return "";
   }
 
-  if (exact_.empty()) return "";
+  if (size_ == 0) return "";
   // Canonical victim order: the keys' decimal text ("v0|v1|..."), then
-  // version position — independent of the hash map's bucket layout.
-  std::vector<std::pair<std::string, const ExactKey*>> keys;
-  keys.reserve(exact_.size());
-  for (const auto& [key, versions] : exact_) {
-    std::string text;
-    for (std::uint8_t i = 0; i < key.n; ++i) {
-      text += std::to_string(key.v[i]);
-      text += '|';
+  // install order among a key's versions — independent of the index's
+  // slot layout.
+  std::vector<std::pair<std::string, std::size_t>> victims;
+  victims.reserve(size_);
+  for (const std::size_t i : used_slots()) {
+    std::string key_text;
+    for (std::size_t c = 0; c < arity_; ++c) {
+      key_text += std::to_string(slot(i)[c]);
+      key_text += '|';
     }
-    keys.emplace_back(std::move(text), &key);
+    victims.emplace_back(std::move(key_text), i);
   }
-  std::sort(keys.begin(), keys.end());
-  std::size_t total = 0;
-  for (const auto& [text, key] : keys) total += exact_.at(*key).size();
-  std::size_t pick = s.pick(total);
-  ExactKey victim_key;
-  std::size_t version_index = 0;
-  for (const auto& [text, key] : keys) {
-    const std::size_t n = exact_.at(*key).size();
-    if (pick < n) {
-      victim_key = *key;
-      version_index = pick;
-      break;
-    }
-    pick -= n;
-  }
-  auto node = exact_.find(victim_key);
-  Stored& entry = node->second[version_index];
+  std::stable_sort(victims.begin(), victims.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.first < b.first;
+                   });
+  const std::size_t victim = victims[s.pick(victims.size())].second;
+  std::uint64_t* entry = slot(victim);
+  // A copy of the victim's slot, for the kinds that re-insert it.
+  std::vector<std::uint64_t> copy(entry, entry + stride_);
+  auto taken = [&](const std::uint64_t* key, EpochWindow w) {
+    return find_slot(key, [&](const std::uint64_t* v) {
+             return window_at(v) == w;
+           }) != kNoSlot;
+  };
   const std::string where = "exact '" + def_->name + "'";
 
   switch (kind) {
     case CorruptKind::kKeyFlip: {
-      // The flipped key lives in a different hash bucket: move the
+      // The flipped key lives in a different home slot: move the
       // version under its new key, like the SRAM row now matching
       // different traffic. Scan from the seeded bit to the first flip
       // that does not land on an installed (key, window) twin — an
       // aliased version would be unaddressable by snapshot_diff (same
       // rationale as kDuplicate below).
-      Stored moved = entry;
-      node->second.erase(node->second.begin() +
-                         static_cast<std::ptrdiff_t>(version_index));
-      if (node->second.empty()) exact_.erase(node);
-      ExactKey flipped = victim_key;
-      const std::size_t component = s.pick(flipped.n);
+      erase_slot(victim);
+      const std::size_t component = s.pick(arity_);
       const std::size_t start = s.pick(64);
-      for (std::size_t n = 0; n < 64; ++n) {
+      const EpochWindow w = window_at(copy.data());
+      for (std::size_t n = 0; arity_ > 0 && n < 64; ++n) {
         const std::uint64_t mask = 1ULL << ((start + n) % 64);
-        flipped.v[component] ^= mask;
-        auto twin = exact_.find(flipped);
-        const bool collides =
-            twin != exact_.end() &&
-            std::any_of(twin->second.begin(), twin->second.end(),
-                        [&](const Stored& v) {
-                          return v.window == moved.window;
-                        });
-        if (!collides) break;
-        flipped.v[component] ^= mask;
+        copy[component] ^= mask;
+        if (!taken(copy.data(), w)) break;
+        copy[component] ^= mask;
       }
-      exact_[flipped].push_back(std::move(moved));
+      insert_slot(copy.data());
       return where + " key bit flipped";
     }
     case CorruptKind::kActionFlip: {
-      const bool in_args = flip_action(entry);
+      EpochWindow w = window_at(entry);
+      const bool in_args = flip_action(action_at(entry), entry + arity_ + 2, w);
+      set_window(entry, w);
       return where + (in_args ? " action data flipped"
                               : " window flipped (no action data)");
     }
     case CorruptKind::kWindowFlip: {
-      flip_window(entry.window);
-      return where + " window flipped " + window_text(entry.window);
+      EpochWindow w = window_at(entry);
+      flip_window(w);
+      set_window(entry, w);
+      return where + " window flipped " + window_text(w);
     }
     case CorruptKind::kDelete: {
-      node->second.erase(node->second.begin() +
-                         static_cast<std::ptrdiff_t>(version_index));
-      if (node->second.empty()) exact_.erase(node);
-      --size_;
+      erase_slot(victim);
       return where + " entry deleted";
     }
     case CorruptKind::kDuplicate: {
@@ -718,20 +777,15 @@ std::string RuntimeTable::corrupt(CorruptKind kind, std::uint64_t salt) {
       // installed version of the key: snapshot_diff addresses exact
       // versions by (key, window), so an identical twin would collapse
       // into its original and be unrepairable.
-      Stored ghost = entry;
+      const EpochWindow original = window_at(entry);
+      EpochWindow ghost = original;
       std::uint32_t bump = 1 + static_cast<std::uint32_t>(s.pick(3));
-      auto taken = [&](const EpochWindow& w) {
-        for (const Stored& v : node->second) {
-          if (v.window == w) return true;
-        }
-        return false;
-      };
       do {
-        ghost.window.from = entry.window.from + bump;
+        ghost.from = original.from + bump;
         ++bump;
-      } while (taken(ghost.window));
-      node->second.push_back(std::move(ghost));
-      ++size_;
+      } while (taken(copy.data(), ghost));
+      set_window(copy.data(), ghost);
+      insert_slot(copy.data());
       return where + " entry duplicated";
     }
   }
@@ -776,32 +830,18 @@ std::uint64_t RuntimeTable::state_digest() const {
     }
     return h;
   }
-  std::vector<std::pair<const ExactKey*, const Stored*>> entries;
-  entries.reserve(size_);
-  for (const auto& [key, versions] : exact_) {
-    for (const Stored& v : versions) entries.emplace_back(&key, &v);
-  }
-  std::sort(entries.begin(), entries.end(), [](const auto& a, const auto& b) {
-    const ExactKey& ka = *a.first;
-    const ExactKey& kb = *b.first;
-    if (!(ka == kb)) {
-      return std::lexicographical_compare(ka.v, ka.v + ka.n, kb.v,
-                                          kb.v + kb.n);
-    }
-    return std::tie(a.second->window.from, a.second->window.to) <
-           std::tie(b.second->window.from, b.second->window.to);
-  });
-  for (const auto& [key, v] : entries) {
-    for (std::uint8_t i = 0; i < key->n; ++i) fnv_mix(h, key->v[i]);
-    fnv_mix(h, v->window.from);
-    fnv_mix(h, v->window.to);
-    fnv_mix_action(h, text(*v));
+  for (const ExactEntry& e : exact_entries()) {  // sorted: order-free
+    for (const std::uint64_t v : e.key) fnv_mix(h, v);
+    fnv_mix(h, e.window.from);
+    fnv_mix(h, e.window.to);
+    fnv_mix_action(h, e.action);
   }
   return h;
 }
 
 void RuntimeTable::clear() {
-  exact_.clear();
+  std::vector<std::uint64_t>().swap(slots_);
+  mask_ = 0;
   if (tcam_) tcam_.emplace(def_->keys.size());
   size_ = 0;
   ++revision_;

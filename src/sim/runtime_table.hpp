@@ -1,7 +1,22 @@
 // Runtime match-action tables: the one store of installed rules.
-// Exact tables hash a fixed-width ExactKey; ternary and LPM tables use
-// the TCAM model (LPM entries become ternary entries whose priority is
-// the prefix length).
+// Exact tables keep a flat open-addressing index; ternary and LPM
+// tables use the TCAM model (LPM entries become ternary entries whose
+// priority is the prefix length).
+//
+// The exact index is one array of fixed-stride slots per table, probed
+// linearly from the key's home slot. A slot holds the key packed at
+// the table's arity, the epoch window, the action id and the action's
+// arguments inline (room for the table's widest action). Each version
+// of a key takes its own slot, so a shadow and a retiring version sit
+// in one probe cluster and probe() picks the one whose window holds
+// the packet's epoch. Versions of one key keep their install order
+// along the cluster. A remove shifts the rest of the cluster back
+// (backward-shift deletion), so install/remove churn leaves no
+// tombstones. The slot count is a power of two sized from the live
+// count (load at most 0.7), growing on install and shrinking after
+// removes. The home slot is FNV-1a over the key words passed through
+// splitmix64's finalizer: FNV's low bits depend only on the keys' low
+// bits, and the mask keeps only low bits.
 //
 // Every install binds its action once, by the control's definition: an
 // action id plus its arguments in the action's parameter order. An
@@ -25,7 +40,6 @@
 #include <map>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "net/tcam.hpp"
@@ -80,27 +94,8 @@ struct ExactKey {
   std::uint64_t v[kMaxKeyArity] = {};
   std::uint8_t n = 0;
 
-  /// `key` must have at most kMaxKeyArity values.
-  static ExactKey of(const std::vector<std::uint64_t>& key) {
-    ExactKey k;
-    k.n = static_cast<std::uint8_t>(key.size());
-    std::copy(key.begin(), key.end(), k.v);
-    return k;
-  }
-  std::vector<std::uint64_t> values() const { return {v, v + n}; }
   bool operator==(const ExactKey& o) const {
     return n == o.n && std::equal(v, v + n, o.v);
-  }
-};
-
-struct ExactKeyHash {
-  std::size_t operator()(const ExactKey& k) const {
-    std::uint64_t h = 1469598103934665603ull;
-    for (std::uint8_t i = 0; i < k.n; ++i) {
-      h ^= k.v[i];
-      h *= 1099511628211ull;
-    }
-    return static_cast<std::size_t>(h);
   }
 };
 
@@ -238,6 +233,12 @@ class RuntimeTable {
   std::size_t entry_count() const { return size_; }
   void clear();
 
+  /// Heap bytes held by the exact index's slot array: the per-table
+  /// cost of the exact entries, which grows and shrinks with them.
+  std::size_t exact_index_bytes() const {
+    return slots_.capacity() * sizeof(std::uint64_t);
+  }
+
   /// Monotone mutation stamp: bumped once by every entry mutation
   /// (install, overwrite, remove, retire, unretire, gc, clear), never
   /// by corrupt(). The compiled fast path (sim::CompiledPipeline)
@@ -252,7 +253,9 @@ class RuntimeTable {
   void reset_counters() { hits_ = misses_ = 0; }
 
   /// State export (§7 service upgrade / failure handling): enumerate
-  /// installed entries — every version, retired and shadowed included.
+  /// installed entries — every version, retired and shadowed included —
+  /// sorted by key, then window. The explorer and the cost walker fork
+  /// in this order.
   std::vector<ExactEntry> exact_entries() const;
   /// Ternary/LPM entries in match-priority order (empty for exact
   /// tables).
@@ -308,12 +311,65 @@ class RuntimeTable {
   /// live one when `window` is nullptr.
   bool erase_version(const std::vector<std::uint64_t>& key,
                      const EpochWindow* window);
-  /// `key` as an ExactKey; false when its arity is not the table's.
-  bool key_of(const std::vector<std::uint64_t>& key, ExactKey& out) const;
-  std::vector<Stored>* versions_of(const std::vector<std::uint64_t>& key);
-  const std::vector<Stored>* versions_of(
-      const std::vector<std::uint64_t>& key) const;
   Stored* ternary_stored(std::size_t handle);
+
+  // --- the exact index (layout in the file comment) ---
+  // Slot words: key[0, arity_), window at arity_ (from | to << 32),
+  // action id at arity_ + 1 (kEmptySlot when free), args after it.
+  static constexpr std::uint64_t kEmptySlot = ~std::uint64_t{0};
+  static constexpr std::size_t kNoSlot = ~std::size_t{0};
+
+  std::size_t slot_count() const { return slots_.size() / stride_; }
+  std::uint64_t* slot(std::size_t i) { return slots_.data() + i * stride_; }
+  const std::uint64_t* slot(std::size_t i) const {
+    return slots_.data() + i * stride_;
+  }
+  bool used(const std::uint64_t* s) const {
+    return s[arity_ + 1] != kEmptySlot;
+  }
+  EpochWindow window_at(const std::uint64_t* s) const {
+    return {static_cast<std::uint32_t>(s[arity_]),
+            static_cast<std::uint32_t>(s[arity_] >> 32)};
+  }
+  void set_window(std::uint64_t* s, EpochWindow w) const {
+    s[arity_] = w.from | (std::uint64_t{w.to} << 32);
+  }
+  std::uint32_t action_at(const std::uint64_t* s) const {
+    return static_cast<std::uint32_t>(s[arity_ + 1]);
+  }
+  const std::uint64_t* args_at(const std::uint64_t* s) const {
+    return s + arity_ + 2;
+  }
+  ExactEntry entry_at(const std::uint64_t* s) const {
+    return {{s, s + arity_}, text(action_at(s), args_at(s)), window_at(s)};
+  }
+  /// The home slot of a key of arity_ words.
+  std::size_t home(const std::uint64_t* key) const;
+  /// The first slot, in probe order, holding a version of `key` that
+  /// satisfies `pred(slot)`; kNoSlot when none. Versions of one key are
+  /// visited in install order.
+  template <class Pred>
+  std::size_t find_slot(const std::uint64_t* key, Pred pred) const;
+  /// Every used slot, each cluster walked in probe order.
+  std::vector<std::size_t> used_slots() const;
+  /// Copy a slot image into the first free slot from its home.
+  void place(const std::uint64_t* image);
+  /// Add a version from its slot image (not one inside the index),
+  /// growing the index first when it would pass 0.7 load. Counts it in
+  /// size_.
+  void insert_slot(const std::uint64_t* image);
+  /// Remove the version in slot `i` by backward shift, then shrink the
+  /// index when it fell under 1/8 load. Uncounts it from size_.
+  void erase_slot(std::size_t i);
+  /// Re-lay the index, keeping the versions `keep(slot)` accepts (each
+  /// key's install order kept), at the slot count for them plus
+  /// `extra`.
+  template <class Keep>
+  void rehash(Keep keep, std::size_t extra);
+  /// The slot image of `version` under `key` (which must not point
+  /// into the index: an insert may move it).
+  std::vector<std::uint64_t> image(const std::vector<std::uint64_t>& key,
+                                   const Stored& version) const;
 
   const p4ir::ControlBlock* control_;
   const p4ir::Table* def_;
@@ -322,9 +378,12 @@ class RuntimeTable {
   std::uint64_t revision_ = 0;
   mutable std::uint64_t hits_ = 0;
   mutable std::uint64_t misses_ = 0;
-  // Exact storage: key -> installed versions of that key (pairwise
-  // non-overlapping windows; at most one open).
-  std::unordered_map<ExactKey, std::vector<Stored>, ExactKeyHash> exact_;
+  // Exact storage: the flat index. A key's versions have pairwise
+  // non-overlapping windows, at most one open.
+  std::size_t arity_ = 0;
+  std::size_t stride_ = 0;  // words per slot
+  std::size_t mask_ = 0;    // slot_count() - 1
+  std::vector<std::uint64_t> slots_;
   // Ternary/LPM storage; each entry carries its own window.
   std::optional<net::Tcam<Stored>> tcam_;
 };

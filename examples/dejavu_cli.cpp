@@ -777,7 +777,7 @@ void usage() {
                "                           parallel traffic replay + "
                "measured throughput;\n"
                "                           --engine=compiled runs the "
-               "trace-compiled fast path\n"
+               "compiled whole-program engine\n"
                "  p4info                   control-plane JSON description\n"
                "  lint [--json] [--target fig2|fig9|quickstart|stateful|"
                "parallel]...\n"

@@ -1,7 +1,5 @@
 #include "control/replay_target.hpp"
 
-#include "explore/explorer.hpp"
-
 namespace dejavu::control {
 
 sim::SwitchOutput DeploymentTarget::inject(net::Packet packet,
@@ -18,14 +16,8 @@ sim::SwitchOutput DeploymentTarget::inject(net::Packet packet,
 void DeploymentTarget::set_engine(sim::EngineKind kind) {
   engine_ = kind;
   if (kind == sim::EngineKind::kCompiled && !compiled_) {
-    // Seed from the deployment's own path equivalence classes; reuse a
-    // previous exploration when the deployment already ran one.
-    const explore::ExploreResult& ex =
-        fx_.deployment->exploration().paths.empty()
-            ? fx_.deployment->run_explorer()
-            : fx_.deployment->exploration();
-    compiled_ = std::make_unique<sim::CompiledPipeline>(
-        fx_.deployment->dataplane(), explore::compile_seed(ex));
+    compiled_ =
+        std::make_unique<sim::CompiledPipeline>(fx_.deployment->dataplane());
   }
   fx_.deployment->control().set_engine(
       kind == sim::EngineKind::kCompiled ? compiled_.get() : nullptr);

@@ -22,10 +22,9 @@ class DeploymentTarget : public sim::ReplayTarget {
   sim::SwitchOutput inject(net::Packet packet, std::uint16_t in_port) override;
   sim::DataPlane& dataplane() override { return fx_.deployment->dataplane(); }
 
-  /// kCompiled lowers the deployed chain, seeded from the deployment's
-  /// explorer path equivalence classes (run lazily on first switch),
-  /// and hands it to the control plane: first passes and the Fig. 4
-  /// reinjections both run on the active engine.
+  /// kCompiled lowers the deployed chain's whole program (once, on the
+  /// first switch) and hands the engine to the control plane: first
+  /// passes and the Fig. 4 reinjections both run on the active engine.
   void set_engine(sim::EngineKind kind) override;
   sim::EngineKind engine() const override { return engine_; }
   std::uint64_t compiled_packets() const override;

@@ -1389,14 +1389,4 @@ ExploreResult run(sim::DataPlane& dp, const sfc::PolicySet& policies,
   return engine.run();
 }
 
-sim::CompileSeed compile_seed(const ExploreResult& result) {
-  sim::CompileSeed seed;
-  seed.witnesses.reserve(result.paths.size());
-  for (const PathSummary& path : result.paths) {
-    seed.witnesses.push_back(
-        sim::CompileSeed::Witness{path.witness, path.in_port});
-  }
-  return seed;
-}
-
 }  // namespace dejavu::explore

@@ -21,7 +21,6 @@
 #include "explore/symbolic.hpp"
 #include "net/packet.hpp"
 #include "sfc/chain.hpp"
-#include "sim/compiled/compiled_pipeline.hpp"
 #include "sim/dataplane.hpp"
 #include "verify/finding.hpp"
 
@@ -113,11 +112,5 @@ struct ExploreResult {
 /// with fresh registers.
 ExploreResult run(sim::DataPlane& dp, const sfc::PolicySet& policies,
                   const ExploreOptions& options = {});
-
-/// Trace export for the compiled fast path (DESIGN.md §12): one
-/// compile witness per explored path equivalence class. The witnesses
-/// seed sim::CompiledPipeline — they define the compiled trace set and
-/// gate compilation by differential replay against the interpreter.
-sim::CompileSeed compile_seed(const ExploreResult& result);
 
 }  // namespace dejavu::explore

@@ -12,23 +12,6 @@
 
 namespace dejavu::sim {
 
-namespace {
-
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-// Compile-gate witnesses replayed before the fast path goes live;
-// beyond this the seed still defines shapes but validation is capped.
-constexpr std::size_t kMaxValidatedWitnesses = 128;
-// Safety valve on the no-seed shape universe (paths through the parser
-// DAG); overflowing graphs are not worth compiling.
-constexpr std::size_t kMaxShapes = 65536;
-
-std::uint64_t shape_extend(std::uint64_t hash, std::uint16_t header) {
-  return (hash ^ (std::uint64_t{header} + 1)) * kFnvPrime;
-}
-
-}  // namespace
-
 bool semantically_equal(const SwitchOutput& a, const SwitchOutput& b) {
   if (a.dropped != b.dropped || a.drop_code != b.drop_code ||
       a.drop_reason != b.drop_reason || a.epoch != b.epoch ||
@@ -53,13 +36,11 @@ bool semantically_equal(const SwitchOutput& a, const SwitchOutput& b) {
   return true;
 }
 
-CompiledPipeline::CompiledPipeline(DataPlane& dp, CompileSeed seed)
-    : dp_(&dp), seed_(std::move(seed)) {
+CompiledPipeline::CompiledPipeline(DataPlane& dp) : dp_(&dp) {
   recompile();
 }
 
 bool CompiledPipeline::recompile() {
-  attempted_epoch_ = dp_->epoch();
   std::string err;
   compiled_ok_ = compile(&err);
   if (compiled_ok_) {
@@ -74,13 +55,9 @@ bool CompiledPipeline::recompile() {
 }
 
 bool CompiledPipeline::ensure_valid() {
-  if (!compiled_ok_) {
-    // A failed compile (uncompilable construct) rarely heals on rule
-    // churn alone; retry only when the generation moves, and stay on
-    // the always-correct interpreter otherwise.
-    if (attempted_epoch_ == dp_->epoch()) return false;
-    return recompile();
-  }
+  // A refused compile depends only on the program, so it stays
+  // refused: every packet takes the interpreter.
+  if (!compiled_ok_) return false;
   bool moved = seen_epoch_ != dp_->epoch();
   for (Watch& w : revisions_) {
     if (w.rt->revision() != w.revision) {
@@ -313,7 +290,6 @@ bool CompiledPipeline::compile(std::string* err) {
   hash_srcs_.clear();
   key_refs_.clear();
   guard_tables_.clear();
-  shapes_.clear();
   header_index_.clear();
   local_index_.clear();
   selector_ranges_.clear();
@@ -331,7 +307,7 @@ bool CompiledPipeline::compile(std::string* err) {
                               static_cast<std::uint16_t>(header_index_.size()));
   }
   if (header_index_.size() > 64) {
-    *err = "more than 64 header types (shape bitmap overflow)";
+    *err = "more than 64 header types (header bitmap overflow)";
     return false;
   }
   if (auto it = header_index_.find("ipv4"); it != header_index_.end()) {
@@ -413,22 +389,6 @@ bool CompiledPipeline::compile(std::string* err) {
     }
   }
   size_scratch();
-
-  // Validation extends the seed with the witnesses' punts, so it runs
-  // before the trace set is drawn from the seed.
-  if (!seed_.witnesses.empty() && !validated_once_) {
-    if (!validate_witnesses(err)) return false;
-    validated_once_ = true;
-  }
-
-  // Compiled trace set: explorer witnesses when seeded, the parser
-  // DAG's full shape universe otherwise.
-  if (!seed_.witnesses.empty()) {
-    collect_shapes_from_witnesses();
-  } else if (!collect_all_shapes()) {
-    *err = "parser shape universe overflow";
-    return false;
-  }
   return true;
 }
 
@@ -447,90 +407,14 @@ void CompiledPipeline::size_scratch() {
   hit_stamp_.assign(hit_val_.size(), 0);
   branch_checked_stamp_.assign(std::max<std::size_t>(max_branches, 1), 0);
   pass_token_ = 0;
-  present_ = 0;
-  parse_dirty_ = true;
-}
-
-void CompiledPipeline::collect_shapes_from_witnesses() {
-  for (const CompileSeed::Witness& w : seed_.witnesses) {
-    run_parse(w.packet);
-    shapes_.insert(shape_hash_);
-  }
-}
-
-bool CompiledPipeline::shape_dfs(std::uint32_t state, std::uint64_t present,
-                                 std::uint64_t hash, std::size_t hop) {
-  if (shapes_.size() > kMaxShapes) return false;
-  // Truncation (or an invalid vertex) can stop extraction right here.
-  shapes_.insert(hash);
-  if (hop > parse_states_.size()) return true;
-  const ParseStateC& st = parse_states_[state];
-  if (!st.valid) return true;
-  if (!(present & (std::uint64_t{1} << st.header))) {
-    present |= std::uint64_t{1} << st.header;
-    hash = shape_extend(hash, st.header);
-  }
-  shapes_.insert(hash);  // accept / no-edge-matched / truncated later
-  for (std::uint32_t i = 0; i < st.edge_count; ++i) {
-    const ParseEdgeC& e = parse_edges_[st.edge_begin + i];
-    if (!shape_dfs(e.to, present, hash, hop + 1)) return false;
-    if (e.is_default) break;  // edges after the default are unreachable
-  }
-  return true;
-}
-
-bool CompiledPipeline::collect_all_shapes() {
-  shapes_.insert(kFnvOffset);  // the empty parse (empty graph/packet)
-  if (parser_empty_) return true;
-  return shape_dfs(parse_start_, 0, kFnvOffset, 0);
-}
-
-bool CompiledPipeline::validate_witnesses(std::string* err) {
-  // Replay each witness through interpreter and compiled engine on
-  // private clones (registers, counters, and punt ledgers must not
-  // leak into the live dataplane).
-  DataPlane interp = *dp_;
-  DataPlane clone = *dp_;
-  CompiledPipeline compiled(clone, CompileSeed{});  // empty seed: no recursion
-  // A wire witness's punt comes back the way the control plane
-  // reinjects it: from the CPU, stamped with the punt's epoch. Its
-  // shape (the SFC header on top) is one no wire witness has, so it
-  // joins the seed, and is replayed after the wire witnesses.
-  std::vector<CompileSeed::Witness> punts;
-  const std::size_t wire =
-      std::min(seed_.witnesses.size(), kMaxValidatedWitnesses);
-  for (std::size_t i = 0; i < wire + punts.size(); ++i) {
-    const CompileSeed::Witness w =
-        i < wire ? seed_.witnesses[i] : punts[i - wire];
-    SwitchOutput a = interp.process(w.packet, w.in_port, w.from_cpu, w.stamp);
-    SwitchOutput b =
-        compiled.process(w.packet, w.in_port, w.from_cpu, w.stamp);
-    if (!semantically_equal(a, b)) {
-      *err = "witness " + std::to_string(i) +
-             " disagrees between interpreter and compiled engine";
-      return false;
-    }
-    if (i >= wire || w.from_cpu) continue;
-    for (SwitchOutput::CpuPunt& p : a.to_cpu) {
-      punts.push_back({std::move(p.packet), p.in_port, true, p.epoch});
-    }
-  }
-  seed_.witnesses.insert(seed_.witnesses.end(),
-                         std::make_move_iterator(punts.begin()),
-                         std::make_move_iterator(punts.end()));
-  return true;
 }
 
 // --- execution -------------------------------------------------------
 
 void CompiledPipeline::run_parse(const net::Packet& packet) {
   present_ = 0;
-  std::uint64_t hash = kFnvOffset;
   parse_dirty_ = false;
-  if (parser_empty_) {
-    shape_hash_ = hash;
-    return;
-  }
+  if (parser_empty_) return;
   auto bytes = packet.data().view();
   std::uint32_t state = parse_start_;
   for (std::size_t hop = 0; hop <= parse_states_.size(); ++hop) {
@@ -541,7 +425,6 @@ void CompiledPipeline::run_parse(const net::Packet& packet) {
     if (!(present_ & bit)) {
       present_ |= bit;
       hdr_off_[st.header] = st.offset;
-      hash = shape_extend(hash, st.header);
     }
     bool advanced = false;
     for (std::uint32_t i = 0; i < st.edge_count; ++i) {
@@ -567,7 +450,6 @@ void CompiledPipeline::run_parse(const net::Packet& packet) {
     }
     if (!advanced) break;
   }
-  shape_hash_ = hash;
 }
 
 void CompiledPipeline::ensure_parse(const net::Packet& packet) {
@@ -833,11 +715,6 @@ SwitchOutput CompiledPipeline::process(net::Packet packet,
   if (reinjection ? !compiled_ok_ : !ensure_valid()) {
     return fall_back(std::move(packet), in_port, from_cpu, stamp);
   }
-  run_parse(packet);
-  if (!shapes_.contains(shape_hash_)) {
-    ++stats_.shape_escapes;
-    return fall_back(std::move(packet), in_port, from_cpu, stamp);
-  }
   ++(reinjection ? stats_.reinjections : stats_.compiled_packets);
   return run(std::move(packet), in_port, from_cpu, stamp);
 }
@@ -845,6 +722,7 @@ SwitchOutput CompiledPipeline::process(net::Packet packet,
 SwitchOutput CompiledPipeline::run(net::Packet packet, std::uint16_t in_port,
                                    bool from_cpu,
                                    std::optional<std::uint32_t> stamp) {
+  parse_dirty_ = true;  // parsed at the first pipelet entry
   SwitchOutput out;
   if (!dp_->stamp_packet(from_cpu, stamp, out)) return out;
   if (DropCode code = admit_ingress(*dp_, in_port, from_cpu);

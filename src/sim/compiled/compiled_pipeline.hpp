@@ -15,29 +15,27 @@
 // and runs the matched action's lowered body over the entry's
 // arguments, which the store bound in param order at install time.
 //
-// Semantics contract: for every packet the compiled engine accepts, the
-// outcome is bit-identical to the interpreter — same SwitchOutput
-// (minus the debug trace / pipelets_visited), same port counters, same
-// register side effects, same punt-ledger movement, same per-table
-// hit/miss counters, same DropCode attribution, same pass cap. Packets
-// it does not accept *escape* to the interpreter before any side
-// effect and count as fallback_packets:
-//   - packets whose parse shape (ordered set of extracted headers) is
-//     outside the compiled trace set seeded from the explorer's path
-//     equivalence classes (malformed/truncated/unknown headers);
-//   - everything, when compilation failed (witness disagreement, a
-//     parser the engine cannot lower) — the engine degrades to a pure
-//     interpreter shim rather than guess.
+// Semantics contract: every packet — wire packet or CPU reinjection,
+// well-formed or truncated — runs compiled, and its outcome is
+// bit-identical to the interpreter's: same SwitchOutput (minus the
+// debug trace / pipelets_visited), same port counters, same register
+// side effects, same punt-ledger movement, same per-table hit/miss
+// counters, same DropCode attribution, same pass cap. The lowered
+// parser walks the merged parser graph the way run_parser does, so no
+// parse shape needs to be known in advance. The one escape is a
+// program compile() refuses (more than 64 header types, a parser
+// graph that does not resolve against its tuple-id table): then every
+// packet delegates to the interpreter and counts as fallback_packets.
 // CPU reinjections (from_cpu, stamped with the punt's epoch) run
 // compiled like wire packets, as a packet-out re-enters the ASIC's one
 // pipeline: every lookup probes under the stamp, so a punt finishes on
 // its own generation even after a flip, and DataPlane::stamp_packet
 // closes out its punt or drains a retired stamp (kUpdateDrained) for
-// both engines. Their shape joins the trace set through the witnesses'
-// own punts (see validate_witnesses).
+// both engines.
 //
 // Invalidation contract: the lowered program depends only on the
-// program, which a DataPlane never swaps, so it is compiled once.
+// program, which a DataPlane never swaps, so it is compiled once (and
+// a refused compile stays refused).
 // Installs, removals, epoch flips and even silent corruption are seen
 // by the next probe with nothing to patch. generation() still moves,
 // once, on the first wire packet after the epoch or any read table's
@@ -51,34 +49,11 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "sim/dataplane.hpp"
 
 namespace dejavu::sim {
-
-/// Explorer-derived compile seed: witness packets, one per path
-/// equivalence class (explore::compile_seed converts an ExploreResult).
-/// The witnesses (a) define the compiled trace set — a packet whose
-/// parse shape no witness exhibits escapes to the interpreter — and
-/// (b) gate compilation: each witness is replayed through interpreter
-/// and compiled engine on cloned dataplanes, and any disagreement
-/// rejects the compile. The first validation appends each wire
-/// witness's CPU punts as reinjection witnesses, so the shape of a
-/// reinjected punt is compiled too. An empty seed compiles every shape
-/// the parser graph can produce and skips witness validation.
-struct CompileSeed {
-  struct Witness {
-    net::Packet packet;
-    std::uint16_t in_port = 0;
-    /// A reinjection witness: a punt coming back from the CPU under
-    /// the punt's epoch stamp.
-    bool from_cpu = false;
-    std::optional<std::uint32_t> stamp;
-  };
-  std::vector<Witness> witnesses;
-};
 
 /// Engine observability (perf half — never part of replay counters).
 struct CompiledStats {
@@ -87,7 +62,6 @@ struct CompiledStats {
   std::uint64_t fallback_packets = 0;  ///< delegated to the interpreter
   std::uint64_t full_compiles = 0;  ///< successful whole-program lowerings
   std::uint64_t failed_compiles = 0;
-  std::uint64_t shape_escapes = 0;  ///< parse shape not compiled
 };
 
 /// SwitchOutput equality over everything the engines must agree on:
@@ -104,10 +78,11 @@ class CompiledPipeline {
  public:
   /// Compiles dp's program immediately.
   /// `dp` must outlive the pipeline and keep a stable address.
-  explicit CompiledPipeline(DataPlane& dp, CompileSeed seed = {});
+  explicit CompiledPipeline(DataPlane& dp);
 
   /// Drop-in replacement for DataPlane::process (same signature, same
-  /// observable behavior); escapes delegate to it.
+  /// observable behavior); delegates to it only when the compile
+  /// failed.
   SwitchOutput process(net::Packet packet, std::uint16_t in_port,
                        bool from_cpu = false,
                        std::optional<std::uint32_t> stamp = std::nullopt);
@@ -244,11 +219,6 @@ class CompiledPipeline {
   FieldRefC resolve_field(const std::string& dotted);
   FieldRefC resolve_header_field(const std::string& dotted) const;
   void mark_parse_selectors();
-  void collect_shapes_from_witnesses();
-  bool collect_all_shapes();
-  bool shape_dfs(std::uint32_t state, std::uint64_t present,
-                 std::uint64_t hash, std::size_t hop);
-  bool validate_witnesses(std::string* err);
   bool ensure_valid();
 
   // --- execution (per-packet scratch; single-threaded) ---
@@ -270,16 +240,13 @@ class CompiledPipeline {
                          bool from_cpu, std::optional<std::uint32_t> stamp);
 
   DataPlane* dp_;
-  CompileSeed seed_;
   bool compiled_ok_ = false;
-  bool validated_once_ = false;
   std::string compile_error_;
   CompiledStats stats_;
   std::uint64_t generation_ = 0;
 
   // What the last generation saw.
   std::uint32_t seen_epoch_ = 0;
-  std::uint32_t attempted_epoch_ = 0;
   std::vector<Watch> revisions_;
 
   // Compiled program.
@@ -293,7 +260,6 @@ class CompiledPipeline {
   std::vector<HashSrc> hash_srcs_;
   std::vector<FieldRefC> key_refs_;
   std::vector<std::uint32_t> guard_tables_;
-  std::unordered_set<std::uint64_t> shapes_;
   std::unordered_map<std::string, std::uint16_t> header_index_;
   std::unordered_map<std::string, std::uint16_t> local_index_;
   std::int32_t ipv4_header_ = -1;
@@ -307,7 +273,6 @@ class CompiledPipeline {
   // Per-packet scratch (reused; no allocation once warmed).
   std::vector<std::uint32_t> hdr_off_;
   std::uint64_t present_ = 0;
-  std::uint64_t shape_hash_ = 0;
   bool parse_dirty_ = true;
   std::vector<std::uint64_t> local_val_;
   std::vector<std::uint32_t> local_stamp_;

@@ -52,13 +52,8 @@ SwitchOutput DataPlaneTarget::inject(net::Packet packet,
 void DataPlaneTarget::set_engine(EngineKind kind) {
   engine_ = kind;
   if (kind == EngineKind::kCompiled && !compiled_) {
-    compiled_ = std::make_unique<CompiledPipeline>(dp_, seed_);
+    compiled_ = std::make_unique<CompiledPipeline>(dp_);
   }
-}
-
-void DataPlaneTarget::set_compile_seed(CompileSeed seed) {
-  seed_ = std::move(seed);
-  if (compiled_) compiled_ = std::make_unique<CompiledPipeline>(dp_, seed_);
 }
 
 std::uint64_t DataPlaneTarget::compiled_packets() const {

@@ -103,23 +103,19 @@ class DataPlaneTarget : public ReplayTarget {
   DataPlane& dataplane() override { return dp_; }
 
   /// kCompiled builds (or reuses) a CompiledPipeline over the private
-  /// replica; packets it can't take fall back to the interpreter
+  /// replica; a program it refuses falls back to the interpreter
   /// inside the pipeline, so inject() behavior is engine-independent.
   void set_engine(EngineKind kind) override;
   EngineKind engine() const override { return engine_; }
   std::uint64_t compiled_packets() const override;
   std::uint64_t fallback_packets() const override;
 
-  /// Witness seed for the next compile (explore::compile_seed output);
-  /// rebuilds an already-live compiled engine immediately.
-  void set_compile_seed(CompileSeed seed);
   /// The live compiled engine, or nullptr while on the interpreter
   /// (exposed for generation()/stats() assertions in tests).
   CompiledPipeline* compiled() { return compiled_.get(); }
 
  private:
   DataPlane dp_;
-  CompileSeed seed_;
   std::unique_ptr<CompiledPipeline> compiled_;
   EngineKind engine_ = EngineKind::kInterpreter;
 };

@@ -18,7 +18,6 @@
 #include "control/repair.hpp"
 #include "control/replay_target.hpp"
 #include "control/snapshot.hpp"
-#include "explore/explorer.hpp"
 #include "merge/compose.hpp"
 #include "net/tcam.hpp"
 #include "nf/parser_lib.hpp"
@@ -603,8 +602,6 @@ TEST(CompiledCorruption, NextPacketMatchesInterpreter) {
   // A silent corruption moves no revision, and nothing needs to: the
   // compiled engine probes the very store the corruption landed in.
   auto fx = control::make_fig9_deployment();
-  const sim::CompileSeed seed =
-      explore::compile_seed(fx.deployment->run_explorer());
   const auto flows = control::fig2_replay_flows(12, 2);
   const RuntimeTable::CorruptKind kinds[] = {
       RuntimeTable::CorruptKind::kKeyFlip,
@@ -616,7 +613,7 @@ TEST(CompiledCorruption, NextPacketMatchesInterpreter) {
   for (const RuntimeTable::CorruptKind kind : kinds) {
     for (const char* table : {"FW.acl", "VGW.vip_map", "Router.ipv4_lpm"}) {
       DataPlane dp = fx.deployment->dataplane();
-      sim::CompiledPipeline fast(dp, seed);
+      sim::CompiledPipeline fast(dp);
       ASSERT_TRUE(fast.compiled_ok()) << fast.compile_error();
       RuntimeTable* victim = table_with_entries(dp, table);
       ASSERT_NE(victim, nullptr) << table;

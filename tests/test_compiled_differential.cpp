@@ -7,6 +7,7 @@
 // workers, mid-stream live updates included.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <random>
 #include <string>
 #include <vector>
@@ -16,6 +17,7 @@
 #include "control/snapshot.hpp"
 #include "explore/explorer.hpp"
 #include "explore_test_util.hpp"
+#include "net/headers.hpp"
 #include "route/routing.hpp"
 #include "sim/compiled/compiled_pipeline.hpp"
 #include "sim/replay.hpp"
@@ -193,27 +195,91 @@ TEST(CompiledDifferential, SeededRandomStreamsAgreePacketByPacket) {
 }
 
 TEST(CompiledDifferential, ExplorerSeededCompileValidatesWitnesses) {
-  // The explorer's path equivalence classes as the compile seed: every
-  // witness gates the compile differentially, and replaying them
-  // afterwards stays on the fast path (their shapes are the trace set).
-  auto fx = control::make_fig9_deployment();
-  const explore::ExploreResult& exploration = fx.deployment->run_explorer();
-  ASSERT_GT(exploration.paths.size(), 0u);
-  const CompileSeed seed = explore::compile_seed(exploration);
-  EXPECT_EQ(seed.witnesses.size(), exploration.paths.size());
+  // The explorer's witnesses — one per path equivalence class — and
+  // each punt they make, reinjected from the CPU under the punt's
+  // epoch stamp, run compiled and agree with the interpreter on every
+  // shipped chain target.
+  std::size_t punts = 0;
+  for (const char* name : {"fig2", "fig9", "quickstart", "stateful"}) {
+    auto target = test::build_explore_target(name);
+    const explore::ExploreResult& exploration =
+        target.deployment->run_explorer();
+    ASSERT_GT(exploration.paths.size(), 0u) << name;
+    DataPlane interp = target.deployment->dataplane();
+    DataPlane fast_dp = target.deployment->dataplane();
+    CompiledPipeline fast(fast_dp);
+    ASSERT_TRUE(fast.compiled_ok()) << name << ": " << fast.compile_error();
 
-  DataPlane interp = fx.deployment->dataplane();
-  DataPlane fast_dp = fx.deployment->dataplane();
-  CompiledPipeline fast(fast_dp, seed);
-  ASSERT_TRUE(fast.compiled_ok()) << fast.compile_error();
-
-  for (const CompileSeed::Witness& w : seed.witnesses) {
-    const SwitchOutput a = interp.process(w.packet, w.in_port);
-    const SwitchOutput b = fast.process(w.packet, w.in_port);
-    ASSERT_TRUE(semantically_equal(a, b)) << a.drop_reason;
+    std::size_t reinjected = 0;
+    for (std::size_t i = 0; i < exploration.paths.size(); ++i) {
+      const explore::PathSummary& path = exploration.paths[i];
+      const SwitchOutput a = interp.process(path.witness, path.in_port);
+      const SwitchOutput b = fast.process(path.witness, path.in_port);
+      ASSERT_TRUE(semantically_equal(a, b))
+          << name << " witness " << i << "\ninterp: " << a.drop_reason
+          << "\ncompiled: " << b.drop_reason;
+      for (const SwitchOutput::CpuPunt& p : a.to_cpu) {
+        const SwitchOutput ra = interp.process(p.packet, p.in_port,
+                                               /*from_cpu=*/true, p.epoch);
+        const SwitchOutput rb = fast.process(p.packet, p.in_port,
+                                             /*from_cpu=*/true, p.epoch);
+        ASSERT_TRUE(semantically_equal(ra, rb))
+            << name << " witness " << i << " reinjection\ninterp: "
+            << ra.drop_reason << "\ncompiled: " << rb.drop_reason;
+        ++reinjected;
+      }
+    }
+    EXPECT_EQ(interp.all_port_counters(), fast_dp.all_port_counters())
+        << name;
+    EXPECT_EQ(fast.stats().fallback_packets, 0u) << name;
+    EXPECT_EQ(fast.stats().compiled_packets, exploration.paths.size())
+        << name;
+    EXPECT_EQ(fast.stats().reinjections, reinjected) << name;
+    punts += reinjected;
   }
-  EXPECT_EQ(fast.stats().fallback_packets, 0u);
-  EXPECT_EQ(fast.stats().compiled_packets, seed.witnesses.size());
+  EXPECT_GT(punts, 0u);  // some witness took the Fig. 4 slow path
+}
+
+TEST(CompiledDifferential, ServedEngineRunsEveryWitnessPrefixCompiled) {
+  // The engine DeploymentTarget serves (perfbench, the CLI, chaos and
+  // every replay worker) against an interpreter twin, both servicing
+  // their punts: every byte prefix of every fig9 witness, and each
+  // witness relabelled with the SFC EtherType, runs compiled.
+  control::DeploymentTarget target(control::make_fig9_deployment());
+  control::DeploymentTarget twin(control::make_fig9_deployment());
+  const explore::ExploreResult& exploration =
+      target.fixture().deployment->run_explorer();
+  ASSERT_GT(exploration.paths.size(), 0u);
+  target.set_engine(EngineKind::kCompiled);
+  const CompiledPipeline& engine = *target.compiled();
+  ASSERT_TRUE(engine.compiled_ok()) << engine.compile_error();
+
+  std::size_t sent = 0;
+  auto send = [&](std::vector<std::byte> bytes, std::uint16_t in_port) {
+    const net::Packet packet{net::Buffer(std::move(bytes))};
+    const SwitchOutput got = target.inject(packet, in_port);
+    const SwitchOutput want = twin.inject(packet, in_port);
+    ++sent;
+    return semantically_equal(got, want);
+  };
+  for (std::size_t i = 0; i < exploration.paths.size(); ++i) {
+    const explore::PathSummary& path = exploration.paths[i];
+    const auto bytes = path.witness.data().view();
+    for (std::size_t len = 0; len <= bytes.size(); ++len) {
+      ASSERT_TRUE(send({bytes.begin(), bytes.begin() + len}, path.in_port))
+          << "witness " << i << " prefix " << len;
+    }
+    ASSERT_GE(bytes.size(), 14u);
+    std::vector<std::byte> sfc(bytes.begin(), bytes.end());
+    sfc[12] = static_cast<std::byte>(net::kEtherTypeSfc >> 8);
+    sfc[13] = static_cast<std::byte>(net::kEtherTypeSfc & 0xff);
+    ASSERT_TRUE(send(std::move(sfc), path.in_port))
+        << "witness " << i << " as SFC";
+  }
+  EXPECT_EQ(engine.stats().fallback_packets, 0u);
+  EXPECT_EQ(engine.stats().compiled_packets, sent);
+  EXPECT_EQ(target.dataplane().all_port_counters(),
+            twin.dataplane().all_port_counters());
 }
 
 TEST(CompiledDifferential, TableCountersStayTruthful) {

@@ -1,20 +1,20 @@
-// Fallback coverage for the compiled fast path: packets that miss
-// every compiled trace — malformed/truncated headers, shapes outside
-// the witness set — must escape to the interpreter *before any side
-// effect* and produce bit-identical outcomes, with the escape tallied
-// in fallback_packets (and surfaced through ReplayReport). CPU
-// reinjections and retired-epoch stamps run compiled, bit-identical
-// too. The pass-cap overflow is the one hot-path condition handled
-// inline (side effects already applied), so it must agree without
-// escaping.
+// Edge coverage for the compiled fast path: malformed and truncated
+// frames, CPU reinjections and retired-epoch stamps all run compiled
+// and bit-identical to the interpreter. The pass-cap overflow is
+// handled inline (side effects already applied), so it must agree
+// without escaping. The one escape left is a program compile()
+// refuses: every packet then runs on the interpreter, tallied in
+// fallback_packets and surfaced through ReplayReport.
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "control/replay_target.hpp"
-#include "explore/explorer.hpp"
+#include "merge/compose.hpp"
+#include "nf/parser_lib.hpp"
 #include "sim/compiled/compiled_pipeline.hpp"
 #include "sim/replay.hpp"
 
@@ -30,12 +30,12 @@ net::Packet garbage_packet(std::mt19937_64& rng, std::size_t size) {
 }
 
 TEST(CompiledFallback, MalformedPacketsEscapeIdentically) {
+  // The lowered parser stops where run_parser stops, so truncated and
+  // garbage frames need no escape: they run compiled.
   auto fx = control::make_fig9_deployment();
-  const CompileSeed seed =
-      explore::compile_seed(fx.deployment->run_explorer());
   DataPlane interp = fx.deployment->dataplane();
   DataPlane fast_dp = fx.deployment->dataplane();
-  CompiledPipeline fast(fast_dp, seed);
+  CompiledPipeline fast(fast_dp);
   ASSERT_TRUE(fast.compiled_ok()) << fast.compile_error();
 
   std::mt19937_64 rng(0xbadf00d);
@@ -55,9 +55,8 @@ TEST(CompiledFallback, MalformedPacketsEscapeIdentically) {
         << "malformed packet " << i << "\ninterp: " << a.drop_reason
         << "\ncompiled: " << b.drop_reason;
   }
-  // Every one of them was an escape, and they were shape escapes.
-  EXPECT_GT(fast.stats().fallback_packets, 0u);
-  EXPECT_EQ(fast.stats().fallback_packets, fast.stats().shape_escapes);
+  EXPECT_EQ(fast.stats().compiled_packets, malformed.size());
+  EXPECT_EQ(fast.stats().fallback_packets, 0u);
   EXPECT_EQ(interp.all_port_counters(), fast_dp.all_port_counters());
 }
 
@@ -126,67 +125,91 @@ TEST(CompiledFallback, ExceededPassCapAgreesInline) {
   EXPECT_EQ(interp.all_port_counters(), fast_dp.all_port_counters());
 }
 
-/// A replay target whose compiled trace set is deliberately too small
-/// (a single TCP witness), so a UDP stream misses every trace.
-class NarrowSeedTarget : public ReplayTarget {
- public:
-  explicit NarrowSeedTarget(control::Fig2Deployment fx, CompileSeed seed)
-      : fx_(std::move(fx)),
-        fast_(fx_.deployment->dataplane(), std::move(seed)) {}
+/// A one-pipelet program with more header types than the compiled
+/// engine's 64-bit header bitmap holds, so compile() refuses it. Its
+/// one table sends every packet to port 1.
+struct RefusedProgram {
+  p4ir::TupleIdTable ids;
+  p4ir::Program program{"refused"};
 
-  SwitchOutput inject(net::Packet packet, std::uint16_t in_port) override {
-    return fast_.process(std::move(packet), in_port);
+  RefusedProgram() {
+    nf::add_standard_parser(program, ids);
+    while (program.header_types().size() <= 64) {
+      program.add_header_type(p4ir::HeaderType{
+          "pad" + std::to_string(program.header_types().size()),
+          {p4ir::Field{"f", 8}}});
+    }
+    p4ir::ControlBlock c(
+        merge::pipelet_control_name({0, asic::PipeKind::kIngress}));
+    p4ir::Action fwd;
+    fwd.name = "fwd";
+    fwd.primitives = {p4ir::set_imm("standard_metadata.egress_spec", 1)};
+    c.add_action(fwd);
+    p4ir::Table t;
+    t.name = "t";
+    t.keys = {p4ir::TableKey{"ipv4.dst_addr", p4ir::MatchKind::kExact, 32}};
+    t.actions = {"fwd"};
+    t.default_action = "fwd";
+    c.add_table(t);
+    c.apply_table("t");
+    program.add_control(std::move(c));
   }
-  DataPlane& dataplane() override { return fx_.deployment->dataplane(); }
-  EngineKind engine() const override { return EngineKind::kCompiled; }
-  std::uint64_t compiled_packets() const override {
-    return fast_.stats().compiled_packets;
-  }
-  std::uint64_t fallback_packets() const override {
-    return fast_.stats().fallback_packets;
-  }
-
- private:
-  control::Fig2Deployment fx_;
-  CompiledPipeline fast_;
 };
 
-TEST(CompiledFallback, FallbackCounterSurfacesInReplayReport) {
-  net::PacketSpec tcp_witness;
-  tcp_witness.ip_dst = net::Ipv4Addr(10, 3, 0, 1);
+TEST(CompiledFallback, RefusedCompileRunsEveryPacketOnTheInterpreter) {
+  const RefusedProgram refused;
+  const asic::SwitchConfig config(asic::TargetSpec::mini());
+  DataPlane interp(refused.program, refused.ids, config);
+  DataPlane fast_dp = interp;
+  CompiledPipeline fast(fast_dp);
+  EXPECT_FALSE(fast.compiled_ok());
+  EXPECT_FALSE(fast.compile_error().empty());
+  EXPECT_EQ(fast.generation(), 0u);
 
-  // UDP flows on the plain routed path: their parse shape is outside
-  // the TCP-only trace set, so every packet falls back — and the
-  // merged counters must still equal a pure interpreter run.
+  std::mt19937_64 rng(0x65);
+  const std::vector<net::Packet> packets = {
+      net::Packet::make(net::PacketSpec{}), garbage_packet(rng, 20)};
+  for (std::size_t i = 0; i < packets.size(); ++i) {
+    // A refused compile depends only on the program: an epoch flip
+    // does not retry it.
+    if (i > 0) {
+      interp.set_epoch(interp.epoch() + 1);
+      fast_dp.set_epoch(fast_dp.epoch() + 1);
+    }
+    const SwitchOutput a = interp.process(packets[i], 0);
+    const SwitchOutput b = fast.process(packets[i], 0);
+    ASSERT_TRUE(semantically_equal(a, b))
+        << "packet " << i << "\ninterp: " << a.drop_reason
+        << "\ncompiled: " << b.drop_reason;
+  }
+  EXPECT_EQ(fast.stats().fallback_packets, packets.size());
+  EXPECT_EQ(fast.stats().compiled_packets, 0u);
+  EXPECT_EQ(fast.stats().failed_compiles, 1u);
+  EXPECT_EQ(interp.all_port_counters(), fast_dp.all_port_counters());
+  EXPECT_FALSE(fast.recompile());
+  EXPECT_EQ(fast.generation(), 0u);
+
+  // ...and ReplayReport surfaces every fallback, with merged counters
+  // equal to a pure interpreter run.
   FlowMix mix;
   mix.flows = 10;
-  mix.protocol = net::kIpProtoUdp;
-  mix.dst = net::Ipv4Addr(10, 3, 0, 1);
-  const auto flows =
-      make_path_flows(mix, /*path_id=*/3, control::Fig2Deployment::kSenderPort);
-
-  ReplayConfig config;
-  config.workers = 2;
-  config.packets_per_flow = 2;
-
-  const auto narrow_factory = [&](std::uint32_t) {
-    CompileSeed seed;
-    seed.witnesses.push_back(
-        CompileSeed::Witness{net::Packet::make(tcp_witness),
-                             control::Fig2Deployment::kSenderPort});
-    return std::make_unique<NarrowSeedTarget>(control::make_fig9_deployment(),
-                                              std::move(seed));
+  const auto flows = make_path_flows(mix, /*path_id=*/1);
+  const TargetFactory factory = [&](std::uint32_t) {
+    return std::make_unique<DataPlaneTarget>(refused.program, refused.ids,
+                                             config);
   };
-  const ReplayReport compiled = run_replay(narrow_factory, flows, config);
-
-  const auto interp_factory =
-      control::fig2_replay_factory(/*fig9=*/true, /*service_punts=*/false);
-  const ReplayReport interp = run_replay(interp_factory, flows, config);
-
-  EXPECT_EQ(interp.counters, compiled.counters);
-  EXPECT_EQ(compiled.fallback_packets, compiled.counters.packets);
-  EXPECT_EQ(compiled.compiled_packets, 0u);
-  EXPECT_EQ(interp.fallback_packets, 0u);
+  ReplayConfig replay;
+  replay.workers = 2;
+  replay.packets_per_flow = 2;
+  const ReplayReport slow = run_replay(factory, flows, replay);
+  replay.engine = EngineKind::kCompiled;
+  const ReplayReport report = run_replay(factory, flows, replay);
+  EXPECT_GT(slow.counters.delivered, 0u);
+  EXPECT_EQ(slow.counters, report.counters);
+  EXPECT_EQ(report.engine, EngineKind::kCompiled);
+  EXPECT_EQ(report.fallback_packets, report.counters.packets);
+  EXPECT_EQ(report.compiled_packets, 0u);
+  EXPECT_EQ(slow.fallback_packets, 0u);
 }
 
 }  // namespace

@@ -8,13 +8,12 @@
 // must agree on every probe packet, with equal port counters. Long
 // churn and live-update runs pin that the first compile and the op
 // arena never move. Reinjected punts — under an old stamp across a
-// flip, under a retired stamp, on a loopback port, and outside the
-// trace set — must match the interpreter too, ledger included.
+// flip, under a retired stamp, on a loopback port — must run compiled
+// and match the interpreter too, ledger included.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <random>
 #include <string>
 #include <vector>
@@ -23,7 +22,6 @@
 #include "control/live_update.hpp"
 #include "control/replay_target.hpp"
 #include "control/transaction.hpp"
-#include "explore/explorer.hpp"
 #include "merge/compose.hpp"
 #include "net/five_tuple.hpp"
 #include "nf/parser_lib.hpp"
@@ -464,13 +462,10 @@ namespace {
 /// reinjects it under the punt's stamp.
 class ReinjectionPair {
  public:
-  /// `seed` defaults to the deployment's explorer classes.
-  explicit ReinjectionPair(std::optional<CompileSeed> seed = std::nullopt)
+  ReinjectionPair()
       : fx_(control::make_fig9_deployment()),
         oracle_fx_(control::make_fig9_deployment()),
-        fast_(fx_.deployment->dataplane(),
-              seed ? std::move(*seed)
-                   : explore::compile_seed(fx_.deployment->run_explorer())) {
+        fast_(fx_.deployment->dataplane()) {
     fx_.deployment->control().set_engine(&fast_);
   }
 
@@ -596,31 +591,7 @@ TEST(CompiledReinjection, LoopbackPortAdmitsOnlyTheCpu) {
   pair.expect_same(re, "reinjection on a loopback port");
   EXPECT_NE(re.got.drop_code, DropCode::kLoopbackPortExternal);
   EXPECT_EQ(pair.fast().stats().reinjections, 1u);
-  // The punt's shape is on the trace set, as a reinjection witness.
   EXPECT_EQ(pair.fast().stats().fallback_packets, 0u);
-}
-
-TEST(CompiledReinjection, ShapeOutsideTheTraceSetFallsBack) {
-  // One routed TCP witness, which never punts: the wire shape is
-  // compiled, the punt's SFC shape is not.
-  net::PacketSpec routed;
-  routed.ip_dst = net::Ipv4Addr(10, 3, 0, 1);
-  CompileSeed seed;
-  seed.witnesses.push_back(
-      {net::Packet::make(routed), control::Fig2Deployment::kSenderPort});
-  ReinjectionPair pair(std::move(seed));
-  ASSERT_TRUE(pair.fast().compiled_ok()) << pair.fast().compile_error();
-  ReinjectionPair::Held held = pair.send(path1_flow());
-  ASSERT_EQ(held.got.to_cpu.size(), 1u);
-  EXPECT_EQ(pair.fast().stats().compiled_packets, 1u);
-
-  pair.service(held);
-  pair.expect_same(held, "reinjection outside the trace set");
-  EXPECT_TRUE(held.got.delivered());
-  EXPECT_EQ(pair.fast().stats().reinjections, 0u);
-  EXPECT_GE(pair.fast().stats().shape_escapes, 1u);
-  EXPECT_EQ(pair.fast().stats().fallback_packets,
-            pair.fast().stats().shape_escapes);
 }
 
 TEST(CompiledReinjection, ChurnThroughDeploymentTargetStaysCompiled) {

@@ -73,13 +73,12 @@ std::string ternary_id(const RuleOp& op) {
   return s;
 }
 
-/// The open-window ternary version matching key+priority, if any.
+/// The ternary version of `op`'s key+priority with exactly `window`.
 std::optional<std::size_t> ternary_version(const sim::RuntimeTable& rt,
                                            const RuleOp& op,
                                            sim::EpochWindow window) {
-  for (const auto& e : rt.ternary_entries()) {
-    if (e.priority != op.priority || e.key != op.tkey) continue;
-    if (rt.ternary_window(e.handle) == window) return e.handle;
+  for (const auto& v : rt.ternary_versions(op.tkey, op.priority)) {
+    if (v.window == window) return v.handle;
   }
   return std::nullopt;
 }
@@ -91,11 +90,8 @@ bool install_visible(sim::RuntimeTable& rt, const RuleOp& op,
     const auto e = rt.find_exact(op.key, to);
     return e && e->action == op.action;
   }
-  for (const auto& e : rt.ternary_entries()) {
-    if (e.priority == op.priority && e.key == op.tkey &&
-        rt.ternary_window(e.handle).contains(to) && e.value == op.action) {
-      return true;
-    }
+  for (const auto& v : rt.ternary_versions(op.tkey, op.priority)) {
+    if (v.window.contains(to) && v.action == op.action) return true;
   }
   return false;
 }
@@ -265,11 +261,8 @@ void undo_shadow(sim::DataPlane& dp, const RuleDiff& diff, std::uint32_t from,
       if (op.kind == RuleOp::Kind::kExact) {
         rt->unretire_exact(op.key, from);
       } else {
-        for (const auto& e : rt->ternary_entries()) {
-          if (e.priority == op.priority && e.key == op.tkey &&
-              rt->ternary_window(e.handle).to == from) {
-            rt->unretire_ternary(e.handle, from);
-          }
+        for (const auto& v : rt->ternary_versions(op.tkey, op.priority)) {
+          if (v.window.to == from) rt->unretire_ternary(v.handle, from);
         }
       }
     }

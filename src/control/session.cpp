@@ -219,7 +219,7 @@ SwitchAgent::SwitchAgent(sim::DataPlane& dp, AgentOptions options)
     : dp_(&dp), options_(options) {}
 
 std::uint64_t SwitchAgent::max_effect_count() const {
-  std::uint64_t max = 0;
+  std::uint64_t max = settled_max_;
   for (const auto& [id, count] : effects_) max = std::max<std::uint64_t>(max, count);
   return max;
 }
@@ -238,6 +238,11 @@ AckMsg SwitchAgent::handle(const SessionMsg& msg) {
     return nack;
   }
   if (msg.election_id > master_) {
+    // The deposed master's writes are nacked from now on: settled.
+    for (const auto& [id, count] : effects_) {
+      settled_max_ = std::max(settled_max_, count);
+    }
+    effects_.clear();
     master_ = msg.election_id;
     window_.clear();
     ack_floor_ = 0;
@@ -289,8 +294,12 @@ AckMsg SwitchAgent::handle(const SessionMsg& msg) {
   ++writes_applied_;
   window_[msg.seq] = ack;
   while (window_.size() > options_.dedup_window) {
+    // At or below the floor a seq never runs again: settle its count.
     auto first = window_.begin();
     ack_floor_ = std::max(ack_floor_, first->first);
+    const auto effect = effects_.find({master_, first->first});
+    settled_max_ = std::max(settled_max_, effect->second);
+    effects_.erase(effect);
     window_.erase(first);
   }
   return ack;
@@ -389,10 +398,9 @@ AckMsg SwitchAgent::apply_reconcile(const WriteCommand& cmd) {
         case ReconcileOp::Kind::kRemoveTernary: {
           sim::RuntimeTable* rt = dp_->table_in(op.control, op.table);
           if (rt == nullptr) break;
-          for (const auto& e : rt->ternary_entries()) {
-            if (e.priority == op.priority && e.key == op.tkey &&
-                rt->ternary_window(e.handle) == op.window) {
-              rt->erase_ternary(e.handle);
+          for (const auto& v : rt->ternary_versions(op.tkey, op.priority)) {
+            if (v.window == op.window) {
+              rt->erase_ternary(v.handle);
               break;
             }
           }

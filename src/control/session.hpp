@@ -25,7 +25,8 @@
 //     seq) caches each write's ack; re-deliveries (channel dups, late
 //     reorders, session re-sends) return the cached ack without
 //     re-applying. Per-(eid, seq) effect counters make "applied once"
-//     checkable, not just hoped;
+//     checkable, not just hoped; they are kept only for the window,
+//     and settled counts fold into one maximum;
 //   * atomic verbs — each WriteCommand applies all-or-nothing (shadow
 //     transactions roll back; reconciles restore the pre-image on any
 //     failure), so no torn batch is ever visible in a snapshot.
@@ -95,12 +96,17 @@ class SwitchAgent {
   void set_injector(sim::FaultInjector* injector) { injector_ = injector; }
 
   std::uint64_t master() const { return master_; }
-  /// How many times the effects of (election, seq) ran. The
-  /// exactly-once invariant is: every entry == 1.
+  /// How many times the effects of (election, seq) ran, for the
+  /// current master's writes still in the dedup window. A write that
+  /// leaves the window (or belongs to a deposed master) can never run
+  /// again, so its count folds into max_effect_count() and its entry
+  /// is dropped: the map holds at most dedup_window entries.
   const std::map<std::pair<std::uint64_t, std::uint64_t>, std::uint32_t>&
   effects() const {
     return effects_;
   }
+  /// The most times any write's effects ran, settled or in the window.
+  /// The exactly-once invariant is: max_effect_count() <= 1.
   std::uint64_t max_effect_count() const;
   std::uint64_t writes_applied() const { return writes_applied_; }
   std::uint64_t duplicates_absorbed() const { return duplicates_; }
@@ -119,6 +125,8 @@ class SwitchAgent {
   std::uint64_t ack_floor_ = 0;
   std::map<std::uint64_t, AckMsg> window_;  ///< seq -> cached ack
   std::map<std::pair<std::uint64_t, std::uint64_t>, std::uint32_t> effects_;
+  /// The largest count folded out of effects_.
+  std::uint32_t settled_max_ = 0;
   std::uint64_t writes_applied_ = 0;
   std::uint64_t duplicates_ = 0;
   std::uint64_t stale_ = 0;

@@ -248,7 +248,7 @@ std::string Transaction::validate() const {
           if (!overwrite) ++pending[t];
           break;
         }
-        case OpKind::kInstallTernary:
+        case OpKind::kInstallTernary: {
           if (!tcam) return op.describe() + ": table is exact";
           if (op.ternary_key.size() != def.keys.size()) {
             return op.describe() + ": key arity mismatch";
@@ -256,13 +256,11 @@ std::string Transaction::validate() const {
           if (!op.window.well_formed()) {
             return op.describe() + ": malformed epoch window";
           }
-          for (const auto& e : t->ternary_entries()) {
-            if (e.key != op.ternary_key || e.priority != op.priority) {
-              continue;
-            }
-            sim::EpochWindow w = t->ternary_window(e.handle);
-            const auto cap = capped_ternary.find(
-                {t, ternary_identity(op.ternary_key, op.priority)});
+          const auto cap = capped_ternary.find(
+              {t, ternary_identity(op.ternary_key, op.priority)});
+          for (const auto& v :
+               t->ternary_versions(op.ternary_key, op.priority)) {
+            sim::EpochWindow w = v.window;
             if (w.open() && cap != capped_ternary.end() &&
                 w.from <= cap->second) {
               w.to = cap->second;  // an earlier retire closes it
@@ -274,6 +272,7 @@ std::string Transaction::validate() const {
           }
           ++pending[t];
           break;
+        }
         case OpKind::kInstallLpm: {
           if (!tcam) return op.describe() + ": table is exact";
           bool has_lpm = false;
@@ -325,11 +324,7 @@ std::string Transaction::validate() const {
     if (op.kind == OpKind::kRemoveTernary) {
       bool found = false;
       for (sim::RuntimeTable* t : instances) {
-        for (const auto& e : t->ternary_entries()) {
-          if (e.key == op.ternary_key && e.priority == op.priority) {
-            found = true;
-          }
-        }
+        found |= !t->ternary_versions(op.ternary_key, op.priority).empty();
       }
       if (!found) return op.describe() + ": entry not installed";
     }
@@ -439,20 +434,18 @@ void Transaction::apply(const Op& op, std::vector<UndoEntry>& undo) {
         break;
       }
       case OpKind::kRemoveTernary: {
-        for (const auto& e : t->ternary_entries()) {
-          if (e.key == op.ternary_key && e.priority == op.priority) {
-            UndoEntry u;
-            u.kind = UndoEntry::Kind::kReinstallTernary;
-            u.target = t;
-            u.ternary_key = e.key;
-            u.priority = e.priority;
-            u.action = e.value;
-            u.window = t->ternary_window(e.handle);
-            t->erase_ternary(e.handle);
-            undo.push_back(std::move(u));
-            break;  // entries() invalidated; one match per instance
-          }
-        }
+        // One version per instance: the first in match order.
+        auto versions = t->ternary_versions(op.ternary_key, op.priority);
+        if (versions.empty()) break;
+        UndoEntry u;
+        u.kind = UndoEntry::Kind::kReinstallTernary;
+        u.target = t;
+        u.ternary_key = op.ternary_key;
+        u.priority = op.priority;
+        u.action = std::move(versions.front().action);
+        u.window = versions.front().window;
+        t->erase_ternary(versions.front().handle);
+        undo.push_back(std::move(u));
         break;
       }
       case OpKind::kRetireExact: {

@@ -90,6 +90,13 @@ class Tcam {
     return true;
   }
 
+  /// Erase every entry `pred` accepts (the rest keep their order);
+  /// returns how many were erased.
+  template <class Pred>
+  std::size_t erase_if(Pred pred) {
+    return std::erase_if(entries_, pred);
+  }
+
   /// First (highest-priority) entry matching the lookup key, or nullptr.
   const T* lookup(const std::vector<std::uint64_t>& key) const {
     for (const Entry& e : entries_) {

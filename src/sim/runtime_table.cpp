@@ -132,13 +132,20 @@ std::size_t RuntimeTable::find_slot(const std::uint64_t* key,
   }
 }
 
+std::size_t RuntimeTable::free_slot() const {
+  if (slots_.empty()) return kNoSlot;
+  // Load stays at most 0.7, so a free slot exists.
+  std::size_t i = 0;
+  while (used(slot(i))) ++i;
+  return i;
+}
+
 std::vector<std::size_t> RuntimeTable::used_slots() const {
   std::vector<std::size_t> out;
-  if (slots_.empty()) return out;
+  const std::size_t start = free_slot();
+  if (start == kNoSlot) return out;
   out.reserve(size_);
   // Start past a free slot, so no cluster is split at the wrap.
-  std::size_t start = 0;
-  while (used(slot(start))) ++start;
   for (std::size_t k = 1; k <= slot_count(); ++k) {
     const std::size_t i = (start + k) & mask_;
     if (used(slot(i))) out.push_back(i);
@@ -146,17 +153,14 @@ std::vector<std::size_t> RuntimeTable::used_slots() const {
   return out;
 }
 
-template <class Keep>
-void RuntimeTable::rehash(Keep keep, std::size_t extra) {
-  std::vector<std::size_t> order = used_slots();
-  std::erase_if(order, [&](std::size_t i) { return !keep(slot(i)); });
+void RuntimeTable::rehash(std::size_t extra) {
+  const std::vector<std::size_t> order = used_slots();
   std::vector<std::uint64_t> old;
   old.swap(slots_);
-  const std::size_t n = slots_for(order.size() + extra);
+  const std::size_t n = slots_for(size_ + extra);
   slots_.assign(n * stride_, kEmptySlot);
   mask_ = n - 1;
   for (const std::size_t i : order) place(old.data() + i * stride_);
-  size_ = order.size();
 }
 
 void RuntimeTable::place(const std::uint64_t* image) {
@@ -166,14 +170,14 @@ void RuntimeTable::place(const std::uint64_t* image) {
 }
 
 void RuntimeTable::insert_slot(const std::uint64_t* image) {
-  if ((size_ + 1) * 10 > slot_count() * 7) {
-    rehash([](const std::uint64_t*) { return true; }, 1);
-  }
+  if ((size_ + 1) * 10 > slot_count() * 7) rehash(1);
   place(image);
   ++size_;
+  retired_ += !window_at(image).open();
 }
 
 void RuntimeTable::erase_slot(std::size_t hole) {
+  retired_ -= !window_at(slot(hole)).open();
   for (std::size_t j = (hole + 1) & mask_; used(slot(j));
        j = (j + 1) & mask_) {
     // Slot j may move back into the hole unless its home lies in
@@ -185,16 +189,17 @@ void RuntimeTable::erase_slot(std::size_t hole) {
   }
   slot(hole)[arity_ + 1] = kEmptySlot;
   --size_;
-  if (slot_count() > 8 && size_ * 8 < slot_count()) {
-    rehash([](const std::uint64_t*) { return true; }, 0);
-  }
+}
+
+void RuntimeTable::shrink_if_sparse() {
+  if (slot_count() > 8 && size_ * 8 < slot_count()) rehash(0);
 }
 
 std::vector<std::uint64_t> RuntimeTable::image(
     const std::vector<std::uint64_t>& key, const Stored& version) const {
   std::vector<std::uint64_t> out(stride_, 0);
   std::copy(key.begin(), key.end(), out.begin());
-  set_window(out.data(), version.window);
+  out[arity_] = packed(version.window);
   out[arity_ + 1] = version.action;
   std::copy(version.args.begin(), version.args.end(),
             out.begin() + static_cast<std::ptrdiff_t>(arity_ + 2));
@@ -271,6 +276,7 @@ std::size_t RuntimeTable::add_ternary(const std::vector<net::TernaryField>& key,
   }
   const std::size_t handle = tcam_->insert(key, priority, std::move(bound));
   ++size_;
+  retired_ += !window.open();
   ++revision_;
   return handle;
 }
@@ -321,6 +327,7 @@ bool RuntimeTable::erase_version(const std::vector<std::uint64_t>& key,
   });
   if (i == kNoSlot) return false;
   erase_slot(i);
+  shrink_if_sparse();
   ++revision_;
   return true;
 }
@@ -368,7 +375,10 @@ bool RuntimeTable::unretire_exact(const std::vector<std::uint64_t>& key,
 }
 
 bool RuntimeTable::erase_ternary(std::size_t handle) {
-  if (!tcam_ || !tcam_->erase(handle)) return false;
+  const Stored* stored = ternary_stored(handle);
+  if (stored == nullptr) return false;
+  retired_ -= !stored->window.open();
+  tcam_->erase(handle);
   --size_;
   ++revision_;
   return true;
@@ -381,7 +391,7 @@ bool RuntimeTable::retire_ternary(std::size_t handle,
       last_epoch < stored->window.from) {
     return false;
   }
-  stored->window.to = last_epoch;
+  set_window(*stored, {stored->window.from, last_epoch});
   ++revision_;
   return true;
 }
@@ -393,7 +403,7 @@ bool RuntimeTable::unretire_ternary(std::size_t handle,
       stored->window.to != last_epoch) {
     return false;
   }
-  stored->window.to = kEpochOpen;
+  set_window(*stored, {stored->window.from, kEpochOpen});
   ++revision_;
   return true;
 }
@@ -418,21 +428,39 @@ EpochWindow RuntimeTable::ternary_window(std::size_t handle) const {
   return EpochWindow{};
 }
 
-std::size_t RuntimeTable::gc(std::uint32_t min_live) {
-  std::size_t removed = 0;
-  if (tcam_) {
-    std::vector<std::size_t> handles;
-    for (const auto& e : tcam_->entries()) {
-      if (e.value.window.to < min_live) handles.push_back(e.handle);
+std::vector<RuntimeTable::TernaryVersion> RuntimeTable::ternary_versions(
+    const std::vector<net::TernaryField>& key, std::int32_t priority) const {
+  std::vector<TernaryVersion> out;
+  if (!tcam_) return out;
+  for (const auto& e : tcam_->entries()) {
+    if (e.priority == priority && e.key == key) {
+      out.push_back({e.handle, e.value.window, text(e.value)});
     }
-    for (std::size_t handle : handles) removed += tcam_->erase(handle);
-    size_ -= removed;
-  } else {
-    const std::size_t before = size_;
-    rehash([&](const std::uint64_t* s) { return window_at(s).to >= min_live; },
-           0);
-    removed = before - size_;
   }
+  return out;
+}
+
+std::size_t RuntimeTable::gc(std::uint32_t min_live) {
+  if (retired_ == 0) return 0;  // only open windows: nothing can expire
+  const std::size_t before = size_;
+  if (tcam_) {
+    size_ -= tcam_->erase_if([&](const net::Tcam<Stored>::Entry& e) {
+      return e.value.window.to < min_live;
+    });
+    // The survivors' closed windows are the ones still counted.
+    retired_ -= static_cast<std::uint32_t>(before - size_);
+  } else {
+    // Walk from a free slot so no cluster straddles the walk's start; a
+    // backward shift only refills the hole from later in its cluster,
+    // so re-check a slot after each erase.
+    const std::size_t start = free_slot();
+    for (std::size_t k = 1; k <= slot_count(); ++k) {
+      const std::size_t i = (start + k) & mask_;
+      while (used(slot(i)) && window_at(slot(i)).to < min_live) erase_slot(i);
+    }
+    shrink_if_sparse();
+  }
+  const std::size_t removed = before - size_;
   if (removed > 0) ++revision_;
   return removed;
 }
@@ -669,16 +697,21 @@ std::string RuntimeTable::corrupt(CorruptKind kind, std::uint64_t salt) {
         return where + " key bit flipped";
       }
       case CorruptKind::kActionFlip: {
-        const bool in_args = flip_action(
-            e->value.action, e->value.args.data(), e->value.window);
+        EpochWindow w = e->value.window;
+        const bool in_args =
+            flip_action(e->value.action, e->value.args.data(), w);
+        set_window(e->value, w);
         return where + (in_args ? " action data flipped"
                                 : " window flipped (no action data)");
       }
       case CorruptKind::kWindowFlip: {
-        flip_window(e->value.window);
+        EpochWindow w = e->value.window;
+        flip_window(w);
+        set_window(e->value, w);
         return where + " window flipped";
       }
       case CorruptKind::kDelete: {
+        retired_ -= !e->value.window.open();
         tcam_->erase(handle);
         --size_;
         return where + " entry deleted";
@@ -699,6 +732,7 @@ std::string RuntimeTable::corrupt(CorruptKind kind, std::uint64_t salt) {
         while (taken(prio)) ++prio;
         tcam_->insert(key_copy, prio, value_copy);
         ++size_;
+        retired_ += !value_copy.window.open();
         return where + " duplicated at prio=" + std::to_string(prio);
       }
     }
@@ -770,6 +804,7 @@ std::string RuntimeTable::corrupt(CorruptKind kind, std::uint64_t salt) {
     }
     case CorruptKind::kDelete: {
       erase_slot(victim);
+      shrink_if_sparse();
       return where + " entry deleted";
     }
     case CorruptKind::kDuplicate: {
@@ -784,7 +819,7 @@ std::string RuntimeTable::corrupt(CorruptKind kind, std::uint64_t salt) {
         ghost.from = original.from + bump;
         ++bump;
       } while (taken(copy.data(), ghost));
-      set_window(copy.data(), ghost);
+      copy[arity_] = packed(ghost);
       insert_slot(copy.data());
       return where + " entry duplicated";
     }
@@ -844,6 +879,7 @@ void RuntimeTable::clear() {
   mask_ = 0;
   if (tcam_) tcam_.emplace(def_->keys.size());
   size_ = 0;
+  retired_ = 0;
   ++revision_;
 }
 

@@ -33,6 +33,12 @@
 // stamped epoch, so a packet sees exactly one generation — old or new,
 // never a blend. Entries installed without a window get [0, open] and
 // behave exactly as before.
+//
+// A commit costs what it changes. The table counts its closed versions
+// (window.to != open) wherever a window or an occupancy changes, so
+// gc() is O(1) when an update retired nothing, and otherwise erases
+// just the retired versions in place by backward shift, without
+// re-laying the index.
 #pragma once
 
 #include <algorithm>
@@ -206,10 +212,29 @@ class RuntimeTable {
   /// The window of a ternary/LPM entry ([0, open] when never tagged).
   EpochWindow ternary_window(std::size_t handle) const;
 
+  /// One installed version of a ternary/LPM (key, priority).
+  struct TernaryVersion {
+    std::size_t handle;
+    EpochWindow window;
+    ActionCall action;
+  };
+  /// Every installed version of the ternary/LPM entry `key` at
+  /// `priority`, in match order; empty when none (or an exact table).
+  /// One pass over the entries.
+  std::vector<TernaryVersion> ternary_versions(
+      const std::vector<net::TernaryField>& key, std::int32_t priority) const;
+
   /// Drop every version retired before `min_live` (window.to <
   /// min_live): generation garbage collection after an update's drain
-  /// completes. Returns the number of entries removed.
+  /// completes. Returns the number of entries removed. O(1) when
+  /// retired_count() is 0; otherwise the retired versions are erased in
+  /// place (no new slot array), and the index shrinks afterwards only
+  /// when it fell under 1/8 load.
   std::size_t gc(std::uint32_t min_live);
+
+  /// How many installed versions have a closed window (window.to !=
+  /// open), exact and ternary alike: the most the next gc() can remove.
+  std::size_t retired_count() const { return retired_; }
 
   /// All installed versions of `key`, empty when none (exact tables
   /// only) — how a validator or recovery pass inspects windows.
@@ -331,8 +356,18 @@ class RuntimeTable {
     return {static_cast<std::uint32_t>(s[arity_]),
             static_cast<std::uint32_t>(s[arity_] >> 32)};
   }
-  void set_window(std::uint64_t* s, EpochWindow w) const {
-    s[arity_] = w.from | (std::uint64_t{w.to} << 32);
+  static std::uint64_t packed(EpochWindow w) {
+    return w.from | (std::uint64_t{w.to} << 32);
+  }
+  /// Re-window the version in index slot `s`, keeping retired_ exact.
+  void set_window(std::uint64_t* s, EpochWindow w) {
+    retired_ = retired_ + !w.open() - !window_at(s).open();
+    s[arity_] = packed(w);
+  }
+  /// Re-window a ternary version, keeping retired_ exact.
+  void set_window(Stored& stored, EpochWindow w) {
+    retired_ = retired_ + !w.open() - !stored.window.open();
+    stored.window = w;
   }
   std::uint32_t action_at(const std::uint64_t* s) const {
     return static_cast<std::uint32_t>(s[arity_ + 1]);
@@ -350,22 +385,25 @@ class RuntimeTable {
   /// visited in install order.
   template <class Pred>
   std::size_t find_slot(const std::uint64_t* key, Pred pred) const;
+  /// A free slot, from which a walk visits whole clusters (kNoSlot
+  /// when the index is empty).
+  std::size_t free_slot() const;
   /// Every used slot, each cluster walked in probe order.
   std::vector<std::size_t> used_slots() const;
   /// Copy a slot image into the first free slot from its home.
   void place(const std::uint64_t* image);
   /// Add a version from its slot image (not one inside the index),
   /// growing the index first when it would pass 0.7 load. Counts it in
-  /// size_.
+  /// size_ and retired_.
   void insert_slot(const std::uint64_t* image);
-  /// Remove the version in slot `i` by backward shift, then shrink the
-  /// index when it fell under 1/8 load. Uncounts it from size_.
+  /// Remove the version in slot `i` by backward shift (each key's
+  /// install order kept). Uncounts it from size_ and retired_.
   void erase_slot(std::size_t i);
-  /// Re-lay the index, keeping the versions `keep(slot)` accepts (each
-  /// key's install order kept), at the slot count for them plus
-  /// `extra`.
-  template <class Keep>
-  void rehash(Keep keep, std::size_t extra);
+  /// Shrink the index when it fell under 1/8 load.
+  void shrink_if_sparse();
+  /// Re-lay every version at the slot count for size_ + `extra` (each
+  /// key's install order kept).
+  void rehash(std::size_t extra);
   /// The slot image of `version` under `key` (which must not point
   /// into the index: an insert may move it).
   std::vector<std::uint64_t> image(const std::vector<std::uint64_t>& key,
@@ -374,6 +412,10 @@ class RuntimeTable {
   const p4ir::ControlBlock* control_;
   const p4ir::Table* def_;
   std::uint32_t default_action_ = kNoAction;
+  // Versions with a closed window. 32 bits fill the padding after
+  // default_action_: growing the store by a word slowed the packet path
+  // measurably.
+  std::uint32_t retired_ = 0;
   std::size_t size_ = 0;
   std::uint64_t revision_ = 0;
   mutable std::uint64_t hits_ = 0;

@@ -194,7 +194,7 @@ TEST(CompiledDifferential, SeededRandomStreamsAgreePacketByPacket) {
   }
 }
 
-TEST(CompiledDifferential, ExplorerSeededCompileValidatesWitnesses) {
+TEST(CompiledDifferential, ExplorerWitnessesAndPuntsAgreeAcrossEngines) {
   // The explorer's witnesses — one per path equivalence class — and
   // each punt they make, reinjected from the CPU under the punt's
   // epoch stamp, run compiled and agree with the interpreter on every

@@ -29,7 +29,7 @@ net::Packet garbage_packet(std::mt19937_64& rng, std::size_t size) {
   return net::Packet(net::Buffer(std::move(bytes)));
 }
 
-TEST(CompiledFallback, MalformedPacketsEscapeIdentically) {
+TEST(CompiledFallback, MalformedPacketsRunCompiledLikeTheInterpreter) {
   // The lowered parser stops where run_parser stops, so truncated and
   // garbage frames need no escape: they run compiled.
   auto fx = control::make_fig9_deployment();

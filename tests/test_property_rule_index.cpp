@@ -2,7 +2,8 @@
 // the one rule store, so interpreter == compiled cannot catch a lookup
 // bug; this test checks the index against a plain vector of versions
 // scanned linearly, after every step of generated install / overwrite /
-// remove / retire / unretire / gc / corrupt sequences at key arity 1-8.
+// remove / retire / unretire / gc / corrupt sequences at key arity 1-8,
+// and pins that gc() leaves the index alone when nothing is retired.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -26,14 +27,15 @@ p4ir::Action action(std::string name, std::vector<std::string> params) {
   return a;
 }
 
-/// One exact table of `arity` 64-bit key components. By default its
-/// actions take zero, one and three arguments (so slots carry unused
-/// arg room).
+/// One table of `arity` 64-bit key components, exact unless `kind`
+/// says otherwise. By default its actions take zero, one and three
+/// arguments (so slots carry unused arg room).
 struct Fixture {
   p4ir::ControlBlock control{"c"};
 
   Fixture(std::size_t arity, std::size_t max_entries,
-          std::vector<std::string> actions = {"a0", "a1", "a3"}) {
+          std::vector<std::string> actions = {"a0", "a1", "a3"},
+          p4ir::MatchKind kind = p4ir::MatchKind::kExact) {
     control.add_action(action("a0", {}));
     control.add_action(action("a1", {"p"}));
     control.add_action(action("a3", {"z", "x", "y"}));
@@ -41,8 +43,7 @@ struct Fixture {
     p4ir::Table t;
     t.name = "t";
     for (std::size_t i = 0; i < arity; ++i) {
-      t.keys.push_back(p4ir::TableKey{"h.k" + std::to_string(i),
-                                      p4ir::MatchKind::kExact, 64});
+      t.keys.push_back(p4ir::TableKey{"h.k" + std::to_string(i), kind, 64});
     }
     t.actions = std::move(actions);
     t.default_action = "miss";
@@ -132,6 +133,10 @@ struct Reference {
   std::size_t gc(std::uint32_t min_live) {
     return std::erase_if(
         v, [&](const Version& x) { return x.window.to < min_live; });
+  }
+  std::size_t retired_count() const {
+    return static_cast<std::size_t>(std::count_if(
+        v.begin(), v.end(), [](const Version& x) { return !x.window.open(); }));
   }
   std::optional<Version> visible(const Key& key, std::uint32_t epoch) const {
     auto i = first(key, [&](const Version& x) {
@@ -238,6 +243,7 @@ const std::uint32_t kEpochs[] = {0, 1, 2, 3, 4, 5, 6, 7, kEpochOpen};
 void check(const RuntimeTable& rt, const Reference& ref,
            const std::vector<Key>& pool, const std::string& where) {
   ASSERT_EQ(rt.entry_count(), ref.v.size()) << where;
+  ASSERT_EQ(rt.retired_count(), ref.retired_count()) << where;
 
   // exact_entries(): sorted by (key, window); same content as the scan.
   std::vector<RuntimeTable::ExactEntry> got = rt.exact_entries();
@@ -499,18 +505,35 @@ TEST(RuleIndex, FilledToMaxEntries) {
   EXPECT_LT(rt.exact_index_bytes() * 64, full_bytes);
 }
 
+/// LB.lb_session's shape filled with `live` distinct session hashes,
+/// key i mapping to argument i.
+struct SessionTable {
+  // Distinct 32-bit session hashes: an odd multiplier is a bijection.
+  static std::uint64_t hash(std::uint64_t i) {
+    return (i * 0x9e3779b1ULL) & 0xffffffff;
+  }
+  explicit SessionTable(std::uint64_t live)
+      : fx(1, 65536, {"a1"}), rt(fx.control, fx.def()) {
+    for (std::uint64_t i = 0; i < live; ++i) {
+      rt.add_exact({hash(i)}, {"a1", {{"p", i}}});
+    }
+  }
+  const std::uint64_t* args(std::uint64_t i) const {
+    const ExactKey key{{hash(i)}, 1};
+    return rt.probe(&key, 0).args;
+  }
+  Fixture fx;
+  RuntimeTable rt;
+};
+
 // Churn at the benchmark's scale: one install and one remove per new
 // flow at 8,192 live entries. Removes shift clusters back instead of
 // leaving tombstones, so the index never grows past its first size.
 TEST(RuleIndex, ChurnAtEightThousandEntriesKeepsCapacity) {
   constexpr std::uint64_t kLive = 8192;
-  const Fixture fx(1, 65536, {"a1"});  // LB.lb_session's shape
-  RuntimeTable rt(fx.control, fx.def());
-  // Distinct 32-bit session hashes: an odd multiplier is a bijection.
-  auto hash = [](std::uint64_t i) { return (i * 0x9e3779b1ULL) & 0xffffffff; };
-  for (std::uint64_t i = 0; i < kLive; ++i) {
-    rt.add_exact({hash(i)}, {"a1", {{"p", i}}});
-  }
+  SessionTable t(kLive);
+  RuntimeTable& rt = t.rt;
+  const auto hash = SessionTable::hash;
   const std::size_t bytes = rt.exact_index_bytes();
   // 16,384 slots of 32 B (key, window, action, one arg): the LB session
   // table's index at 8K entries stays under 0.6 MB.
@@ -538,6 +561,116 @@ TEST(RuleIndex, ChurnAtEightThousandEntriesKeepsCapacity) {
   for (std::size_t i = 0; i < want.size(); ++i) {
     ASSERT_EQ(entries[i].key, want[i]) << i;
   }
+}
+
+// A commit that retired nothing costs nothing: gc() at 8K entries
+// removes nothing, does not move revision(), and keeps the very slot
+// array (the probe's argument pointer is unchanged).
+TEST(RuleIndex, GcWithNothingRetiredLeavesTheIndexAlone) {
+  SessionTable t(8192);
+  ASSERT_EQ(t.rt.retired_count(), 0u);
+  const std::uint64_t rev = t.rt.revision();
+  const std::size_t bytes = t.rt.exact_index_bytes();
+  const std::uint64_t* before = t.args(4321);
+  ASSERT_NE(before, nullptr);
+  for (const std::uint32_t min_live : {1u, 7u, kEpochOpen}) {
+    EXPECT_EQ(t.rt.gc(min_live), 0u) << min_live;
+  }
+  EXPECT_EQ(t.rt.revision(), rev);
+  EXPECT_EQ(t.rt.exact_index_bytes(), bytes);
+  EXPECT_EQ(t.args(4321), before);
+  EXPECT_EQ(t.rt.entry_count(), 8192u);
+}
+
+// A few retired keys among 8K: gc() removes exactly those, in place.
+// Every other key probes to the same action, a version retired after
+// min_live survives, and the index keeps its capacity.
+TEST(RuleIndex, GcErasesOnlyRetiredVersionsInPlace) {
+  constexpr std::uint64_t kLive = 8192;
+  SessionTable t(kLive);
+  const std::vector<std::uint64_t> retired{0, 17, 4096, 5000, 8191};
+  for (const std::uint64_t i : retired) {
+    ASSERT_TRUE(t.rt.retire_exact({SessionTable::hash(i)}, 3));
+  }
+  ASSERT_TRUE(t.rt.retire_exact({SessionTable::hash(77)}, 9));  // survives
+  EXPECT_EQ(t.rt.retired_count(), retired.size() + 1);
+  const std::size_t bytes = t.rt.exact_index_bytes();
+  const std::uint64_t rev = t.rt.revision();
+
+  EXPECT_EQ(t.rt.gc(4), retired.size());
+  EXPECT_GT(t.rt.revision(), rev);
+  EXPECT_EQ(t.rt.retired_count(), 1u);
+  EXPECT_EQ(t.rt.entry_count(), kLive - retired.size());
+  EXPECT_EQ(t.rt.exact_index_bytes(), bytes);
+  for (std::uint64_t i = 0; i < kLive; ++i) {
+    const bool gone =
+        std::find(retired.begin(), retired.end(), i) != retired.end();
+    const LookupResult res = t.rt.lookup({SessionTable::hash(i)}, 4);
+    ASSERT_EQ(res.hit, !gone) << i;
+    if (!gone) {
+      ASSERT_EQ(res.action, (ActionCall{"a1", {{"p", i}}})) << i;
+    }
+  }
+  EXPECT_EQ(t.rt.gc(4), 0u);  // the survivor's window is still live
+  EXPECT_EQ(t.rt.gc(10), 1u);
+  EXPECT_EQ(t.rt.retired_count(), 0u);
+}
+
+// The ternary side of retired_count(): installs, erases, retires,
+// unretires, corrupt()'s window flips, gc and clear keep it equal to a
+// scan of the closed windows, and gc removes exactly the entries the
+// scan says expired.
+TEST(RuleIndex, TernaryRetiredCountFollowsEveryWindowChange) {
+  const Fixture fx(2, 24, {"a0", "a1", "a3"}, p4ir::MatchKind::kTernary);
+  RuntimeTable rt(fx.control, fx.def());
+  auto count = [&](auto pred) {
+    std::size_t n = 0;
+    for (const auto& e : rt.ternary_entries()) {
+      n += pred(rt.ternary_window(e.handle)) ? 1 : 0;
+    }
+    return n;
+  };
+  std::mt19937_64 rng(23);
+  std::size_t gc_removed = 0;
+  for (int step = 0; step < 3000; ++step) {
+    const std::string where = "step " + std::to_string(step);
+    std::vector<std::size_t> handles;
+    for (const auto& e : rt.ternary_entries()) handles.push_back(e.handle);
+    const std::size_t handle =
+        handles.empty() ? 0 : handles[rng() % handles.size()];
+    const std::uint64_t op = rng() % 100;
+    if (op < 35) {
+      const std::uint64_t care = rng() % 2 ? 0xffff : 0;
+      const std::vector<net::TernaryField> key{{rng() % 4, 0xff}, {0, care}};
+      try {
+        rt.add_ternary(key, static_cast<std::int32_t>(rng() % 3),
+                       random_call(rng), random_window(rng));
+      } catch (const std::invalid_argument&) {
+        // an overlapping or malformed window, or a full table
+      }
+    } else if (op < 45) {
+      rt.erase_ternary(handle);
+    } else if (op < 60) {
+      rt.retire_ternary(handle, static_cast<std::uint32_t>(rng() % 7));
+    } else if (op < 72) {
+      rt.unretire_ternary(handle, rng() % 2
+                                      ? rt.ternary_window(handle).to
+                                      : static_cast<std::uint32_t>(rng() % 7));
+    } else if (op < 82) {
+      const auto min_live = static_cast<std::uint32_t>(rng() % 8);
+      const std::size_t expired =
+          count([&](EpochWindow w) { return w.to < min_live; });
+      ASSERT_EQ(rt.gc(min_live), expired) << where;
+      gc_removed += expired;
+    } else if (op < 83) {
+      rt.clear();
+    } else {
+      rt.corrupt(static_cast<RuntimeTable::CorruptKind>(rng() % 5), rng());
+    }
+    ASSERT_EQ(rt.retired_count(), count([](EpochWindow w) { return !w.open(); }))
+        << where;
+  }
+  EXPECT_GT(gc_removed, 0u);
 }
 
 }  // namespace

@@ -90,7 +90,7 @@ struct Rig {
   std::unique_ptr<Session> session;
 };
 
-/// Every recorded effect ran exactly once.
+/// Every recorded effect ran exactly once, settled ones included.
 ::testing::AssertionResult exactly_once(const SwitchAgent& agent) {
   for (const auto& [key, count] : agent.effects()) {
     if (count != 1) {
@@ -98,6 +98,10 @@ struct Rig {
              << "effect (" << key.first << ", " << key.second << ") ran "
              << count << " times";
     }
+  }
+  if (agent.max_effect_count() != 1) {
+    return ::testing::AssertionFailure()
+           << "max_effect_count " << agent.max_effect_count();
   }
   return ::testing::AssertionSuccess();
 }
@@ -173,6 +177,49 @@ TEST(SwitchAgent, AckFloorRecognizesSeqsEvictedFromTheWindow) {
   EXPECT_EQ(agent.writes_applied(), 24u);
   EXPECT_GE(agent.duplicates_absorbed(), 1u);
   EXPECT_TRUE(exactly_once(agent));
+}
+
+TEST(SwitchAgent, EffectCountersStayWithinTheDedupWindow) {
+  // A long-lived session must not grow the agent's bookkeeping: a seq
+  // at or below the ack floor never runs again, so its counter settles
+  // into max_effect_count() instead of staying in effects().
+  auto fx = make_fig9_deployment();
+  sim::DataPlane& dp = fx.deployment->dataplane();
+  AgentOptions options;
+  options.dedup_window = 8;
+  SwitchAgent agent(dp, options);
+
+  SessionMsg msg;
+  msg.kind = SessionMsg::Kind::kHello;
+  msg.election_id = 1;
+  agent.handle(msg);
+  msg.kind = SessionMsg::Kind::kWrite;
+  const std::uint64_t writes = 50 * options.dedup_window;
+  for (std::uint64_t seq = 1; seq <= writes; ++seq) {
+    msg.seq = seq;
+    msg.write = lb_write(seq % 64, 0x0a010200 + seq);
+    ASSERT_TRUE(agent.handle(msg).ok) << seq;
+    ASSERT_LE(agent.effects().size(), options.dedup_window + 1) << seq;
+  }
+  EXPECT_EQ(agent.writes_applied(), writes);
+  EXPECT_TRUE(exactly_once(agent));
+
+  // Re-deliveries below the floor and inside the window are absorbed.
+  for (const std::uint64_t seq : {std::uint64_t{1}, writes / 2, writes}) {
+    msg.seq = seq;
+    msg.write = lb_write(seq % 64, 0x0a010200 + seq);
+    EXPECT_TRUE(agent.handle(msg).duplicate) << seq;
+  }
+  EXPECT_EQ(agent.writes_applied(), writes);
+  EXPECT_EQ(agent.duplicates_absorbed(), 3u);
+  EXPECT_EQ(agent.max_effect_count(), 1u);
+
+  // A new master settles the deposed one's counters.
+  msg.kind = SessionMsg::Kind::kHello;
+  msg.election_id = 2;
+  agent.handle(msg);
+  EXPECT_TRUE(agent.effects().empty());
+  EXPECT_EQ(agent.max_effect_count(), 1u);
 }
 
 TEST(SwitchAgent, ReconcileRefusesAnActionTheTableDoesNotBind) {

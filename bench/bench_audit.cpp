@@ -5,10 +5,7 @@
 // budget checked at the default rate; (2) digest-audit tick cost and
 // the full-sweep detection bound; (3) corruption-detection latency —
 // seeded corruptions per table, audit ticks to first finding, and the
-// scrub-to-byte-identical repair time. Headline numbers land in
-// BENCH_audit.json (schema v2).
-#include <benchmark/benchmark.h>
-
+// scrub-to-byte-identical repair time.
 #include <chrono>
 #include <cstdio>
 #include <utility>
@@ -73,25 +70,21 @@ double best_pps(const Warmed& w, ProcessFn&& process) {
   return best;
 }
 
-void print_sampling_overhead(bench::BenchJson& json) {
+void print_sampling_overhead() {
   bench::heading("Shadow-sampling overhead: Auditor::process vs bare plane");
   Warmed w;
   sim::DataPlane& dp = w.target.dataplane();
 
   const double baseline = best_pps(
       w, [&](const net::Packet& p, std::uint16_t port) {
-        benchmark::DoNotOptimize(dp.process(p, port));
+        (void)dp.process(p, port);
       });
   std::printf("%zu warmed flows, best of %d passes\n", w.packets.size(),
               kPasses);
   std::printf("%-16s %-14s %-10s\n", "path", "pps", "overhead");
   std::printf("%-16s %-14.0f %-10s\n", "bare plane", baseline, "-");
-  json.add("flows", std::uint64_t{kFlows});
-  json.add("passes", kPasses);
-  json.add("baseline_pps", baseline);
 
   const std::uint64_t default_rate = control::AuditorOptions{}.sample_every;
-  json.add("sample_every_default", default_rate);
   for (const std::uint64_t rate : {std::uint64_t{32}, default_rate,
                                    std::uint64_t{1024}}) {
     control::AuditorOptions options;
@@ -99,16 +92,13 @@ void print_sampling_overhead(bench::BenchJson& json) {
     control::Auditor auditor(dp, w.mirror, options);
     const double pps = best_pps(
         w, [&](const net::Packet& p, std::uint16_t port) {
-          benchmark::DoNotOptimize(auditor.process(p, port));
+          (void)auditor.process(p, port);
         });
     const double overhead = baseline > 0 ? 1.0 - pps / baseline : 0.0;
     char label[32];
     std::snprintf(label, sizeof(label), "sampled 1/%llu",
                   static_cast<unsigned long long>(rate));
     std::printf("%-16s %-14.0f %-9.2f%%\n", label, pps, overhead * 100);
-    const std::string key = "s" + std::to_string(rate);
-    json.add("audited_pps_" + key, pps);
-    json.add("overhead_fraction_" + key, overhead);
     if (rate == default_rate && overhead > 0.05) {
       std::printf("OVER BUDGET: default-rate sampling costs %.2f%% "
                   "(acceptance bound 5%%)\n",
@@ -119,7 +109,7 @@ void print_sampling_overhead(bench::BenchJson& json) {
               "<=5%% at the default rate)\n");
 }
 
-void print_digest_cost(bench::BenchJson& json) {
+void print_digest_cost() {
   bench::heading("Digest audit: tick cost and full-sweep bound");
   Warmed w;
   control::AuditorOptions options;
@@ -141,14 +131,9 @@ void print_digest_cost(bench::BenchJson& json) {
   std::printf("digest tick: %.2f us (worst-case detection bound: one "
               "sweep, %.2f us)\n",
               us_per_tick, us_per_tick * static_cast<double>(sweep));
-  json.add("audit_objects", static_cast<std::uint64_t>(objects));
-  json.add("digest_objects_per_tick",
-           std::uint64_t{options.digest_objects_per_tick});
-  json.add("sweep_ticks", sweep);
-  json.add("digest_tick_us", us_per_tick);
 }
 
-void print_detection_latency(bench::BenchJson& json) {
+void print_detection_latency() {
   bench::heading("Corruption-detection latency and scrub repair");
   std::printf("%-28s %-14s %-12s %-10s %-10s\n", "corruption", "ticks to",
               "scrub (us)", "ops", "identical");
@@ -159,11 +144,6 @@ void print_detection_latency(bench::BenchJson& json) {
   const std::vector<std::string> victims = {
       "Classifier.traffic_class", "FW.acl", "LB.lb_session",
       "Router.ipv4_lpm", "VGW.vip_map"};
-  std::uint64_t worst_ticks = 0;
-  std::uint64_t total_ops = 0;
-  double scrub_us_sum = 0;
-  int repaired = 0;
-  int runs = 0;
   for (const std::string& name : victims) {
     Warmed w;
     sim::DataPlane& dp = w.target.dataplane();
@@ -171,7 +151,6 @@ void print_detection_latency(bench::BenchJson& json) {
     control::Auditor auditor(dp, w.mirror, options);
     auto tables = dp.tables_named(name);
     if (tables.empty() || tables.front()->entry_count() == 0) continue;
-    ++runs;
     const std::string note = tables.front()->corrupt(
         sim::RuntimeTable::CorruptKind::kKeyFlip, /*salt=*/0x9e3779b97f4a7c15ULL);
 
@@ -184,10 +163,6 @@ void print_detection_latency(bench::BenchJson& json) {
     const control::ScrubReport rep = auditor.scrub();
     const double scrub_us = seconds_since(start) * 1e6;
 
-    worst_ticks = std::max(worst_ticks, ticks);
-    total_ops += rep.ops;
-    scrub_us_sum += scrub_us;
-    if (rep.converged && rep.identical) ++repaired;
     std::printf("%-28s %-14llu %-12.1f %-10llu %-10s\n", name.c_str(),
                 static_cast<unsigned long long>(ticks), scrub_us,
                 static_cast<unsigned long long>(rep.ops),
@@ -195,46 +170,13 @@ void print_detection_latency(bench::BenchJson& json) {
   }
   std::printf("(detection bound: one digest sweep; every scrub must end "
               "byte-identical to the mirror)\n");
-  json.add("detect_worst_ticks", worst_ticks);
-  json.add("scrub_mean_us", runs > 0 ? scrub_us_sum / runs : 0.0);
-  json.add("scrub_ops_total", total_ops);
-  json.add("scrubs_byte_identical", std::uint64_t(repaired));
-  json.add("scrubs_attempted", std::uint64_t(runs));
 }
-
-void BM_AuditedProcess(benchmark::State& state) {
-  static Warmed w;
-  static control::Auditor auditor(w.target.dataplane(), w.mirror,
-                                  control::AuditorOptions{});
-  std::size_t i = 0;
-  for (auto _ : state) {
-    const auto& [packet, port] = w.packets[i++ % w.packets.size()];
-    benchmark::DoNotOptimize(auditor.process(packet, port));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_AuditedProcess);
-
-void BM_DigestTick(benchmark::State& state) {
-  static Warmed w;
-  static control::Auditor auditor(w.target.dataplane(), w.mirror,
-                                  control::AuditorOptions{});
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(auditor.tick());
-  }
-}
-BENCHMARK(BM_DigestTick);
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  bench::BenchJson json("audit");
-  json.add("target", std::string("fig2-chain"));
-  print_sampling_overhead(json);
-  print_digest_cost(json);
-  print_detection_latency(json);
-  json.write();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+int main() {
+  print_sampling_overhead();
+  print_digest_cost();
+  print_detection_latency();
   return 0;
 }

@@ -4,8 +4,6 @@
 // ports looped back the switch offers 1.6 Tbps and every external
 // packet may recirculate once, and shows where multi-recirculation
 // chains become loss-free vs lossy.
-#include <benchmark/benchmark.h>
-
 #include "bench_util.hpp"
 #include "asic/switch_config.hpp"
 #include "sim/fluid.hpp"
@@ -49,22 +47,10 @@ void print_chain_depth_capacity() {
               "recirculation inefficiency.\n");
 }
 
-void BM_CapacityAccounting(benchmark::State& state) {
-  asic::SwitchConfig config(asic::TargetSpec::tofino32());
-  config.set_pipeline_loopback(1);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(config.external_capacity_gbps());
-    benchmark::DoNotOptimize(config.single_recirc_fraction());
-  }
-}
-BENCHMARK(BM_CapacityAccounting);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_capacity_sweep();
   print_chain_depth_capacity();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

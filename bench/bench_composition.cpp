@@ -5,8 +5,6 @@
 // Sweeps the number of co-located NFs and reports both sides of the
 // trade: stage depth (from the real allocator) and transition cost
 // (from the traversal planner).
-#include <benchmark/benchmark.h>
-
 #include "bench_util.hpp"
 #include "compile/allocator.hpp"
 #include "merge/compose.hpp"
@@ -106,33 +104,10 @@ void print_feasibility_frontier() {
   }
 }
 
-void BM_ComposePipelet(benchmark::State& state) {
-  NfSet set(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(merge::compose_pipelet(
-        "pipelet_ingress0", set.units, CompositionKind::kSequential, true));
-  }
-}
-BENCHMARK(BM_ComposePipelet)->Arg(2)->Arg(4);
-
-void BM_AllocatePipelet(benchmark::State& state) {
-  NfSet set(static_cast<std::size_t>(state.range(0)));
-  auto block = merge::compose_pipelet("pipelet_ingress0", set.units,
-                                      CompositionKind::kSequential, true);
-  for (auto _ : state) {
-    auto graph = p4ir::analyze_dependencies({&block}, false);
-    benchmark::DoNotOptimize(
-        compile::allocate(graph, asic::TargetSpec::tofino32()));
-  }
-}
-BENCHMARK(BM_AllocatePipelet)->Arg(2)->Arg(4);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_tradeoff();
   print_feasibility_frontier();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -1,9 +1,6 @@
 // Cost-certifier performance (DESIGN.md §14): how long the abstract
 // interpreter takes to bound each shipped target's path-equivalence
-// classes. The headline numbers land in BENCH_cost.json — the perf
-// trajectory CI uploads on every run.
-#include <benchmark/benchmark.h>
-
+// classes.
 #include <chrono>
 #include <memory>
 #include <string>
@@ -76,7 +73,7 @@ double now_seconds() {
       .count();
 }
 
-void print_certify_times(bench::BenchJson& json) {
+void print_certify_times() {
   bench::heading("Certifier runtime: abstract interpretation to fixpoint");
   std::printf("%-12s %-10s %-10s %-8s\n", "target", "cost (us)", "classes",
               "bound");
@@ -98,36 +95,15 @@ void print_certify_times(bench::BenchJson& json) {
     const double us = (now_seconds() - start) * 1e6 / kReps;
     std::printf("%-12s %-10.1f %-10zu %-8u\n", name.c_str(), us,
                 result.stats.classes, result.deployment_pass_bound);
-    json.add("cost_us_" + name, us);
-    json.add("pass_bound_" + name,
-             static_cast<std::uint64_t>(result.deployment_pass_bound));
   }
   std::printf("(per run over %s; explorer time excluded — its classes are "
               "the certifier's input)\n",
               "20 repetitions");
 }
 
-void BM_CostRun(benchmark::State& state) {
-  Target t = build_target("fig9");
-  const explore::ExploreResult& exploration = t.deployment->run_explorer();
-  cost::CostOptions options;
-  options.routing = &t.deployment->routing();
-  for (auto _ : state) {
-    const cost::CostResult result = cost::run(t.deployment->dataplane(),
-                                              t.policies, exploration,
-                                              options);
-    benchmark::DoNotOptimize(result.deployment_pass_bound);
-  }
-}
-BENCHMARK(BM_CostRun);
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  bench::BenchJson json("cost");
-  print_certify_times(json);
-  json.write();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+int main() {
+  print_certify_times();
   return 0;
 }

@@ -4,8 +4,6 @@
 // optimizer should find a placement at least that good. Also runs the
 // ablation over random multi-chain policy sets: naive baseline vs
 // exhaustive vs annealing.
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 #include <random>
 
@@ -155,36 +153,10 @@ void print_random_sweep() {
   }
 }
 
-void BM_ExhaustiveOptimize(benchmark::State& state) {
-  auto spec = asic::TargetSpec::tofino32();
-  place::TraversalEnv env{.pipelines = 2, .can_recirculate = {true, true}};
-  auto policies = fig6_policy();
-  auto model = fig6_stage_model();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        place::exhaustive_optimize(policies, spec, env, model));
-  }
-}
-BENCHMARK(BM_ExhaustiveOptimize);
-
-void BM_PlanTraversal(benchmark::State& state) {
-  auto spec = asic::TargetSpec::tofino32();
-  place::TraversalEnv env{.pipelines = 2, .can_recirculate = {true, true}};
-  auto policies = fig6_policy();
-  auto naive = place::naive_alternating(policies, spec);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        place::plan_traversal(policies.policies()[0], naive, spec, env));
-  }
-}
-BENCHMARK(BM_PlanTraversal);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_fig6();
   print_random_sweep();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

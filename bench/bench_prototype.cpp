@@ -4,8 +4,6 @@
 // mode. Prints the placement, the per-path traversals, the PTF-style
 // functional checks for every SFC path, and the capacity statement
 // ("1.6 Tbps and all traffic may recirculate once").
-#include <benchmark/benchmark.h>
-
 #include "bench_util.hpp"
 #include "control/deployment.hpp"
 #include "ptf/ptf.hpp"
@@ -118,36 +116,10 @@ void print_validation() {
   std::printf("=> %d/%d checks passed\n", passed, total);
 }
 
-void BM_FullChainPacket(benchmark::State& state) {
-  auto* fx = fixture();
-  auto& cp = fx->deployment->control();
-  // Warm the session table so we measure the steady-state data path.
-  cp.inject(packet_to(net::Ipv4Addr(10, 1, 0, 10)), 0);
-  for (auto _ : state) {
-    auto out = cp.inject(packet_to(net::Ipv4Addr(10, 1, 0, 10)), 0);
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_FullChainPacket);
-
-void BM_DirectPathPacket(benchmark::State& state) {
-  auto* fx = fixture();
-  auto& cp = fx->deployment->control();
-  for (auto _ : state) {
-    auto out = cp.inject(packet_to(net::Ipv4Addr(10, 3, 0, 1)), 0);
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_DirectPathPacket);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_placement();
   print_validation();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

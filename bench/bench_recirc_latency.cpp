@@ -3,8 +3,6 @@
 // 1 m DAC), against the ~650 ns port-to-port baseline — plus the
 // queueing delay the feedback queue adds under contention (measured on
 // the packet-level simulator).
-#include <benchmark/benchmark.h>
-
 #include "bench_util.hpp"
 #include "place/placement.hpp"
 #include "sim/latency.hpp"
@@ -51,23 +49,10 @@ void print_queueing_delay() {
   }
 }
 
-void BM_TraversalLatency(benchmark::State& state) {
-  sim::LatencyModel model(asic::TargetSpec::tofino32());
-  place::Traversal t;
-  t.feasible = true;
-  t.recirculations = static_cast<std::uint32_t>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(model.traversal_ns(t));
-  }
-}
-BENCHMARK(BM_TraversalLatency)->Arg(1)->Arg(3);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_fig8b();
   print_queueing_delay();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -5,8 +5,6 @@
 // Paper reference points (100 Gbps injected, one loopback port):
 //   0 recirc -> 100 Gbps, 1 -> 100, 2 -> 38 (x = 0.62T), 3 -> 16,
 //   4 -> ~7, 5 -> ~3. "Effective throughput degrades super-linearly."
-#include <benchmark/benchmark.h>
-
 #include "bench_util.hpp"
 #include "sim/fluid.hpp"
 #include "sim/queue_sim.hpp"
@@ -55,34 +53,11 @@ void print_capacity_split() {
   }
 }
 
-void BM_FluidModel(benchmark::State& state) {
-  const auto k = static_cast<std::uint32_t>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sim::recirc_throughput_gbps(100, k));
-  }
-}
-BENCHMARK(BM_FluidModel)->Arg(2)->Arg(5)->Arg(8);
-
-void BM_PacketLevelSim(benchmark::State& state) {
-  sim::QueueSimParams params;
-  params.recirculations = static_cast<std::uint32_t>(state.range(0));
-  params.slots = 50000;
-  params.warmup_slots = 10000;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sim::simulate_recirculation(params));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          params.slots);
-}
-BENCHMARK(BM_PacketLevelSim)->Arg(1)->Arg(3)->Arg(5);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_fig8a();
   print_fig7_derivation();
   print_capacity_split();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -1,16 +1,10 @@
-// Replay-engine scaling: packets-per-second through the composed
-// Fig. 2 multi-NF program (Fig. 9 prototype placement) as worker
-// threads are added. This is the substrate every perf PR benchmarks
-// against — the behavioral stand-in for "serve heavy traffic as fast
-// as the hardware allows". Flow sharding gives embarrassingly parallel
-// replay, so scaling is bounded only by host cores; the printed table
-// shows the measured speedup on this machine.
-#include <benchmark/benchmark.h>
-
+// Control-side tables over the composed Fig. 2 program: a hitless
+// update fired mid-replay, whole-chain dataflow analysis time, and the
+// session layer's bill for exactly-once writes over a lossy channel.
+// Replay scaling and per-engine packet cost are perfbench's
+// `sim.replay.*` and `sim.compiled.*` metrics, not tables here.
 #include <chrono>
-#include <map>
 #include <memory>
-#include <thread>
 
 #include "analysis/commutativity.hpp"
 #include "bench_util.hpp"
@@ -34,30 +28,6 @@ sim::ReplayConfig sweep_config(std::uint32_t workers) {
   config.packets_per_flow = 8;
   config.batch = 4;
   return config;
-}
-
-void print_scaling_sweep() {
-  bench::heading("Replay scaling: composed Fig. 2 program, Fig. 9 placement");
-  const auto flows = control::fig2_replay_flows(/*total_flows=*/240);
-  std::printf("%zu flows x 8 packets, LB sessions learned via punts; "
-              "%u hardware threads on this host\n",
-              flows.size(), std::thread::hardware_concurrency());
-  std::printf("%-9s %-12s %-14s %-10s\n", "workers", "wall (s)", "pps",
-              "speedup");
-  double base_pps = 0;
-  for (const std::uint32_t workers : {1u, 2u, 4u, 8u}) {
-    sim::ReplayEngine engine(control::fig2_replay_factory());
-    // Warm run learns the LB sessions so the timed run measures the
-    // steady-state fast path.
-    engine.run(flows, sweep_config(workers));
-    const auto report = engine.run(flows, sweep_config(workers));
-    if (workers == 1) base_pps = report.packets_per_second();
-    std::printf("%-9u %-12.3f %-14.0f %-10.2f\n", workers,
-                report.wall_seconds, report.packets_per_second(),
-                base_pps > 0 ? report.packets_per_second() / base_pps : 0.0);
-  }
-  std::printf("(speedup tracks available cores; flow sharding adds no "
-              "synchronization)\n");
 }
 
 /// §11 update-in-flight: the same replay with a hitless bypass-LB
@@ -116,90 +86,11 @@ void print_update_in_flight() {
               "changes; every packet lands in exactly one generation)\n");
 }
 
-/// The headline trajectory metric (ISSUE 6 acceptance): interpreter
-/// vs compiled fast path on the identical fig2 workload, recorded in
-/// BENCH_replay.json. The merged counters are asserted equal here too
-/// — a bench that quietly compared different work would be worthless.
-void print_engine_comparison() {
-  bench::heading("Engine comparison: interpreter vs compiled fast path");
-  const auto flows = control::fig2_replay_flows(/*total_flows=*/240);
-  bench::BenchJson json("replay");
-  json.add("target", std::string("fig2-chain/fig9-placement"));
-  json.add("flows", static_cast<std::uint64_t>(flows.size()));
-  json.add("packets_per_flow", std::uint64_t{24});
-
-  std::printf("%-13s %-9s %-12s %-14s %-12s %-10s\n", "engine", "workers",
-              "wall (s)", "pps", "ns/packet", "fallback");
-  sim::ReplayCounters interp_counters;
-  double interp_pps = 0;
-  double compiled_pps = 0;
-  for (const sim::EngineKind kind :
-       {sim::EngineKind::kInterpreter, sim::EngineKind::kCompiled}) {
-    const bool compiled = kind == sim::EngineKind::kCompiled;
-    const char* name = compiled ? "compiled" : "interpreter";
-    for (const std::uint32_t workers : {1u, 8u}) {
-      sim::ReplayEngine engine(control::fig2_replay_factory());
-      sim::ReplayConfig config = sweep_config(workers);
-      config.engine = kind;
-      // 24 packets per flow: the compiled side finishes 1920 packets in
-      // ~4 ms, too short for a stable wall-clock pps on a busy host.
-      config.packets_per_flow = 24;
-      engine.run(flows, config);  // warm: LB sessions + (re)compile
-      sim::ReplayReport best;
-      for (int rep = 0; rep < 5; ++rep) {
-        sim::ReplayReport report = engine.run(flows, config);
-        if (rep == 0 ||
-            report.packets_per_second() > best.packets_per_second()) {
-          best = std::move(report);
-        }
-      }
-      const double pps = best.packets_per_second();
-      const double ns =
-          pps > 0 ? 1e9 / pps * workers : 0;  // per-worker service time
-      const double fallback_rate =
-          best.counters.packets > 0
-              ? static_cast<double>(best.fallback_packets) /
-                    static_cast<double>(best.counters.packets)
-              : 0;
-      std::printf("%-13s %-9u %-12.3f %-14.0f %-12.1f %-10.4f\n", name,
-                  workers, best.wall_seconds, pps, ns, fallback_rate);
-
-      if (workers == 1) {
-        if (compiled) {
-          compiled_pps = pps;
-        } else {
-          interp_pps = pps;
-          interp_counters = best.counters;
-        }
-        const std::string prefix = name;
-        json.add(prefix + "_pps", pps);
-        json.add(prefix + "_ns_per_packet", pps > 0 ? 1e9 / pps : 0);
-        json.add(prefix + "_fallback_rate", fallback_rate);
-        json.add(prefix + "_compiled_packets", best.compiled_packets);
-        if (compiled &&
-            !(best.counters == interp_counters)) {
-          std::printf("ENGINE DISAGREEMENT: compiled counters differ from "
-                      "interpreter — bench numbers are not comparable\n");
-        }
-      } else {
-        json.add(std::string(name) + "_pps_workers8", pps);
-      }
-    }
-  }
-  const double speedup = interp_pps > 0 ? compiled_pps / interp_pps : 0;
-  json.add("speedup_compiled_vs_interp", speedup);
-  std::printf("compiled fast path: %.2fx the interpreter (single worker)\n",
-              speedup);
-  json.write();
-}
-
-/// Static-analysis trajectory (ISSUE 7): whole-chain dataflow
-/// analysis wall-time per shipped chain, plus the recirculation bill
-/// auto_parallelize removes on the stage-starved parallel_study
-/// target. Recorded in BENCH_analysis.json.
+/// Whole-chain dataflow analysis wall-time per shipped chain, plus the
+/// recirculation bill auto_parallelize removes on the stage-starved
+/// parallel_study target.
 void print_analysis_bench() {
   bench::heading("Dataflow analysis: per-chain wall-time + auto-parallel");
-  bench::BenchJson json("analysis");
 
   auto build = [](const std::string& target) {
     control::DeploymentOptions options;
@@ -249,7 +140,6 @@ void print_analysis_bench() {
     }
     std::printf("%-12s %-6zu %-14.1f\n", target.c_str(), ptrs.size(),
                 best_us);
-    json.add("analysis_us_" + target, best_us);
 
     if (target == "parallel") {
       const asic::SwitchConfig& config = deployment->dataplane().config();
@@ -261,23 +151,15 @@ void print_analysis_bench() {
                   result.rewrites.size(), result.recirculations_before,
                   result.recirculations_after, result.cost_before,
                   result.cost_after);
-      json.add("parallel_rewrites",
-               static_cast<std::uint64_t>(result.rewrites.size()));
-      json.add("parallel_recircs_before", result.recirculations_before);
-      json.add("parallel_recircs_after", result.recirculations_after);
-      json.add("parallel_cost_before", result.cost_before);
-      json.add("parallel_cost_after", result.cost_after);
     }
   }
-  json.write();
 }
 
-/// Control-write latency under channel loss (ISSUE 9 trajectory):
-/// drive a fixed batch of session writes over seeded channel fault
-/// schedules of increasing hostility and record the cost the session
-/// layer pays to stay exactly-once — attempts per confirmed write,
-/// simulated backoff, gave-ups, and the reconcile bill after the
-/// channel heals. Recorded in BENCH_session.json.
+/// Control-write latency under channel loss: drive a fixed batch of
+/// session writes over seeded channel fault schedules of increasing
+/// hostility and print the cost the session layer pays to stay
+/// exactly-once — attempts per confirmed write, simulated backoff,
+/// gave-ups, and the reconcile bill after the channel heals.
 void print_session_bench() {
   bench::heading("Control-write latency under channel loss (session layer)");
   constexpr std::uint64_t kWrites = 64;
@@ -311,13 +193,9 @@ void print_session_bench() {
   // give up and the heal + reconcile path is on the clock.
   scenarios[3].profile.max_partition_msgs = 12;
 
-  bench::BenchJson json("session");
-  json.add("writes_per_scenario", kWrites);
-  json.add("channel_seed", std::uint64_t{1});
-
-  std::printf("%-13s %-10s %-13s %-12s %-9s %-11s %-14s\n", "channel",
-              "attempts", "backoff (ms)", "duplicates", "gave up",
-              "reconcile", "wall (us/wr)");
+  std::printf("%-13s %-10s %-13s %-12s %-9s %-11s %-10s %-8s %-14s\n",
+              "channel", "attempts", "backoff (ms)", "duplicates", "gave up",
+              "reconcile", "converged", "effects", "wall (us/wr)");
   for (const Scenario& s : scenarios) {
     control::DeploymentOptions options;
     options.verify = false;
@@ -366,61 +244,24 @@ void print_session_bench() {
         static_cast<double>(stats.writes);
     const double wall_per_write =
         wall.count() / static_cast<double>(kWrites);
-    std::printf("%-13s %-10.2f %-13.2f %-12llu %-9llu %-11zu %-14.1f\n",
-                s.name, mean_attempts, mean_backoff,
-                static_cast<unsigned long long>(agent.duplicates_absorbed()),
-                static_cast<unsigned long long>(gave_up), reconcile.ops,
-                wall_per_write);
-
-    const std::string prefix = s.name;
-    json.add(prefix + "_mean_attempts", mean_attempts);
-    json.add(prefix + "_mean_backoff_ms", mean_backoff);
-    json.add(prefix + "_duplicates_absorbed", agent.duplicates_absorbed());
-    json.add(prefix + "_writes_gave_up", gave_up);
-    json.add(prefix + "_reconcile_ops",
-             static_cast<std::uint64_t>(reconcile.ops));
-    json.add(prefix + "_converged",
-             std::uint64_t{reconcile.converged ? 1u : 0u});
-    json.add(prefix + "_max_effect_count", agent.max_effect_count());
-    json.add(prefix + "_wall_us_per_write", wall_per_write);
+    std::printf(
+        "%-13s %-10.2f %-13.2f %-12llu %-9llu %-11zu %-10s %-8llu %-14.1f\n",
+        s.name, mean_attempts, mean_backoff,
+        static_cast<unsigned long long>(agent.duplicates_absorbed()),
+        static_cast<unsigned long long>(gave_up), reconcile.ops,
+        reconcile.converged ? "yes" : "NO",
+        static_cast<unsigned long long>(agent.max_effect_count()),
+        wall_per_write);
   }
   std::printf("(every scenario must end converged with max effect count 1 — "
               "the exactly-once bill, not just its latency)\n");
-  json.write();
 }
-
-void BM_ReplayWorkers(benchmark::State& state) {
-  static const auto flows = control::fig2_replay_flows(/*total_flows=*/80);
-  static std::map<std::int64_t, std::unique_ptr<sim::ReplayEngine>> engines;
-  const std::int64_t workers = state.range(0);
-  auto& engine = engines[workers];
-  if (!engine) {
-    engine =
-        std::make_unique<sim::ReplayEngine>(control::fig2_replay_factory());
-  }
-  sim::ReplayConfig config;
-  config.workers = static_cast<std::uint32_t>(workers);
-  config.packets_per_flow = 4;
-  config.batch = 2;
-  std::uint64_t packets = 0;
-  for (auto _ : state) {
-    const auto report = engine->run(flows, config);
-    packets += report.counters.packets;
-    benchmark::DoNotOptimize(report.counters.delivered);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(packets));
-}
-BENCHMARK(BM_ReplayWorkers)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  print_scaling_sweep();
+int main() {
   print_update_in_flight();
-  print_engine_comparison();
   print_analysis_bench();
   print_session_bench();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

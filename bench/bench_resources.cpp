@@ -4,8 +4,6 @@
 // paper's measured numbers. The framework must use zero TCAM and only
 // a sliver of memory; stages are the dominant cost because the glue
 // tables are data-dependent on the platform metadata.
-#include <benchmark/benchmark.h>
-
 #include "bench_util.hpp"
 #include "control/deployment.hpp"
 
@@ -60,27 +58,9 @@ void print_table1() {
   }
 }
 
-void BM_BuildDeployment(benchmark::State& state) {
-  for (auto _ : state) {
-    auto fx = control::make_fig2_deployment();
-    benchmark::DoNotOptimize(fx.deployment);
-  }
-}
-BENCHMARK(BM_BuildDeployment)->Unit(benchmark::kMillisecond);
-
-void BM_ResourceReport(benchmark::State& state) {
-  auto fx = control::make_fig2_deployment();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(fx.deployment->framework_report());
-  }
-}
-BENCHMARK(BM_ResourceReport);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_table1();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

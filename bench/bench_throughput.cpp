@@ -4,8 +4,6 @@
 // paths 1 and 2) and the optimizer's 0-recirculation packing, showing
 // where the recirculation budget saturates and what the optimizer's
 // better placement buys in deliverable bandwidth.
-#include <benchmark/benchmark.h>
-
 #include "bench_util.hpp"
 #include "control/deployment.hpp"
 #include "sim/throughput.hpp"
@@ -73,22 +71,10 @@ void print_recirc_depth_sweep() {
               "deployment model degenerates to §4's closed form)\n");
 }
 
-void BM_EstimateThroughput(benchmark::State& state) {
-  auto fx = control::make_fig9_deployment();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sim::estimate_throughput(
-        fx.policies, fx.deployment->routing().traversals,
-        fx.deployment->dataplane().config(), 1600.0));
-  }
-}
-BENCHMARK(BM_EstimateThroughput);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_load_sweep();
   print_recirc_depth_sweep();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

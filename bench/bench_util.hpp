@@ -1,30 +1,12 @@
 // Shared helpers for the reproduction benches: each binary prints the
-// paper row/series it regenerates (plus our measured values) before
-// running its google-benchmark timers, so `./bench_x` alone shows the
-// full comparison. BenchJson records the headline numbers as
-// checked-in BENCH_<name>.json artifacts — the perf trajectory CI
-// uploads on every run.
+// paper row/series it regenerates next to our model's values, so
+// `./bench_x` alone shows the full comparison.
 #pragma once
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
-#include <utility>
-#include <vector>
-
-/// Short `git rev-parse HEAD` of the tree the bench was built from,
-/// injected by bench/CMakeLists.txt; "unknown" outside a git checkout.
-#ifndef DEJAVU_GIT_REVISION
-#define DEJAVU_GIT_REVISION "unknown"
-#endif
 
 namespace dejavu::bench {
-
-/// Version of the BENCH_*.json artifact layout. Bump when the stamped
-/// envelope (not a bench's own keys) changes shape:
-///   1: bare flat keys
-///   2: schema_version + git_revision stamped after "bench"
-inline constexpr int kBenchSchemaVersion = 2;
 
 inline void heading(const std::string& title) {
   std::printf("\n==== %s ====\n", title.c_str());
@@ -33,62 +15,5 @@ inline void heading(const std::string& title) {
 inline void subheading(const std::string& title) {
   std::printf("-- %s --\n", title.c_str());
 }
-
-/// Flat-key JSON bench reporter. Keys keep insertion order so diffs of
-/// successive trajectory snapshots stay readable; values are numbers
-/// or plain strings. write() lands in $DEJAVU_BENCH_DIR (when set) or
-/// the working directory as BENCH_<name>.json.
-class BenchJson {
- public:
-  explicit BenchJson(std::string name) : name_(std::move(name)) {}
-
-  void add(const std::string& key, double value) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.6g", value);
-    fields_.emplace_back(key, buf);
-  }
-  void add(const std::string& key, std::uint64_t value) {
-    fields_.emplace_back(key, std::to_string(value));
-  }
-  void add(const std::string& key, int value) {
-    fields_.emplace_back(key, std::to_string(value));
-  }
-  /// `value` must not need JSON escaping (bench labels never do).
-  void add(const std::string& key, const std::string& value) {
-    fields_.emplace_back(key, "\"" + value + "\"");
-  }
-
-  std::string path() const {
-    // Bench mains are single-threaded; the env read happens before any
-    // workers exist.
-    const char* dir = std::getenv("DEJAVU_BENCH_DIR");  // NOLINT(concurrency-mt-unsafe)
-    const std::string base = (dir != nullptr && *dir != '\0') ? dir : ".";
-    return base + "/BENCH_" + name_ + ".json";
-  }
-
-  bool write() const {
-    const std::string file = path();
-    std::FILE* out = std::fopen(file.c_str(), "w");
-    if (out == nullptr) {
-      std::fprintf(stderr, "BenchJson: cannot write %s\n", file.c_str());
-      return false;
-    }
-    std::fprintf(out,
-                 "{\n  \"bench\": \"%s\",\n  \"schema_version\": %d,\n"
-                 "  \"git_revision\": \"%s\"",
-                 name_.c_str(), kBenchSchemaVersion, DEJAVU_GIT_REVISION);
-    for (const auto& [key, value] : fields_) {
-      std::fprintf(out, ",\n  \"%s\": %s", key.c_str(), value.c_str());
-    }
-    std::fprintf(out, "\n}\n");
-    std::fclose(out);
-    std::printf("wrote %s\n", file.c_str());
-    return true;
-  }
-
- private:
-  std::string name_;
-  std::vector<std::pair<std::string, std::string>> fields_;
-};
 
 }  // namespace dejavu::bench

@@ -218,7 +218,14 @@ std::string json_escape(const std::string& s) {
         out += "\\t";
         break;
       default:
-        out += c;
+        if (static_cast<unsigned char>(c) < 0x20) {
+          constexpr const char* hex = "0123456789abcdef";
+          out += "\\u00";
+          out += hex[(c >> 4) & 0xf];
+          out += hex[c & 0xf];
+        } else {
+          out += c;
+        }
     }
   }
   return out;

@@ -115,7 +115,8 @@ std::string footprints_to_json(const std::vector<Footprint>& footprints);
 /// the namespaces the dead-write and uninitialized-read checks cover.
 bool is_scratch_field(const std::string& field);
 
-/// JSON string escaping shared by the analysis renderers.
+/// JSON string escaping shared by every JSON renderer (analysis,
+/// verify findings, chaos reports). Control characters become \u00XX.
 std::string json_escape(const std::string& s);
 
 }  // namespace dejavu::analysis

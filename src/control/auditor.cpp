@@ -112,25 +112,25 @@ std::size_t Auditor::tick() {
   const std::uint64_t now = report_.ticks;
   const std::size_t before = findings_.size();
 
-  if (options_.check_epoch) {
-    if (live_->epoch() != mirror_->epoch()) {
-      AuditFinding f;
-      f.source = AuditFinding::Source::kEpoch;
-      f.object = "epoch";
-      f.tick = now;
-      f.detail = "live=" + std::to_string(live_->epoch()) +
-                 " intended=" + std::to_string(mirror_->epoch());
-      raise(std::move(f));
-    }
-    if (live_->min_live_epoch() != mirror_->min_live_epoch()) {
-      AuditFinding f;
-      f.source = AuditFinding::Source::kEpoch;
-      f.object = "min_live_epoch";
-      f.tick = now;
-      f.detail = "live=" + std::to_string(live_->min_live_epoch()) +
-                 " intended=" + std::to_string(mirror_->min_live_epoch());
-      raise(std::move(f));
-    }
+  // The global epoch gate and drain floor are compared every tick,
+  // outside the round-robin window — they are two words.
+  if (live_->epoch() != mirror_->epoch()) {
+    AuditFinding f;
+    f.source = AuditFinding::Source::kEpoch;
+    f.object = "epoch";
+    f.tick = now;
+    f.detail = "live=" + std::to_string(live_->epoch()) +
+               " intended=" + std::to_string(mirror_->epoch());
+    raise(std::move(f));
+  }
+  if (live_->min_live_epoch() != mirror_->min_live_epoch()) {
+    AuditFinding f;
+    f.source = AuditFinding::Source::kEpoch;
+    f.object = "min_live_epoch";
+    f.tick = now;
+    f.detail = "live=" + std::to_string(live_->min_live_epoch()) +
+               " intended=" + std::to_string(mirror_->min_live_epoch());
+    raise(std::move(f));
   }
 
   const auto live_digests = live_->state_digests();
@@ -200,15 +200,13 @@ sim::SwitchOutput Auditor::process(net::Packet packet, std::uint16_t in_port) {
   f.packet = report_.packets_observed;
   f.detail = "live " + outcome_text(out) + " != intended " + outcome_text(want);
   raise(std::move(f));
-  if (options_.quarantine_samples) {
-    // Do not forward (or punt) a packet whose verdict just proved the
-    // state corrupt — quarantine it and let scrub() repair first.
-    out.out.clear();
-    out.to_cpu.clear();
-    out.set_drop(sim::DropCode::kStateQuarantined,
-                 "shadow sample diverged from the intended-state mirror");
-    ++report_.packets_quarantined;
-  }
+  // Do not forward (or punt) a packet whose verdict just proved the
+  // state corrupt — quarantine it and let scrub() repair first.
+  out.out.clear();
+  out.to_cpu.clear();
+  out.set_drop(sim::DropCode::kStateQuarantined,
+               "shadow sample diverged from the intended-state mirror");
+  ++report_.packets_quarantined;
   return out;
 }
 

@@ -57,16 +57,9 @@ struct AuditorOptions {
   std::uint32_t digest_objects_per_tick = 4;
   /// Shadow-sample every Nth packet through process(). Each sample
   /// costs one extra interpreter run on the mirror, so the overhead is
-  /// ~(interpreter cost / sample_every) per packet; 256 keeps the
-  /// compiled engine within the ≤5% budget (BENCH_audit.json).
-  /// 0 disables sampling.
+  /// ~(interpreter cost / sample_every) per packet; bench_audit prints
+  /// it against the ≤5% budget. 0 disables sampling.
   std::uint64_t sample_every = 256;
-  /// Stamp sampled diverging packets with DropCode::kStateQuarantined
-  /// instead of letting the live (possibly corrupt) verdict stand.
-  bool quarantine_samples = true;
-  /// Also compare the global epoch gate and drain floor each tick
-  /// (outside the round-robin window — they are two words).
-  bool check_epoch = true;
   /// Election id for scrub()'s reconcile writes. Must beat whatever
   /// master last wrote through the same agent; the agent auto-claims
   /// the higher id.
@@ -143,9 +136,8 @@ class Auditor {
 
   /// Process one packet on the live plane, shadow-sampling every
   /// sample_every-th call through the mirror. On divergence the
-  /// returned output is stamped DropCode::kStateQuarantined (under
-  /// options.quarantine_samples) — the packet is NOT forwarded on
-  /// state known to be corrupt.
+  /// returned output is stamped DropCode::kStateQuarantined — the
+  /// packet is NOT forwarded on state known to be corrupt.
   sim::SwitchOutput process(net::Packet packet, std::uint16_t in_port);
 
   /// Self-scrubbing repair: diff live against mirror and converge with

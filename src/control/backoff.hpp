@@ -30,8 +30,4 @@ struct Backoff {
   std::uint32_t backoff_ms(std::uint32_t retry) const;
 };
 
-/// Historical name from the Transaction era; Transaction, repair, and
-/// live-update call sites predate the session layer and keep it.
-using RetryPolicy = Backoff;
-
 }  // namespace dejavu::control

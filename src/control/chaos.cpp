@@ -5,6 +5,7 @@
 #include <random>
 #include <stdexcept>
 
+#include "analysis/footprint.hpp"
 #include "control/auditor.hpp"
 #include "control/replay_target.hpp"
 #include "control/snapshot.hpp"
@@ -929,40 +930,7 @@ std::string ChaosResult::to_string() const {
   return s;
 }
 
-namespace {
-
-std::string json_escape(const std::string& in) {
-  std::string out;
-  out.reserve(in.size());
-  for (char c : in) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          constexpr const char* hex = "0123456789abcdef";
-          out += "\\u00";
-          out += hex[(c >> 4) & 0xf];
-          out += hex[c & 0xf];
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
+using analysis::json_escape;
 
 std::string ChaosResult::to_json() const {
   std::string s = "{\n";

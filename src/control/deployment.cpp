@@ -42,7 +42,7 @@ std::unique_ptr<Deployment> Deployment::build(
     }
   } else {
     place::OptimizeResult result;
-    if (d->policies_.all_nfs().size() <= options.exhaustive_limit) {
+    if (d->policies_.all_nfs().size() <= kExhaustiveLimit) {
       result = place::exhaustive_optimize(d->policies_, d->spec_, env,
                                           options.stage_model);
     } else {
@@ -60,7 +60,7 @@ std::unique_ptr<Deployment> Deployment::build(
   std::vector<const p4ir::Program*> nf_ptrs;
   for (const p4ir::Program& p : d->nf_programs_) nf_ptrs.push_back(&p);
   d->program_ = std::make_unique<p4ir::Program>(merge::compose_program(
-      options.program_name, nf_ptrs, d->placement_.assignments(),
+      kProgramName, nf_ptrs, d->placement_.assignments(),
       d->spec_.pipelines, d->ids_));
   std::string why;
   if (!d->program_->validate(d->ids_, &why)) {

@@ -27,14 +27,16 @@
 
 namespace dejavu::control {
 
+/// Optimizer when no placement is given: exhaustive for small NF
+/// counts, annealing beyond this threshold.
+inline constexpr std::size_t kExhaustiveLimit = 8;
+/// Name of the composed whole-switch program.
+inline constexpr const char* kProgramName = "dejavu_sfc";
+
 struct DeploymentOptions {
   /// Use this placement instead of optimizing.
   std::optional<place::Placement> placement;
-  /// Optimizer when no placement is given: exhaustive for small NF
-  /// counts, annealing beyond this threshold.
-  std::size_t exhaustive_limit = 8;
   place::StageModel stage_model;
-  std::string program_name = "dejavu_sfc";
   /// Fail the build (std::runtime_error) when the chain verifier finds
   /// error-severity problems. The report is produced and retained
   /// either way — set false to inspect a broken deployment's findings

@@ -159,11 +159,11 @@ void apply_register_banks(sim::DataPlane& dp, const RuleDiff& diff,
 
 std::pair<std::uint64_t, std::uint64_t> drain_epochs(sim::DataPlane& dp,
                                                      std::uint32_t to,
-                                                     std::uint32_t max_rounds,
                                                      const DrainPump& pump) {
   std::uint64_t pumped = 0;
   std::uint32_t rounds = 0;
-  while (pump && dp.punts_outstanding_below(to) > 0 && rounds < max_rounds) {
+  while (pump && dp.punts_outstanding_below(to) > 0 &&
+         rounds < kMaxDrainRounds) {
     pumped += pump();
     ++rounds;
   }
@@ -502,12 +502,10 @@ RecoveryReport sequence_recovery(const PhaseWriter& write,
 }
 
 /// The direct entry points' switch side: a channel-less agent over
-/// `dp`, with the options' retry and drain budget.
+/// `dp`, with the options' retry budget.
 SwitchAgent local_agent(sim::DataPlane& dp, const LiveUpdateOptions& options,
                         sim::FaultInjector* injector, DrainPump pump) {
-  SwitchAgent agent(dp, AgentOptions{.retry = options.retry,
-                                     .max_drain_rounds =
-                                         options.max_drain_rounds});
+  SwitchAgent agent(dp, AgentOptions{.retry = options.retry});
   agent.set_injector(injector);
   agent.set_drain_pump(std::move(pump));
   return agent;

@@ -56,10 +56,11 @@ enum class CrashPoint : std::uint8_t {
   kAfterDrain,
 };
 
+/// Drain pump invocations before stale punts are force-flushed.
+inline constexpr std::uint32_t kMaxDrainRounds = 8;
+
 struct LiveUpdateOptions {
-  RetryPolicy retry;
-  /// Drain pump invocations before stale punts are force-flushed.
-  std::uint32_t max_drain_rounds = 8;
+  Backoff retry;
   CrashPoint crash_point = CrashPoint::kNone;
 };
 
@@ -199,11 +200,10 @@ void apply_register_banks(sim::DataPlane& dp, const RuleDiff& diff,
                           std::uint32_t to);
 
 /// Drain generations below `to`: pump until no stale punt remains (or
-/// `max_rounds`), then force-flush stragglers. Returns {pumped,
+/// kMaxDrainRounds), then force-flush stragglers. Returns {pumped,
 /// flushed}.
 std::pair<std::uint64_t, std::uint64_t> drain_epochs(sim::DataPlane& dp,
                                                      std::uint32_t to,
-                                                     std::uint32_t max_rounds,
                                                      const DrainPump& pump);
 
 /// Undo an un-flipped shadow from the observed switch state: remove

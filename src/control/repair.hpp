@@ -141,7 +141,7 @@ struct RepairPolicy {
   /// is worse than failing closed). Repairs refuse these.
   std::set<std::string> never_bypass;
   /// Retry/backoff for the live commit's shadow transaction.
-  RetryPolicy retry;
+  Backoff retry;
   /// Explorer options for the pre-commit gate.
   explore::ExploreOptions explore_options;
 };

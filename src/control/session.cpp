@@ -47,11 +47,7 @@ std::vector<ReconcileOp> snapshot_diff(const Snapshot& actual,
 
   struct TableView {
     std::map<ExactId, const sim::RuntimeTable::ExactEntry*> exact;
-    struct TernRef {
-      const net::Tcam<sim::ActionCall>::Entry* entry;
-      sim::EpochWindow window;
-    };
-    std::map<TernId, TernRef> ternary;
+    std::map<TernId, const sim::RuntimeTable::TernaryEntry*> ternary;
   };
 
   auto index_tables = [](const Snapshot& snap) {
@@ -61,12 +57,8 @@ std::vector<ReconcileOp> snapshot_diff(const Snapshot& actual,
       for (const auto& e : t.exact) {
         view.exact[{e.key, win_key(e.window)}] = &e;
       }
-      for (std::size_t i = 0; i < t.ternary.size(); ++i) {
-        const auto& e = t.ternary[i];
-        const sim::EpochWindow w = i < t.ternary_windows.size()
-                                       ? t.ternary_windows[i]
-                                       : sim::EpochWindow{};
-        view.ternary[{tern_key(e.key), e.priority, win_key(w)}] = {&e, w};
+      for (const auto& e : t.ternary) {
+        view.ternary[{tern_key(e.key), e.priority, win_key(e.window)}] = &e;
       }
     }
     return views;
@@ -109,33 +101,33 @@ std::vector<ReconcileOp> snapshot_diff(const Snapshot& actual,
       adds.push_back(std::move(op));
     }
 
-    for (const auto& [tid, ref] : h.ternary) {
+    for (const auto& [tid, entry] : h.ternary) {
       auto it = w.ternary.find(tid);
-      if (it != w.ternary.end() && it->second.entry->value == ref.entry->value) {
+      if (it != w.ternary.end() && it->second->action == entry->action) {
         continue;
       }
       ReconcileOp op;
       op.kind = ReconcileOp::Kind::kRemoveTernary;
       op.control = id.first;
       op.table = id.second;
-      op.tkey = ref.entry->key;
-      op.priority = ref.entry->priority;
-      op.window = ref.window;
+      op.tkey = entry->key;
+      op.priority = entry->priority;
+      op.window = entry->window;
       removes.push_back(std::move(op));
     }
-    for (const auto& [tid, ref] : w.ternary) {
+    for (const auto& [tid, entry] : w.ternary) {
       auto it = h.ternary.find(tid);
-      if (it != h.ternary.end() && it->second.entry->value == ref.entry->value) {
+      if (it != h.ternary.end() && it->second->action == entry->action) {
         continue;
       }
       ReconcileOp op;
       op.kind = ReconcileOp::Kind::kAddTernary;
       op.control = id.first;
       op.table = id.second;
-      op.tkey = ref.entry->key;
-      op.priority = ref.entry->priority;
-      op.action = ref.entry->value;
-      op.window = ref.window;
+      op.tkey = entry->key;
+      op.priority = entry->priority;
+      op.action = entry->action;
+      op.window = entry->window;
       adds.push_back(std::move(op));
     }
   }
@@ -343,8 +335,7 @@ AckMsg SwitchAgent::apply(const WriteCommand& cmd) {
       ack.ok = true;
       return ack;
     case WriteCommand::Verb::kDrain: {
-      auto [pumped, flushed] =
-          drain_epochs(*dp_, cmd.to_epoch, options_.max_drain_rounds, pump_);
+      auto [pumped, flushed] = drain_epochs(*dp_, cmd.to_epoch, pump_);
       ack.drained = pumped;
       ack.flushed = flushed;
       ack.ok = true;
@@ -598,7 +589,7 @@ bool Session::heartbeat() {
   } else if (!ack.has_value()) {
     ++stats_.heartbeat_misses;
     ++heartbeat_miss_streak_;
-    link_ = heartbeat_miss_streak_ >= options_.heartbeat_loss_threshold
+    link_ = heartbeat_miss_streak_ >= kHeartbeatLossThreshold
                 ? LinkState::kPartitioned
                 : LinkState::kDegraded;
   }

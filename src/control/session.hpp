@@ -68,8 +68,6 @@ struct AgentOptions {
   std::size_t dedup_window = 32;
   /// Retry/backoff for the transactions the agent runs locally.
   Backoff retry;
-  /// Drain-pump rounds for kDrain commands.
-  std::uint32_t max_drain_rounds = 8;
 };
 
 /// The switch-side endpoint: owns the command execution against one
@@ -140,11 +138,12 @@ enum class LinkState : std::uint8_t {
 
 const char* to_string(LinkState state);
 
+/// Consecutive heartbeat misses before the link is kPartitioned.
+inline constexpr std::uint32_t kHeartbeatLossThreshold = 3;
+
 struct SessionOptions {
   std::uint64_t election_id = 1;
   Backoff retry;
-  /// Consecutive heartbeat misses before the link is kPartitioned.
-  std::uint32_t heartbeat_loss_threshold = 3;
 };
 
 struct WriteResult {

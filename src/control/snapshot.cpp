@@ -56,36 +56,29 @@ std::string Snapshot::to_text() const {
     // the byte-identity oracles compare snapshots of switches whose
     // entries arrived in different orders (retries, recoveries); the
     // text must be a pure function of the state.
-    std::vector<std::size_t> order(t.ternary.size());
-    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-    auto twindow = [&](std::size_t i) {
-      return i < t.ternary_windows.size() ? t.ternary_windows[i]
-                                          : sim::EpochWindow{};
-    };
-    auto tkey = [](const net::Tcam<sim::ActionCall>::Entry& e) {
+    auto tkey = [](const sim::RuntimeTable::TernaryEntry& e) {
       std::vector<std::pair<std::uint64_t, std::uint64_t>> k;
       k.reserve(e.key.size());
       for (const auto& f : e.key) k.emplace_back(f.value, f.mask);
       return k;
     };
-    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      const auto& ea = t.ternary[a];
-      const auto& eb = t.ternary[b];
-      return std::tuple(ea.priority, tkey(ea), twindow(a).from) <
-             std::tuple(eb.priority, tkey(eb), twindow(b).from);
-    });
-    for (std::size_t i : order) {
-      const auto& e = t.ternary[i];
+    auto ternary = t.ternary;
+    std::sort(ternary.begin(), ternary.end(),
+              [&](const auto& a, const auto& b) {
+                return std::tuple(a.priority, tkey(a), a.window.from) <
+                       std::tuple(b.priority, tkey(b), b.window.from);
+              });
+    for (const auto& e : ternary) {
       out += "  ternary";
       for (const auto& f : e.key) {
         out += " " + std::to_string(f.value) + "/" + std::to_string(f.mask);
       }
       out += " prio=" + std::to_string(e.priority) + " -> " +
-             e.value.action;
-      for (const auto& [param, value] : e.value.args) {
+             e.action.action;
+      for (const auto& [param, value] : e.action.args) {
         out += " " + param + "=" + std::to_string(value);
       }
-      out += window_suffix(twindow(i));
+      out += window_suffix(e.window);
       out += "\n";
     }
   }
@@ -115,10 +108,6 @@ Snapshot take_snapshot(sim::DataPlane& dp) {
       state.table = t.name;
       state.exact = rt->exact_entries();
       state.ternary = rt->ternary_entries();
-      state.ternary_windows.reserve(state.ternary.size());
-      for (const auto& e : state.ternary) {
-        state.ternary_windows.push_back(rt->ternary_window(e.handle));
-      }
       snap.tables.push_back(std::move(state));
     }
     for (const p4ir::RegisterDef& r : control.registers()) {
@@ -158,18 +147,14 @@ std::vector<std::string> restore_snapshot(const Snapshot& snapshot,
       runnable.push_back(bad.empty());
     };
     for (const auto& e : state.exact) check(e.action);
-    for (const auto& e : state.ternary) check(e.value);
+    for (const auto& e : state.ternary) check(e.action);
     rt->clear();
     std::size_t n = 0;
     for (const auto& e : state.exact) {
       if (runnable[n++]) rt->add_exact(e.key, e.action, e.window);
     }
-    for (std::size_t i = 0; i < state.ternary.size(); ++i) {
-      const auto& e = state.ternary[i];
-      const sim::EpochWindow window = i < state.ternary_windows.size()
-                                          ? state.ternary_windows[i]
-                                          : sim::EpochWindow{};
-      if (runnable[n++]) rt->add_ternary(e.key, e.priority, e.value, window);
+    for (const auto& e : state.ternary) {
+      if (runnable[n++]) rt->add_ternary(e.key, e.priority, e.action, e.window);
     }
   }
   for (const Snapshot::RegisterState& state : snapshot.registers) {

@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "net/tcam.hpp"
 #include "sim/dataplane.hpp"
 
 namespace dejavu::control {
@@ -21,10 +20,7 @@ struct Snapshot {
     std::string control;
     std::string table;
     std::vector<sim::RuntimeTable::ExactEntry> exact;
-    std::vector<net::Tcam<sim::ActionCall>::Entry> ternary;
-    /// Epoch window of each ternary entry, aligned with `ternary`
-    /// (windows live beside the TCAM, not in it).
-    std::vector<sim::EpochWindow> ternary_windows;
+    std::vector<sim::RuntimeTable::TernaryEntry> ternary;
   };
   struct RegisterState {
     std::string control;

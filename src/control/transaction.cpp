@@ -6,7 +6,7 @@
 
 namespace dejavu::control {
 
-Transaction::Transaction(sim::DataPlane& dp, RetryPolicy retry,
+Transaction::Transaction(sim::DataPlane& dp, Backoff retry,
                          sim::FaultInjector* injector)
     : dp_(&dp), retry_(retry), injector_(injector) {}
 

@@ -37,7 +37,7 @@ class Transaction {
   /// attempt (the write lane of a sim::FaultPlan). Rollback writes
   /// bypass it: undo capacity is modeled as reserved, so rollback
   /// itself cannot fail.
-  explicit Transaction(sim::DataPlane& dp, RetryPolicy retry = {},
+  explicit Transaction(sim::DataPlane& dp, Backoff retry = {},
                        sim::FaultInjector* injector = nullptr);
 
   /// Installs take an optional epoch window (default [0, open]): a
@@ -162,7 +162,7 @@ class Transaction {
   void rollback(std::vector<UndoEntry>& undo);
 
   sim::DataPlane* dp_;
-  RetryPolicy retry_;
+  Backoff retry_;
   sim::FaultInjector* injector_;
   std::vector<Op> ops_;
   bool committed_ = false;

@@ -158,8 +158,8 @@ AbsVal flag_from(const AbsVal& v) {
 /// graph.
 class Walker {
  public:
-  Walker(sim::DataPlane& dp, const CostOptions& opts, std::uint32_t epoch)
-      : dp_(dp), prog_(dp.program()), opts_(opts), epoch_(epoch) {}
+  Walker(sim::DataPlane& dp, std::uint32_t epoch)
+      : dp_(dp), prog_(dp.program()), epoch_(epoch) {}
 
   // Passes are driven from an explicit stack, not by recursion (a
   // 64-pass loop would nest every pipelet walk on the call stack). A
@@ -193,7 +193,7 @@ class Walker {
   using Cont = std::function<void(AbsState)>;
 
   bool spawn() {
-    if (++spawned_ > opts_.max_forks) {
+    if (++spawned_ > kMaxForks) {
       capped = true;
       return false;
     }
@@ -388,7 +388,7 @@ class Walker {
   }
 
   void start_pass(AbsState s) {
-    if (s.pass >= dp_.max_passes() + opts_.pass_budget_slack) {
+    if (s.pass >= dp_.max_passes() + kPassBudgetSlack) {
       finish(std::move(s), "unbounded",
              "pass budget (cap + slack) exhausted without termination");
       return;
@@ -730,7 +730,7 @@ class Walker {
     bool miss_alive = true;
 
     for (const auto& e : rt.ternary_entries()) {
-      if (!rt.ternary_window(e.handle).contains(epoch_)) continue;
+      if (!e.window.contains(epoch_)) continue;
       Tri agg = Tri::kAlways;
       for (std::size_t i = 0; i < miss_key.size(); ++i) {
         const Tri t = miss_key[i].match_tri(e.key[i].value, e.key[i].mask);
@@ -749,7 +749,7 @@ class Walker {
           aset(miss_s, miss_c, table.keys[i].field, miss_key[i]);
         }
         finish_lookup(std::move(miss_s), std::move(miss_c), control, ci, idx,
-                      true, e.value, std::move(k));
+                      true, e.action, std::move(k));
         return;
       }
 
@@ -765,7 +765,7 @@ class Walker {
       }
       if (hit_ok && spawn()) {
         finish_lookup(std::move(hs), std::move(hc), control, ci, idx, true,
-                      e.value, k);
+                      e.action, k);
       }
       // ...and refine the miss state: exclude this entry via its first
       // undecided component.
@@ -939,7 +939,6 @@ class Walker {
 
   sim::DataPlane& dp_;
   const p4ir::Program& prog_;
-  const CostOptions& opts_;
   std::uint32_t epoch_;
   std::size_t spawned_ = 0;
   /// Traces waiting at a pipelet boundary; the back runs next.
@@ -1004,7 +1003,7 @@ CostResult run(sim::DataPlane& dp, const sfc::PolicySet& policies,
       s.overlay.emplace(slice.def.field, std::move(v));
     }
 
-    Walker w(dp, options, epoch);
+    Walker w(dp, epoch);
     w.walk(std::move(s));
 
     result.stats.forks += w.forks;
@@ -1035,7 +1034,7 @@ CostResult run(sim::DataPlane& dp, const sfc::PolicySet& policies,
       cc.bounded = false;
       if (unbounded_why.empty()) {
         unbounded_why = "abstract-trace budget of " +
-                        std::to_string(options.max_forks) +
+                        std::to_string(kMaxForks) +
                         " forks exhausted";
       }
     }

@@ -31,14 +31,14 @@
 
 namespace dejavu::cost {
 
+/// Abstract-trace budget per class; exceeding it abandons the class
+/// as conservatively unbounded (DV-C1) and voids DV-C4 coverage.
+inline constexpr std::size_t kMaxForks = 512;
+/// Extra passes past the configured cap the walker explores to tell
+/// "terminates beyond the cap" (DV-C2) from "never terminates" (DV-C1).
+inline constexpr std::uint32_t kPassBudgetSlack = 12;
+
 struct CostOptions {
-  /// Abstract-trace budget per class; exceeding it abandons the class
-  /// as conservatively unbounded (DV-C1) and voids DV-C4 coverage.
-  std::size_t max_forks = 512;
-  /// Extra passes past the configured cap the walker explores to tell
-  /// "terminates beyond the cap" (DV-C2) from "never terminates"
-  /// (DV-C1).
-  std::uint32_t pass_budget_slack = 12;
   /// Offered load the static per-path demands split by policy weight
   /// when feeding the fluid solver.
   double offered_gbps = 100.0;

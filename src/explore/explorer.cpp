@@ -656,7 +656,7 @@ void Explorer::do_table(PathState s, const p4ir::ControlBlock& control,
       }
     } else {
       for (const auto& e : rt->ternary_entries()) {
-        if (!rt->ternary_window(e.handle).contains(epoch_)) continue;
+        if (!e.window.contains(epoch_)) continue;
         bool match = true;
         for (std::size_t i = 0; i < key.size(); ++i) {
           if (!e.key[i].matches(key[i].val)) {
@@ -667,8 +667,8 @@ void Explorer::do_table(PathState s, const p4ir::ControlBlock& control,
         if (match) {
           hit_entries_.insert(
               coverage_ternary_id(control.name(), table->name, e.handle));
-          consult_window(s, table->name, rt->ternary_window(e.handle));
-          finish_lookup(std::move(s), control, entry, true, e.value, next);
+          consult_window(s, table->name, e.window);
+          finish_lookup(std::move(s), control, entry, true, e.action, next);
           return;
         }
       }
@@ -742,7 +742,7 @@ void Explorer::do_table(PathState s, const p4ir::ControlBlock& control,
   std::vector<bool> compatible(entries.size(), false);
   std::vector<int> first_sym(entries.size(), -1);
   for (std::size_t n = 0; n < entries.size(); ++n) {
-    bool maybe = rt->ternary_window(entries[n].handle).contains(epoch_);
+    bool maybe = entries[n].window.contains(epoch_);
     for (std::size_t i = 0; maybe && i < key.size(); ++i) {
       if (!key[i].sym && !entries[n].key[i].matches(key[i].val)) {
         maybe = false;
@@ -784,8 +784,8 @@ void Explorer::do_table(PathState s, const p4ir::ControlBlock& control,
     }
     hit_entries_.insert(
         coverage_ternary_id(control.name(), table->name, entries[n].handle));
-    consult_window(hs, table->name, rt->ternary_window(entries[n].handle));
-    finish_lookup(std::move(hs), control, entry, true, entries[n].value, next);
+    consult_window(hs, table->name, entries[n].window);
+    finish_lookup(std::move(hs), control, entry, true, entries[n].action, next);
   }
   bool miss_feasible = true;
   for (std::size_t n = 0; n < entries.size() && miss_feasible; ++n) {
@@ -1055,7 +1055,7 @@ void Explorer::finish_drop(PathState& s, sim::DropCode code,
 }
 
 void Explorer::finish(PathState s) {
-  if (paths_.size() >= options_.max_paths) {
+  if (paths_.size() >= kMaxPaths) {
     ++stats_.truncated;
     return;
   }
@@ -1186,7 +1186,7 @@ void Explorer::coverage_check() {
                         ") never matched on any explored path");
       }
       for (const auto& e : rt->ternary_entries()) {
-        if (!rt->ternary_window(e.handle).contains(epoch_)) continue;
+        if (!e.window.contains(epoch_)) continue;
         if (hit_entries_.contains(
                 coverage_ternary_id(control.name(), t.name, e.handle))) {
           continue;
@@ -1230,7 +1230,7 @@ void Explorer::epoch_audit() {
       for (const auto& e : rt->ternary_entries()) {
         versions["(" + join_ternary(e.key) + ") prio " +
                  std::to_string(e.priority)]
-            .push_back(rt->ternary_window(e.handle));
+            .push_back(e.window);
       }
       for (const auto& [key, windows] : versions) {
         for (const sim::EpochWindow& w : windows) {

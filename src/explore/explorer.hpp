@@ -26,10 +26,11 @@
 
 namespace dejavu::explore {
 
+/// Safety valve on the number of completed symbolic paths; paths
+/// beyond it are counted in stats.truncated, not analyzed.
+inline constexpr std::size_t kMaxPaths = 20000;
+
 struct ExploreOptions {
-  /// Safety valve on the number of completed symbolic paths; paths
-  /// beyond it are counted in stats.truncated, not analyzed.
-  std::size_t max_paths = 20000;
   /// Replay every witness through a cloned concrete dataplane and
   /// report disagreements as DV-S7.
   bool differential = true;
@@ -96,7 +97,7 @@ struct PathSummary {
 struct ExploreStats {
   std::size_t paths = 0;       // completed symbolic paths
   std::size_t infeasible = 0;  // forks pruned as unsatisfiable
-  std::size_t truncated = 0;   // paths beyond the max_paths valve
+  std::size_t truncated = 0;   // paths beyond the kMaxPaths valve
   std::size_t replays = 0;     // differential replays executed
 };
 

@@ -18,7 +18,7 @@
 // Semantics contract: every packet — wire packet or CPU reinjection,
 // well-formed or truncated — runs compiled, and its outcome is
 // bit-identical to the interpreter's: same SwitchOutput (minus the
-// debug trace / pipelets_visited), same port counters, same register
+// debug trace), same port counters, same register
 // side effects, same punt-ledger movement, same per-table hit/miss
 // counters, same DropCode attribution, same pass cap. The lowered
 // parser walks the merged parser graph the way run_parser does, so no
@@ -66,8 +66,8 @@ struct CompiledStats {
 
 /// SwitchOutput equality over everything the engines must agree on:
 /// emissions, punts, drop code + reason string, epoch, resubmission /
-/// recirculation counts and ports. The debug trace and
-/// pipelets_visited are interpreter-only diagnostics and excluded.
+/// recirculation counts and ports. The debug trace is an
+/// interpreter-only diagnostic and excluded.
 bool semantically_equal(const SwitchOutput& a, const SwitchOutput& b);
 
 /// One compiled engine bound to one DataPlane. Not thread-safe: the

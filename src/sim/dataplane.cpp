@@ -253,7 +253,6 @@ void DataPlane::execute_action(const p4ir::ControlBlock& control,
 
 void DataPlane::run_pipelet(const asic::PipeletId& id, net::Packet& packet,
                             StandardMetadata& meta, SwitchOutput& out) {
-  out.pipelets_visited.push_back(id);
   const p4ir::ControlBlock* control =
       program_->find_control(merge::pipelet_control_name(id));
   if (control == nullptr) {

@@ -64,7 +64,6 @@ struct SwitchOutput {
   /// in order (size == recirculations). Lets observers attribute
   /// recirculation load to pipelines without parsing the trace.
   std::vector<std::uint16_t> recirc_ports;
-  std::vector<asic::PipeletId> pipelets_visited;
   std::vector<std::string> trace;
 
   bool delivered() const { return !out.empty(); }

@@ -428,13 +428,14 @@ EpochWindow RuntimeTable::ternary_window(std::size_t handle) const {
   return EpochWindow{};
 }
 
-std::vector<RuntimeTable::TernaryVersion> RuntimeTable::ternary_versions(
+std::vector<RuntimeTable::TernaryEntry> RuntimeTable::ternary_versions(
     const std::vector<net::TernaryField>& key, std::int32_t priority) const {
-  std::vector<TernaryVersion> out;
+  std::vector<TernaryEntry> out;
   if (!tcam_) return out;
   for (const auto& e : tcam_->entries()) {
     if (e.priority == priority && e.key == key) {
-      out.push_back({e.handle, e.value.window, text(e.value)});
+      out.push_back(
+          {e.handle, e.priority, e.key, text(e.value), e.value.window});
     }
   }
   return out;
@@ -554,13 +555,14 @@ std::vector<RuntimeTable::ExactEntry> RuntimeTable::exact_entries() const {
   return out;
 }
 
-std::vector<net::Tcam<ActionCall>::Entry> RuntimeTable::ternary_entries()
+std::vector<RuntimeTable::TernaryEntry> RuntimeTable::ternary_entries()
     const {
-  std::vector<net::Tcam<ActionCall>::Entry> out;
+  std::vector<TernaryEntry> out;
   if (!tcam_) return out;
   out.reserve(tcam_->size());
   for (const auto& e : tcam_->entries()) {
-    out.push_back({e.handle, e.priority, e.key, text(e.value)});
+    out.push_back(
+        {e.handle, e.priority, e.key, text(e.value), e.value.window});
   }
   return out;
 }

@@ -212,16 +212,19 @@ class RuntimeTable {
   /// The window of a ternary/LPM entry ([0, open] when never tagged).
   EpochWindow ternary_window(std::size_t handle) const;
 
-  /// One installed version of a ternary/LPM (key, priority).
-  struct TernaryVersion {
+  /// One installed ternary/LPM entry version, window included (state
+  /// export, like ExactEntry).
+  struct TernaryEntry {
     std::size_t handle;
-    EpochWindow window;
+    std::int32_t priority;
+    std::vector<net::TernaryField> key;
     ActionCall action;
+    EpochWindow window;
   };
   /// Every installed version of the ternary/LPM entry `key` at
   /// `priority`, in match order; empty when none (or an exact table).
   /// One pass over the entries.
-  std::vector<TernaryVersion> ternary_versions(
+  std::vector<TernaryEntry> ternary_versions(
       const std::vector<net::TernaryField>& key, std::int32_t priority) const;
 
   /// Drop every version retired before `min_live` (window.to <
@@ -282,9 +285,9 @@ class RuntimeTable {
   /// sorted by key, then window. The explorer and the cost walker fork
   /// in this order.
   std::vector<ExactEntry> exact_entries() const;
-  /// Ternary/LPM entries in match-priority order (empty for exact
-  /// tables).
-  std::vector<net::Tcam<ActionCall>::Entry> ternary_entries() const;
+  /// Ternary/LPM entries in match-priority order, every version
+  /// included (empty for exact tables).
+  std::vector<TernaryEntry> ternary_entries() const;
 
   // --- state-integrity surface (DESIGN.md §16) ---
 

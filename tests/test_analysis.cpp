@@ -89,6 +89,15 @@ TEST(Footprint, DropAndSfcPushAreControlEffectsNotFieldWrites) {
   EXPECT_FALSE(fp.field_writes.count("sfc.drop_flag"));
 }
 
+// The one JSON escaper every renderer shares: a raw control character
+// would make the document invalid JSON.
+TEST(JsonEscape, ControlCharactersBecomeUnicodeEscapes) {
+  EXPECT_EQ(json_escape("\x01"), "\\u0001");
+  EXPECT_EQ(json_escape("a\x1f" "b"), "a\\u001fb");
+  EXPECT_EQ(json_escape("\"q\"\\\n\t"), "\\\"q\\\"\\\\\\n\\t");
+  EXPECT_EQ(json_escape("plain text"), "plain text");
+}
+
 TEST(Commutativity, DisjointFootprintsAreIndependent) {
   const Footprint a =
       compute_footprint(one_action_nf("A", {p4ir::set_imm("ipv4.tos", 1)}));

@@ -8,6 +8,9 @@
 #include <cmath>
 
 #include "control/backoff.hpp"
+#include "control/live_update.hpp"
+#include "control/repair.hpp"
+#include "control/session.hpp"
 #include "control/transaction.hpp"
 
 namespace dejavu::control {
@@ -96,13 +99,16 @@ TEST(Backoff, DifferentRetriesJitterIndependently) {
 }
 
 TEST(Backoff, RetryPolicyIsTheSameType) {
-  // Transaction-era call sites keep the historical name; there is one
-  // schedule, not two.
-  static_assert(std::is_same_v<RetryPolicy, Backoff>);
-  RetryPolicy p;
-  p.seed = 42;
-  const Backoff& b = p;
-  EXPECT_EQ(b.backoff_ms(3), p.backoff_ms(3));
+  // Every retry policy — Transaction's, a live update's, repair's and
+  // the session layer's — is a Backoff: one schedule, not two.
+  static_assert(std::is_same_v<decltype(LiveUpdateOptions::retry), Backoff>);
+  static_assert(std::is_same_v<decltype(RepairPolicy::retry), Backoff>);
+  static_assert(std::is_same_v<decltype(SessionOptions::retry), Backoff>);
+  static_assert(std::is_same_v<decltype(AgentOptions::retry), Backoff>);
+  LiveUpdateOptions options;
+  options.retry.seed = 42;
+  const Backoff& b = options.retry;
+  EXPECT_EQ(b.backoff_ms(3), Backoff{.seed = 42}.backoff_ms(3));
 }
 
 }  // namespace

@@ -4,6 +4,9 @@
 // scanned linearly, after every step of generated install / overwrite /
 // remove / retire / unretire / gc / corrupt sequences at key arity 1-8,
 // and pins that gc() leaves the index alone when nothing is retired.
+// A ternary twin table replays the same sequence with full-mask keys,
+// so ternary_entries() and its windows are checked against the same
+// kind of scan.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -89,6 +92,15 @@ struct Reference {
   bool taken(const Key& key, EpochWindow w) const {
     return first(key, [&](const Version& x) { return x.window == w; })
         .has_value();
+  }
+
+  /// add() as a ternary table does it: a reinstall under the same
+  /// window is refused, not an overwrite.
+  bool add_new(const Key& key, const ActionCall& call, EpochWindow w) {
+    if (first(key, [&](const Version& x) { return x.window.overlaps(w); })) {
+      return false;
+    }
+    return add(key, call, w);
   }
 
   bool add(const Key& key, const ActionCall& call, EpochWindow w) {
@@ -293,6 +305,53 @@ void check(const RuntimeTable& rt, const Reference& ref,
   }
 }
 
+std::vector<net::TernaryField> full_mask(const Key& key) {
+  std::vector<net::TernaryField> out;
+  for (const std::uint64_t v : key) out.push_back({v, ~std::uint64_t{0}});
+  return out;
+}
+
+/// The ternary twin's observable state against `ref`: every
+/// ternary_entries() version with its window, and the lookup at every
+/// epoch.
+void check_ternary(const RuntimeTable& rt, const Reference& ref,
+                   const std::vector<Key>& pool, const std::string& where) {
+  ASSERT_EQ(rt.entry_count(), ref.v.size()) << where;
+  ASSERT_EQ(rt.retired_count(), ref.retired_count()) << where;
+  std::vector<RuntimeTable::ExactEntry> got;
+  for (const RuntimeTable::TernaryEntry& e : rt.ternary_entries()) {
+    Key key;
+    for (const net::TernaryField& f : e.key) key.push_back(f.value);
+    EXPECT_EQ(e.priority, 0) << where;
+    EXPECT_EQ(e.window, rt.ternary_window(e.handle)) << where;
+    got.push_back({std::move(key), e.action, e.window});
+  }
+  std::vector<RuntimeTable::ExactEntry> want;
+  for (const Version& x : ref.v) want.push_back({x.key, x.action, x.window});
+  ASSERT_EQ(got.size(), want.size()) << where;
+  auto by_rank = [](const auto& a, const auto& b) { return rank(a) < rank(b); };
+  std::sort(got.begin(), got.end(), by_rank);
+  std::sort(want.begin(), want.end(), by_rank);
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    expect_same(got[i], {want[i].key, want[i].action, want[i].window},
+                where + " ternary");
+  }
+  std::vector<Key> keys = pool;
+  for (const Version& x : ref.v) keys.push_back(x.key);
+  for (const Key& key : keys) {
+    const std::vector<std::optional<std::uint64_t>> probe_key(key.begin(),
+                                                              key.end());
+    for (const std::uint32_t epoch : kEpochs) {
+      const std::optional<Version> vis = ref.visible(key, epoch);
+      const LookupResult res = rt.lookup(probe_key, epoch);
+      ASSERT_EQ(res.hit, vis.has_value()) << where << " ternary " << epoch;
+      if (vis) {
+        EXPECT_EQ(res.action, vis->action) << where << " ternary";
+      }
+    }
+  }
+}
+
 /// A pool of keys at `arity`: small values, and keys that differ from
 /// one another only in the high 32 bits of one component.
 std::vector<Key> key_pool(std::size_t arity, std::mt19937_64& rng) {
@@ -336,12 +395,25 @@ EpochWindow random_window(std::mt19937_64& rng) {
   return {from, to};
 }
 
-/// One generated sequence; `corrupting` mixes in corrupt() steps.
+/// One generated sequence; `corrupting` mixes in corrupt() steps. The
+/// ternary twin `tt` (full-mask keys, one priority) replays every step
+/// but corrupt() against its own scan `tref`.
 void run_sequence(std::size_t arity, std::uint64_t seed, bool corrupting) {
   constexpr std::size_t kMaxEntries = 24;
   const Fixture fx(arity, kMaxEntries);
   RuntimeTable rt(fx.control, fx.def());
   Reference ref{arity, kMaxEntries, {}};
+  const Fixture tfx(arity, kMaxEntries, {"a0", "a1", "a3"},
+                    p4ir::MatchKind::kTernary);
+  RuntimeTable tt(tfx.control, tfx.def());
+  Reference tref{arity, kMaxEntries, {}};
+  auto twin_version = [&](const Key& key, auto pred) {
+    std::optional<std::size_t> handle;
+    for (const auto& v : tt.ternary_versions(full_mask(key), 0)) {
+      if (pred(v.window)) handle = v.handle;
+    }
+    return handle;
+  };
   std::mt19937_64 rng(seed * 1000003 + arity);
   const std::vector<Key> pool = key_pool(arity, rng);
   auto pick_key = [&]() -> const Key& {
@@ -370,10 +442,20 @@ void run_sequence(std::size_t arity, std::uint64_t seed, bool corrupting) {
       }
       ASSERT_EQ(ok, ref.add(key, call, w)) << where << " add";
       changed = ok;
+      bool tok = true;
+      try {
+        tt.add_ternary(full_mask(key), 0, call, w);
+      } catch (const std::invalid_argument&) {
+        tok = false;
+      }
+      ASSERT_EQ(tok, tref.add_new(key, call, w)) << where << " ternary add";
     } else if (op < 55) {
       const Key key = pick_key();
       changed = rt.remove_exact(key);
       ASSERT_EQ(changed, ref.remove(key, nullptr)) << where << " remove";
+      const auto live = tt.find_ternary(full_mask(key), 0);
+      ASSERT_EQ(live && tt.erase_ternary(*live), tref.remove(key, nullptr))
+          << where << " ternary remove";
     } else if (op < 63) {
       const Key key = pick_key();
       const std::vector<Version> vs = ref.versions(key);
@@ -382,11 +464,19 @@ void run_sequence(std::size_t arity, std::uint64_t seed, bool corrupting) {
                                 : random_window(rng);
       changed = rt.remove_exact_version(key, w);
       ASSERT_EQ(changed, ref.remove(key, &w)) << where << " remove version";
+      const auto version =
+          twin_version(key, [&](EpochWindow x) { return x == w; });
+      ASSERT_EQ(version && tt.erase_ternary(*version), tref.remove(key, &w))
+          << where << " ternary remove version";
     } else if (op < 73) {
       const Key key = pick_key();
       const auto last = static_cast<std::uint32_t>(rng() % 7);
       changed = rt.retire_exact(key, last);
       ASSERT_EQ(changed, ref.retire(key, last)) << where << " retire";
+      const auto live = tt.find_ternary(full_mask(key), 0);
+      ASSERT_EQ(live && tt.retire_ternary(*live, last),
+                tref.retire(key, last))
+          << where << " ternary retire";
     } else if (op < 83) {
       const Key key = pick_key();
       const std::vector<Version> vs = ref.versions(key);
@@ -395,15 +485,27 @@ void run_sequence(std::size_t arity, std::uint64_t seed, bool corrupting) {
                                      : static_cast<std::uint32_t>(rng() % 7);
       changed = rt.unretire_exact(key, last);
       ASSERT_EQ(changed, ref.unretire(key, last)) << where << " unretire";
+      // unretire_ternary re-opens without checking the key's other
+      // versions, so the twin only replays the re-opens the scan
+      // accepts (and none of an already open window, a no-op there).
+      if (last != kEpochOpen && tref.unretire(key, last)) {
+        const auto version =
+            twin_version(key, [&](EpochWindow x) { return x.to == last; });
+        ASSERT_TRUE(version && tt.unretire_ternary(*version, last))
+            << where << " ternary unretire";
+      }
     } else if (op < 88) {
       const auto min_live = static_cast<std::uint32_t>(rng() % 8);
       const std::size_t removed = rt.gc(min_live);
       ASSERT_EQ(removed, ref.gc(min_live)) << where << " gc";
       changed = removed > 0;
+      ASSERT_EQ(tt.gc(min_live), tref.gc(min_live)) << where << " ternary gc";
     } else if (op < 89) {
       rt.clear();
       ref.v.clear();
       changed = true;
+      tt.clear();
+      tref.v.clear();
     } else if (corrupting) {
       const auto kind = static_cast<RuntimeTable::CorruptKind>(rng() % 5);
       const std::uint64_t salt = rng();
@@ -417,6 +519,8 @@ void run_sequence(std::size_t arity, std::uint64_t seed, bool corrupting) {
       EXPECT_EQ(rt.revision(), rev) << where;
     }
     check(rt, ref, pool, where);
+    if (::testing::Test::HasFatalFailure()) return;
+    check_ternary(tt, tref, pool, where);
     if (::testing::Test::HasFatalFailure()) return;
   }
 
@@ -626,7 +730,7 @@ TEST(RuleIndex, TernaryRetiredCountFollowsEveryWindowChange) {
   auto count = [&](auto pred) {
     std::size_t n = 0;
     for (const auto& e : rt.ternary_entries()) {
-      n += pred(rt.ternary_window(e.handle)) ? 1 : 0;
+      n += pred(e.window) ? 1 : 0;
     }
     return n;
   };

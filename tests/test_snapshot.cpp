@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <tuple>
+
 #include "control/deployment.hpp"
 #include "control/replay_target.hpp"
 #include "merge/framework.hpp"
@@ -185,6 +188,49 @@ TEST(Snapshot, RegistersRoundTrip) {
   std::uint64_t total = 0;
   for (auto v : *cells) total += v;
   EXPECT_EQ(total, 7u);
+}
+
+// Ternary versions keep their windows through take_snapshot ->
+// restore_snapshot: a retired version, its shadow successor and an
+// already closed version of another priority come back with the same
+// windows, the same text and the same table digest.
+TEST(Snapshot, TernaryVersionsRoundTripWithTheirWindows) {
+  auto fx = make_fig9_deployment();
+  sim::RuntimeTable* acl = fx.deployment->dataplane().tables_named("FW.acl")
+                               .front();
+  const std::vector<net::TernaryField> key{
+      {0x0a000000, 0xff000000}, {0, 0}, {6, 0xff}, {22, 0xffff}};
+  const std::size_t old = acl->add_ternary(key, 50, {"FW.permit", {}});
+  ASSERT_TRUE(acl->retire_ternary(old, 2));
+  acl->add_ternary(key, 50, {"FW.deny", {}}, {3, sim::kEpochOpen});
+  acl->add_ternary(key, 60, {"FW.deny", {}}, {1, 4});
+
+  const Snapshot snap = take_snapshot(fx.deployment->dataplane());
+  std::vector<sim::EpochWindow> windows;
+  for (const Snapshot::TableState& t : snap.tables) {
+    if (t.table != "FW.acl") continue;
+    for (const auto& e : t.ternary) {
+      if (e.key == key) windows.push_back(e.window);
+    }
+  }
+  std::sort(windows.begin(), windows.end(), [](const auto& a, const auto& b) {
+    return std::tie(a.from, a.to) < std::tie(b.from, b.to);
+  });
+  const std::vector<sim::EpochWindow> want{
+      {0, 2}, {1, 4}, {3, sim::kEpochOpen}};
+  EXPECT_EQ(windows, want);
+  const std::string text = snap.to_text();
+  for (const char* w : {" win=0..2\n", " win=1..4\n", " win=3..open\n"}) {
+    EXPECT_NE(text.find(w), std::string::npos) << w;
+  }
+
+  auto fresh = make_fig9_deployment();
+  EXPECT_TRUE(restore_snapshot(snap, fresh.deployment->dataplane()).empty());
+  EXPECT_EQ(take_snapshot(fresh.deployment->dataplane()).to_text(), text);
+  const sim::RuntimeTable* restored =
+      fresh.deployment->dataplane().tables_named("FW.acl").front();
+  EXPECT_EQ(restored->state_digest(), acl->state_digest());
+  EXPECT_EQ(restored->retired_count(), 2u);
 }
 
 }  // namespace

@@ -52,7 +52,7 @@ std::unique_ptr<Deployment> make_stateful_deployment() {
 }
 
 TEST(RetryPolicy, BackoffIsDeterministicAndBounded) {
-  const RetryPolicy p;
+  const Backoff p;
   for (std::uint32_t retry = 1; retry <= 8; ++retry) {
     const std::uint32_t ms = p.backoff_ms(retry);
     EXPECT_EQ(ms, p.backoff_ms(retry)) << "retry " << retry;
@@ -63,7 +63,7 @@ TEST(RetryPolicy, BackoffIsDeterministicAndBounded) {
   // Exponential until the clamp.
   EXPECT_LT(p.backoff_ms(1), p.backoff_ms(3));
 
-  RetryPolicy reseeded = p;
+  Backoff reseeded = p;
   reseeded.seed = 0xfeed;
   bool any_differs = false;
   for (std::uint32_t retry = 1; retry <= 8; ++retry) {
@@ -251,7 +251,7 @@ TEST(Transaction, TransientFaultsRetryUnderBackoff) {
   const sim::FaultPlan plan = write_fail_plan(/*op_index=*/0, /*count=*/2);
   sim::FaultInjector injector(plan);
 
-  Transaction txn(fx.deployment->dataplane(), RetryPolicy{}, &injector);
+  Transaction txn(fx.deployment->dataplane(), Backoff{}, &injector);
   txn.install_exact("LB.lb_session", {0x77},
                     {"LB.modify_dstIp", {{"dip", 3}}});
   const auto result = txn.commit();
@@ -274,7 +274,7 @@ TEST(Transaction, ExhaustedRetriesRollBackByteIdentical) {
 
   const sim::FaultPlan plan = write_fail_plan(/*op_index=*/3, /*count=*/10);
   sim::FaultInjector injector(plan);
-  Transaction txn(dp, RetryPolicy{}, &injector);
+  Transaction txn(dp, Backoff{}, &injector);
   txn.install_exact("LB.lb_session", {0x42},  // overwrite
                     {"LB.modify_dstIp", {{"dip", 0xbad}}});
   txn.remove_exact("LB.lb_session", {0x43});  // removal
@@ -304,7 +304,7 @@ TEST(Transaction, RegisterWritesRollBackToo) {
 
   const sim::FaultPlan plan = write_fail_plan(/*op_index=*/2, /*count=*/10);
   sim::FaultInjector injector(plan);
-  Transaction txn(dp, RetryPolicy{}, &injector);
+  Transaction txn(dp, Backoff{}, &injector);
   txn.write_register(ctrl, "Limiter.flow_count", 5, 2222);
   txn.install_lpm("Router.ipv4_lpm", net::Ipv4Addr(10, 88, 0, 0).value(), 16,
                   {"Router.route", {{"port", 1}, {"dmac", 0x88}}});
@@ -337,7 +337,7 @@ TEST(Transaction, DoubleCommitThrowsEvenAfterRollback) {
   auto fx = make_fig9_deployment();
   const sim::FaultPlan plan = write_fail_plan(/*op_index=*/0, /*count=*/10);
   sim::FaultInjector injector(plan);
-  Transaction txn(fx.deployment->dataplane(), RetryPolicy{}, &injector);
+  Transaction txn(fx.deployment->dataplane(), Backoff{}, &injector);
   txn.install_exact("LB.lb_session", {0x90},
                     {"LB.modify_dstIp", {{"dip", 5}}});
   const auto result = txn.commit();
@@ -364,7 +364,7 @@ TEST(Transaction, FaultOnFinalRegisterWriteRollsBackEverything) {
 
   const sim::FaultPlan plan = write_fail_plan(/*op_index=*/2, /*count=*/10);
   sim::FaultInjector injector(plan);
-  Transaction txn(dp, RetryPolicy{}, &injector);
+  Transaction txn(dp, Backoff{}, &injector);
   txn.install_lpm("Router.ipv4_lpm", net::Ipv4Addr(10, 66, 0, 0).value(), 16,
                   {"Router.route", {{"port", 1}, {"dmac", 0x66}}});
   txn.install_ternary("Classifier.traffic_class", {{0, 0}, {0, 0}, {0, 0}},

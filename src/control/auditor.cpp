@@ -217,17 +217,16 @@ ScrubReport Auditor::scrub() {
 
   Snapshot actual = take_snapshot(*live_);
   Snapshot intended = take_snapshot(*mirror_);
-  auto ops = snapshot_diff(actual, intended);
-  r.ops = ops.size();
-  report_.scrub_ops += ops.size();
+  WriteCommand plan = snapshot_diff(actual, intended);
+  r.ops = plan.edits();
+  report_.scrub_ops += r.ops;
 
-  if (!ops.empty()) {
+  if (r.ops > 0) {
     SessionMsg msg;
     msg.kind = SessionMsg::Kind::kWrite;
     msg.election_id = options_.election_id;
     msg.seq = ++seq_;
-    msg.write.verb = WriteCommand::Verb::kReconcile;
-    msg.write.recon = std::move(ops);
+    msg.write = std::move(plan);
     AckMsg ack = agent_.handle(msg);
     if (!ack.ok) {
       r.error = ack.error.empty() ? "reconcile write rejected" : ack.error;

@@ -32,9 +32,10 @@
 // operator alarm; the compiled engine needs none, since it reads the
 // same store the interpreter does) and feeds
 // HealthMonitor::note_state(). Repair
-// is scrub(): snapshot both planes, snapshot_diff() the edit script,
+// is scrub(): snapshot both planes, snapshot_diff() the reconcile plan,
 // ship it as ONE atomic WriteCommand::Verb::kReconcile through a
-// SwitchAgent on the live plane (pre-image rollback on failure), then
+// SwitchAgent on the live plane (one Transaction: its undo log rolls a
+// failed plan back), then
 // verify convergence byte-for-byte via Snapshot::to_text().
 #pragma once
 
@@ -142,7 +143,7 @@ class Auditor {
 
   /// Self-scrubbing repair: diff live against mirror and converge with
   /// one atomic kReconcile write through the internal SwitchAgent
-  /// (all-or-nothing: the agent restores its pre-image on any mid-plan
+  /// (all-or-nothing: the agent's transaction rolls back any mid-plan
   /// failure). Verifies byte-identity afterwards. Clears the pending
   /// sample-divergence latch on success so the next tick reads clean.
   ScrubReport scrub();

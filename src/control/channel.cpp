@@ -4,51 +4,6 @@
 
 namespace dejavu::control {
 
-std::string ReconcileOp::describe() const {
-  switch (kind) {
-    case Kind::kAddExact:
-      return "add-exact " + control + "/" + table;
-    case Kind::kRemoveExact:
-      return "remove-exact " + control + "/" + table;
-    case Kind::kAddTernary:
-      return "add-ternary " + control + "/" + table;
-    case Kind::kRemoveTernary:
-      return "remove-ternary " + control + "/" + table;
-    case Kind::kSetRegister:
-      return "set-register " + control + "." + table + "[" +
-             std::to_string(index) + "]=" + std::to_string(value);
-    case Kind::kSetRegisterEpoch:
-      return "set-register-epoch " + control + "." + table + "=" +
-             std::to_string(value);
-    case Kind::kSetEpoch:
-      return "set-epoch " + std::to_string(value);
-    case Kind::kSetMinLive:
-      return "set-min-live " + std::to_string(value);
-  }
-  return "?";
-}
-
-std::string WriteCommand::describe() const {
-  switch (verb) {
-    case Verb::kLegacyDiff:
-      return "legacy-diff (" + std::to_string(diff.ops.size()) + " ops)";
-    case Verb::kShadowDiff:
-      return "shadow " + std::to_string(from_epoch) + "->" +
-             std::to_string(to_epoch);
-    case Verb::kFlip:
-      return "flip ->" + std::to_string(to_epoch);
-    case Verb::kDrain:
-      return "drain <" + std::to_string(to_epoch);
-    case Verb::kCommitGc:
-      return "commit-gc <" + std::to_string(to_epoch);
-    case Verb::kRollback:
-      return "rollback ->" + std::to_string(from_epoch);
-    case Verb::kReconcile:
-      return "reconcile (" + std::to_string(recon.size()) + " ops)";
-  }
-  return "?";
-}
-
 std::string ChannelStats::to_string() const {
   return "sent=" + std::to_string(sent) +
          " delivered=" + std::to_string(delivered) +

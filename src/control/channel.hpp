@@ -22,13 +22,21 @@
 //     ack dropped as stale. By then the session has timed out and
 //     re-sent under the same (election-id, seq), so the late original
 //     arrives as a duplicate — exactly what the dedup window absorbs.
+//
+// A write carries one WriteCommand: a verb plus a RuleDiff, whose
+// RuleOps (control/journal.hpp) are the one record of a table or
+// register-cell write. A legacy diff, a live update's shadow and a
+// reconcile each commit their RuleOps through one control::Transaction
+// on the switch side.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "control/journal.hpp"
@@ -36,36 +44,6 @@
 #include "sim/fault.hpp"
 
 namespace dejavu::control {
-
-/// One primitive of a reconciliation plan: the minimal edit bringing
-/// one concrete (control-scoped) piece of switch state to the
-/// controller's intended state. Computed by snapshot_diff(), applied
-/// atomically by the SwitchAgent.
-struct ReconcileOp {
-  enum class Kind : std::uint8_t {
-    kAddExact,          ///< install (or overwrite) an exact version
-    kRemoveExact,       ///< remove the exact version matching `window`
-    kAddTernary,        ///< install a ternary version
-    kRemoveTernary,     ///< remove the ternary version matching
-                        ///< (tkey, priority, window)
-    kSetRegister,       ///< write one register cell
-    kSetRegisterEpoch,  ///< restore a register bank's generation tag
-    kSetEpoch,          ///< restore the ingress version gate
-    kSetMinLive,        ///< restore the drain floor (flushes stale punts)
-  };
-  Kind kind = Kind::kAddExact;
-  std::string control;
-  std::string table;  // kSetRegister*: register name
-  std::vector<std::uint64_t> key;
-  std::vector<net::TernaryField> tkey;
-  std::int32_t priority = 0;
-  sim::ActionCall action;
-  sim::EpochWindow window;
-  std::uint64_t index = 0;  ///< kSetRegister cell
-  std::uint64_t value = 0;  ///< kSetRegister / epoch-valued kinds
-
-  std::string describe() const;
-};
 
 /// The payload of one session write: which phase of which commit path
 /// the controller wants the switch to execute. One WriteCommand is one
@@ -83,12 +61,26 @@ struct WriteCommand {
     kReconcile,   ///< apply a reconciliation plan atomically
   };
   Verb verb = Verb::kLegacyDiff;
-  RuleDiff diff;                   ///< kLegacyDiff/kShadowDiff/kFlip/kRollback
-  std::vector<ReconcileOp> recon;  ///< kReconcile
+  /// kLegacyDiff/kShadowDiff/kFlip/kRollback: a generation diff.
+  /// kReconcile: the table and register-cell edits, each naming its
+  /// exact version window, committed as one Transaction.
+  RuleDiff diff;
   std::uint32_t from_epoch = 0;
   std::uint32_t to_epoch = 0;
+  /// kReconcile: the switch state outside the tables, set in this order
+  /// once `diff` commits: register bank tags by (control, register),
+  /// then the ingress version gate, then the drain floor (which
+  /// flushes punts stamped below it).
+  std::map<std::pair<std::string, std::string>, std::uint32_t> bank_epochs;
+  std::optional<std::uint32_t> epoch;
+  std::optional<std::uint32_t> min_live_epoch;
 
-  std::string describe() const;
+  /// kReconcile: how many edits the plan makes, each diff op and each
+  /// scalar it sets (0 == already converged).
+  std::size_t edits() const {
+    return diff.ops.size() + bank_epochs.size() + epoch.has_value() +
+           min_live_epoch.has_value();
+  }
 };
 
 /// One message on the stream channel. Writes carry a per-election
@@ -161,7 +153,6 @@ class Channel {
   bool partitioned() const { return manual_partition_ + plan_partition_ > 0; }
 
   const ChannelStats& stats() const { return stats_; }
-  std::uint64_t next_msg_index() const { return next_index_; }
 
  private:
   struct Deferred {

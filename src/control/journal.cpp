@@ -20,13 +20,6 @@ std::size_t RuleDiff::removals() const {
       }));
 }
 
-std::size_t RuleDiff::register_writes() const {
-  return static_cast<std::size_t>(
-      std::count_if(ops.begin(), ops.end(), [](const RuleOp& op) {
-        return op.kind == RuleOp::Kind::kRegister;
-      }));
-}
-
 const char* to_string(JournalState state) {
   switch (state) {
     case JournalState::kBegun:
@@ -168,6 +161,13 @@ std::string serialize_op(const RuleOp& op) {
            " bank_old=" + std::to_string(op.old_bank_epoch);
       break;
   }
+  // Only ops naming a version carry these, and a journaled intent
+  // never does.
+  if (op.window) {
+    s += " window=" + std::to_string(op.window->from) + "-" +
+         std::to_string(op.window->to);
+  }
+  if (op.retire_at) s += " retire=" + std::to_string(*op.retire_at);
   return s;
 }
 
@@ -234,6 +234,20 @@ RuleOp parse_op(const std::string& line) {
       }
       op.action.args[kv[0]] = parse_u64(kv[1], "action arg");
     }
+  }
+  if (fields.count("window") > 0) {
+    const auto bounds = split(fields["window"], '-');
+    if (bounds.size() != 2) {
+      throw std::invalid_argument("journal: bad window '" + fields["window"] +
+                                  "'");
+    }
+    op.window = sim::EpochWindow{
+        static_cast<std::uint32_t>(parse_u64(bounds[0], "window from")),
+        static_cast<std::uint32_t>(parse_u64(bounds[1], "window to"))};
+  }
+  if (fields.count("retire") > 0) {
+    op.retire_at =
+        static_cast<std::uint32_t>(parse_u64(fields["retire"], "retire"));
   }
   return op;
 }

@@ -13,6 +13,11 @@
 // The journal round-trips through a line-based text format (to_text /
 // from_text) — the on-disk WAL representation — so recovery works from
 // a re-parsed journal exactly as from the in-memory one.
+//
+// The diff it records is a list of RuleOps. RuleOp is the control
+// plane's one record of a table or register-cell write: the same
+// record a control::Transaction queues and a reconcile plan ships, so
+// what the journal holds is exactly what the switch was asked to do.
 #pragma once
 
 #include <cstdint>
@@ -25,9 +30,16 @@
 
 namespace dejavu::control {
 
-/// One primitive of a generation diff. `install == false` means the
-/// entry leaves the new generation: a hitless update retires it (caps
-/// its window), a legacy stop-the-world swap removes it outright.
+/// One table or register-cell write: the one record every controller
+/// path speaks (legacy diffs, a live update's shadow and rollback,
+/// repair, session reconcile, audit scrub), and the only thing a
+/// Transaction queues.
+///
+/// In a generation diff `install == false` means the entry leaves the
+/// new generation: a hitless update retires it (caps its window), a
+/// legacy stop-the-world swap removes it outright. The live update
+/// fills in `window` and `retire_at` itself, so a journaled intent
+/// leaves both unset.
 struct RuleOp {
   enum class Kind : std::uint8_t { kExact, kTernary, kRegister };
   Kind kind = Kind::kExact;
@@ -47,6 +59,14 @@ struct RuleOp {
   /// restores the tag, not just the cells.
   std::uint32_t old_bank_epoch = 0;
   sim::ActionCall action;
+  /// The exact version this op names. An install lands with this
+  /// window (unset: [0, open]); a removal takes exactly that version
+  /// (unset: the live exact version, or the first ternary version in
+  /// match order).
+  std::optional<sim::EpochWindow> window;
+  /// A removal with `retire_at` caps the live version's window at that
+  /// epoch instead of removing it: the leaving half of a hitless update.
+  std::optional<std::uint32_t> retire_at;
 
   bool operator==(const RuleOp&) const = default;
 };
@@ -57,7 +77,6 @@ struct RuleDiff {
 
   std::size_t installs() const;
   std::size_t removals() const;
-  std::size_t register_writes() const;
   bool empty() const { return ops.empty(); }
 
   bool operator==(const RuleDiff&) const = default;

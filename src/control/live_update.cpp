@@ -54,25 +54,6 @@ namespace {
 
 int rank(JournalState state) { return static_cast<int>(state); }
 
-std::vector<sim::RuntimeTable*> resolve_op(sim::DataPlane& dp,
-                                           const RuleOp& op) {
-  if (!op.control.empty()) {
-    sim::RuntimeTable* t = dp.table_in(op.control, op.table);
-    if (t == nullptr) return {};
-    return {t};
-  }
-  return dp.tables_named(op.table);
-}
-
-/// Dedup identity of a ternary op (TernaryField is not ordered).
-std::string ternary_id(const RuleOp& op) {
-  std::string s = op.table + "|" + std::to_string(op.priority);
-  for (const auto& f : op.tkey) {
-    s += "|" + std::to_string(f.value) + "/" + std::to_string(f.mask);
-  }
-  return s;
-}
-
 /// The ternary version of `op`'s key+priority with exactly `window`.
 std::optional<std::size_t> ternary_version(const sim::RuntimeTable& rt,
                                            const RuleOp& op,
@@ -177,68 +158,41 @@ void fill_shadow_transaction(Transaction& txn, const RuleDiff& diff,
   // Retires are queued before installs: a shadow window [to, open]
   // overlaps the live [x, open] version until the old one is capped at
   // `from`.
-  std::set<std::tuple<std::string, std::string, std::vector<std::uint64_t>>>
-      retiring_exact;
-  std::set<std::string> retiring_ternary;
+  std::set<std::tuple<std::string, std::string, std::string>> retiring;
+  auto retire = [&](const RuleOp& op) {
+    retiring.insert({op.control, op.table, entry_identity(op)});
+    RuleOp r = op;
+    r.install = false;
+    r.retire_at = from;
+    txn.add(std::move(r));
+  };
   for (const RuleOp& op : diff.ops) {
-    if (op.kind == RuleOp::Kind::kRegister || op.install) continue;
-    if (op.kind == RuleOp::Kind::kExact) {
-      if (op.control.empty()) {
-        txn.retire_exact(op.table, op.key, from);
-      } else {
-        txn.retire_exact_in(op.control, op.table, op.key, from);
-      }
-      retiring_exact.insert({op.control, op.table, op.key});
-    } else {
-      txn.retire_ternary(op.table, op.tkey, op.priority, from);
-      retiring_ternary.insert(ternary_id(op));
-    }
+    if (op.kind != RuleOp::Kind::kRegister && !op.install) retire(op);
   }
   // An install whose key already has a live version is an overwrite:
   // the old version retires (generation `from` keeps seeing it) and
   // the new one rides in shadowed.
   for (const RuleOp& op : diff.ops) {
     if (op.kind == RuleOp::Kind::kRegister || !op.install) continue;
-    if (op.kind == RuleOp::Kind::kExact) {
-      if (retiring_exact.count({op.control, op.table, op.key}) > 0) continue;
-      bool live = false;
-      for (sim::RuntimeTable* rt : resolve_op(dp, op)) {
+    if (retiring.count({op.control, op.table, entry_identity(op)}) > 0) {
+      continue;
+    }
+    bool live = false;
+    for (sim::RuntimeTable* rt : resolve_op(dp, op)) {
+      if (op.kind == RuleOp::Kind::kExact) {
         const auto e = rt->find_exact(op.key);
         live |= e && e->window.from <= from;
+      } else if (auto h = rt->find_ternary(op.tkey, op.priority)) {
+        live |= rt->ternary_window(*h).from <= from;
       }
-      if (!live) continue;
-      if (op.control.empty()) {
-        txn.retire_exact(op.table, op.key, from);
-      } else {
-        txn.retire_exact_in(op.control, op.table, op.key, from);
-      }
-      retiring_exact.insert({op.control, op.table, op.key});
-    } else {
-      if (retiring_ternary.count(ternary_id(op)) > 0) continue;
-      bool live = false;
-      for (sim::RuntimeTable* rt : resolve_op(dp, op)) {
-        auto h = rt->find_ternary(op.tkey, op.priority);
-        live |= h && rt->ternary_window(*h).from <= from;
-      }
-      if (!live) continue;
-      txn.retire_ternary(op.table, op.tkey, op.priority, from);
-      retiring_ternary.insert(ternary_id(op));
     }
+    if (live) retire(op);
   }
-  const sim::EpochWindow shadow_window{to, sim::kEpochOpen};
   for (const RuleOp& op : diff.ops) {
     if (op.kind == RuleOp::Kind::kRegister || !op.install) continue;
-    if (op.kind == RuleOp::Kind::kExact) {
-      if (op.control.empty()) {
-        txn.install_exact(op.table, op.key, op.action, shadow_window);
-      } else {
-        txn.install_exact_in(op.control, op.table, op.key, op.action,
-                             shadow_window);
-      }
-    } else {
-      txn.install_ternary(op.table, op.tkey, op.priority, op.action,
-                          shadow_window);
-    }
+    RuleOp shadow = op;
+    shadow.window = sim::EpochWindow{to, sim::kEpochOpen};
+    txn.add(std::move(shadow));
   }
 }
 
@@ -700,35 +654,16 @@ RuleDiff routing_rule_diff(const route::RoutingPlan& from,
 }
 
 void fill_transaction(Transaction& txn, const RuleDiff& diff) {
-  // Removals first: an overwrite-install of a key another rule is
-  // about to vacate must not race the capacity check.
+  // Removals first, so the capacity they free is there for the
+  // installs; register writes last.
   for (const RuleOp& op : diff.ops) {
-    if (op.kind == RuleOp::Kind::kRegister || op.install) continue;
-    if (op.kind == RuleOp::Kind::kExact) {
-      if (op.control.empty()) {
-        txn.remove_exact(op.table, op.key);
-      } else {
-        txn.remove_exact_in(op.control, op.table, op.key);
-      }
-    } else {
-      txn.remove_ternary(op.table, op.tkey, op.priority);
-    }
+    if (op.kind != RuleOp::Kind::kRegister && !op.install) txn.add(op);
   }
   for (const RuleOp& op : diff.ops) {
-    if (op.kind == RuleOp::Kind::kRegister || !op.install) continue;
-    if (op.kind == RuleOp::Kind::kExact) {
-      if (op.control.empty()) {
-        txn.install_exact(op.table, op.key, op.action);
-      } else {
-        txn.install_exact_in(op.control, op.table, op.key, op.action);
-      }
-    } else {
-      txn.install_ternary(op.table, op.tkey, op.priority, op.action);
-    }
+    if (op.kind != RuleOp::Kind::kRegister && op.install) txn.add(op);
   }
   for (const RuleOp& op : diff.ops) {
-    if (op.kind != RuleOp::Kind::kRegister) continue;
-    txn.write_register(op.control, op.reg, op.index, op.value);
+    if (op.kind == RuleOp::Kind::kRegister) txn.add(op);
   }
 }
 

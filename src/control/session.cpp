@@ -1,7 +1,6 @@
 #include "control/session.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 #include <tuple>
 
 namespace dejavu::control {
@@ -27,16 +26,14 @@ std::vector<std::pair<std::uint64_t, std::uint64_t>> tern_key(
 // ---------------------------------------------------------------------------
 // snapshot_diff
 
-std::vector<ReconcileOp> snapshot_diff(const Snapshot& actual,
-                                       const Snapshot& intended) {
+WriteCommand snapshot_diff(const Snapshot& actual, const Snapshot& intended) {
   // Removals ship before additions so an overwrite (same key+window,
   // different action) never trips the overlap validation, and register
-  // / epoch ops last so the gate only moves once the entries behind it
-  // are in place.
-  std::vector<ReconcileOp> removes;
-  std::vector<ReconcileOp> adds;
-  std::vector<ReconcileOp> regs;
-  std::vector<ReconcileOp> epochs;
+  // cells after them; the scalar state is set once they all commit.
+  WriteCommand plan;
+  plan.verb = WriteCommand::Verb::kReconcile;
+  std::vector<RuleOp> adds;
+  std::vector<RuleOp> regs;
 
   using TableId = std::pair<std::string, std::string>;
   using ExactId = std::pair<std::vector<std::uint64_t>,
@@ -70,6 +67,18 @@ std::vector<ReconcileOp> snapshot_diff(const Snapshot& actual,
   for (const auto& [id, view] : have) all.emplace(id, nullptr);
   for (const auto& [id, view] : want) all.emplace(id, nullptr);
 
+  // One edit of the version `window` of an entry in table `id`; an
+  // install when `action` is given.
+  auto edit = [](const TableId& id, const sim::ActionCall* action,
+                 sim::EpochWindow window) {
+    RuleOp op;
+    op.install = action != nullptr;
+    op.control = id.first;
+    op.table = id.second;
+    if (action != nullptr) op.action = *action;
+    op.window = window;
+    return op;
+  };
   static const TableView kEmpty;
   for (const auto& [id, unused] : all) {
     auto hit = have.find(id);
@@ -80,24 +89,15 @@ std::vector<ReconcileOp> snapshot_diff(const Snapshot& actual,
     for (const auto& [eid, entry] : h.exact) {
       auto it = w.exact.find(eid);
       if (it != w.exact.end() && it->second->action == entry->action) continue;
-      ReconcileOp op;
-      op.kind = ReconcileOp::Kind::kRemoveExact;
-      op.control = id.first;
-      op.table = id.second;
+      RuleOp op = edit(id, nullptr, entry->window);
       op.key = entry->key;
-      op.window = entry->window;
-      removes.push_back(std::move(op));
+      plan.diff.ops.push_back(std::move(op));
     }
     for (const auto& [eid, entry] : w.exact) {
       auto it = h.exact.find(eid);
       if (it != h.exact.end() && it->second->action == entry->action) continue;
-      ReconcileOp op;
-      op.kind = ReconcileOp::Kind::kAddExact;
-      op.control = id.first;
-      op.table = id.second;
+      RuleOp op = edit(id, &entry->action, entry->window);
       op.key = entry->key;
-      op.action = entry->action;
-      op.window = entry->window;
       adds.push_back(std::move(op));
     }
 
@@ -106,28 +106,21 @@ std::vector<ReconcileOp> snapshot_diff(const Snapshot& actual,
       if (it != w.ternary.end() && it->second->action == entry->action) {
         continue;
       }
-      ReconcileOp op;
-      op.kind = ReconcileOp::Kind::kRemoveTernary;
-      op.control = id.first;
-      op.table = id.second;
+      RuleOp op = edit(id, nullptr, entry->window);
+      op.kind = RuleOp::Kind::kTernary;
       op.tkey = entry->key;
       op.priority = entry->priority;
-      op.window = entry->window;
-      removes.push_back(std::move(op));
+      plan.diff.ops.push_back(std::move(op));
     }
     for (const auto& [tid, entry] : w.ternary) {
       auto it = h.ternary.find(tid);
       if (it != h.ternary.end() && it->second->action == entry->action) {
         continue;
       }
-      ReconcileOp op;
-      op.kind = ReconcileOp::Kind::kAddTernary;
-      op.control = id.first;
-      op.table = id.second;
+      RuleOp op = edit(id, &entry->action, entry->window);
+      op.kind = RuleOp::Kind::kTernary;
       op.tkey = entry->key;
       op.priority = entry->priority;
-      op.action = entry->action;
-      op.window = entry->window;
       adds.push_back(std::move(op));
     }
   }
@@ -159,10 +152,10 @@ std::vector<ReconcileOp> snapshot_diff(const Snapshot& actual,
       const std::uint64_t actual_value =
           h != nullptr && h->cells.count(index) > 0 ? h->cells.at(index) : 0;
       if (actual_value == intended_value) continue;
-      ReconcileOp op;
-      op.kind = ReconcileOp::Kind::kSetRegister;
+      RuleOp op;
+      op.kind = RuleOp::Kind::kRegister;
       op.control = rid.first;
-      op.table = rid.second;
+      op.reg = rid.second;
       op.index = index;
       op.value = intended_value;
       regs.push_back(std::move(op));
@@ -170,38 +163,19 @@ std::vector<ReconcileOp> snapshot_diff(const Snapshot& actual,
     const std::uint32_t actual_epoch = h != nullptr ? h->epoch : 0;
     const std::uint32_t intended_epoch = w != nullptr ? w->epoch : 0;
     if (actual_epoch != intended_epoch) {
-      ReconcileOp op;
-      op.kind = ReconcileOp::Kind::kSetRegisterEpoch;
-      op.control = rid.first;
-      op.table = rid.second;
-      op.value = intended_epoch;
-      regs.push_back(std::move(op));
+      plan.bank_epochs[rid] = intended_epoch;
     }
   }
 
-  if (actual.epoch != intended.epoch) {
-    ReconcileOp op;
-    op.kind = ReconcileOp::Kind::kSetEpoch;
-    op.value = intended.epoch;
-    epochs.push_back(std::move(op));
-  }
+  if (actual.epoch != intended.epoch) plan.epoch = intended.epoch;
   if (actual.min_live_epoch != intended.min_live_epoch) {
-    ReconcileOp op;
-    op.kind = ReconcileOp::Kind::kSetMinLive;
-    op.value = intended.min_live_epoch;
-    epochs.push_back(std::move(op));
+    plan.min_live_epoch = intended.min_live_epoch;
   }
 
-  std::vector<ReconcileOp> ops;
-  ops.reserve(removes.size() + adds.size() + regs.size() + epochs.size());
-  auto take = [&ops](std::vector<ReconcileOp>& from) {
-    for (auto& op : from) ops.push_back(std::move(op));
-  };
-  take(removes);
-  take(adds);
-  take(regs);
-  take(epochs);
-  return ops;
+  for (std::vector<RuleOp>* from : {&adds, &regs}) {
+    for (RuleOp& op : *from) plan.diff.ops.push_back(std::move(op));
+  }
+  return plan;
 }
 
 // ---------------------------------------------------------------------------
@@ -358,84 +332,28 @@ AckMsg SwitchAgent::apply(const WriteCommand& cmd) {
 
 AckMsg SwitchAgent::apply_reconcile(const WriteCommand& cmd) {
   AckMsg ack;
-  // Atomicity by pre-image: any failing op restores the snapshot taken
-  // before the first op, so no torn reconcile is ever visible.
-  Snapshot pre = take_snapshot(*dp_);
-  // The table an add targets. Its install refuses an action the table
-  // cannot run (RuntimeTable::action_error), like any other install.
-  auto target = [this](const ReconcileOp& op) {
-    sim::RuntimeTable* rt = dp_->table_in(op.control, op.table);
-    if (rt == nullptr) {
-      throw std::invalid_argument("unknown table " + op.control + "/" +
-                                  op.table);
-    }
-    return rt;
-  };
-  try {
-    for (const ReconcileOp& op : cmd.recon) {
-      switch (op.kind) {
-        case ReconcileOp::Kind::kAddExact:
-          target(op)->add_exact(op.key, op.action, op.window);
-          break;
-        case ReconcileOp::Kind::kRemoveExact: {
-          sim::RuntimeTable* rt = dp_->table_in(op.control, op.table);
-          if (rt != nullptr) rt->remove_exact_version(op.key, op.window);
-          break;
-        }
-        case ReconcileOp::Kind::kAddTernary:
-          target(op)->add_ternary(op.tkey, op.priority, op.action,
-                                  op.window);
-          break;
-        case ReconcileOp::Kind::kRemoveTernary: {
-          sim::RuntimeTable* rt = dp_->table_in(op.control, op.table);
-          if (rt == nullptr) break;
-          for (const auto& v : rt->ternary_versions(op.tkey, op.priority)) {
-            if (v.window == op.window) {
-              rt->erase_ternary(v.handle);
-              break;
-            }
-          }
-          break;
-        }
-        case ReconcileOp::Kind::kSetRegister: {
-          auto* cells = dp_->register_array(op.control, op.table);
-          if (cells == nullptr) {
-            throw std::invalid_argument("unknown register " + op.control +
-                                        "." + op.table);
-          }
-          if (op.index >= cells->size()) {
-            throw std::invalid_argument("register " + op.table + " index " +
-                                        std::to_string(op.index) +
-                                        " out of range");
-          }
-          (*cells)[op.index] = op.value;
-          break;
-        }
-        case ReconcileOp::Kind::kSetRegisterEpoch:
-          dp_->set_register_epoch(op.control, op.table,
-                                  static_cast<std::uint32_t>(op.value));
-          break;
-        case ReconcileOp::Kind::kSetEpoch:
-          dp_->set_epoch(static_cast<std::uint32_t>(op.value));
-          break;
-        case ReconcileOp::Kind::kSetMinLive: {
-          const auto floor = static_cast<std::uint32_t>(op.value);
-          dp_->set_min_live_epoch(floor);
-          // The raised floor invalidates punts stamped below it.
-          if (floor > 0) dp_->flush_stale_punts(floor - 1);
-          break;
-        }
-      }
-      ++ack.applied;
-    }
-    ack.ok = true;
-  } catch (const std::exception& e) {
-    restore_snapshot(pre, *dp_);
-    ack.ok = false;
-    ack.applied = 0;
-    ack.error = std::string("reconcile failed (pre-image restored): ") +
-                e.what();
+  // Atomic through the transaction's undo log: a failing edit rolls the
+  // applied ones back, so no torn reconcile is ever visible. Each
+  // install refuses an action its table cannot run, like any other.
+  Transaction txn(*dp_, options_.retry);
+  for (const RuleOp& op : cmd.diff.ops) txn.add(op);
+  const Transaction::Result res = txn.commit();
+  if (!res.committed) {
+    ack.error = "reconcile failed (rolled back): " + res.error;
+    return ack;
   }
+  for (const auto& [bank, epoch] : cmd.bank_epochs) {
+    dp_->set_register_epoch(bank.first, bank.second, epoch);
+  }
+  if (cmd.epoch) dp_->set_epoch(*cmd.epoch);
+  if (cmd.min_live_epoch) {
+    const std::uint32_t floor = *cmd.min_live_epoch;
+    dp_->set_min_live_epoch(floor);
+    // The raised floor invalidates punts stamped below it.
+    if (floor > 0) dp_->flush_stale_punts(floor - 1);
+  }
+  ack.ok = true;
+  ack.applied = cmd.edits();
   return ack;
 }
 
@@ -630,8 +548,9 @@ ReconcileReport Session::reconcile() {
       return report;
     }
     const Snapshot intended = take_snapshot(*mirror_);
-    std::vector<ReconcileOp> ops = snapshot_diff(*actual, intended);
-    if (ops.empty()) {
+    WriteCommand plan = snapshot_diff(*actual, intended);
+    const std::size_t edits = plan.edits();
+    if (edits == 0) {
       // Byte-identity is the contract, not just an empty diff.
       if (actual->to_text() == intended.to_text()) {
         report.converged = true;
@@ -640,12 +559,9 @@ ReconcileReport Session::reconcile() {
       report.error = "empty diff but snapshots differ textually";
       return report;
     }
-    report.ops += ops.size();
-    stats_.reconcile_ops += ops.size();
-    WriteCommand cmd;
-    cmd.verb = WriteCommand::Verb::kReconcile;
-    cmd.recon = std::move(ops);
-    WriteResult wr = write(std::move(cmd));
+    report.ops += edits;
+    stats_.reconcile_ops += edits;
+    WriteResult wr = write(std::move(plan));
     if (!wr.ok) {
       report.unreachable = wr.gave_up;
       report.error = wr.error.empty() ? "reconcile write failed" : wr.error;

@@ -27,9 +27,10 @@
 //     re-applying. Per-(eid, seq) effect counters make "applied once"
 //     checkable, not just hoped; they are kept only for the window,
 //     and settled counts fold into one maximum;
-//   * atomic verbs — each WriteCommand applies all-or-nothing (shadow
-//     transactions roll back; reconciles restore the pre-image on any
-//     failure), so no torn batch is ever visible in a snapshot.
+//   * atomic verbs — each WriteCommand applies all-or-nothing (legacy,
+//     shadow and reconcile writes each commit as one Transaction and
+//     roll back through its undo log), so no torn batch is ever
+//     visible in a snapshot.
 //
 // The dataplane needs nothing from any of this to keep forwarding:
 // during a partition packets keep flowing on the last committed epoch;
@@ -53,12 +54,13 @@
 
 namespace dejavu::control {
 
-/// The minimal edit script turning switch state `actual` into
-/// `intended`. Empty == already converged. Works entry-by-entry, so
-/// its size measures divergence (the reconcile write ships exactly
-/// these ops, nothing else).
-std::vector<ReconcileOp> snapshot_diff(const Snapshot& actual,
-                                       const Snapshot& intended);
+/// The minimal reconcile plan turning switch state `actual` into
+/// `intended`: a kReconcile command whose diff removes and installs
+/// exact versions (each RuleOp names its window) and writes differing
+/// register cells, and whose scalar fields restore bank tags, the
+/// version gate and the drain floor. Works entry-by-entry, so edits()
+/// measures divergence (0 == already converged).
+WriteCommand snapshot_diff(const Snapshot& actual, const Snapshot& intended);
 
 struct AgentOptions {
   /// Dedup window size: acks cached for the most recent N write seqs

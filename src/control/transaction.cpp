@@ -1,160 +1,35 @@
 #include "control/transaction.hpp"
 
+#include <algorithm>
 #include <map>
-#include <optional>
 #include <stdexcept>
 
 namespace dejavu::control {
 
-Transaction::Transaction(sim::DataPlane& dp, Backoff retry,
-                         sim::FaultInjector* injector)
-    : dp_(&dp), retry_(retry), injector_(injector) {}
-
-void Transaction::install_exact(std::string table,
-                                std::vector<std::uint64_t> key,
-                                sim::ActionCall action,
-                                sim::EpochWindow window) {
-  Op op;
-  op.kind = OpKind::kInstallExact;
-  op.table = std::move(table);
-  op.exact_key = std::move(key);
-  op.action = std::move(action);
-  op.window = window;
-  ops_.push_back(std::move(op));
-}
-
-void Transaction::install_exact_in(std::string control, std::string table,
-                                   std::vector<std::uint64_t> key,
-                                   sim::ActionCall action,
-                                   sim::EpochWindow window) {
-  install_exact(std::move(table), std::move(key), std::move(action), window);
-  ops_.back().control = std::move(control);
-}
-
-void Transaction::remove_exact_in(std::string control, std::string table,
-                                  std::vector<std::uint64_t> key) {
-  remove_exact(std::move(table), std::move(key));
-  ops_.back().control = std::move(control);
-}
-
-void Transaction::install_ternary(std::string table,
-                                  std::vector<net::TernaryField> key,
-                                  std::int32_t priority,
-                                  sim::ActionCall action,
-                                  sim::EpochWindow window) {
-  Op op;
-  op.kind = OpKind::kInstallTernary;
-  op.table = std::move(table);
-  op.ternary_key = std::move(key);
-  op.priority = priority;
-  op.action = std::move(action);
-  op.window = window;
-  ops_.push_back(std::move(op));
-}
-
-void Transaction::install_lpm(std::string table, std::uint64_t value,
-                              std::uint8_t prefix_len, sim::ActionCall action,
-                              sim::EpochWindow window) {
-  Op op;
-  op.kind = OpKind::kInstallLpm;
-  op.table = std::move(table);
-  op.lpm_value = value;
-  op.prefix_len = prefix_len;
-  op.action = std::move(action);
-  op.window = window;
-  ops_.push_back(std::move(op));
-}
-
-void Transaction::remove_exact(std::string table,
-                               std::vector<std::uint64_t> key) {
-  Op op;
-  op.kind = OpKind::kRemoveExact;
-  op.table = std::move(table);
-  op.exact_key = std::move(key);
-  ops_.push_back(std::move(op));
-}
-
-void Transaction::remove_ternary(std::string table,
-                                 std::vector<net::TernaryField> key,
-                                 std::int32_t priority) {
-  Op op;
-  op.kind = OpKind::kRemoveTernary;
-  op.table = std::move(table);
-  op.ternary_key = std::move(key);
-  op.priority = priority;
-  ops_.push_back(std::move(op));
-}
-
-void Transaction::retire_exact(std::string table,
-                               std::vector<std::uint64_t> key,
-                               std::uint32_t last_epoch) {
-  Op op;
-  op.kind = OpKind::kRetireExact;
-  op.table = std::move(table);
-  op.exact_key = std::move(key);
-  op.last_epoch = last_epoch;
-  ops_.push_back(std::move(op));
-}
-
-void Transaction::retire_exact_in(std::string control, std::string table,
-                                  std::vector<std::uint64_t> key,
-                                  std::uint32_t last_epoch) {
-  retire_exact(std::move(table), std::move(key), last_epoch);
-  ops_.back().control = std::move(control);
-}
-
-void Transaction::retire_ternary(std::string table,
-                                 std::vector<net::TernaryField> key,
-                                 std::int32_t priority,
-                                 std::uint32_t last_epoch) {
-  Op op;
-  op.kind = OpKind::kRetireTernary;
-  op.table = std::move(table);
-  op.ternary_key = std::move(key);
-  op.priority = priority;
-  op.last_epoch = last_epoch;
-  ops_.push_back(std::move(op));
-}
-
-void Transaction::write_register(std::string control, std::string reg,
-                                 std::uint64_t index, std::uint64_t value) {
-  Op op;
-  op.kind = OpKind::kWriteRegister;
-  op.table = std::move(control);
-  op.reg = std::move(reg);
-  op.reg_index = index;
-  op.reg_value = value;
-  ops_.push_back(std::move(op));
-}
-
-std::vector<sim::RuntimeTable*> Transaction::resolve(const Op& op) const {
-  if (op.control.empty()) return dp_->tables_named(op.table);
-  sim::RuntimeTable* t = dp_->table_in(op.control, op.table);
+std::vector<sim::RuntimeTable*> resolve_op(sim::DataPlane& dp,
+                                           const RuleOp& op) {
+  if (op.control.empty()) return dp.tables_named(op.table);
+  sim::RuntimeTable* t = dp.table_in(op.control, op.table);
   if (t == nullptr) return {};
   return {t};
 }
 
-std::string Transaction::Op::describe() const {
-  switch (kind) {
-    case OpKind::kInstallExact:
-      return "install_exact " + table;
-    case OpKind::kInstallTernary:
-      return "install_ternary " + table;
-    case OpKind::kInstallLpm:
-      return "install_lpm " + table;
-    case OpKind::kRemoveExact:
-      return "remove_exact " + table;
-    case OpKind::kRemoveTernary:
-      return "remove_ternary " + table;
-    case OpKind::kRetireExact:
-      return "retire_exact " + table;
-    case OpKind::kRetireTernary:
-      return "retire_ternary " + table;
-    case OpKind::kWriteRegister:
-      return "write_register " + table + "." + reg;
+std::string entry_identity(const RuleOp& op) {
+  std::string s;
+  if (op.kind == RuleOp::Kind::kTernary) {
+    s = std::to_string(op.priority);
+    for (const auto& f : op.tkey) {
+      s += "|" + std::to_string(f.value) + "/" + std::to_string(f.mask);
+    }
+    return s;
   }
-  return "op";
+  for (const std::uint64_t v : op.key) s += std::to_string(v) + ",";
+  return s;
 }
+
+Transaction::Transaction(sim::DataPlane& dp, Backoff retry,
+                         sim::FaultInjector* injector)
+    : dp_(&dp), retry_(retry), injector_(injector) {}
 
 std::string Transaction::Result::to_string() const {
   std::string s = committed ? "committed" : "failed";
@@ -169,321 +44,215 @@ std::string Transaction::Result::to_string() const {
 
 namespace {
 
-/// Dedup identity for a ternary (key, priority) pair; TernaryField has
-/// no ordering, so the map key is a serialized string.
-std::string ternary_identity(const std::vector<net::TernaryField>& key,
-                             std::int32_t priority) {
-  std::string s = std::to_string(priority);
-  for (const auto& f : key) {
-    s += "|" + std::to_string(f.value) + "/" + std::to_string(f.mask);
+/// How a failing op names itself in an error.
+std::string label(const RuleOp& op) {
+  if (op.kind == RuleOp::Kind::kRegister) {
+    return "write_register " + op.control + "." + op.reg;
   }
-  return s;
+  const char* verb = op.install ? "install " : op.retire_at ? "retire "
+                                                            : "remove ";
+  return verb + op.table;
+}
+
+/// The windows of every installed version of the entry `op` writes, in
+/// the store's order (match order for ternary).
+std::vector<sim::EpochWindow> version_windows(const sim::RuntimeTable& t,
+                                              const RuleOp& op) {
+  std::vector<sim::EpochWindow> windows;
+  if (op.kind == RuleOp::Kind::kTernary) {
+    for (const auto& v : t.ternary_versions(op.tkey, op.priority)) {
+      windows.push_back(v.window);
+    }
+  } else {
+    for (const auto& v : t.exact_versions(op.key)) windows.push_back(v.window);
+  }
+  return windows;
+}
+
+/// Is the version with window `w` one removal or retire `op` may take?
+/// Each takes the first such version in the store's order.
+bool takes(const RuleOp& op, sim::EpochWindow w) {
+  if (op.retire_at) return w.open() && w.from <= *op.retire_at;
+  if (op.window) return w == *op.window;
+  return op.kind == RuleOp::Kind::kTernary || w.open();
 }
 
 }  // namespace
 
 std::string Transaction::validate() const {
-  // Net installs queued per table instance, for the capacity check.
-  std::map<const sim::RuntimeTable*, std::size_t> pending;
-  // Versions a retire queued *earlier in this batch* will cap at
-  // last_epoch. The install overlap checks below must judge against
-  // the post-retire window, or a retire-then-overwrite batch — the
-  // live update's shadow phase — is rejected against state the batch
-  // itself replaces.
-  std::map<std::pair<const sim::RuntimeTable*, std::vector<std::uint64_t>>,
-           std::uint32_t>
-      capped_exact;
-  std::map<std::pair<const sim::RuntimeTable*, std::string>, std::uint32_t>
-      capped_ternary;
-  for (const Op& op : ops_) {
-    if (op.kind == OpKind::kWriteRegister) {
-      auto* arr = dp_->register_array(op.table, op.reg);
+  // The batch's running state: the version windows of every entry an
+  // op touched and each instance's entry count, as the ops so far
+  // leave them. A retire caps a window for the installs after it (the
+  // live update's shadow phase); a removal frees its window and its
+  // capacity slot.
+  std::map<std::pair<const sim::RuntimeTable*, std::string>,
+           std::vector<sim::EpochWindow>>
+      versions;
+  std::map<const sim::RuntimeTable*, std::size_t> entries;
+  for (const RuleOp& op : ops_) {
+    if (op.kind == RuleOp::Kind::kRegister) {
+      auto* arr = dp_->register_array(op.control, op.reg);
       if (arr == nullptr) {
-        return op.describe() + ": no such register";
+        return label(op) + ": no such register";
       }
-      if (op.reg_index >= arr->size()) {
-        return op.describe() + ": index " + std::to_string(op.reg_index) +
+      if (op.index >= arr->size()) {
+        return label(op) + ": index " + std::to_string(op.index) +
                " out of range (size " + std::to_string(arr->size()) + ")";
       }
       continue;
     }
-    std::vector<sim::RuntimeTable*> instances = resolve(op);
+    const std::vector<sim::RuntimeTable*> instances = resolve_op(*dp_, op);
     if (instances.empty()) {
-      return op.describe() + ": table does not exist in the deployment";
+      return label(op) + ": table does not exist in the deployment";
     }
+    const bool ternary = op.kind == RuleOp::Kind::kTernary;
+    const sim::EpochWindow window = op.window.value_or(sim::EpochWindow{});
+    bool found = false;
     for (sim::RuntimeTable* t : instances) {
       const p4ir::Table& def = t->def();
-      const bool tcam = def.needs_tcam();
-      if (op.kind == OpKind::kInstallExact ||
-          op.kind == OpKind::kInstallTernary ||
-          op.kind == OpKind::kInstallLpm) {
+      if (def.needs_tcam() != ternary) {
+        return label(op) +
+               (ternary ? ": table is exact" : ": table is ternary/LPM");
+      }
+      if ((ternary ? op.tkey.size() : op.key.size()) != def.keys.size()) {
+        return label(op) + ": key arity mismatch";
+      }
+      if (op.install) {
+        if (!window.well_formed()) {
+          return label(op) + ": malformed epoch window";
+        }
         const std::string bad = t->action_error(op.action);
-        if (!bad.empty()) return op.describe() + ": " + bad;
+        if (!bad.empty()) return label(op) + ": " + bad;
       }
-      switch (op.kind) {
-        case OpKind::kInstallExact: {
-          if (tcam) return op.describe() + ": table is ternary/LPM";
-          if (op.exact_key.size() != def.keys.size()) {
-            return op.describe() + ": key arity mismatch";
+      auto [it, fresh] = versions.try_emplace({t, entry_identity(op)});
+      std::vector<sim::EpochWindow>& windows = it->second;
+      if (fresh) windows = version_windows(*t, op);
+      std::size_t& count =
+          entries.try_emplace(t, t->entry_count()).first->second;
+      if (op.install) {
+        bool overwrite = false;
+        for (const sim::EpochWindow& w : windows) {
+          if (!ternary && w == window) {
+            overwrite = true;
+          } else if (w.overlaps(window)) {
+            return label(op) +
+                   ": epoch window overlaps an installed version (a "
+                   "packet could see two generations)";
           }
-          if (!op.window.well_formed()) {
-            return op.describe() + ": malformed epoch window";
-          }
-          bool overwrite = false;
-          const auto cap = capped_exact.find({t, op.exact_key});
-          for (const auto& v : t->exact_versions(op.exact_key)) {
-            sim::EpochWindow w = v.window;
-            if (w.open() && cap != capped_exact.end() &&
-                w.from <= cap->second) {
-              w.to = cap->second;  // an earlier retire closes it
-            }
-            if (v.window == op.window) {
-              overwrite = true;
-            } else if (w.overlaps(op.window)) {
-              return op.describe() +
-                     ": epoch window overlaps an installed version (a "
-                     "packet could see two generations)";
-            }
-          }
-          if (!overwrite) ++pending[t];
-          break;
         }
-        case OpKind::kInstallTernary: {
-          if (!tcam) return op.describe() + ": table is exact";
-          if (op.ternary_key.size() != def.keys.size()) {
-            return op.describe() + ": key arity mismatch";
-          }
-          if (!op.window.well_formed()) {
-            return op.describe() + ": malformed epoch window";
-          }
-          const auto cap = capped_ternary.find(
-              {t, ternary_identity(op.ternary_key, op.priority)});
-          for (const auto& v :
-               t->ternary_versions(op.ternary_key, op.priority)) {
-            sim::EpochWindow w = v.window;
-            if (w.open() && cap != capped_ternary.end() &&
-                w.from <= cap->second) {
-              w.to = cap->second;  // an earlier retire closes it
-            }
-            if (w.overlaps(op.window)) {
-              return op.describe() +
-                     ": epoch window overlaps an installed entry";
-            }
-          }
-          ++pending[t];
-          break;
+        if (overwrite) continue;
+        windows.push_back(window);
+        if (++count > def.max_entries) {
+          return "table '" + def.name + "' cannot fit " +
+                 std::to_string(count - t->entry_count()) +
+                 " new entries (" + std::to_string(t->entry_count()) + "/" +
+                 std::to_string(def.max_entries) + " used)";
         }
-        case OpKind::kInstallLpm: {
-          if (!tcam) return op.describe() + ": table is exact";
-          bool has_lpm = false;
-          for (const auto& k : def.keys) {
-            if (k.kind == p4ir::MatchKind::kLpm) {
-              has_lpm = true;
-              if (op.prefix_len > k.bits) {
-                return op.describe() + ": prefix length exceeds key width";
-              }
-            }
-          }
-          if (!has_lpm) {
-            return op.describe() + ": table has no LPM key component";
-          }
-          ++pending[t];
-          break;
-        }
-        case OpKind::kRemoveExact:
-          if (tcam) return op.describe() + ": table is ternary/LPM";
-          if (op.exact_key.size() != def.keys.size()) {
-            return op.describe() + ": key arity mismatch";
-          }
-          break;
-        case OpKind::kRemoveTernary:
-          if (!tcam) return op.describe() + ": table is exact";
-          break;
-        case OpKind::kRetireExact:
-          if (tcam) return op.describe() + ": table is ternary/LPM";
-          if (op.exact_key.size() != def.keys.size()) {
-            return op.describe() + ": key arity mismatch";
-          }
-          break;
-        case OpKind::kRetireTernary:
-          if (!tcam) return op.describe() + ": table is exact";
-          break;
-        case OpKind::kWriteRegister:
-          break;
+        continue;
+      }
+      const auto v = std::find_if(windows.begin(), windows.end(),
+                                  [&](sim::EpochWindow w) {
+                                    return takes(op, w);
+                                  });
+      if (v == windows.end()) continue;  // a replica without it
+      found = true;
+      if (op.retire_at) {
+        v->to = *op.retire_at;
+      } else {
+        windows.erase(v);
+        --count;
       }
     }
-    // Removals must name an installed entry somewhere (removing a
+    // Removals must find an installed entry somewhere (removing a
     // phantom rule is a control-plane bug worth failing loudly on).
-    if (op.kind == OpKind::kRemoveExact) {
-      bool found = false;
-      for (sim::RuntimeTable* t : instances) {
-        if (t->find_exact(op.exact_key)) found = true;
-      }
-      if (!found) return op.describe() + ": entry not installed";
-    }
-    if (op.kind == OpKind::kRemoveTernary) {
-      bool found = false;
-      for (sim::RuntimeTable* t : instances) {
-        found |= !t->ternary_versions(op.ternary_key, op.priority).empty();
-      }
-      if (!found) return op.describe() + ": entry not installed";
-    }
-    // Retires must find a live (open-window) version old enough to cap
-    // at last_epoch in at least one instance.
-    if (op.kind == OpKind::kRetireExact) {
-      bool found = false;
-      for (sim::RuntimeTable* t : instances) {
-        const auto live = t->find_exact(op.exact_key);
-        if (live && live->window.from <= op.last_epoch) {
-          found = true;
-          capped_exact[{t, op.exact_key}] = op.last_epoch;
-        }
-      }
-      if (!found) return op.describe() + ": no live entry to retire";
-    }
-    if (op.kind == OpKind::kRetireTernary) {
-      bool found = false;
-      for (sim::RuntimeTable* t : instances) {
-        auto handle = t->find_ternary(op.ternary_key, op.priority);
-        if (handle && t->ternary_window(*handle).from <= op.last_epoch) {
-          found = true;
-          capped_ternary[{t, ternary_identity(op.ternary_key, op.priority)}] =
-              op.last_epoch;
-        }
-      }
-      if (!found) return op.describe() + ": no live entry to retire";
-    }
-  }
-  // Capacity: every queued install must fit alongside what is already
-  // there (removals in the same batch are not credited — conservative,
-  // like reserving the space up front).
-  for (const auto& [t, added] : pending) {
-    if (t->entry_count() + added > t->def().max_entries) {
-      return "table '" + t->def().name + "' cannot fit " +
-             std::to_string(added) + " new entries (" +
-             std::to_string(t->entry_count()) + "/" +
-             std::to_string(t->def().max_entries) + " used)";
+    // One naming its version is a reconcile edit, planned against a
+    // snapshot the switch may have moved past since: a version already
+    // gone is already reconciled.
+    const bool named = op.window && !op.retire_at;
+    if (!op.install && !found && !named) {
+      return label(op) + (op.retire_at ? ": no live entry to retire"
+                                       : ": entry not installed");
     }
   }
   return "";
 }
 
-void Transaction::apply(const Op& op, std::vector<UndoEntry>& undo) {
-  if (op.kind == OpKind::kWriteRegister) {
-    auto* arr = dp_->register_array(op.table, op.reg);
-    const std::uint64_t old = (*arr)[op.reg_index];
-    (*arr)[op.reg_index] = op.reg_value;
+void Transaction::apply(const RuleOp& op, std::vector<UndoEntry>& undo) {
+  if (op.kind == RuleOp::Kind::kRegister) {
+    auto* arr = dp_->register_array(op.control, op.reg);
     UndoEntry u;
     u.kind = UndoEntry::Kind::kWriteRegister;
     u.reg_array = arr;
-    u.reg_index = op.reg_index;
-    u.reg_value = old;
+    u.reg_index = op.index;
+    u.reg_value = (*arr)[op.index];
+    (*arr)[op.index] = op.value;
     undo.push_back(std::move(u));
     return;
   }
-  for (sim::RuntimeTable* t : resolve(op)) {
-    switch (op.kind) {
-      case OpKind::kInstallExact: {
-        UndoEntry u;
-        u.target = t;
-        u.exact_key = op.exact_key;
-        u.window = op.window;
-        std::optional<sim::ActionCall> old;
-        for (const auto& v : t->exact_versions(op.exact_key)) {
-          if (v.window == op.window) old = v.action;
-        }
-        if (old) {
-          u.kind = UndoEntry::Kind::kReinstallExact;
-          u.action = std::move(*old);
-        } else {
-          u.kind = UndoEntry::Kind::kRemoveExact;
-        }
-        t->add_exact(op.exact_key, op.action, op.window);
-        undo.push_back(std::move(u));
-        break;
-      }
-      case OpKind::kInstallTernary: {
-        UndoEntry u;
+  const bool ternary = op.kind == RuleOp::Kind::kTernary;
+  for (sim::RuntimeTable* t : resolve_op(*dp_, op)) {
+    UndoEntry u;
+    u.target = t;
+    u.exact_key = op.key;
+    if (op.install) {
+      u.window = op.window.value_or(sim::EpochWindow{});
+      if (ternary) {
         u.kind = UndoEntry::Kind::kEraseTernary;
-        u.target = t;
-        u.handle =
-            t->add_ternary(op.ternary_key, op.priority, op.action, op.window);
-        undo.push_back(std::move(u));
-        break;
-      }
-      case OpKind::kInstallLpm: {
-        UndoEntry u;
-        u.kind = UndoEntry::Kind::kEraseTernary;
-        u.target = t;
-        u.handle =
-            t->add_lpm(op.lpm_value, op.prefix_len, op.action, op.window);
-        undo.push_back(std::move(u));
-        break;
-      }
-      case OpKind::kRemoveExact: {
-        const auto old = t->find_exact(op.exact_key);
-        if (!old) break;  // replica without the entry
-        UndoEntry u;
-        u.kind = UndoEntry::Kind::kReinstallExact;
-        u.target = t;
-        u.exact_key = op.exact_key;
-        u.action = old->action;
-        u.window = old->window;
-        t->remove_exact(op.exact_key);
-        undo.push_back(std::move(u));
-        break;
-      }
-      case OpKind::kRemoveTernary: {
-        // One version per instance: the first in match order.
-        auto versions = t->ternary_versions(op.ternary_key, op.priority);
-        if (versions.empty()) break;
-        UndoEntry u;
-        u.kind = UndoEntry::Kind::kReinstallTernary;
-        u.target = t;
-        u.ternary_key = op.ternary_key;
-        u.priority = op.priority;
-        u.action = std::move(versions.front().action);
-        u.window = versions.front().window;
-        t->erase_ternary(versions.front().handle);
-        undo.push_back(std::move(u));
-        break;
-      }
-      case OpKind::kRetireExact: {
-        const auto live = t->find_exact(op.exact_key);
-        if (!live || live->window.from > op.last_epoch) {
-          break;  // replica without a live version old enough
+        u.handle = t->add_ternary(op.tkey, op.priority, op.action, u.window);
+      } else {
+        u.kind = UndoEntry::Kind::kRemoveExact;
+        for (auto& v : t->exact_versions(op.key)) {
+          if (v.window != u.window) continue;
+          u.kind = UndoEntry::Kind::kReinstallExact;  // an overwrite
+          u.action = std::move(v.action);
         }
-        if (!t->retire_exact(op.exact_key, op.last_epoch)) {
-          throw std::invalid_argument("retire would malform the window");
-        }
-        UndoEntry u;
-        u.kind = UndoEntry::Kind::kUnretireExact;
-        u.target = t;
-        u.exact_key = op.exact_key;
-        u.last_epoch = op.last_epoch;
-        undo.push_back(std::move(u));
-        break;
+        t->add_exact(op.key, op.action, u.window);
       }
-      case OpKind::kRetireTernary: {
-        auto handle = t->find_ternary(op.ternary_key, op.priority);
-        if (!handle ||
-            t->ternary_window(*handle).from > op.last_epoch) {
-          break;  // replica without a live version old enough
-        }
-        if (!t->retire_ternary(*handle, op.last_epoch)) {
-          throw std::invalid_argument("retire would malform the window");
-        }
-        UndoEntry u;
-        u.kind = UndoEntry::Kind::kUnretireTernary;
-        u.target = t;
-        u.handle = *handle;
-        u.last_epoch = op.last_epoch;
-        undo.push_back(std::move(u));
-        break;
-      }
-      case OpKind::kWriteRegister:
-        break;
+      undo.push_back(std::move(u));
+      continue;
     }
+    // A removal or retire takes one version per instance; a replica
+    // without it is skipped.
+    if (ternary) {
+      auto versions = t->ternary_versions(op.tkey, op.priority);
+      const auto v = std::find_if(
+          versions.begin(), versions.end(),
+          [&](const auto& x) { return takes(op, x.window); });
+      if (v == versions.end()) continue;
+      if (op.retire_at) {
+        if (!t->retire_ternary(v->handle, *op.retire_at)) {
+          throw std::invalid_argument("retire would malform the window");
+        }
+        u.kind = UndoEntry::Kind::kUnretireTernary;
+        u.handle = v->handle;
+      } else {
+        t->erase_ternary(v->handle);
+        u.kind = UndoEntry::Kind::kReinstallTernary;
+        u.ternary_key = op.tkey;
+        u.priority = op.priority;
+        u.action = std::move(v->action);
+        u.window = v->window;
+      }
+    } else {
+      auto versions = t->exact_versions(op.key);
+      const auto v = std::find_if(
+          versions.begin(), versions.end(),
+          [&](const auto& x) { return takes(op, x.window); });
+      if (v == versions.end()) continue;
+      if (op.retire_at) {
+        if (!t->retire_exact(op.key, *op.retire_at)) {
+          throw std::invalid_argument("retire would malform the window");
+        }
+        u.kind = UndoEntry::Kind::kUnretireExact;
+      } else {
+        t->remove_exact_version(op.key, v->window);
+        u.kind = UndoEntry::Kind::kReinstallExact;
+        u.action = std::move(v->action);
+        u.window = v->window;
+      }
+    }
+    u.last_epoch = op.retire_at.value_or(0);
+    undo.push_back(std::move(u));
   }
 }
 
@@ -543,7 +312,7 @@ Transaction::Result Transaction::commit() {
       } catch (const sim::TransientWriteError& e) {
         if (attempt >= retry_.max_attempts) {
           result.error =
-              ops_[i].describe() + ": " + e.what() + " (retries exhausted)";
+              label(ops_[i]) + ": " + e.what() + " (retries exhausted)";
           rollback(undo);
           result.rolled_back = true;
           return result;
@@ -551,7 +320,7 @@ Transaction::Result Transaction::commit() {
         ++result.retries;
         result.total_backoff_ms += retry_.backoff_ms(attempt);
       } catch (const std::exception& e) {
-        result.error = ops_[i].describe() + ": " + e.what();
+        result.error = label(ops_[i]) + ": " + e.what();
         rollback(undo);
         result.rolled_back = true;
         return result;

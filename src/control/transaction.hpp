@@ -1,12 +1,19 @@
 // Transactional rule updates: batch table writes against the running
-// data plane and commit them all-or-nothing. A commit first validates
-// every queued op (tables exist, kinds and arities match, capacity is
-// available for the whole batch), then applies op by op while keeping
-// an undo log; a write that keeps failing after the retry budget — or
-// any permanent error — rolls the already-applied prefix back in
-// reverse order, leaving the switch byte-identical to its
-// pre-transaction state (tests/test_transaction.cpp pins this with
-// Snapshot::to_text()).
+// data plane and commit them all-or-nothing. A Transaction queues
+// RuleOps, the one record of a table or register-cell write, and its
+// apply() is the only code that turns a RuleOp into store mutations:
+// legacy diffs, a live update's shadow, repair staging and session
+// reconciles all commit through it.
+//
+// A commit first validates every queued op against the batch's running
+// state: each op is checked against the state the earlier ops of the
+// batch leave (tables exist, kinds and arities match, epoch windows do
+// not overlap, capacity holds after the removals before it). It then
+// applies op by op while keeping an O(diff) undo log; a write that
+// keeps failing after the retry budget — or any permanent error —
+// rolls the already-applied prefix back in reverse order, leaving the
+// switch byte-identical to its pre-transaction state
+// (tests/test_transaction.cpp pins this with Snapshot::to_text()).
 //
 // Transient write errors (sim::TransientWriteError, e.g. from a
 // sim::FaultInjector standing in for a flaky switch driver) are
@@ -20,17 +27,28 @@
 #include <vector>
 
 #include "control/backoff.hpp"
-#include "net/tcam.hpp"
+#include "control/journal.hpp"
 #include "sim/dataplane.hpp"
 #include "sim/fault.hpp"
 
 namespace dejavu::control {
 
+/// The table instances `op` addresses: its control's instance, or every
+/// instance of the name when `op.control` is empty (empty = unknown).
+std::vector<sim::RuntimeTable*> resolve_op(sim::DataPlane& dp,
+                                           const RuleOp& op);
+
+/// The identity of the entry `op` writes within its table: the exact
+/// key, or the ternary key and priority. A string, so it can key maps
+/// (TernaryField has no ordering).
+std::string entry_identity(const RuleOp& op);
+
 /// A batched, all-or-nothing rule update against one data plane.
 /// Queue ops, then commit() once; a Transaction is single-use.
-/// Like ControlPlane, a table name addresses *every* instance of the
-/// table across pipelets (an NF placed in two pipelets keeps its
-/// replicas in sync).
+/// Like ControlPlane, an op without a control addresses *every*
+/// instance of its table across pipelets (an NF placed in two pipelets
+/// keeps its replicas in sync); one with a control addresses that
+/// pipelet's instance only.
 class Transaction {
  public:
   /// `injector`, when given, is consulted before every physical write
@@ -40,45 +58,21 @@ class Transaction {
   explicit Transaction(sim::DataPlane& dp, Backoff retry = {},
                        sim::FaultInjector* injector = nullptr);
 
-  /// Installs take an optional epoch window (default [0, open]): a
-  /// live update shadow-installs the next generation with window
-  /// [e+1, open] next to the retiring one (§11). Windows overlapping a
-  /// different installed version of the same key fail validation.
-  void install_exact(std::string table, std::vector<std::uint64_t> key,
-                     sim::ActionCall action, sim::EpochWindow window = {});
-  /// Control-scoped variants: address one pipelet's instance only
-  /// (e.g. a specific ingress pipelet's branching table) instead of
-  /// every instance of the name.
-  void install_exact_in(std::string control, std::string table,
-                        std::vector<std::uint64_t> key,
-                        sim::ActionCall action, sim::EpochWindow window = {});
-  void remove_exact_in(std::string control, std::string table,
-                       std::vector<std::uint64_t> key);
-  void install_ternary(std::string table, std::vector<net::TernaryField> key,
-                       std::int32_t priority, sim::ActionCall action,
-                       sim::EpochWindow window = {});
-  void install_lpm(std::string table, std::uint64_t value,
-                   std::uint8_t prefix_len, sim::ActionCall action,
-                   sim::EpochWindow window = {});
-  void remove_exact(std::string table, std::vector<std::uint64_t> key);
-  /// Removes the installed ternary entry matching (key, priority)
-  /// exactly; validation fails when no such entry exists.
-  void remove_ternary(std::string table, std::vector<net::TernaryField> key,
-                      std::int32_t priority);
-  /// Cap the live version's window at `last_epoch` instead of removing
-  /// it — the retiring half of a two-phase update. Validation fails
-  /// when no live (open-window) version is installed.
-  void retire_exact(std::string table, std::vector<std::uint64_t> key,
-                    std::uint32_t last_epoch);
-  void retire_exact_in(std::string control, std::string table,
-                       std::vector<std::uint64_t> key,
-                       std::uint32_t last_epoch);
-  void retire_ternary(std::string table, std::vector<net::TernaryField> key,
-                      std::int32_t priority, std::uint32_t last_epoch);
-  void write_register(std::string control, std::string reg,
-                      std::uint64_t index, std::uint64_t value);
-
-  std::size_t size() const { return ops_.size(); }
+  /// Queue one write. Ops apply in queue order, and the write lane's
+  /// fault indices count them from 0. What each does:
+  ///   * install — the entry at `op.window` ([0, open] unset). An exact
+  ///     install with the window of an installed version overwrites its
+  ///     action; a window overlapping a different version of the same
+  ///     key (a packet could see two generations) fails validation.
+  ///   * removal with `retire_at` — caps the live version's window at
+  ///     that epoch; validation fails when no live version old enough
+  ///     is installed.
+  ///   * other removal — the live exact version, or the first ternary
+  ///     version in match order; validation fails when no instance
+  ///     holds one. A removal naming `op.window` takes exactly that
+  ///     version, and one already gone is a no-op (a reconcile edit).
+  ///   * kRegister — writes one register cell.
+  void add(RuleOp op) { ops_.push_back(std::move(op)); }
 
   struct Result {
     bool committed = false;
@@ -101,39 +95,11 @@ class Transaction {
   Result commit();
 
  private:
-  enum class OpKind : std::uint8_t {
-    kInstallExact,
-    kInstallTernary,
-    kInstallLpm,
-    kRemoveExact,
-    kRemoveTernary,
-    kRetireExact,
-    kRetireTernary,
-    kWriteRegister,
-  };
-  struct Op {
-    OpKind kind;
-    std::string control;  // empty = every instance of `table`
-    std::string table;    // register ops: control block name
-    std::string reg;
-    std::vector<std::uint64_t> exact_key;
-    std::vector<net::TernaryField> ternary_key;
-    std::int32_t priority = 0;
-    std::uint64_t lpm_value = 0;
-    std::uint8_t prefix_len = 0;
-    std::uint64_t reg_index = 0;
-    std::uint64_t reg_value = 0;
-    sim::ActionCall action;
-    sim::EpochWindow window;        // installs
-    std::uint32_t last_epoch = 0;   // retires
-
-    std::string describe() const;
-  };
   struct UndoEntry {
     enum class Kind : std::uint8_t {
       kRemoveExact,      // undo an exact install (that exact version)
       kReinstallExact,   // undo an exact overwrite or removal
-      kEraseTernary,     // undo a ternary/LPM install (by handle)
+      kEraseTernary,     // undo a ternary install (by handle)
       kReinstallTernary, // undo a ternary removal
       kUnretireExact,    // undo an exact retire (re-open the window)
       kUnretireTernary,  // undo a ternary retire
@@ -153,18 +119,17 @@ class Transaction {
     std::uint32_t last_epoch = 0;
   };
 
-  /// All-or-nothing pre-flight; empty string == valid.
+  /// All-or-nothing pre-flight against the batch's running state;
+  /// empty string == valid.
   std::string validate() const;
-  /// The table instances an op addresses (empty = unknown name).
-  std::vector<sim::RuntimeTable*> resolve(const Op& op) const;
   /// Apply one op to every instance, appending undo records.
-  void apply(const Op& op, std::vector<UndoEntry>& undo);
+  void apply(const RuleOp& op, std::vector<UndoEntry>& undo);
   void rollback(std::vector<UndoEntry>& undo);
 
   sim::DataPlane* dp_;
   Backoff retry_;
   sim::FaultInjector* injector_;
-  std::vector<Op> ops_;
+  std::vector<RuleOp> ops_;
   bool committed_ = false;
 };
 

@@ -623,7 +623,7 @@ class Walker {
       return;
     }
 
-    if (rt->ternary_entries().empty() && !table->needs_tcam()) {
+    if (!table->needs_tcam()) {
       exact_lookup(std::move(s), std::move(ctx), control, ci, idx, *table,
                    *rt, key, miss_action, std::move(k));
     } else {
@@ -729,8 +729,8 @@ class Walker {
     for (const auto& kv : key) miss_key.push_back(*kv);
     bool miss_alive = true;
 
-    for (const auto& e : rt.ternary_entries()) {
-      if (!e.window.contains(epoch_)) continue;
+    for (const auto& e : rt.ternary_store()) {
+      if (!e.value.window.contains(epoch_)) continue;
       Tri agg = Tri::kAlways;
       for (std::size_t i = 0; i < miss_key.size(); ++i) {
         const Tri t = miss_key[i].match_tri(e.key[i].value, e.key[i].mask);
@@ -749,7 +749,7 @@ class Walker {
           aset(miss_s, miss_c, table.keys[i].field, miss_key[i]);
         }
         finish_lookup(std::move(miss_s), std::move(miss_c), control, ci, idx,
-                      true, e.action, std::move(k));
+                      true, rt.text(e.value), std::move(k));
         return;
       }
 
@@ -765,7 +765,7 @@ class Walker {
       }
       if (hit_ok && spawn()) {
         finish_lookup(std::move(hs), std::move(hc), control, ci, idx, true,
-                      e.action, k);
+                      rt.text(e.value), k);
       }
       // ...and refine the miss state: exclude this entry via its first
       // undecided component.

@@ -655,8 +655,8 @@ void Explorer::do_table(PathState s, const p4ir::ControlBlock& control,
         }
       }
     } else {
-      for (const auto& e : rt->ternary_entries()) {
-        if (!e.window.contains(epoch_)) continue;
+      for (const auto& e : rt->ternary_store()) {
+        if (!e.value.window.contains(epoch_)) continue;
         bool match = true;
         for (std::size_t i = 0; i < key.size(); ++i) {
           if (!e.key[i].matches(key[i].val)) {
@@ -667,8 +667,9 @@ void Explorer::do_table(PathState s, const p4ir::ControlBlock& control,
         if (match) {
           hit_entries_.insert(
               coverage_ternary_id(control.name(), table->name, e.handle));
-          consult_window(s, table->name, e.window);
-          finish_lookup(std::move(s), control, entry, true, e.action, next);
+          consult_window(s, table->name, e.value.window);
+          finish_lookup(std::move(s), control, entry, true, rt->text(e.value),
+                        next);
           return;
         }
       }
@@ -738,11 +739,11 @@ void Explorer::do_table(PathState s, const p4ir::ControlBlock& control,
 
   // Ternary/LPM: entries come priority-ordered; a hit on entry i also
   // requires missing every higher-priority compatible entry.
-  const auto& entries = rt->ternary_entries();
+  const auto entries = rt->ternary_store();
   std::vector<bool> compatible(entries.size(), false);
   std::vector<int> first_sym(entries.size(), -1);
   for (std::size_t n = 0; n < entries.size(); ++n) {
-    bool maybe = entries[n].window.contains(epoch_);
+    bool maybe = entries[n].value.window.contains(epoch_);
     for (std::size_t i = 0; maybe && i < key.size(); ++i) {
       if (!key[i].sym && !entries[n].key[i].matches(key[i].val)) {
         maybe = false;
@@ -784,8 +785,9 @@ void Explorer::do_table(PathState s, const p4ir::ControlBlock& control,
     }
     hit_entries_.insert(
         coverage_ternary_id(control.name(), table->name, entries[n].handle));
-    consult_window(hs, table->name, entries[n].window);
-    finish_lookup(std::move(hs), control, entry, true, entries[n].action, next);
+    consult_window(hs, table->name, entries[n].value.window);
+    finish_lookup(std::move(hs), control, entry, true,
+                  rt->text(entries[n].value), next);
   }
   bool miss_feasible = true;
   for (std::size_t n = 0; n < entries.size() && miss_feasible; ++n) {

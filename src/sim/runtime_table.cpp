@@ -398,12 +398,17 @@ bool RuntimeTable::retire_ternary(std::size_t handle,
 
 bool RuntimeTable::unretire_ternary(std::size_t handle,
                                     std::uint32_t last_epoch) {
-  Stored* stored = ternary_stored(handle);
-  if (stored == nullptr || stored->window.open() ||
-      stored->window.to != last_epoch) {
-    return false;
+  if (!tcam_) return false;
+  auto* entry = tcam_->mutable_entry(handle);
+  if (entry == nullptr || entry->value.window.to != last_epoch) return false;
+  const EpochWindow reopened{entry->value.window.from, kEpochOpen};
+  for (const auto& e : tcam_->entries()) {
+    if (e.handle != handle && e.priority == entry->priority &&
+        e.key == entry->key && e.value.window.overlaps(reopened)) {
+      return false;
+    }
   }
-  set_window(*stored, {stored->window.from, kEpochOpen});
+  set_window(entry->value, reopened);
   ++revision_;
   return true;
 }

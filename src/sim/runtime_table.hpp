@@ -45,6 +45,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -199,7 +200,9 @@ class RuntimeTable {
   bool unretire_exact(const std::vector<std::uint64_t>& key,
                       std::uint32_t last_epoch);
 
-  /// Ternary/LPM analogues, addressed by handle.
+  /// Ternary/LPM analogues, addressed by handle. Like unretire_exact,
+  /// unretire_ternary refuses a re-open that would overlap another
+  /// version of the same key and priority.
   bool retire_ternary(std::size_t handle, std::uint32_t last_epoch);
   bool unretire_ternary(std::size_t handle, std::uint32_t last_epoch);
 
@@ -221,6 +224,27 @@ class RuntimeTable {
     ActionCall action;
     EpochWindow window;
   };
+  /// One installed version as the store holds it: its window and its
+  /// action, bound at install time.
+  struct Stored {
+    EpochWindow window;
+    std::uint32_t action = kNoAction;  // index into the control's actions()
+    std::vector<std::uint64_t> args;   // in the action's param order
+  };
+  using TcamEntry = net::Tcam<Stored>::Entry;
+  /// Every ternary/LPM version in match order, borrowed in place (empty
+  /// for exact tables; valid until the next mutation): what the
+  /// analyzers walk on each lookup without copying keys or action
+  /// text. text() builds the action of the one that hits.
+  std::span<const TcamEntry> ternary_store() const {
+    if (!tcam_) return {};
+    return tcam_->entries();
+  }
+  /// The text form of a stored version's action.
+  ActionCall text(const Stored& stored) const {
+    return text(stored.action, stored.args.data());
+  }
+
   /// Every installed version of the ternary/LPM entry `key` at
   /// `priority`, in match order; empty when none (or an exact table).
   /// One pass over the entries.
@@ -316,14 +340,6 @@ class RuntimeTable {
   std::uint64_t state_digest() const;
 
  private:
-  /// One installed version: its window and its action, bound at
-  /// install time.
-  struct Stored {
-    EpochWindow window;
-    std::uint32_t action = kNoAction;  // index into the control's actions()
-    std::vector<std::uint64_t> args;   // in the action's param order
-  };
-
   /// action_error() minus the "declared by the table" rule (a default
   /// action need not be in def().actions).
   std::string call_error(const ActionCall& call) const;
@@ -332,9 +348,6 @@ class RuntimeTable {
   Stored bind(const ActionCall& call, EpochWindow window) const;
   /// The text form of a bound action.
   ActionCall text(std::uint32_t id, const std::uint64_t* args) const;
-  ActionCall text(const Stored& stored) const {
-    return text(stored.action, stored.args.data());
-  }
   /// Remove the version of `key` whose window equals `*window`, or the
   /// live one when `window` is nullptr.
   bool erase_version(const std::vector<std::uint64_t>& key,

@@ -174,6 +174,26 @@ TEST(Journal, TextRoundTripsExactly) {
   EXPECT_EQ(reopened.begin(4, 5, {}), id + 1);
 }
 
+TEST(Journal, VersionedOpsRoundTrip) {
+  // An op naming a version window or a retire epoch keeps both through
+  // the text form; a journaled intent, which names neither, prints no
+  // such field.
+  RuleDiff diff = sample_diff();
+  Journal plain;
+  plain.begin(0, 1, diff);
+  EXPECT_EQ(plain.to_text().find("window="), std::string::npos);
+  EXPECT_EQ(plain.to_text().find("retire="), std::string::npos);
+
+  diff.ops[0].window = sim::EpochWindow{2, 5};
+  diff.ops[1].retire_at = 3;
+  diff.ops[2].window = sim::EpochWindow{4, sim::kEpochOpen};
+  Journal journal;
+  journal.begin(0, 1, diff);
+  const Journal parsed = Journal::from_text(journal.to_text());
+  EXPECT_EQ(parsed, journal);
+  EXPECT_EQ(parsed.records()[0].diff, diff);
+}
+
 TEST(Journal, PendingTracksTheLatestUnfinishedUpdate) {
   Journal journal;
   EXPECT_FALSE(journal.pending().has_value());

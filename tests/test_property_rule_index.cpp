@@ -485,15 +485,11 @@ void run_sequence(std::size_t arity, std::uint64_t seed, bool corrupting) {
                                      : static_cast<std::uint32_t>(rng() % 7);
       changed = rt.unretire_exact(key, last);
       ASSERT_EQ(changed, ref.unretire(key, last)) << where << " unretire";
-      // unretire_ternary re-opens without checking the key's other
-      // versions, so the twin only replays the re-opens the scan
-      // accepts (and none of an already open window, a no-op there).
-      if (last != kEpochOpen && tref.unretire(key, last)) {
-        const auto version =
-            twin_version(key, [&](EpochWindow x) { return x.to == last; });
-        ASSERT_TRUE(version && tt.unretire_ternary(*version, last))
-            << where << " ternary unretire";
-      }
+      const auto version =
+          twin_version(key, [&](EpochWindow x) { return x.to == last; });
+      ASSERT_EQ(version && tt.unretire_ternary(*version, last),
+                tref.unretire(key, last))
+          << where << " ternary unretire";
     } else if (op < 88) {
       const auto min_live = static_cast<std::uint32_t>(rng() % 8);
       const std::size_t removed = rt.gc(min_live);

@@ -75,19 +75,29 @@ std::vector<Op> op_set() {
 void install_ops(sim::DataPlane& dp, const std::vector<Op>& ops) {
   Transaction txn(dp);
   for (const Op& op : ops) {
+    RuleOp rule;
+    rule.action = op.action;
     switch (op.kind) {
       case Op::Kind::kExact:
-        txn.install_exact("LB.lb_session", op.key, op.action);
+        rule.table = "LB.lb_session";
+        rule.key = op.key;
         break;
       case Op::Kind::kTernary:
-        txn.install_ternary("Classifier.traffic_class", op.tkey, op.priority,
-                            op.action);
+        rule.kind = RuleOp::Kind::kTernary;
+        rule.table = "Classifier.traffic_class";
+        rule.tkey = op.tkey;
+        rule.priority = op.priority;
         break;
       case Op::Kind::kLpm:
-        txn.install_lpm("Router.ipv4_lpm", op.key[0], op.lpm_prefix,
-                        op.action);
+        // An LPM entry is the ternary entry its prefix expands to.
+        rule.kind = RuleOp::Kind::kTernary;
+        rule.table = "Router.ipv4_lpm";
+        rule.tkey = dp.tables_named(rule.table)[0]->lpm_key(
+            op.key[0], static_cast<std::uint8_t>(op.lpm_prefix));
+        rule.priority = static_cast<std::int32_t>(op.lpm_prefix);
         break;
     }
+    txn.add(std::move(rule));
   }
   ASSERT_TRUE(txn.commit().committed);
 }

@@ -240,20 +240,20 @@ TEST(SwitchAgent, ReconcileRefusesAnActionTheTableDoesNotBind) {
   for (const Snapshot::TableState& t : take_snapshot(dp).tables) {
     if (t.table != "VGW.vip_map") continue;
     for (const sim::RuntimeTable::ExactEntry& e : t.exact) {
-      ReconcileOp remove;
-      remove.kind = ReconcileOp::Kind::kRemoveExact;
+      RuleOp remove;
+      remove.install = false;
       remove.control = t.control;
       remove.table = t.table;
       remove.key = e.key;
       remove.window = e.window;
-      ReconcileOp add = remove;
-      add.kind = ReconcileOp::Kind::kAddExact;
+      RuleOp add = remove;
+      add.install = true;
       add.action = {"no_such_action", {}};
-      msg.write.recon.push_back(remove);
-      msg.write.recon.push_back(add);
+      msg.write.diff.ops.push_back(remove);
+      msg.write.diff.ops.push_back(add);
     }
   }
-  ASSERT_FALSE(msg.write.recon.empty());
+  ASSERT_FALSE(msg.write.diff.empty());
 
   const AckMsg ack = agent.handle(msg);
   EXPECT_FALSE(ack.ok);
@@ -264,6 +264,40 @@ TEST(SwitchAgent, ReconcileRefusesAnActionTheTableDoesNotBind) {
     EXPECT_NO_THROW(dp.process(rf.flow.packet(), rf.in_port))
         << "path " << rf.path_id;
   }
+}
+
+TEST(SwitchAgent, ReconcileWithAnUnknownTableAppliesNothing) {
+  // One edit in the middle of an otherwise valid plan names a table no
+  // control holds: the whole plan is refused before any edit lands, and
+  // its scalar fields are not applied either.
+  auto fx = make_fig9_deployment();
+  sim::DataPlane& dp = fx.deployment->dataplane();
+  SwitchAgent agent(dp);
+  const Snapshot snap = take_snapshot(dp);
+  const std::string before = snap.to_text();
+  std::string control;
+  for (const Snapshot::TableState& t : snap.tables) {
+    if (t.table == "LB.lb_session") control = t.control;
+  }
+  ASSERT_FALSE(control.empty());
+
+  WriteCommand cmd;
+  cmd.verb = WriteCommand::Verb::kReconcile;
+  for (const char* table : {"LB.lb_session", "Ghost.table", "LB.lb_session"}) {
+    RuleOp add;
+    add.control = control;
+    add.table = table;
+    add.key = {0x500 + cmd.diff.ops.size()};
+    add.action = {"LB.modify_dstIp", {{"dip", 0x0a010201}}};
+    add.window = sim::EpochWindow{};
+    cmd.diff.ops.push_back(add);
+  }
+  cmd.epoch = dp.epoch() + 1;
+  const AckMsg ack = agent.apply(cmd);
+  EXPECT_FALSE(ack.ok);
+  EXPECT_EQ(ack.applied, 0u);
+  EXPECT_NE(ack.error.find("does not exist"), std::string::npos) << ack.error;
+  EXPECT_EQ(take_snapshot(dp).to_text(), before);
 }
 
 // ---------------------------------------------------------------------------
@@ -476,6 +510,32 @@ TEST(Session, ReconcileRestoresTheIntendedStateAfterDivergence) {
   EXPECT_EQ(again.ops, 0u);
 }
 
+TEST(Session, ReconcileConvergesOnAFullTable) {
+  // The switch's LB table is full, and one session in it is a rogue
+  // that should have been another: the plan removes the rogue version
+  // before installing the missing one, so it fits.
+  Rig rig;
+  ASSERT_TRUE(rig.session->hello());
+  sim::RuntimeTable* lb = rig.dp.tables_named("LB.lb_session")[0];
+  sim::RuntimeTable* intended =
+      rig.session->mirror().tables_named("LB.lb_session")[0];
+  const auto capacity = lb->def().max_entries;
+  const sim::ActionCall call{"LB.modify_dstIp", {{"dip", 0x0a010201}}};
+  for (std::uint64_t i = 0; lb->entry_count() < capacity; ++i) {
+    lb->add_exact({0x70000000 + i}, call);
+    intended->add_exact({0x70000000 + i}, call);
+  }
+  ASSERT_EQ(rig.switch_text(), rig.mirror_text());
+  ASSERT_TRUE(lb->remove_exact({0x70000000}));
+  lb->add_exact({0x7fffffff}, call);
+  ASSERT_EQ(lb->entry_count(), capacity);
+
+  const ReconcileReport report = rig.session->reconcile();
+  EXPECT_TRUE(report.converged) << report.to_string();
+  EXPECT_EQ(report.ops, 2u);
+  EXPECT_EQ(rig.switch_text(), rig.mirror_text());
+}
+
 TEST(Session, ReconcileReportsUnreachableDuringAPartition) {
   Rig rig;
   ASSERT_TRUE(rig.session->hello());
@@ -510,7 +570,7 @@ TEST(Session, PartitionedIntentReconcilesAfterTheChannelHeals) {
 TEST(SnapshotDiff, IdenticalSnapshotsDiffEmpty) {
   auto fx = make_fig9_deployment();
   const Snapshot s = take_snapshot(fx.deployment->dataplane());
-  EXPECT_TRUE(snapshot_diff(s, s).empty());
+  EXPECT_EQ(snapshot_diff(s, s).edits(), 0u);
 }
 
 TEST(SnapshotDiff, ProducesMinimalEditScript) {
@@ -532,26 +592,31 @@ TEST(SnapshotDiff, ProducesMinimalEditScript) {
     }
   }
   ASSERT_TRUE(edited);
-  auto ops = snapshot_diff(actual, intended);
-  ASSERT_EQ(ops.size(), 1u);
-  EXPECT_EQ(ops[0].kind, ReconcileOp::Kind::kAddExact);
-  EXPECT_EQ(ops[0].key, std::vector<std::uint64_t>{0x77});
+  WriteCommand plan = snapshot_diff(actual, intended);
+  EXPECT_EQ(plan.verb, WriteCommand::Verb::kReconcile);
+  ASSERT_EQ(plan.edits(), 1u);
+  ASSERT_EQ(plan.diff.ops.size(), 1u);
+  EXPECT_TRUE(plan.diff.ops[0].install);
+  EXPECT_EQ(plan.diff.ops[0].key, std::vector<std::uint64_t>{0x77});
+  // Every edit names the exact version it writes.
+  EXPECT_EQ(plan.diff.ops[0].window, sim::EpochWindow{});
 
-  // The reverse direction is a remove.
-  ops = snapshot_diff(intended, actual);
-  ASSERT_EQ(ops.size(), 1u);
-  EXPECT_EQ(ops[0].kind, ReconcileOp::Kind::kRemoveExact);
+  // The reverse direction is a remove of that version.
+  plan = snapshot_diff(intended, actual);
+  ASSERT_EQ(plan.edits(), 1u);
+  ASSERT_EQ(plan.diff.ops.size(), 1u);
+  EXPECT_FALSE(plan.diff.ops[0].install);
+  EXPECT_EQ(plan.diff.ops[0].window, sim::EpochWindow{});
 
-  // Epoch and drain-floor divergence each yield their restore op.
+  // Epoch and drain-floor divergence each yield their restore field.
   Snapshot moved = actual;
   moved.epoch = actual.epoch + 2;
   moved.min_live_epoch = actual.min_live_epoch + 1;
-  ops = snapshot_diff(moved, actual);
-  ASSERT_EQ(ops.size(), 2u);
-  EXPECT_EQ(ops[0].kind, ReconcileOp::Kind::kSetEpoch);
-  EXPECT_EQ(ops[0].value, actual.epoch);
-  EXPECT_EQ(ops[1].kind, ReconcileOp::Kind::kSetMinLive);
-  EXPECT_EQ(ops[1].value, actual.min_live_epoch);
+  plan = snapshot_diff(moved, actual);
+  ASSERT_EQ(plan.edits(), 2u);
+  EXPECT_TRUE(plan.diff.empty());
+  EXPECT_EQ(plan.epoch, actual.epoch);
+  EXPECT_EQ(plan.min_live_epoch, actual.min_live_epoch);
 }
 
 // ---------------------------------------------------------------------------

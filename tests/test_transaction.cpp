@@ -7,6 +7,7 @@
 #include <tuple>
 
 #include "control/deployment.hpp"
+#include "control/live_update.hpp"
 #include "control/replay_target.hpp"
 #include "control/session.hpp"
 #include "control/snapshot.hpp"
@@ -51,6 +52,52 @@ std::unique_ptr<Deployment> make_stateful_deployment() {
                            std::move(ids));
 }
 
+RuleOp exact_install(std::string table, std::vector<std::uint64_t> key,
+                     sim::ActionCall action) {
+  RuleOp op;
+  op.table = std::move(table);
+  op.key = std::move(key);
+  op.action = std::move(action);
+  return op;
+}
+
+RuleOp exact_removal(std::string table, std::vector<std::uint64_t> key) {
+  RuleOp op = exact_install(std::move(table), std::move(key), {});
+  op.install = false;
+  return op;
+}
+
+RuleOp ternary_install(std::string table, std::vector<net::TernaryField> key,
+                       std::int32_t priority, sim::ActionCall action) {
+  RuleOp op;
+  op.kind = RuleOp::Kind::kTernary;
+  op.table = std::move(table);
+  op.tkey = std::move(key);
+  op.priority = priority;
+  op.action = std::move(action);
+  return op;
+}
+
+/// The ternary install an LPM prefix on `table` expands to.
+RuleOp lpm_install(sim::DataPlane& dp, const std::string& table,
+                   std::uint64_t value, std::uint8_t prefix_len,
+                   sim::ActionCall action) {
+  return ternary_install(table,
+                         dp.tables_named(table)[0]->lpm_key(value, prefix_len),
+                         prefix_len, std::move(action));
+}
+
+RuleOp register_write(std::string control, std::string reg,
+                      std::uint64_t index, std::uint64_t value) {
+  RuleOp op;
+  op.kind = RuleOp::Kind::kRegister;
+  op.control = std::move(control);
+  op.reg = std::move(reg);
+  op.index = index;
+  op.value = value;
+  return op;
+}
+
 TEST(RetryPolicy, BackoffIsDeterministicAndBounded) {
   const Backoff p;
   for (std::uint32_t retry = 1; retry <= 8; ++retry) {
@@ -77,10 +124,11 @@ TEST(Transaction, CommitsBatch) {
   sim::DataPlane& dp = fx.deployment->dataplane();
 
   Transaction txn(dp);
-  txn.install_exact("LB.lb_session", {0x4242},
-                    {"LB.modify_dstIp", {{"dip", 0x0a010201}}});
-  txn.install_lpm("Router.ipv4_lpm", net::Ipv4Addr(10, 77, 0, 0).value(), 16,
-                  {"Router.route", {{"port", 1}, {"dmac", 0x42}}});
+  txn.add(exact_install("LB.lb_session", {0x4242},
+                        {"LB.modify_dstIp", {{"dip", 0x0a010201}}}));
+  txn.add(lpm_install(dp, "Router.ipv4_lpm",
+                      net::Ipv4Addr(10, 77, 0, 0).value(), 16,
+                      {"Router.route", {{"port", 1}, {"dmac", 0x42}}}));
   const auto result = txn.commit();
   EXPECT_TRUE(result.committed) << result.to_string();
   EXPECT_EQ(result.applied, 2u);
@@ -112,8 +160,9 @@ TEST(Transaction, CommitInvalidatesCompiledTraces) {
   EXPECT_TRUE(before.delivered());
 
   Transaction txn(dp);
-  txn.install_lpm("Router.ipv4_lpm", net::Ipv4Addr(10, 3, 0, 0).value(), 24,
-                  {"Router.route", {{"port", 1}, {"dmac", 0x4242}}});
+  txn.add(lpm_install(dp, "Router.ipv4_lpm",
+                      net::Ipv4Addr(10, 3, 0, 0).value(), 24,
+                      {"Router.route", {{"port", 1}, {"dmac", 0x4242}}}));
   ASSERT_TRUE(txn.commit().committed);
 
   sim::DataPlane reference = dp;
@@ -138,9 +187,9 @@ TEST(Transaction, ValidationRejectsWithoutTouchingTheSwitch) {
 
   {  // unknown table
     Transaction txn(dp);
-    txn.install_exact("LB.lb_session", {1},
-                      {"LB.modify_dstIp", {{"dip", 1}}});
-    txn.install_exact("Ghost.table", {1}, {"Ghost.act", {}});
+    txn.add(exact_install("LB.lb_session", {1},
+                          {"LB.modify_dstIp", {{"dip", 1}}}));
+    txn.add(exact_install("Ghost.table", {1}, {"Ghost.act", {}}));
     const auto r = txn.commit();
     EXPECT_FALSE(r.committed);
     EXPECT_NE(r.error.find("does not exist"), std::string::npos);
@@ -148,23 +197,23 @@ TEST(Transaction, ValidationRejectsWithoutTouchingTheSwitch) {
   }
   {  // key arity mismatch
     Transaction txn(dp);
-    txn.install_exact("LB.lb_session", {1, 2},
-                      {"LB.modify_dstIp", {{"dip", 1}}});
+    txn.add(exact_install("LB.lb_session", {1, 2},
+                          {"LB.modify_dstIp", {{"dip", 1}}}));
     const auto r = txn.commit();
     EXPECT_FALSE(r.committed);
     EXPECT_NE(r.error.find("arity"), std::string::npos);
   }
   {  // removing a phantom entry
     Transaction txn(dp);
-    txn.remove_exact("LB.lb_session", {0xdead});
+    txn.add(exact_removal("LB.lb_session", {0xdead}));
     const auto r = txn.commit();
     EXPECT_FALSE(r.committed);
     EXPECT_NE(r.error.find("not installed"), std::string::npos);
   }
   {  // exact install into a ternary table
     Transaction txn(dp);
-    txn.install_exact("Classifier.traffic_class", {1, 2, 3},
-                      {"Classifier.classify", {}});
+    txn.add(exact_install("Classifier.traffic_class", {1, 2, 3},
+                          {"Classifier.classify", {}}));
     const auto r = txn.commit();
     EXPECT_FALSE(r.committed);
   }
@@ -193,7 +242,7 @@ TEST(Transaction, RejectsActionsTheTableCannotRun) {
   };
   for (const auto& [call, why] : bad) {
     Transaction txn(dp);
-    txn.install_exact("VGW.vip_map", {vip}, call);
+    txn.add(exact_install("VGW.vip_map", {vip}, call));
     const auto r = txn.commit();
     EXPECT_FALSE(r.committed) << call.action;
     EXPECT_NE(r.error.find(why), std::string::npos) << r.error;
@@ -201,7 +250,7 @@ TEST(Transaction, RejectsActionsTheTableCannotRun) {
   }
   {  // ternary and LPM installs are checked the same way
     Transaction txn(dp);
-    txn.install_lpm("Router.ipv4_lpm", vip, 24, {"Router.route", {}});
+    txn.add(lpm_install(dp, "Router.ipv4_lpm", vip, 24, {"Router.route", {}}));
     EXPECT_FALSE(txn.commit().committed);
   }
   EXPECT_EQ(take_snapshot(dp).to_text(), before);
@@ -216,8 +265,8 @@ TEST(Transaction, RejectsActionsTheTableCannotRun) {
 
   // The well-formed install still commits.
   Transaction good(dp);
-  good.install_exact("VGW.vip_map", {vip},
-                     {"VGW.translate", {{"phys_dst", 1}, {"tenant", 2}}});
+  good.add(exact_install("VGW.vip_map", {vip},
+                         {"VGW.translate", {{"phys_dst", 1}, {"tenant", 2}}}));
   EXPECT_TRUE(good.commit().committed);
 }
 
@@ -233,17 +282,95 @@ TEST(Transaction, CapacityCheckCoversTheWholeBatch) {
 
   // A brand-new key cannot fit...
   Transaction full(dp);
-  full.install_exact("LB.lb_session", {capacity + 7},
-                     {"LB.modify_dstIp", {{"dip", 2}}});
+  full.add(exact_install("LB.lb_session", {capacity + 7},
+                         {"LB.modify_dstIp", {{"dip", 2}}}));
   const auto rejected = full.commit();
   EXPECT_FALSE(rejected.committed);
   EXPECT_NE(rejected.error.find("cannot fit"), std::string::npos);
 
   // ...but overwriting an existing key consumes no new capacity.
   Transaction overwrite(dp);
-  overwrite.install_exact("LB.lb_session", {0},
-                          {"LB.modify_dstIp", {{"dip", 9}}});
+  overwrite.add(exact_install("LB.lb_session", {0},
+                              {"LB.modify_dstIp", {{"dip", 9}}}));
   EXPECT_TRUE(overwrite.commit().committed);
+}
+
+TEST(Transaction, RemovalsFreeCapacityForLaterInstalls) {
+  // Each op is validated against the state the earlier ops of its batch
+  // leave: a legacy batch that swaps one LB session for another on a
+  // full table fits, because its removal is queued first.
+  auto fx = make_fig9_deployment();
+  sim::DataPlane& dp = fx.deployment->dataplane();
+  sim::RuntimeTable* lb = dp.tables_named("LB.lb_session")[0];
+  const auto capacity = lb->def().max_entries;
+  for (std::uint64_t i = 0; lb->entry_count() < capacity; ++i) {
+    lb->add_exact({0x70000000 + i}, {"LB.modify_dstIp", {{"dip", 1}}});
+  }
+
+  RuleDiff swap;
+  swap.ops.push_back(exact_install("LB.lb_session", {0x7fff0000},
+                                   {"LB.modify_dstIp", {{"dip", 2}}}));
+  swap.ops.push_back(exact_removal("LB.lb_session", {0x70000000}));
+  Transaction txn(dp);
+  fill_transaction(txn, swap);
+  const auto result = txn.commit();
+  EXPECT_TRUE(result.committed) << result.to_string();
+  EXPECT_EQ(lb->entry_count(), capacity);
+  EXPECT_TRUE(lb->find_exact({0x7fff0000}).has_value());
+  EXPECT_FALSE(lb->find_exact({0x70000000}).has_value());
+
+  // Queued the other way round, the install would overflow the table
+  // before the removal frees a slot.
+  const std::string before = take_snapshot(dp).to_text();
+  Transaction reversed(dp);
+  reversed.add(exact_install("LB.lb_session", {0x7fff0001},
+                             {"LB.modify_dstIp", {{"dip", 3}}}));
+  reversed.add(exact_removal("LB.lb_session", {0x70000001}));
+  const auto rejected = reversed.commit();
+  EXPECT_FALSE(rejected.committed);
+  EXPECT_NE(rejected.error.find("cannot fit"), std::string::npos);
+  EXPECT_EQ(take_snapshot(dp).to_text(), before);
+}
+
+TEST(Transaction, NamedRemovalFreesItsWindowForTheBatch) {
+  // A reconcile rewrites a ternary version's action by removing the
+  // version it names and installing the same window again; the
+  // install is checked against the window the removal freed.
+  auto fx = make_fig9_deployment();
+  sim::DataPlane& dp = fx.deployment->dataplane();
+  const std::vector<net::TernaryField> key{{0, 0}, {0, 0}, {0, 0}};
+  sim::RuntimeTable* cls = dp.tables_named("Classifier.traffic_class")[0];
+  cls->add_ternary(key, -7, {"Classifier.classify",
+                             {{"path_id", 1}, {"tenant", 1}}});
+
+  RuleOp remove = ternary_install("Classifier.traffic_class", key, -7, {});
+  remove.install = false;
+  remove.window = sim::EpochWindow{};
+  RuleOp add = ternary_install("Classifier.traffic_class", key, -7,
+                               {"Classifier.classify",
+                                {{"path_id", 2}, {"tenant", 1}}});
+  add.window = sim::EpochWindow{};
+  {  // without the removal, the same window overlaps
+    Transaction txn(dp);
+    txn.add(add);
+    EXPECT_NE(txn.commit().error.find("overlaps"), std::string::npos);
+  }
+  Transaction txn(dp);
+  txn.add(remove);
+  txn.add(add);
+  const auto result = txn.commit();
+  EXPECT_TRUE(result.committed) << result.to_string();
+  const auto versions = cls->ternary_versions(key, -7);
+  ASSERT_EQ(versions.size(), 1u);
+  EXPECT_EQ(versions[0].action.args.at("path_id"), 2u);
+
+  // A named version that is already gone is already reconciled.
+  const std::string before = take_snapshot(dp).to_text();
+  remove.window = sim::EpochWindow{5, 9};
+  Transaction gone(dp);
+  gone.add(remove);
+  EXPECT_TRUE(gone.commit().committed);
+  EXPECT_EQ(take_snapshot(dp).to_text(), before);
 }
 
 TEST(Transaction, TransientFaultsRetryUnderBackoff) {
@@ -252,8 +379,8 @@ TEST(Transaction, TransientFaultsRetryUnderBackoff) {
   sim::FaultInjector injector(plan);
 
   Transaction txn(fx.deployment->dataplane(), Backoff{}, &injector);
-  txn.install_exact("LB.lb_session", {0x77},
-                    {"LB.modify_dstIp", {{"dip", 3}}});
+  txn.add(exact_install("LB.lb_session", {0x77},
+                        {"LB.modify_dstIp", {{"dip", 3}}}));
   const auto result = txn.commit();
   EXPECT_TRUE(result.committed) << result.to_string();
   EXPECT_EQ(result.retries, 2u);
@@ -275,13 +402,14 @@ TEST(Transaction, ExhaustedRetriesRollBackByteIdentical) {
   const sim::FaultPlan plan = write_fail_plan(/*op_index=*/3, /*count=*/10);
   sim::FaultInjector injector(plan);
   Transaction txn(dp, Backoff{}, &injector);
-  txn.install_exact("LB.lb_session", {0x42},  // overwrite
-                    {"LB.modify_dstIp", {{"dip", 0xbad}}});
-  txn.remove_exact("LB.lb_session", {0x43});  // removal
-  txn.install_lpm("Router.ipv4_lpm", net::Ipv4Addr(10, 99, 0, 0).value(), 16,
-                  {"Router.route", {{"port", 1}, {"dmac", 0x99}}});
-  txn.install_exact("LB.lb_session", {0x55},  // never applied: op 3 fails
-                    {"LB.modify_dstIp", {{"dip", 4}}});
+  txn.add(exact_install("LB.lb_session", {0x42},  // overwrite
+                        {"LB.modify_dstIp", {{"dip", 0xbad}}}));
+  txn.add(exact_removal("LB.lb_session", {0x43}));  // removal
+  txn.add(lpm_install(dp, "Router.ipv4_lpm",
+                      net::Ipv4Addr(10, 99, 0, 0).value(), 16,
+                      {"Router.route", {{"port", 1}, {"dmac", 0x99}}}));
+  txn.add(exact_install("LB.lb_session", {0x55},  // never applied: op 3 fails
+                        {"LB.modify_dstIp", {{"dip", 4}}}));
   const auto result = txn.commit();
   EXPECT_FALSE(result.committed);
   EXPECT_TRUE(result.rolled_back);
@@ -305,12 +433,14 @@ TEST(Transaction, RegisterWritesRollBackToo) {
   const sim::FaultPlan plan = write_fail_plan(/*op_index=*/2, /*count=*/10);
   sim::FaultInjector injector(plan);
   Transaction txn(dp, Backoff{}, &injector);
-  txn.write_register(ctrl, "Limiter.flow_count", 5, 2222);
-  txn.install_lpm("Router.ipv4_lpm", net::Ipv4Addr(10, 88, 0, 0).value(), 16,
-                  {"Router.route", {{"port", 1}, {"dmac", 0x88}}});
-  txn.install_ternary("Classifier.traffic_class", {{0, 0}, {0, 0}, {0, 0}},
-                      /*priority=*/1, {"Classifier.classify",
-                                       {{"path_id", 1}, {"tenant", 1}}});
+  txn.add(register_write(ctrl, "Limiter.flow_count", 5, 2222));
+  txn.add(lpm_install(dp, "Router.ipv4_lpm",
+                      net::Ipv4Addr(10, 88, 0, 0).value(), 16,
+                      {"Router.route", {{"port", 1}, {"dmac", 0x88}}}));
+  txn.add(ternary_install("Classifier.traffic_class", {{0, 0}, {0, 0}, {0, 0}},
+                          /*priority=*/1,
+                          {"Classifier.classify",
+                           {{"path_id", 1}, {"tenant", 1}}}));
   const auto result = txn.commit();
   EXPECT_FALSE(result.committed);
   EXPECT_TRUE(result.rolled_back);
@@ -338,8 +468,8 @@ TEST(Transaction, DoubleCommitThrowsEvenAfterRollback) {
   const sim::FaultPlan plan = write_fail_plan(/*op_index=*/0, /*count=*/10);
   sim::FaultInjector injector(plan);
   Transaction txn(fx.deployment->dataplane(), Backoff{}, &injector);
-  txn.install_exact("LB.lb_session", {0x90},
-                    {"LB.modify_dstIp", {{"dip", 5}}});
+  txn.add(exact_install("LB.lb_session", {0x90},
+                        {"LB.modify_dstIp", {{"dip", 5}}}));
   const auto result = txn.commit();
   EXPECT_FALSE(result.committed);
   EXPECT_TRUE(result.rolled_back);
@@ -365,12 +495,14 @@ TEST(Transaction, FaultOnFinalRegisterWriteRollsBackEverything) {
   const sim::FaultPlan plan = write_fail_plan(/*op_index=*/2, /*count=*/10);
   sim::FaultInjector injector(plan);
   Transaction txn(dp, Backoff{}, &injector);
-  txn.install_lpm("Router.ipv4_lpm", net::Ipv4Addr(10, 66, 0, 0).value(), 16,
-                  {"Router.route", {{"port", 1}, {"dmac", 0x66}}});
-  txn.install_ternary("Classifier.traffic_class", {{0, 0}, {0, 0}, {0, 0}},
-                      /*priority=*/2, {"Classifier.classify",
-                                       {{"path_id", 1}, {"tenant", 1}}});
-  txn.write_register(ctrl, "Limiter.flow_count", 9, 888);  // op 2: fails
+  txn.add(lpm_install(dp, "Router.ipv4_lpm",
+                      net::Ipv4Addr(10, 66, 0, 0).value(), 16,
+                      {"Router.route", {{"port", 1}, {"dmac", 0x66}}}));
+  txn.add(ternary_install("Classifier.traffic_class", {{0, 0}, {0, 0}, {0, 0}},
+                          /*priority=*/2,
+                          {"Classifier.classify",
+                           {{"path_id", 1}, {"tenant", 1}}}));
+  txn.add(register_write(ctrl, "Limiter.flow_count", 9, 888));  // op 2: fails
   const auto result = txn.commit();
   EXPECT_FALSE(result.committed);
   EXPECT_TRUE(result.rolled_back);
@@ -386,12 +518,12 @@ TEST(Transaction, RegisterValidation) {
   const std::string ctrl = merge::pipelet_control_name(loc->pipelet);
 
   Transaction bad_name(d->dataplane());
-  bad_name.write_register(ctrl, "Limiter.ghost", 0, 1);
+  bad_name.add(register_write(ctrl, "Limiter.ghost", 0, 1));
   EXPECT_NE(bad_name.commit().error.find("no such register"),
             std::string::npos);
 
   Transaction bad_index(d->dataplane());
-  bad_index.write_register(ctrl, "Limiter.flow_count", 1u << 20, 1);
+  bad_index.add(register_write(ctrl, "Limiter.flow_count", 1u << 20, 1));
   EXPECT_NE(bad_index.commit().error.find("out of range"), std::string::npos);
 }
 
@@ -432,6 +564,27 @@ struct CheckRig {
         program, ids, asic::SwitchConfig(asic::TargetSpec::mini()));
   }
 };
+
+TEST(SwitchAgent, ReconcileRemovesAMalformedVersion) {
+  // A window bit flip can leave a retired version with from > to. The
+  // reconcile plan names it by that window and removes it like any
+  // other version: only installs must carry a well-formed window.
+  CheckRig rig;
+  sim::DataPlane& dp = *rig.dp;
+  const Snapshot clean = take_snapshot(dp);
+  sim::RuntimeTable* e = dp.table_in("c", "e");
+  e->add_exact({7}, {"set", {{"v", 1}}}, sim::EpochWindow{0, 0});
+  for (std::uint64_t salt = 0; e->exact_versions({7})[0].window.well_formed();
+       ++salt) {
+    ASSERT_LT(salt, 64u);
+    e->corrupt(sim::RuntimeTable::CorruptKind::kWindowFlip, salt);
+  }
+
+  SwitchAgent agent(dp);
+  const AckMsg ack = agent.apply(snapshot_diff(take_snapshot(dp), clean));
+  EXPECT_TRUE(ack.ok) << ack.error;
+  EXPECT_EQ(take_snapshot(dp).to_text(), clean.to_text());
+}
 
 sim::ActionCall bad_call(BadAction bad) {
   switch (bad) {
@@ -489,7 +642,7 @@ TEST_P(ActionCheck, RefusedWithTableUnchanged) {
       break;
     case InstallPath::kTransaction: {
       Transaction txn(dp);
-      txn.install_exact("e", {other}, call);
+      txn.add(exact_install("e", {other}, call));
       const auto r = txn.commit();
       EXPECT_FALSE(r.committed);
       EXPECT_EQ(r.applied, 0u);
@@ -499,13 +652,10 @@ TEST_P(ActionCheck, RefusedWithTableUnchanged) {
       SwitchAgent agent(dp);
       WriteCommand cmd;
       cmd.verb = WriteCommand::Verb::kReconcile;
-      ReconcileOp add;
-      add.kind = ReconcileOp::Kind::kAddExact;
+      RuleOp add = exact_install("e", {other}, call);
       add.control = "c";
-      add.table = "e";
-      add.key = {other};
-      add.action = call;
-      cmd.recon.push_back(add);
+      add.window = sim::EpochWindow{};
+      cmd.diff.ops.push_back(add);
       const AckMsg ack = agent.apply(cmd);
       EXPECT_FALSE(ack.ok);
       EXPECT_EQ(ack.applied, 0u);

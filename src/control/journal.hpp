@@ -61,8 +61,7 @@ struct RuleOp {
   sim::ActionCall action;
   /// The exact version this op names. An install lands with this
   /// window (unset: [0, open]); a removal takes exactly that version
-  /// (unset: the live exact version, or the first ternary version in
-  /// match order).
+  /// (unset: the open version, exact or ternary).
   std::optional<sim::EpochWindow> window;
   /// A removal with `retire_at` caps the live version's window at that
   /// epoch instead of removing it: the leaving half of a hitless update.

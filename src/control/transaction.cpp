@@ -70,11 +70,13 @@ std::vector<sim::EpochWindow> version_windows(const sim::RuntimeTable& t,
 }
 
 /// Is the version with window `w` one removal or retire `op` may take?
-/// Each takes the first such version in the store's order.
+/// Each takes the first such version in the store's order. A legacy
+/// removal (no window, no retire) takes the open version, exact or
+/// ternary alike.
 bool takes(const RuleOp& op, sim::EpochWindow w) {
   if (op.retire_at) return w.open() && w.from <= *op.retire_at;
   if (op.window) return w == *op.window;
-  return op.kind == RuleOp::Kind::kTernary || w.open();
+  return w.open();
 }
 
 }  // namespace

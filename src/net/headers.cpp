@@ -71,6 +71,20 @@ std::uint16_t Ipv4Header::compute_checksum() const {
   return read_be16(buf, 10);
 }
 
+void Ipv4Header::refresh_checksum(std::span<std::byte> data) {
+  if (data.size() < kMinSize) return;
+  const auto ver_ihl = std::to_integer<std::uint8_t>(data[0]);
+  const std::size_t len = std::size_t{ver_ihl & 0x0fu} * 4;
+  if ((ver_ihl >> 4) != 4 || len < kMinSize || len > data.size()) return;
+  data[10] = std::byte{0};
+  data[11] = std::byte{0};
+  ChecksumAccumulator sum;
+  sum.add(data.first(len));
+  const std::uint16_t value = sum.finish();
+  data[10] = static_cast<std::byte>(value >> 8);
+  data[11] = static_cast<std::byte>(value & 0xff);
+}
+
 std::optional<TcpHeader> TcpHeader::decode(std::span<const std::byte> data) {
   if (data.size() < kMinSize) return std::nullopt;
   TcpHeader h;

@@ -66,6 +66,12 @@ struct Ipv4Header {
   /// Recompute what the checksum field should be for this header value.
   std::uint16_t compute_checksum() const;
 
+  /// decode, then encode with fill_checksum, in place: refreshes the
+  /// checksum of the header at the start of `data` without decoding.
+  /// Under decode's guard (version 4, IHL >= 5, the whole header in
+  /// `data`) only bytes 10-11 change; otherwise nothing does.
+  static void refresh_checksum(std::span<std::byte> data);
+
   bool operator==(const Ipv4Header&) const = default;
 };
 

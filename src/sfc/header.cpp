@@ -150,6 +150,37 @@ void write_sfc(net::Packet& packet, const SfcHeader& header) {
                                             kSfcHeaderSize));
 }
 
+bool set_context(net::Packet& packet, std::uint8_t key, std::uint16_t value) {
+  constexpr std::size_t kOffset = net::EthernetHeader::kSize;
+  if (!packet.has_sfc_header() || packet.size() < kOffset + kSfcHeaderSize) {
+    return false;
+  }
+  std::byte* h = packet.data().mutable_view().data() + kOffset;
+  // Re-encoding packs the platform metadata word (bytes 3-6) with its
+  // reserved bits [8:0] zero: the low bit of byte 5 and all of byte 6.
+  h[5] &= std::byte{0xfe};
+  h[6] = std::byte{0};
+  if (key == 0) return true;
+  // ContextData::set's rule: the key's slot, else the first empty one,
+  // else none. Slots are (1-byte key, 2-byte value) from byte 7.
+  std::byte* slot = nullptr;
+  for (std::size_t i = 0; i < ContextData::kSlots; ++i) {
+    std::byte* s = h + 7 + i * 3;
+    const auto k = std::to_integer<std::uint8_t>(*s);
+    if (k == key) {
+      slot = s;
+      break;
+    }
+    if (k == 0 && slot == nullptr) slot = s;
+  }
+  if (slot != nullptr) {
+    slot[0] = static_cast<std::byte>(key);
+    slot[1] = static_cast<std::byte>(value >> 8);
+    slot[2] = static_cast<std::byte>(value & 0xff);
+  }
+  return true;
+}
+
 void push_sfc(net::Packet& packet, SfcHeader header) {
   if (packet.has_sfc_header()) {
     throw std::logic_error("push_sfc: packet already has an SFC header");

@@ -108,6 +108,13 @@ std::optional<SfcHeader> read_sfc(const net::Packet& packet);
 /// Throws std::logic_error if the packet has no SFC header.
 void write_sfc(net::Packet& packet, const SfcHeader& header);
 
+/// read_sfc, ContextData::set and write_sfc in one step, without
+/// decoding: edits the packet's SFC header in place and leaves it
+/// byte-identical to that round trip, including its zeroing of the
+/// platform metadata's reserved bits. Returns whether the packet
+/// carries an SFC header (whether or not a slot was written).
+bool set_context(net::Packet& packet, std::uint8_t key, std::uint16_t value);
+
 /// Insert an SFC header between Ethernet and IP (done by the Classifier
 /// in the paper). Sets the Ethernet EtherType to the SFC EtherType and
 /// records the displaced EtherType in next_protocol.

@@ -21,15 +21,26 @@ constexpr std::uint8_t low_bits(std::size_t n) {
 
 }  // namespace
 
+std::uint64_t read_bits(std::span<const std::byte> data,
+                        std::size_t bit_offset, std::size_t width) {
+  check(data, bit_offset, width);
+  return read_bits_unchecked(data.data(), bit_offset, width);
+}
+
+void write_bits(std::span<std::byte> data, std::size_t bit_offset,
+                std::size_t width, std::uint64_t value) {
+  check(data, bit_offset, width);
+  write_bits_unchecked(data.data(), bit_offset, width, value);
+}
+
 // Both walk the slice as a leading partial byte, whole bytes, then a
 // trailing partial byte, so the accumulator never holds more than
 // `width` bits.
 
-std::uint64_t read_bits(std::span<const std::byte> data,
-                        std::size_t bit_offset, std::size_t width) {
-  check(data, bit_offset, width);
+std::uint64_t read_bits_unchecked(const std::byte* data,
+                                  std::size_t bit_offset, std::size_t width) {
   if (width == 0) return 0;
-  const std::byte* p = data.data() + bit_offset / 8;
+  const std::byte* p = data + bit_offset / 8;
   std::size_t left = width;
   std::uint64_t v = 0;
   if (const std::size_t lead = bit_offset % 8; lead != 0) {
@@ -47,11 +58,10 @@ std::uint64_t read_bits(std::span<const std::byte> data,
   return v;
 }
 
-void write_bits(std::span<std::byte> data, std::size_t bit_offset,
-                std::size_t width, std::uint64_t value) {
-  check(data, bit_offset, width);
+void write_bits_unchecked(std::byte* data, std::size_t bit_offset,
+                          std::size_t width, std::uint64_t value) {
   if (width == 0) return;
-  std::byte* p = data.data() + bit_offset / 8;
+  std::byte* p = data + bit_offset / 8;
   std::size_t left = width;
   // Merge the low `n` bits of `bits` into *p at `shift` from the LSB.
   auto merge = [](std::byte& b, std::uint64_t bits, std::size_t n,

@@ -3,8 +3,13 @@
 // addresses them as (bit offset, width) within the packet. Both move
 // whole bytes (a leading partial byte, full bytes, a trailing partial
 // byte), so a 32-bit address costs four byte moves, not 32 bit steps.
-// The interpreter, the parser, the compiled engine, the explorer and
-// the cost walker all read and write fields through these two.
+//
+// Two forms share one body. read_bits/write_bits range-check every
+// access: the interpreter, the parsers, the explorer and the cost
+// walker use them. The *_unchecked forms check nothing: the compiled
+// engine uses them for fields inside a header its parser already found
+// inside the buffer, and it refuses fields wider than 64 bits when the
+// program is lowered (DESIGN.md §12).
 #pragma once
 
 #include <cstddef>
@@ -22,6 +27,16 @@ std::uint64_t read_bits(std::span<const std::byte> data,
 /// Write the low `width` bits of `value` at the slice, MSB-first.
 void write_bits(std::span<std::byte> data, std::size_t bit_offset,
                 std::size_t width, std::uint64_t value);
+
+/// read_bits without the range check. The caller guarantees
+/// `width <= 64` and that the slice lies inside `data`.
+std::uint64_t read_bits_unchecked(const std::byte* data,
+                                  std::size_t bit_offset, std::size_t width);
+
+/// write_bits without the range check, under read_bits_unchecked's
+/// guarantee.
+void write_bits_unchecked(std::byte* data, std::size_t bit_offset,
+                          std::size_t width, std::uint64_t value);
 
 /// Mask a value to `width` bits.
 constexpr std::uint64_t mask_to_width(std::uint64_t v, std::size_t width) {

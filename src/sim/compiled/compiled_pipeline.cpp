@@ -75,7 +75,7 @@ bool CompiledPipeline::ensure_valid() {
 // --- compilation -----------------------------------------------------
 
 CompiledPipeline::FieldRefC CompiledPipeline::resolve_header_field(
-    const std::string& dotted) const {
+    const std::string& dotted) {
   FieldRefC out;
   auto ref = p4ir::FieldRef::parse(dotted);
   if (!ref) return out;
@@ -86,6 +86,9 @@ CompiledPipeline::FieldRefC CompiledPipeline::resolve_header_field(
   auto bit_off = type->bit_offset(ref->field);
   const p4ir::Field* field = type->find_field(ref->field);
   if (!bit_off || field == nullptr) return out;
+  // Field access is unchecked at run time, so a slice read_bits would
+  // refuse (wider than 64 bits) refuses the compile instead.
+  if (field->bits > 64 && wide_field_.empty()) wide_field_ = dotted;
   out.space = Space::kHeader;
   out.header = hit->second;
   out.bit_off = *bit_off;
@@ -294,6 +297,7 @@ bool CompiledPipeline::compile(std::string* err) {
   local_index_.clear();
   selector_ranges_.clear();
   revisions_.clear();
+  wide_field_.clear();
   ipv4_header_ = -1;
   sfc_header_ = -1;
   parser_empty_ = true;
@@ -382,6 +386,11 @@ bool CompiledPipeline::compile(std::string* err) {
                     controls_[p * 2 + 1]);
   }
 
+  if (!wide_field_.empty()) {
+    *err = "field " + wide_field_ + " is wider than 64 bits";
+    return false;
+  }
+
   // Every table the compiled program reads, for generation().
   for (const ControlC& cc : controls_) {
     for (const TableC& t : cc.tables) {
@@ -420,6 +429,9 @@ void CompiledPipeline::run_parse(const net::Packet& packet) {
   for (std::size_t hop = 0; hop <= parse_states_.size(); ++hop) {
     const ParseStateC& st = parse_states_[state];
     if (!st.valid) break;
+    // The one bounds check per header: every later read or write of a
+    // field inside it trusts this test (only push and pop resize the
+    // packet, and both re-parse at once).
     if (std::size_t{st.offset} + st.width > bytes.size()) break;
     const std::uint64_t bit = std::uint64_t{1} << st.header;
     if (!(present_ & bit)) {
@@ -441,8 +453,7 @@ void CompiledPipeline::run_parse(const net::Packet& packet) {
       }
       const std::size_t abs =
           std::size_t{hdr_off_[f.header]} * 8 + f.bit_off;
-      if (abs + f.bits > bytes.size() * 8) continue;
-      if (read_bits(bytes, abs, f.bits) == e.value) {
+      if (read_bits_unchecked(bytes.data(), abs, f.bits) == e.value) {
         state = e.to;
         advanced = true;
         break;
@@ -468,9 +479,7 @@ std::optional<std::uint64_t> CompiledPipeline::read_field(
     case Space::kHeader: {
       if (!(present_ & (std::uint64_t{1} << f.header))) return std::nullopt;
       const std::size_t abs = std::size_t{hdr_off_[f.header]} * 8 + f.bit_off;
-      auto bytes = packet.data().view();
-      if (abs + f.bits > bytes.size() * 8) return std::nullopt;
-      return read_bits(bytes, abs, f.bits);
+      return read_bits_unchecked(packet.data().view().data(), abs, f.bits);
     }
     case Space::kNone:
       return std::nullopt;
@@ -492,9 +501,8 @@ void CompiledPipeline::write_field(const FieldRefC& f, std::uint64_t value,
     case Space::kHeader: {
       if (!(present_ & (std::uint64_t{1} << f.header))) return;
       const std::size_t abs = std::size_t{hdr_off_[f.header]} * 8 + f.bit_off;
-      auto bytes = packet.data().mutable_view();
-      if (abs + f.bits > bytes.size() * 8) return;
-      write_bits(bytes, abs, f.bits, mask_to_width(value, f.bits));
+      write_bits_unchecked(packet.data().mutable_view().data(), abs, f.bits,
+                           mask_to_width(value, f.bits));
       // The interpreter's per-pipelet FieldView never re-parses on
       // field writes; the write becomes parser-visible at the *next*
       // pipelet entry (which parses fresh). Defer accordingly.
@@ -560,16 +568,13 @@ void CompiledPipeline::run_action(ActionRef ref, const std::uint64_t* args,
       case p4ir::PrimitiveOp::kDrop:
         meta.drop_flag = true;
         break;
-      case p4ir::PrimitiveOp::kSetContext: {
-        auto header = sfc::read_sfc(packet);
-        if (header) {
-          header->context.set(op.ctx_key,
-                              static_cast<std::uint16_t>(args[op.arg]));
-          sfc::write_sfc(packet, *header);
-          if (sfc_affects_parse_) parse_dirty_ = true;
+      case p4ir::PrimitiveOp::kSetContext:
+        if (sfc::set_context(packet, op.ctx_key,
+                             static_cast<std::uint16_t>(args[op.arg])) &&
+            sfc_affects_parse_) {
+          parse_dirty_ = true;
         }
         break;
-      }
       case p4ir::PrimitiveOp::kRegisterRead:
       case p4ir::PrimitiveOp::kRegisterAdd:
       case p4ir::PrimitiveOp::kRegisterWrite: {
@@ -689,12 +694,9 @@ void CompiledPipeline::do_emit(net::Packet packet, std::uint16_t port,
   // emitted copy carries the same bytes as the working packet.
   ensure_parse(packet);
   if (ipv4_header_ >= 0 && (present_ & (std::uint64_t{1} << ipv4_header_))) {
-    const std::uint32_t off = hdr_off_[ipv4_header_];
-    auto hdr = net::Ipv4Header::decode(packet.data().view().subspan(off));
-    if (hdr) {
-      hdr->encode(packet.data().mutable_slice(off, hdr->header_length()),
-                  /*fill_checksum=*/true);
-    }
+    // DataPlane::emit's decode and re-encode, in place.
+    net::Ipv4Header::refresh_checksum(
+        packet.data().mutable_view().subspan(hdr_off_[ipv4_header_]));
   }
   out.out.push_back(SwitchOutput::Emitted{port, std::move(packet)});
 }

@@ -24,14 +24,25 @@
 // parser walks the merged parser graph the way run_parser does, so no
 // parse shape needs to be known in advance. The one escape is a
 // program compile() refuses (more than 64 header types, a parser
-// graph that does not resolve against its tuple-id table): then every
-// packet delegates to the interpreter and counts as fallback_packets.
+// graph that does not resolve against its tuple-id table, a field
+// wider than 64 bits): then every packet delegates to the interpreter
+// and counts as fallback_packets.
 // CPU reinjections (from_cpu, stamped with the punt's epoch) run
 // compiled like wire packets, as a packet-out re-enters the ASIC's one
 // pipeline: every lookup probes under the stamp, so a punt finishes on
 // its own generation even after a flip, and DataPlane::stamp_packet
 // closes out its punt or drains a retired stamp (kUpdateDrained) for
 // both engines.
+//
+// Bounds contract: one check per header. The lowered parser marks a
+// header present only when its whole width lies inside the packet, and
+// only an SFC push or pop resizes a packet, each followed at once by a
+// re-parse. So key, guard, action and selector reads and writes of a
+// field inside a present header run unchecked (read_bits_unchecked /
+// write_bits_unchecked), and a field wider than 64 bits refuses the
+// compile instead of being tested per packet. The SFC context
+// (sfc::set_context) and the IPv4 checksum at emit are edited in
+// place, byte-identical to the interpreter's decode and re-encode.
 //
 // Invalidation contract: the lowered program depends only on the
 // program, which a DataPlane never swaps, so it is compiled once (and
@@ -217,7 +228,7 @@ class CompiledPipeline {
                       const p4ir::Action& action, ActionRef& out);
   void size_scratch();
   FieldRefC resolve_field(const std::string& dotted);
-  FieldRefC resolve_header_field(const std::string& dotted) const;
+  FieldRefC resolve_header_field(const std::string& dotted);
   void mark_parse_selectors();
   bool ensure_valid();
 
@@ -262,6 +273,9 @@ class CompiledPipeline {
   std::vector<std::uint32_t> guard_tables_;
   std::unordered_map<std::string, std::uint16_t> header_index_;
   std::unordered_map<std::string, std::uint16_t> local_index_;
+  /// The first resolved header field wider than 64 bits, which refuses
+  /// the compile; empty when there is none.
+  std::string wide_field_;
   std::int32_t ipv4_header_ = -1;
   std::int32_t sfc_header_ = -1;
   bool sfc_affects_parse_ = false;

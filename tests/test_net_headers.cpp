@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <vector>
+
 #include "net/bytes.hpp"
 
 namespace dejavu::net {
@@ -56,6 +59,28 @@ TEST(Ipv4Header, DecodeRejectsBadIhl) {
   Buffer buf(20);
   write_u8(buf.mutable_view(), 0, 0x43);  // ihl 3 < 5
   EXPECT_FALSE(Ipv4Header::decode(buf.view()).has_value());
+}
+
+TEST(Ipv4Header, RefreshChecksumMatchesADecodeEncodeRoundTrip) {
+  // Over random bytes, version/IHL nibbles (options, IHL < 5, version
+  // != 4) and buffer lengths that cut the header, the in-place refresh
+  // leaves what decode + encode(fill_checksum) leaves, and nothing
+  // where decode refuses.
+  std::mt19937 rng(11);
+  for (int round = 0; round < 3000; ++round) {
+    std::vector<std::byte> bytes(rng() % 70);
+    for (std::byte& b : bytes) b = static_cast<std::byte>(rng() & 0xff);
+    if (!bytes.empty() && rng() % 4 != 0) {
+      bytes[0] = static_cast<std::byte>(0x40 | (rng() % 16));
+    }
+    std::vector<std::byte> expected = bytes;
+    if (auto h = Ipv4Header::decode(expected)) {
+      h->encode(std::span(expected).first(h->header_length()),
+                /*fill_checksum=*/true);
+    }
+    Ipv4Header::refresh_checksum(bytes);
+    ASSERT_EQ(bytes, expected) << "round " << round;
+  }
 }
 
 TEST(TcpHeader, EncodeDecodeRoundTrip) {

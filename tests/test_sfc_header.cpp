@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+
 namespace dejavu::sfc {
 namespace {
 
@@ -145,6 +147,40 @@ TEST(PushPop, WriteSfcUpdatesInPlace) {
 TEST(PushPop, WriteSfcWithoutHeaderThrows) {
   net::Packet p = net::Packet::make({});
   EXPECT_THROW(write_sfc(p, SfcHeader{}), std::logic_error);
+}
+
+TEST(PushPop, SetContextMatchesADecodeSetEncodeRoundTrip) {
+  // set_context edits the header in place; over random header bytes
+  // (stale values in empty slots, duplicate keys, nonzero reserved
+  // bits) and keys 0-7 it leaves the frame byte-identical to read_sfc,
+  // ContextData::set and write_sfc.
+  std::mt19937 rng(7);
+  for (int round = 0; round < 2000; ++round) {
+    net::Packet packet = net::Packet::make(net::PacketSpec{});
+    push_sfc(packet, SfcHeader{});
+    auto bytes = packet.data().mutable_view();
+    for (std::size_t i = 14; i < 14 + kSfcHeaderSize; ++i) {
+      bytes[i] = static_cast<std::byte>(rng() & 0xff);
+    }
+    for (std::size_t slot = 0; slot < ContextData::kSlots; ++slot) {
+      bytes[14 + 7 + slot * 3] = static_cast<std::byte>(rng() % 5);
+    }
+    const auto key = static_cast<std::uint8_t>(rng() % 8);
+    const auto value = static_cast<std::uint16_t>(rng());
+
+    net::Packet expected = packet;
+    auto header = read_sfc(expected);
+    ASSERT_TRUE(header.has_value());
+    header->context.set(key, value);
+    write_sfc(expected, *header);
+
+    ASSERT_TRUE(set_context(packet, key, value));
+    ASSERT_EQ(packet, expected) << "round " << round;
+  }
+  net::Packet plain = net::Packet::make(net::PacketSpec{});
+  const net::Packet before = plain;
+  EXPECT_FALSE(set_context(plain, 1, 2));
+  EXPECT_EQ(plain, before);
 }
 
 TEST(PortSentinel, UnsetOutPortReportsAbsent) {

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+
+#include "net/addr.hpp"
+
 namespace dejavu::sim {
 namespace {
 
@@ -133,6 +138,64 @@ TEST(RuntimeTable, LpmPrefixTooLongThrows) {
   RuntimeTable rt(fx.control, fx.def());
   EXPECT_THROW(rt.add_lpm(0, 33, ActionCall{}), std::invalid_argument);
 }
+
+/// Property test: LPM installs, stored as TCAM entries ranked by prefix
+/// length, agree with a brute-force longest-matching-prefix scan over
+/// random rule sets.
+class LpmRandomSweep : public ::testing::TestWithParam<std::uint32_t> {};
+
+TEST_P(LpmRandomSweep, MatchesBruteForce) {
+  std::mt19937 rng(GetParam());
+  std::uniform_int_distribution<std::uint32_t> addr_dist;
+  std::uniform_int_distribution<int> len_dist(0, 32);
+
+  Table def;
+  def.name = "lpm";
+  def.keys = {TableKey{"ipv4.dst", MatchKind::kLpm, 32}};
+  def.actions = {"route"};
+  def.default_action = "miss";
+  def.max_entries = 64;
+  const Fixture fx(def, {action("route", {"port"}), action("miss")});
+  RuntimeTable rt(fx.control, fx.def());
+
+  std::vector<std::pair<net::Ipv4Prefix, std::uint64_t>> rules;
+  for (std::uint64_t i = 0; i < 60; ++i) {
+    const auto len = static_cast<std::uint8_t>(len_dist(rng));
+    const net::Ipv4Prefix mask_of(net::Ipv4Addr(0), len);
+    const net::Ipv4Prefix prefix(
+        net::Ipv4Addr(addr_dist(rng) & mask_of.mask()), len);
+    // One version per prefix: a repeat would overlap the first.
+    if (std::any_of(rules.begin(), rules.end(),
+                    [&](const auto& r) { return r.first == prefix; })) {
+      continue;
+    }
+    rules.emplace_back(prefix, i);
+    rt.add_lpm(prefix.address().value(), len,
+               ActionCall{"route", {{"port", i}}});
+  }
+
+  for (int probe = 0; probe < 300; ++probe) {
+    const net::Ipv4Addr addr(addr_dist(rng));
+    const LookupResult got = rt.lookup({addr.value()});
+
+    const std::pair<net::Ipv4Prefix, std::uint64_t>* best = nullptr;
+    for (const auto& rule : rules) {
+      if (!rule.first.contains(addr)) continue;
+      if (best == nullptr || rule.first.length() > best->first.length()) {
+        best = &rule;
+      }
+    }
+    if (best == nullptr) {
+      EXPECT_FALSE(got.hit) << addr.to_string();
+    } else {
+      ASSERT_TRUE(got.hit) << addr.to_string();
+      EXPECT_EQ(got.action.args.at("port"), best->second) << addr.to_string();
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, LpmRandomSweep,
+                         ::testing::Values(1, 2, 3, 4, 5, 17, 99, 12345));
 
 TEST(RuntimeTable, TernaryPriorityOrder) {
   Table def;

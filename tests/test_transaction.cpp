@@ -373,6 +373,72 @@ TEST(Transaction, NamedRemovalFreesItsWindowForTheBatch) {
   EXPECT_EQ(take_snapshot(dp).to_text(), before);
 }
 
+TEST(Transaction, LegacyRemovalTakesTheOpenVersionExactOrTernary) {
+  // Mid shadow phase a key has two versions: the one retired at `from`
+  // (first in match order, installed first) and the shadow [to, open].
+  // A legacy removal (no window, no retire) takes the open version of
+  // an exact key and of a ternary key alike.
+  auto fx = make_fig9_deployment();
+  sim::DataPlane& dp = fx.deployment->dataplane();
+  const std::uint32_t from = dp.epoch();
+  const std::uint32_t to = from + 1;
+  const std::vector<net::TernaryField> tkey{{0, 0}, {0, 0}, {0, 0}};
+  auto classify = [](std::uint64_t path) {
+    return sim::ActionCall{"Classifier.classify",
+                           {{"path_id", path}, {"tenant", 1}}};
+  };
+  auto session = [](std::uint64_t dip) {
+    return sim::ActionCall{"LB.modify_dstIp", {{"dip", dip}}};
+  };
+  const std::vector<std::uint64_t> xkey{0x7fff0042};
+  {
+    Transaction live(dp);
+    live.add(ternary_install("Classifier.traffic_class", tkey, -7,
+                             classify(1)));
+    live.add(exact_install("LB.lb_session", xkey, session(1)));
+    ASSERT_TRUE(live.commit().committed);
+  }
+  {
+    Transaction shadow(dp);
+    RuleOp retire_t = ternary_install("Classifier.traffic_class", tkey, -7, {});
+    retire_t.install = false;
+    retire_t.retire_at = from;
+    RuleOp retire_x = exact_removal("LB.lb_session", xkey);
+    retire_x.retire_at = from;
+    RuleOp shadow_t =
+        ternary_install("Classifier.traffic_class", tkey, -7, classify(2));
+    shadow_t.window = sim::EpochWindow{to, sim::kEpochOpen};
+    RuleOp shadow_x = exact_install("LB.lb_session", xkey, session(2));
+    shadow_x.window = sim::EpochWindow{to, sim::kEpochOpen};
+    shadow.add(retire_t);
+    shadow.add(retire_x);
+    shadow.add(shadow_t);
+    shadow.add(shadow_x);
+    ASSERT_TRUE(shadow.commit().committed);
+  }
+  sim::RuntimeTable* cls = dp.tables_named("Classifier.traffic_class")[0];
+  sim::RuntimeTable* lb = dp.tables_named("LB.lb_session")[0];
+  ASSERT_EQ(cls->ternary_versions(tkey, -7).size(), 2u);
+  ASSERT_EQ(lb->exact_versions(xkey).size(), 2u);
+
+  Transaction legacy(dp);
+  RuleOp remove_t = ternary_install("Classifier.traffic_class", tkey, -7, {});
+  remove_t.install = false;
+  legacy.add(remove_t);
+  legacy.add(exact_removal("LB.lb_session", xkey));
+  const auto result = legacy.commit();
+  ASSERT_TRUE(result.committed) << result.to_string();
+
+  const auto ternary_left = cls->ternary_versions(tkey, -7);
+  ASSERT_EQ(ternary_left.size(), 1u);
+  EXPECT_EQ(ternary_left[0].window, (sim::EpochWindow{0, from}));
+  EXPECT_EQ(ternary_left[0].action.args.at("path_id"), 1u);
+  const auto exact_left = lb->exact_versions(xkey);
+  ASSERT_EQ(exact_left.size(), 1u);
+  EXPECT_EQ(exact_left[0].window, (sim::EpochWindow{0, from}));
+  EXPECT_EQ(exact_left[0].action.args.at("dip"), 1u);
+}
+
 TEST(Transaction, TransientFaultsRetryUnderBackoff) {
   auto fx = make_fig9_deployment();
   const sim::FaultPlan plan = write_fail_plan(/*op_index=*/0, /*count=*/2);

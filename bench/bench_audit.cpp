@@ -115,7 +115,7 @@ void print_digest_cost() {
   control::AuditorOptions options;
   control::Auditor auditor(w.target.dataplane(), w.mirror, options);
 
-  const std::size_t objects = w.target.dataplane().state_digests().size();
+  const std::size_t objects = w.target.dataplane().state_objects().size();
   const std::uint64_t sweep =
       (objects + options.digest_objects_per_tick - 1) /
       options.digest_objects_per_tick;

@@ -133,40 +133,42 @@ std::size_t Auditor::tick() {
     raise(std::move(f));
   }
 
-  const auto live_digests = live_->state_digests();
-  const auto intended = mirror_->state_digests();
-  if (live_digests.size() != intended.size()) {
+  const std::vector<sim::DataPlane::StateObject> objects =
+      mirror_->state_objects();
+  const std::size_t live_objects = live_->state_objects().size();
+  if (live_objects != objects.size()) {
     // Structural divergence (an object appeared or vanished wholesale)
     // is caught immediately, outside the round-robin budget.
     AuditFinding f;
     f.source = AuditFinding::Source::kDigest;
     f.object = "(object census)";
     f.tick = now;
-    f.detail = "live holds " + std::to_string(live_digests.size()) +
-               " state objects, intended " + std::to_string(intended.size());
+    f.detail = "live holds " + std::to_string(live_objects) +
+               " state objects, intended " + std::to_string(objects.size());
     raise(std::move(f));
-  } else if (!intended.empty()) {
+  } else if (!objects.empty()) {
     // The bounded per-tick audit window: digest_objects_per_tick
-    // comparisons, round-robin in the canonical state_digests() order.
-    // (The simulator stand-in computes every digest up front; the
-    // comparison schedule is what models the per-tick hardware budget
-    // and bounds detection latency to ceil(objects / window) ticks.)
-    const std::size_t total = intended.size();
+    // objects, round-robin in the canonical state_objects() order, each
+    // digested afresh on both planes. Detection latency is bounded by
+    // ceil(objects / window) ticks.
+    const std::size_t total = objects.size();
     const std::size_t window = std::min<std::size_t>(
         total, std::max<std::uint32_t>(1, options_.digest_objects_per_tick));
     for (std::size_t k = 0; k < window; ++k) {
-      const std::size_t i = (cursor_ + k) % total;
+      const auto& object = objects[(cursor_ + k) % total];
       ++report_.objects_audited;
-      if (live_digests[i] == intended[i]) continue;
+      const std::uint64_t live = live_->state_digest(object);
+      const std::uint64_t intended = mirror_->state_digest(object);
+      if (live == intended) continue;
       ++report_.digest_mismatches;
       AuditFinding f;
       f.source = AuditFinding::Source::kDigest;
-      f.control = intended[i].control;
-      f.object = intended[i].name;
-      f.is_register = intended[i].is_register;
+      f.control = object.control;
+      f.object = object.name;
+      f.is_register = object.is_register;
       f.tick = now;
-      f.detail = "digest " + std::to_string(live_digests[i].digest) +
-                 " != intended " + std::to_string(intended[i].digest);
+      f.detail = "digest " + std::to_string(live) + " != intended " +
+                 std::to_string(intended);
       raise(std::move(f));
     }
     cursor_ = (cursor_ + window) % total;

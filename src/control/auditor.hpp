@@ -15,12 +15,12 @@
 // the session-layer intended-state mirror (the controller's replica of
 // everything it ever acked):
 //
-//   * digest audit — each tick() compares a bounded window of cheap
-//     per-object FNV digests (DataPlane::state_digests()) between the
-//     live plane and the mirror, round-robin over tables and register
-//     banks, so a corruption anywhere is caught within
-//     ceil(objects / digest_objects_per_tick) ticks at O(window) cost
-//     per tick;
+//   * digest audit — each tick() digests a bounded window of state
+//     objects (DataPlane::state_objects(), DataPlane::state_digest())
+//     on the live plane and the mirror and compares them, round-robin
+//     over tables and register banks, so a corruption anywhere is
+//     caught within ceil(objects / digest_objects_per_tick) ticks at
+//     O(window) cost per tick: only the window's objects are digested;
 //   * shadow sampling — every sample_every-th packet routed through
 //     process() is also run through the mirror and the two outputs
 //     compared with semantically_equal(). A divergence proves the
@@ -129,7 +129,7 @@ class Auditor {
 
   /// One audit tick: compare the next digest window (round-robin over
   /// every table and register bank of both planes, in the canonical
-  /// state_digests() order) plus the epoch gate. Feeds the health
+  /// state_objects() order) plus the epoch gate. Feeds the health
   /// monitor (clean = no digest/epoch finding this tick AND no sample
   /// divergence since the previous tick). Returns the number of new
   /// findings.

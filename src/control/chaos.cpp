@@ -608,7 +608,7 @@ StateScriptOutcome run_state_script(sim::ReplayTarget& target,
     out.scrub_ops = rep.scrub_ops;
   };
 
-  const std::size_t objects = dp.state_digests().size();
+  const std::size_t objects = dp.state_objects().size();
   const std::uint64_t sweep =
       objects == 0 ? 1
                    : (objects + audit_options.digest_objects_per_tick - 1) /

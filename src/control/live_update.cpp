@@ -64,6 +64,16 @@ std::optional<std::size_t> ternary_version(const sim::RuntimeTable& rt,
   return std::nullopt;
 }
 
+/// The window of the open version of `op`'s ternary key+priority (the
+/// first in match order), or nullopt.
+std::optional<sim::EpochWindow> open_ternary_window(
+    const sim::RuntimeTable& rt, const RuleOp& op) {
+  for (const auto& v : rt.ternary_versions(op.tkey, op.priority)) {
+    if (v.window.open()) return v.window;
+  }
+  return std::nullopt;
+}
+
 /// Does `rt` serve install `op`'s intended action at generation `to`?
 bool install_visible(sim::RuntimeTable& rt, const RuleOp& op,
                      std::uint32_t to) {
@@ -92,8 +102,8 @@ bool shadow_observed(sim::DataPlane& dp, const RuleDiff& diff,
         for (const auto& v : rt->exact_versions(op.key)) {
           if (v.window.open() && v.window.from <= from) return false;
         }
-      } else if (auto h = rt->find_ternary(op.tkey, op.priority)) {
-        if (rt->ternary_window(*h).from <= from) return false;
+      } else if (const auto w = open_ternary_window(*rt, op)) {
+        if (w->from <= from) return false;
       }
     }
   }
@@ -182,8 +192,8 @@ void fill_shadow_transaction(Transaction& txn, const RuleDiff& diff,
       if (op.kind == RuleOp::Kind::kExact) {
         const auto e = rt->find_exact(op.key);
         live |= e && e->window.from <= from;
-      } else if (auto h = rt->find_ternary(op.tkey, op.priority)) {
-        live |= rt->ternary_window(*h).from <= from;
+      } else if (const auto w = open_ternary_window(*rt, op)) {
+        live |= w->from <= from;
       }
     }
     if (live) retire(op);

@@ -5,6 +5,7 @@
 #include <functional>
 #include <map>
 #include <set>
+#include <span>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -23,6 +24,16 @@
 namespace dejavu::cost {
 
 namespace {
+
+/// A branching entry's key as DV-C4 names it: "v0,v1,...".
+std::string key_text(std::span<const std::uint64_t> key) {
+  std::string out;
+  for (const std::uint64_t v : key) {
+    if (!out.empty()) out += ",";
+    out += std::to_string(v);
+  }
+  return out;
+}
 
 std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t len) {
   const auto* p = static_cast<const unsigned char*>(data);
@@ -637,36 +648,42 @@ class Walker {
                     const p4ir::Table& table, sim::RuntimeTable& rt,
                     const std::vector<std::optional<AbsVal>>& key,
                     const sim::ActionCall& miss_action, Cont k) {
-    const std::vector<sim::RuntimeTable::ExactEntry> entries =
-        rt.exact_entries();
-
-    struct Candidate {
-      const sim::RuntimeTable::ExactEntry* entry;
-      bool certain;  // every key component is forced to this entry
-    };
-    std::vector<Candidate> cands;
-    for (const auto& e : entries) {
-      if (!e.window.contains(epoch_)) continue;
-      bool compatible = true;
-      bool certain = true;
-      for (std::size_t i = 0; i < key.size(); ++i) {
-        const Tri t = key[i]->match_tri(e.key[i], key[i]->width_mask());
-        if (t == Tri::kNever) {
-          compatible = false;
-          break;
-        }
-        if (t != Tri::kAlways) certain = false;
-      }
-      if (compatible) cands.push_back({&e, certain});
+    // Every component forced: the store's own keyed lookup decides, as
+    // probe() would for the one concrete packet.
+    std::vector<std::uint64_t> forced;
+    for (const auto& v : key) {
+      if ((v->known_mask & v->width_mask()) != v->width_mask()) break;
+      forced.push_back(v->known_value);
+    }
+    if (forced.size() == key.size()) {
+      const auto e = rt.find_exact(forced, epoch_);
+      if (e) note_entry_hit(control, table, e->key);
+      finish_lookup(std::move(s), std::move(ctx), control, ci, idx,
+                    e.has_value(), e ? e->action : miss_action, std::move(k));
+      return;
     }
 
-    for (const Candidate& c : cands) {
-      if (!c.certain) continue;
+    using Version = sim::RuntimeTable::ExactVersion;
+    // Does no key component match `e` as `t`?
+    const auto none = [&](const Version& e, Tri t) {
+      for (std::size_t i = 0; i < key.size(); ++i) {
+        if (key[i]->match_tri(e.key[i], key[i]->width_mask()) == t) {
+          return false;
+        }
+      }
+      return true;
+    };
+    const std::vector<Version> cands = rt.exact_where([&](const Version& e) {
+      return e.window.contains(epoch_) && none(e, Tri::kNever);
+    });
+
+    for (const Version& c : cands) {
+      if (!none(c, Tri::kMaybe)) continue;
       // Deterministic hit: the abstract key is forced onto this entry
       // (exact keys are unique per epoch, so no other entry competes).
-      note_entry_hit(control, table, *c.entry);
+      note_entry_hit(control, table, c.key);
       finish_lookup(std::move(s), std::move(ctx), control, ci, idx, true,
-                    c.entry->action, std::move(k));
+                    rt.text(c), std::move(k));
       return;
     }
 
@@ -679,23 +696,23 @@ class Walker {
     // Undecided: fork one hit branch per compatible entry plus a miss
     // branch that excludes them all (the explorer's fork discipline).
     forks += cands.size();
-    for (const Candidate& c : cands) {
+    for (const Version& c : cands) {
       AbsState hs = s;
       Ctx hc = ctx;
       bool ok = true;
       for (std::size_t i = 0; i < key.size() && ok; ++i) {
         AbsVal v = *key[i];
-        ok = v.meet_eq(c.entry->key[i]);
+        ok = v.meet_eq(c.key[i]);
         if (ok) aset(hs, hc, table.keys[i].field, v);
       }
       if (ok && spawn()) {
-        note_entry_hit(control, table, *c.entry);
+        note_entry_hit(control, table, c.key);
         finish_lookup(std::move(hs), std::move(hc), control, ci, idx, true,
-                      c.entry->action, k);
+                      rt.text(c), k);
       }
     }
     bool miss_ok = true;
-    for (const Candidate& c : cands) {
+    for (const Version& c : cands) {
       std::size_t i = 0;
       while (i < key.size() && key[i]->is_concrete()) ++i;
       if (i == key.size()) continue;  // fully forced: handled above
@@ -703,7 +720,7 @@ class Walker {
       // Re-read the possibly already-refined slot so successive
       // exclusions compose.
       if (auto cur = aread(s, ctx, table.keys[i].field, false)) v = *cur;
-      if (!v.refine_ne(c.entry->key[i])) {
+      if (!v.refine_ne(c.key[i])) {
         miss_ok = false;
         break;
       }
@@ -797,17 +814,10 @@ class Walker {
 
   void note_entry_hit(const p4ir::ControlBlock& control,
                       const p4ir::Table& table,
-                      const sim::RuntimeTable::ExactEntry& e) {
+                      std::span<const std::uint64_t> key) {
     if (table.name != merge::kBranchingTable) return;
-    std::string key;
-    for (std::uint64_t v : e.key) {
-      if (!key.empty()) key += ",";
-      key += std::to_string(v);
-    }
-    entry_hits.emplace(control.name(), key);
-    if (!e.key.empty()) {
-      path_ids.insert(static_cast<std::uint16_t>(e.key[0]));
-    }
+    entry_hits.emplace(control.name(), key_text(key));
+    if (!key.empty()) path_ids.insert(static_cast<std::uint16_t>(key[0]));
   }
 
   void finish_lookup(AbsState s, Ctx ctx, const p4ir::ControlBlock& control,
@@ -1078,19 +1088,16 @@ CostResult run(sim::DataPlane& dp, const sfc::PolicySet& policies,
       sim::RuntimeTable* rt =
           dp.table_in(control.name(), merge::kBranchingTable);
       if (rt == nullptr) continue;
-      for (const auto& e : rt->exact_entries()) {
-        if (!e.window.contains(epoch)) continue;
+      const auto unhit = rt->exact_where([&](const auto& e) {
+        if (!e.window.contains(epoch)) return false;
         if (!e.key.empty() &&
-            declared_paths.contains(
-                static_cast<std::uint16_t>(e.key[0]))) {
-          continue;
+            declared_paths.contains(static_cast<std::uint16_t>(e.key[0]))) {
+          return false;
         }
-        std::string key;
-        for (std::uint64_t v : e.key) {
-          if (!key.empty()) key += ",";
-          key += std::to_string(v);
-        }
-        if (branch_hits.contains({control.name(), key})) continue;
+        return !branch_hits.contains({control.name(), key_text(e.key)});
+      });
+      for (const auto& e : unhit) {
+        const std::string key = key_text(e.key);
         result.report.add(
             "DV-C4", control.name() + "/" + merge::kBranchingTable,
             "branching entry (" + key +

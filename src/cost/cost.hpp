@@ -12,9 +12,10 @@
 //       traversal costs (the §4 "throughput is calculable" claim,
 //       derived from the rules alone, no packets replayed).
 // The walker mirrors the interpreter at the p4ir level and never
-// mutates the dataplane: installed entries are scanned directly
-// (epoch-filtered), not looked up, so table hit/miss counters and
-// register state stay untouched.
+// mutates the dataplane: a forced key asks the store's uncounted
+// find_exact(), and any other key walks the installed entries in place
+// (epoch-filtered), so table hit/miss counters and register state stay
+// untouched.
 #pragma once
 
 #include <cstdint>
@@ -100,7 +101,7 @@ struct CostResult {
 
 /// Analyze every path-equivalence class of `exploration` against the
 /// dataplane's installed rules. Read-only on `dp`: lookups are
-/// modelled by scanning entries, never executed.
+/// modelled on the store in place, never executed.
 CostResult run(sim::DataPlane& dp, const sfc::PolicySet& policies,
                const explore::ExploreResult& exploration,
                const CostOptions& options = {});

@@ -4,7 +4,10 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
+#include <span>
+#include <utility>
 
 #include "explore/symbolic.hpp"
 #include "merge/compose.hpp"
@@ -23,7 +26,7 @@ std::string ip_string(std::uint32_t v) {
   return net::Ipv4Addr(v).to_string();
 }
 
-std::string join_u64(const std::vector<std::uint64_t>& vs) {
+std::string join_u64(std::span<const std::uint64_t> vs) {
   std::string s;
   for (std::size_t i = 0; i < vs.size(); ++i) {
     if (i) s += ", ";
@@ -183,17 +186,6 @@ class Explorer {
   void ensure_clone();
   void zero_clone_registers();
 
-  std::string coverage_exact_id(const std::string& control,
-                                const std::string& table,
-                                const std::vector<std::uint64_t>& key) const {
-    return control + "|" + table + "|e|" + join_u64(key);
-  }
-  std::string coverage_ternary_id(const std::string& control,
-                                  const std::string& table,
-                                  std::size_t handle) const {
-    return control + "|" + table + "|t|" + std::to_string(handle);
-  }
-
   sim::DataPlane* dp_;
   const p4ir::Program* program_;
   const p4ir::TupleIdTable* ids_;
@@ -220,7 +212,12 @@ class Explorer {
   std::vector<PathSummary> paths_;
   ExploreStats stats_;
   std::set<std::string> emitted_;          // finding dedup
-  std::set<std::string> hit_entries_;      // DV-S6 rule coverage
+  // DV-S6 rule coverage: per table, the exact keys and the ternary
+  // handles some explored path matched.
+  std::map<const sim::RuntimeTable*,
+           std::set<std::vector<std::uint64_t>, sim::ExactKeyLess>>
+      hit_exact_;
+  std::set<std::pair<const sim::RuntimeTable*, std::size_t>> hit_ternary_;
   std::set<std::uint32_t> visited_vertices_;  // DV-S6 parser coverage
   std::unique_ptr<sim::DataPlane> clone_;  // differential replay target
 };
@@ -633,26 +630,18 @@ void Explorer::do_table(PathState s, const p4ir::ControlBlock& control,
 
   const bool is_tcam = table->needs_tcam();
   if (!symbolic) {
-    // Fully concrete key: scan installed entries directly (not via
-    // lookup(), so exploration does not disturb the live table's
-    // hit/miss counters) and record which entry matched for DV-S6.
+    // Fully concrete key: ask the store the way probe() would, but
+    // uncounted, so exploration does not disturb the live table's
+    // hit/miss counters, and record which entry matched for DV-S6.
     if (!is_tcam) {
-      for (const sim::RuntimeTable::ExactEntry& e : rt->exact_entries()) {
-        if (!e.window.contains(epoch_)) continue;
-        bool match = true;
-        for (std::size_t i = 0; i < key.size(); ++i) {
-          if (key[i].val != e.key[i]) {
-            match = false;
-            break;
-          }
-        }
-        if (match) {
-          hit_entries_.insert(
-              coverage_exact_id(control.name(), table->name, e.key));
-          consult_window(s, table->name, e.window);
-          finish_lookup(std::move(s), control, entry, true, e.action, next);
-          return;
-        }
+      std::vector<std::uint64_t> values;
+      values.reserve(key.size());
+      for (const RVal& r : key) values.push_back(r.val);
+      if (const auto e = rt->find_exact(values, epoch_)) {
+        hit_exact_[rt].insert(e->key);
+        consult_window(s, table->name, e->window);
+        finish_lookup(std::move(s), control, entry, true, e->action, next);
+        return;
       }
     } else {
       for (const auto& e : rt->ternary_store()) {
@@ -665,8 +654,7 @@ void Explorer::do_table(PathState s, const p4ir::ControlBlock& control,
           }
         }
         if (match) {
-          hit_entries_.insert(
-              coverage_ternary_id(control.name(), table->name, e.handle));
+          hit_ternary_.insert({rt, e.handle});
           consult_window(s, table->name, e.value.window);
           finish_lookup(std::move(s), control, entry, true, rt->text(e.value),
                         next);
@@ -681,46 +669,39 @@ void Explorer::do_table(PathState s, const p4ir::ControlBlock& control,
   // Symbolic key: fork one hit path per reachable entry plus one miss
   // path excluded from every entry.
   if (!is_tcam) {
-    std::vector<const sim::RuntimeTable::ExactEntry*> compatible;
-    const std::vector<sim::RuntimeTable::ExactEntry> entries =
-        rt->exact_entries();
-    for (const sim::RuntimeTable::ExactEntry& e : entries) {
-      if (!e.window.contains(epoch_)) continue;
-      bool maybe = true;
-      for (std::size_t i = 0; i < key.size(); ++i) {
-        if (!key[i].sym && key[i].val != e.key[i]) {
-          maybe = false;
-          break;
-        }
-      }
-      if (maybe) compatible.push_back(&e);
-    }
-    for (const sim::RuntimeTable::ExactEntry* e : compatible) {
+    const std::vector<sim::RuntimeTable::ExactVersion> compatible =
+        rt->exact_where([&](const sim::RuntimeTable::ExactVersion& e) {
+          if (!e.window.contains(epoch_)) return false;
+          for (std::size_t i = 0; i < key.size(); ++i) {
+            if (!key[i].sym && key[i].val != e.key[i]) return false;
+          }
+          return true;
+        });
+    for (const sim::RuntimeTable::ExactVersion& e : compatible) {
       PathState hs = s;
       bool feasible = true;
       for (std::size_t i = 0; i < key.size() && feasible; ++i) {
-        if (key[i].sym) feasible = hs.cons.require_eq(key[i].var, e->key[i]);
+        if (key[i].sym) feasible = hs.cons.require_eq(key[i].var, e.key[i]);
       }
       if (!feasible) {
         ++stats_.infeasible;
         continue;
       }
-      hit_entries_.insert(
-          coverage_exact_id(control.name(), table->name, e->key));
-      consult_window(hs, table->name, e->window);
-      finish_lookup(std::move(hs), control, entry, true, e->action, next);
+      hit_exact_[rt].emplace(e.key.begin(), e.key.end());
+      consult_window(hs, table->name, e.window);
+      finish_lookup(std::move(hs), control, entry, true, rt->text(e), next);
     }
     // Miss path: differ from each compatible entry in (at least) its
     // first symbolic component. This under-approximates misses for
     // multi-component symbolic keys but never fabricates one.
     bool miss_feasible = true;
-    for (const sim::RuntimeTable::ExactEntry* e : compatible) {
+    for (const sim::RuntimeTable::ExactVersion& e : compatible) {
       int neg_var = -1;
       std::uint64_t neg_val = 0;
       for (std::size_t i = 0; i < key.size(); ++i) {
         if (key[i].sym) {
           neg_var = key[i].var;
-          neg_val = e->key[i];
+          neg_val = e.key[i];
           break;
         }
       }
@@ -783,8 +764,7 @@ void Explorer::do_table(PathState s, const p4ir::ControlBlock& control,
       ++stats_.infeasible;
       continue;
     }
-    hit_entries_.insert(
-        coverage_ternary_id(control.name(), table->name, entries[n].handle));
+    hit_ternary_.insert({rt, entries[n].handle});
     consult_window(hs, table->name, entries[n].value.window);
     finish_lookup(std::move(hs), control, entry, true,
                   rt->text(entries[n].value), next);
@@ -1151,13 +1131,11 @@ void Explorer::static_overlap_check() {
         sim::RuntimeTable* ra = dp_->table_in(control.name(), ta->name);
         sim::RuntimeTable* rb = dp_->table_in(control.name(), tb->name);
         if (ra == nullptr || rb == nullptr) continue;
-        std::set<std::vector<std::uint64_t>> keys_a;
-        for (const auto& e : ra->exact_entries()) {
-          if (e.window.contains(epoch_)) keys_a.insert(e.key);
-        }
-        for (const auto& e : rb->exact_entries()) {
-          if (!e.window.contains(epoch_)) continue;
-          if (!keys_a.contains(e.key)) continue;
+        const auto shared = rb->exact_where([&](const auto& e) {
+          return e.window.contains(epoch_) &&
+                 ra->find_exact({e.key.begin(), e.key.end()}, epoch_);
+        });
+        for (const auto& e : shared) {
           add_finding(
               "DV-S5", control.name(),
               "parallel branches '" + a->first + "' and '" + b->first +
@@ -1171,33 +1149,45 @@ void Explorer::static_overlap_check() {
 }
 
 void Explorer::coverage_check() {
+  using Version = sim::RuntimeTable::ExactVersion;
   for (const p4ir::ControlBlock& control : program_->controls()) {
     for (const p4ir::Table& t : control.tables()) {
-      sim::RuntimeTable* rt = dp_->table_in(control.name(), t.name);
+      const sim::RuntimeTable* rt = dp_->table_in(control.name(), t.name);
       if (rt == nullptr) continue;
-      for (const auto& e : rt->exact_entries()) {
-        // Entries of other generations (retired, or shadowed for an
-        // epoch not being explored) are invisible here, not dead.
-        if (!e.window.contains(epoch_)) continue;
-        if (hit_entries_.contains(
-                coverage_exact_id(control.name(), t.name, e.key))) {
+      // One finding per table: its first dead entry in canonical order,
+      // and how many more there are. Entries of other generations
+      // (retired, or shadowed for an epoch not being explored) are
+      // invisible here, not dead.
+      const auto& hit = hit_exact_[rt];
+      std::size_t dead = 0;
+      std::optional<Version> first_exact;
+      rt->for_each_exact([&](const Version& e) {
+        if (!e.window.contains(epoch_) || hit.contains(e.key)) return;
+        ++dead;
+        if (!first_exact ||
+            sim::RuntimeTable::canonical_less(e, *first_exact)) {
+          first_exact = e;
+        }
+      });
+      std::string first;
+      if (first_exact) first = "entry (" + join_u64(first_exact->key) + ")";
+      for (const auto& e : rt->ternary_store()) {
+        if (!e.value.window.contains(epoch_) ||
+            hit_ternary_.contains({rt, e.handle})) {
           continue;
         }
-        add_finding("DV-S6", control.name() + "/" + t.name,
-                    "entry (" + join_u64(e.key) +
-                        ") never matched on any explored path");
-      }
-      for (const auto& e : rt->ternary_entries()) {
-        if (!e.window.contains(epoch_)) continue;
-        if (hit_entries_.contains(
-                coverage_ternary_id(control.name(), t.name, e.handle))) {
-          continue;
+        if (dead++ == 0) {
+          first = "entry (" + join_ternary(e.key) + ") priority " +
+                  std::to_string(e.priority);
         }
-        add_finding("DV-S6", control.name() + "/" + t.name,
-                    "entry (" + join_ternary(e.key) + ") priority " +
-                        std::to_string(e.priority) +
-                        " never matched on any explored path");
       }
+      if (dead == 0) continue;
+      std::string message = first + " never matched on any explored path";
+      if (dead > 1) {
+        message += "; " + std::to_string(dead - 1) +
+                   " more entries of this table never matched";
+      }
+      add_finding("DV-S6", control.name() + "/" + t.name, message);
     }
   }
   for (std::uint32_t v : program_->parser().vertices()) {
@@ -1225,14 +1215,30 @@ void Explorer::epoch_audit() {
       sim::RuntimeTable* rt = dp_->table_in(control.name(), t.name);
       if (rt == nullptr) continue;
       const std::string where = control.name() + "/" + t.name;
+      // Only a key with a malformed window or more than one version can
+      // fail, so only those get a text key: each is taken up at its
+      // first version, with its windows in canonical order.
       std::map<std::string, std::vector<sim::EpochWindow>> versions;
-      for (const auto& e : rt->exact_entries()) {
-        versions["(" + join_u64(e.key) + ")"].push_back(e.window);
-      }
-      for (const auto& e : rt->ternary_entries()) {
+      rt->for_each_exact([&](const sim::RuntimeTable::ExactVersion& v) {
+        const std::uint64_t* first = nullptr;
+        std::size_t count = 0;
+        rt->for_each_version(v.key, [&](const auto& w) {
+          if (first == nullptr) first = w.key.data();
+          ++count;
+        });
+        if (first != v.key.data()) return;
+        if (count == 1 && v.window.well_formed()) return;
+        auto& windows = versions["(" + join_u64(v.key) + ")"];
+        rt->for_each_version(
+            v.key, [&](const auto& w) { windows.push_back(w.window); });
+        std::ranges::stable_sort(windows, {}, [](sim::EpochWindow w) {
+          return std::pair(w.from, w.to);
+        });
+      });
+      for (const auto& e : rt->ternary_store()) {
         versions["(" + join_ternary(e.key) + ") prio " +
                  std::to_string(e.priority)]
-            .push_back(e.window);
+            .push_back(e.value.window);
       }
       for (const auto& [key, windows] : versions) {
         for (const sim::EpochWindow& w : windows) {

@@ -21,9 +21,11 @@ struct TernaryField {
   bool operator==(const TernaryField&) const = default;
 };
 
-/// A priority-ordered ternary match table mapping multi-field keys to
-/// values of type T. Higher priority wins; ties broken by insertion
-/// order (earlier wins), matching typical switch-driver semantics.
+/// A priority-ordered ternary store mapping multi-field keys to values
+/// of type T. entries() lists them in match order: higher priority
+/// first, ties in insertion order (earlier wins), matching typical
+/// switch-driver semantics. The lookup that walks this order is
+/// sim::RuntimeTable::probe(), which also filters by epoch.
 template <typename T>
 class Tcam {
  public:
@@ -36,7 +38,6 @@ class Tcam {
 
   explicit Tcam(std::size_t key_fields) : key_fields_(key_fields) {}
 
-  std::size_t key_fields() const { return key_fields_; }
   std::size_t size() const { return entries_.size(); }
 
   /// All installed entries in match-priority order (for state export).
@@ -45,25 +46,16 @@ class Tcam {
   /// Mutable access to one entry by handle, or nullptr: for in-place
   /// value updates, and for the fault model (sim's state-corruption
   /// lane flips bits in place, the way an SRAM/TCAM upset would).
-  /// Adding or removing entries must go through insert()/erase() so
-  /// priority order stays maintained. Mutating the priority through
-  /// this pointer does NOT re-sort; call resort().
+  /// Adding or removing entries must go through insert()/erase(), and
+  /// the priority must not be edited through this pointer: the entries
+  /// stay in priority order only because insert() places them.
   Entry* mutable_entry(std::size_t handle) {
     auto it = std::find_if(entries_.begin(), entries_.end(),
                            [&](const Entry& e) { return e.handle == handle; });
     return it == entries_.end() ? nullptr : &*it;
   }
 
-  /// Re-establish descending-priority order after an in-place priority
-  /// mutation (stable, so insertion order still breaks ties).
-  void resort() {
-    std::stable_sort(entries_.begin(), entries_.end(),
-                     [](const Entry& a, const Entry& b) {
-                       return a.priority > b.priority;
-                     });
-  }
-
-  /// Insert an entry; `key` must have exactly key_fields() components.
+  /// Insert an entry; `key` must have the arity given at construction.
   /// Returns the entry's handle (index usable with erase()).
   std::size_t insert(std::vector<TernaryField> key, std::int32_t priority,
                      T value) {
@@ -95,21 +87,6 @@ class Tcam {
   template <class Pred>
   std::size_t erase_if(Pred pred) {
     return std::erase_if(entries_, pred);
-  }
-
-  /// First (highest-priority) entry matching the lookup key, or nullptr.
-  const T* lookup(const std::vector<std::uint64_t>& key) const {
-    for (const Entry& e : entries_) {
-      bool hit = true;
-      for (std::size_t i = 0; i < key_fields_; ++i) {
-        if (!e.key[i].matches(key[i])) {
-          hit = false;
-          break;
-        }
-      }
-      if (hit) return &e.value;
-    }
-    return nullptr;
   }
 
  private:

@@ -72,52 +72,56 @@ bool DataPlane::loops_back(std::uint16_t port) const {
   return config_.is_loopback(port);
 }
 
-std::vector<DataPlane::StateObjectDigest> DataPlane::state_digests() const {
-  std::vector<StateObjectDigest> out;
-  auto cell_digest = [this](const std::string& control_name,
-                            const std::string& name,
-                            const std::vector<std::uint64_t>& cells) {
-    std::uint64_t h = 1469598103934665603ull;
-    auto mix = [&h](std::uint64_t v) {
-      for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (8 * i)) & 0xff;
-        h *= 1099511628211ull;
-      }
-    };
-    // Sparse fold: (index, value) of non-zero cells, so the digest is
-    // stable under bank-size growth the way Snapshot::to_text is.
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      if (cells[i] == 0) continue;
-      mix(i);
-      mix(cells[i]);
+std::vector<DataPlane::StateObject> DataPlane::state_objects() const {
+  std::vector<StateObject> out;
+  auto add_registers = [&](const std::string& control) {
+    const auto it = registers_.find(control);
+    if (it == registers_.end()) return;
+    for (const auto& [name, cells] : it->second) {
+      out.push_back({control, name, /*is_register=*/true});
     }
-    mix(register_epoch(control_name, name));
-    return h;
   };
-  for (const auto& [control_name, per_control] : tables_) {
-    for (const auto& [table_name, rt] : per_control) {
-      out.push_back(StateObjectDigest{control_name, table_name,
-                                      /*is_register=*/false,
-                                      rt.state_digest()});
+  for (const auto& [control, per_control] : tables_) {
+    for (const auto& [name, rt] : per_control) {
+      out.push_back({control, name, /*is_register=*/false});
     }
-    auto reg_it = registers_.find(control_name);
-    if (reg_it == registers_.end()) continue;
-    for (const auto& [reg_name, cells] : reg_it->second) {
-      out.push_back(StateObjectDigest{
-          control_name, reg_name, /*is_register=*/true,
-          cell_digest(control_name, reg_name, cells)});
-    }
+    add_registers(control);
   }
   // Controls that declare registers but no tables still need auditing.
-  for (const auto& [control_name, regs] : registers_) {
-    if (tables_.count(control_name) > 0) continue;
-    for (const auto& [reg_name, cells] : regs) {
-      out.push_back(StateObjectDigest{
-          control_name, reg_name, /*is_register=*/true,
-          cell_digest(control_name, reg_name, cells)});
-    }
+  for (const auto& [control, regs] : registers_) {
+    if (!tables_.contains(control)) add_registers(control);
   }
   return out;
+}
+
+std::uint64_t DataPlane::state_digest(const StateObject& object) const {
+  if (!object.is_register) {
+    const auto cit = tables_.find(object.control);
+    if (cit == tables_.end()) return 0;
+    const auto tit = cit->second.find(object.name);
+    return tit == cit->second.end() ? 0 : tit->second.state_digest();
+  }
+  const auto cit = registers_.find(object.control);
+  if (cit == registers_.end()) return 0;
+  const auto rit = cit->second.find(object.name);
+  if (rit == cit->second.end()) return 0;
+  std::uint64_t h = 1469598103934665603ull;
+  auto mix = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 1099511628211ull;
+    }
+  };
+  // Sparse fold: (index, value) of non-zero cells, so the digest is
+  // stable under bank-size growth the way Snapshot::to_text is.
+  const std::vector<std::uint64_t>& cells = rit->second;
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    if (cells[i] == 0) continue;
+    mix(i);
+    mix(cells[i]);
+  }
+  mix(register_epoch(object.control, object.name));
+  return h;
 }
 
 std::uint32_t DataPlane::pipeline_of(std::uint16_t port) const {

@@ -150,23 +150,25 @@ class DataPlane {
     return register_epochs_;
   }
 
-  /// One auditable state object: a table's or a register bank's
-  /// content digest (DESIGN.md §16). Registers fold cell values and
-  /// the bank's register_epoch.
-  struct StateObjectDigest {
+  /// One auditable state object: a table or a register bank
+  /// (DESIGN.md §16).
+  struct StateObject {
     std::string control;
     std::string name;
     bool is_register = false;
-    std::uint64_t digest = 0;
-
-    bool operator==(const StateObjectDigest&) const = default;
   };
 
-  /// Content digests of every table and register bank, in a canonical
-  /// deterministic order (controls sorted, tables before registers
-  /// within a control). The auditor walks this list round-robin and
-  /// compares against the intended-state mirror.
-  std::vector<StateObjectDigest> state_digests() const;
+  /// Every table and register bank, in a canonical deterministic order
+  /// (controls sorted, tables before registers within a control). The
+  /// auditor walks this list round-robin against the intended-state
+  /// mirror.
+  std::vector<StateObject> state_objects() const;
+
+  /// The content digest of one state object, computed afresh on every
+  /// call (0 when this plane has no such object): a table's
+  /// RuntimeTable::state_digest(); a register bank folds its non-zero
+  /// cells and its register_epoch.
+  std::uint64_t state_digest(const StateObject& object) const;
 
   /// Is `port` a loopback front-panel port or a dedicated
   /// recirculation port?

@@ -500,11 +500,11 @@ void ChaosTarget::learn_new_entries(const std::string& table,
                                     const net::FiveTuple& tuple) {
   auto& known = known_keys_[table];
   for (RuntimeTable* t : dataplane().tables_named(table)) {
-    for (const RuntimeTable::ExactEntry& e : t->exact_entries()) {
-      if (known.insert(e.key).second) {
-        owned_keys_[table][tuple].insert(e.key);
-      }
-    }
+    t->for_each_exact([&](const RuntimeTable::ExactVersion& e) {
+      if (known.contains(e.key)) return;
+      known.emplace(e.key.begin(), e.key.end());
+      owned_keys_[table][tuple].emplace(e.key.begin(), e.key.end());
+    });
   }
 }
 

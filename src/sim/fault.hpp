@@ -340,7 +340,9 @@ class ChaosTarget : public ReplayTarget {
   std::map<net::FiveTuple, std::uint32_t> flow_index_;
   // Tables with scheduled evictions: table -> key set seen before the
   // current injection, and table -> (flow -> keys that flow created).
-  std::map<std::string, std::set<std::vector<std::uint64_t>>> known_keys_;
+  std::map<std::string,
+           std::set<std::vector<std::uint64_t>, ExactKeyLess>>
+      known_keys_;
   std::map<std::string, std::map<net::FiveTuple,
                                  std::set<std::vector<std::uint64_t>>>>
       owned_keys_;

@@ -2,7 +2,6 @@
 
 #include <numeric>
 #include <stdexcept>
-#include <tuple>
 
 namespace dejavu::sim {
 
@@ -121,17 +120,6 @@ std::size_t RuntimeTable::home(const std::uint64_t* key) const {
   return static_cast<std::size_t>(h ^ (h >> 31)) & mask_;
 }
 
-template <class Pred>
-std::size_t RuntimeTable::find_slot(const std::uint64_t* key,
-                                    Pred pred) const {
-  if (slots_.empty()) return kNoSlot;
-  for (std::size_t i = home(key);; i = (i + 1) & mask_) {
-    const std::uint64_t* s = slot(i);
-    if (!used(s)) return kNoSlot;
-    if (std::equal(s, s + arity_, key) && pred(s)) return i;
-  }
-}
-
 std::size_t RuntimeTable::free_slot() const {
   if (slots_.empty()) return kNoSlot;
   // Load stays at most 0.7, so a free slot exists.
@@ -140,21 +128,10 @@ std::size_t RuntimeTable::free_slot() const {
   return i;
 }
 
-std::vector<std::size_t> RuntimeTable::used_slots() const {
-  std::vector<std::size_t> out;
-  const std::size_t start = free_slot();
-  if (start == kNoSlot) return out;
-  out.reserve(size_);
-  // Start past a free slot, so no cluster is split at the wrap.
-  for (std::size_t k = 1; k <= slot_count(); ++k) {
-    const std::size_t i = (start + k) & mask_;
-    if (used(slot(i))) out.push_back(i);
-  }
-  return out;
-}
-
 void RuntimeTable::rehash(std::size_t extra) {
-  const std::vector<std::size_t> order = used_slots();
+  std::vector<std::size_t> order;
+  order.reserve(size_);
+  for_each_slot([&](std::size_t i) { order.push_back(i); });
   std::vector<std::uint64_t> old;
   old.swap(slots_);
   const std::size_t n = slots_for(size_ + extra);
@@ -413,26 +390,6 @@ bool RuntimeTable::unretire_ternary(std::size_t handle,
   return true;
 }
 
-std::optional<std::size_t> RuntimeTable::find_ternary(
-    const std::vector<net::TernaryField>& key, std::int32_t priority) const {
-  if (!tcam_) return std::nullopt;
-  for (const auto& e : tcam_->entries()) {
-    if (e.key == key && e.priority == priority && e.value.window.open()) {
-      return e.handle;
-    }
-  }
-  return std::nullopt;
-}
-
-EpochWindow RuntimeTable::ternary_window(std::size_t handle) const {
-  if (tcam_) {
-    for (const auto& e : tcam_->entries()) {
-      if (e.handle == handle) return e.value.window;
-    }
-  }
-  return EpochWindow{};
-}
-
 std::vector<RuntimeTable::TernaryEntry> RuntimeTable::ternary_versions(
     const std::vector<net::TernaryField>& key, std::int32_t priority) const {
   std::vector<TernaryEntry> out;
@@ -474,17 +431,9 @@ std::size_t RuntimeTable::gc(std::uint32_t min_live) {
 std::vector<RuntimeTable::ExactEntry> RuntimeTable::exact_versions(
     const std::vector<std::uint64_t>& key) const {
   std::vector<ExactEntry> out;
-  if (tcam_ || key.size() != arity_) return out;
-  find_slot(key.data(), [&](const std::uint64_t* s) {
-    out.push_back(entry_at(s));
-    return false;  // visit every version
-  });
+  for_each_version(key,
+                   [&](const ExactVersion& v) { out.push_back(entry(v)); });
   return out;
-}
-
-std::optional<RuntimeTable::ExactEntry> RuntimeTable::find_exact(
-    const std::vector<std::uint64_t>& key) const {
-  return find_exact(key, kEpochOpen);
 }
 
 std::optional<RuntimeTable::ExactEntry> RuntimeTable::find_exact(
@@ -494,7 +443,7 @@ std::optional<RuntimeTable::ExactEntry> RuntimeTable::find_exact(
     return window_at(s).contains(epoch);
   });
   if (i == kNoSlot) return std::nullopt;
-  return entry_at(slot(i));
+  return entry(version_at(slot(i)));
 }
 
 RuntimeTable::Match RuntimeTable::probe(const ExactKey* key,
@@ -549,14 +498,10 @@ LookupResult RuntimeTable::lookup(
 
 std::vector<RuntimeTable::ExactEntry> RuntimeTable::exact_entries() const {
   std::vector<ExactEntry> out;
-  if (tcam_) return out;
   out.reserve(size_);
-  for (const std::size_t i : used_slots()) out.push_back(entry_at(slot(i)));
-  std::stable_sort(out.begin(), out.end(),
-                   [](const ExactEntry& a, const ExactEntry& b) {
-                     return std::tie(a.key, a.window.from, a.window.to) <
-                            std::tie(b.key, b.window.from, b.window.to);
-                   });
+  for (const ExactVersion& v : exact_where([](const auto&) { return true; })) {
+    out.push_back(entry(v));
+  }
   return out;
 }
 
@@ -597,23 +542,6 @@ void fnv_mix(std::uint64_t& h, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) {
     h ^= (v >> (i * 8)) & 0xff;
     h *= kFnvPrime;
-  }
-}
-
-void fnv_mix_str(std::uint64_t& h, const std::string& s) {
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= kFnvPrime;
-  }
-  h ^= 0xff;  // terminator: "ab"+"c" != "a"+"bc"
-  h *= kFnvPrime;
-}
-
-void fnv_mix_action(std::uint64_t& h, const ActionCall& action) {
-  fnv_mix_str(h, action.action);
-  for (const auto& [name, value] : action.args) {
-    fnv_mix_str(h, name);
-    fnv_mix(h, value);
   }
 }
 
@@ -752,14 +680,14 @@ std::string RuntimeTable::corrupt(CorruptKind kind, std::uint64_t salt) {
   // slot layout.
   std::vector<std::pair<std::string, std::size_t>> victims;
   victims.reserve(size_);
-  for (const std::size_t i : used_slots()) {
+  for_each_slot([&](std::size_t i) {
     std::string key_text;
     for (std::size_t c = 0; c < arity_; ++c) {
       key_text += std::to_string(slot(i)[c]);
       key_text += '|';
     }
     victims.emplace_back(std::move(key_text), i);
-  }
+  });
   std::stable_sort(victims.begin(), victims.end(),
                    [](const auto& a, const auto& b) {
                      return a.first < b.first;
@@ -835,50 +763,36 @@ std::string RuntimeTable::corrupt(CorruptKind kind, std::uint64_t salt) {
 }
 
 std::uint64_t RuntimeTable::state_digest() const {
-  std::uint64_t h = kFnvOffset;
+  // Each version hashes alone and the hashes add up, so the sum is the
+  // same in any install order or slot layout.
+  std::uint64_t sum = 0;
+  auto add = [&](std::uint64_t h, EpochWindow window, std::uint32_t action,
+                 const std::uint64_t* args) {
+    fnv_mix(h, window.from);
+    fnv_mix(h, window.to);
+    fnv_mix(h, action);  // every stored version has a bound action
+    const std::size_t n = control_->actions()[action].params.size();
+    for (std::size_t i = 0; i < n; ++i) fnv_mix(h, args[i]);
+    sum += h;
+  };
   if (tcam_) {
-    // Canonical order: (priority desc is the stored order, but sort
-    // fully so the digest is independent of install history).
-    std::vector<const net::Tcam<Stored>::Entry*> entries;
-    entries.reserve(tcam_->entries().size());
-    for (const auto& e : tcam_->entries()) entries.push_back(&e);
-    auto key_rank = [](const std::vector<net::TernaryField>& key) {
-      std::vector<std::uint64_t> flat;
-      flat.reserve(key.size() * 2);
-      for (const net::TernaryField& f : key) {
-        flat.push_back(f.value);
-        flat.push_back(f.mask);
-      }
-      return flat;
-    };
-    std::sort(entries.begin(), entries.end(),
-              [&](const auto* a, const auto* b) {
-                const EpochWindow wa = a->value.window;
-                const EpochWindow wb = b->value.window;
-                const auto ka = key_rank(a->key);
-                const auto kb = key_rank(b->key);
-                return std::tie(a->priority, ka, wa.from, wa.to) <
-                       std::tie(b->priority, kb, wb.from, wb.to);
-              });
-    for (const auto* e : entries) {
-      fnv_mix(h, static_cast<std::uint64_t>(e->priority));
-      for (const net::TernaryField& f : e->key) {
+    for (const auto& e : tcam_->entries()) {
+      std::uint64_t h = kFnvOffset;
+      fnv_mix(h, static_cast<std::uint64_t>(e.priority));
+      for (const net::TernaryField& f : e.key) {
         fnv_mix(h, f.value);
         fnv_mix(h, f.mask);
       }
-      fnv_mix(h, e->value.window.from);
-      fnv_mix(h, e->value.window.to);
-      fnv_mix_action(h, text(e->value));
+      add(h, e.value.window, e.value.action, e.value.args.data());
     }
-    return h;
+    return sum;
   }
-  for (const ExactEntry& e : exact_entries()) {  // sorted: order-free
-    for (const std::uint64_t v : e.key) fnv_mix(h, v);
-    fnv_mix(h, e.window.from);
-    fnv_mix(h, e.window.to);
-    fnv_mix_action(h, e.action);
-  }
-  return h;
+  for_each_exact([&](const ExactVersion& v) {
+    std::uint64_t h = kFnvOffset;
+    for (const std::uint64_t word : v.key) fnv_mix(h, word);
+    add(h, v.window, v.action, v.args);
+  });
+  return sum;
 }
 
 void RuntimeTable::clear() {

@@ -22,9 +22,10 @@
 // action id plus its arguments in the action's parameter order. An
 // install the table could not run is refused right there, so neither
 // engine meets an unknown action or a missing argument. Both engines
-// read the store in place through probe(); the text form (ActionCall,
-// ExactEntry) is rebuilt on demand for snapshots, journals and the
-// analyzers.
+// read the store in place through probe(), and whole-table readers walk
+// it in place (for_each_exact(), ternary_store()); the text form
+// (ActionCall, ExactEntry) is rebuilt on demand for snapshots, journals
+// and the few versions an analyzer keeps.
 //
 // Every installed entry carries an epoch window [from, to]: the range
 // of chain generations it is visible to. A hitless live update (§11)
@@ -42,11 +43,13 @@
 #pragma once
 
 #include <algorithm>
+#include <compare>
 #include <cstdint>
 #include <map>
 #include <optional>
 #include <span>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "net/tcam.hpp"
@@ -103,6 +106,17 @@ struct ExactKey {
 
   bool operator==(const ExactKey& o) const {
     return n == o.n && std::equal(v, v + n, o.v);
+  }
+};
+
+/// Lexicographic order on exact keys, vectors and borrowed spans alike:
+/// a set ordered by it answers for a borrowed key without a copy.
+struct ExactKeyLess {
+  using is_transparent = void;
+  bool operator()(std::span<const std::uint64_t> a,
+                  std::span<const std::uint64_t> b) const {
+    return std::lexicographical_compare(a.begin(), a.end(), b.begin(),
+                                        b.end());
   }
 };
 
@@ -206,15 +220,6 @@ class RuntimeTable {
   bool retire_ternary(std::size_t handle, std::uint32_t last_epoch);
   bool unretire_ternary(std::size_t handle, std::uint32_t last_epoch);
 
-  /// The live (open-window) ternary/LPM entry matching key+priority
-  /// exactly, or nullopt (how a retire addresses an entry installed by
-  /// an earlier generation).
-  std::optional<std::size_t> find_ternary(
-      const std::vector<net::TernaryField>& key, std::int32_t priority) const;
-
-  /// The window of a ternary/LPM entry ([0, open] when never tagged).
-  EpochWindow ternary_window(std::size_t handle) const;
-
   /// One installed ternary/LPM entry version, window included (state
   /// export, like ExactEntry).
   struct TernaryEntry {
@@ -268,13 +273,64 @@ class RuntimeTable {
   std::vector<ExactEntry> exact_versions(
       const std::vector<std::uint64_t>& key) const;
 
-  /// The live (open-window) version for `key`, or nullopt (exact
-  /// tables only).
-  std::optional<ExactEntry> find_exact(
-      const std::vector<std::uint64_t>& key) const;
-  /// The version visible to a packet stamped `epoch`, or nullopt.
+  /// The version of `key` visible to a packet stamped `epoch` — the one
+  /// probe() takes, the first in install order — or nullopt (exact
+  /// tables only). The default epoch finds the live (open-window)
+  /// version. Uncounted: it leaves hits() and misses() alone.
   std::optional<ExactEntry> find_exact(const std::vector<std::uint64_t>& key,
-                                       std::uint32_t epoch) const;
+                                       std::uint32_t epoch = kEpochOpen) const;
+
+  /// One exact version as the index holds it, borrowed in place (valid
+  /// until the next mutation).
+  struct ExactVersion {
+    std::span<const std::uint64_t> key;
+    EpochWindow window;
+    std::uint32_t action = kNoAction;     // index into the control's actions()
+    const std::uint64_t* args = nullptr;  // in the action's param order
+  };
+  /// Visit every exact version in place, copying no key and building no
+  /// action text: the exact counterpart of ternary_store(). The walk
+  /// takes each probe cluster whole, so a key's versions come in
+  /// install order. Visits nothing on a ternary table.
+  template <class Visit>
+  void for_each_exact(Visit&& visit) const {
+    for_each_slot([&](std::size_t i) { visit(version_at(slot(i))); });
+  }
+  /// Visit the versions of `key` in place, in install order (the order
+  /// probe() tries them): one probe of the key's cluster.
+  template <class Visit>
+  void for_each_version(std::span<const std::uint64_t> key,
+                        Visit&& visit) const {
+    if (tcam_ || key.size() != arity_) return;
+    find_slot(key.data(), [&](const std::uint64_t* s) {
+      visit(version_at(s));
+      return false;  // visit every version
+    });
+  }
+  /// The exact versions `keep` accepts, in canonical order: by key,
+  /// then window, ties in walk order. The explorer and the cost walker
+  /// fork in this order, and exact_entries() lists it.
+  template <class Keep>
+  std::vector<ExactVersion> exact_where(Keep&& keep) const {
+    std::vector<ExactVersion> out;
+    for_each_exact([&](const ExactVersion& v) {
+      if (keep(v)) out.push_back(v);
+    });
+    std::stable_sort(out.begin(), out.end(), canonical_less);
+    return out;
+  }
+  /// The canonical order of exact versions: key, then window.
+  static bool canonical_less(const ExactVersion& a, const ExactVersion& b) {
+    const auto by_key = std::lexicographical_compare_three_way(
+        a.key.begin(), a.key.end(), b.key.begin(), b.key.end());
+    if (by_key != 0) return by_key < 0;
+    return std::tie(a.window.from, a.window.to) <
+           std::tie(b.window.from, b.window.to);
+  }
+  /// The text form of a borrowed version's action.
+  ActionCall text(const ExactVersion& v) const {
+    return text(v.action, v.args);
+  }
 
   /// probe() in text form: look up the key values in key-component
   /// order, as seen by a packet stamped `epoch` (a nullopt value is a
@@ -304,13 +360,11 @@ class RuntimeTable {
   std::uint64_t misses() const { return misses_; }
   void reset_counters() { hits_ = misses_ = 0; }
 
-  /// State export (§7 service upgrade / failure handling): enumerate
-  /// installed entries — every version, retired and shadowed included —
-  /// sorted by key, then window. The explorer and the cost walker fork
-  /// in this order.
+  /// Snapshot export (§7 service upgrade / failure handling): every
+  /// version, retired and shadowed included, in text form and in
+  /// exact_where()'s canonical order. Analyzers walk the store instead.
   std::vector<ExactEntry> exact_entries() const;
-  /// Ternary/LPM entries in match-priority order, every version
-  /// included (empty for exact tables).
+  /// ternary_store() in text form (empty for exact tables).
   std::vector<TernaryEntry> ternary_entries() const;
 
   // --- state-integrity surface (DESIGN.md §16) ---
@@ -332,11 +386,11 @@ class RuntimeTable {
   /// "" when the table has no eligible victim (corruption did not land).
   std::string corrupt(CorruptKind kind, std::uint64_t salt);
 
-  /// Order-independent FNV-1a digest of the full installed state:
-  /// every exact version (key, action, window) and every ternary entry
-  /// (key, priority, action, window), in canonical sorted order. Two
-  /// tables with identical content — regardless of install order —
-  /// digest equal; any corrupt() lands as a digest change. O(n log n).
+  /// Order-free digest of the installed state: the wrapping sum over
+  /// every version of an FNV-1a hash of its key (and priority), window,
+  /// action id and arguments, in one pass with no copy or sort. Equal
+  /// contents digest equal whatever their install order; any corrupt()
+  /// moves it. Never cached: corrupt() does not move revision().
   std::uint64_t state_digest() const;
 
  private:
@@ -391,8 +445,11 @@ class RuntimeTable {
   const std::uint64_t* args_at(const std::uint64_t* s) const {
     return s + arity_ + 2;
   }
-  ExactEntry entry_at(const std::uint64_t* s) const {
-    return {{s, s + arity_}, text(action_at(s), args_at(s)), window_at(s)};
+  ExactVersion version_at(const std::uint64_t* s) const {
+    return {{s, arity_}, window_at(s), action_at(s), args_at(s)};
+  }
+  ExactEntry entry(const ExactVersion& v) const {
+    return {{v.key.begin(), v.key.end()}, text(v), v.window};
   }
   /// The home slot of a key of arity_ words.
   std::size_t home(const std::uint64_t* key) const;
@@ -400,12 +457,28 @@ class RuntimeTable {
   /// satisfies `pred(slot)`; kNoSlot when none. Versions of one key are
   /// visited in install order.
   template <class Pred>
-  std::size_t find_slot(const std::uint64_t* key, Pred pred) const;
+  std::size_t find_slot(const std::uint64_t* key, Pred pred) const {
+    if (slots_.empty()) return kNoSlot;
+    for (std::size_t i = home(key);; i = (i + 1) & mask_) {
+      const std::uint64_t* s = slot(i);
+      if (!used(s)) return kNoSlot;
+      if (std::equal(s, s + arity_, key) && pred(s)) return i;
+    }
+  }
   /// A free slot, from which a walk visits whole clusters (kNoSlot
   /// when the index is empty).
   std::size_t free_slot() const;
-  /// Every used slot, each cluster walked in probe order.
-  std::vector<std::size_t> used_slots() const;
+  /// Call `visit(i)` for every used slot i, each cluster walked in
+  /// probe order (from a free slot, so no cluster splits at the wrap).
+  template <class Visit>
+  void for_each_slot(Visit&& visit) const {
+    const std::size_t start = free_slot();
+    if (start == kNoSlot) return;
+    for (std::size_t k = 1; k <= slot_count(); ++k) {
+      const std::size_t i = (start + k) & mask_;
+      if (used(slot(i))) visit(i);
+    }
+  }
   /// Copy a slot image into the first free slot from its home.
   void place(const std::uint64_t* image);
   /// Add a version from its slot image (not one inside the index),

@@ -214,8 +214,9 @@ TEST_P(CompiledIncremental, RandomMutationsMatchInterpreterAndFreshCompile) {
         d.apply(on_table("Router.ipv4_lpm", [&](RuntimeTable& t) {
           const std::uint8_t len = static_cast<std::uint8_t>(16 + r % 9);
           const std::uint64_t prefix = net::Ipv4Addr(10, 3, 0, 0).value();
-          if (auto h = t.find_ternary(t.lpm_key(prefix, len), len)) {
-            return t.erase_ternary(*h);
+          const auto key = t.lpm_key(prefix, len);
+          for (const auto& v : t.ternary_versions(key, len)) {
+            if (v.window.open()) return t.erase_ternary(v.handle);
           }
           t.add_lpm(prefix, len,
                     ActionCall{"Router.route", {{"port", 1}, {"dmac", v}}});

@@ -323,7 +323,6 @@ void check_ternary(const RuntimeTable& rt, const Reference& ref,
     Key key;
     for (const net::TernaryField& f : e.key) key.push_back(f.value);
     EXPECT_EQ(e.priority, 0) << where;
-    EXPECT_EQ(e.window, rt.ternary_window(e.handle)) << where;
     got.push_back({std::move(key), e.action, e.window});
   }
   std::vector<RuntimeTable::ExactEntry> want;
@@ -453,7 +452,8 @@ void run_sequence(std::size_t arity, std::uint64_t seed, bool corrupting) {
       const Key key = pick_key();
       changed = rt.remove_exact(key);
       ASSERT_EQ(changed, ref.remove(key, nullptr)) << where << " remove";
-      const auto live = tt.find_ternary(full_mask(key), 0);
+      const auto live =
+          twin_version(key, [](EpochWindow x) { return x.open(); });
       ASSERT_EQ(live && tt.erase_ternary(*live), tref.remove(key, nullptr))
           << where << " ternary remove";
     } else if (op < 63) {
@@ -473,7 +473,8 @@ void run_sequence(std::size_t arity, std::uint64_t seed, bool corrupting) {
       const auto last = static_cast<std::uint32_t>(rng() % 7);
       changed = rt.retire_exact(key, last);
       ASSERT_EQ(changed, ref.retire(key, last)) << where << " retire";
-      const auto live = tt.find_ternary(full_mask(key), 0);
+      const auto live =
+          twin_version(key, [](EpochWindow x) { return x.open(); });
       ASSERT_EQ(live && tt.retire_ternary(*live, last),
                 tref.retire(key, last))
           << where << " ternary retire";
@@ -734,10 +735,15 @@ TEST(RuleIndex, TernaryRetiredCountFollowsEveryWindowChange) {
   std::size_t gc_removed = 0;
   for (int step = 0; step < 3000; ++step) {
     const std::string where = "step " + std::to_string(step);
-    std::vector<std::size_t> handles;
-    for (const auto& e : rt.ternary_entries()) handles.push_back(e.handle);
-    const std::size_t handle =
-        handles.empty() ? 0 : handles[rng() % handles.size()];
+    const std::vector<RuntimeTable::TernaryEntry> entries =
+        rt.ternary_entries();
+    std::size_t handle = 0;
+    EpochWindow window;  // [0, open] when the table is empty
+    if (!entries.empty()) {
+      const RuntimeTable::TernaryEntry& e = entries[rng() % entries.size()];
+      handle = e.handle;
+      window = e.window;
+    }
     const std::uint64_t op = rng() % 100;
     if (op < 35) {
       const std::uint64_t care = rng() % 2 ? 0xffff : 0;
@@ -754,7 +760,7 @@ TEST(RuleIndex, TernaryRetiredCountFollowsEveryWindowChange) {
       rt.retire_ternary(handle, static_cast<std::uint32_t>(rng() % 7));
     } else if (op < 72) {
       rt.unretire_ternary(handle, rng() % 2
-                                      ? rt.ternary_window(handle).to
+                                      ? window.to
                                       : static_cast<std::uint32_t>(rng() % 7));
     } else if (op < 82) {
       const auto min_live = static_cast<std::uint32_t>(rng() % 8);

@@ -135,16 +135,24 @@ std::size_t Auditor::tick() {
 
   const std::vector<sim::DataPlane::StateObject> objects =
       mirror_->state_objects();
-  const std::size_t live_objects = live_->state_objects().size();
-  if (live_objects != objects.size()) {
-    // Structural divergence (an object appeared or vanished wholesale)
-    // is caught immediately, outside the round-robin budget.
+  const std::vector<sim::DataPlane::StateObject> live_objects =
+      live_->state_objects();
+  if (live_objects != objects) {
+    // Structural divergence (an object appeared, vanished or stands in
+    // for another) is caught immediately, outside the round-robin
+    // budget. The window below never sees it: a plane digests an
+    // object it lacks as 0, which is also an empty table's digest.
     AuditFinding f;
     f.source = AuditFinding::Source::kDigest;
     f.object = "(object census)";
     f.tick = now;
-    f.detail = "live holds " + std::to_string(live_objects) +
+    f.detail = "live holds " + std::to_string(live_objects.size()) +
                " state objects, intended " + std::to_string(objects.size());
+    if (live_objects.size() == objects.size()) {
+      const auto [l, m] = std::ranges::mismatch(live_objects, objects);
+      f.detail += "; first differs: live " + l->control + "." + l->name +
+                  ", intended " + m->control + "." + m->name;
+    }
     raise(std::move(f));
   } else if (!objects.empty()) {
     // The bounded per-tick audit window: digest_objects_per_tick

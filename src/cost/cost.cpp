@@ -664,28 +664,17 @@ class Walker {
     }
 
     using Version = sim::RuntimeTable::ExactVersion;
-    // Does no key component match `e` as `t`?
-    const auto none = [&](const Version& e, Tri t) {
+    // Could the abstract key match `e`: no component rules it out?
+    const auto compatible = [&](const Version& e) {
       for (std::size_t i = 0; i < key.size(); ++i) {
-        if (key[i]->match_tri(e.key[i], key[i]->width_mask()) == t) {
-          return false;
-        }
+        const Tri t = key[i]->match_tri(e.key[i], key[i]->width_mask());
+        if (t == Tri::kNever) return false;
       }
       return true;
     };
     const std::vector<Version> cands = rt.exact_where([&](const Version& e) {
-      return e.window.contains(epoch_) && none(e, Tri::kNever);
+      return e.window.contains(epoch_) && compatible(e);
     });
-
-    for (const Version& c : cands) {
-      if (!none(c, Tri::kMaybe)) continue;
-      // Deterministic hit: the abstract key is forced onto this entry
-      // (exact keys are unique per epoch, so no other entry competes).
-      note_entry_hit(control, table, c.key);
-      finish_lookup(std::move(s), std::move(ctx), control, ci, idx, true,
-                    rt.text(c), std::move(k));
-      return;
-    }
 
     if (cands.empty()) {
       finish_lookup(std::move(s), std::move(ctx), control, ci, idx, false,

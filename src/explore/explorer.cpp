@@ -1132,8 +1132,12 @@ void Explorer::static_overlap_check() {
         sim::RuntimeTable* rb = dp_->table_in(control.name(), tb->name);
         if (ra == nullptr || rb == nullptr) continue;
         const auto shared = rb->exact_where([&](const auto& e) {
-          return e.window.contains(epoch_) &&
-                 ra->find_exact({e.key.begin(), e.key.end()}, epoch_);
+          if (!e.window.contains(epoch_)) return false;
+          bool in_a = false;
+          ra->for_each_version(e.key, [&](const auto& v) {
+            in_a = in_a || v.window.contains(epoch_);
+          });
+          return in_a;
         });
         for (const auto& e : shared) {
           add_finding(
@@ -1216,25 +1220,17 @@ void Explorer::epoch_audit() {
       if (rt == nullptr) continue;
       const std::string where = control.name() + "/" + t.name;
       // Only a key with a malformed window or more than one version can
-      // fail, so only those get a text key: each is taken up at its
-      // first version, with its windows in canonical order.
+      // fail, so only those versions get a text key; they arrive in
+      // canonical order, each key's windows sorted.
       std::map<std::string, std::vector<sim::EpochWindow>> versions;
-      rt->for_each_exact([&](const sim::RuntimeTable::ExactVersion& v) {
-        const std::uint64_t* first = nullptr;
+      const auto suspect = rt->exact_where([&](const auto& v) {
         std::size_t count = 0;
-        rt->for_each_version(v.key, [&](const auto& w) {
-          if (first == nullptr) first = w.key.data();
-          ++count;
-        });
-        if (first != v.key.data()) return;
-        if (count == 1 && v.window.well_formed()) return;
-        auto& windows = versions["(" + join_u64(v.key) + ")"];
-        rt->for_each_version(
-            v.key, [&](const auto& w) { windows.push_back(w.window); });
-        std::ranges::stable_sort(windows, {}, [](sim::EpochWindow w) {
-          return std::pair(w.from, w.to);
-        });
+        rt->for_each_version(v.key, [&](const auto&) { ++count; });
+        return count > 1 || !v.window.well_formed();
       });
+      for (const auto& v : suspect) {
+        versions["(" + join_u64(v.key) + ")"].push_back(v.window);
+      }
       for (const auto& e : rt->ternary_store()) {
         versions["(" + join_ternary(e.key) + ") prio " +
                  std::to_string(e.priority)]

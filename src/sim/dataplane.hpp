@@ -156,6 +156,8 @@ class DataPlane {
     std::string control;
     std::string name;
     bool is_register = false;
+
+    bool operator==(const StateObject&) const = default;
   };
 
   /// Every table and register bank, in a canonical deterministic order

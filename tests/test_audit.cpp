@@ -445,6 +445,59 @@ TEST(Auditor, DigestAuditDetectsWithinOneSweepAndAttributes) {
   EXPECT_TRUE(auditor.suspicious());
 }
 
+/// A mini program whose one pipelet control applies keyless tables
+/// named `tables`, each forwarding to port 1.
+p4ir::Program program_with_tables(p4ir::TupleIdTable& ids,
+                                  const std::vector<std::string>& tables) {
+  p4ir::Program program("p");
+  nf::add_standard_parser(program, ids);
+  p4ir::ControlBlock c(
+      merge::pipelet_control_name({0, asic::PipeKind::kIngress}));
+  p4ir::Action fwd;
+  fwd.name = "fwd";
+  fwd.primitives = {p4ir::set_imm("standard_metadata.egress_spec", 1)};
+  c.add_action(fwd);
+  for (const std::string& name : tables) {
+    p4ir::Table t;
+    t.name = name;
+    t.default_action = "fwd";
+    c.add_table(t);
+    c.apply_table(name);
+  }
+  program.add_control(std::move(c));
+  return program;
+}
+
+TEST(Auditor, CensusCatchesAnObjectStandingInForAnother) {
+  // The live plane lacks the mirror's empty table x and holds a table z
+  // instead. The object counts agree, and a plane digests an object it
+  // lacks as 0, which is also an empty table's digest: only the census
+  // can tell.
+  const asic::SwitchConfig config(asic::TargetSpec::mini());
+  p4ir::TupleIdTable intended_ids;
+  p4ir::TupleIdTable live_ids;
+  const p4ir::Program intended = program_with_tables(intended_ids, {"x", "y"});
+  const p4ir::Program actual = program_with_tables(live_ids, {"y", "z"});
+  DataPlane mirror(intended, intended_ids, config);
+  DataPlane live(actual, live_ids, config);
+  ASSERT_EQ(live.state_objects().size(), mirror.state_objects().size());
+
+  AuditorOptions options;
+  options.digest_objects_per_tick = 1;
+  options.sample_every = 0;
+  Auditor auditor(live, mirror, options);
+  EXPECT_EQ(auditor.tick(), 1u);
+  ASSERT_EQ(auditor.findings().size(), 1u);
+  const control::AuditFinding& f = auditor.findings().front();
+  const std::string control =
+      merge::pipelet_control_name({0, asic::PipeKind::kIngress});
+  EXPECT_EQ(f.object, "(object census)");
+  EXPECT_EQ(f.detail, "live holds 2 state objects, intended 2; first "
+                      "differs: live " + control + ".y, intended " +
+                      control + ".x");
+  EXPECT_TRUE(auditor.suspicious());
+}
+
 TEST(Auditor, QuarantineHookFiresOnDetection) {
   auto fx = control::make_fig2_deployment();
   DataPlane& live = fx.deployment->dataplane();

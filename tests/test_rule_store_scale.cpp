@@ -17,6 +17,7 @@
 #include "control/auditor.hpp"
 #include "cost/cost.hpp"
 #include "explore/explorer.hpp"
+#include "explore/fixtures.hpp"
 #include "explore_test_util.hpp"
 #include "net/addr.hpp"
 
@@ -189,6 +190,64 @@ TEST(RuleStoreScale, ShadowVersionForksOnlyAtItsEpoch) {
   const explore::ExploreResult after = explore_at(t, 1);
   EXPECT_FALSE(after.report.has("DV-S7")) << after.report.to_string();
   EXPECT_GT(after.paths.size(), base.paths.size());
+}
+
+// A ghost version of one learned session, overlapping the original's
+// window, is the one DV-S8 finding among 1,000 single-version keys:
+// the structural audit takes up only keys with more than one version.
+TEST(RuleStoreScale, OverlappingSessionVersionsAreOneDvS8Finding) {
+  test::ExploreTarget t = test::build_explore_target("fig9");
+  learn_sessions(t, 1000);
+  sim::RuntimeTable& lb = lb_table(t);
+  ASSERT_FALSE(
+      lb.corrupt(sim::RuntimeTable::CorruptKind::kDuplicate, /*salt=*/3)
+          .empty());
+  std::vector<std::uint64_t> twice;
+  lb.for_each_exact([&](const sim::RuntimeTable::ExactVersion& v) {
+    std::size_t count = 0;
+    lb.for_each_version(v.key, [&](const auto&) { ++count; });
+    if (count > 1) twice.assign(v.key.begin(), v.key.end());
+  });
+  ASSERT_EQ(twice.size(), 1u);
+
+  const explore::ExploreResult r = explore_at(t);
+  std::vector<std::string> s8;
+  for (const verify::Finding& f : r.report.findings()) {
+    if (f.check == "DV-S8") s8.push_back(f.message);
+  }
+  ASSERT_EQ(s8.size(), 1u) << r.report.to_string();
+  EXPECT_TRUE(s8[0].starts_with("versions of entry (" +
+                                std::to_string(twice[0]) +
+                                ") have overlapping epoch windows"))
+      << s8[0];
+}
+
+// DV-S5 compares the two gates' versions at the explored epoch only:
+// the parallel-overlap fixture's shared key, shadowed for generation 1
+// in either gate, overlaps at epoch 1 and not at epoch 0.
+TEST(RuleStoreScale, ParallelGateOverlapCountsOnlyVisibleVersions) {
+  const std::vector<std::uint64_t> key = {1, 1, 0, 0};
+  for (const char* gate :
+       {"dejavu_check_nextNF_FW", "dejavu_check_nextNF_Police"}) {
+    SCOPED_TRACE(gate);
+    explore::fixtures::Bundle b = explore::fixtures::make("parallel-overlap");
+    sim::RuntimeTable* rt =
+        b.deployment->dataplane().table_in("pipelet_ingress0", gate);
+    ASSERT_NE(rt, nullptr);
+    const auto live = rt->find_exact(key);
+    ASSERT_TRUE(live.has_value());
+    ASSERT_TRUE(rt->remove_exact_version(key, live->window));
+    rt->add_exact(key, live->action, {1, sim::kEpochOpen});
+
+    for (const std::uint32_t epoch : {0u, 1u}) {
+      explore::ExploreOptions options;
+      options.epoch = epoch;
+      const explore::ExploreResult r =
+          explore::run(b.deployment->dataplane(), b.policies, options);
+      EXPECT_EQ(r.report.has("DV-S5"), epoch == 1)
+          << "epoch " << epoch << "\n" << r.report.to_string();
+    }
+  }
 }
 
 // A silent corruption of the 8K-session table is found within the

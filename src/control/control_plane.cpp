@@ -23,9 +23,9 @@ net::TernaryField optional_exact(std::optional<std::uint64_t> v,
 
 }  // namespace
 
-std::vector<sim::RuntimeTable*> ControlPlane::instances(
-    const std::string& table) {
-  auto tables = dp_->tables_named(table);
+std::vector<sim::TableId> ControlPlane::instances(
+    const std::string& table) const {
+  std::vector<sim::TableId> tables = dp_->table_ids(table);
   if (tables.empty()) {
     throw std::invalid_argument("table '" + table +
                                 "' is not part of this deployment");
@@ -92,8 +92,8 @@ std::uint16_t ControlPlane::reinjection_port(std::uint16_t path_id,
 }
 
 void ControlPlane::add_traffic_class(const TrafficClassRule& rule) {
-  for (sim::RuntimeTable* t : instances("Classifier.traffic_class")) {
-    t->add_ternary(
+  for (const sim::TableId id : instances("Classifier.traffic_class")) {
+    dp_->table(id).add_ternary(
         {prefix_field(rule.src), prefix_field(rule.dst),
          optional_exact(rule.protocol ? std::optional<std::uint64_t>(
                                             *rule.protocol)
@@ -107,9 +107,9 @@ void ControlPlane::add_traffic_class(const TrafficClassRule& rule) {
 }
 
 void ControlPlane::add_firewall_rule(const FirewallRule& rule) {
-  for (sim::RuntimeTable* t : instances("FW.acl")) {
+  for (const sim::TableId id : instances("FW.acl")) {
     sim::ActionCall call{rule.permit ? "FW.permit" : "FW.deny", {}};
-    t->add_ternary(
+    dp_->table(id).add_ternary(
         {prefix_field(rule.src), prefix_field(rule.dst),
          optional_exact(rule.protocol ? std::optional<std::uint64_t>(
                                             *rule.protocol)
@@ -124,8 +124,8 @@ void ControlPlane::add_firewall_rule(const FirewallRule& rule) {
 }
 
 void ControlPlane::add_vgw_mapping(const VgwMapping& mapping) {
-  for (sim::RuntimeTable* t : instances("VGW.vip_map")) {
-    t->add_exact({mapping.virtual_ip.value()},
+  for (const sim::TableId id : instances("VGW.vip_map")) {
+    dp_->table(id).add_exact({mapping.virtual_ip.value()},
                  sim::ActionCall{"VGW.translate",
                                  {{"phys_dst", mapping.physical_ip.value()},
                                   {"tenant", mapping.tenant}}});
@@ -133,8 +133,8 @@ void ControlPlane::add_vgw_mapping(const VgwMapping& mapping) {
 }
 
 void ControlPlane::add_route(const RouteEntry& entry) {
-  for (sim::RuntimeTable* t : instances("Router.ipv4_lpm")) {
-    t->add_lpm(entry.prefix.address().value(), entry.prefix.length(),
+  for (const sim::TableId id : instances("Router.ipv4_lpm")) {
+    dp_->table(id).add_lpm(entry.prefix.address().value(), entry.prefix.length(),
                sim::ActionCall{"Router.route",
                                {{"port", entry.port},
                                 {"dmac", entry.next_hop_mac.to_u64()}}});
@@ -143,10 +143,18 @@ void ControlPlane::add_route(const RouteEntry& entry) {
 
 void ControlPlane::install_lb_session(std::uint32_t session_hash,
                                       net::Ipv4Addr backend) {
-  for (sim::RuntimeTable* t : instances("LB.lb_session")) {
-    t->add_exact({session_hash},
-                 sim::ActionCall{"LB.modify_dstIp",
-                                 {{"dip", backend.value()}}});
+  if (lb_session_.empty()) {
+    std::vector<LbBinding> bound;
+    for (const sim::TableId id : instances("LB.lb_session")) {
+      bound.push_back({id, dp_->table(id).bind(sim::ActionCall{
+                               "LB.modify_dstIp", {{"dip", 0}}})});
+    }
+    lb_session_ = std::move(bound);
+  }
+  const std::uint64_t key = session_hash;
+  for (LbBinding& lb : lb_session_) {
+    lb.action.args[0] = backend.value();  // modify_dstIp's one parameter
+    dp_->table(lb.table).add_exact({&key, 1}, lb.action);
   }
 }
 

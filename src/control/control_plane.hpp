@@ -77,10 +77,10 @@ class ControlPlane {
   void adopt_routing(route::RoutingPlan plan) { routing_ = std::move(plan); }
 
  private:
-  /// Install into every instance of a qualified table name; throws
+  /// Every instance of a qualified table name; throws
   /// std::invalid_argument when the table does not exist anywhere
   /// (NF not deployed).
-  std::vector<sim::RuntimeTable*> instances(const std::string& table);
+  std::vector<sim::TableId> instances(const std::string& table) const;
 
   /// Ingress port a punted packet should be reinjected on so that the
   /// branching state steers it back to `nf`: the first port of the
@@ -94,6 +94,15 @@ class ControlPlane {
   sim::SwitchOutput process(net::Packet packet, std::uint16_t in_port,
                             bool from_cpu = false,
                             std::optional<std::uint32_t> stamp = std::nullopt);
+
+  /// The LB's learning write, bound once: each LB.lb_session instance
+  /// and its LB.modify_dstIp (ids, so they hold for any data plane of
+  /// this program). Empty until the first install_lb_session().
+  struct LbBinding {
+    sim::TableId table;
+    sim::BoundAction action;
+  };
+  std::vector<LbBinding> lb_session_;
 
   sim::DataPlane* dp_;
   sim::CompiledPipeline* engine_ = nullptr;

@@ -99,29 +99,27 @@ Snapshot take_snapshot(sim::DataPlane& dp) {
   Snapshot snap;
   snap.epoch = dp.epoch();
   snap.min_live_epoch = dp.min_live_epoch();
-  for (const p4ir::ControlBlock& control : dp.program().controls()) {
-    for (const p4ir::Table& t : control.tables()) {
-      sim::RuntimeTable* rt = dp.table_in(control.name(), t.name);
-      if (rt == nullptr) continue;
-      Snapshot::TableState state;
-      state.control = control.name();
-      state.table = t.name;
-      state.exact = rt->exact_entries();
-      state.ternary = rt->ternary_entries();
-      snap.tables.push_back(std::move(state));
+  // Id order is declaration order: controls in program order, each
+  // control's tables (registers) as declared.
+  for (sim::TableId id = 0; id < dp.table_count(); ++id) {
+    const sim::RuntimeTable& rt = dp.table(id);
+    Snapshot::TableState state;
+    state.control = rt.control().name();
+    state.table = rt.def().name;
+    state.exact = rt.exact_entries();
+    state.ternary = rt.ternary_entries();
+    snap.tables.push_back(std::move(state));
+  }
+  for (sim::RegisterId id = 0; id < dp.register_count(); ++id) {
+    const sim::DataPlane::RegisterBank& bank = dp.register_bank(id);
+    Snapshot::RegisterState state;
+    state.control = bank.control->name();
+    state.name = bank.def->name;
+    state.epoch = bank.epoch;
+    for (std::uint64_t i = 0; i < bank.cells.size(); ++i) {
+      if (bank.cells[i] != 0) state.cells[i] = bank.cells[i];
     }
-    for (const p4ir::RegisterDef& r : control.registers()) {
-      auto* cells = dp.register_array(control.name(), r.name);
-      if (cells == nullptr) continue;
-      Snapshot::RegisterState state;
-      state.control = control.name();
-      state.name = r.name;
-      state.epoch = dp.register_epoch(control.name(), r.name);
-      for (std::uint64_t i = 0; i < cells->size(); ++i) {
-        if ((*cells)[i] != 0) state.cells[i] = (*cells)[i];
-      }
-      snap.registers.push_back(std::move(state));
-    }
+    snap.registers.push_back(std::move(state));
   }
   return snap;
 }
@@ -130,50 +128,61 @@ std::vector<std::string> restore_snapshot(const Snapshot& snapshot,
                                           sim::DataPlane& dp) {
   std::vector<std::string> missing;
   for (const Snapshot::TableState& state : snapshot.tables) {
-    sim::RuntimeTable* rt = dp.table_in(state.control, state.table);
-    if (rt == nullptr) {
+    const std::optional<sim::TableId> id =
+        dp.table_id(state.control, state.table);
+    if (!id) {
       if (!state.exact.empty() || !state.ternary.empty()) {
         missing.push_back(state.control + "/" + state.table);
       }
       continue;
     }
-    // Exact entries first, then ternary: true for each one to restore.
-    std::vector<bool> runnable;
-    auto check = [&](const sim::ActionCall& action) {
-      const std::string bad = rt->action_error(action);
+    sim::RuntimeTable& rt = dp.table(*id);
+    // Bind every entry once, exact entries first, then ternary; an
+    // entry the table cannot run is reported and left out.
+    std::vector<std::optional<sim::BoundAction>> bound;
+    bound.reserve(state.exact.size() + state.ternary.size());
+    auto bind = [&](const sim::ActionCall& action) {
+      sim::BoundAction b;
+      const std::string bad = rt.bind(action, b);
       if (!bad.empty()) {
         missing.push_back(state.control + "/" + state.table + ": " + bad);
       }
-      runnable.push_back(bad.empty());
+      bound.push_back(bad.empty() ? std::optional(b) : std::nullopt);
     };
-    for (const auto& e : state.exact) check(e.action);
-    for (const auto& e : state.ternary) check(e.action);
-    rt->clear();
+    for (const auto& e : state.exact) bind(e.action);
+    for (const auto& e : state.ternary) bind(e.action);
+    rt.clear();
     std::size_t n = 0;
     for (const auto& e : state.exact) {
-      if (runnable[n++]) rt->add_exact(e.key, e.action, e.window);
+      if (const auto& b = bound[n++]) {
+        rt.add_exact(std::span<const std::uint64_t>(e.key), *b, e.window);
+      }
     }
     for (const auto& e : state.ternary) {
-      if (runnable[n++]) rt->add_ternary(e.key, e.priority, e.action, e.window);
+      if (const auto& b = bound[n++]) {
+        rt.add_ternary(e.key, e.priority, *b, e.window);
+      }
     }
   }
   for (const Snapshot::RegisterState& state : snapshot.registers) {
-    auto* cells = dp.register_array(state.control, state.name);
-    if (cells == nullptr) {
+    const std::optional<sim::RegisterId> id =
+        dp.register_id(state.control, state.name);
+    if (!id) {
       if (!state.cells.empty()) {
         missing.push_back(state.control + "/" + state.name);
       }
       continue;
     }
-    dp.set_register_epoch(state.control, state.name, state.epoch);
-    std::fill(cells->begin(), cells->end(), 0);
+    sim::DataPlane::RegisterBank& bank = dp.register_bank(*id);
+    bank.epoch = state.epoch;
+    std::fill(bank.cells.begin(), bank.cells.end(), 0);
     for (const auto& [index, value] : state.cells) {
-      if (index >= cells->size()) {
+      if (index >= bank.cells.size()) {
         throw std::invalid_argument("register " + state.name +
                                     " shrank below snapshot index " +
                                     std::to_string(index));
       }
-      (*cells)[index] = value;
+      bank.cells[index] = value;
     }
   }
   dp.set_epoch(snapshot.epoch);

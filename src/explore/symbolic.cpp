@@ -91,6 +91,13 @@ bool ConstraintSet::require_ge(int var, std::uint64_t value) {
 std::optional<std::uint64_t> ConstraintSet::solve(int var) const {
   const VarConstraints& c = cons_[var];
   if (c.lo > c.hi) return std::nullopt;
+  const std::uint64_t wmask = width_mask(var);
+  // Fully pinned: known_value is the only candidate (the scatter loop
+  // below tries it first).
+  if ((c.known_mask & wmask) == wmask) {
+    if (ok(var, c.known_value)) return c.known_value;
+    return std::nullopt;
+  }
 
   // The candidate sequence is fixed so the witness for a given
   // constraint state never depends on constraint insertion order.
@@ -108,14 +115,16 @@ std::optional<std::uint64_t> ConstraintSet::solve(int var) const {
   // Scatter counter bits over the positions not forced by known_mask,
   // both LSB-first and MSB-first, to dodge forbidden patterns that the
   // contiguous scans above happen to sweep through.
-  const std::uint64_t wmask = width_mask(var);
   const std::uint64_t base = c.known_value;
   const std::uint64_t free_mask = wmask & ~c.known_mask;
   std::vector<unsigned> free_bits;
   for (unsigned b = 0; b < 64; ++b) {
     if ((free_mask >> b) & 1) free_bits.push_back(b);
   }
-  for (std::uint64_t k = 0; k < 4096; ++k) {
+  // Past 2^|free_bits| counter values the candidates only repeat.
+  const std::uint64_t tries =
+      free_bits.size() >= 12 ? 4096 : std::uint64_t{1} << free_bits.size();
+  for (std::uint64_t k = 0; k < tries; ++k) {
     std::uint64_t lsb = base;
     std::uint64_t msb = base;
     for (std::size_t i = 0; i < free_bits.size(); ++i) {

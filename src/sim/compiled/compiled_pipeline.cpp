@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "merge/compose.hpp"
 #include "net/checksum.hpp"
 #include "sfc/header.hpp"
 #include "sim/bits.hpp"
@@ -199,7 +198,7 @@ void CompiledPipeline::compile_action(const p4ir::ControlBlock& control,
       case p4ir::PrimitiveOp::kRegisterWrite: {
         // The DataPlane refused actions using unknown registers.
         const p4ir::RegisterDef& def = *control.find_register(p.param);
-        op.reg = dp_->register_array(control.name(), p.param);
+        op.reg = &dp_->register_bank(dp_->register_id(control, def)).cells;
         op.reg_mask = def.width_bits >= 64
                           ? ~std::uint64_t{0}
                           : (std::uint64_t{1} << def.width_bits) - 1;
@@ -225,9 +224,8 @@ void CompiledPipeline::compile_action(const p4ir::ControlBlock& control,
   out.count = static_cast<std::uint32_t>(ops_.size()) - out.begin;
 }
 
-void CompiledPipeline::compile_control(const std::string& control_name,
+void CompiledPipeline::compile_control(const p4ir::ControlBlock* cb,
                                        ControlC& cc) {
-  const p4ir::ControlBlock* cb = dp_->program().find_control(control_name);
   if (cb == nullptr) {
     cc.present = false;
     return;
@@ -270,7 +268,7 @@ void CompiledPipeline::compile_control(const std::string& control_name,
   for (const auto& [tname, idx] : tidx) {
     const p4ir::Table& def = *cb->find_table(tname);
     TableC& t = cc.tables[idx];
-    t.rt = dp_->table_in(control_name, tname);
+    t.rt = &dp_->table(dp_->table_id(*cb, def));
     t.key_begin = static_cast<std::uint32_t>(key_refs_.size());
     t.key_count = static_cast<std::uint32_t>(def.keys.size());
     for (const p4ir::TableKey& k : def.keys) {
@@ -380,9 +378,9 @@ bool CompiledPipeline::compile(std::string* err) {
   pipelines_ = dp_->config().spec().pipelines;
   controls_.resize(std::size_t{pipelines_} * 2);
   for (std::uint32_t p = 0; p < pipelines_; ++p) {
-    compile_control(merge::pipelet_control_name({p, asic::PipeKind::kIngress}),
+    compile_control(dp_->pipelet_control({p, asic::PipeKind::kIngress}),
                     controls_[p * 2]);
-    compile_control(merge::pipelet_control_name({p, asic::PipeKind::kEgress}),
+    compile_control(dp_->pipelet_control({p, asic::PipeKind::kEgress}),
                     controls_[p * 2 + 1]);
   }
 

@@ -223,7 +223,7 @@ class CompiledPipeline {
 
   // --- compilation ---
   bool compile(std::string* err);
-  void compile_control(const std::string& control_name, ControlC& cc);
+  void compile_control(const p4ir::ControlBlock* cb, ControlC& cc);
   void compile_action(const p4ir::ControlBlock& control,
                       const p4ir::Action& action, ActionRef& out);
   void size_scratch();

@@ -1,6 +1,9 @@
 #include "sim/dataplane.hpp"
 
+#include <algorithm>
+#include <numeric>
 #include <stdexcept>
+#include <tuple>
 
 #include "merge/compose.hpp"
 #include "net/checksum.hpp"
@@ -16,52 +19,110 @@ DataPlane::DataPlane(const p4ir::Program& program,
       ids_(&ids),
       config_(std::move(config)),
       max_passes_(config_.max_pipeline_passes()) {
-  for (const p4ir::ControlBlock& control : program.controls()) {
+  const std::vector<p4ir::ControlBlock>& controls = program.controls();
+  for (const p4ir::ControlBlock& control : controls) {
     if (std::string why; !control.runnable(&why)) {
       throw std::invalid_argument("DataPlane: " + why);
     }
-    auto& per_control = tables_[control.name()];
+    table_base_.push_back(static_cast<TableId>(tables_.size()));
+    register_base_.push_back(static_cast<RegisterId>(banks_.size()));
     for (const p4ir::Table& t : control.tables()) {
-      per_control.emplace(t.name, RuntimeTable(control, t));
+      tables_.emplace_back(control, t);
     }
-    auto& regs = registers_[control.name()];
     for (const p4ir::RegisterDef& r : control.registers()) {
-      regs.emplace(r.name, std::vector<std::uint64_t>(r.size, 0));
+      banks_.push_back({&control, &r, std::vector<std::uint64_t>(r.size, 0)});
     }
   }
+  for (const p4ir::ControlBlock& control : controls) {
+    std::vector<TableId>& applied = applied_.emplace_back();
+    for (const p4ir::ApplyEntry& entry : control.apply_order()) {
+      // runnable() above refused applies of unknown tables.
+      applied.push_back(table_id(control, *control.find_table(entry.table)));
+    }
+  }
+  by_name_.resize(controls.size());
+  std::iota(by_name_.begin(), by_name_.end(), 0u);
+  std::sort(by_name_.begin(), by_name_.end(),
+            [&](std::uint32_t a, std::uint32_t b) {
+              return controls[a].name() < controls[b].name();
+            });
+  for (std::uint32_t p = 0; p < config_.spec().pipelines; ++p) {
+    for (const asic::PipeKind kind :
+         {asic::PipeKind::kIngress, asic::PipeKind::kEgress}) {
+      const p4ir::ControlBlock* control =
+          program.find_control(merge::pipelet_control_name({p, kind}));
+      pipelet_controls_.push_back(
+          control == nullptr
+              ? -1
+              : static_cast<std::int32_t>(control - controls.data()));
+    }
+  }
+  const std::size_t ports =
+      config_.spec().total_ports() + config_.spec().pipelines;
+  counters_.resize(ports);
+  down_.resize(ports);
 }
 
-std::vector<std::uint64_t>* DataPlane::register_array(
-    const std::string& control_name, const std::string& reg) {
-  auto cit = registers_.find(control_name);
-  if (cit == registers_.end()) return nullptr;
-  auto rit = cit->second.find(reg);
-  return rit == cit->second.end() ? nullptr : &rit->second;
+std::optional<TableId> DataPlane::table_id(const std::string& control_name,
+                                           const std::string& table) const {
+  const p4ir::ControlBlock* control = program_->find_control(control_name);
+  if (control == nullptr) return std::nullopt;
+  const p4ir::Table* t = control->find_table(table);
+  if (t == nullptr) return std::nullopt;
+  return table_id(*control, *t);
+}
+
+std::vector<TableId> DataPlane::table_ids(const std::string& table) const {
+  std::vector<TableId> out;
+  for (const std::uint32_t c : by_name_) {
+    const p4ir::ControlBlock& control = program_->controls()[c];
+    if (const p4ir::Table* t = control.find_table(table)) {
+      out.push_back(table_id(control, *t));
+    }
+  }
+  return out;
 }
 
 std::vector<RuntimeTable*> DataPlane::tables_named(const std::string& table) {
   std::vector<RuntimeTable*> out;
-  for (auto& [control_name, per_control] : tables_) {
-    auto it = per_control.find(table);
-    if (it != per_control.end()) out.push_back(&it->second);
-  }
+  for (const TableId id : table_ids(table)) out.push_back(&tables_[id]);
   return out;
 }
 
 RuntimeTable* DataPlane::table_in(const std::string& control_name,
                                   const std::string& table) {
-  auto cit = tables_.find(control_name);
-  if (cit == tables_.end()) return nullptr;
-  auto tit = cit->second.find(table);
-  return tit == cit->second.end() ? nullptr : &tit->second;
+  const std::optional<TableId> id = table_id(control_name, table);
+  return id ? &tables_[*id] : nullptr;
+}
+
+std::optional<RegisterId> DataPlane::register_id(
+    const std::string& control_name, const std::string& reg) const {
+  const p4ir::ControlBlock* control = program_->find_control(control_name);
+  if (control == nullptr) return std::nullopt;
+  const p4ir::RegisterDef* r = control->find_register(reg);
+  if (r == nullptr) return std::nullopt;
+  return register_id(*control, *r);
+}
+
+std::vector<std::uint64_t>* DataPlane::register_array(
+    const std::string& control_name, const std::string& reg) {
+  const std::optional<RegisterId> id = register_id(control_name, reg);
+  return id ? &banks_[*id].cells : nullptr;
+}
+
+const p4ir::ControlBlock* DataPlane::pipelet_control(
+    const asic::PipeletId& id) const {
+  const std::size_t i =
+      std::size_t{id.pipeline} * 2 + (id.kind == asic::PipeKind::kEgress);
+  if (i >= pipelet_controls_.size() || pipelet_controls_[i] < 0) {
+    return nullptr;
+  }
+  return &program_->controls()[static_cast<std::size_t>(pipelet_controls_[i])];
 }
 
 void DataPlane::set_port_down(std::uint16_t port, bool down) {
-  if (down) {
-    down_ports_.insert(port);
-  } else {
-    down_ports_.erase(port);
-  }
+  if (port >= down_.size()) down_.resize(port + std::size_t{1});
+  down_[port] = down;
 }
 
 bool DataPlane::loops_back(std::uint16_t port) const {
@@ -74,37 +135,27 @@ bool DataPlane::loops_back(std::uint16_t port) const {
 
 std::vector<DataPlane::StateObject> DataPlane::state_objects() const {
   std::vector<StateObject> out;
-  auto add_registers = [&](const std::string& control) {
-    const auto it = registers_.find(control);
-    if (it == registers_.end()) return;
-    for (const auto& [name, cells] : it->second) {
-      out.push_back({control, name, /*is_register=*/true});
-    }
-  };
-  for (const auto& [control, per_control] : tables_) {
-    for (const auto& [name, rt] : per_control) {
-      out.push_back({control, name, /*is_register=*/false});
-    }
-    add_registers(control);
+  out.reserve(tables_.size() + banks_.size());
+  for (const RuntimeTable& t : tables_) {
+    out.push_back({t.control().name(), t.def().name, /*is_register=*/false});
   }
-  // Controls that declare registers but no tables still need auditing.
-  for (const auto& [control, regs] : registers_) {
-    if (!tables_.contains(control)) add_registers(control);
+  for (const RegisterBank& bank : banks_) {
+    out.push_back({bank.control->name(), bank.def->name, /*is_register=*/true});
   }
+  std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
+    return std::tie(a.control, a.is_register, a.name) <
+           std::tie(b.control, b.is_register, b.name);
+  });
   return out;
 }
 
 std::uint64_t DataPlane::state_digest(const StateObject& object) const {
   if (!object.is_register) {
-    const auto cit = tables_.find(object.control);
-    if (cit == tables_.end()) return 0;
-    const auto tit = cit->second.find(object.name);
-    return tit == cit->second.end() ? 0 : tit->second.state_digest();
+    const std::optional<TableId> id = table_id(object.control, object.name);
+    return id ? tables_[*id].state_digest() : 0;
   }
-  const auto cit = registers_.find(object.control);
-  if (cit == registers_.end()) return 0;
-  const auto rit = cit->second.find(object.name);
-  if (rit == cit->second.end()) return 0;
+  const std::optional<RegisterId> id = register_id(object.control, object.name);
+  if (!id) return 0;
   std::uint64_t h = 1469598103934665603ull;
   auto mix = [&h](std::uint64_t v) {
     for (int i = 0; i < 8; ++i) {
@@ -114,13 +165,13 @@ std::uint64_t DataPlane::state_digest(const StateObject& object) const {
   };
   // Sparse fold: (index, value) of non-zero cells, so the digest is
   // stable under bank-size growth the way Snapshot::to_text is.
-  const std::vector<std::uint64_t>& cells = rit->second;
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    if (cells[i] == 0) continue;
+  const RegisterBank& bank = banks_[*id];
+  for (std::size_t i = 0; i < bank.cells.size(); ++i) {
+    if (bank.cells[i] == 0) continue;
     mix(i);
-    mix(cells[i]);
+    mix(bank.cells[i]);
   }
-  mix(register_epoch(object.control, object.name));
+  mix(bank.epoch);
   return h;
 }
 
@@ -230,7 +281,7 @@ void DataPlane::execute_action(const p4ir::ControlBlock& control,
         // The constructor refused actions using unknown registers.
         const p4ir::RegisterDef& def = *control.find_register(p.param);
         std::vector<std::uint64_t>& cells =
-            *register_array(control.name(), p.param);
+            banks_[register_id(control, def)].cells;
         const std::uint64_t index =
             (p.src.empty() ? p.imm : view.read(p.src).value_or(0)) %
             cells.size();
@@ -257,8 +308,7 @@ void DataPlane::execute_action(const p4ir::ControlBlock& control,
 
 void DataPlane::run_pipelet(const asic::PipeletId& id, net::Packet& packet,
                             StandardMetadata& meta, SwitchOutput& out) {
-  const p4ir::ControlBlock* control =
-      program_->find_control(merge::pipelet_control_name(id));
+  const p4ir::ControlBlock* control = pipelet_control(id);
   if (control == nullptr) {
     out.trace.push_back(id.to_string() + ": no program, pass-through");
     return;
@@ -275,7 +325,10 @@ void DataPlane::run_pipelet(const asic::PipeletId& id, net::Packet& packet,
   std::string taken_branch;
   std::map<std::string, bool> branch_checked;
 
-  for (const p4ir::ApplyEntry& entry : control->apply_order()) {
+  const std::vector<TableId>& applied =
+      applied_[control - program_->controls().data()];
+  for (std::size_t k = 0; k < applied.size(); ++k) {
+    const p4ir::ApplyEntry& entry = control->apply_order()[k];
     if (!entry.branch_id.empty()) {
       if (!taken_branch.empty() && entry.branch_id != taken_branch) continue;
       if (taken_branch.empty() && branch_checked[entry.branch_id]) {
@@ -290,9 +343,8 @@ void DataPlane::run_pipelet(const asic::PipeletId& id, net::Packet& packet,
       }
       continue;
     }
-    // The constructor refused applies of unknown tables.
-    const p4ir::Table& table = *control->find_table(entry.table);
-    const RuntimeTable& rt = *table_in(control->name(), entry.table);
+    const RuntimeTable& rt = tables_[applied[k]];
+    const p4ir::Table& table = rt.def();
 
     // A key field the packet lacks is a miss.
     ExactKey key;
@@ -324,7 +376,20 @@ void DataPlane::run_pipelet(const asic::PipeletId& id, net::Packet& packet,
 
 const DataPlane::PortCounters& DataPlane::port_counters(
     std::uint16_t port) const {
-  return counters_[port];
+  static const PortCounters kNone;
+  return port < counters_.size() ? counters_[port] : kNone;
+}
+
+std::map<std::uint16_t, DataPlane::PortCounters>
+DataPlane::all_port_counters() const {
+  std::map<std::uint16_t, PortCounters> out;
+  for (std::size_t port = 0; port < counters_.size(); ++port) {
+    const PortCounters& c = counters_[port];
+    if (c.rx_packets + c.tx_packets > 0) {
+      out.emplace_hint(out.end(), static_cast<std::uint16_t>(port), c);
+    }
+  }
+  return out;
 }
 
 std::uint64_t DataPlane::punts_outstanding_below(std::uint32_t epoch) const {
@@ -351,11 +416,7 @@ std::uint64_t DataPlane::flush_stale_punts(std::uint32_t max_epoch) {
 
 std::size_t DataPlane::gc_epochs(std::uint32_t min_live) {
   std::size_t removed = 0;
-  for (auto& [control_name, per_control] : tables_) {
-    for (auto& [table_name, rt] : per_control) {
-      removed += rt.gc(min_live);
-    }
-  }
+  for (RuntimeTable& rt : tables_) removed += rt.gc(min_live);
   if (min_live > min_live_epoch_) min_live_epoch_ = min_live;
   // A punt stamped below the new floor can never reinject (it would
   // drop as kUpdateDrained), so its ledger entry is dead weight: a
@@ -368,26 +429,27 @@ std::size_t DataPlane::gc_epochs(std::uint32_t min_live) {
 
 std::uint32_t DataPlane::register_epoch(const std::string& control_name,
                                         const std::string& reg) const {
-  auto it = register_epochs_.find({control_name, reg});
-  return it == register_epochs_.end() ? 0 : it->second;
+  const std::optional<RegisterId> id = register_id(control_name, reg);
+  return id ? banks_[*id].epoch : 0;
 }
 
 void DataPlane::set_register_epoch(const std::string& control_name,
                                    const std::string& reg,
                                    std::uint32_t epoch) {
-  if (epoch == 0) {
-    register_epochs_.erase({control_name, reg});
-  } else {
-    register_epochs_[{control_name, reg}] = epoch;
+  if (const std::optional<RegisterId> id = register_id(control_name, reg)) {
+    banks_[*id].epoch = epoch;
   }
 }
 
-void DataPlane::reset_counters() { counters_.clear(); }
+void DataPlane::reset_counters() {
+  std::fill(counters_.begin(), counters_.end(), PortCounters{});
+}
 
 void DataPlane::emit(net::Packet packet, std::uint16_t port,
                      SwitchOutput& out) {
-  counters_[port].tx_packets += 1;
-  counters_[port].tx_bytes += packet.size();
+  PortCounters& c = counters_for(port);
+  c.tx_packets += 1;
+  c.tx_bytes += packet.size();
   // Deparser duty: refresh the IPv4 header checksum after field edits.
   ParseResult parsed = run_parser(*program_, *ids_, packet);
   if (auto off = parsed.offset_of("ipv4")) {
@@ -440,8 +502,9 @@ SwitchOutput DataPlane::process(net::Packet packet, std::uint16_t in_port,
   meta.packet_length = static_cast<std::uint32_t>(packet.size());
   meta.epoch = out.epoch;
   std::uint32_t pipeline = pipeline_of(in_port);
-  counters_[in_port].rx_packets += 1;
-  counters_[in_port].rx_bytes += packet.size();
+  PortCounters& rx = counters_for(in_port);
+  rx.rx_packets += 1;
+  rx.rx_bytes += packet.size();
 
   auto punt = [&] {
     out.to_cpu.push_back(
@@ -489,10 +552,11 @@ SwitchOutput DataPlane::process(net::Packet packet, std::uint16_t in_port,
       // The loopback port transmits and immediately re-receives the
       // packet — these counters are the §4 recirculation-load
       // measurement point.
-      counters_[eg.port].tx_packets += 1;
-      counters_[eg.port].tx_bytes += packet.size();
-      counters_[eg.port].rx_packets += 1;
-      counters_[eg.port].rx_bytes += packet.size();
+      PortCounters& c = counters_for(eg.port);
+      c.tx_packets += 1;
+      c.tx_bytes += packet.size();
+      c.rx_packets += 1;
+      c.rx_bytes += packet.size();
       out.trace.push_back("recirculate via port " + std::to_string(eg.port) +
                           " into ingress " + std::to_string(eg.pipeline));
       pipeline = eg.pipeline;

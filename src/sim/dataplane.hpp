@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -69,6 +68,10 @@ struct SwitchOutput {
   bool delivered() const { return !out.empty(); }
 };
 
+/// Dense ids of tables and register banks (DataPlane::table()).
+using TableId = std::uint32_t;
+using RegisterId = std::uint32_t;
+
 class DataPlane {
  public:
   /// `program` must outlive the data plane and not change under it.
@@ -85,19 +88,66 @@ class DataPlane {
   const p4ir::TupleIdTable& ids() const { return *ids_; }
   std::optional<std::uint16_t> mirror_port() const { return mirror_port_; }
 
-  /// Table handle for the control plane. Searches all pipelet controls
-  /// and returns every instance (an NF's table exists once per pipelet
-  /// hosting it; framework check tables exist per pipelet too).
-  std::vector<RuntimeTable*> tables_named(const std::string& table);
+  // --- switch state by id ---
+  //
+  // Every table and register bank has a dense id, assigned in p4info's
+  // declaration order (controls in program order, each control's
+  // tables, resp. registers, in declaration order), so a control plane
+  // addresses one by number, as a P4Runtime client does. Names resolve
+  // once, through the lookups below; the ids stay valid for any
+  // DataPlane over the same program, copies included.
 
-  /// Single-instance lookup within one pipelet's control block.
+  std::size_t table_count() const { return tables_.size(); }
+  RuntimeTable& table(TableId id) { return tables_[id]; }
+  const RuntimeTable& table(TableId id) const { return tables_[id]; }
+  /// The id of `control_name`'s table `table`; nullopt when unknown.
+  std::optional<TableId> table_id(const std::string& control_name,
+                                  const std::string& table) const;
+  /// The id of `def`, one of `control`'s tables (both of program()).
+  TableId table_id(const p4ir::ControlBlock& control,
+                   const p4ir::Table& def) const {
+    return table_base_[&control - program_->controls().data()] +
+           static_cast<TableId>(&def - control.tables().data());
+  }
+  /// The ids of every instance of `table` (an NF's table exists once
+  /// per pipelet hosting it; framework check tables exist per pipelet
+  /// too), controls in name order.
+  std::vector<TableId> table_ids(const std::string& table) const;
+  /// tables_named() and table_in() are the same lookups, as pointers.
+  std::vector<RuntimeTable*> tables_named(const std::string& table);
   RuntimeTable* table_in(const std::string& control_name,
                          const std::string& table);
 
+  /// One register array and its generation tag (register_epoch()).
+  struct RegisterBank {
+    const p4ir::ControlBlock* control;
+    const p4ir::RegisterDef* def;
+    std::vector<std::uint64_t> cells;
+    std::uint32_t epoch = 0;
+  };
+  std::size_t register_count() const { return banks_.size(); }
+  RegisterBank& register_bank(RegisterId id) { return banks_[id]; }
+  const RegisterBank& register_bank(RegisterId id) const {
+    return banks_[id];
+  }
+  /// The id of `control_name`'s register `reg`; nullopt when unknown.
+  std::optional<RegisterId> register_id(const std::string& control_name,
+                                        const std::string& reg) const;
+  /// The id of `def`, one of `control`'s registers (both of program()).
+  RegisterId register_id(const p4ir::ControlBlock& control,
+                         const p4ir::RegisterDef& def) const {
+    return register_base_[&control - program_->controls().data()] +
+           static_cast<RegisterId>(&def - control.registers().data());
+  }
   /// Register array state (per control block); nullptr when unknown.
   /// Exposed for control-plane reads and tests.
   std::vector<std::uint64_t>* register_array(const std::string& control_name,
                                              const std::string& reg);
+
+  /// The control block a pipelet runs (merge::pipelet_control_name),
+  /// resolved at construction; nullptr when the pipelet is unnamed and
+  /// simply forwards.
+  const p4ir::ControlBlock* pipelet_control(const asic::PipeletId& id) const;
 
   /// Inject a packet on a front-panel port and run it to completion.
   /// `from_cpu` marks control-plane reinjection (Fig. 4's session-miss
@@ -140,15 +190,12 @@ class DataPlane {
 
   /// Per-register-bank generation tag: bumped when a live update
   /// applies a bank's flip-time writes, so crash recovery can tell
-  /// applied banks from untouched ones (0 = never updated).
+  /// applied banks from untouched ones (0 = never updated, and the
+  /// answer for an unknown bank, whose tag is never stored).
   std::uint32_t register_epoch(const std::string& control_name,
                                const std::string& reg) const;
   void set_register_epoch(const std::string& control_name,
                           const std::string& reg, std::uint32_t epoch);
-  const std::map<std::pair<std::string, std::string>, std::uint32_t>&
-  register_epochs() const {
-    return register_epochs_;
-  }
 
   /// One auditable state object: a table or a register bank
   /// (DESIGN.md §16).
@@ -191,9 +238,8 @@ class DataPlane {
   /// port is refused the same way.
   void set_port_down(std::uint16_t port, bool down = true);
   bool is_port_down(std::uint16_t port) const {
-    return down_ports_.count(port) > 0;
+    return port < down_.size() && down_[port];
   }
-  const std::set<std::uint16_t>& down_ports() const { return down_ports_; }
 
   /// Per-port packet/byte counters, as a switch OS would expose them.
   /// Loopback and dedicated recirculation ports accumulate the
@@ -217,7 +263,10 @@ class DataPlane {
   /// Mutable per-port counters — engine plumbing for the compiled fast
   /// path (sim::CompiledPipeline), which must keep tx/rx/recirculation
   /// accounting bit-identical to process() while bypassing it.
-  PortCounters& counters_for(std::uint16_t port) { return counters_[port]; }
+  PortCounters& counters_for(std::uint16_t port) {
+    if (port >= counters_.size()) counters_.resize(port + std::size_t{1});
+    return counters_[port];
+  }
   /// Record one CPU punt in the outstanding-punt ledger (§11 drain
   /// accounting) — same engine plumbing as counters_for().
   void note_punt(std::uint32_t epoch) { ++punts_outstanding_[epoch]; }
@@ -228,10 +277,9 @@ class DataPlane {
   /// kUpdateDrained. Returns false when `out` now holds that drop.
   bool stamp_packet(bool from_cpu, std::optional<std::uint32_t> stamp,
                     SwitchOutput& out);
-  /// Every port with traffic so far (ports never touched are absent).
-  const std::map<std::uint16_t, PortCounters>& all_port_counters() const {
-    return counters_;
-  }
+  /// Every port with traffic so far, in port order (ports that never
+  /// sent or received a packet are absent).
+  std::map<std::uint16_t, PortCounters> all_port_counters() const;
   void reset_counters();
 
  private:
@@ -249,16 +297,22 @@ class DataPlane {
   std::uint32_t epoch_ = 0;
   std::uint32_t min_live_epoch_ = 0;
   std::map<std::uint32_t, std::uint64_t> punts_outstanding_;
-  std::map<std::pair<std::string, std::string>, std::uint32_t>
-      register_epochs_;
   std::optional<std::uint16_t> mirror_port_;
-  std::set<std::uint16_t> down_ports_;
-  // control name -> table name -> runtime table
-  std::map<std::string, std::map<std::string, RuntimeTable>> tables_;
-  // control name -> register name -> cells
-  std::map<std::string, std::map<std::string, std::vector<std::uint64_t>>>
-      registers_;
-  mutable std::map<std::uint16_t, PortCounters> counters_;
+  // Switch state by id; control i's tables (registers) take the ids
+  // from table_base_[i] (register_base_[i]) on, in declaration order.
+  std::vector<RuntimeTable> tables_;
+  std::vector<RegisterBank> banks_;
+  std::vector<TableId> table_base_;
+  std::vector<RegisterId> register_base_;
+  // Control indices in name order: the order tables_named() lists.
+  std::vector<std::uint32_t> by_name_;
+  // Per control index, the table id of each apply_order() entry.
+  std::vector<std::vector<TableId>> applied_;
+  // Per pipelet (pipeline * 2 + kind), its control index or -1.
+  std::vector<std::int32_t> pipelet_controls_;
+  // By port, grown on demand past the front-panel and recirc ports.
+  std::vector<PortCounters> counters_;
+  std::vector<bool> down_;
 };
 
 }  // namespace dejavu::sim

@@ -1,6 +1,8 @@
 #include "sim/runtime_table.hpp"
 
+#include <charconv>
 #include <numeric>
+#include <string_view>
 #include <stdexcept>
 
 namespace dejavu::sim {
@@ -17,6 +19,28 @@ std::size_t slots_for(std::size_t live) {
   return n;
 }
 
+/// Why `action` cannot run at all ("" when it can): a primitive reads
+/// a parameter the action does not declare.
+std::string shape_error(const p4ir::Action& action) {
+  for (const p4ir::Primitive& p : action.primitives) {
+    const bool reads_param = p.op == p4ir::PrimitiveOp::kSetFromParam ||
+                             p.op == p4ir::PrimitiveOp::kSetContext;
+    if (reads_param && !action.param_index(p.param)) {
+      return "action '" + action.name + "' reads undeclared parameter '" +
+             p.param + "'";
+    }
+  }
+  return "";
+}
+
+/// The index of `control`'s action `name`, or kNoAction.
+std::uint32_t action_id(const p4ir::ControlBlock& control,
+                        const std::string& name) {
+  const p4ir::Action* a = control.find_action(name);
+  return a == nullptr ? kNoAction
+                      : static_cast<std::uint32_t>(a - control.actions().data());
+}
+
 }  // namespace
 
 RuntimeTable::RuntimeTable(const p4ir::ControlBlock& control,
@@ -30,71 +54,87 @@ RuntimeTable::RuntimeTable(const p4ir::ControlBlock& control,
   arity_ = def.keys.size();
   std::size_t widest = 0;
   for (const std::string& name : def.actions) {
-    if (const p4ir::Action* a = control.find_action(name)) {
-      widest = std::max(widest, a->params.size());
+    Declared& d = declared_.emplace_back();
+    d.action = action_id(control, name);
+    if (d.action == kNoAction) continue;
+    const p4ir::Action& a = control.actions()[d.action];
+    if (a.params.size() > kMaxActionArgs) {
+      throw std::invalid_argument("table '" + def.name + "' action '" +
+                                  name + "' takes more than " +
+                                  std::to_string(kMaxActionArgs) +
+                                  " parameters");
     }
+    d.runnable = shape_error(a).empty();
+    widest = std::max(widest, a.params.size());
   }
   stride_ = arity_ + 2 + widest;
   if (!def.default_action.empty()) {
-    const ActionCall call{def.default_action, {}};
-    if (const std::string bad = call_error(call); !bad.empty()) {
+    const std::uint32_t id = action_id(control, def.default_action);
+    const bool runnable =
+        id != kNoAction && shape_error(control.actions()[id]).empty();
+    BoundAction unused;
+    if (const std::string bad =
+            bind_call({def.default_action, {}}, id, runnable, unused);
+        !bad.empty()) {
       throw std::invalid_argument("table '" + def.name + "' default " + bad);
     }
-    default_action_ = static_cast<std::uint32_t>(
-        control.find_action(def.default_action) - control.actions().data());
+    default_action_ = id;
   }
   if (def.needs_tcam()) {
     tcam_.emplace(def.keys.size());
   }
 }
 
-std::string RuntimeTable::call_error(const ActionCall& call) const {
-  const p4ir::Action* action = control_->find_action(call.action);
-  if (action == nullptr) {
+std::string RuntimeTable::bind_call(const ActionCall& call, std::uint32_t id,
+                                    bool runnable, BoundAction& out) const {
+  if (id == kNoAction) {
     return "action '" + call.action + "' is not defined";
   }
-  for (const p4ir::Action::Param& param : action->params) {
-    if (!call.args.contains(param.name)) {
+  const p4ir::Action& action = control_->actions()[id];
+  for (std::size_t i = 0; i < action.params.size(); ++i) {
+    const auto arg = call.args.find(action.params[i].name);
+    if (arg == call.args.end()) {
       return "action '" + call.action + "' is missing argument '" +
-             param.name + "'";
+             action.params[i].name + "'";
     }
+    out.args[i] = arg->second;
   }
-  if (call.args.size() != action->params.size()) {
+  if (call.args.size() != action.params.size()) {
     return "action '" + call.action + "' given arguments it does not take";
   }
-  for (const p4ir::Primitive& p : action->primitives) {
-    const bool reads_param = p.op == p4ir::PrimitiveOp::kSetFromParam ||
-                             p.op == p4ir::PrimitiveOp::kSetContext;
-    if (reads_param && !action->param_index(p.param)) {
-      return "action '" + call.action + "' reads undeclared parameter '" +
-             p.param + "'";
-    }
-  }
+  if (!runnable) return shape_error(action);
+  out.action = id;
   return "";
 }
 
-std::string RuntimeTable::action_error(const ActionCall& call) const {
-  if (std::find(def_->actions.begin(), def_->actions.end(), call.action) ==
-      def_->actions.end()) {
-    return "action '" + call.action + "' is not bound to the table";
+std::string RuntimeTable::bind(const ActionCall& call,
+                               BoundAction& out) const {
+  for (std::size_t i = 0; i < declared_.size(); ++i) {
+    if (def_->actions[i] == call.action) {
+      return bind_call(call, declared_[i].action, declared_[i].runnable, out);
+    }
   }
-  return call_error(call);
+  return "action '" + call.action + "' is not bound to the table";
 }
 
-RuntimeTable::Stored RuntimeTable::bind(const ActionCall& call,
-                                        EpochWindow window) const {
-  if (const std::string bad = action_error(call); !bad.empty()) {
+BoundAction RuntimeTable::bind(const ActionCall& call) const {
+  BoundAction out;
+  if (const std::string bad = bind(call, out); !bad.empty()) {
     throw std::invalid_argument("table '" + def_->name + "': " + bad);
   }
-  const p4ir::Action* action = control_->find_action(call.action);
-  Stored bound{window,
-               static_cast<std::uint32_t>(action - control_->actions().data()),
-               {}};
-  bound.args.reserve(action->params.size());
-  for (const p4ir::Action::Param& param : action->params) {
-    bound.args.push_back(call.args.at(param.name));
-  }
-  return bound;
+  return out;
+}
+
+std::string RuntimeTable::action_error(const ActionCall& call) const {
+  BoundAction unused;
+  return bind(call, unused);
+}
+
+bool RuntimeTable::declares(std::uint32_t action) const {
+  return std::any_of(declared_.begin(), declared_.end(),
+                     [&](const Declared& d) {
+                       return d.action == action && d.runnable;
+                     });
 }
 
 ActionCall RuntimeTable::text(std::uint32_t id,
@@ -172,25 +212,14 @@ void RuntimeTable::shrink_if_sparse() {
   if (slot_count() > 8 && size_ * 8 < slot_count()) rehash(0);
 }
 
-std::vector<std::uint64_t> RuntimeTable::image(
-    const std::vector<std::uint64_t>& key, const Stored& version) const {
-  std::vector<std::uint64_t> out(stride_, 0);
-  std::copy(key.begin(), key.end(), out.begin());
-  out[arity_] = packed(version.window);
-  out[arity_ + 1] = version.action;
-  std::copy(version.args.begin(), version.args.end(),
-            out.begin() + static_cast<std::ptrdiff_t>(arity_ + 2));
-  return out;
-}
-
 RuntimeTable::Stored* RuntimeTable::ternary_stored(std::size_t handle) {
   if (!tcam_) return nullptr;
   auto* entry = tcam_->mutable_entry(handle);
   return entry == nullptr ? nullptr : &entry->value;
 }
 
-void RuntimeTable::add_exact(const std::vector<std::uint64_t>& key,
-                             ActionCall action, EpochWindow window) {
+void RuntimeTable::add_exact(std::span<const std::uint64_t> key,
+                             const BoundAction& action, EpochWindow window) {
   if (tcam_) {
     throw std::invalid_argument("table '" + def_->name +
                                 "' is ternary/LPM; use add_ternary/add_lpm");
@@ -203,11 +232,22 @@ void RuntimeTable::add_exact(const std::vector<std::uint64_t>& key,
     throw std::invalid_argument("malformed epoch window for table '" +
                                 def_->name + "'");
   }
-  const std::vector<std::uint64_t> bound = image(key, bind(action, window));
+  if (!declares(action.action)) {
+    throw std::invalid_argument("table '" + def_->name +
+                                "': action is not bound to the table");
+  }
+  // The slot image, built in place of a heap copy.
+  std::uint64_t image[kMaxStride];
+  std::copy(key.begin(), key.end(), image);
+  image[arity_] = packed(window);
+  image[arity_ + 1] = action.action;
+  const std::size_t n = control_->actions()[action.action].params.size();
+  std::copy_n(action.args, n, image + arity_ + 2);
+  std::fill(image + arity_ + 2 + n, image + stride_, 0);
   // The first version, in install order, with this window or one
   // overlapping it.
   const std::size_t clash =
-      find_slot(key.data(), [&](const std::uint64_t* s) {
+      find_slot(image, [&](const std::uint64_t* s) {
         return window_at(s).overlaps(window);
       });
   if (clash != kNoSlot) {
@@ -216,7 +256,7 @@ void RuntimeTable::add_exact(const std::vector<std::uint64_t>& key,
           "overlapping epoch window for key in table '" + def_->name +
           "' (a packet could see two generations)");
     }
-    std::copy(bound.begin(), bound.end(), slot(clash));  // overwrite
+    std::copy_n(image, stride_, slot(clash));  // overwrite
     ++revision_;
     return;
   }
@@ -224,12 +264,13 @@ void RuntimeTable::add_exact(const std::vector<std::uint64_t>& key,
     throw std::invalid_argument("table '" + def_->name + "' is full (" +
                                 std::to_string(def_->max_entries) + ")");
   }
-  insert_slot(bound.data());
+  insert_slot(image);
   ++revision_;
 }
 
 std::size_t RuntimeTable::add_ternary(const std::vector<net::TernaryField>& key,
-                                      std::int32_t priority, ActionCall action,
+                                      std::int32_t priority,
+                                      const BoundAction& action,
                                       EpochWindow window) {
   if (!tcam_) {
     throw std::invalid_argument("table '" + def_->name +
@@ -239,7 +280,10 @@ std::size_t RuntimeTable::add_ternary(const std::vector<net::TernaryField>& key,
     throw std::invalid_argument("malformed epoch window for table '" +
                                 def_->name + "'");
   }
-  Stored bound = bind(action, window);
+  if (!declares(action.action)) {
+    throw std::invalid_argument("table '" + def_->name +
+                                "': action is not bound to the table");
+  }
   if (size_ >= def_->max_entries) {
     throw std::invalid_argument("table '" + def_->name + "' is full");
   }
@@ -251,7 +295,9 @@ std::size_t RuntimeTable::add_ternary(const std::vector<net::TernaryField>& key,
           def_->name + "'");
     }
   }
-  const std::size_t handle = tcam_->insert(key, priority, std::move(bound));
+  const std::size_t n = control_->actions()[action.action].params.size();
+  const std::size_t handle = tcam_->insert(
+      key, priority, Stored{window, action.action, {action.args, action.args + n}});
   ++size_;
   retired_ += !window.open();
   ++revision_;
@@ -291,9 +337,9 @@ std::vector<net::TernaryField> RuntimeTable::lpm_key(
 }
 
 std::size_t RuntimeTable::add_lpm(std::uint64_t value, std::uint8_t prefix_len,
-                                  ActionCall action, EpochWindow window) {
-  return add_ternary(lpm_key(value, prefix_len), prefix_len,
-                     std::move(action), window);
+                                  const ActionCall& action,
+                                  EpochWindow window) {
+  return add_ternary(lpm_key(value, prefix_len), prefix_len, action, window);
 }
 
 bool RuntimeTable::erase_version(const std::vector<std::uint64_t>& key,
@@ -545,7 +591,56 @@ void fnv_mix(std::uint64_t& h, std::uint64_t v) {
   }
 }
 
+/// The decimal text of an exact key, "v0|v1|...|", written into `buf`
+/// (room for kMaxKeyArity 20-digit words and their separators).
+std::string_view key_text(const std::uint64_t* key, std::size_t arity,
+                          char* buf) {
+  char* end = buf;
+  for (std::size_t c = 0; c < arity; ++c) {
+    end = std::to_chars(end, end + 20, key[c]).ptr;
+    *end++ = '|';
+  }
+  return {buf, static_cast<std::size_t>(end - buf)};
+}
+
 }  // namespace
+
+std::size_t RuntimeTable::canonical_victim(std::size_t rank) const {
+  // The canonical order is the keys' decimal text, then install order
+  // among a key's versions, which is the walk order. Each candidate
+  // carries the first eight bytes of its text, big-endian (text
+  // shorter than that pads with NULs, which sort first, as a shorter
+  // prefix does), so most comparisons never format a key.
+  struct Candidate {
+    std::uint64_t prefix;
+    std::uint32_t walk;  // position in walk order
+    std::uint32_t slot;
+  };
+  std::vector<Candidate> order;
+  order.reserve(size_);
+  for_each_slot([&](std::size_t i) {
+    char buf[kMaxKeyArity * 21];
+    const std::string_view text = key_text(slot(i), arity_, buf);
+    std::uint64_t prefix = 0;
+    for (std::size_t b = 0; b < 8; ++b) {
+      prefix = prefix << 8 |
+               (b < text.size() ? static_cast<unsigned char>(text[b]) : 0u);
+    }
+    order.push_back({prefix, static_cast<std::uint32_t>(order.size()),
+                     static_cast<std::uint32_t>(i)});
+  });
+  std::nth_element(
+      order.begin(), order.begin() + static_cast<std::ptrdiff_t>(rank),
+      order.end(), [&](const Candidate& a, const Candidate& b) {
+        if (a.prefix != b.prefix) return a.prefix < b.prefix;
+        char abuf[kMaxKeyArity * 21];
+        char bbuf[kMaxKeyArity * 21];
+        const int by_text = key_text(slot(a.slot), arity_, abuf)
+                                .compare(key_text(slot(b.slot), arity_, bbuf));
+        return by_text != 0 ? by_text < 0 : a.walk < b.walk;
+      });
+  return order[rank].slot;
+}
 
 std::string RuntimeTable::corrupt(CorruptKind kind, std::uint64_t salt) {
   SaltStream s{salt};
@@ -675,24 +770,7 @@ std::string RuntimeTable::corrupt(CorruptKind kind, std::uint64_t salt) {
   }
 
   if (size_ == 0) return "";
-  // Canonical victim order: the keys' decimal text ("v0|v1|..."), then
-  // install order among a key's versions — independent of the index's
-  // slot layout.
-  std::vector<std::pair<std::string, std::size_t>> victims;
-  victims.reserve(size_);
-  for_each_slot([&](std::size_t i) {
-    std::string key_text;
-    for (std::size_t c = 0; c < arity_; ++c) {
-      key_text += std::to_string(slot(i)[c]);
-      key_text += '|';
-    }
-    victims.emplace_back(std::move(key_text), i);
-  });
-  std::stable_sort(victims.begin(), victims.end(),
-                   [](const auto& a, const auto& b) {
-                     return a.first < b.first;
-                   });
-  const std::size_t victim = victims[s.pick(victims.size())].second;
+  const std::size_t victim = canonical_victim(s.pick(size_));
   std::uint64_t* entry = slot(victim);
   // A copy of the victim's slot, for the kinds that re-insert it.
   std::vector<std::uint64_t> copy(entry, entry + stride_);

@@ -19,9 +19,15 @@
 // bits, and the mask keeps only low bits.
 //
 // Every install binds its action once, by the control's definition: an
-// action id plus its arguments in the action's parameter order. An
-// install the table could not run is refused right there, so neither
-// engine meets an unknown action or a missing argument. Both engines
+// action id plus its arguments in the action's parameter order (a
+// BoundAction). The table checks each declared action's shape once, at
+// construction; bind() then resolves a text ActionCall against it
+// without building a string unless it fails, and an install the table
+// could not run is refused right there, so neither engine meets an
+// unknown action or a missing argument. A caller writing many entries
+// with one action (the LB's learning write) binds once and installs
+// the BoundAction; the text installs bind and then take the same
+// path. Both engines
 // read the store in place through probe(), and whole-table readers walk
 // it in place (for_each_exact(), ternary_store()); the text form
 // (ActionCall, ExactEntry) is rebuilt on demand for snapshots, journals
@@ -124,21 +130,39 @@ struct ExactKeyLess {
 /// default action).
 inline constexpr std::uint32_t kNoAction = 0xffffffff;
 
+/// Most parameters an action a table declares may take.
+inline constexpr std::size_t kMaxActionArgs = 8;
+
+/// An action resolved against one table (RuntimeTable::bind): the
+/// action's index in the owning control's actions() and its arguments
+/// in the action's parameter order.
+struct BoundAction {
+  std::uint32_t action = kNoAction;
+  std::uint64_t args[kMaxActionArgs] = {};
+};
+
 class RuntimeTable {
  public:
   /// `def` is one of `control`'s tables; both must outlive the store.
   /// Throws std::invalid_argument when the table cannot run at all:
-  /// more than kMaxKeyArity key components, or a default action that
-  /// is undefined or needs arguments.
+  /// more than kMaxKeyArity key components, a declared action taking
+  /// more than kMaxActionArgs parameters, or a default action that is
+  /// undefined or needs arguments.
   RuntimeTable(const p4ir::ControlBlock& control, const p4ir::Table& def);
 
   const p4ir::Table& def() const { return *def_; }
+  const p4ir::ControlBlock& control() const { return *control_; }
 
-  /// Why the table cannot run `call` ("" when it can): the action must
-  /// be one the table declares, defined in the owning control, given
-  /// exactly that action's parameters, and read no parameter it does
-  /// not declare. Every install applies this check and throws
+  /// Resolve `call` into `out` and return "", or return why the table
+  /// cannot run it: the action must be one the table declares, defined
+  /// in the owning control, given exactly that action's parameters, and
+  /// read no parameter it does not declare. Builds no string on
+  /// success. Every text install applies it and throws
   /// std::invalid_argument with the reason.
+  std::string bind(const ActionCall& call, BoundAction& out) const;
+  /// bind() that throws std::invalid_argument("table 'T': " + reason).
+  BoundAction bind(const ActionCall& call) const;
+  /// bind()'s reason alone.
   std::string action_error(const ActionCall& call) const;
 
   /// What a probe matched: hit or miss, and the action to run (the
@@ -171,20 +195,31 @@ class RuntimeTable {
   /// refused (that would make two generations visible to one packet).
   /// Throws std::invalid_argument on arity mismatch, table kind
   /// mismatch, an action_error(), window overlap, or table-full.
-  void add_exact(const std::vector<std::uint64_t>& key, ActionCall action,
+  void add_exact(const std::vector<std::uint64_t>& key,
+                 const ActionCall& action, EpochWindow window = {}) {
+    add_exact(std::span<const std::uint64_t>(key), bind(action), window);
+  }
+  /// The one exact install: `action` came from this table's bind().
+  void add_exact(std::span<const std::uint64_t> key, const BoundAction& action,
                  EpochWindow window = {});
 
   /// Install a ternary entry (value/mask per component, priority).
   /// Returns the entry's handle (usable with erase_ternary).
   std::size_t add_ternary(const std::vector<net::TernaryField>& key,
-                          std::int32_t priority, ActionCall action,
+                          std::int32_t priority, const ActionCall& action,
+                          EpochWindow window = {}) {
+    return add_ternary(key, priority, bind(action), window);
+  }
+  /// The one ternary install: `action` came from this table's bind().
+  std::size_t add_ternary(const std::vector<net::TernaryField>& key,
+                          std::int32_t priority, const BoundAction& action,
                           EpochWindow window = {});
 
   /// Install an LPM entry on the (single) LPM key component:
   /// value/prefix_len, with exact values for any other components.
   /// Returns the entry's handle (usable with erase_ternary).
   std::size_t add_lpm(std::uint64_t value, std::uint8_t prefix_len,
-                      ActionCall action, EpochWindow window = {});
+                      const ActionCall& action, EpochWindow window = {});
 
   /// The ternary key an LPM install expands to (so callers can diff or
   /// retire LPM entries without re-deriving the wildcard layout).
@@ -394,12 +429,17 @@ class RuntimeTable {
   std::uint64_t state_digest() const;
 
  private:
-  /// action_error() minus the "declared by the table" rule (a default
-  /// action need not be in def().actions).
-  std::string call_error(const ActionCall& call) const;
-  /// Bind `call` for an entry visible in `window`, or throw
-  /// std::invalid_argument(action_error(call)).
-  Stored bind(const ActionCall& call, EpochWindow window) const;
+  /// bind() minus the "declared by the table" rule (a default action
+  /// need not be in def().actions), for the control's action `id`
+  /// (kNoAction when undefined) whose shape was checked as `runnable`.
+  std::string bind_call(const ActionCall& call, std::uint32_t id,
+                        bool runnable, BoundAction& out) const;
+  /// The slot of the exact version at `rank` in corrupt()'s canonical
+  /// victim order: the keys' decimal text ("v0|v1|..."), then install
+  /// order, so the pick is independent of the index's slot layout.
+  std::size_t canonical_victim(std::size_t rank) const;
+  /// Is `action` one of the table's runnable declared actions?
+  bool declares(std::uint32_t action) const;
   /// The text form of a bound action.
   ActionCall text(std::uint32_t id, const std::uint64_t* args) const;
   /// Remove the version of `key` whose window equals `*window`, or the
@@ -493,10 +533,16 @@ class RuntimeTable {
   /// Re-lay every version at the slot count for size_ + `extra` (each
   /// key's install order kept).
   void rehash(std::size_t extra);
-  /// The slot image of `version` under `key` (which must not point
-  /// into the index: an insert may move it).
-  std::vector<std::uint64_t> image(const std::vector<std::uint64_t>& key,
-                                   const Stored& version) const;
+  /// Most words in one slot.
+  static constexpr std::size_t kMaxStride = kMaxKeyArity + 2 + kMaxActionArgs;
+
+  /// One action the table declares: its index in the control's
+  /// actions() (kNoAction when undefined) and whether every parameter
+  /// it reads is one it declares.
+  struct Declared {
+    std::uint32_t action = kNoAction;
+    bool runnable = false;
+  };
 
   const p4ir::ControlBlock* control_;
   const p4ir::Table* def_;
@@ -515,6 +561,8 @@ class RuntimeTable {
   std::size_t stride_ = 0;  // words per slot
   std::size_t mask_ = 0;    // slot_count() - 1
   std::vector<std::uint64_t> slots_;
+  // In def().actions order.
+  std::vector<Declared> declared_;
   // Ternary/LPM storage; each entry carries its own window.
   std::optional<net::Tcam<Stored>> tcam_;
 };

@@ -9,7 +9,10 @@
 // moves no RuntimeTable::revision(), only the state digests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "control/auditor.hpp"
@@ -33,6 +36,7 @@ using control::Auditor;
 using control::AuditorOptions;
 using sim::ActionCall;
 using sim::DataPlane;
+using sim::EpochWindow;
 using sim::RuntimeTable;
 
 /// First instance of `name` that has installed entries.
@@ -162,6 +166,85 @@ TEST(RuntimeTableCorrupt, DeleteAndDuplicateAdjustCounts) {
       rt.corrupt(RuntimeTable::CorruptKind::kDelete, /*salt=*/7).empty());
   EXPECT_TRUE(
       rt.corrupt(RuntimeTable::CorruptKind::kKeyFlip, /*salt=*/8).empty());
+}
+
+/// The victim corrupt() takes for `salt` on an exact table, by the
+/// original rule: every version's key as decimal text ("v0|v1|..."),
+/// stable-sorted over walk order, and the first draw of splitmix64 over
+/// the salt picks the rank.
+std::pair<std::vector<std::uint64_t>, EpochWindow> string_sort_victim(
+    const RuntimeTable& rt, std::uint64_t salt) {
+  std::vector<std::pair<std::string, RuntimeTable::ExactVersion>> versions;
+  rt.for_each_exact([&](const RuntimeTable::ExactVersion& v) {
+    std::string text;
+    for (const std::uint64_t word : v.key) text += std::to_string(word) + "|";
+    versions.emplace_back(std::move(text), v);
+  });
+  std::stable_sort(versions.begin(), versions.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.first < b.first;
+                   });
+  std::uint64_t z = salt + 0x9e3779b97f4a7c15ULL;
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4b9fdULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  z ^= z >> 31;
+  const RuntimeTable::ExactVersion& v = versions[z % versions.size()].second;
+  return {{v.key.begin(), v.key.end()}, v.window};
+}
+
+TEST(RuntimeTableCorrupt, ExactVictimPickMatchesTheDecimalTextSort) {
+  // Two key words whose decimal texts interleave unlike their values
+  // (9 < 10 but "10|" < "9|"), several versions per key, long shared
+  // text prefixes.
+  p4ir::Table def;
+  def.name = "pair";
+  def.keys = {p4ir::TableKey{"ipv4.dst", p4ir::MatchKind::kExact, 64},
+              p4ir::TableKey{"ipv4.src", p4ir::MatchKind::kExact, 64}};
+  def.actions = {"set"};
+  def.default_action = "keep";
+  def.max_entries = 4096;
+  const p4ir::ControlBlock c =
+      control_of(def, {action("set", {"dip"}), action("keep")});
+  const std::vector<std::uint64_t> words = {
+      0,          1,          9,          10,          11,
+      99,         100,        1000000000, 1000000001,  12345678901,
+      1234567890, 123456789,  ~0ULL,      ~0ULL - 1,   10000000000000000000ULL};
+  for (int seed = 1; seed <= 4; ++seed) {
+    std::mt19937_64 rng(static_cast<std::uint64_t>(seed));
+    RuntimeTable rt(c, c.tables().front());
+    for (int i = 0; i < 300; ++i) {
+      const std::vector<std::uint64_t> key = {words[rng() % words.size()],
+                                              words[rng() % words.size()]};
+      // Up to three versions per key, in disjoint windows [3g, 3g + 2]
+      // (a repeated window overwrites).
+      const std::uint32_t g = static_cast<std::uint32_t>(rng() % 3);
+      rt.add_exact(key, ActionCall{"set", {{"dip", rng()}}},
+                   EpochWindow{3 * g, 3 * g + 2});
+    }
+    ASSERT_GT(rt.entry_count(), 150u);
+    for (std::uint64_t salt = 0; salt < 200; ++salt) {
+      RuntimeTable victim = rt;
+      const auto [key, window] = string_sort_victim(rt, salt);
+      ASSERT_FALSE(victim.corrupt(RuntimeTable::CorruptKind::kDelete, salt)
+                       .empty());
+      // The deleted version is exactly the one the text sort picks.
+      std::vector<RuntimeTable::ExactEntry> before = rt.exact_entries();
+      const std::vector<RuntimeTable::ExactEntry> after =
+          victim.exact_entries();
+      const auto gone = std::find_if(
+          before.begin(), before.end(), [&](const auto& e) {
+            return e.key == key && e.window == window;
+          });
+      ASSERT_NE(gone, before.end());
+      before.erase(gone);
+      ASSERT_EQ(after.size(), before.size()) << "seed " << seed;
+      for (std::size_t i = 0; i < after.size(); ++i) {
+        ASSERT_EQ(std::tie(after[i].key, after[i].window),
+                  std::tie(before[i].key, before[i].window))
+            << "seed " << seed << " salt " << salt;
+      }
+    }
+  }
 }
 
 TEST(RuntimeTableCorrupt, DigestIsInstallOrderIndependent) {

@@ -8,6 +8,10 @@
 //
 //   dejavu_cli explore --json --target fig2 > golden/explore_fig2.json
 //   dejavu_cli explore --json --fixture NAME > golden/explore_fixture_NAME.json
+//
+// explore_fig9_sessions.json has no CLI form: it is fig9 with
+// kSeededSessions LB sessions installed (Fig9WithSeededSessionsMatches),
+// so the witnesses where forbid lists run long are pinned too.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -48,6 +52,25 @@ INSTANTIATE_TEST_SUITE_P(ShippedTargets, ExploreGolden,
                          [](const auto& info) {
                            return std::string(info.param);
                          });
+
+constexpr int kSeededSessions = 1024;
+
+TEST(ExploreGolden, Fig9WithSeededSessionsMatches) {
+  test::ExploreTarget target = test::build_explore_target("fig9");
+  control::ControlPlane& cp = target.deployment->control();
+  const auto& backends = cp.lb_pool().backends;
+  std::uint64_t state = 1;  // splitmix64
+  for (int i = 0; i < kSeededSessions; ++i) {
+    std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4b9fdULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    const auto hash = static_cast<std::uint32_t>(z ^ (z >> 31));
+    cp.install_lb_session(hash, backends[hash % backends.size()]);
+  }
+  const explore::ExploreResult& result = target.deployment->run_explorer();
+  EXPECT_EQ(result.report.to_json(), read_golden("explore_fig9_sessions.json"));
+  EXPECT_EQ(result.report.errors(), 0u) << result.report.to_string();
+}
 
 TEST(ExploreGolden, EveryFixtureMatches) {
   for (const std::string& name : explore::fixtures::names()) {

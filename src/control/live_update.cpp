@@ -95,8 +95,7 @@ bool shadow_observed(sim::DataPlane& dp, const RuleDiff& diff,
     if (op.kind == RuleOp::Kind::kRegister) continue;
     auto tables = resolve_op(dp, op);
     if (tables.empty()) return false;
-    for (const sim::TableId id : tables) {
-      sim::RuntimeTable* rt = &dp.table(id);
+    for (sim::RuntimeTable* rt : tables) {
       if (op.install) {
         if (!install_visible(*rt, op, to)) return false;
       } else if (op.kind == RuleOp::Kind::kExact) {
@@ -118,8 +117,7 @@ std::pair<std::size_t, std::size_t> shadow_install_visibility(
   for (const RuleOp& op : diff.ops) {
     if (op.kind == RuleOp::Kind::kRegister || !op.install) continue;
     ++total;
-    for (const sim::TableId id : resolve_op(dp, op)) {
-      sim::RuntimeTable* rt = &dp.table(id);
+    for (sim::RuntimeTable* rt : resolve_op(dp, op)) {
       if (install_visible(*rt, op, to)) {
         ++visible;
         break;
@@ -190,8 +188,7 @@ void fill_shadow_transaction(Transaction& txn, const RuleDiff& diff,
       continue;
     }
     bool live = false;
-    for (const sim::TableId id : resolve_op(dp, op)) {
-      sim::RuntimeTable* rt = &dp.table(id);
+    for (sim::RuntimeTable* rt : resolve_op(dp, op)) {
       if (op.kind == RuleOp::Kind::kExact) {
         const auto e = rt->find_exact(op.key);
         live |= e && e->window.from <= from;
@@ -214,8 +211,7 @@ void undo_shadow(sim::DataPlane& dp, const RuleDiff& diff, std::uint32_t from,
   const sim::EpochWindow shadow_window{to, sim::kEpochOpen};
   for (const RuleOp& op : diff.ops) {
     if (op.kind == RuleOp::Kind::kRegister || !op.install) continue;
-    for (const sim::TableId id : resolve_op(dp, op)) {
-      sim::RuntimeTable* rt = &dp.table(id);
+    for (sim::RuntimeTable* rt : resolve_op(dp, op)) {
       if (op.kind == RuleOp::Kind::kExact) {
         rt->remove_exact_version(op.key, shadow_window);
       } else if (auto h = ternary_version(*rt, op, shadow_window)) {
@@ -225,8 +221,7 @@ void undo_shadow(sim::DataPlane& dp, const RuleDiff& diff, std::uint32_t from,
   }
   for (const RuleOp& op : diff.ops) {
     if (op.kind == RuleOp::Kind::kRegister) continue;
-    for (const sim::TableId id : resolve_op(dp, op)) {
-      sim::RuntimeTable* rt = &dp.table(id);
+    for (sim::RuntimeTable* rt : resolve_op(dp, op)) {
       if (op.kind == RuleOp::Kind::kExact) {
         rt->unretire_exact(op.key, from);
       } else {

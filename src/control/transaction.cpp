@@ -6,12 +6,12 @@
 
 namespace dejavu::control {
 
-std::vector<sim::TableId> resolve_op(const sim::DataPlane& dp,
-                                     const RuleOp& op) {
-  if (op.control.empty()) return dp.table_ids(op.table);
-  const std::optional<sim::TableId> id = dp.table_id(op.control, op.table);
-  if (!id) return {};
-  return {*id};
+std::vector<sim::RuntimeTable*> resolve_op(sim::DataPlane& dp,
+                                           const RuleOp& op) {
+  if (op.control.empty()) return dp.tables_named(op.table);
+  sim::RuntimeTable* t = dp.table_in(op.control, op.table);
+  if (t == nullptr) return {};
+  return {t};
 }
 
 std::string entry_identity(const RuleOp& op) {
@@ -87,9 +87,10 @@ std::string Transaction::validate() const {
   // leave them. A retire caps a window for the installs after it (the
   // live update's shadow phase); a removal frees its window and its
   // capacity slot.
-  std::map<std::pair<sim::TableId, std::string>, std::vector<sim::EpochWindow>>
+  std::map<std::pair<const sim::RuntimeTable*, std::string>,
+           std::vector<sim::EpochWindow>>
       versions;
-  std::map<sim::TableId, std::size_t> entries;
+  std::map<const sim::RuntimeTable*, std::size_t> entries;
   for (const RuleOp& op : ops_) {
     if (op.kind == RuleOp::Kind::kRegister) {
       auto* arr = dp_->register_array(op.control, op.reg);
@@ -102,15 +103,14 @@ std::string Transaction::validate() const {
       }
       continue;
     }
-    const std::vector<sim::TableId> instances = resolve_op(*dp_, op);
+    const std::vector<sim::RuntimeTable*> instances = resolve_op(*dp_, op);
     if (instances.empty()) {
       return label(op) + ": table does not exist in the deployment";
     }
     const bool ternary = op.kind == RuleOp::Kind::kTernary;
     const sim::EpochWindow window = op.window.value_or(sim::EpochWindow{});
     bool found = false;
-    for (const sim::TableId id : instances) {
-      const sim::RuntimeTable* t = &dp_->table(id);
+    for (sim::RuntimeTable* t : instances) {
       const p4ir::Table& def = t->def();
       if (def.needs_tcam() != ternary) {
         return label(op) +
@@ -126,11 +126,11 @@ std::string Transaction::validate() const {
         const std::string bad = t->action_error(op.action);
         if (!bad.empty()) return label(op) + ": " + bad;
       }
-      auto [it, fresh] = versions.try_emplace({id, entry_identity(op)});
+      auto [it, fresh] = versions.try_emplace({t, entry_identity(op)});
       std::vector<sim::EpochWindow>& windows = it->second;
       if (fresh) windows = version_windows(*t, op);
       std::size_t& count =
-          entries.try_emplace(id, t->entry_count()).first->second;
+          entries.try_emplace(t, t->entry_count()).first->second;
       if (op.install) {
         bool overwrite = false;
         for (const sim::EpochWindow& w : windows) {
@@ -192,8 +192,7 @@ void Transaction::apply(const RuleOp& op, std::vector<UndoEntry>& undo) {
     return;
   }
   const bool ternary = op.kind == RuleOp::Kind::kTernary;
-  for (const sim::TableId id : resolve_op(*dp_, op)) {
-    sim::RuntimeTable* t = &dp_->table(id);
+  for (sim::RuntimeTable* t : resolve_op(*dp_, op)) {
     UndoEntry u;
     u.target = t;
     u.exact_key = op.key;

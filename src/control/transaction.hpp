@@ -35,8 +35,8 @@ namespace dejavu::control {
 
 /// The table instances `op` addresses: its control's instance, or every
 /// instance of the name when `op.control` is empty (empty = unknown).
-std::vector<sim::TableId> resolve_op(const sim::DataPlane& dp,
-                                     const RuleOp& op);
+std::vector<sim::RuntimeTable*> resolve_op(sim::DataPlane& dp,
+                                           const RuleOp& op);
 
 /// The identity of the entry `op` writes within its table: the exact
 /// key, or the ternary key and priority. A string, so it can key maps

@@ -1,5 +1,7 @@
 #include "explore/symbolic.hpp"
 
+#include <bit>
+
 namespace dejavu::explore {
 
 namespace {
@@ -91,9 +93,16 @@ bool ConstraintSet::require_ge(int var, std::uint64_t value) {
 std::optional<std::uint64_t> ConstraintSet::solve(int var) const {
   const VarConstraints& c = cons_[var];
   if (c.lo > c.hi) return std::nullopt;
+  // Two exact shortcuts; every candidate below must agree with the
+  // known bits. A forbidden pattern on known bits alone that matches
+  // them rules every candidate out. A fully pinned variable has one
+  // candidate, known_value, which the scatter loop tries first.
+  for (const net::TernaryField& f : c.forbidden) {
+    if ((f.mask & ~c.known_mask) == 0 && f.matches(c.known_value)) {
+      return std::nullopt;
+    }
+  }
   const std::uint64_t wmask = width_mask(var);
-  // Fully pinned: known_value is the only candidate (the scatter loop
-  // below tries it first).
   if ((c.known_mask & wmask) == wmask) {
     if (ok(var, c.known_value)) return c.known_value;
     return std::nullopt;
@@ -127,11 +136,10 @@ std::optional<std::uint64_t> ConstraintSet::solve(int var) const {
   for (std::uint64_t k = 0; k < tries; ++k) {
     std::uint64_t lsb = base;
     std::uint64_t msb = base;
-    for (std::size_t i = 0; i < free_bits.size(); ++i) {
-      if ((k >> i) & 1) {
-        lsb |= std::uint64_t{1} << free_bits[i];
-        msb |= std::uint64_t{1} << free_bits[free_bits.size() - 1 - i];
-      }
+    for (std::uint64_t rest = k; rest != 0; rest &= rest - 1) {
+      const auto i = static_cast<std::size_t>(std::countr_zero(rest));
+      lsb |= std::uint64_t{1} << free_bits[i];
+      msb |= std::uint64_t{1} << free_bits[free_bits.size() - 1 - i];
     }
     if (ok(var, lsb)) return lsb;
     if (ok(var, msb)) return msb;

@@ -1,7 +1,6 @@
 #include "sim/dataplane.hpp"
 
 #include <algorithm>
-#include <numeric>
 #include <stdexcept>
 #include <tuple>
 
@@ -19,8 +18,7 @@ DataPlane::DataPlane(const p4ir::Program& program,
       ids_(&ids),
       config_(std::move(config)),
       max_passes_(config_.max_pipeline_passes()) {
-  const std::vector<p4ir::ControlBlock>& controls = program.controls();
-  for (const p4ir::ControlBlock& control : controls) {
+  for (const p4ir::ControlBlock& control : program.controls()) {
     if (std::string why; !control.runnable(&why)) {
       throw std::invalid_argument("DataPlane: " + why);
     }
@@ -32,29 +30,17 @@ DataPlane::DataPlane(const p4ir::Program& program,
     for (const p4ir::RegisterDef& r : control.registers()) {
       banks_.push_back({&control, &r, std::vector<std::uint64_t>(r.size, 0)});
     }
-  }
-  for (const p4ir::ControlBlock& control : controls) {
     std::vector<TableId>& applied = applied_.emplace_back();
     for (const p4ir::ApplyEntry& entry : control.apply_order()) {
       // runnable() above refused applies of unknown tables.
       applied.push_back(table_id(control, *control.find_table(entry.table)));
     }
   }
-  by_name_.resize(controls.size());
-  std::iota(by_name_.begin(), by_name_.end(), 0u);
-  std::sort(by_name_.begin(), by_name_.end(),
-            [&](std::uint32_t a, std::uint32_t b) {
-              return controls[a].name() < controls[b].name();
-            });
   for (std::uint32_t p = 0; p < config_.spec().pipelines; ++p) {
     for (const asic::PipeKind kind :
          {asic::PipeKind::kIngress, asic::PipeKind::kEgress}) {
-      const p4ir::ControlBlock* control =
-          program.find_control(merge::pipelet_control_name({p, kind}));
       pipelet_controls_.push_back(
-          control == nullptr
-              ? -1
-              : static_cast<std::int32_t>(control - controls.data()));
+          program.find_control(merge::pipelet_control_name({p, kind})));
     }
   }
   const std::size_t ports =
@@ -65,21 +51,19 @@ DataPlane::DataPlane(const p4ir::Program& program,
 
 std::optional<TableId> DataPlane::table_id(const std::string& control_name,
                                            const std::string& table) const {
-  const p4ir::ControlBlock* control = program_->find_control(control_name);
-  if (control == nullptr) return std::nullopt;
-  const p4ir::Table* t = control->find_table(table);
-  if (t == nullptr) return std::nullopt;
-  return table_id(*control, *t);
+  const p4ir::ControlBlock* c = program_->find_control(control_name);
+  const p4ir::Table* t = c ? c->find_table(table) : nullptr;
+  return t ? std::optional(table_id(*c, *t)) : std::nullopt;
 }
 
 std::vector<TableId> DataPlane::table_ids(const std::string& table) const {
   std::vector<TableId> out;
-  for (const std::uint32_t c : by_name_) {
-    const p4ir::ControlBlock& control = program_->controls()[c];
-    if (const p4ir::Table* t = control.find_table(table)) {
-      out.push_back(table_id(control, *t));
-    }
+  for (TableId id = 0; id < tables_.size(); ++id) {
+    if (tables_[id].def().name == table) out.push_back(id);
   }
+  std::sort(out.begin(), out.end(), [&](TableId a, TableId b) {
+    return tables_[a].control().name() < tables_[b].control().name();
+  });
   return out;
 }
 
@@ -97,27 +81,15 @@ RuntimeTable* DataPlane::table_in(const std::string& control_name,
 
 std::optional<RegisterId> DataPlane::register_id(
     const std::string& control_name, const std::string& reg) const {
-  const p4ir::ControlBlock* control = program_->find_control(control_name);
-  if (control == nullptr) return std::nullopt;
-  const p4ir::RegisterDef* r = control->find_register(reg);
-  if (r == nullptr) return std::nullopt;
-  return register_id(*control, *r);
+  const p4ir::ControlBlock* c = program_->find_control(control_name);
+  const p4ir::RegisterDef* r = c ? c->find_register(reg) : nullptr;
+  return r ? std::optional(register_id(*c, *r)) : std::nullopt;
 }
 
 std::vector<std::uint64_t>* DataPlane::register_array(
     const std::string& control_name, const std::string& reg) {
   const std::optional<RegisterId> id = register_id(control_name, reg);
   return id ? &banks_[*id].cells : nullptr;
-}
-
-const p4ir::ControlBlock* DataPlane::pipelet_control(
-    const asic::PipeletId& id) const {
-  const std::size_t i =
-      std::size_t{id.pipeline} * 2 + (id.kind == asic::PipeKind::kEgress);
-  if (i >= pipelet_controls_.size() || pipelet_controls_[i] < 0) {
-    return nullptr;
-  }
-  return &program_->controls()[static_cast<std::size_t>(pipelet_controls_[i])];
 }
 
 void DataPlane::set_port_down(std::uint16_t port, bool down) {

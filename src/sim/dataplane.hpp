@@ -88,35 +88,24 @@ class DataPlane {
   const p4ir::TupleIdTable& ids() const { return *ids_; }
   std::optional<std::uint16_t> mirror_port() const { return mirror_port_; }
 
-  // --- switch state by id ---
-  //
-  // Every table and register bank has a dense id, assigned in p4info's
-  // declaration order (controls in program order, each control's
-  // tables, resp. registers, in declaration order), so a control plane
-  // addresses one by number, as a P4Runtime client does. Names resolve
-  // once, through the lookups below; the ids stay valid for any
-  // DataPlane over the same program, copies included.
-
+  // Every table and register bank has a dense id in p4info's
+  // declaration order (controls in program order, each one's tables,
+  // resp. registers, as declared), as a P4Runtime client addresses
+  // them. Names resolve once, through the lookups below; an id holds
+  // for every DataPlane over the same program, copies included.
   std::size_t table_count() const { return tables_.size(); }
   RuntimeTable& table(TableId id) { return tables_[id]; }
   const RuntimeTable& table(TableId id) const { return tables_[id]; }
-  /// The id of `control_name`'s table `table`; nullopt when unknown.
+  /// `control_name`'s table `table`; nullopt (nullptr) when unknown.
   std::optional<TableId> table_id(const std::string& control_name,
                                   const std::string& table) const;
-  /// The id of `def`, one of `control`'s tables (both of program()).
-  TableId table_id(const p4ir::ControlBlock& control,
-                   const p4ir::Table& def) const {
-    return table_base_[&control - program_->controls().data()] +
-           static_cast<TableId>(&def - control.tables().data());
-  }
-  /// The ids of every instance of `table` (an NF's table exists once
-  /// per pipelet hosting it; framework check tables exist per pipelet
-  /// too), controls in name order.
-  std::vector<TableId> table_ids(const std::string& table) const;
-  /// tables_named() and table_in() are the same lookups, as pointers.
-  std::vector<RuntimeTable*> tables_named(const std::string& table);
   RuntimeTable* table_in(const std::string& control_name,
                          const std::string& table);
+  /// Every instance of `table` (an NF's table exists once per pipelet
+  /// hosting it; framework check tables exist per pipelet too), in
+  /// control-name order.
+  std::vector<TableId> table_ids(const std::string& table) const;
+  std::vector<RuntimeTable*> tables_named(const std::string& table);
 
   /// One register array and its generation tag (register_epoch()).
   struct RegisterBank {
@@ -130,24 +119,29 @@ class DataPlane {
   const RegisterBank& register_bank(RegisterId id) const {
     return banks_[id];
   }
-  /// The id of `control_name`'s register `reg`; nullopt when unknown.
+  /// `control_name`'s register `reg`; nullopt (nullptr) when unknown.
   std::optional<RegisterId> register_id(const std::string& control_name,
                                         const std::string& reg) const;
-  /// The id of `def`, one of `control`'s registers (both of program()).
+  std::vector<std::uint64_t>* register_array(const std::string& control_name,
+                                             const std::string& reg);
+  /// The ids of `control`'s (one of program()'s) own table or register.
+  TableId table_id(const p4ir::ControlBlock& control,
+                   const p4ir::Table& def) const {
+    return table_base_[&control - program_->controls().data()] +
+           static_cast<TableId>(&def - control.tables().data());
+  }
   RegisterId register_id(const p4ir::ControlBlock& control,
                          const p4ir::RegisterDef& def) const {
     return register_base_[&control - program_->controls().data()] +
            static_cast<RegisterId>(&def - control.registers().data());
   }
-  /// Register array state (per control block); nullptr when unknown.
-  /// Exposed for control-plane reads and tests.
-  std::vector<std::uint64_t>* register_array(const std::string& control_name,
-                                             const std::string& reg);
 
-  /// The control block a pipelet runs (merge::pipelet_control_name),
-  /// resolved at construction; nullptr when the pipelet is unnamed and
-  /// simply forwards.
-  const p4ir::ControlBlock* pipelet_control(const asic::PipeletId& id) const;
+  /// The control a pipelet runs (merge::pipelet_control_name), resolved
+  /// at construction; nullptr for an unnamed pipelet, which forwards.
+  const p4ir::ControlBlock* pipelet_control(const asic::PipeletId& id) const {
+    return pipelet_controls_[std::size_t{id.pipeline} * 2 +
+                             (id.kind == asic::PipeKind::kEgress)];
+  }
 
   /// Inject a packet on a front-panel port and run it to completion.
   /// `from_cpu` marks control-plane reinjection (Fig. 4's session-miss
@@ -190,8 +184,7 @@ class DataPlane {
 
   /// Per-register-bank generation tag: bumped when a live update
   /// applies a bank's flip-time writes, so crash recovery can tell
-  /// applied banks from untouched ones (0 = never updated, and the
-  /// answer for an unknown bank, whose tag is never stored).
+  /// applied banks from untouched ones (0 = never updated, or unknown).
   std::uint32_t register_epoch(const std::string& control_name,
                                const std::string& reg) const;
   void set_register_epoch(const std::string& control_name,
@@ -298,18 +291,15 @@ class DataPlane {
   std::uint32_t min_live_epoch_ = 0;
   std::map<std::uint32_t, std::uint64_t> punts_outstanding_;
   std::optional<std::uint16_t> mirror_port_;
-  // Switch state by id; control i's tables (registers) take the ids
-  // from table_base_[i] (register_base_[i]) on, in declaration order.
+  // By id; control i's ids start at table_base_[i] (register_base_[i]).
   std::vector<RuntimeTable> tables_;
   std::vector<RegisterBank> banks_;
   std::vector<TableId> table_base_;
   std::vector<RegisterId> register_base_;
-  // Control indices in name order: the order tables_named() lists.
-  std::vector<std::uint32_t> by_name_;
-  // Per control index, the table id of each apply_order() entry.
+  // By control index, the table id of each apply_order() entry.
   std::vector<std::vector<TableId>> applied_;
-  // Per pipelet (pipeline * 2 + kind), its control index or -1.
-  std::vector<std::int32_t> pipelet_controls_;
+  // By pipeline * 2 + (kind == egress).
+  std::vector<const p4ir::ControlBlock*> pipelet_controls_;
   // By port, grown on demand past the front-panel and recirc ports.
   std::vector<PortCounters> counters_;
   std::vector<bool> down_;

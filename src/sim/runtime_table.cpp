@@ -37,8 +37,8 @@ std::string shape_error(const p4ir::Action& action) {
 std::uint32_t action_id(const p4ir::ControlBlock& control,
                         const std::string& name) {
   const p4ir::Action* a = control.find_action(name);
-  return a == nullptr ? kNoAction
-                      : static_cast<std::uint32_t>(a - control.actions().data());
+  return a ? static_cast<std::uint32_t>(a - control.actions().data())
+           : kNoAction;
 }
 
 }  // namespace
@@ -128,13 +128,6 @@ BoundAction RuntimeTable::bind(const ActionCall& call) const {
 std::string RuntimeTable::action_error(const ActionCall& call) const {
   BoundAction unused;
   return bind(call, unused);
-}
-
-bool RuntimeTable::declares(std::uint32_t action) const {
-  return std::any_of(declared_.begin(), declared_.end(),
-                     [&](const Declared& d) {
-                       return d.action == action && d.runnable;
-                     });
 }
 
 ActionCall RuntimeTable::text(std::uint32_t id,
@@ -232,18 +225,11 @@ void RuntimeTable::add_exact(std::span<const std::uint64_t> key,
     throw std::invalid_argument("malformed epoch window for table '" +
                                 def_->name + "'");
   }
-  if (!declares(action.action)) {
-    throw std::invalid_argument("table '" + def_->name +
-                                "': action is not bound to the table");
-  }
-  // The slot image, built in place of a heap copy.
   std::uint64_t image[kMaxStride];
   std::copy(key.begin(), key.end(), image);
   image[arity_] = packed(window);
   image[arity_ + 1] = action.action;
-  const std::size_t n = control_->actions()[action.action].params.size();
-  std::copy_n(action.args, n, image + arity_ + 2);
-  std::fill(image + arity_ + 2 + n, image + stride_, 0);
+  std::copy_n(action.args, stride_ - arity_ - 2, image + arity_ + 2);
   // The first version, in install order, with this window or one
   // overlapping it.
   const std::size_t clash =
@@ -279,10 +265,6 @@ std::size_t RuntimeTable::add_ternary(const std::vector<net::TernaryField>& key,
   if (!window.well_formed()) {
     throw std::invalid_argument("malformed epoch window for table '" +
                                 def_->name + "'");
-  }
-  if (!declares(action.action)) {
-    throw std::invalid_argument("table '" + def_->name +
-                                "': action is not bound to the table");
   }
   if (size_ >= def_->max_entries) {
     throw std::invalid_argument("table '" + def_->name + "' is full");

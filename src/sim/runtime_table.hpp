@@ -20,14 +20,13 @@
 //
 // Every install binds its action once, by the control's definition: an
 // action id plus its arguments in the action's parameter order (a
-// BoundAction). The table checks each declared action's shape once, at
-// construction; bind() then resolves a text ActionCall against it
-// without building a string unless it fails, and an install the table
-// could not run is refused right there, so neither engine meets an
-// unknown action or a missing argument. A caller writing many entries
-// with one action (the LB's learning write) binds once and installs
-// the BoundAction; the text installs bind and then take the same
-// path. Both engines
+// BoundAction). The table checks each declared action's shape at
+// construction, so bind() only matches names and builds no string
+// unless it refuses. An install the table could not run is refused
+// right there, so neither engine meets an unknown action or a missing
+// argument. A text install binds and then takes the bound install, the
+// one path; a writer repeating one action (the LB's learning write)
+// binds it once. Both engines
 // read the store in place through probe(), and whole-table readers walk
 // it in place (for_each_exact(), ternary_store()); the text form
 // (ActionCall, ExactEntry) is rebuilt on demand for snapshots, journals
@@ -135,7 +134,7 @@ inline constexpr std::size_t kMaxActionArgs = 8;
 
 /// An action resolved against one table (RuntimeTable::bind): the
 /// action's index in the owning control's actions() and its arguments
-/// in the action's parameter order.
+/// in the action's parameter order (words past them are never read).
 struct BoundAction {
   std::uint32_t action = kNoAction;
   std::uint64_t args[kMaxActionArgs] = {};
@@ -156,13 +155,11 @@ class RuntimeTable {
   /// Resolve `call` into `out` and return "", or return why the table
   /// cannot run it: the action must be one the table declares, defined
   /// in the owning control, given exactly that action's parameters, and
-  /// read no parameter it does not declare. Builds no string on
-  /// success. Every text install applies it and throws
-  /// std::invalid_argument with the reason.
+  /// read no parameter it does not declare.
   std::string bind(const ActionCall& call, BoundAction& out) const;
-  /// bind() that throws std::invalid_argument("table 'T': " + reason).
+  /// bind() that throws std::invalid_argument("table 'T': " + reason),
+  /// as every text install does.
   BoundAction bind(const ActionCall& call) const;
-  /// bind()'s reason alone.
   std::string action_error(const ActionCall& call) const;
 
   /// What a probe matched: hit or miss, and the action to run (the
@@ -438,8 +435,6 @@ class RuntimeTable {
   /// victim order: the keys' decimal text ("v0|v1|..."), then install
   /// order, so the pick is independent of the index's slot layout.
   std::size_t canonical_victim(std::size_t rank) const;
-  /// Is `action` one of the table's runnable declared actions?
-  bool declares(std::uint32_t action) const;
   /// The text form of a bound action.
   ActionCall text(std::uint32_t id, const std::uint64_t* args) const;
   /// Remove the version of `key` whose window equals `*window`, or the
@@ -533,12 +528,11 @@ class RuntimeTable {
   /// Re-lay every version at the slot count for size_ + `extra` (each
   /// key's install order kept).
   void rehash(std::size_t extra);
-  /// Most words in one slot.
   static constexpr std::size_t kMaxStride = kMaxKeyArity + 2 + kMaxActionArgs;
 
   /// One action the table declares: its index in the control's
-  /// actions() (kNoAction when undefined) and whether every parameter
-  /// it reads is one it declares.
+  /// actions() (kNoAction when undefined) and whether it reads only
+  /// parameters it declares.
   struct Declared {
     std::uint32_t action = kNoAction;
     bool runnable = false;

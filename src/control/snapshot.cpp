@@ -99,8 +99,7 @@ Snapshot take_snapshot(sim::DataPlane& dp) {
   Snapshot snap;
   snap.epoch = dp.epoch();
   snap.min_live_epoch = dp.min_live_epoch();
-  // Id order is declaration order: controls in program order, each
-  // control's tables (registers) as declared.
+  // Id order: the program's declaration order.
   for (sim::TableId id = 0; id < dp.table_count(); ++id) {
     const sim::RuntimeTable& rt = dp.table(id);
     Snapshot::TableState state;
@@ -128,61 +127,56 @@ std::vector<std::string> restore_snapshot(const Snapshot& snapshot,
                                           sim::DataPlane& dp) {
   std::vector<std::string> missing;
   for (const Snapshot::TableState& state : snapshot.tables) {
-    const std::optional<sim::TableId> id =
-        dp.table_id(state.control, state.table);
-    if (!id) {
+    sim::RuntimeTable* rt = dp.table_in(state.control, state.table);
+    if (rt == nullptr) {
       if (!state.exact.empty() || !state.ternary.empty()) {
         missing.push_back(state.control + "/" + state.table);
       }
       continue;
     }
-    sim::RuntimeTable& rt = dp.table(*id);
-    // Bind every entry once, exact entries first, then ternary; an
-    // entry the table cannot run is reported and left out.
-    std::vector<std::optional<sim::BoundAction>> bound;
-    bound.reserve(state.exact.size() + state.ternary.size());
+    // Bind each entry once, exact entries first, then ternary; one the
+    // table cannot run stays unbound (kNoAction) and is reported.
+    std::vector<sim::BoundAction> bound(state.exact.size() +
+                                        state.ternary.size());
+    std::size_t n = 0;
     auto bind = [&](const sim::ActionCall& action) {
-      sim::BoundAction b;
-      const std::string bad = rt.bind(action, b);
+      const std::string bad = rt->bind(action, bound[n++]);
       if (!bad.empty()) {
         missing.push_back(state.control + "/" + state.table + ": " + bad);
       }
-      bound.push_back(bad.empty() ? std::optional(b) : std::nullopt);
     };
     for (const auto& e : state.exact) bind(e.action);
     for (const auto& e : state.ternary) bind(e.action);
-    rt.clear();
-    std::size_t n = 0;
+    rt->clear();
+    n = 0;
     for (const auto& e : state.exact) {
-      if (const auto& b = bound[n++]) {
-        rt.add_exact(std::span<const std::uint64_t>(e.key), *b, e.window);
+      if (const auto& b = bound[n++]; b.action != sim::kNoAction) {
+        rt->add_exact(std::span<const std::uint64_t>(e.key), b, e.window);
       }
     }
     for (const auto& e : state.ternary) {
-      if (const auto& b = bound[n++]) {
-        rt.add_ternary(e.key, e.priority, *b, e.window);
+      if (const auto& b = bound[n++]; b.action != sim::kNoAction) {
+        rt->add_ternary(e.key, e.priority, b, e.window);
       }
     }
   }
   for (const Snapshot::RegisterState& state : snapshot.registers) {
-    const std::optional<sim::RegisterId> id =
-        dp.register_id(state.control, state.name);
-    if (!id) {
+    auto* cells = dp.register_array(state.control, state.name);
+    if (cells == nullptr) {
       if (!state.cells.empty()) {
         missing.push_back(state.control + "/" + state.name);
       }
       continue;
     }
-    sim::DataPlane::RegisterBank& bank = dp.register_bank(*id);
-    bank.epoch = state.epoch;
-    std::fill(bank.cells.begin(), bank.cells.end(), 0);
+    dp.set_register_epoch(state.control, state.name, state.epoch);
+    std::fill(cells->begin(), cells->end(), 0);
     for (const auto& [index, value] : state.cells) {
-      if (index >= bank.cells.size()) {
+      if (index >= cells->size()) {
         throw std::invalid_argument("register " + state.name +
                                     " shrank below snapshot index " +
                                     std::to_string(index));
       }
-      bank.cells[index] = value;
+      (*cells)[index] = value;
     }
   }
   dp.set_epoch(snapshot.epoch);

@@ -478,8 +478,7 @@ class Walker {
   // --- pipelet execution (DataPlane::run_pipelet semantics) -----------
 
   void run_pipelet(AbsState s, const asic::PipeletId& id, Cont k) {
-    const p4ir::ControlBlock* control =
-        prog_.find_control(merge::pipelet_control_name(id));
+    const p4ir::ControlBlock* control = dp_.pipelet_control(id);
     if (control == nullptr) {
       k(std::move(s));  // no program: pass-through
       return;
@@ -603,13 +602,9 @@ class Walker {
                  std::uint32_t ci, std::size_t idx, Cont k) {
     if (capped) return;
     const p4ir::ApplyEntry& entry = control.apply_order()[idx];
+    // The DataPlane refused any control applying an unknown table.
     const p4ir::Table* table = control.find_table(entry.table);
-    sim::RuntimeTable* rt = dp_.table_in(control.name(), entry.table);
-    if (table == nullptr || rt == nullptr) {
-      apply_from(std::move(s), std::move(ctx), control, ci, idx + 1,
-                 std::move(k));
-      return;
-    }
+    sim::RuntimeTable* rt = &dp_.table(dp_.table_id(control, *table));
     const sim::ActionCall miss_action{table->default_action, {}};
 
     if (table->keyless()) {

@@ -10,7 +10,6 @@
 #include <utility>
 
 #include "explore/symbolic.hpp"
-#include "merge/compose.hpp"
 #include "net/checksum.hpp"
 #include "net/headers.hpp"
 #include "sfc/header.hpp"
@@ -484,8 +483,7 @@ void Explorer::reparse_sync(PathState& s) {
 void Explorer::run_pipelet_sym(PathState s, asic::PipeletId id,
                                const Cont& cont) {
   s.pipelets.push_back(id);
-  const p4ir::ControlBlock* control =
-      program_->find_control(merge::pipelet_control_name(id));
+  const p4ir::ControlBlock* control = dp_->pipelet_control(id);
   if (control == nullptr) {
     cont(std::move(s));  // no program: pass-through
     return;
@@ -603,7 +601,7 @@ void Explorer::do_table(PathState s, const p4ir::ControlBlock& control,
   // The DataPlane refused any control applying an unknown table
   // (p4ir::ControlBlock::runnable) and built a store for every table.
   const p4ir::Table* table = control.find_table(entry.table);
-  sim::RuntimeTable* rt = dp_->table_in(control.name(), entry.table);
+  sim::RuntimeTable* rt = &dp_->table(dp_->table_id(control, *table));
   const sim::ActionCall default_call{table->default_action, {}};
 
   if (table->keyless()) {
@@ -1154,45 +1152,43 @@ void Explorer::static_overlap_check() {
 
 void Explorer::coverage_check() {
   using Version = sim::RuntimeTable::ExactVersion;
-  for (const p4ir::ControlBlock& control : program_->controls()) {
-    for (const p4ir::Table& t : control.tables()) {
-      const sim::RuntimeTable* rt = dp_->table_in(control.name(), t.name);
-      if (rt == nullptr) continue;
-      // One finding per table: its first dead entry in canonical order,
-      // and how many more there are. Entries of other generations
-      // (retired, or shadowed for an epoch not being explored) are
-      // invisible here, not dead.
-      const auto& hit = hit_exact_[rt];
-      std::size_t dead = 0;
-      std::optional<Version> first_exact;
-      rt->for_each_exact([&](const Version& e) {
-        if (!e.window.contains(epoch_) || hit.contains(e.key)) return;
-        ++dead;
-        if (!first_exact ||
-            sim::RuntimeTable::canonical_less(e, *first_exact)) {
-          first_exact = e;
-        }
-      });
-      std::string first;
-      if (first_exact) first = "entry (" + join_u64(first_exact->key) + ")";
-      for (const auto& e : rt->ternary_store()) {
-        if (!e.value.window.contains(epoch_) ||
-            hit_ternary_.contains({rt, e.handle})) {
-          continue;
-        }
-        if (dead++ == 0) {
-          first = "entry (" + join_ternary(e.key) + ") priority " +
-                  std::to_string(e.priority);
-        }
+  for (sim::TableId id = 0; id < dp_->table_count(); ++id) {
+    const sim::RuntimeTable* rt = &dp_->table(id);
+    // One finding per table: its first dead entry in canonical order,
+    // and how many more there are. Entries of other generations
+    // (retired, or shadowed for an epoch not being explored) are
+    // invisible here, not dead.
+    const auto& hit = hit_exact_[rt];
+    std::size_t dead = 0;
+    std::optional<Version> first_exact;
+    rt->for_each_exact([&](const Version& e) {
+      if (!e.window.contains(epoch_) || hit.contains(e.key)) return;
+      ++dead;
+      if (!first_exact ||
+          sim::RuntimeTable::canonical_less(e, *first_exact)) {
+        first_exact = e;
       }
-      if (dead == 0) continue;
-      std::string message = first + " never matched on any explored path";
-      if (dead > 1) {
-        message += "; " + std::to_string(dead - 1) +
-                   " more entries of this table never matched";
+    });
+    std::string first;
+    if (first_exact) first = "entry (" + join_u64(first_exact->key) + ")";
+    for (const auto& e : rt->ternary_store()) {
+      if (!e.value.window.contains(epoch_) ||
+          hit_ternary_.contains({rt, e.handle})) {
+        continue;
       }
-      add_finding("DV-S6", control.name() + "/" + t.name, message);
+      if (dead++ == 0) {
+        first = "entry (" + join_ternary(e.key) + ") priority " +
+                std::to_string(e.priority);
+      }
     }
+    if (dead == 0) continue;
+    std::string message = first + " never matched on any explored path";
+    if (dead > 1) {
+      message += "; " + std::to_string(dead - 1) +
+                 " more entries of this table never matched";
+    }
+    add_finding("DV-S6", rt->control().name() + "/" + rt->def().name,
+                message);
   }
   for (std::uint32_t v : program_->parser().vertices()) {
     if (visited_vertices_.contains(v)) continue;
@@ -1214,46 +1210,43 @@ void Explorer::epoch_audit() {
   }
   // Structural audit: two versions of one key whose windows overlap
   // (or a malformed window) would show two generations to one packet.
-  for (const p4ir::ControlBlock& control : program_->controls()) {
-    for (const p4ir::Table& t : control.tables()) {
-      sim::RuntimeTable* rt = dp_->table_in(control.name(), t.name);
-      if (rt == nullptr) continue;
-      const std::string where = control.name() + "/" + t.name;
-      // Only a key with a malformed window or more than one version can
-      // fail, so only those versions get a text key; they arrive in
-      // canonical order, each key's windows sorted.
-      std::map<std::string, std::vector<sim::EpochWindow>> versions;
-      const auto suspect = rt->exact_where([&](const auto& v) {
-        std::size_t count = 0;
-        rt->for_each_version(v.key, [&](const auto&) { ++count; });
-        return count > 1 || !v.window.well_formed();
-      });
-      for (const auto& v : suspect) {
-        versions["(" + join_u64(v.key) + ")"].push_back(v.window);
-      }
-      for (const auto& e : rt->ternary_store()) {
-        versions["(" + join_ternary(e.key) + ") prio " +
-                 std::to_string(e.priority)]
-            .push_back(e.value.window);
-      }
-      for (const auto& [key, windows] : versions) {
-        for (const sim::EpochWindow& w : windows) {
-          if (!w.well_formed()) {
-            add_finding("DV-S8", where,
-                        "entry " + key + " has malformed epoch window " +
-                            std::to_string(w.from) + ".." +
-                            std::to_string(w.to));
-          }
+  for (sim::TableId id = 0; id < dp_->table_count(); ++id) {
+    const sim::RuntimeTable* rt = &dp_->table(id);
+    const std::string where = rt->control().name() + "/" + rt->def().name;
+    // Only a key with a malformed window or more than one version can
+    // fail, so only those versions get a text key; they arrive in
+    // canonical order, each key's windows sorted.
+    std::map<std::string, std::vector<sim::EpochWindow>> versions;
+    const auto suspect = rt->exact_where([&](const auto& v) {
+      std::size_t count = 0;
+      rt->for_each_version(v.key, [&](const auto&) { ++count; });
+      return count > 1 || !v.window.well_formed();
+    });
+    for (const auto& v : suspect) {
+      versions["(" + join_u64(v.key) + ")"].push_back(v.window);
+    }
+    for (const auto& e : rt->ternary_store()) {
+      versions["(" + join_ternary(e.key) + ") prio " +
+               std::to_string(e.priority)]
+          .push_back(e.value.window);
+    }
+    for (const auto& [key, windows] : versions) {
+      for (const sim::EpochWindow& w : windows) {
+        if (!w.well_formed()) {
+          add_finding("DV-S8", where,
+                      "entry " + key + " has malformed epoch window " +
+                          std::to_string(w.from) + ".." +
+                          std::to_string(w.to));
         }
-        for (std::size_t a = 0; a < windows.size(); ++a) {
-          for (std::size_t b = a + 1; b < windows.size(); ++b) {
-            if (windows[a].overlaps(windows[b])) {
-              add_finding(
-                  "DV-S8", where,
-                  "versions of entry " + key +
-                      " have overlapping epoch windows — a packet stamped in "
-                      "the overlap would see two generations at once");
-            }
+      }
+      for (std::size_t a = 0; a < windows.size(); ++a) {
+        for (std::size_t b = a + 1; b < windows.size(); ++b) {
+          if (windows[a].overlaps(windows[b])) {
+            add_finding(
+                "DV-S8", where,
+                "versions of entry " + key +
+                    " have overlapping epoch windows — a packet stamped in "
+                    "the overlap would see two generations at once");
           }
         }
       }
@@ -1268,12 +1261,9 @@ void Explorer::ensure_clone() {
 }
 
 void Explorer::zero_clone_registers() {
-  for (const p4ir::ControlBlock& control : program_->controls()) {
-    for (const p4ir::RegisterDef& r : control.registers()) {
-      std::vector<std::uint64_t>* cells =
-          clone_->register_array(control.name(), r.name);
-      if (cells != nullptr) std::fill(cells->begin(), cells->end(), 0);
-    }
+  for (sim::RegisterId id = 0; id < clone_->register_count(); ++id) {
+    std::vector<std::uint64_t>& cells = clone_->register_bank(id).cells;
+    std::fill(cells.begin(), cells.end(), 0);
   }
 }
 

@@ -131,6 +131,33 @@ TEST(ControlPlane, InstallIntoUnknownTableThrows) {
   // No VGW deployed: installing a VGW mapping must fail loudly.
   EXPECT_THROW(d->control().add_vgw_mapping({}), std::invalid_argument);
   EXPECT_THROW(d->control().add_firewall_rule({}), std::invalid_argument);
+  // No LB either: the LB learning write binds on first use, and a
+  // failed binding throws every time rather than caching nothing.
+  for (int i = 0; i < 2; ++i) {
+    try {
+      d->control().install_lb_session(7, net::Ipv4Addr(10, 1, 2, 1));
+      ADD_FAILURE() << "installed into a deployment without an LB";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "table 'LB.lb_session' is not part of this deployment");
+    }
+  }
+}
+
+TEST(ControlPlane, LbSessionsLandInEveryInstanceAndOverwrite) {
+  Fig2Deployment fx = make_fig9_deployment();
+  ControlPlane& cp = fx.deployment->control();
+  cp.install_lb_session(0x42, net::Ipv4Addr(10, 1, 2, 1));
+  cp.install_lb_session(0x42, net::Ipv4Addr(10, 1, 2, 2));  // overwrite
+  cp.install_lb_session(0x43, net::Ipv4Addr(10, 1, 2, 1));
+  for (sim::RuntimeTable* t : fx.deployment->dataplane().tables_named(
+           "LB.lb_session")) {
+    EXPECT_EQ(t->entry_count(), 2u);
+    const auto e = t->find_exact({0x42});
+    ASSERT_TRUE(e.has_value());
+    EXPECT_EQ(e->action, (sim::ActionCall{"LB.modify_dstIp",
+                                          {{"dip", 0x0a010202}}}));
+  }
 }
 
 TEST(ControlPlane, UnservicedPuntsAreSurfaced) {

@@ -137,10 +137,12 @@ class DataPlane {
   }
 
   /// The control a pipelet runs (merge::pipelet_control_name), resolved
-  /// at construction; nullptr for an unnamed pipelet, which forwards.
+  /// at construction; nullptr for an unnamed pipelet, which forwards,
+  /// or one outside the target.
   const p4ir::ControlBlock* pipelet_control(const asic::PipeletId& id) const {
-    return pipelet_controls_[std::size_t{id.pipeline} * 2 +
-                             (id.kind == asic::PipeKind::kEgress)];
+    const std::size_t i = std::size_t{id.pipeline} * 2 +
+                          (id.kind == asic::PipeKind::kEgress);
+    return i < pipelet_controls_.size() ? pipelet_controls_[i] : nullptr;
   }
 
   /// Inject a packet on a front-panel port and run it to completion.

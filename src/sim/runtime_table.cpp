@@ -2,8 +2,8 @@
 
 #include <charconv>
 #include <numeric>
-#include <string_view>
 #include <stdexcept>
+#include <string_view>
 
 namespace dejavu::sim {
 

@@ -125,6 +125,13 @@ BoundAction RuntimeTable::bind(const ActionCall& call) const {
   return out;
 }
 
+void RuntimeTable::check_bound(const BoundAction& action) const {
+  if (action.action >= control_->actions().size()) {
+    throw std::invalid_argument("table '" + def_->name +
+                                "': the action is not bound");
+  }
+}
+
 std::string RuntimeTable::action_error(const ActionCall& call) const {
   BoundAction unused;
   return bind(call, unused);
@@ -225,6 +232,7 @@ void RuntimeTable::add_exact(std::span<const std::uint64_t> key,
     throw std::invalid_argument("malformed epoch window for table '" +
                                 def_->name + "'");
   }
+  check_bound(action);
   std::uint64_t image[kMaxStride];
   std::copy(key.begin(), key.end(), image);
   image[arity_] = packed(window);
@@ -266,6 +274,7 @@ std::size_t RuntimeTable::add_ternary(const std::vector<net::TernaryField>& key,
     throw std::invalid_argument("malformed epoch window for table '" +
                                 def_->name + "'");
   }
+  check_bound(action);
   if (size_ >= def_->max_entries) {
     throw std::invalid_argument("table '" + def_->name + "' is full");
   }

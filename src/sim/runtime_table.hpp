@@ -431,6 +431,9 @@ class RuntimeTable {
   /// (kNoAction when undefined) whose shape was checked as `runnable`.
   std::string bind_call(const ActionCall& call, std::uint32_t id,
                         bool runnable, BoundAction& out) const;
+  /// Throw std::invalid_argument unless `action` names one of the
+  /// control's actions (a BoundAction whose bind() failed does not).
+  void check_bound(const BoundAction& action) const;
   /// The slot of the exact version at `rank` in corrupt()'s canonical
   /// victim order: the keys' decimal text ("v0|v1|..."), then install
   /// order, so the pick is independent of the index's slot layout.

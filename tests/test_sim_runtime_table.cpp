@@ -69,6 +69,23 @@ TEST(RuntimeTable, ExactHitAndMiss) {
   EXPECT_EQ(miss.action.action, "miss_act");
 }
 
+TEST(RuntimeTable, FailedBindingIsNotInstalled) {
+  const Fixture fx = exact_table();
+  RuntimeTable rt(fx.control, fx.def());
+  BoundAction failed;
+  EXPECT_EQ(rt.bind(ActionCall{"hit_act", {}}, failed),
+            "action 'hit_act' is missing argument 'p'");
+  const std::vector<std::uint64_t> key = {100, 2};
+  EXPECT_THROW(rt.add_exact(key, failed), std::invalid_argument);
+  EXPECT_EQ(rt.entry_count(), 0u);
+
+  const Fixture lpm = lpm_table();
+  RuntimeTable routes(lpm.control, lpm.def());
+  EXPECT_THROW(routes.add_ternary(routes.lpm_key(0x0a000000, 8), 8, failed),
+               std::invalid_argument);
+  EXPECT_EQ(routes.entry_count(), 0u);
+}
+
 TEST(RuntimeTable, MissingFieldIsAMiss) {
   const Fixture fx = exact_table();
   RuntimeTable rt(fx.control, fx.def());

@@ -1,24 +1,112 @@
 #include "control/session.hpp"
 
 #include <algorithm>
+#include <compare>
+#include <span>
 #include <tuple>
 
 namespace dejavu::control {
 
 namespace {
 
-/// Ordered stand-in for an EpochWindow (map keys).
-std::pair<std::uint32_t, std::uint32_t> win_key(sim::EpochWindow w) {
-  return {w.from, w.to};
+using Table = Snapshot::TableState;
+
+/// Walk two sorted sequences of `n` and `m` items in step: `cmp(i, j)`
+/// compares item i of the first with item j of the second (negative,
+/// zero or positive), and `visit(i, j)` takes each pair, an item only
+/// one side holds pairing with kNone.
+constexpr std::size_t kNone = ~std::size_t{0};
+template <class Cmp, class Visit>
+void merge(std::size_t n, std::size_t m, Cmp cmp, Visit visit) {
+  std::size_t i = 0;
+  std::size_t j = 0;
+  while (i < n || j < m) {
+    const int c = i == n ? 1 : j == m ? -1 : cmp(i, j);
+    if (c < 0) {
+      visit(i++, kNone);
+    } else if (c > 0) {
+      visit(kNone, j++);
+    } else {
+      visit(i++, j++);
+    }
+  }
 }
 
-/// Ordered stand-in for a ternary key (TernaryField is not ordered).
-std::vector<std::pair<std::uint64_t, std::uint64_t>> tern_key(
-    const std::vector<net::TernaryField>& key) {
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> k;
-  k.reserve(key.size());
-  for (const auto& f : key) k.emplace_back(f.value, f.mask);
-  return k;
+int three_way(std::span<const std::uint64_t> a,
+              std::span<const std::uint64_t> b) {
+  const auto c = std::lexicographical_compare_three_way(a.begin(), a.end(),
+                                                        b.begin(), b.end());
+  return c < 0 ? -1 : c > 0 ? 1 : 0;
+}
+
+/// `items` by (control, name), the order the reconcile plan lists them.
+template <class T, class Name>
+std::vector<const T*> by_name(const std::vector<T>& items, Name name) {
+  std::vector<const T*> out;
+  out.reserve(items.size());
+  for (const T& item : items) out.push_back(&item);
+  std::sort(out.begin(), out.end(),
+            [&](const T* a, const T* b) { return name(*a) < name(*b); });
+  return out;
+}
+
+/// The reconcile edits of one table: removals of the versions `have`
+/// holds and `want` does not hold with the same action, installs of the
+/// converse; exact versions by (key, window), then ternary ones by
+/// (key, priority, window). Either side may be missing (nullptr).
+void diff_table(const Table* have, const Table* want,
+                std::vector<RuleOp>& removals, std::vector<RuleOp>& adds) {
+  static const Table kEmpty;
+  const Table& h = have != nullptr ? *have : kEmpty;
+  const Table& w = want != nullptr ? *want : kEmpty;
+  // Over one program (a switch and its mirror) the names tables agree
+  // and the bound words compare as they are; otherwise the text forms
+  // compare, as the action names and arguments they stand for.
+  const bool same_names = h.actions == w.actions;
+  for (const bool ternary : {false, true}) {
+    const Snapshot::Versions& hv = ternary ? h.ternary : h.exact;
+    const Snapshot::Versions& wv = ternary ? w.ternary : w.exact;
+    // One edit of version `i` of `t`: an install carries its action.
+    auto edit = [&](const Table& t, std::size_t i, bool install) {
+      const Snapshot::Versions& v = ternary ? t.ternary : t.exact;
+      RuleOp op;
+      op.install = install;
+      op.control = t.control;
+      op.table = t.table;
+      op.window = v.window(i);
+      if (install) op.action = t.text(v.action(i), v.args(i));
+      if (!ternary) {
+        const auto key = t.exact_key(i);
+        op.key.assign(key.begin(), key.end());
+        return op;
+      }
+      op.kind = RuleOp::Kind::kTernary;
+      op.tkey = t.ternary_key(i);
+      op.priority = t.priority(i);
+      return op;
+    };
+    const auto ho = hv.order();
+    const auto wo = wv.order();
+    merge(
+        ho.size(), wo.size(),
+        [&](std::size_t i, std::size_t j) {
+          return three_way(hv.id(ho[i]), wv.id(wo[j]));
+        },
+        [&](std::size_t i, std::size_t j) {
+          if (i != kNone && j != kNone) {
+            const std::uint32_t a = hv.action(ho[i]);
+            const std::uint64_t* x = hv.args(ho[i]);
+            const std::uint64_t* y = wv.args(wo[j]);
+            if (same_names ? a == wv.action(wo[j]) &&
+                                 std::equal(x, x + hv.width, y)
+                           : h.text(a, x) == w.text(wv.action(wo[j]), y)) {
+              return;
+            }
+          }
+          if (i != kNone) removals.push_back(edit(h, ho[i], false));
+          if (j != kNone) adds.push_back(edit(w, wo[j], true));
+        });
+  }
 }
 
 }  // namespace
@@ -30,142 +118,72 @@ WriteCommand snapshot_diff(const Snapshot& actual, const Snapshot& intended) {
   // Removals ship before additions so an overwrite (same key+window,
   // different action) never trips the overlap validation, and register
   // cells after them; the scalar state is set once they all commit.
+  // Tables and registers pair up by (control, name), versions by key
+  // and window: both sides are sorted once and merged, no text built
+  // except for the edits.
   WriteCommand plan;
   plan.verb = WriteCommand::Verb::kReconcile;
   std::vector<RuleOp> adds;
   std::vector<RuleOp> regs;
 
-  using TableId = std::pair<std::string, std::string>;
-  using ExactId = std::pair<std::vector<std::uint64_t>,
-                            std::pair<std::uint32_t, std::uint32_t>>;
-  using TernId = std::tuple<std::vector<std::pair<std::uint64_t, std::uint64_t>>,
-                            std::int32_t,
-                            std::pair<std::uint32_t, std::uint32_t>>;
-
-  struct TableView {
-    std::map<ExactId, const sim::RuntimeTable::ExactEntry*> exact;
-    std::map<TernId, const sim::RuntimeTable::TernaryEntry*> ternary;
-  };
-
-  auto index_tables = [](const Snapshot& snap) {
-    std::map<TableId, TableView> views;
-    for (const Snapshot::TableState& t : snap.tables) {
-      TableView& view = views[{t.control, t.table}];
-      for (const auto& e : t.exact) {
-        view.exact[{e.key, win_key(e.window)}] = &e;
-      }
-      for (const auto& e : t.ternary) {
-        view.ternary[{tern_key(e.key), e.priority, win_key(e.window)}] = &e;
-      }
-    }
-    return views;
-  };
-  const auto have = index_tables(actual);
-  const auto want = index_tables(intended);
-
-  std::map<TableId, const TableView*> all;
-  for (const auto& [id, view] : have) all.emplace(id, nullptr);
-  for (const auto& [id, view] : want) all.emplace(id, nullptr);
-
-  // One edit of the version `window` of an entry in table `id`; an
-  // install when `action` is given.
-  auto edit = [](const TableId& id, const sim::ActionCall* action,
-                 sim::EpochWindow window) {
-    RuleOp op;
-    op.install = action != nullptr;
-    op.control = id.first;
-    op.table = id.second;
-    if (action != nullptr) op.action = *action;
-    op.window = window;
-    return op;
-  };
-  static const TableView kEmpty;
-  for (const auto& [id, unused] : all) {
-    auto hit = have.find(id);
-    auto wit = want.find(id);
-    const TableView& h = hit != have.end() ? hit->second : kEmpty;
-    const TableView& w = wit != want.end() ? wit->second : kEmpty;
-
-    for (const auto& [eid, entry] : h.exact) {
-      auto it = w.exact.find(eid);
-      if (it != w.exact.end() && it->second->action == entry->action) continue;
-      RuleOp op = edit(id, nullptr, entry->window);
-      op.key = entry->key;
-      plan.diff.ops.push_back(std::move(op));
-    }
-    for (const auto& [eid, entry] : w.exact) {
-      auto it = h.exact.find(eid);
-      if (it != h.exact.end() && it->second->action == entry->action) continue;
-      RuleOp op = edit(id, &entry->action, entry->window);
-      op.key = entry->key;
-      adds.push_back(std::move(op));
-    }
-
-    for (const auto& [tid, entry] : h.ternary) {
-      auto it = w.ternary.find(tid);
-      if (it != w.ternary.end() && it->second->action == entry->action) {
-        continue;
-      }
-      RuleOp op = edit(id, nullptr, entry->window);
-      op.kind = RuleOp::Kind::kTernary;
-      op.tkey = entry->key;
-      op.priority = entry->priority;
-      plan.diff.ops.push_back(std::move(op));
-    }
-    for (const auto& [tid, entry] : w.ternary) {
-      auto it = h.ternary.find(tid);
-      if (it != h.ternary.end() && it->second->action == entry->action) {
-        continue;
-      }
-      RuleOp op = edit(id, &entry->action, entry->window);
-      op.kind = RuleOp::Kind::kTernary;
-      op.tkey = entry->key;
-      op.priority = entry->priority;
-      adds.push_back(std::move(op));
-    }
-  }
+  auto table_name = [](const Table& t) { return std::tie(t.control, t.table); };
+  const auto have = by_name(actual.tables, table_name);
+  const auto want = by_name(intended.tables, table_name);
+  merge(
+      have.size(), want.size(),
+      [&](std::size_t i, std::size_t j) {
+        const auto a = table_name(*have[i]);
+        const auto b = table_name(*want[j]);
+        return a < b ? -1 : b < a ? 1 : 0;
+      },
+      [&](std::size_t i, std::size_t j) {
+        diff_table(i != kNone ? have[i] : nullptr,
+                   j != kNone ? want[j] : nullptr, plan.diff.ops, adds);
+      });
 
   // Registers: converge every differing cell (extras zero out) and
   // every bank tag.
-  using RegId = std::pair<std::string, std::string>;
-  std::map<RegId, const Snapshot::RegisterState*> have_regs;
-  std::map<RegId, const Snapshot::RegisterState*> want_regs;
-  for (const auto& r : actual.registers) have_regs[{r.control, r.name}] = &r;
-  for (const auto& r : intended.registers) want_regs[{r.control, r.name}] = &r;
-  std::map<RegId, const Snapshot::RegisterState*> all_regs = have_regs;
-  all_regs.insert(want_regs.begin(), want_regs.end());
-  for (const auto& [rid, unused] : all_regs) {
-    auto hit = have_regs.find(rid);
-    auto wit = want_regs.find(rid);
-    const Snapshot::RegisterState* h =
-        hit != have_regs.end() ? hit->second : nullptr;
-    const Snapshot::RegisterState* w =
-        wit != want_regs.end() ? wit->second : nullptr;
-    std::map<std::uint64_t, std::uint64_t> cells;
-    if (h != nullptr) {
-      for (const auto& [index, value] : h->cells) cells.emplace(index, 0);
-    }
-    if (w != nullptr) {
-      for (const auto& [index, value] : w->cells) cells[index] = value;
-    }
-    for (const auto& [index, intended_value] : cells) {
-      const std::uint64_t actual_value =
-          h != nullptr && h->cells.count(index) > 0 ? h->cells.at(index) : 0;
-      if (actual_value == intended_value) continue;
-      RuleOp op;
-      op.kind = RuleOp::Kind::kRegister;
-      op.control = rid.first;
-      op.reg = rid.second;
-      op.index = index;
-      op.value = intended_value;
-      regs.push_back(std::move(op));
-    }
-    const std::uint32_t actual_epoch = h != nullptr ? h->epoch : 0;
-    const std::uint32_t intended_epoch = w != nullptr ? w->epoch : 0;
-    if (actual_epoch != intended_epoch) {
-      plan.bank_epochs[rid] = intended_epoch;
-    }
-  }
+  using Register = Snapshot::RegisterState;
+  auto reg_name = [](const Register& r) { return std::tie(r.control, r.name); };
+  const auto have_regs = by_name(actual.registers, reg_name);
+  const auto want_regs = by_name(intended.registers, reg_name);
+  merge(
+      have_regs.size(), want_regs.size(),
+      [&](std::size_t i, std::size_t j) {
+        const auto a = reg_name(*have_regs[i]);
+        const auto b = reg_name(*want_regs[j]);
+        return a < b ? -1 : b < a ? 1 : 0;
+      },
+      [&](std::size_t i, std::size_t j) {
+        static const Register kAbsent;
+        const Register& h = i != kNone ? *have_regs[i] : kAbsent;
+        const Register& w = j != kNone ? *want_regs[j] : kAbsent;
+        const Register& named = i != kNone ? h : w;
+        merge(
+            h.cells.size(), w.cells.size(),
+            [&](std::size_t a, std::size_t b) {
+              const std::uint64_t x = h.cells[a].first;
+              const std::uint64_t y = w.cells[b].first;
+              return x < y ? -1 : x > y ? 1 : 0;
+            },
+            [&](std::size_t a, std::size_t b) {
+              const std::uint64_t actual_value =
+                  a != kNone ? h.cells[a].second : 0;
+              const std::uint64_t intended_value =
+                  b != kNone ? w.cells[b].second : 0;
+              if (actual_value == intended_value) return;
+              RuleOp op;
+              op.kind = RuleOp::Kind::kRegister;
+              op.control = named.control;
+              op.reg = named.name;
+              op.index = a != kNone ? h.cells[a].first : w.cells[b].first;
+              op.value = intended_value;
+              regs.push_back(std::move(op));
+            });
+        if (h.epoch != w.epoch) {
+          plan.bank_epochs[{named.control, named.name}] = w.epoch;
+        }
+      });
 
   if (actual.epoch != intended.epoch) plan.epoch = intended.epoch;
   if (actual.min_live_epoch != intended.min_live_epoch) {

@@ -533,27 +533,6 @@ LookupResult RuntimeTable::lookup(
   return LookupResult{m.hit, text(m.action, m.args)};
 }
 
-std::vector<RuntimeTable::ExactEntry> RuntimeTable::exact_entries() const {
-  std::vector<ExactEntry> out;
-  out.reserve(size_);
-  for (const ExactVersion& v : exact_where([](const auto&) { return true; })) {
-    out.push_back(entry(v));
-  }
-  return out;
-}
-
-std::vector<RuntimeTable::TernaryEntry> RuntimeTable::ternary_entries()
-    const {
-  std::vector<TernaryEntry> out;
-  if (!tcam_) return out;
-  out.reserve(tcam_->size());
-  for (const auto& e : tcam_->entries()) {
-    out.push_back(
-        {e.handle, e.priority, e.key, text(e.value), e.value.window});
-  }
-  return out;
-}
-
 namespace {
 
 // Derive an endless deterministic value stream from one salt
@@ -862,6 +841,11 @@ std::uint64_t RuntimeTable::state_digest() const {
     add(h, v.window, v.action, v.args);
   });
   return sum;
+}
+
+void RuntimeTable::reserve(std::size_t n) {
+  if (tcam_ || n == 0 || slots_for(n) <= slot_count()) return;
+  rehash(n - std::min(n, size_));
 }
 
 void RuntimeTable::clear() {

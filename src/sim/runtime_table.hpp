@@ -28,9 +28,10 @@
 // one path; a writer repeating one action (the LB's learning write)
 // binds it once. Both engines
 // read the store in place through probe(), and whole-table readers walk
-// it in place (for_each_exact(), ternary_store()); the text form
-// (ActionCall, ExactEntry) is rebuilt on demand for snapshots, journals
-// and the few versions an analyzer keeps.
+// it in place (for_each_exact(), ternary_store()); snapshots copy the
+// bound words as they are. The text form (ActionCall, ExactEntry) is
+// rebuilt on demand for journals and the few versions an analyzer
+// keeps.
 //
 // Every installed entry carries an epoch window [from, to]: the range
 // of chain generations it is visible to. A hitless live update (§11)
@@ -341,7 +342,7 @@ class RuntimeTable {
   }
   /// The exact versions `keep` accepts, in canonical order: by key,
   /// then window, ties in walk order. The explorer and the cost walker
-  /// fork in this order, and exact_entries() lists it.
+  /// fork in this order, and Snapshot::to_text() lists it.
   template <class Keep>
   std::vector<ExactVersion> exact_where(Keep&& keep) const {
     std::vector<ExactVersion> out;
@@ -372,6 +373,10 @@ class RuntimeTable {
 
   std::size_t entry_count() const { return size_; }
   void clear();
+  /// Size the exact index for `n` versions at once, so the next
+  /// n - entry_count() installs never re-lay it (restore_snapshot
+  /// refills a cleared table this way). No-op on ternary tables.
+  void reserve(std::size_t n);
 
   /// Heap bytes held by the exact index's slot array: the per-table
   /// cost of the exact entries, which grows and shrinks with them.
@@ -391,13 +396,6 @@ class RuntimeTable {
   std::uint64_t hits() const { return hits_; }
   std::uint64_t misses() const { return misses_; }
   void reset_counters() { hits_ = misses_ = 0; }
-
-  /// Snapshot export (§7 service upgrade / failure handling): every
-  /// version, retired and shadowed included, in text form and in
-  /// exact_where()'s canonical order. Analyzers walk the store instead.
-  std::vector<ExactEntry> exact_entries() const;
-  /// ternary_store() in text form (empty for exact tables).
-  std::vector<TernaryEntry> ternary_entries() const;
 
   // --- state-integrity surface (DESIGN.md §16) ---
 

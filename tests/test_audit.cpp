@@ -28,6 +28,7 @@
 #include "sim/compiled/compiled_pipeline.hpp"
 #include "sim/dataplane.hpp"
 #include "sim/fault.hpp"
+#include "rule_store_test_util.hpp"
 
 namespace dejavu {
 namespace {
@@ -228,9 +229,9 @@ TEST(RuntimeTableCorrupt, ExactVictimPickMatchesTheDecimalTextSort) {
       ASSERT_FALSE(victim.corrupt(RuntimeTable::CorruptKind::kDelete, salt)
                        .empty());
       // The deleted version is exactly the one the text sort picks.
-      std::vector<RuntimeTable::ExactEntry> before = rt.exact_entries();
+      std::vector<RuntimeTable::ExactEntry> before = test::exact_entries(rt);
       const std::vector<RuntimeTable::ExactEntry> after =
-          victim.exact_entries();
+          test::exact_entries(victim);
       const auto gone = std::find_if(
           before.begin(), before.end(), [&](const auto& e) {
             return e.key == key && e.window == window;

@@ -27,6 +27,7 @@
 #include "nf/parser_lib.hpp"
 #include "route/routing.hpp"
 #include "sim/compiled/compiled_pipeline.hpp"
+#include "rule_store_test_util.hpp"
 
 namespace dejavu::sim {
 namespace {
@@ -204,7 +205,7 @@ TEST_P(CompiledIncremental, RandomMutationsMatchInterpreterAndFreshCompile) {
       case 9:
         what = "ternary erase";
         d.apply(on_table("FW.acl", [&](RuntimeTable& t) {
-          const auto& entries = t.ternary_entries();
+          const auto& entries = test::ternary_entries(t);
           if (entries.empty()) return false;
           return t.erase_ternary(entries[r % entries.size()].handle);
         }));

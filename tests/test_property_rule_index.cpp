@@ -5,7 +5,7 @@
 // remove / retire / unretire / gc / corrupt sequences at key arity 1-8,
 // and pins that gc() leaves the index alone when nothing is retired.
 // A ternary twin table replays the same sequence with full-mask keys,
-// so ternary_entries() and its windows are checked against the same
+// so the ternary store and its windows are checked against the same
 // kind of scan.
 #include <gtest/gtest.h>
 
@@ -16,6 +16,7 @@
 #include <tuple>
 
 #include "sim/runtime_table.hpp"
+#include "rule_store_test_util.hpp"
 
 namespace dejavu::sim {
 namespace {
@@ -257,8 +258,8 @@ void check(const RuntimeTable& rt, const Reference& ref,
   ASSERT_EQ(rt.entry_count(), ref.v.size()) << where;
   ASSERT_EQ(rt.retired_count(), ref.retired_count()) << where;
 
-  // exact_entries(): sorted by (key, window); same content as the scan.
-  std::vector<RuntimeTable::ExactEntry> got = rt.exact_entries();
+  // The canonical walk: sorted by (key, window); same content as the scan.
+  std::vector<RuntimeTable::ExactEntry> got = test::exact_entries(rt);
   ASSERT_EQ(got.size(), ref.v.size()) << where;
   EXPECT_TRUE(std::is_sorted(got.begin(), got.end(),
                              [](const auto& a, const auto& b) {
@@ -312,14 +313,14 @@ std::vector<net::TernaryField> full_mask(const Key& key) {
 }
 
 /// The ternary twin's observable state against `ref`: every
-/// ternary_entries() version with its window, and the lookup at every
+/// ternary_store() version with its window, and the lookup at every
 /// epoch.
 void check_ternary(const RuntimeTable& rt, const Reference& ref,
                    const std::vector<Key>& pool, const std::string& where) {
   ASSERT_EQ(rt.entry_count(), ref.v.size()) << where;
   ASSERT_EQ(rt.retired_count(), ref.retired_count()) << where;
   std::vector<RuntimeTable::ExactEntry> got;
-  for (const RuntimeTable::TernaryEntry& e : rt.ternary_entries()) {
+  for (const RuntimeTable::TernaryEntry& e : test::ternary_entries(rt)) {
     Key key;
     for (const net::TernaryField& f : e.key) key.push_back(f.value);
     EXPECT_EQ(e.priority, 0) << where;
@@ -657,7 +658,7 @@ TEST(RuleIndex, ChurnAtEightThousandEntriesKeepsCapacity) {
     want.push_back({hash(n)});
   }
   std::sort(want.begin(), want.end());
-  const auto entries = rt.exact_entries();
+  const auto entries = test::exact_entries(rt);
   ASSERT_EQ(entries.size(), want.size());
   for (std::size_t i = 0; i < want.size(); ++i) {
     ASSERT_EQ(entries[i].key, want[i]) << i;
@@ -726,7 +727,7 @@ TEST(RuleIndex, TernaryRetiredCountFollowsEveryWindowChange) {
   RuntimeTable rt(fx.control, fx.def());
   auto count = [&](auto pred) {
     std::size_t n = 0;
-    for (const auto& e : rt.ternary_entries()) {
+    for (const auto& e : test::ternary_entries(rt)) {
       n += pred(e.window) ? 1 : 0;
     }
     return n;
@@ -736,7 +737,7 @@ TEST(RuleIndex, TernaryRetiredCountFollowsEveryWindowChange) {
   for (int step = 0; step < 3000; ++step) {
     const std::string where = "step " + std::to_string(step);
     const std::vector<RuntimeTable::TernaryEntry> entries =
-        rt.ternary_entries();
+        test::ternary_entries(rt);
     std::size_t handle = 0;
     EpochWindow window;  // [0, open] when the table is empty
     if (!entries.empty()) {

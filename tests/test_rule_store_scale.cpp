@@ -4,10 +4,12 @@
 // read it in place; these tests pin what they report when it is full
 // of sessions no explored witness carries, when a witness's own
 // session is installed as several generations, and when it is
-// corrupted.
+// corrupted. The snapshot path (take, restore, reconcile, scrub) moves
+// it as bound words; its tests run at 32K sessions.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <random>
 #include <stdexcept>
@@ -15,11 +17,19 @@
 #include <vector>
 
 #include "control/auditor.hpp"
+#include "control/channel.hpp"
+#include "control/session.hpp"
+#include "control/snapshot.hpp"
 #include "cost/cost.hpp"
 #include "explore/explorer.hpp"
 #include "explore/fixtures.hpp"
 #include "explore_test_util.hpp"
 #include "net/addr.hpp"
+
+namespace dejavu::test {
+/// Heap allocations so far (alloc_counter.cpp).
+std::uint64_t allocations();
+}  // namespace dejavu::test
 
 namespace dejavu {
 namespace {
@@ -284,6 +294,91 @@ TEST(RuleStoreScale, CorruptedSessionTableFoundWithinOneSweep) {
 
     const control::ScrubReport scrub = auditor.scrub();
     EXPECT_TRUE(scrub.identical) << scrub.to_string();
+  }
+}
+
+// A snapshot holds bound words: taking one allocates per table, not
+// per entry, so 8K sessions cost what 1K do.
+TEST(RuleStoreScale, TakingASnapshotAllocatesNothingPerEntry) {
+  auto allocations_of_take = [](std::size_t sessions) {
+    test::ExploreTarget t = test::build_explore_target("fig9");
+    learn_sessions(t, sessions);
+    const std::uint64_t before = test::allocations();
+    const control::Snapshot snap =
+        control::take_snapshot(t.deployment->dataplane());
+    const std::uint64_t n = test::allocations() - before;
+    EXPECT_GE(snap.entry_count(), sessions);
+    return n;
+  };
+  const std::uint64_t small = allocations_of_take(1024);
+  EXPECT_EQ(allocations_of_take(8192), small);
+  EXPECT_LT(small, 200u);
+}
+
+// The store's size is part of the packet path's speed: one more 8-byte
+// member slowed per-packet inject by 7-13%, so the snapshot path adds
+// none.
+TEST(RuleStoreScale, RuntimeTableKeepsItsSize) {
+  EXPECT_EQ(sizeof(sim::RuntimeTable), 176u);
+}
+
+TEST(RuleStoreScale, SnapshotRoundTripAt32KIsByteIdentical) {
+  test::ExploreTarget t = test::build_explore_target("fig9");
+  learn_sessions(t, 32768);
+  sim::DataPlane& dp = t.deployment->dataplane();
+  ASSERT_GT(lb_table(t).entry_count(), 32000u);
+  const control::Snapshot snap = control::take_snapshot(dp);
+  const std::string text = snap.to_text();
+
+  sim::DataPlane copy(dp.program(), dp.ids(), dp.config());
+  ASSERT_TRUE(control::restore_snapshot(snap, copy).empty());
+  EXPECT_EQ(control::take_snapshot(copy).to_text(), text);
+  const sim::RuntimeTable& restored = *copy.tables_named(kLbTable).front();
+  EXPECT_EQ(restored.state_digest(), lb_table(t).state_digest());
+  // Sized once: the index is the one growth would have reached.
+  EXPECT_EQ(restored.exact_index_bytes(), lb_table(t).exact_index_bytes());
+}
+
+TEST(RuleStoreScale, ConvergedReconcileAt32KMakesNoEdits) {
+  test::ExploreTarget t = test::build_explore_target("fig9");
+  learn_sessions(t, 32768);
+  sim::DataPlane& dp = t.deployment->dataplane();
+  control::SwitchAgent agent(dp);
+  control::Channel channel(sim::FaultPlan{},
+                           [&](const control::SessionMsg& m) {
+                             return agent.handle(m);
+                           });
+  auto mirror =
+      std::make_unique<sim::DataPlane>(dp.program(), dp.ids(), dp.config());
+  ASSERT_TRUE(
+      control::restore_snapshot(control::take_snapshot(dp), *mirror).empty());
+  control::Session session(channel, std::move(mirror));
+  ASSERT_TRUE(session.hello());
+  const control::ReconcileReport report = session.reconcile();
+  EXPECT_TRUE(report.converged) << report.to_string();
+  EXPECT_EQ(report.ops, 0u);
+}
+
+TEST(RuleStoreScale, ScrubAt32KConvergesAfterOneCorruption) {
+  using Kind = sim::RuntimeTable::CorruptKind;
+  for (const Kind kind : {Kind::kKeyFlip, Kind::kActionFlip, Kind::kWindowFlip,
+                          Kind::kDelete, Kind::kDuplicate}) {
+    SCOPED_TRACE(static_cast<int>(kind));
+    test::ExploreTarget t = test::build_explore_target("fig9");
+    learn_sessions(t, 32768);
+    sim::DataPlane& live = t.deployment->dataplane();
+    sim::DataPlane mirror = live;
+    control::AuditorOptions options;
+    options.sample_every = 0;
+    control::Auditor auditor(live, mirror, options);
+    const std::string intended = control::take_snapshot(mirror).to_text();
+    ASSERT_FALSE(lb_table(t).corrupt(kind, /*salt=*/11).empty());
+    ASSERT_NE(control::take_snapshot(live).to_text(), intended);
+
+    const control::ScrubReport scrub = auditor.scrub();
+    EXPECT_TRUE(scrub.identical) << scrub.to_string();
+    EXPECT_GT(scrub.ops, 0u);
+    EXPECT_EQ(control::take_snapshot(live).to_text(), intended);
   }
 }
 

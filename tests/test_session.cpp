@@ -239,13 +239,13 @@ TEST(SwitchAgent, ReconcileRefusesAnActionTheTableDoesNotBind) {
   msg.write.verb = WriteCommand::Verb::kReconcile;
   for (const Snapshot::TableState& t : take_snapshot(dp).tables) {
     if (t.table != "VGW.vip_map") continue;
-    for (const sim::RuntimeTable::ExactEntry& e : t.exact) {
+    for (std::size_t i = 0; i < t.exact.count(); ++i) {
       RuleOp remove;
       remove.install = false;
       remove.control = t.control;
       remove.table = t.table;
-      remove.key = e.key;
-      remove.window = e.window;
+      remove.key.assign(t.exact_key(i).begin(), t.exact_key(i).end());
+      remove.window = t.exact.window(i);
       RuleOp add = remove;
       add.install = true;
       add.action = {"no_such_action", {}};
@@ -583,10 +583,11 @@ TEST(SnapshotDiff, ProducesMinimalEditScript) {
   bool edited = false;
   for (auto& t : intended.tables) {
     if (t.table == "LB.lb_session") {
-      sim::RuntimeTable::ExactEntry e;
-      e.key = {0x77};
-      e.action = {"LB.modify_dstIp", {{"dip", 0x0a010201}}};
-      t.exact.push_back(e);
+      const std::uint64_t key[] = {0x77};
+      const std::uint64_t dip[] = {0x0a010201};
+      std::uint32_t modify = 0;
+      while (t.actions[modify].name != "LB.modify_dstIp") ++modify;
+      t.exact.add(key, {}, modify, dip);
       edited = true;
       break;
     }
